@@ -13,8 +13,12 @@ bare gather+reduce over pre-stitched indices on the bench shape -- the speed
 the kernel would reach if index construction, blocking overhead and the
 Python loop were free.  The JSON artefact records the roofline, each
 kernel's absolute MACs/s and its fraction of the roofline, plus the
-blocked-vs-naive speedup the tentpole claims (>= 1.5x, asserted here and
-archived by CI).
+blocked-vs-naive speedup (>= 1.5x, asserted here and archived by CI).
+
+It also times ``blocked`` against ``rowgather`` on the ResNet-20 stage
+shapes of a batch-32 forward pass and on one single-sample serve shape,
+asserting ``rowgather`` >= 1.3x on the three stage shapes (the calls
+``lut_matmul`` sends to it) and archiving every per-shape speed-up.
 """
 
 from __future__ import annotations
@@ -39,11 +43,24 @@ BENCH_P, BENCH_K, BENCH_F = 1024, 144, 64
 #: budget.  Floors sit well below the typically observed fractions
 #: (blocked ~0.7, naive ~0.25 on dev-class hosts) to stay robust to noisy
 #: shared runners while still catching order-of-magnitude regressions.
-ROOFLINE_FLOORS = {"naive": 0.06, "blocked": 0.20, "numba": 0.20}
+ROOFLINE_FLOORS = {"naive": 0.06, "blocked": 0.20, "rowgather": 0.20}
 
 #: The tentpole claim, asserted on every run: median blocked MACs/s must be
 #: at least this multiple of the naive kernel's.
 MIN_BLOCKED_SPEEDUP = 1.5
+
+#: (P, K, F) of the ResNet-20 stage convolutions at batch 32, which the size
+#: rule sends to ``rowgather``, and one single-sample serve call (P=16) that
+#: it keeps on ``blocked``.
+STAGE_SHAPES = {
+    "stage1": (32768, 144, 16),
+    "stage2": (8192, 288, 32),
+    "stage3": (2048, 576, 64),
+}
+SERVE_SHAPE = (16, 288, 64)
+
+#: Required median rowgather-over-blocked speed-up on every stage shape.
+MIN_ROWGATHER_SPEEDUP = 1.3
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +112,32 @@ def test_im2col_quantized(benchmark, activations):
 
 
 @pytest.mark.benchmark(group="micro")
-@pytest.mark.parametrize("kernel", ["naive", "blocked"])
+@pytest.mark.parametrize("kernel", ["naive", "blocked", "rowgather"])
 def test_lut_gemm(benchmark, exact_lut, gemm_case, kernel):
     patches, weights = gemm_case
     acc = benchmark(lut_matmul, patches, weights, exact_lut, kernel=kernel)
     assert acc.shape == (BENCH_P, BENCH_F)
+
+
+def _paired_median_seconds(lut, shape, kernels, repeats=5):
+    """Median wall time of each kernel on one (P, K, F) GEMM through ``lut``.
+
+    The kernels are timed in alternation so host drift over the run hits
+    them alike and the speed-up between them stays meaningful.
+    """
+    rng = np.random.default_rng(sum(shape))
+    p, k, f = shape
+    patches = rng.integers(-128, 128, size=(p, k))
+    weights = rng.integers(-128, 128, size=(k, f))
+    timings = {kernel: [] for kernel in kernels}
+    for kernel in kernels:
+        lut_matmul(patches, weights, lut, kernel=kernel)    # warm-up
+    for _ in range(repeats):
+        for kernel in kernels:
+            start = time.perf_counter()
+            lut_matmul(patches, weights, lut, kernel=kernel)
+            timings[kernel].append(time.perf_counter() - start)
+    return {kernel: statistics.median(t) for kernel, t in timings.items()}
 
 
 def _roofline_macs_per_s(lut, patches, weights,
@@ -112,7 +150,9 @@ def _roofline_macs_per_s(lut, patches, weights,
     built once, and the measurement replays gather+reduce over that panel as
     many times as the kernels walk panels of the bench shape.  Index
     construction, accumulation across panels and loop overhead are free
-    here, so no real kernel can exceed this rate.
+    here, so no kernel that stitches one index per product can exceed this
+    rate.  ``rowgather`` gathers a whole F-wide row per operand instead,
+    so its fraction can exceed 1.
     """
     idx_dtype = flat_index_dtype(lut.bit_width)
     mask = (1 << lut.bit_width) - 1
@@ -130,7 +170,7 @@ def _roofline_macs_per_s(lut, patches, weights,
     return macs / _median_seconds(gather_reduce)
 
 
-def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
+def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
     """Roofline-anchored LUT-GEMM throughput (emulated MACs per second).
 
     Timed by hand (medians over repeats) rather than through the
@@ -156,10 +196,20 @@ def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
 
     speedup = achieved["blocked"] / achieved["naive"]
     payload["blocked_vs_naive_speedup"] = speedup
-    # Compatibility keys: the trajectory numbers earlier PRs archived,
-    # continued by the default kernel's figures.
-    payload["lut_gemm_macs_per_s"] = achieved["blocked"]
-    payload["lut_gemm_median_seconds"] = payload["blocked_median_seconds"]
+    # Trajectory keys earlier PRs archived, continued by whatever kernel the
+    # default dispatch picks for the bench shape.
+    default_median = _median_seconds(lut_matmul, patches, weights, exact_lut)
+    payload["lut_gemm_macs_per_s"] = macs / default_median
+    payload["lut_gemm_median_seconds"] = default_median
+
+    layer_speedups = {}
+    for label, shape in {**STAGE_SHAPES, "serve": SERVE_SHAPE}.items():
+        times = _paired_median_seconds(mitchell_lut, shape,
+                                       ("blocked", "rowgather"))
+        layer_speedups[label] = times["blocked"] / times["rowgather"]
+        payload[f"{label}_rowgather_vs_blocked_speedup"] = layer_speedups[label]
+        for kernel, median in times.items():
+            payload[f"{label}_{kernel}_macs_per_s"] = np.prod(shape) / median
     bench_json("microkernels", payload)
 
     for kernel, floor in ROOFLINE_FLOORS.items():
@@ -175,6 +225,12 @@ def test_lut_gemm_roofline(exact_lut, gemm_case, bench_json):
         f"blocked kernel is only {speedup:.2f}x the naive kernel "
         f"(required: {MIN_BLOCKED_SPEEDUP}x)"
     )
+    for label in STAGE_SHAPES:
+        assert layer_speedups[label] >= MIN_ROWGATHER_SPEEDUP, (
+            f"rowgather is only {layer_speedups[label]:.2f}x blocked on the "
+            f"{label} shape {STAGE_SHAPES[label]} "
+            f"(required: {MIN_ROWGATHER_SPEEDUP}x)"
+        )
 
 
 @pytest.mark.benchmark(group="micro")

@@ -112,10 +112,9 @@ class NumpyBackend(ConvBackend):
     """Vectorised im2col + LUT-GEMM engine (Algorithm 1, host NumPy).
 
     ``kernel`` pins the LUT-GEMM kernel variant this instance dispatches to
-    (``"naive"``, ``"blocked"``, ``"numba"`` when available -- see
+    (``"naive"``, ``"blocked"``, ``"rowgather"`` -- see
     :func:`repro.conv.gemm.available_gemm_kernels`); ``None`` follows the
-    process-wide default.  The registered ``numba`` backend is exactly
-    ``NumpyBackend(kernel="numba")``: same im2col path, JIT inner loop.
+    process-wide default, which picks by call size.
     """
 
     name = "numpy"
@@ -275,12 +274,6 @@ def available_backends() -> list[str]:
 def _register_defaults() -> None:
     for factory in (NumpyBackend, CpusimBackend, GpusimBackend):
         register_backend(factory.name, factory, overwrite=True)
-    # The JIT engine is the numpy backend with the numba LUT-GEMM kernel
-    # pinned; only registered when the capability probe finds the package,
-    # so `available_backends()` never advertises an engine that cannot run.
-    if xp.capabilities().get("numba"):  # pragma: no cover - numba CI leg only
-        register_backend(
-            "numba", lambda: NumpyBackend(kernel="numba"), overwrite=True)
 
 
 _register_defaults()

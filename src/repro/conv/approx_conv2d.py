@@ -290,7 +290,7 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
     kernel:
         Optional LUT-GEMM kernel variant name (``"naive"``, ``"blocked"``,
-        ``"numba"`` when available); ``None`` uses the process default.
+        ``"rowgather"``); ``None`` uses the process default.
     stats:
         Optional :class:`ApproxConvStats` accumulating operation counts.
 

@@ -25,17 +25,33 @@ variants ship by default:
     plane (one ``&``/``<<`` per operand for the whole product, not per
     tile), and the lookup gathers through :meth:`numpy.ndarray.take` in the
     LUT's native 16-bit storage.  Bit-identical to ``naive`` (integer
-    addition is associative) at 2-3x the throughput; the default.
-``numba``
-    A JIT-compiled scalar loop (:mod:`repro.conv.gemm_numba`), registered
-    only when the capability probe (:func:`repro.xp.capabilities`) finds
-    numba installed, and then auto-selected as the default.
+    addition is associative) at 2-3x its throughput.
+``rowgather``
+    Weight-stationary row gather: per K panel it slices the LUT into
+    ``W[k * 2**n + v, :] = LUT[v, w[k, :]]`` (native 16-bit storage), then
+    every patch row accumulates ``W[a[p, k] + k * 2**n, :]`` -- one
+    contiguous F-wide row per operand instead of one stitched index per
+    product.  Bit-identical to ``naive``; 1.4-3.7x ``blocked`` on the
+    ResNet layer shapes.
+
+When no kernel is named, :func:`lut_matmul` picks by call size: building
+``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``, so
+``rowgather`` runs when ``P >= 2 * 2**n`` (512 rows for 8-bit tables) and
+``blocked`` below that, where the build would dominate (serve's
+single-sample calls).  ``W`` is rebuilt on every call rather than cached:
+it is ``K * 2**n * F`` entries per layer, ~137 MB across ResNet-20's 19
+tables (18.9 MB for each stage-3 table), over half the ~258 MB peak RSS of
+whole-model ResNet-20 inference -- while the per-call build costs at most
+1/8 of the GEMM's gathers at ResNet-20's smallest batch-32 call (P=2048),
+and needs no invalidation when training rewrites the filter banks.
 
 Every kernel accepts a ``compute_dtype`` (``int32`` or the default
 ``int64``): the accumulator width of the emulated MAC datapath.  ``int32``
-halves the accumulator bandwidth and is safe whenever
-``K * max|product| < 2**31``; overflow behaviour beyond that point is
-kernel-specific, exactly as it would be across real accelerator datapaths.
+halves the accumulator bandwidth; :func:`lut_matmul` rejects it up front
+with :class:`~repro.errors.ConfigurationError` unless
+``K * max|LUT| < 2**31``, so no kernel can wrap silently.  Operands outside
+the table's range raise :class:`~repro.errors.TruthTableError` there too,
+exactly as :meth:`~repro.lut.LookupTable.lookup` does.
 
 ``approx_gemm`` stays deliberately engine-agnostic: the kernels here, the
 direct CPU loop in :mod:`repro.conv.reference` and the simulated CUDA kernel
@@ -54,15 +70,23 @@ from ..errors import ConfigurationError, RegistryError, ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
 
-#: Environment variable overriding the auto-selected LUT-GEMM kernel.
+#: Environment variable overriding the size-selected LUT-GEMM kernel.
 ENV_KERNEL = "REPRO_GEMM_KERNEL"
 
-#: Default row-panel height of the blocked kernel (tuned so one panel's
-#: index + product intermediates fit in L2 for the bench shapes).
+#: Default row-panel height of the blocked and rowgather kernels (tuned so
+#: one panel's index + product intermediates fit in L2 for the bench shapes).
 DEFAULT_BLOCK_ROWS = 128
 
 #: Default K-panel depth of the blocked kernel.
 DEFAULT_BLOCK_K = 48
+
+#: Byte budget of one rowgather ``W`` panel; its K depth follows from it
+#: (32 taps of a 64-filter 8-bit bank, a single tap of a 12-bit one).
+ROWGATHER_PANEL_BYTES = 1 << 20
+
+#: ``rowgather`` is the default once ``P >= ROWGATHER_MIN_ROWS_PER_LEVEL *
+#: 2**n``: below that, building ``W`` outweighs the gathers it saves.
+ROWGATHER_MIN_ROWS_PER_LEVEL = 2
 
 
 def gemm_float(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
@@ -85,7 +109,7 @@ def flat_index_dtype(bit_width: int):
     ``n``-bit multiplier, so narrow index buffers overflow silently once the
     width grows: int16 already fails at 9 bits and a 16-bit LUT's top index
     (``2**32 - 1``) no longer fits a *signed* 32-bit integer.  Every kernel
-    routes its index arithmetic through this choice; the regression tests pin
+    that stitches indices routes them through this choice; the tests pin
     the 12-bit and 16-bit boundaries.
     """
     if bit_width < 2 or bit_width > 16:
@@ -137,6 +161,15 @@ def _validate_lut_matmul_operands(patches, filters):
             f"inner dimensions do not match: {patches.shape} x {filters.shape}"
         )
     return patches, filters
+
+
+def _check_int32_accumulator(depth: int, lut: LookupTable, acc_dtype) -> None:
+    """Reject int32 accumulation whenever ``depth`` products could wrap it."""
+    if acc_dtype is xp.int32 and depth * lut.max_abs_product >= 1 << 31:
+        raise ConfigurationError(
+            f"int32 accumulator can overflow: K={depth} products of up to "
+            f"|{lut.max_abs_product}| reach 2**31; use compute_dtype=int64"
+        )
 
 
 def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
@@ -239,6 +272,56 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     return result
 
 
+def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
+                         lut: LookupTable, *,
+                         block_rows: int = DEFAULT_BLOCK_ROWS,
+                         accumulator_bits: int | None = None,
+                         saturate: bool = False,
+                         compute_dtype=None, **_tuning) -> xp.ndarray:
+    """Weight-stationary row-gather GEMM: one F-wide table row per operand.
+
+    Same contract as :func:`lut_matmul_naive`.  For each K panel the LUT is
+    sliced into ``W[k * 2**n + v, f] = LUT[v, w[k, f]]``, so the products of
+    patch operand ``v`` with a whole filter row are one contiguous row of
+    ``W``; each row block then accumulates ``W.take(a_bits + k * 2**n,
+    axis=0).sum(axis=1)``.  Row offsets cost ``P * K`` adds instead of the
+    ``P * K * F`` stitched indices of the other kernels.
+
+    A panel holds as many ``k`` as fit :data:`ROWGATHER_PANEL_BYTES` of
+    ``W`` (at least one), so wide tables -- 4096 rows of 4-byte entries per
+    ``k`` at 12 bits -- keep it cache-sized.  ``W`` is rebuilt on every
+    call; the module docstring explains why it is not cached.
+    """
+    patches, filters = _validate_lut_matmul_operands(patches, filters)
+    if block_rows <= 0:
+        raise ConfigurationError("block_rows must be positive")
+    acc_dtype = _resolve_compute_dtype(compute_dtype)
+
+    num_patches, depth = patches.shape
+    num_filters = filters.shape[1]
+    levels = 1 << lut.bit_width
+    mask = levels - 1
+    # by_weight[w, v] = LUT[v, w]: one contiguous row per filter operand.
+    by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
+    panel_k = max(1, ROWGATHER_PANEL_BYTES
+                  // (levels * max(num_filters, 1) * by_weight.itemsize))
+    filter_bits = filters & mask
+
+    acc = xp.zeros((num_patches, num_filters), dtype=acc_dtype)
+    for k0 in range(0, depth, panel_k):
+        k1 = min(k0 + panel_k, depth)
+        panel = by_weight.take(filter_bits[k0:k1], axis=0)   # [k, F, v]
+        weights = xp.ascontiguousarray(panel.transpose(0, 2, 1)).reshape(
+            (k1 - k0) * levels, num_filters)                  # [k * 2**n + v, F]
+        offsets = xp.arange(0, (k1 - k0) * levels, levels)
+        for r0 in range(0, num_patches, block_rows):
+            r1 = min(r0 + block_rows, num_patches)
+            rows = (patches[r0:r1, k0:k1] & mask) + offsets
+            acc[r0:r1] += weights.take(rows, axis=0).sum(axis=1, dtype=acc_dtype)
+    return _wrap_accumulator(
+        acc.astype(xp.int64, copy=False), accumulator_bits, saturate)
+
+
 # ----------------------------------------------------------------------
 # Kernel registry (mirrors repro.backends.registry)
 # ----------------------------------------------------------------------
@@ -247,7 +330,6 @@ GemmKernel = Callable[..., "xp.ndarray"]
 _KERNELS: dict[str, GemmKernel] = {}
 _KERNEL_LOCK = threading.Lock()
 _DEFAULT_KERNEL_OVERRIDE: str | None = None
-_NUMBA_PROBED = False
 
 
 def register_gemm_kernel(name: str, kernel: GemmKernel, *,
@@ -278,31 +360,14 @@ def unregister_gemm_kernel(name: str) -> None:
         del _KERNELS[name]
 
 
-def _ensure_numba_registered() -> bool:
-    """Lazily register the numba kernel when the capability probe allows it."""
-    global _NUMBA_PROBED
-    if _NUMBA_PROBED:
-        with _KERNEL_LOCK:
-            return "numba" in _KERNELS
-    _NUMBA_PROBED = True
-    if not xp.capabilities().get("numba", False):
-        return False
-    from .gemm_numba import lut_matmul_numba  # deferred: imports numba
-    register_gemm_kernel("numba", lut_matmul_numba, overwrite=True)
-    return True
-
-
 def available_gemm_kernels() -> list[str]:
     """Sorted names of every registered kernel variant."""
-    _ensure_numba_registered()
     with _KERNEL_LOCK:
         return sorted(_KERNELS)
 
 
 def get_gemm_kernel(name: str) -> GemmKernel:
     """Return the kernel registered under ``name`` (unknown names raise)."""
-    if name == "numba":
-        _ensure_numba_registered()
     with _KERNEL_LOCK:
         try:
             return _KERNELS[name]
@@ -321,12 +386,13 @@ def set_default_gemm_kernel(name: str | None) -> None:
     _DEFAULT_KERNEL_OVERRIDE = name
 
 
-def default_gemm_kernel() -> str:
+def default_gemm_kernel(num_patches: int = 0, bit_width: int = 8) -> str:
     """Kernel name :func:`lut_matmul` dispatches to when none is requested.
 
     Resolution order: :func:`set_default_gemm_kernel` override, then the
-    ``REPRO_GEMM_KERNEL`` environment variable, then the capability probe --
-    ``numba`` when importable, else ``blocked``.
+    ``REPRO_GEMM_KERNEL`` environment variable, then the size rule --
+    ``rowgather`` for calls of ``num_patches >= 2 * 2**bit_width`` rows,
+    ``blocked`` below that.
     """
     if _DEFAULT_KERNEL_OVERRIDE is not None:
         return _DEFAULT_KERNEL_OVERRIDE
@@ -334,8 +400,8 @@ def default_gemm_kernel() -> str:
     if env:
         get_gemm_kernel(env)    # fail fast on typos
         return env
-    if _ensure_numba_registered():
-        return "numba"
+    if num_patches >= ROWGATHER_MIN_ROWS_PER_LEVEL << bit_width:
+        return "rowgather"
     return "blocked"
 
 
@@ -354,19 +420,31 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     an ``[P, F]`` int64 matrix of *approximate* dot products.
 
     ``kernel`` selects the executing variant from the kernel registry
-    (``naive``, ``blocked``, ``numba`` when available, plus anything added
-    via :func:`register_gemm_kernel`); when omitted,
-    :func:`default_gemm_kernel` picks the fastest variant the environment
-    supports.  All variants are bit-identical; ``tile_rows`` tunes the naive
-    kernel, ``block_rows``/``block_k`` the blocked one, and
-    ``compute_dtype`` selects the accumulator width (int32 vs int64) of any
-    of them.
+    (``naive``, ``blocked``, ``rowgather``, plus anything added via
+    :func:`register_gemm_kernel`); when omitted,
+    :func:`default_gemm_kernel` picks one by the call's row count.  All
+    variants are bit-identical; ``tile_rows`` tunes the naive kernel,
+    ``block_rows`` the blocked and rowgather ones, ``block_k`` the blocked
+    one, and ``compute_dtype`` selects the accumulator width (int32 vs
+    int64) of any of them.
+
+    Operands outside the table's range raise
+    :class:`~repro.errors.TruthTableError`, and an ``int32`` accumulator
+    that ``K`` products could overflow raises
+    :class:`~repro.errors.ConfigurationError` before any work is done.
     """
     if tile_rows <= 0:
         raise ConfigurationError("tile_rows must be positive")
     if block_rows <= 0 or block_k <= 0:
         raise ConfigurationError("block_rows and block_k must be positive")
-    run = get_gemm_kernel(kernel if kernel is not None else default_gemm_kernel())
+    patches, filters = _validate_lut_matmul_operands(patches, filters)
+    _check_int32_accumulator(
+        patches.shape[1], lut, _resolve_compute_dtype(compute_dtype))
+    lut.check_operands(patches)
+    lut.check_operands(filters)
+    if kernel is None:
+        kernel = default_gemm_kernel(patches.shape[0], lut.bit_width)
+    run = get_gemm_kernel(kernel)
     return run(
         patches, filters, lut,
         accumulator_bits=accumulator_bits,
@@ -381,6 +459,7 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
 def _register_default_kernels() -> None:
     register_gemm_kernel("naive", lut_matmul_naive, overwrite=True)
     register_gemm_kernel("blocked", lut_matmul_blocked, overwrite=True)
+    register_gemm_kernel("rowgather", lut_matmul_rowgather, overwrite=True)
 
 
 _register_default_kernels()

@@ -15,6 +15,8 @@ place.
 
 from __future__ import annotations
 
+import functools
+
 from .. import xp
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
@@ -124,9 +126,14 @@ class LookupTable:
     # ------------------------------------------------------------------
     # Index construction and lookups
     # ------------------------------------------------------------------
-    def _to_bits(self, values: xp.ndarray) -> xp.ndarray:
-        """Map quantised operand values to raw bit patterns."""
-        values = xp.asarray(values, dtype=xp.int64)
+    @functools.cached_property
+    def max_abs_product(self) -> int:
+        """Largest product magnitude in the table (bounds accumulator growth)."""
+        return max(abs(int(self._flat.min())), abs(int(self._flat.max())))
+
+    def check_operands(self, values: xp.ndarray) -> None:
+        """Raise :class:`~repro.errors.TruthTableError` unless every quantised
+        operand lies in ``[operand_min, operand_max]``."""
         lo, hi = self.operand_min, self.operand_max
         if values.size:
             vmin, vmax = int(values.min()), int(values.max())
@@ -135,6 +142,11 @@ class LookupTable:
                     f"quantised operands [{vmin}, {vmax}] outside the table "
                     f"range [{lo}, {hi}]"
                 )
+
+    def _to_bits(self, values: xp.ndarray) -> xp.ndarray:
+        """Map quantised operand values to raw bit patterns."""
+        values = xp.asarray(values, dtype=xp.int64)
+        self.check_operands(values)
         mask = (1 << self._bit_width) - 1
         return values & mask
 

@@ -26,9 +26,8 @@ Array backends are named loaders in a registry mirroring
 pre-registered and resolved lazily (selecting it raises a clear
 :class:`~repro.errors.ConfigurationError` when the package is missing), and
 user code may add further array modules with :func:`register_array_backend`.
-:func:`capabilities` exposes the probe the kernel-selection logic uses to
-decide, for example, whether the numba-JIT LUT-GEMM variant can be
-registered (see :func:`repro.conv.gemm.default_gemm_kernel`).
+:func:`capabilities` reports which of those optional array modules this
+environment can import.
 
 The module deliberately has no dependency on the rest of ``repro`` beyond
 :mod:`repro.errors`, so it can never participate in an import cycle with the
@@ -52,7 +51,7 @@ from .errors import ConfigurationError
 ENV_VAR = "REPRO_XP"
 
 #: Optional third-party modules probed by :func:`capabilities`.
-_PROBED_MODULES = ("cupy", "numba")
+_PROBED_MODULES = ("cupy",)
 
 _LOCK = threading.RLock()
 
@@ -166,12 +165,12 @@ def has_module(name: str) -> bool:
 
 
 def capabilities(*, refresh: bool = False) -> dict[str, bool]:
-    """Probe which optional acceleration packages this environment offers.
+    """Probe which optional array packages this environment offers.
 
     Returns a name -> available mapping covering ``numpy`` (always True) and
-    the optional packages the kernels can exploit (``cupy`` for device
-    arrays, ``numba`` for the JIT LUT-GEMM variant).  The probe is cached --
-    pass ``refresh=True`` after installing a package into a live process.
+    the optional array modules (``cupy`` for device arrays).  The probe is
+    cached -- pass ``refresh=True`` after installing a package into a live
+    process.
     """
     global _CAPABILITIES
     with _LOCK:

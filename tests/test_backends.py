@@ -29,6 +29,7 @@ from repro.backends import (
     unregister_backend,
 )
 from repro.conv import approx_conv2d, prepare_conv2d
+from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import available_gemm_kernels, lut_matmul
 from repro.errors import ConfigurationError, RegistryError
 from repro.graph import Graph
@@ -115,10 +116,8 @@ class TestKernelVariantParity:
     """Every registered LUT-GEMM kernel variant must agree bit for bit.
 
     The grid crosses shapes x multipliers (signed and unsigned) x
-    accumulator dtype; ``naive`` is the reference.  When numba is installed
-    its JIT kernel joins the sweep through ``available_gemm_kernels()``
-    automatically, so the numba CI leg proves numba-vs-numpy parity with no
-    extra test code.
+    accumulator dtype; ``naive`` is the reference.  Every kernel in
+    ``available_gemm_kernels()`` joins the sweep automatically.
     """
 
     @pytest.mark.parametrize("shape", GEMM_SHAPES,
@@ -156,28 +155,12 @@ class TestKernelVariantParity:
                          block_rows=block_rows, block_k=block_k)
         assert np.array_equal(out, reference)
 
-    @pytest.mark.skipif("numba" not in available_gemm_kernels(),
-                        reason="numba not installed")
-    def test_numba_conv_backend_matches_numpy(self):
-        """The registered numba ConvBackend is end-to-end bit-identical."""
-        inputs, filters, strides, padding = _case(SHAPES[0])
-        reference = emulate_conv2d(inputs, filters, "mul8s_mitchell",
-                                   strides=strides, padding=padding)
-        jit = emulate_conv2d(inputs, filters, "mul8s_mitchell",
-                             backend="numba", strides=strides, padding=padding)
-        assert np.array_equal(jit, reference)
-
-    def test_numba_backend_registered_iff_capability(self):
-        from repro import xp
-
-        assert ("numba" in available_backends()) == xp.capabilities()["numba"]
-
     def test_pinned_kernel_backend_matches_default(self):
         """A NumpyBackend pinned to any kernel variant keeps parity."""
         inputs, filters, strides, padding = _case(SHAPES[0])
         reference = emulate_conv2d(inputs, filters, "mul8s_exact",
                                    strides=strides, padding=padding)
-        for kernel in ("naive", "blocked"):
+        for kernel in available_gemm_kernels():
             register_backend(f"numpy_{kernel}", NumpyBackend(kernel=kernel))
             try:
                 out = emulate_conv2d(inputs, filters, "mul8s_exact",
@@ -186,6 +169,33 @@ class TestKernelVariantParity:
             finally:
                 unregister_backend(f"numpy_{kernel}")
             assert np.array_equal(out, reference), kernel
+
+    @pytest.mark.parametrize("multiplier", ["mul8s_mitchell", "mul8u_drum4"])
+    def test_default_conv_above_crossover_matches_naive(self, multiplier,
+                                                        monkeypatch):
+        """A conv whose chunks have P >= 512 rows takes the size-selected
+        rowgather kernel and still matches the naive reference exactly."""
+        rng = np.random.default_rng(11)
+        inputs = rng.normal(size=(4, 12, 12, 3))     # P = 4*12*12 = 576
+        filters = rng.normal(size=(3, 3, 3, 5))
+        register_backend("numpy_naive", NumpyBackend(kernel="naive"))
+        try:
+            reference = emulate_conv2d(inputs, filters, multiplier,
+                                       backend="numpy_naive", chunk_size=4)
+        finally:
+            unregister_backend("numpy_naive")
+
+        rowgather = gemm_mod.get_gemm_kernel("rowgather")
+        rows = []
+
+        def spy(patches, *args, **kwargs):
+            rows.append(len(patches))
+            return rowgather(patches, *args, **kwargs)
+
+        monkeypatch.setitem(gemm_mod._KERNELS, "rowgather", spy)
+        out = emulate_conv2d(inputs, filters, multiplier, chunk_size=4)
+        assert rows == [576]
+        assert np.array_equal(out, reference)
 
 
 class TestRegistry:

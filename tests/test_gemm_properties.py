@@ -11,7 +11,10 @@ Three families of invariants, mostly driven by hypothesis:
   exactly representable in float64);
 * *degenerate shapes are well-defined*: empty reduction (K=0), empty operand
   panels (P=0 / F=0) and single-row products return the right shapes instead
-  of crashing.
+  of crashing;
+* *no silent wrong answers*: operands the table cannot address and int32
+  accumulators that ``K`` products could overflow raise typed errors at the
+  ``lut_matmul`` boundary, for every kernel.
 
 The flat-index dtype regression tests live here too: stitched indices span
 ``2 * bit_width`` bits, so the 12-bit table no longer fits int16 indices and
@@ -22,18 +25,22 @@ narrow index planes rely on.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
     approx_gemm,
+    available_gemm_kernels,
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
     lut_matmul,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TruthTableError
 from repro.lut import LookupTable
 from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
@@ -66,14 +73,21 @@ class TestBlockingInvariance:
         f=st.integers(1, 12),
         block_rows=st.integers(1, 48),
         block_k=st.integers(1, 48),
+        panel_bytes=st.integers(1, 1 << 16),
     )
     def test_block_size_never_changes_results(self, mitchell_lut, seed, p, k,
-                                              f, block_rows, block_k):
+                                              f, block_rows, block_k,
+                                              panel_bytes):
         patches, filters = _int_case(seed, p, k, f)
         reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
         blocked = lut_matmul(patches, filters, mitchell_lut, kernel="blocked",
                              block_rows=block_rows, block_k=block_k)
         np.testing.assert_array_equal(blocked, reference)
+        # rowgather's K-panel depth follows its W panel byte budget.
+        with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
+            rowgather = lut_matmul(patches, filters, mitchell_lut,
+                                   kernel="rowgather", block_rows=block_rows)
+        np.testing.assert_array_equal(rowgather, reference)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -103,10 +117,11 @@ class TestBlockingInvariance:
         reference = lut_matmul(patches, filters, exact_lut, kernel="naive",
                                accumulator_bits=accumulator_bits,
                                saturate=saturate)
-        blocked = lut_matmul(patches, filters, exact_lut, kernel="blocked",
+        for kernel in ("blocked", "rowgather"):
+            out = lut_matmul(patches, filters, exact_lut, kernel=kernel,
                              accumulator_bits=accumulator_bits,
                              saturate=saturate, block_rows=4, block_k=13)
-        np.testing.assert_array_equal(blocked, reference)
+            np.testing.assert_array_equal(out, reference)
 
 
 class TestExactLutIsAGemm:
@@ -143,7 +158,7 @@ class TestExactLutIsAGemm:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("kernel", ["naive", "blocked"])
+    @pytest.mark.parametrize("kernel", ["naive", "blocked", "rowgather"])
     @pytest.mark.parametrize("p,k,f", [
         (5, 0, 3),    # empty reduction: a well-defined all-zero product
         (0, 7, 3),    # no patches
@@ -212,3 +227,82 @@ class TestFlatIndexDtype:
                              block_rows=4, block_k=3)
         np.testing.assert_array_equal(blocked, naive)
         np.testing.assert_array_equal(blocked, patches @ filters)
+
+    def test_12bit_lut_rowgather_kernel_regression(self):
+        """At 12 bits one ``W`` tap is 4096 rows of 4-byte entries, so the
+        byte budget shrinks the K panel; every panel depth, down to a single
+        tap, must still match the naive path bit for bit."""
+        n = 1 << 12
+        ops = np.arange(n, dtype=np.int64)
+        table = np.multiply.outer(ops, ops).astype(np.int32)
+        lut = LookupTable(table, bit_width=12, signed=False, name="mul12u_exact")
+
+        rng = np.random.default_rng(12)
+        patches = rng.integers(0, n, size=(9, 7))
+        patches[0, :] = n - 1
+        filters = rng.integers(0, n, size=(7, 4))
+        filters[:, 0] = n - 1
+
+        naive = lut_matmul(patches, filters, lut, kernel="naive")
+        for panel_bytes in (1, 3 * n * 4 * 4, 1 << 20):
+            with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
+                                   panel_bytes):
+                out = lut_matmul(patches, filters, lut, kernel="rowgather",
+                                 block_rows=4)
+            np.testing.assert_array_equal(out, naive)
+        np.testing.assert_array_equal(naive, patches @ filters)
+
+
+class TestDefaultDispatch:
+    """Without a named kernel, ``lut_matmul`` picks one by call size."""
+
+    @pytest.mark.parametrize("rows,expected", [(511, "blocked"),
+                                               (512, "rowgather")])
+    def test_size_rule_boundary(self, mitchell_lut, monkeypatch, rows,
+                                expected):
+        monkeypatch.delenv("REPRO_GEMM_KERNEL", raising=False)
+        calls = []
+        for name in ("blocked", "rowgather"):
+            kernel = gemm_mod.get_gemm_kernel(name)
+
+            def spy(*args, _name=name, _kernel=kernel, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setitem(gemm_mod._KERNELS, name, spy)
+        patches, filters = _int_case(rows, rows, 20, 6)
+        out = lut_matmul(patches, filters, mitchell_lut)
+        assert calls == [expected]
+        reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
+        np.testing.assert_array_equal(out, reference)
+
+
+class TestOperandValidation:
+    """No kernel may mask an operand it cannot address or wrap an int32
+    accumulator silently."""
+
+    @pytest.mark.parametrize("kernel", available_gemm_kernels())
+    def test_out_of_range_operands_raise(self, exact_lut, kernel):
+        # Masked to 8 bits, 300 aliases 44: 44*2 + 1*3 = 91, not 603.
+        with pytest.raises(TruthTableError, match="300"):
+            lut_matmul([[300, 1]], [[2], [3]], exact_lut, kernel=kernel)
+        with pytest.raises(TruthTableError, match="-129"):
+            lut_matmul([[2, 1]], [[-129], [3]], exact_lut, kernel=kernel)
+        unsigned = LookupTable.from_multiplier(library.create("mul8u_drum4"))
+        with pytest.raises(TruthTableError):
+            lut_matmul([[-1, 1]], [[2], [3]], unsigned, kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", available_gemm_kernels())
+    def test_int32_accumulator_overflow_is_rejected(self, exact_lut, kernel):
+        """(-128)*(-128) = 2**14, so K = 2**17 products reach 2**31."""
+        limit = 1 << 17
+        patches = np.full((1, limit), -128)
+        filters = np.full((limit, 1), -128)
+        with pytest.raises(ConfigurationError, match="int32"):
+            lut_matmul(patches, filters, exact_lut, kernel=kernel,
+                       compute_dtype=np.int32)
+        out = lut_matmul(patches[:, 1:], filters[1:], exact_lut, kernel=kernel,
+                         compute_dtype=np.int32)
+        assert out[0, 0] == (limit - 1) << 14
+        wide = lut_matmul(patches, filters, exact_lut, kernel=kernel)
+        assert wide[0, 0] == limit << 14

@@ -5,13 +5,13 @@ Three concerns are covered here:
 1. the indirection itself -- attribute forwarding, backend registry
    round-trips, the ``REPRO_XP`` environment variable (exercised in
    subprocesses, since it is read once at import time), and the capability
-   probe the kernel auto-selection relies on;
+   probe for optional array modules;
 2. a lint-style sweep enforcing that the numerical core imports its arrays
    *only* through ``repro.xp`` -- direct ``import numpy`` is allowed only in
    ``xp.py`` itself and in the whitelisted shim packages that sit above the
    numerical core;
-3. the LUT-GEMM *kernel* registry that rides on the capability probe
-   (register/unregister, default resolution, ``REPRO_GEMM_KERNEL``).
+3. the LUT-GEMM *kernel* registry (register/unregister, default resolution
+   by call size, ``REPRO_GEMM_KERNEL``).
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ class TestCapabilities:
     def test_probe_reports_numpy_and_optional_packages(self):
         caps = xp.capabilities()
         assert caps["numpy"] is True
-        assert set(caps) == {"numpy", "cupy", "numba"}
-        assert caps["numba"] == xp.has_module("numba")
+        assert set(caps) == {"numpy", "cupy"}
         assert caps["cupy"] == xp.has_module("cupy")
 
     def test_probe_is_cached_and_refreshable(self):
@@ -232,10 +231,7 @@ def test_core_module_sweep_is_not_vacuous():
 
 class TestGemmKernelRegistry:
     def test_default_variants_are_registered(self):
-        kernels = available_gemm_kernels()
-        assert "naive" in kernels and "blocked" in kernels
-        # numba appears exactly when the capability probe finds it.
-        assert ("numba" in kernels) == xp.capabilities()["numba"]
+        assert available_gemm_kernels() == ["blocked", "naive", "rowgather"]
 
     def test_unknown_kernel_raises_listing_known_names(self):
         with pytest.raises(RegistryError, match="blocked"):
@@ -274,8 +270,13 @@ class TestGemmKernelRegistry:
         with pytest.raises(RegistryError):
             default_gemm_kernel()
 
-    def test_without_numba_default_is_blocked(self):
-        if xp.capabilities()["numba"]:
-            assert default_gemm_kernel() == "numba"
-        else:
-            assert default_gemm_kernel() == "blocked"
+    def test_default_follows_size_rule(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GEMM_KERNEL", raising=False)
+        assert default_gemm_kernel() == "blocked"
+        assert default_gemm_kernel(511) == "blocked"
+        assert default_gemm_kernel(512) == "rowgather"
+        assert default_gemm_kernel(8191, bit_width=12) == "blocked"
+        assert default_gemm_kernel(8192, bit_width=12) == "rowgather"
+        # The environment variable beats the size rule.
+        monkeypatch.setenv("REPRO_GEMM_KERNEL", "naive")
+        assert default_gemm_kernel(1 << 20) == "naive"
