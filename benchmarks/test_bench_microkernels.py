@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.conv import im2col_quantized, lut_matmul
-from repro.conv.gemm import available_gemm_kernels, flat_index_dtype
+from repro.conv.gemm import KERNELS, flat_index_dtype
 from repro.quantization import compute_coeffs_from_tensor
 
 #: Bench shape: one im2col'd 3x3x16 layer chunk against 64 filters.
@@ -186,7 +186,7 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         "roofline_macs_per_s": roofline,
     }
     achieved = {}
-    for kernel in available_gemm_kernels():
+    for kernel in sorted(KERNELS):
         median = _median_seconds(
             lut_matmul, patches, weights, exact_lut, kernel=kernel)
         achieved[kernel] = macs / median

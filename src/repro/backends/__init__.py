@@ -1,20 +1,19 @@
 """Unified execution backends behind one batched inference API.
 
-This package is the dispatch seam between the functional emulation code and
-the engines that execute it.  All four execution paths of the library (the
+This package dispatches between the functional emulation code and the
+engines that execute it.  All four execution paths of the library (the
 vectorised NumPy engine, the direct CPU loop, the simulated CUDA device and
 the ``AxConv2D`` graph op) resolve their quantisation coefficients and
 lookup tables through the same code path and run through the
-:class:`ConvBackend` contract, so adding an accelerator model means
-implementing one chunk-level method and calling :func:`register_backend`.
+:class:`ConvBackend` contract.
 
 Entry points:
 
 * :func:`emulate_conv2d` -- one-call approximate convolution on any backend;
 * :class:`InferencePipeline` -- reusable pipeline with LUT/filter-bank
   caching and thread-pool batch sharding;
-* :func:`register_backend` / :func:`get_backend` /
-  :func:`available_backends` -- the registry.
+* :func:`get_backend` / :func:`available_backends` -- the fixed table of
+  the ``numpy``, ``cpusim`` and ``gpusim`` backends.
 """
 
 from .cache import (
@@ -42,8 +41,6 @@ from .registry import (
     NumpyBackend,
     available_backends,
     get_backend,
-    register_backend,
-    unregister_backend,
 )
 
 __all__ = [
@@ -66,7 +63,5 @@ __all__ = [
     "clear_caches",
     "emulate_conv2d",
     "get_backend",
-    "register_backend",
     "shared_pipeline",
-    "unregister_backend",
 ]

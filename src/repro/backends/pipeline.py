@@ -202,14 +202,12 @@ def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
 
 
 class InferencePipeline:
-    """High-throughput entry point over the backend registry.
+    """High-throughput entry point over the convolution backends.
 
     Parameters
     ----------
     backend:
-        Registry name of the execution engine (``numpy``, ``cpusim``,
-        ``gpusim`` or anything added via
-        :func:`repro.backends.register_backend`).
+        Name of the execution engine: ``numpy``, ``cpusim`` or ``gpusim``.
     multiplier:
         Default multiplier for :meth:`run` calls that do not pass their own:
         a library name, a behavioural model or a pre-built lookup table.
@@ -386,7 +384,7 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
                    accumulator_bits: int | None = None,
                    saturate: bool = False,
                    report: RunReport | None = None) -> xp.ndarray:
-    """Emulate one approximate convolution through the backend registry.
+    """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library
     name, behavioural model or pre-built LUT) and a backend, get the NHWC
@@ -443,13 +441,8 @@ def shared_pipeline(backend: str = "numpy", *,
         RoundMode.from_any(round_mode), accumulator_bits, bool(saturate),
     )
     with _SHARED_PIPELINES_LOCK:
-        # Re-resolve through the registry on every call: it raises for
-        # names that were unregistered meanwhile, and a cached pipeline
-        # holding a superseded backend instance (register_backend with
-        # overwrite=True) is rebuilt rather than served stale.
-        current = get_backend(backend)
         pipeline = _SHARED_PIPELINES.get(key)
-        if pipeline is None or pipeline.backend is not current:
+        if pipeline is None:
             pipeline = InferencePipeline(
                 backend,
                 chunk_size=chunk_size, max_workers=max_workers,

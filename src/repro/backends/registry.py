@@ -1,4 +1,4 @@
-"""Backend registry: one dispatch point for every convolution engine.
+"""Backend table: one dispatch point for every convolution engine.
 
 The seed code exposed each execution engine through a slightly different
 ad-hoc API (``conv.approx_conv2d``, ``cpusim.run_direct_reference``,
@@ -11,7 +11,7 @@ resolution, filter caching, batch sharding, threading, accounting -- lives in
 :class:`~repro.backends.pipeline.InferencePipeline` and is therefore
 identical across backends.
 
-Three backends ship by default:
+The table holds exactly three backends:
 
 ``numpy``
     The vectorised im2col + LUT-GEMM engine of Algorithm 1 (the fast path).
@@ -22,17 +22,14 @@ Three backends ship by default:
     Algorithm 1 on the simulated CUDA device, recording kernel launches,
     texture fetches and shared-memory traffic.
 
-User code plugs in additional engines with :func:`register_backend`; the
-registry mirrors :mod:`repro.multipliers.library` so the two extension
-points feel the same.
+:func:`get_backend` looks one up by name; :func:`available_backends` lists
+them.
 """
 
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass
-from typing import Callable
 
 from .. import xp
 from ..conv.approx_conv2d import (
@@ -56,7 +53,7 @@ class ChunkResult:
 
 
 class ConvBackend(abc.ABC):
-    """Contract every registered convolution engine implements.
+    """Contract every convolution engine implements.
 
     A backend receives a chunk of the NHWC input batch and the
     :class:`~repro.conv.approx_conv2d.PreparedConv` holding the resolved
@@ -64,10 +61,10 @@ class ConvBackend(abc.ABC):
     chunk's NHWC float output and its operation counts.  Backends must be
     deterministic and produce results bit-identical to the ``numpy``
     reference engine -- the cross-backend parity test enforces this for
-    every registered backend.
+    every backend.
     """
 
-    #: Registry name; set by subclasses.
+    #: Table name; set by subclasses.
     name: str = "?"
 
     @abc.abstractmethod
@@ -111,16 +108,11 @@ def _analytic_stats(chunk: xp.ndarray, prepared: PreparedConv,
 class NumpyBackend(ConvBackend):
     """Vectorised im2col + LUT-GEMM engine (Algorithm 1, host NumPy).
 
-    ``kernel`` pins the LUT-GEMM kernel variant this instance dispatches to
-    (``"naive"``, ``"blocked"``, ``"rowgather"`` -- see
-    :func:`repro.conv.gemm.available_gemm_kernels`); ``None`` follows the
-    process-wide default, which picks by call size.
+    :func:`repro.conv.gemm.lut_matmul` picks the LUT-GEMM kernel of each
+    chunk by its size.
     """
 
     name = "numpy"
-
-    def __init__(self, kernel: str | None = None) -> None:
-        self.kernel = kernel
 
     def run_chunk(self, chunk, prepared, *, strides=(1, 1), dilations=(1, 1),
                   padding="SAME", accumulator_bits=None,
@@ -130,7 +122,7 @@ class NumpyBackend(ConvBackend):
             chunk, prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            kernel=self.kernel, stats=stats,
+            stats=stats,
         )
         return ChunkResult(output=output, stats=stats)
 
@@ -160,23 +152,13 @@ class CpusimBackend(ConvBackend):
 class GpusimBackend(ConvBackend):
     """Algorithm 1 on the simulated CUDA device with launch accounting.
 
-    Without an explicit ``device`` each chunk runs on a fresh
-    :class:`~repro.gpusim.device.GPUDevice`: the registry instance is a
-    process-wide singleton, and a shared device would retain every
-    ``KernelLaunch`` record for the life of the process.  The per-chunk
-    accounting callers care about travels in the returned
-    :class:`ChunkResult` regardless.  Pass a device to accumulate global
-    counters across calls deliberately.
+    Each chunk runs on a fresh :class:`~repro.gpusim.device.GPUDevice`: the
+    table instance is a process-wide singleton, and a shared device would
+    retain every ``KernelLaunch`` record for the life of the process.  The
+    per-chunk accounting travels in the returned :class:`ChunkResult`.
     """
 
     name = "gpusim"
-
-    def __init__(self, device: GPUDevice | None = None) -> None:
-        self.device = device
-        # A caller-supplied device mutates global counters per launch;
-        # chunks sharded across the pipeline's thread pool must not
-        # interleave on it.
-        self._lock = threading.Lock()
 
     def run_chunk(self, chunk, prepared, *, strides=(1, 1), dilations=(1, 1),
                   padding="SAME", accumulator_bits=None,
@@ -186,17 +168,10 @@ class GpusimBackend(ConvBackend):
                 "the gpusim backend accumulates in unbounded integers; "
                 "use the numpy backend for finite-accumulator studies"
             )
-        if self.device is None:
-            output, gpu_report = run_gpusim_chunk(
-                GPUDevice(), chunk, prepared,
-                strides=strides, dilations=dilations, padding=padding,
-            )
-        else:
-            with self._lock:
-                output, gpu_report = run_gpusim_chunk(
-                    self.device, chunk, prepared,
-                    strides=strides, dilations=dilations, padding=padding,
-                )
+        output, gpu_report = run_gpusim_chunk(
+            GPUDevice(), chunk, prepared,
+            strides=strides, dilations=dilations, padding=padding,
+        )
         return ChunkResult(
             output=output,
             stats=_analytic_stats(chunk, prepared, output),
@@ -204,76 +179,23 @@ class GpusimBackend(ConvBackend):
         )
 
 
-BackendFactory = Callable[[], ConvBackend]
-
-_REGISTRY: dict[str, BackendFactory] = {}
-_INSTANCES: dict[str, ConvBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def register_backend(name: str, backend: ConvBackend | BackendFactory, *,
-                     overwrite: bool = False) -> None:
-    """Register a backend instance or zero-argument factory under ``name``.
-
-    Raises :class:`~repro.errors.RegistryError` when the name is taken,
-    unless ``overwrite`` is requested.
-    """
-    with _REGISTRY_LOCK:
-        if not overwrite and name in _REGISTRY:
-            raise RegistryError(f"backend {name!r} is already registered")
-        if isinstance(backend, ConvBackend):
-            _REGISTRY[name] = lambda: backend
-        elif callable(backend):
-            _REGISTRY[name] = backend
-        else:
-            raise RegistryError(
-                "backend must be a ConvBackend instance or a factory, got "
-                f"{type(backend).__name__}"
-            )
-        _INSTANCES.pop(name, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (unknown names raise ``RegistryError``)."""
-    with _REGISTRY_LOCK:
-        if name not in _REGISTRY:
-            raise RegistryError(f"backend {name!r} is not registered")
-        del _REGISTRY[name]
-        _INSTANCES.pop(name, None)
+_BACKENDS: dict[str, ConvBackend] = {
+    backend.name: backend
+    for backend in (NumpyBackend(), CpusimBackend(), GpusimBackend())
+}
 
 
 def get_backend(name: str) -> ConvBackend:
-    """Return the (lazily instantiated, cached) backend called ``name``."""
-    with _REGISTRY_LOCK:
-        if name in _INSTANCES:
-            return _INSTANCES[name]
-        try:
-            factory = _REGISTRY[name]
-        except KeyError:
-            known = ", ".join(sorted(_REGISTRY))
-            raise RegistryError(
-                f"unknown backend {name!r}; registered backends: {known}"
-            ) from None
-        instance = factory()
-        if not isinstance(instance, ConvBackend):
-            raise RegistryError(
-                f"factory for backend {name!r} returned "
-                f"{type(instance).__name__}, not a ConvBackend"
-            )
-        instance.name = name
-        _INSTANCES[name] = instance
-        return instance
+    """Return the backend called ``name`` (unknown names raise)."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        known = ", ".join(sorted(_BACKENDS))
+        raise RegistryError(
+            f"unknown backend {name!r}; known backends: {known}"
+        ) from None
 
 
 def available_backends() -> list[str]:
-    """Sorted names of every registered backend."""
-    with _REGISTRY_LOCK:
-        return sorted(_REGISTRY)
-
-
-def _register_defaults() -> None:
-    for factory in (NumpyBackend, CpusimBackend, GpusimBackend):
-        register_backend(factory.name, factory, overwrite=True)
-
-
-_register_defaults()
+    """Sorted names of every backend."""
+    return sorted(_BACKENDS)

@@ -217,15 +217,13 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
                         padding: str = "SAME",
                         accumulator_bits: int | None = None,
                         saturate: bool = False,
-                        kernel: str | None = None,
                         stats: ApproxConvStats | None = None) -> xp.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
     vectorised NumPy engine; :func:`approx_conv2d` and the ``numpy`` backend
     of :mod:`repro.backends` both call it, so their numerical behaviour is
-    one code path.  ``kernel`` selects the LUT-GEMM kernel variant (see
-    :func:`repro.conv.gemm.lut_matmul`); ``None`` uses the default.
+    one code path.
     """
     patches, patch_sums, geometry = im2col_quantized(
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
@@ -235,7 +233,6 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
         patches, patch_sums, prepared.flat_filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,
         accumulator_bits=accumulator_bits, saturate=saturate,
-        kernel=kernel,
     )
     count = prepared.filter_count
     if stats is not None:
@@ -260,7 +257,6 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   accumulator_bits: int | None = None,
                   saturate: bool = False,
-                  kernel: str | None = None,
                   stats: ApproxConvStats | None = None) -> xp.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
@@ -288,9 +284,6 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         Number of images converted to the patch matrix at a time.
     accumulator_bits, saturate:
         Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
-    kernel:
-        Optional LUT-GEMM kernel variant name (``"naive"``, ``"blocked"``,
-        ``"rowgather"``); ``None`` uses the process default.
     stats:
         Optional :class:`ApproxConvStats` accumulating operation counts.
 
@@ -317,22 +310,8 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            kernel=kernel, stats=local_stats,
+            stats=local_stats,
         ))
 
     return xp.concatenate(outputs, axis=0)
 
-
-def accurate_conv2d_reference(inputs: xp.ndarray, filters: xp.ndarray, *,
-                              strides=(1, 1), dilations=(1, 1),
-                              padding: str = "SAME") -> xp.ndarray:
-    """Convenience alias for the accurate float convolution.
-
-    Provided so user code can switch between the accurate and approximate
-    engines by swapping a single callable.
-    """
-    from .reference import conv2d_float
-
-    return conv2d_float(
-        inputs, filters, strides=strides, dilations=dilations, padding=padding,
-    )

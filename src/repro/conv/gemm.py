@@ -10,9 +10,8 @@ Two GEMM flavours are provided:
   integer accumulations are corrected with the pre-computed patch sums ``Sp``
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
-The integer LUT product itself -- :func:`lut_matmul` -- dispatches through a
-small *kernel registry* mirroring :mod:`repro.backends.registry`.  Three
-variants ship by default:
+The integer LUT product itself -- :func:`lut_matmul` -- dispatches to one of
+three kernels in the fixed :data:`KERNELS` table:
 
 ``naive``
     The seed implementation: one row tile at a time, full-depth ``[T, K, F]``
@@ -45,13 +44,10 @@ whole-model ResNet-20 inference -- while the per-call build costs at most
 1/8 of the GEMM's gathers at ResNet-20's smallest batch-32 call (P=2048),
 and needs no invalidation when training rewrites the filter banks.
 
-Every kernel accepts a ``compute_dtype`` (``int32`` or the default
-``int64``): the accumulator width of the emulated MAC datapath.  ``int32``
-halves the accumulator bandwidth; :func:`lut_matmul` rejects it up front
-with :class:`~repro.errors.ConfigurationError` unless
-``K * max|LUT| < 2**31``, so no kernel can wrap silently.  Operands outside
-the table's range raise :class:`~repro.errors.TruthTableError` there too,
-exactly as :meth:`~repro.lut.LookupTable.lookup` does.
+Every kernel accumulates in int64.  :func:`lut_matmul` validates once for
+all of them: operands outside the table's range raise
+:class:`~repro.errors.TruthTableError` there, exactly as
+:meth:`~repro.lut.LookupTable.lookup` does.
 
 ``approx_gemm`` stays deliberately engine-agnostic: the kernels here, the
 direct CPU loop in :mod:`repro.conv.reference` and the simulated CUDA kernel
@@ -61,17 +57,10 @@ results, which the cross-kernel parity grid in the test-suite checks.
 
 from __future__ import annotations
 
-import os
-import threading
-from typing import Callable
-
 from .. import xp
 from ..errors import ConfigurationError, RegistryError, ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
-
-#: Environment variable overriding the size-selected LUT-GEMM kernel.
-ENV_KERNEL = "REPRO_GEMM_KERNEL"
 
 #: Default row-panel height of the blocked and rowgather kernels (tuned so
 #: one panel's index + product intermediates fit in L2 for the bench shapes).
@@ -117,18 +106,6 @@ def flat_index_dtype(bit_width: int):
     return xp.int32 if 2 * bit_width <= 31 else xp.int64
 
 
-def _resolve_compute_dtype(compute_dtype):
-    """Normalise the accumulator dtype parameter (int32/int64, default int64)."""
-    if compute_dtype is None:
-        return xp.int64
-    dtype = xp.dtype(compute_dtype)
-    if dtype not in (xp.dtype(xp.int32), xp.dtype(xp.int64)):
-        raise ConfigurationError(
-            f"compute_dtype must be int32 or int64, got {dtype}"
-        )
-    return dtype.type
-
-
 def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
                       saturate: bool) -> xp.ndarray:
     """Model a finite-width MAC accumulator.
@@ -136,19 +113,17 @@ def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
     The paper's accelerator uses a 32-bit accumulator behind the 8-bit
     multiplier; by default the emulation uses int64 so no overflow can occur,
     but callers may opt into modelling the finite accumulator either with
-    wrap-around (two's complement) or saturation semantics.
+    wrap-around (two's complement) or saturation semantics.  Wrapping
+    sign-extends the low ``accumulator_bits`` bits with a shift pair, which
+    stays inside int64 for every width up to 64.
     """
     if accumulator_bits is None:
         return values
-    if accumulator_bits < 8 or accumulator_bits > 64:
-        raise ConfigurationError("accumulator_bits must lie in [8, 64]")
-    lo = -(1 << (accumulator_bits - 1))
-    hi = (1 << (accumulator_bits - 1)) - 1
     if saturate:
-        return xp.clip(values, lo, hi)
-    span = 1 << accumulator_bits
-    wrapped = xp.mod(values - lo, span) + lo
-    return wrapped
+        return xp.clip(values, -(1 << (accumulator_bits - 1)),
+                       (1 << (accumulator_bits - 1)) - 1)
+    shift = 64 - accumulator_bits
+    return (values << shift) >> shift
 
 
 def _validate_lut_matmul_operands(patches, filters):
@@ -163,39 +138,25 @@ def _validate_lut_matmul_operands(patches, filters):
     return patches, filters
 
 
-def _check_int32_accumulator(depth: int, lut: LookupTable, acc_dtype) -> None:
-    """Reject int32 accumulation whenever ``depth`` products could wrap it."""
-    if acc_dtype is xp.int32 and depth * lut.max_abs_product >= 1 << 31:
-        raise ConfigurationError(
-            f"int32 accumulator can overflow: K={depth} products of up to "
-            f"|{lut.max_abs_product}| reach 2**31; use compute_dtype=int64"
-        )
-
-
 def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
                      lut: LookupTable, *, tile_rows: int = 256,
                      accumulator_bits: int | None = None,
-                     saturate: bool = False,
-                     compute_dtype=None, **_tuning) -> xp.ndarray:
+                     saturate: bool = False) -> xp.ndarray:
     """The seed LUT-GEMM kernel: row tiles over a full-depth index tensor.
 
-    ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
-    shape ``[K, F]`` (quantised filter columns).  The product is accumulated
-    in ``compute_dtype`` (default int64, optionally folded into a
-    finite-width accumulator) and returned as an ``[P, F]`` int64 matrix of
-    *approximate* dot products.
+    ``patches`` is the ``[P, K]`` int64 matrix of quantised patch rows and
+    ``filters`` the ``[K, F]`` int64 matrix of quantised filter columns,
+    both already validated by :func:`lut_matmul`.  The product is
+    accumulated in int64 (optionally folded into a finite-width accumulator)
+    and returned as an ``[P, F]`` int64 matrix of *approximate* dot
+    products.
 
     The computation is tiled over patch rows only, so the intermediate index
     tensor is ``[tile_rows, K, F]`` -- small for the paper's layer shapes but
     far outside cache for deep inputs, which is what the ``blocked`` kernel
     fixes.  Kept verbatim as the bit-exact reference of the parity grid.
     """
-    patches, filters = _validate_lut_matmul_operands(patches, filters)
-    if tile_rows <= 0:
-        raise ConfigurationError("tile_rows must be positive")
-    acc_dtype = _resolve_compute_dtype(compute_dtype)
-
-    num_patches, depth = patches.shape
+    num_patches = patches.shape[0]
     num_filters = filters.shape[1]
     result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
 
@@ -209,9 +170,8 @@ def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
         tile_bits = (tile & mask) << lut.bit_width      # [T, K]
         idx = tile_bits[:, :, None] | filter_bits[None, :, :]   # [T, K, F]
         products = lut.lookup_flat(idx)                 # [T, K, F] int64
-        acc = products.sum(axis=1, dtype=acc_dtype)     # [T, F]
         result[start:stop] = _wrap_accumulator(
-            acc.astype(xp.int64), accumulator_bits, saturate)
+            products.sum(axis=1), accumulator_bits, saturate)
     return result
 
 
@@ -220,8 +180,7 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
                        block_rows: int = DEFAULT_BLOCK_ROWS,
                        block_k: int = DEFAULT_BLOCK_K,
                        accumulator_bits: int | None = None,
-                       saturate: bool = False,
-                       compute_dtype=None, **_tuning) -> xp.ndarray:
+                       saturate: bool = False) -> xp.ndarray:
     """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
 
     Same contract as :func:`lut_matmul_naive`, restructured for memory
@@ -236,18 +195,13 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
       any depth ``K`` (the naive kernel's intermediates grow linearly with
       ``K``);
     * the gather reads the LUT's native 16-bit storage via ``take`` and sums
-      with an explicit ``compute_dtype`` accumulator, never materialising
-      the int64 product tensor the naive kernel allocates.
+      straight into the int64 accumulator, never materialising the int64
+      product tensor the naive kernel allocates.
 
     Partial K-panel sums are combined by integer addition, so the result is
     bit-identical to the naive kernel for every block size -- the hypothesis
     suite asserts exactly that.
     """
-    patches, filters = _validate_lut_matmul_operands(patches, filters)
-    if block_rows <= 0 or block_k <= 0:
-        raise ConfigurationError("block_rows and block_k must be positive")
-    acc_dtype = _resolve_compute_dtype(compute_dtype)
-
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
     idx_dtype = flat_index_dtype(lut.bit_width)
@@ -262,13 +216,12 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
     for r0 in range(0, num_patches, block_rows):
         r1 = min(r0 + block_rows, num_patches)
-        acc = xp.zeros((r1 - r0, num_filters), dtype=acc_dtype)
+        acc = xp.zeros((r1 - r0, num_filters), dtype=xp.int64)
         for k0 in range(0, depth, block_k):
             k1 = min(k0 + block_k, depth)
             idx = patch_bits[r0:r1, k0:k1, None] | filter_bits[None, k0:k1, :]
-            acc += flat.take(idx).sum(axis=1, dtype=acc_dtype)
-        result[r0:r1] = _wrap_accumulator(
-            acc.astype(xp.int64), accumulator_bits, saturate)
+            acc += flat.take(idx).sum(axis=1, dtype=xp.int64)
+        result[r0:r1] = _wrap_accumulator(acc, accumulator_bits, saturate)
     return result
 
 
@@ -276,8 +229,7 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
                          lut: LookupTable, *,
                          block_rows: int = DEFAULT_BLOCK_ROWS,
                          accumulator_bits: int | None = None,
-                         saturate: bool = False,
-                         compute_dtype=None, **_tuning) -> xp.ndarray:
+                         saturate: bool = False) -> xp.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
     Same contract as :func:`lut_matmul_naive`.  For each K panel the LUT is
@@ -292,11 +244,6 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
     ``k`` at 12 bits -- keep it cache-sized.  ``W`` is rebuilt on every
     call; the module docstring explains why it is not cached.
     """
-    patches, filters = _validate_lut_matmul_operands(patches, filters)
-    if block_rows <= 0:
-        raise ConfigurationError("block_rows must be positive")
-    acc_dtype = _resolve_compute_dtype(compute_dtype)
-
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
     levels = 1 << lut.bit_width
@@ -307,7 +254,7 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
                   // (levels * max(num_filters, 1) * by_weight.itemsize))
     filter_bits = filters & mask
 
-    acc = xp.zeros((num_patches, num_filters), dtype=acc_dtype)
+    acc = xp.zeros((num_patches, num_filters), dtype=xp.int64)
     for k0 in range(0, depth, panel_k):
         k1 = min(k0 + panel_k, depth)
         panel = by_weight.take(filter_bits[k0:k1], axis=0)   # [k, F, v]
@@ -317,152 +264,62 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
         for r0 in range(0, num_patches, block_rows):
             r1 = min(r0 + block_rows, num_patches)
             rows = (patches[r0:r1, k0:k1] & mask) + offsets
-            acc[r0:r1] += weights.take(rows, axis=0).sum(axis=1, dtype=acc_dtype)
-    return _wrap_accumulator(
-        acc.astype(xp.int64, copy=False), accumulator_bits, saturate)
+            acc[r0:r1] += weights.take(rows, axis=0).sum(axis=1, dtype=xp.int64)
+    return _wrap_accumulator(acc, accumulator_bits, saturate)
 
 
-# ----------------------------------------------------------------------
-# Kernel registry (mirrors repro.backends.registry)
-# ----------------------------------------------------------------------
-GemmKernel = Callable[..., "xp.ndarray"]
-
-_KERNELS: dict[str, GemmKernel] = {}
-_KERNEL_LOCK = threading.Lock()
-_DEFAULT_KERNEL_OVERRIDE: str | None = None
+#: The LUT-GEMM kernels :func:`lut_matmul` dispatches to, by name.
+KERNELS = {
+    "naive": lut_matmul_naive,
+    "blocked": lut_matmul_blocked,
+    "rowgather": lut_matmul_rowgather,
+}
 
 
-def register_gemm_kernel(name: str, kernel: GemmKernel, *,
-                         overwrite: bool = False) -> None:
-    """Register a LUT-GEMM kernel variant under ``name``.
-
-    A kernel is a callable ``kernel(patches, filters, lut, *,
-    accumulator_bits=None, saturate=False, compute_dtype=None, **tuning)``
-    returning the ``[P, F]`` int64 accumulator matrix, bit-identical to
-    :func:`lut_matmul_naive`.  Mirrors
-    :func:`repro.backends.register_backend`.
-    """
-    if not callable(kernel):
-        raise RegistryError(
-            f"gemm kernel must be callable, got {type(kernel).__name__}"
-        )
-    with _KERNEL_LOCK:
-        if not overwrite and name in _KERNELS:
-            raise RegistryError(f"gemm kernel {name!r} is already registered")
-        _KERNELS[name] = kernel
-
-
-def unregister_gemm_kernel(name: str) -> None:
-    """Remove a registered kernel variant (unknown names raise)."""
-    with _KERNEL_LOCK:
-        if name not in _KERNELS:
-            raise RegistryError(f"gemm kernel {name!r} is not registered")
-        del _KERNELS[name]
-
-
-def available_gemm_kernels() -> list[str]:
-    """Sorted names of every registered kernel variant."""
-    with _KERNEL_LOCK:
-        return sorted(_KERNELS)
-
-
-def get_gemm_kernel(name: str) -> GemmKernel:
-    """Return the kernel registered under ``name`` (unknown names raise)."""
-    with _KERNEL_LOCK:
-        try:
-            return _KERNELS[name]
-        except KeyError:
-            known = ", ".join(sorted(_KERNELS))
-            raise RegistryError(
-                f"unknown gemm kernel {name!r}; registered kernels: {known}"
-            ) from None
-
-
-def set_default_gemm_kernel(name: str | None) -> None:
-    """Pin the kernel :func:`lut_matmul` dispatches to (None = auto-select)."""
-    global _DEFAULT_KERNEL_OVERRIDE
-    if name is not None:
-        get_gemm_kernel(name)   # validate eagerly
-    _DEFAULT_KERNEL_OVERRIDE = name
-
-
-def default_gemm_kernel(num_patches: int = 0, bit_width: int = 8) -> str:
-    """Kernel name :func:`lut_matmul` dispatches to when none is requested.
-
-    Resolution order: :func:`set_default_gemm_kernel` override, then the
-    ``REPRO_GEMM_KERNEL`` environment variable, then the size rule --
-    ``rowgather`` for calls of ``num_patches >= 2 * 2**bit_width`` rows,
-    ``blocked`` below that.
-    """
-    if _DEFAULT_KERNEL_OVERRIDE is not None:
-        return _DEFAULT_KERNEL_OVERRIDE
-    env = os.environ.get(ENV_KERNEL)
-    if env:
-        get_gemm_kernel(env)    # fail fast on typos
-        return env
+def default_gemm_kernel(num_patches: int, bit_width: int) -> str:
+    """The size rule: ``rowgather`` once ``P >= 2 * 2**n`` rows, else ``blocked``."""
     if num_patches >= ROWGATHER_MIN_ROWS_PER_LEVEL << bit_width:
         return "rowgather"
     return "blocked"
 
 
 def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
-               tile_rows: int = 256,
                accumulator_bits: int | None = None,
                saturate: bool = False,
-               kernel: str | None = None,
-               compute_dtype=None,
-               block_rows: int = DEFAULT_BLOCK_ROWS,
-               block_k: int = DEFAULT_BLOCK_K) -> xp.ndarray:
+               kernel: str | None = None) -> xp.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
 
     ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
     shape ``[K, F]`` (quantised filter columns).  The product is returned as
     an ``[P, F]`` int64 matrix of *approximate* dot products.
 
-    ``kernel`` selects the executing variant from the kernel registry
-    (``naive``, ``blocked``, ``rowgather``, plus anything added via
-    :func:`register_gemm_kernel`); when omitted,
-    :func:`default_gemm_kernel` picks one by the call's row count.  All
-    variants are bit-identical; ``tile_rows`` tunes the naive kernel,
-    ``block_rows`` the blocked and rowgather ones, ``block_k`` the blocked
-    one, and ``compute_dtype`` selects the accumulator width (int32 vs
-    int64) of any of them.
+    ``kernel`` names one of :data:`KERNELS` (``naive``, ``blocked``,
+    ``rowgather``); when omitted, :func:`default_gemm_kernel` picks one by
+    the call's row count.  All kernels are bit-identical.
 
-    Operands outside the table's range raise
-    :class:`~repro.errors.TruthTableError`, and an ``int32`` accumulator
-    that ``K`` products could overflow raises
-    :class:`~repro.errors.ConfigurationError` before any work is done.
+    This is the one validation boundary of the LUT-GEMM path: bad shapes
+    raise :class:`~repro.errors.ShapeError`, operands outside the table's
+    range :class:`~repro.errors.TruthTableError`, an ``accumulator_bits``
+    outside ``[8, 64]`` :class:`~repro.errors.ConfigurationError` and an
+    unknown kernel name :class:`~repro.errors.RegistryError`, all before
+    any work is done.
     """
-    if tile_rows <= 0:
-        raise ConfigurationError("tile_rows must be positive")
-    if block_rows <= 0 or block_k <= 0:
-        raise ConfigurationError("block_rows and block_k must be positive")
     patches, filters = _validate_lut_matmul_operands(patches, filters)
-    _check_int32_accumulator(
-        patches.shape[1], lut, _resolve_compute_dtype(compute_dtype))
     lut.check_operands(patches)
     lut.check_operands(filters)
+    if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
+        raise ConfigurationError("accumulator_bits must lie in [8, 64]")
     if kernel is None:
         kernel = default_gemm_kernel(patches.shape[0], lut.bit_width)
-    run = get_gemm_kernel(kernel)
-    return run(
-        patches, filters, lut,
-        accumulator_bits=accumulator_bits,
-        saturate=saturate,
-        compute_dtype=compute_dtype,
-        tile_rows=tile_rows,
-        block_rows=block_rows,
-        block_k=block_k,
-    )
-
-
-def _register_default_kernels() -> None:
-    register_gemm_kernel("naive", lut_matmul_naive, overwrite=True)
-    register_gemm_kernel("blocked", lut_matmul_blocked, overwrite=True)
-    register_gemm_kernel("rowgather", lut_matmul_rowgather, overwrite=True)
-
-
-_register_default_kernels()
+    try:
+        run = KERNELS[kernel]
+    except KeyError:
+        known = ", ".join(sorted(KERNELS))
+        raise RegistryError(
+            f"unknown gemm kernel {kernel!r}; known kernels: {known}"
+        ) from None
+    return run(patches, filters, lut,
+               accumulator_bits=accumulator_bits, saturate=saturate)
 
 
 def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
@@ -506,25 +363,19 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
 def approx_gemm(patches: xp.ndarray, patch_sums: xp.ndarray,
                 filters: xp.ndarray, filter_sums: xp.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
-                lut: LookupTable, *, tile_rows: int = 256,
+                lut: LookupTable, *,
                 accumulator_bits: int | None = None,
-                saturate: bool = False,
-                kernel: str | None = None,
-                compute_dtype=None) -> xp.ndarray:
+                saturate: bool = False) -> xp.ndarray:
     """The ``ApproxGEMM`` step of Algorithm 1.
 
     Multiplies the quantised patch matrix with the quantised filter matrix
-    through the multiplier LUT and returns the dequantised float output of
-    shape ``[patches, filters]``.  ``kernel`` and ``compute_dtype`` select
-    the LUT-GEMM variant and accumulator width (see :func:`lut_matmul`).
+    through the multiplier LUT (see :func:`lut_matmul`) and returns the
+    dequantised float output of shape ``[patches, filters]``.
     """
     acc = lut_matmul(
         patches, filters, lut,
-        tile_rows=tile_rows,
         accumulator_bits=accumulator_bits,
         saturate=saturate,
-        kernel=kernel,
-        compute_dtype=compute_dtype,
     )
     depth = patches.shape[1]
     return dequantize_gemm(acc, patch_sums, filter_sums, depth, input_q, filter_q)

@@ -106,8 +106,8 @@ def run_direct_reference(inputs: xp.ndarray, filters: xp.ndarray,
     """Run the functional direct-loop engine (small tensors only).
 
     This is the algorithm whose performance the :class:`CPUTimingModel`
-    describes.  Since the backend-registry refactor it routes through the
-    registered ``cpusim`` backend, so the filter bank is quantised by the
+    describes.  It routes through the ``cpusim`` backend of
+    :mod:`repro.backends`, so the filter bank is quantised by the
     same shared :func:`repro.conv.approx_conv2d.prepare_conv2d` path every
     other engine uses (the explicit ``input_q``/``filter_q`` coefficients
     are forwarded unchanged).

@@ -13,8 +13,8 @@ that search engine on top of the reproduction's own machinery:
   :class:`~repro.backends.InferencePipeline`, so LUTs and quantised filter
   banks are shared across the whole search via the process-wide LRU caches)
   and by MAC-weighted relative energy from the unit-gate cost model;
-* pluggable strategies (``random``, ``greedy``, ``nsga2``) with seeded
-  determinism, extensible via :func:`register_strategy`;
+* three search strategies (``random``, ``greedy``, ``nsga2``) with seeded
+  determinism, created by name via :func:`create_strategy`;
 * :class:`ParetoFront` / :class:`ParetoPoint` -- dominance bookkeeping with
   JSON serialisation;
 * :func:`search` -- the one-call entry point returning a :class:`DSEReport`
@@ -44,7 +44,6 @@ from .strategies import (
     SearchStrategy,
     available_strategies,
     create_strategy,
-    register_strategy,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "RandomStrategy",
     "GreedyStrategy",
     "NSGA2Strategy",
-    "register_strategy",
     "create_strategy",
     "available_strategies",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable search strategies: random, greedy hill-climbing, NSGA-II.
+"""Search strategies: random, greedy hill-climbing, NSGA-II.
 
 Every strategy drives the same loop -- propose candidates, hand them to the
 engine's evaluation broker, read the scored results -- and differs only in
@@ -7,7 +7,7 @@ the memoisation and the thread pool, so strategies stay pure search logic
 and inherit seeded determinism from the ``numpy`` generator they are given:
 the same seed always produces the same evaluation trajectory.
 
-The three built-ins cover the span the DSE literature uses as baselines:
+The three strategies cover the span the DSE literature uses as baselines:
 
 ``random``
     Uniform sampling of the space; the no-assumptions baseline every
@@ -21,14 +21,12 @@ The three built-ins cover the span the DSE literature uses as baselines:
     selection, binary tournaments, uniform crossover and point mutation --
     the multi-objective workhorse of the approximate-computing DSE papers.
 
-Register additional strategies with :func:`register_strategy`; the registry
-mirrors :mod:`repro.multipliers.library` and the backend registry.
+:func:`create_strategy` instantiates one by name.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable
 
 import numpy as np
 
@@ -48,7 +46,7 @@ class SearchStrategy(abc.ABC):
     done or the budget is exhausted.
     """
 
-    #: Registry name; set by subclasses.
+    #: Table name; set by subclasses.
     name: str = "?"
 
     @abc.abstractmethod
@@ -212,43 +210,23 @@ def _unique_results(results: list[CandidateResult]) -> list[CandidateResult]:
     return unique
 
 
-# ----------------------------------------------------------------------
-# Strategy registry (mirrors the multiplier library / backend registry).
-# ----------------------------------------------------------------------
-
-StrategyFactory = Callable[..., SearchStrategy]
-
-_STRATEGIES: dict[str, StrategyFactory] = {}
-
-
-def register_strategy(name: str, factory: StrategyFactory, *,
-                      overwrite: bool = False) -> None:
-    """Register a strategy factory under ``name``.
-
-    Raises :class:`~repro.errors.DSEError` when the name is taken, unless
-    ``overwrite`` is requested.
-    """
-    if not overwrite and name in _STRATEGIES:
-        raise DSEError(f"strategy {name!r} is already registered")
-    _STRATEGIES[name] = factory
+_STRATEGIES: dict[str, type[SearchStrategy]] = {
+    cls.name: cls for cls in (RandomStrategy, GreedyStrategy, NSGA2Strategy)
+}
 
 
 def create_strategy(name: str, **params) -> SearchStrategy:
-    """Instantiate the registered strategy called ``name``."""
+    """Instantiate the strategy called ``name``."""
     try:
-        factory = _STRATEGIES[name]
+        cls = _STRATEGIES[name]
     except KeyError:
         known = ", ".join(sorted(_STRATEGIES))
         raise DSEError(
-            f"unknown strategy {name!r}; registered strategies: {known}"
+            f"unknown strategy {name!r}; known strategies: {known}"
         ) from None
-    return factory(**params)
+    return cls(**params)
 
 
 def available_strategies() -> list[str]:
-    """Sorted names of every registered strategy."""
+    """Sorted names of every strategy."""
     return sorted(_STRATEGIES)
-
-
-for _factory in (RandomStrategy, GreedyStrategy, NSGA2Strategy):
-    register_strategy(_factory.name, _factory, overwrite=True)

@@ -110,7 +110,7 @@ class AxConv2D(Node):
         self.dilations = dilations
         self.padding = padding
         self.qrange = qrange
-        #: Every execution routes through the backend registry; the pipeline
+        #: Every execution routes through a conv backend; the pipeline
         #: caches this layer's quantised filter bank across runs, so repeated
         #: inference only pays the filter-side setup once.  The pipeline is
         #: the single owner of the tunable execution parameters -- ``lut``,

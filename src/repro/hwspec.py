@@ -157,11 +157,6 @@ class GPUSpec:
             self.sm_count * self.frequency_ghz * 1e9 * self.lut_lookups_per_cycle_per_sm
         )
 
-    @property
-    def total_texture_cache_bytes(self) -> int:
-        """Aggregate texture/L1 cache available for the multiplier LUT."""
-        return self.sm_count * self.texture_cache_kb_per_sm * 1024
-
 
 @dataclass(frozen=True)
 class SystemSpec:

@@ -15,8 +15,6 @@ place.
 
 from __future__ import annotations
 
-import functools
-
 from .. import xp
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
@@ -126,11 +124,6 @@ class LookupTable:
     # ------------------------------------------------------------------
     # Index construction and lookups
     # ------------------------------------------------------------------
-    @functools.cached_property
-    def max_abs_product(self) -> int:
-        """Largest product magnitude in the table (bounds accumulator growth)."""
-        return max(abs(int(self._flat.min())), abs(int(self._flat.max())))
-
     def check_operands(self, values: xp.ndarray) -> None:
         """Raise :class:`~repro.errors.TruthTableError` unless every quantised
         operand lies in ``[operand_min, operand_max]``."""

@@ -13,7 +13,7 @@ functions so examples and benchmarks can iterate over the whole catalogue.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import RegistryError
 from .base import ExactMultiplier, Multiplier, TableMultiplier
@@ -67,12 +67,6 @@ def create(name: str) -> Multiplier:
 def available() -> list[str]:
     """Return the sorted names of all registered multipliers."""
     return sorted(_REGISTRY)
-
-
-def iter_all() -> Iterator[Multiplier]:
-    """Instantiate every registered multiplier, in name order."""
-    for name in available():
-        yield create(name)
 
 
 def _register_defaults() -> None:

@@ -137,10 +137,6 @@ class QuantParams:
         hi = self.dequantize(xp.asarray(self.qrange.qmax)).item()
         return lo, hi
 
-    def quantization_step(self) -> float:
-        """Width of one quantisation bin (equals the scale)."""
-        return self.scale
-
 
 def compute_coeffs(range_min: float, range_max: float, *,
                    qrange: IntegerRange = SIGNED_8BIT,

@@ -124,11 +124,6 @@ class Batcher:
         with self._cond:
             return sum(len(q) for q in self._queues.values())
 
-    def pending_samples(self) -> int:
-        """Queued samples not yet handed out in a batch."""
-        with self._cond:
-            return sum(e.samples for q in self._queues.values() for e in q)
-
     # -- consumer side ---------------------------------------------------
     def next_batch(self, timeout: float | None = None) -> Batch | None:
         """Block until a batch is ready; ``None`` on timeout or drained close.

@@ -97,11 +97,6 @@ class ConvWorkload:
         """Bytes of the int8 patch matrix ``Mp`` per image."""
         return self.output_positions * self.patch_length
 
-    @property
-    def filter_parameters(self) -> int:
-        """Weights of the layer (quantised once per batch)."""
-        return self.patch_length * self.output_channels
-
     def scaled(self, images: int) -> "WorkloadTotals":
         """Totals for ``images`` processed images."""
         return WorkloadTotals(

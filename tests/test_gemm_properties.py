@@ -12,9 +12,9 @@ Three families of invariants, mostly driven by hypothesis:
 * *degenerate shapes are well-defined*: empty reduction (K=0), empty operand
   panels (P=0 / F=0) and single-row products return the right shapes instead
   of crashing;
-* *no silent wrong answers*: operands the table cannot address and int32
-  accumulators that ``K`` products could overflow raise typed errors at the
-  ``lut_matmul`` boundary, for every kernel.
+* *no silent wrong answers*: operands the table cannot address raise typed
+  errors at the ``lut_matmul`` boundary, for every kernel, and the
+  finite-accumulator model matches a Python-int reference up to 64 bits.
 
 The flat-index dtype regression tests live here too: stitched indices span
 ``2 * bit_width`` bits, so the 12-bit table no longer fits int16 indices and
@@ -33,12 +33,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
+    KERNELS,
     approx_gemm,
-    available_gemm_kernels,
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
     lut_matmul,
+    lut_matmul_blocked,
+    lut_matmul_naive,
+    lut_matmul_rowgather,
 )
 from repro.errors import ConfigurationError, TruthTableError
 from repro.lut import LookupTable
@@ -80,13 +83,13 @@ class TestBlockingInvariance:
                                               panel_bytes):
         patches, filters = _int_case(seed, p, k, f)
         reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
-        blocked = lut_matmul(patches, filters, mitchell_lut, kernel="blocked",
-                             block_rows=block_rows, block_k=block_k)
+        blocked = lut_matmul_blocked(patches, filters, mitchell_lut,
+                                     block_rows=block_rows, block_k=block_k)
         np.testing.assert_array_equal(blocked, reference)
         # rowgather's K-panel depth follows its W panel byte budget.
         with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
-            rowgather = lut_matmul(patches, filters, mitchell_lut,
-                                   kernel="rowgather", block_rows=block_rows)
+            rowgather = lut_matmul_rowgather(patches, filters, mitchell_lut,
+                                             block_rows=block_rows)
         np.testing.assert_array_equal(rowgather, reference)
 
     @settings(max_examples=20, deadline=None)
@@ -97,31 +100,43 @@ class TestBlockingInvariance:
     def test_naive_tile_rows_never_changes_results(self, mitchell_lut, seed,
                                                    tile_rows):
         patches, filters = _int_case(seed, 23, 17, 5)
-        full = lut_matmul(patches, filters, mitchell_lut, kernel="naive",
-                          tile_rows=4096)
-        tiled = lut_matmul(patches, filters, mitchell_lut, kernel="naive",
-                           tile_rows=tile_rows)
+        full = lut_matmul_naive(patches, filters, mitchell_lut, tile_rows=4096)
+        tiled = lut_matmul_naive(patches, filters, mitchell_lut,
+                                 tile_rows=tile_rows)
         np.testing.assert_array_equal(tiled, full)
 
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        accumulator_bits=st.integers(12, 24),
+        accumulator_bits=st.one_of(st.integers(12, 24),
+                                   st.sampled_from([63, 64])),
         saturate=st.booleans(),
     )
     def test_finite_accumulator_parity_across_kernels(self, exact_lut, seed,
                                                       accumulator_bits,
                                                       saturate):
-        """Wrap/saturate semantics are applied identically by every kernel."""
+        """Every kernel applies wrap/saturate exactly as Python ints do."""
         patches, filters = _int_case(seed, 9, 50, 4)
-        reference = lut_matmul(patches, filters, exact_lut, kernel="naive",
-                               accumulator_bits=accumulator_bits,
-                               saturate=saturate)
-        for kernel in ("blocked", "rowgather"):
+        lo = -(1 << (accumulator_bits - 1))
+        hi = (1 << (accumulator_bits - 1)) - 1
+
+        def finite(value: int) -> int:
+            if saturate:
+                return min(max(value, lo), hi)
+            return (value - lo) % (1 << accumulator_bits) + lo
+
+        reference = np.array([[finite(int(v)) for v in row]
+                              for row in patches @ filters], dtype=np.int64)
+        for kernel in sorted(KERNELS):
             out = lut_matmul(patches, filters, exact_lut, kernel=kernel,
                              accumulator_bits=accumulator_bits,
-                             saturate=saturate, block_rows=4, block_k=13)
+                             saturate=saturate)
             np.testing.assert_array_equal(out, reference)
+        # Several row and K panels, each folded separately.
+        out = lut_matmul_blocked(patches, filters, exact_lut, block_rows=4,
+                                 block_k=13, accumulator_bits=accumulator_bits,
+                                 saturate=saturate)
+        np.testing.assert_array_equal(out, reference)
 
 
 class TestExactLutIsAGemm:
@@ -223,8 +238,8 @@ class TestFlatIndexDtype:
         filters[:, 0] = n - 1
 
         naive = lut_matmul(patches, filters, lut, kernel="naive")
-        blocked = lut_matmul(patches, filters, lut, kernel="blocked",
-                             block_rows=4, block_k=3)
+        blocked = lut_matmul_blocked(patches, filters, lut,
+                                     block_rows=4, block_k=3)
         np.testing.assert_array_equal(blocked, naive)
         np.testing.assert_array_equal(blocked, patches @ filters)
 
@@ -247,8 +262,8 @@ class TestFlatIndexDtype:
         for panel_bytes in (1, 3 * n * 4 * 4, 1 << 20):
             with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
                                    panel_bytes):
-                out = lut_matmul(patches, filters, lut, kernel="rowgather",
-                                 block_rows=4)
+                out = lut_matmul_rowgather(patches, filters, lut,
+                                           block_rows=4)
             np.testing.assert_array_equal(out, naive)
         np.testing.assert_array_equal(naive, patches @ filters)
 
@@ -260,16 +275,15 @@ class TestDefaultDispatch:
                                                (512, "rowgather")])
     def test_size_rule_boundary(self, mitchell_lut, monkeypatch, rows,
                                 expected):
-        monkeypatch.delenv("REPRO_GEMM_KERNEL", raising=False)
         calls = []
         for name in ("blocked", "rowgather"):
-            kernel = gemm_mod.get_gemm_kernel(name)
+            kernel = gemm_mod.KERNELS[name]
 
             def spy(*args, _name=name, _kernel=kernel, **kwargs):
                 calls.append(_name)
                 return _kernel(*args, **kwargs)
 
-            monkeypatch.setitem(gemm_mod._KERNELS, name, spy)
+            monkeypatch.setitem(gemm_mod.KERNELS, name, spy)
         patches, filters = _int_case(rows, rows, 20, 6)
         out = lut_matmul(patches, filters, mitchell_lut)
         assert calls == [expected]
@@ -278,10 +292,9 @@ class TestDefaultDispatch:
 
 
 class TestOperandValidation:
-    """No kernel may mask an operand it cannot address or wrap an int32
-    accumulator silently."""
+    """No kernel may mask an operand it cannot address."""
 
-    @pytest.mark.parametrize("kernel", available_gemm_kernels())
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_out_of_range_operands_raise(self, exact_lut, kernel):
         # Masked to 8 bits, 300 aliases 44: 44*2 + 1*3 = 91, not 603.
         with pytest.raises(TruthTableError, match="300"):
@@ -291,18 +304,3 @@ class TestOperandValidation:
         unsigned = LookupTable.from_multiplier(library.create("mul8u_drum4"))
         with pytest.raises(TruthTableError):
             lut_matmul([[-1, 1]], [[2], [3]], unsigned, kernel=kernel)
-
-    @pytest.mark.parametrize("kernel", available_gemm_kernels())
-    def test_int32_accumulator_overflow_is_rejected(self, exact_lut, kernel):
-        """(-128)*(-128) = 2**14, so K = 2**17 products reach 2**31."""
-        limit = 1 << 17
-        patches = np.full((1, limit), -128)
-        filters = np.full((limit, 1), -128)
-        with pytest.raises(ConfigurationError, match="int32"):
-            lut_matmul(patches, filters, exact_lut, kernel=kernel,
-                       compute_dtype=np.int32)
-        out = lut_matmul(patches[:, 1:], filters[1:], exact_lut, kernel=kernel,
-                         compute_dtype=np.int32)
-        assert out[0, 0] == (limit - 1) << 14
-        wide = lut_matmul(patches, filters, exact_lut, kernel=kernel)
-        assert wide[0, 0] == limit << 14
