@@ -118,7 +118,7 @@ def test_sequential_batch(benchmark, batch_workload):
     pipeline.run(inputs, filters)  # prime caches so only sharding differs
 
     result = benchmark(pipeline.run, inputs, filters)
-    assert result.report.chunks == 8
+    assert result.report.stats.chunks == 8
     assert result.report.workers == 1
 
 
@@ -130,7 +130,7 @@ def test_sharded_batch(benchmark, batch_workload):
     pipeline.run(inputs, filters)  # prime
 
     result = benchmark(pipeline.run, inputs, filters)
-    assert result.report.chunks == 8
+    assert result.report.stats.chunks == 8
     assert result.report.workers == 4
 
 

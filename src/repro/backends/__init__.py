@@ -12,6 +12,8 @@ Entry points:
 * :func:`emulate_conv2d` -- one-call approximate convolution on any backend;
 * :class:`InferencePipeline` -- reusable pipeline with LUT/filter-bank
   caching and thread-pool batch sharding;
+* :func:`collect_reports` -- a scope totalling the :class:`RunReport` of
+  every pipeline run on the calling thread (e.g. a whole model's forward);
 * :func:`get_backend` / :func:`available_backends` -- the fixed table of
   the ``numpy``, ``cpusim`` and ``gpusim`` backends.
 """
@@ -30,6 +32,7 @@ from .pipeline import (
     InferencePipeline,
     RunReport,
     RunResult,
+    collect_reports,
     emulate_conv2d,
     shared_pipeline,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "available_backends",
     "cache_stats",
     "clear_caches",
+    "collect_reports",
     "emulate_conv2d",
     "get_backend",
     "shared_pipeline",

@@ -18,6 +18,10 @@ hot path:
   launch-level GPU accounting
   (:class:`~repro.gpusim.engine.GPUConvRunReport`) when the ``gpusim``
   backend ran, plus cache hit/miss counters and the wall-clock time.
+  :meth:`InferencePipeline.run` is the one place a convolution's work is
+  counted: once per run, from the geometry.  A caller that wants the total
+  over many runs -- a whole model's forward pass -- opens a
+  :func:`collect_reports` scope around them.
 
 :func:`emulate_conv2d` is the one-call spelling of the same machinery and
 the recommended entry point for user code.
@@ -27,8 +31,11 @@ from __future__ import annotations
 
 import threading
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, fields
 
 from .. import xp
 from ..conv.approx_conv2d import (
@@ -73,7 +80,6 @@ class RunReport:
     backend: str = ""
     lut_name: str = ""
     batch: int = 0
-    chunks: int = 0
     chunk_size: int = 0
     workers: int = 1
     wall_time_s: float = 0.0
@@ -83,93 +89,38 @@ class RunReport:
     gpu: GPUConvRunReport | None = None
 
     def merge(self, other: "RunReport") -> None:
-        """Accumulate another run's accounting (e.g. a multi-layer sweep)."""
+        """Accumulate another run's accounting (e.g. a multi-layer sweep).
+
+        Counters add up; the configuration fields (backend, chunk size,
+        workers, LUT name) describe the latest run merged in.
+        """
         self.batch += other.batch
-        self.chunks += other.chunks
         self.wall_time_s += other.wall_time_s
-        self.stats.merge(other.stats)
-        for mine, theirs in ((self.lut_cache, other.lut_cache),
+        for mine, theirs in ((self.stats, other.stats),
+                             (self.lut_cache, other.lut_cache),
                              (self.filter_cache, other.filter_cache)):
-            mine.hits += theirs.hits
-            mine.misses += theirs.misses
-            mine.evictions += theirs.evictions
-            mine.invalidations += theirs.invalidations
+            for counter in fields(mine):
+                setattr(mine, counter.name, getattr(mine, counter.name)
+                        + getattr(theirs, counter.name))
         if other.gpu is not None:
             if self.gpu is None:
                 self.gpu = GPUConvRunReport()
             self.gpu.merge(other.gpu)
         if other.lut_name:
             self.lut_name = other.lut_name
-        if other.backend and not self.backend:
+        if other.backend:
             self.backend = other.backend
-
-    def sliced(self, rows: int, total_rows: int) -> "RunReport":
-        """Pro-rated share of this report covering ``rows`` of ``total_rows``.
-
-        The serving layer executes one coalesced batch and hands every
-        request its own accounting; operation counts scale with the batch
-        dimension, so attributing ``rows / total_rows`` of each counter to a
-        request is exact for the data-proportional fields and a fair
-        apportionment for the per-batch ones (chunks, wall time, cache
-        deltas).  Integer counters round to the nearest integer.
-        """
-        if rows <= 0 or total_rows <= 0 or rows > total_rows:
-            raise ConfigurationError(
-                f"cannot slice {rows} row(s) out of a {total_rows}-row report")
-        fraction = rows / total_rows
-
-        def scale(value: int) -> int:
-            return int(round(value * fraction))
-
-        part = RunReport(
-            backend=self.backend,
-            lut_name=self.lut_name,
-            batch=rows,
-            chunks=scale(self.chunks),
-            chunk_size=self.chunk_size,
-            workers=self.workers,
-            wall_time_s=self.wall_time_s * fraction,
-            lut_cache=CacheStats(
-                hits=scale(self.lut_cache.hits),
-                misses=scale(self.lut_cache.misses),
-                evictions=scale(self.lut_cache.evictions),
-                invalidations=scale(self.lut_cache.invalidations),
-            ),
-            filter_cache=CacheStats(
-                hits=scale(self.filter_cache.hits),
-                misses=scale(self.filter_cache.misses),
-                evictions=scale(self.filter_cache.evictions),
-                invalidations=scale(self.filter_cache.invalidations),
-            ),
-            stats=ApproxConvStats(
-                lut_lookups=scale(self.stats.lut_lookups),
-                quantized_values=scale(self.stats.quantized_values),
-                dequantized_values=scale(self.stats.dequantized_values),
-                patch_matrix_bytes=scale(self.stats.patch_matrix_bytes),
-                output_values=scale(self.stats.output_values),
-                chunks=scale(self.stats.chunks),
-                macs=scale(self.stats.macs),
-            ),
-        )
-        if self.gpu is not None:
-            part.gpu = GPUConvRunReport(
-                chunks=scale(self.gpu.chunks),
-                kernel_launches=scale(self.gpu.kernel_launches),
-                texture_fetches=scale(self.gpu.texture_fetches),
-                atomic_adds=scale(self.gpu.atomic_adds),
-                shared_bytes=scale(self.gpu.shared_bytes),
-                patch_values=scale(self.gpu.patch_values),
-                lut_name=self.gpu.lut_name,
-            )
-        return part
+            self.chunk_size = other.chunk_size
+            self.workers = other.workers
 
     def summary(self) -> str:
         """Compact human-readable digest used by examples and benchmarks."""
         lines = [
             f"backend={self.backend} lut={self.lut_name} "
-            f"batch={self.batch} chunks={self.chunks} workers={self.workers}",
+            f"batch={self.batch} chunks={self.stats.chunks} "
+            f"workers={self.workers}",
             f"wall time: {self.wall_time_s * 1e3:.2f} ms",
-            f"LUT lookups: {self.stats.lut_lookups:,}  "
+            f"MACs: {self.stats.macs:,}  "
             f"quantised: {self.stats.quantized_values:,}  "
             f"outputs: {self.stats.output_values:,}",
             f"caches: lut {self.lut_cache.hits}h/{self.lut_cache.misses}m  "
@@ -182,6 +133,29 @@ class RunReport:
                 f"{self.gpu.atomic_adds:,} atomicAdds"
             )
         return "\n".join(lines)
+
+
+#: Reports of the :func:`collect_reports` scopes open in the current context.
+_SCOPES: ContextVar[tuple[RunReport, ...]] = ContextVar(
+    "repro_report_scopes", default=())
+
+
+@contextmanager
+def collect_reports() -> Iterator[RunReport]:
+    """Collect the :class:`RunReport` of every pipeline run in the block.
+
+    Each :meth:`InferencePipeline.run` on the calling thread merges its
+    report into every scope open there (scopes nest), so wrapping a graph
+    execution yields the whole model's accounting.  Context variables do
+    not follow work into other threads: a run on a pool thread reaches only
+    the scopes opened on that thread.
+    """
+    report = RunReport()
+    token = _SCOPES.set(_SCOPES.get() + (report,))
+    try:
+        yield report
+    finally:
+        _SCOPES.reset(token)
 
 
 @dataclass(frozen=True)
@@ -342,26 +316,29 @@ class InferencePipeline:
             workers = 1
             results = [run_shard(bounds) for bounds in shards]
 
+        output = xp.concatenate([result.output for result in results], axis=0)
+        filter_cache = _cache_delta(
+            self.filter_cache.stats_snapshot(), filters_before)
         report = RunReport(
             backend=self.backend_name,
             lut_name=prepared.lut.name,
             batch=int(inputs.shape[0]),
-            chunks=len(shards),
             chunk_size=self.chunk_size,
             workers=workers,
             lut_cache=_cache_delta(self.lut_cache.stats_snapshot(), lut_before),
-            filter_cache=_cache_delta(
-                self.filter_cache.stats_snapshot(), filters_before),
+            filter_cache=filter_cache,
+            stats=ApproxConvStats.of_run(
+                inputs, prepared, output, len(shards),
+                filters_quantized=filter_cache.misses > 0),
         )
         for result in results:
-            report.stats.merge(result.stats)
             if result.gpu is not None:
                 if report.gpu is None:
                     report.gpu = GPUConvRunReport()
                 report.gpu.merge(result.gpu)
-
-        output = xp.concatenate([result.output for result in results], axis=0)
         report.wall_time_s = time.perf_counter() - start_time
+        for scope in _SCOPES.get():
+            scope.merge(report)
         return RunResult(output=output, report=report)
 
     def conv2d(self, inputs: xp.ndarray, filters: xp.ndarray,
@@ -410,9 +387,6 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
     )
     if report is not None:
         report.merge(result.report)
-        report.backend = result.report.backend
-        report.chunk_size = result.report.chunk_size
-        report.workers = result.report.workers
     return result.output
 
 

@@ -32,11 +32,7 @@ import abc
 from dataclasses import dataclass
 
 from .. import xp
-from ..conv.approx_conv2d import (
-    ApproxConvStats,
-    PreparedConv,
-    approx_conv2d_chunk,
-)
+from ..conv.approx_conv2d import PreparedConv, approx_conv2d_chunk
 from ..conv.reference import approx_conv2d_direct_quantized
 from ..errors import RegistryError
 from ..gpusim.device import GPUDevice
@@ -45,10 +41,14 @@ from ..gpusim.engine import GPUConvRunReport, run_gpusim_chunk
 
 @dataclass
 class ChunkResult:
-    """Output of one backend chunk execution plus its accounting."""
+    """Output of one backend chunk execution plus its GPU launch records.
+
+    Operation counts are not part of a chunk result: they depend only on
+    the geometry, so :class:`~repro.backends.pipeline.InferencePipeline`
+    counts each run once.
+    """
 
     output: xp.ndarray
-    stats: ApproxConvStats
     gpu: GPUConvRunReport | None = None
 
 
@@ -58,10 +58,10 @@ class ConvBackend(abc.ABC):
     A backend receives a chunk of the NHWC input batch and the
     :class:`~repro.conv.approx_conv2d.PreparedConv` holding the resolved
     quantisation coefficients and the quantised filter bank; it returns the
-    chunk's NHWC float output and its operation counts.  Backends must be
-    deterministic and produce results bit-identical to the ``numpy``
-    reference engine -- the cross-backend parity test enforces this for
-    every backend.
+    chunk's NHWC float output (plus launch records, for ``gpusim``).
+    Backends must be deterministic and produce results bit-identical to the
+    ``numpy`` reference engine -- the cross-backend parity test enforces
+    this for every backend.
     """
 
     #: Table name; set by subclasses.
@@ -72,7 +72,7 @@ class ConvBackend(abc.ABC):
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   accumulator_bits: int | None = None,
                   saturate: bool = False) -> ChunkResult:
-        """Execute one chunk and return its output and accounting."""
+        """Execute one chunk and return its output."""
 
     def describe(self) -> str:
         """Human-readable one-liner used by reports and ``repr``."""
@@ -81,28 +81,6 @@ class ConvBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ConvBackend {self.name!r}: {self.describe()}>"
-
-
-def _analytic_stats(chunk: xp.ndarray, prepared: PreparedConv,
-                    output: xp.ndarray) -> ApproxConvStats:
-    """Operation counts of one chunk, derived from the geometry.
-
-    Backends that do not thread counters through their inner loops (the
-    direct CPU loop, the simulated GPU kernels) still report the same work
-    as the NumPy engine: the counts depend only on shapes, never on how the
-    chunk was scheduled.
-    """
-    positions = int(output.shape[0] * output.shape[1] * output.shape[2])
-    lookups = positions * prepared.depth * prepared.filter_count
-    return ApproxConvStats(
-        lut_lookups=lookups,
-        quantized_values=int(chunk.size),
-        dequantized_values=int(output.size),
-        patch_matrix_bytes=positions * prepared.depth,
-        output_values=int(output.size),
-        chunks=1,
-        macs=lookups,
-    )
 
 
 class NumpyBackend(ConvBackend):
@@ -117,14 +95,11 @@ class NumpyBackend(ConvBackend):
     def run_chunk(self, chunk, prepared, *, strides=(1, 1), dilations=(1, 1),
                   padding="SAME", accumulator_bits=None,
                   saturate=False) -> ChunkResult:
-        stats = ApproxConvStats()
-        output = approx_conv2d_chunk(
+        return ChunkResult(output=approx_conv2d_chunk(
             chunk, prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            stats=stats,
-        )
-        return ChunkResult(output=output, stats=stats)
+        ))
 
 
 class CpusimBackend(ConvBackend):
@@ -140,13 +115,11 @@ class CpusimBackend(ConvBackend):
                 "the cpusim backend models an unbounded accumulator; "
                 "use the numpy backend for finite-accumulator studies"
             )
-        output = approx_conv2d_direct_quantized(
+        return ChunkResult(output=approx_conv2d_direct_quantized(
             chunk, prepared.quantized_filters_hwck(), prepared.lut,
             prepared.input_q, prepared.filter_q,
             strides=strides, dilations=dilations, padding=padding,
-        )
-        return ChunkResult(
-            output=output, stats=_analytic_stats(chunk, prepared, output))
+        ))
 
 
 class GpusimBackend(ConvBackend):
@@ -155,7 +128,7 @@ class GpusimBackend(ConvBackend):
     Each chunk runs on a fresh :class:`~repro.gpusim.device.GPUDevice`: the
     table instance is a process-wide singleton, and a shared device would
     retain every ``KernelLaunch`` record for the life of the process.  The
-    per-chunk accounting travels in the returned :class:`ChunkResult`.
+    per-chunk launch records travel in the returned :class:`ChunkResult`.
     """
 
     name = "gpusim"
@@ -172,11 +145,7 @@ class GpusimBackend(ConvBackend):
             GPUDevice(), chunk, prepared,
             strides=strides, dilations=dilations, padding=padding,
         )
-        return ChunkResult(
-            output=output,
-            stats=_analytic_stats(chunk, prepared, output),
-            gpu=gpu_report,
-        )
+        return ChunkResult(output=output, gpu=gpu_report)
 
 
 _BACKENDS: dict[str, ConvBackend] = {

@@ -20,7 +20,7 @@ and memory traffic each phase would cost on the modelled hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import xp
 from ..errors import ConfigurationError, ShapeError
@@ -44,27 +44,45 @@ DEFAULT_CHUNK_SIZE = 32
 
 @dataclass
 class ApproxConvStats:
-    """Operation counts collected while running the approximate convolution.
+    """Operation counts of the approximate convolution.
 
-    The simulated devices convert these counts into time; keeping them with
-    the functional code means every engine reports identical work regardless
-    of how it is scheduled.
+    Every count depends only on the geometry of a run, never on how it was
+    scheduled, so :meth:`of_run` derives them once per run from shapes and
+    every engine reports identical work.  The simulated devices convert
+    these counts into time.
     """
 
-    lut_lookups: int = 0
     quantized_values: int = 0
-    dequantized_values: int = 0
     patch_matrix_bytes: int = 0
     output_values: int = 0
     chunks: int = 0
     macs: int = 0
-    extra: dict = field(default_factory=dict)
+
+    @classmethod
+    def of_run(cls, inputs: xp.ndarray, prepared: "PreparedConv",
+               output: xp.ndarray, chunks: int,
+               filters_quantized: bool) -> "ApproxConvStats":
+        """Counts of one run of ``prepared`` over ``inputs``.
+
+        ``filters_quantized`` says whether this run built the quantised
+        filter bank; a cached bank costs no quantisation.
+        """
+        batch, height, width, _ = output.shape
+        positions = int(batch * height * width)
+        quantized = int(inputs.size)
+        if filters_quantized:
+            quantized += int(prepared.flat_filters.size)
+        return cls(
+            quantized_values=quantized,
+            patch_matrix_bytes=positions * prepared.depth,  # one byte each
+            output_values=int(output.size),
+            chunks=chunks,
+            macs=positions * prepared.depth * prepared.filter_count,
+        )
 
     def merge(self, other: "ApproxConvStats") -> None:
         """Accumulate another stats object into this one."""
-        self.lut_lookups += other.lut_lookups
         self.quantized_values += other.quantized_values
-        self.dequantized_values += other.dequantized_values
         self.patch_matrix_bytes += other.patch_matrix_bytes
         self.output_values += other.output_values
         self.chunks += other.chunks
@@ -216,8 +234,7 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
                         strides=(1, 1), dilations=(1, 1),
                         padding: str = "SAME",
                         accumulator_bits: int | None = None,
-                        saturate: bool = False,
-                        stats: ApproxConvStats | None = None) -> xp.ndarray:
+                        saturate: bool = False) -> xp.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
@@ -234,17 +251,9 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
         prepared.input_q, prepared.filter_q, prepared.lut,
         accumulator_bits=accumulator_bits, saturate=saturate,
     )
-    count = prepared.filter_count
-    if stats is not None:
-        stats.chunks += 1
-        stats.quantized_values += int(chunk.size)
-        stats.lut_lookups += int(patches.shape[0]) * int(patches.shape[1]) * count
-        stats.macs += int(patches.shape[0]) * int(patches.shape[1]) * count
-        stats.patch_matrix_bytes += int(patches.size)  # one byte per value
-        stats.dequantized_values += int(chunk_out.size)
-        stats.output_values += int(chunk_out.size)
     return chunk_out.reshape(
-        chunk.shape[0], geometry.output_height, geometry.output_width, count,
+        chunk.shape[0], geometry.output_height, geometry.output_width,
+        prepared.filter_count,
     )
 
 
@@ -285,7 +294,9 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     accumulator_bits, saturate:
         Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
     stats:
-        Optional :class:`ApproxConvStats` accumulating operation counts.
+        Optional :class:`ApproxConvStats` accumulating the run's operation
+        counts; the filter bank is quantised on every call, so its values
+        are counted.
 
     Returns
     -------
@@ -300,18 +311,17 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         qrange=qrange, round_mode=round_mode,
     )
 
-    local_stats = stats if stats is not None else ApproxConvStats()
-    local_stats.quantized_values += int(filters.size)
-
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------
-    outputs = []
-    for start, stop in split_chunks(inputs.shape[0], chunk_size):
-        outputs.append(approx_conv2d_chunk(
+    chunks = split_chunks(inputs.shape[0], chunk_size)
+    output = xp.concatenate([
+        approx_conv2d_chunk(
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
-            stats=local_stats,
-        ))
-
-    return xp.concatenate(outputs, axis=0)
-
+        )
+        for start, stop in chunks
+    ], axis=0)
+    if stats is not None:
+        stats.merge(ApproxConvStats.of_run(
+            inputs, prepared, output, len(chunks), filters_quantized=True))
+    return output

@@ -17,8 +17,10 @@ the assigned multipliers under the unit-gate model of
 :mod:`repro.multipliers.hwcost` (1.0 = exact multipliers in every layer).
 
 Evaluations are memoised on the candidate tuple and safe to run concurrently
-from the engine's thread pool: each evaluation owns a private model/executor
-and the shared caches are thread-safe.
+from the engine's thread pool: each evaluation owns a private model/executor,
+the shared caches are thread-safe, and each evaluation totals its model's
+pipeline runs in a :func:`~repro.backends.collect_reports` scope on the
+thread that scores it.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..backends.pipeline import RunReport
+from ..backends.pipeline import RunReport, collect_reports
 from ..errors import DSEError
 from ..evaluation.runner import run_inference
 from ..graph.executor import infer_shapes
 from ..graph.layerwise import approximate_graph_layerwise
-from ..graph.ops.conv import AxConv2D, Conv2D
+from ..graph.ops.conv import Conv2D
 from ..multipliers import library
 from ..multipliers.hwcost import estimate_cost
 from ..quantization.rounding import RoundMode
@@ -238,18 +240,13 @@ class Evaluator:
             model.graph, dict(assignment),
             round_mode=self.round_mode, chunk_size=self.chunk_size,
         )
-        inference = run_inference(
-            model, self.dataset, batch_size=self.batch_size,
-            normalize_inputs=self.normalize_inputs,
-        )
-        report = RunReport(
-            backend="numpy",
-            batch=inference.images,
-            wall_time_s=inference.wall_seconds,
-        )
-        for node in model.graph.nodes_by_type(AxConv2D.op_type):
-            report.stats.merge(node.stats)
-            report.chunks += node.stats.chunks
+        with collect_reports() as report:
+            inference = run_inference(
+                model, self.dataset, batch_size=self.batch_size,
+                normalize_inputs=self.normalize_inputs,
+            )
+        report.batch = inference.images
+        report.wall_time_s = inference.wall_seconds
         return CandidateResult(
             candidate=candidate,
             assignment=dict(assignment),

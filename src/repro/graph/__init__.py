@@ -6,7 +6,7 @@ swaps accurate convolutions for approximate ones.
 """
 
 from . import ops
-from .executor import BackwardResult, ExecutionProfile, Executor, Tape, infer_shapes
+from .executor import BackwardResult, Executor, Tape, infer_shapes
 from .graph import Graph
 from .layerwise import (
     LayerwiseReport,
@@ -29,7 +29,6 @@ __all__ = [
     "OpContext",
     "unbroadcast",
     "Executor",
-    "ExecutionProfile",
     "Tape",
     "BackwardResult",
     "infer_shapes",

@@ -2,10 +2,9 @@
 
 The :class:`Executor` plays the role of a TensorFlow session: given feed
 values for the placeholders it evaluates the requested output nodes in
-topological order, caching intermediate results.  It also records wall-clock
-time per node and per op type, which the evaluation harness uses to attribute
-the emulation cost to graph phases (quantisation, LUT GEMM, the rest) for the
-Fig. 2 style breakdowns of the *host* implementation.
+topological order, caching intermediate results.  It keeps no timers or
+counters: the approximate convolutions account for their own work (see
+:func:`repro.backends.collect_reports`).
 
 For training, :meth:`Executor.record` runs the same forward pass while
 keeping every intermediate value on a :class:`Tape`, and
@@ -17,8 +16,7 @@ points.  :meth:`Executor.run_backward` combines the two for the common
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,34 +24,6 @@ from ..errors import ExecutionError
 from .graph import Graph
 from .node import Node, OpContext
 from .ops.basic import Placeholder
-
-
-@dataclass
-class ExecutionProfile:
-    """Wall-clock accounting of one or more executor runs."""
-
-    node_seconds: dict[str, float] = field(default_factory=dict)
-    op_type_seconds: dict[str, float] = field(default_factory=dict)
-    runs: int = 0
-
-    def record(self, node: Node, seconds: float) -> None:
-        """Add one node evaluation to the profile."""
-        self.node_seconds[node.name] = self.node_seconds.get(node.name, 0.0) + seconds
-        self.op_type_seconds[node.op_type] = (
-            self.op_type_seconds.get(node.op_type, 0.0) + seconds
-        )
-
-    @property
-    def total_seconds(self) -> float:
-        """Total time spent inside node evaluations."""
-        return sum(self.op_type_seconds.values())
-
-    def share_by_op_type(self) -> dict[str, float]:
-        """Fraction of the total time per op type."""
-        total = self.total_seconds
-        if total == 0.0:
-            return {k: 0.0 for k in self.op_type_seconds}
-        return {k: v / total for k, v in self.op_type_seconds.items()}
 
 
 @dataclass(frozen=True)
@@ -89,16 +59,11 @@ class Executor:
     ----------
     graph:
         The graph to execute.  It is validated once at construction.
-    profile:
-        When true, per-node wall-clock times are accumulated in
-        :attr:`profile`.
     """
 
-    def __init__(self, graph: Graph, *, profile: bool = False) -> None:
+    def __init__(self, graph: Graph) -> None:
         graph.validate()
         self._graph = graph
-        self._profiling = profile
-        self.profile = ExecutionProfile()
 
     @property
     def graph(self) -> Graph:
@@ -148,7 +113,6 @@ class Executor:
             if node in cache:
                 continue
             input_values = [cache[producer] for producer in node.inputs]
-            start = time.perf_counter()
             try:
                 value = node.compute(input_values)
             except Exception as exc:
@@ -157,12 +121,7 @@ class Executor:
                 raise ExecutionError(
                     f"evaluation of {node.op_type} node {node.name!r} failed: {exc}"
                 ) from exc
-            elapsed = time.perf_counter() - start
-            if self._profiling:
-                self.profile.record(node, elapsed)
             cache[node] = np.asarray(value)
-
-        self.profile.runs += 1
         return cache, order
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...backends.pipeline import InferencePipeline
-from ...conv.approx_conv2d import DEFAULT_CHUNK_SIZE, ApproxConvStats
+from ...conv.approx_conv2d import DEFAULT_CHUNK_SIZE
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
@@ -84,6 +84,10 @@ class AxConv2D(Node):
     Inputs (positional): the data tensor, the filter tensor and the four
     range scalars ``input_min, input_max, filter_min, filter_max`` produced
     by the Min/Max nodes of the transformed graph.
+
+    Each execution is one :meth:`~repro.backends.InferencePipeline.run`,
+    which counts its work; wrap a graph run in
+    :func:`repro.backends.collect_reports` to total it.
     """
 
     op_type = "AxConv2D"
@@ -124,9 +128,6 @@ class AxConv2D(Node):
             round_mode=round_mode,
             accumulator_bits=accumulator_bits,
         )
-        #: Operation counters accumulated across executions (used by the
-        #: evaluation harness to attribute time to quantisation/LUT phases).
-        self.stats = ApproxConvStats()
         super().__init__(
             graph, name, [x, filters, input_min, input_max, filter_min, filter_max],
         )
@@ -170,19 +171,13 @@ class AxConv2D(Node):
     def compute(self, inputs: list[np.ndarray]) -> np.ndarray:
         self._expect_inputs(inputs, 6)
         x, filters, in_min, in_max, f_min, f_max = inputs
-        result = self.pipeline.run(
+        return self.pipeline.run(
             x, filters,
             strides=self.strides, dilations=self.dilations, padding=self.padding,
             input_range=(float(in_min), float(in_max)),
             filter_range=(float(f_min), float(f_max)),
             qrange=self.qrange,
-        )
-        # Filter-side quantisation counts only accrue on cache misses, which
-        # matches when the work actually happens.
-        self.stats.merge(result.report.stats)
-        self.stats.quantized_values += (
-            int(filters.size) if result.report.filter_cache.misses else 0)
-        return result.output
+        ).output
 
     def backward(self, grad_output, ctx: OpContext):
         """Straight-through-estimator gradient (ApproxTrain convention).

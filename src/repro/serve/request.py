@@ -11,11 +11,10 @@ coalesced batch runs through one transformed graph.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.pipeline import RunReport
 from ..errors import ServeError
 from ..graph.layerwise import assignment_key
 
@@ -77,14 +76,15 @@ class RequestResult:
     """Per-request outcome handed back by the service.
 
     ``outputs`` holds exactly the request's own rows of the coalesced batch
-    (deterministic demux), ``report`` the request's pro-rated share of the
-    batch's :class:`~repro.backends.pipeline.RunReport`, and ``latency_s``
-    the submit→completion wall time (queueing delay included).
+    (deterministic demux), ``latency_s`` the submit→completion wall time
+    (queueing delay included) and ``batch_samples`` the size of the batch
+    the request rode in.  The batch's accounting is the
+    :class:`~repro.backends.pipeline.RunReport` that
+    :meth:`~repro.serve.session.ModelSession.run` returns.
     """
 
     request_id: str
     outputs: np.ndarray
-    report: RunReport = field(default_factory=RunReport)
     latency_s: float = 0.0
     batch_samples: int = 0
 

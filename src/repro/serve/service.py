@@ -7,8 +7,7 @@ Batcher` under a latency deadline and a batch-size cap, executed on a worker
 pool through per-configuration :class:`~repro.serve.session.ModelSession`
 replicas (which route every convolution through the shared
 :class:`~repro.backends.InferencePipeline` machinery and its process-wide
-LUT/filter-bank caches), and demuxed back into per-request results with
-pro-rated :class:`~repro.backends.pipeline.RunReport` accounting.
+LUT/filter-bank caches), and demuxed back into per-request results.
 
 Determinism: a sample's output never depends on its batch neighbours
 (sessions freeze quantisation ranges at build time), and in offline replay
@@ -399,7 +398,6 @@ class EmulationService:
             pending.handle._resolve(RequestResult(
                 request_id=pending.request.request_id,
                 outputs=outputs[offset:offset + rows],
-                report=report.sliced(rows, total),
                 latency_s=latency,
                 batch_samples=total,
             ))

@@ -9,12 +9,11 @@ probes frozen so a sample's output no longer depends on which micro-batch it
 shares (see :func:`repro.graph.freeze_ranges`).
 
 Sessions are built once per admission key and reused for every later
-request with that configuration; because every execution mutates per-node
-state (``AxConv2D`` statistics) and the executor is not reentrant, a session
-keeps a pool of independently built *replicas* — the builder's determinism
-contract (same weights on every call, the same contract the DSE evaluator
-relies on) makes all replicas bit-identical, so which replica serves a batch
-never changes the result.
+request with that configuration; so that no graph is ever executed by two
+threads at once, a session keeps a pool of independently built *replicas* —
+the builder's determinism contract (same weights on every call, the same
+contract the DSE evaluator relies on) makes all replicas bit-identical, so
+which replica serves a batch never changes the result.
 """
 
 from __future__ import annotations
@@ -22,17 +21,16 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.cache import DEFAULT_FILTER_CACHE, DEFAULT_LUT_CACHE
-from ..backends.pipeline import RunReport, _cache_delta
+from ..backends.pipeline import RunReport, collect_reports
 from ..datasets.cifar import normalize
 from ..errors import ServeError, TFApproxError
 from ..graph.executor import Executor
 from ..graph.layerwise import approximate_graph_layerwise
-from ..graph.ops.conv import AxConv2D, Conv2D
+from ..graph.ops.conv import Conv2D
 from ..graph.transform import freeze_ranges
 from ..quantization.rounding import RoundMode
 from .request import AdmissionKey, admission_key, normalize_assignment
@@ -102,7 +100,6 @@ class _Replica:
 
     model: object
     executor: Executor
-    ax_nodes: list
 
 
 class ModelSession:
@@ -160,9 +157,7 @@ class ModelSession:
             model.graph, {model.input_node: self._calibration_feed()},
             margin=self.range_margin,
         )
-        ax_nodes = list(model.graph.nodes_by_type(AxConv2D.op_type))
-        return _Replica(model=model, executor=Executor(model.graph),
-                        ax_nodes=ax_nodes)
+        return _Replica(model=model, executor=Executor(model.graph))
 
     def _acquire(self) -> _Replica:
         try:
@@ -184,47 +179,24 @@ class ModelSession:
     def run(self, inputs: np.ndarray) -> tuple[np.ndarray, RunReport]:
         """Execute one coalesced batch; returns (logits, batch report).
 
-        Thread-safe up to ``max_replicas`` concurrent calls; outputs are
-        bit-identical no matter which replica serves the batch.
+        The report totals every approximate convolution of the batch (the
+        pipeline runs merged by :func:`~repro.backends.collect_reports`),
+        with the batch's own size and wall time.  Thread-safe up to
+        ``max_replicas`` concurrent calls; outputs are bit-identical no
+        matter which replica serves the batch.
         """
         inputs = self.spec.check_inputs(inputs)
         feed = normalize(inputs) if self.spec.normalize_inputs else inputs
         replica = self._acquire()
         try:
-            before = [replace(node.stats) for node in replica.ax_nodes]
-            # Cache counters are deltas of the process-wide caches over this
-            # batch's execution window: exact when one batch runs at a time
-            # (warmup, single worker), attributable-but-shared when batches
-            # overlap — the caches themselves are global, so is their heat.
-            lut_before = DEFAULT_LUT_CACHE.stats_snapshot()
-            filters_before = DEFAULT_FILTER_CACHE.stats_snapshot()
             start = time.perf_counter()
-            logits = replica.executor.run(
-                replica.model.logits, {replica.model.input_node: feed})
-            wall = time.perf_counter() - start
-            report = RunReport(
-                backend="numpy",
-                batch=int(inputs.shape[0]),
-                chunk_size=self.chunk_size,
-                wall_time_s=wall,
-                lut_cache=_cache_delta(
-                    DEFAULT_LUT_CACHE.stats_snapshot(), lut_before),
-                filter_cache=_cache_delta(
-                    DEFAULT_FILTER_CACHE.stats_snapshot(), filters_before),
-            )
-            for node, snapshot in zip(replica.ax_nodes, before):
-                delta = replace(node.stats)
-                delta.lut_lookups -= snapshot.lut_lookups
-                delta.quantized_values -= snapshot.quantized_values
-                delta.dequantized_values -= snapshot.dequantized_values
-                delta.patch_matrix_bytes -= snapshot.patch_matrix_bytes
-                delta.output_values -= snapshot.output_values
-                delta.chunks -= snapshot.chunks
-                delta.macs -= snapshot.macs
-                report.stats.merge(delta)
-                report.chunks += delta.chunks
-                if not report.lut_name:
-                    report.lut_name = node.lut.name
+            with collect_reports() as report:
+                logits = replica.executor.run(
+                    replica.model.logits, {replica.model.input_node: feed})
+            # A model run's batch is its input batch, not the sum of its
+            # layers' batches.
+            report.batch = int(inputs.shape[0])
+            report.wall_time_s = time.perf_counter() - start
         finally:
             self._idle.put(replica)
         return logits, report

@@ -8,6 +8,8 @@ backend over a grid of shapes x multipliers x signedness.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from repro.backends import (
     RunReport,
     available_backends,
     clear_caches,
+    collect_reports,
     emulate_conv2d,
     get_backend,
 )
-from repro.conv import approx_conv2d, prepare_conv2d
+from repro.conv import ApproxConvStats, approx_conv2d, prepare_conv2d
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
     KERNELS,
@@ -29,7 +32,7 @@ from repro.conv.gemm import (
     lut_matmul_blocked,
     lut_matmul_naive,
 )
-from repro.errors import ConfigurationError, RegistryError
+from repro.errors import ConfigurationError, QuantizationError, RegistryError
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
@@ -96,7 +99,7 @@ class TestBackendParity:
         for _ in range(3):
             out = sharded.run(inputs, filters)
             assert np.array_equal(out.output, ref.output)
-        assert ref.report.chunks == 7
+        assert ref.report.stats.chunks == 7
         assert out.report.workers == 4
 
 
@@ -362,27 +365,43 @@ class TestRunReport:
                        report=report)
         assert report.gpu is None
         positions = 2 * 5 * 5
-        assert report.stats.lut_lookups == positions * 3 * 3 * 2 * 3
+        assert report.stats.macs == positions * 3 * 3 * 2 * 3
         assert report.stats.chunks == 2
-        assert report.chunks == 2
         assert report.wall_time_s > 0
         assert "backend=numpy" in report.summary()
 
     def test_stats_identical_across_backends(self):
-        """Operation counts depend on geometry, not on the executing engine."""
+        """Operation counts depend on geometry, not on the executing engine.
+
+        On cold caches every backend quantises inputs and filters, exactly
+        as the uncached ``approx_conv2d`` does; a warm repeat finds the
+        filter bank cached and quantises the inputs only.
+        """
         inputs, filters, strides, padding = _case(SHAPES[0])
-        per_backend = {}
+        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+        reference = ApproxConvStats()
+        approx_conv2d(inputs, filters, lut, strides=strides, padding=padding,
+                      stats=reference)
+        assert reference.quantized_values == inputs.size + filters.size
         for name in ("numpy", "cpusim", "gpusim"):
-            report = RunReport()
-            emulate_conv2d(inputs, filters, "mul8s_exact", backend=name,
-                           strides=strides, padding=padding, report=report)
-            per_backend[name] = report.stats
-        reference = per_backend.pop("numpy")
-        for name, stats in per_backend.items():
-            assert stats.lut_lookups == reference.lut_lookups, name
-            assert stats.macs == reference.macs, name
-            assert stats.output_values == reference.output_values, name
-            assert stats.patch_matrix_bytes == reference.patch_matrix_bytes, name
+            clear_caches()
+            cold, warm = RunReport(), RunReport()
+            for report in (cold, warm):
+                emulate_conv2d(inputs, filters, "mul8s_exact", backend=name,
+                               strides=strides, padding=padding, report=report)
+            assert cold.stats == reference, name
+            assert warm.stats == dataclasses.replace(
+                reference, quantized_values=inputs.size), name
+
+    @pytest.mark.parametrize("backend", ["numpy", "cpusim", "gpusim"])
+    @pytest.mark.parametrize("operand", ["inputs", "filters"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operands_raise(self, backend, operand, bad):
+        inputs, filters, strides, padding = _case(SHAPES[0])
+        (inputs if operand == "inputs" else filters)[0, 0, 0, 0] = bad
+        with pytest.raises(QuantizationError):
+            emulate_conv2d(inputs, filters, "mul8s_exact", backend=backend,
+                           strides=strides, padding=padding)
 
     def test_report_merge_accumulates(self):
         rng = np.random.default_rng(4)
@@ -393,6 +412,49 @@ class TestRunReport:
             emulate_conv2d(inputs, filters, "mul8s_exact", report=total)
         assert total.batch == 6
         assert total.stats.chunks == 3
+
+
+class TestCollectReports:
+    """The scope that totals every pipeline run on the calling thread."""
+
+    @staticmethod
+    def _run():
+        rng = np.random.default_rng(9)
+        return InferencePipeline("numpy", multiplier="mul8s_exact").run(
+            rng.normal(size=(2, 4, 4, 1)), rng.normal(size=(3, 3, 1, 2))
+        ).report
+
+    def test_nested_scopes_both_receive_a_run(self):
+        with collect_reports() as outer:
+            with collect_reports() as inner:
+                first = self._run()
+            second = self._run()
+        assert inner.stats == first.stats
+        assert inner.batch == 2
+        assert outer.stats.macs == first.stats.macs + second.stats.macs
+        assert outer.batch == 4
+        assert outer.backend == "numpy" and outer.lut_name == "mul8s_exact"
+
+    def test_run_outside_any_scope_merges_nowhere(self):
+        with collect_reports() as closed:
+            self._run()
+        before = dataclasses.replace(closed.stats)
+        self._run()
+        assert closed.stats == before
+        assert closed.batch == 2
+
+    def test_scope_does_not_reach_other_threads(self):
+        import threading
+
+        reports = []
+        with collect_reports() as scope:
+            worker = threading.Thread(
+                target=lambda: reports.append(self._run()))
+            worker.start()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert reports[0].stats.macs > 0
+        assert scope.batch == 0 and scope.stats == ApproxConvStats()
 
 
 class TestPipelineConfiguration:
@@ -430,6 +492,7 @@ class TestPipelineConfiguration:
 
 class TestAxConv2DIntegration:
     def test_graph_op_routes_through_pipeline_and_caches(self):
+        clear_caches()
         lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
         rng = np.random.default_rng(13)
         x_val = rng.normal(size=(2, 6, 6, 2))
@@ -450,14 +513,19 @@ class TestAxConv2DIntegration:
             filter_range=(float(w_val.min()), float(w_val.max())),
         )
         feeds = [x_val, w_val, x_val.min(), x_val.max(), w_val.min(), w_val.max()]
-        first = node.compute(feeds)
+        with collect_reports() as cold:
+            first = node.compute(feeds)
         assert np.array_equal(first, expected)
-        stats_after_first = node.stats.lut_lookups
+        assert cold.filter_cache.misses == 1
+        assert cold.stats.quantized_values == x_val.size + w_val.size
 
         # Re-execution reuses the cached filter bank and stays identical.
-        second = node.compute(feeds)
+        with collect_reports() as warm:
+            second = node.compute(feeds)
         assert np.array_equal(second, expected)
-        assert node.stats.lut_lookups == 2 * stats_after_first
+        assert warm.filter_cache.hits == 1
+        assert warm.stats.macs == cold.stats.macs == 2 * 6 * 6 * 18 * 3
+        assert warm.stats.quantized_values == x_val.size
 
 
 class TestSharedPipeline:
@@ -504,16 +572,3 @@ class TestSharedPipeline:
                 range(8)))
         for output in outputs:
             assert np.array_equal(output, reference)
-
-    def test_sliced_scales_the_gpu_subreport(self):
-        from repro.gpusim.engine import GPUConvRunReport
-
-        report = RunReport(batch=4, gpu=GPUConvRunReport(
-            chunks=4, kernel_launches=8, texture_fetches=400,
-            atomic_adds=40, shared_bytes=4096, patch_values=400,
-            lut_name="mul8s_exact"))
-        part = report.sliced(1, 4)
-        assert part.gpu.kernel_launches == 2
-        assert part.gpu.texture_fetches == 100
-        assert part.gpu.shared_bytes == 1024
-        assert part.gpu.lut_name == "mul8s_exact"

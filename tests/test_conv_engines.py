@@ -185,7 +185,6 @@ class TestApproxConv2D:
         approx_conv2d(inputs, filters, exact_lut_signed, chunk_size=1, stats=stats)
         positions = 2 * 9 * 9
         expected_lookups = positions * 27 * 4
-        assert stats.lut_lookups == expected_lookups
         assert stats.macs == expected_lookups
         assert stats.chunks == 2
         assert stats.output_values == positions * 4

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.backends.cache import cache_stats, clear_caches
-from repro.errors import ServeError
+from repro.errors import ExecutionError, QuantizationError, ServeError
 from repro.models import build_simple_cnn
 from repro.serve import (
     Batcher,
@@ -187,10 +187,40 @@ class TestServiceDeterminism:
     def test_per_request_reports_are_sliced(self, trace):
         _, outputs = replay_outputs(trace, workers=2)
         for result in outputs.values():
-            assert result.report.batch == result.samples
             assert result.batch_samples >= result.samples
             assert result.latency_s > 0
-            assert result.report.stats.lut_lookups > 0
+
+
+class TestSessionAccounting:
+    """One session run's report totals every approximated layer."""
+
+    @staticmethod
+    def builder():
+        return build_simple_cnn(input_size=16, seed=0)
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        service = EmulationService(ServiceConfig(workers=1))
+        service.register_model(
+            "simple_cnn16", self.builder, calibration_samples=8)
+        return service.session("simple_cnn16", "mul8s_mitchell")
+
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_report_counts_every_layer(self, session, samples):
+        _, report = session.run(session.spec.calibration[:samples])
+        assert report.batch == samples
+        assert report.stats.macs == self.builder().macs_per_image * samples
+        assert report.stats.chunks == len(session.spec.conv_layers)
+        assert report.wall_time_s > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_raise_through_frozen_ranges(self, session,
+                                                           bad):
+        inputs = session.spec.calibration[:2].copy()
+        inputs[1, 0, 0, 0] = bad
+        with pytest.raises(ExecutionError) as info:
+            session.run(inputs)
+        assert isinstance(info.value.__cause__, QuantizationError)
 
 
 class TestAdmission:
