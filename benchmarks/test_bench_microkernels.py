@@ -18,7 +18,10 @@ blocked-vs-naive speedup (>= 1.5x, asserted here and archived by CI).
 It also times ``blocked`` against ``rowgather`` on the ResNet-20 stage
 shapes of a batch-32 forward pass and on one single-sample serve shape,
 asserting ``rowgather`` >= 1.3x on the three stage shapes (the calls
-``lut_matmul`` sends to it) and archiving every per-shape speed-up.
+``lut_matmul`` sends to it) and archiving every per-shape speed-up.  Those
+calls take the operands the pipeline passes: the narrow int8 patch matrix
+``im2col_quantized`` emits and the int64 quantised filter bank.  The
+``im2col_quantized`` time of each stage's batch-32 input is archived too.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ STAGE_SHAPES = {
     "stage3": (2048, 576, 64),
 }
 SERVE_SHAPE = (16, 288, 64)
+
+#: NHWC input of each stage's 3x3 convolutions at batch 32, whose patch
+#: matrix has the P and K of :data:`STAGE_SHAPES`.
+STAGE_INPUTS = {
+    "stage1": (32, 32, 32, 16),
+    "stage2": (32, 16, 16, 32),
+    "stage3": (32, 8, 8, 64),
+}
 
 #: Required median rowgather-over-blocked speed-up on every stage shape.
 MIN_ROWGATHER_SPEEDUP = 1.3
@@ -127,7 +138,7 @@ def _paired_median_seconds(lut, shape, kernels, repeats=5):
     """
     rng = np.random.default_rng(sum(shape))
     p, k, f = shape
-    patches = rng.integers(-128, 128, size=(p, k))
+    patches = rng.integers(-128, 128, size=(p, k), dtype=np.int8)
     weights = rng.integers(-128, 128, size=(k, f))
     timings = {kernel: [] for kernel in kernels}
     for kernel in kernels:
@@ -210,6 +221,14 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         payload[f"{label}_rowgather_vs_blocked_speedup"] = layer_speedups[label]
         for kernel, median in times.items():
             payload[f"{label}_{kernel}_macs_per_s"] = np.prod(shape) / median
+    for label, shape in STAGE_INPUTS.items():
+        inputs = np.random.default_rng(len(label)).normal(size=shape)
+        params = compute_coeffs_from_tensor(inputs)
+        patches, _, _ = im2col_quantized(inputs, 3, 3, params)
+        assert patches.shape == STAGE_SHAPES[label][:2]
+        assert patches.dtype == np.int8
+        payload[f"{label}_im2col_quantized_seconds"] = _median_seconds(
+            im2col_quantized, inputs, 3, 3, params, repeats=5)
     bench_json("microkernels", payload)
 
     for kernel, floor in ROOFLINE_FLOORS.items():

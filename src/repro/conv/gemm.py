@@ -22,16 +22,20 @@ three kernels in the fixed :data:`KERNELS` table:
     the stitched-index and product intermediates stay cache-resident, the
     operand-to-index conversion is fused into a narrow pre-computed bit
     plane (one ``&``/``<<`` per operand for the whole product, not per
-    tile), and the lookup gathers through :meth:`numpy.ndarray.take` in the
-    LUT's native 16-bit storage.  Bit-identical to ``naive`` (integer
-    addition is associative) at 2-3x its throughput.
+    tile), and the lookup gathers K-major through
+    :meth:`numpy.ndarray.take` in the LUT's native 16-bit storage, summing
+    per-tap slabs like ``rowgather`` below.  Bit-identical to ``naive``
+    (integer addition is associative) at 2-3x its throughput.
 ``rowgather``
     Weight-stationary row gather: per K panel it slices the LUT into
     ``W[k * 2**n + v, :] = LUT[v, w[k, :]]`` (native 16-bit storage), then
     every patch row accumulates ``W[a[p, k] + k * 2**n, :]`` -- one
     contiguous F-wide row per operand instead of one stitched index per
-    product.  Bit-identical to ``naive``; 1.4-3.7x ``blocked`` on the
-    ResNet layer shapes.
+    product.  The gather is K-major, so a row block's products come out as
+    contiguous per-tap ``[rows, F]`` slabs that are summed slab by slab, in
+    int32 when the table's storage bounds the panel's partial sums below
+    ``2**31`` (every 8-bit table).  Bit-identical to ``naive``; 4-5x
+    ``blocked`` on the ResNet-20 stage shapes.
 
 When no kernel is named, :func:`lut_matmul` picks by call size: building
 ``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``, so
@@ -44,10 +48,14 @@ whole-model ResNet-20 inference -- while the per-call build costs at most
 1/8 of the GEMM's gathers at ResNet-20's smallest batch-32 call (P=2048),
 and needs no invalidation when training rewrites the filter banks.
 
-Every kernel accumulates in int64.  :func:`lut_matmul` validates once for
-all of them: operands outside the table's range raise
-:class:`~repro.errors.TruthTableError` there, exactly as
-:meth:`~repro.lut.LookupTable.lookup` does.
+Every kernel accumulates in int64 (``blocked`` and ``rowgather`` add their
+int32 panel partials into it).  :func:`lut_matmul` validates once for all of them:
+operands outside the table's range, and float operands holding non-integral
+values, raise :class:`~repro.errors.TruthTableError` there, exactly as
+:meth:`~repro.lut.LookupTable.lookup` does for the former.  Integer operands
+of any width -- the int8 patch matrix of
+:func:`~repro.conv.im2col.im2col_quantized` among them -- reach the kernels
+without an upcast copy.
 
 ``approx_gemm`` stays deliberately engine-agnostic: the kernels here, the
 direct CPU loop in :mod:`repro.conv.reference` and the simulated CUDA kernel
@@ -58,7 +66,7 @@ results, which the cross-kernel parity grid in the test-suite checks.
 from __future__ import annotations
 
 from .. import xp
-from ..errors import ConfigurationError, RegistryError, ShapeError
+from ..errors import ConfigurationError, RegistryError, ShapeError, TruthTableError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
 
@@ -126,16 +134,37 @@ def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
     return (values << shift) >> shift
 
 
-def _validate_lut_matmul_operands(patches, filters):
-    patches = xp.asarray(patches, dtype=xp.int64)
-    filters = xp.asarray(filters, dtype=xp.int64)
+def _integer_operand(values, lut: LookupTable) -> xp.ndarray:
+    """One ``lut_matmul`` operand as an integer array the table can address.
+
+    Integer arrays of any width pass through without a copy.  Booleans, and
+    floats whose every value is a finite integer (``np.zeros`` operands,
+    say), are cast to int64.  Any other float would be truncated silently,
+    so it raises :class:`~repro.errors.TruthTableError`, as do values
+    outside the table's operand range.
+    """
+    kind = values.dtype.kind
+    if kind not in "iub" and not (kind == "f"
+                                  and xp.all(xp.isfinite(values))
+                                  and xp.all(values == xp.trunc(values))):
+        raise TruthTableError(
+            f"lut_matmul operands must be integers; got non-integral "
+            f"{values.dtype} values"
+        )
+    lut.check_operands(values)
+    return values if kind in "iu" else values.astype(xp.int64)
+
+
+def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
+    patches = xp.asarray(patches)
+    filters = xp.asarray(filters)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("lut_matmul expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
         raise ShapeError(
             f"inner dimensions do not match: {patches.shape} x {filters.shape}"
         )
-    return patches, filters
+    return _integer_operand(patches, lut), _integer_operand(filters, lut)
 
 
 def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
@@ -144,9 +173,9 @@ def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
                      saturate: bool = False) -> xp.ndarray:
     """The seed LUT-GEMM kernel: row tiles over a full-depth index tensor.
 
-    ``patches`` is the ``[P, K]`` int64 matrix of quantised patch rows and
-    ``filters`` the ``[K, F]`` int64 matrix of quantised filter columns,
-    both already validated by :func:`lut_matmul`.  The product is
+    ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
+    ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
+    arrays of any width already validated by :func:`lut_matmul`.  The product is
     accumulated in int64 (optionally folded into a finite-width accumulator)
     and returned as an ``[P, F]`` int64 matrix of *approximate* dot
     products.
@@ -156,6 +185,8 @@ def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
     far outside cache for deep inputs, which is what the ``blocked`` kernel
     fixes.  Kept verbatim as the bit-exact reference of the parity grid.
     """
+    patches = patches.astype(xp.int64, copy=False)
+    filters = filters.astype(xp.int64, copy=False)
     num_patches = patches.shape[0]
     num_filters = filters.shape[1]
     result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
@@ -175,6 +206,20 @@ def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
     return result
 
 
+def _panel_sum_dtype(storage, panel_k: int):
+    """Accumulator dtype of one K panel's partial sums (blocked, rowgather).
+
+    A partial sum adds ``panel_k`` table entries, so it fits int32 whenever
+    ``panel_k * max|entry| < 2**31`` for the table's storage dtype: always
+    for 16-bit storage (8-bit tables) at the panel depths the byte budget
+    allows.  32-bit storage (wider tables) sums in int64.
+    """
+    info = xp.iinfo(storage)
+    if info.bits <= 16 and panel_k * max(-info.min, info.max) < 1 << 31:
+        return xp.int32
+    return xp.int64
+
+
 def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
                        lut: LookupTable, *,
                        block_rows: int = DEFAULT_BLOCK_ROWS,
@@ -190,13 +235,16 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
       both operands are converted to stitched-index bit planes exactly once,
       in the narrowest dtype the LUT width allows
       (:func:`flat_index_dtype`), instead of re-masking every row tile;
-    * the product is walked in ``[block_rows, block_k, F]`` panels, so the
+    * the product is walked in ``block_rows x block_k x F`` panels, so the
       stitched-index tensor and the gathered products stay cache-sized for
       any depth ``K`` (the naive kernel's intermediates grow linearly with
       ``K``);
-    * the gather reads the LUT's native 16-bit storage via ``take`` and sums
-      straight into the int64 accumulator, never materialising the int64
-      product tensor the naive kernel allocates.
+    * the stitched index is laid out K-major, ``[block_k, block_rows, F]``,
+      so the gather reads the LUT's native 16-bit storage via ``take`` into
+      one contiguous ``[block_rows, F]`` slab per tap and the panel sum adds
+      whole slabs -- in int32 when :func:`_panel_sum_dtype` allows it --
+      before it joins the int64 accumulator; the int64 product tensor the
+      naive kernel allocates never exists.
 
     Partial K-panel sums are combined by integer addition, so the result is
     bit-identical to the naive kernel for every block size -- the hypothesis
@@ -208,10 +256,12 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     mask = (1 << lut.bit_width) - 1
     flat = lut.flat
 
+    partial_dtype = _panel_sum_dtype(flat.dtype, block_k)
+
     # Fused quantise+flat-index preparation: one masked shift per operand
-    # element for the whole product.
-    patch_bits = ((patches & mask) << lut.bit_width).astype(idx_dtype)
-    filter_bits = (filters & mask).astype(idx_dtype)
+    # element for the whole product, the patch plane transposed to [K, P].
+    patch_bits = (patches.T.astype(idx_dtype, order="C") & mask) << lut.bit_width
+    filter_bits = filters.astype(idx_dtype) & mask
 
     result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
     for r0 in range(0, num_patches, block_rows):
@@ -219,8 +269,8 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
         acc = xp.zeros((r1 - r0, num_filters), dtype=xp.int64)
         for k0 in range(0, depth, block_k):
             k1 = min(k0 + block_k, depth)
-            idx = patch_bits[r0:r1, k0:k1, None] | filter_bits[None, k0:k1, :]
-            acc += flat.take(idx).sum(axis=1, dtype=xp.int64)
+            idx = patch_bits[k0:k1, r0:r1, None] | filter_bits[k0:k1, None, :]
+            acc += flat.take(idx).sum(axis=0, dtype=partial_dtype)
         result[r0:r1] = _wrap_accumulator(acc, accumulator_bits, saturate)
     return result
 
@@ -235,14 +285,20 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
     Same contract as :func:`lut_matmul_naive`.  For each K panel the LUT is
     sliced into ``W[k * 2**n + v, f] = LUT[v, w[k, f]]``, so the products of
     patch operand ``v`` with a whole filter row are one contiguous row of
-    ``W``; each row block then accumulates ``W.take(a_bits + k * 2**n,
-    axis=0).sum(axis=1)``.  Row offsets cost ``P * K`` adds instead of the
-    ``P * K * F`` stitched indices of the other kernels.
+    ``W``.  Each row block gathers K-major: its row offsets
+    ``rows[k, p] = bits(a[p, k]) + k * 2**n`` are laid out tap by tap, so
+    ``W.take(rows, axis=0)`` is a stack of contiguous ``[block, F]`` slabs,
+    one per tap, and ``.sum(axis=0)`` adds whole slabs.  Row offsets cost
+    ``P * K`` adds instead of the ``P * K * F`` stitched indices of the
+    other kernels.
 
     A panel holds as many ``k`` as fit :data:`ROWGATHER_PANEL_BYTES` of
     ``W`` (at least one), so wide tables -- 4096 rows of 4-byte entries per
-    ``k`` at 12 bits -- keep it cache-sized.  ``W`` is rebuilt on every
-    call; the module docstring explains why it is not cached.
+    ``k`` at 12 bits -- keep it cache-sized.  Each panel's partial sums are
+    taken in int32 when :func:`_panel_sum_dtype` proves they cannot
+    overflow (every 8-bit table), else in int64; either way they are added
+    into the int64 accumulator.  ``W`` is rebuilt on every call; the module
+    docstring explains why it is not cached.
     """
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
@@ -252,7 +308,8 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
     by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
     panel_k = max(1, ROWGATHER_PANEL_BYTES
                   // (levels * max(num_filters, 1) * by_weight.itemsize))
-    filter_bits = filters & mask
+    partial_dtype = _panel_sum_dtype(by_weight.dtype, panel_k)
+    filter_bits = filters.astype(xp.intp) & mask
 
     acc = xp.zeros((num_patches, num_filters), dtype=xp.int64)
     for k0 in range(0, depth, panel_k):
@@ -260,11 +317,14 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
         panel = by_weight.take(filter_bits[k0:k1], axis=0)   # [k, F, v]
         weights = xp.ascontiguousarray(panel.transpose(0, 2, 1)).reshape(
             (k1 - k0) * levels, num_filters)                  # [k * 2**n + v, F]
-        offsets = xp.arange(0, (k1 - k0) * levels, levels)
+        offsets = xp.arange(0, (k1 - k0) * levels, levels)[:, None]
         for r0 in range(0, num_patches, block_rows):
             r1 = min(r0 + block_rows, num_patches)
-            rows = (patches[r0:r1, k0:k1] & mask) + offsets
-            acc[r0:r1] += weights.take(rows, axis=0).sum(axis=1, dtype=xp.int64)
+            rows = patches[r0:r1, k0:k1].T.astype(xp.intp, order="C")
+            rows &= mask
+            rows += offsets                                   # [k, rows]
+            acc[r0:r1] += weights.take(rows, axis=0).sum(
+                axis=0, dtype=partial_dtype)
     return _wrap_accumulator(acc, accumulator_bits, saturate)
 
 
@@ -290,8 +350,9 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     """Integer matrix product where every multiplication is a LUT lookup.
 
     ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
-    shape ``[K, F]`` (quantised filter columns).  The product is returned as
-    an ``[P, F]`` int64 matrix of *approximate* dot products.
+    shape ``[K, F]`` (quantised filter columns); integer operands of any
+    width are used as they are.  The product is returned as an ``[P, F]``
+    int64 matrix of *approximate* dot products.
 
     ``kernel`` names one of :data:`KERNELS` (``naive``, ``blocked``,
     ``rowgather``); when omitted, :func:`default_gemm_kernel` picks one by
@@ -299,14 +360,13 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
 
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
-    range :class:`~repro.errors.TruthTableError`, an ``accumulator_bits``
+    range or float operands with non-integral values
+    :class:`~repro.errors.TruthTableError`, an ``accumulator_bits``
     outside ``[8, 64]`` :class:`~repro.errors.ConfigurationError` and an
     unknown kernel name :class:`~repro.errors.RegistryError`, all before
     any work is done.
     """
-    patches, filters = _validate_lut_matmul_operands(patches, filters)
-    lut.check_operands(patches)
-    lut.check_operands(filters)
+    patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
     if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
         raise ConfigurationError("accumulator_bits must lie in [8, 64]")
     if kernel is None:

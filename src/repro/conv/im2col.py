@@ -14,13 +14,23 @@ Two entry points are provided:
 * :func:`im2col_quantized` additionally quantises the patches and returns
   ``(Mp, Sp)``; padded positions are filled with the zero-point so they
   represent an exact real 0, as required by the paper's quantisation scheme.
+  ``Mp`` keeps the narrowest integer dtype of the quantised range (int8 or
+  uint8 for the paper's 8-bit operands), the compact 8-bit patch matrix of
+  the CUDA kernel rather than a 64-bit copy of it.
+
+Both build the patch matrix with one strided-slice copy per kernel tap into
+a contiguous ``[N, OH, OW, kh * kw, C]`` buffer, which reshapes to ``Mp``
+without a copy.  :func:`col2im`, the adjoint used by the backward pass,
+walks the same tap windows in reverse order with one strided ``+=`` each,
+which adds every pixel's contributions in the order of an element-wise
+``numpy.add.at`` scatter, so its float sums match that scatter bit for bit.
 """
 
 from __future__ import annotations
 
 from .. import xp
 from ..errors import ShapeError
-from ..quantization.affine import QuantParams
+from ..quantization.affine import IntegerRange, QuantParams
 from .padding import ConvGeometry, resolve_geometry
 
 
@@ -31,38 +41,64 @@ def _check_nhwc(inputs: xp.ndarray) -> None:
         )
 
 
-def _patch_indices(geometry: ConvGeometry, channels: int
-                   ) -> tuple[xp.ndarray, xp.ndarray, xp.ndarray]:
-    """Gather indices mapping padded input pixels to patch-matrix columns.
+def _pad(inputs: xp.ndarray, geometry: ConvGeometry, value) -> xp.ndarray:
+    """Pad the spatial axes of an NHWC batch with the constant ``value``."""
+    return xp.pad(
+        inputs,
+        ((0, 0),
+         (geometry.pad_top, geometry.pad_bottom),
+         (geometry.pad_left, geometry.pad_right),
+         (0, 0)),
+        mode="constant", constant_values=value,
+    )
 
-    Returns ``(rows, cols, chans)`` arrays of shape
-    ``(out_h * out_w, kernel_h * kernel_w * channels)`` suitable for fancy
-    indexing a padded NHWC image.
+
+def _tap_windows(geometry: ConvGeometry):
+    """Yield ``(tap, rows, cols)`` for every kernel tap, in tap order.
+
+    ``tap = ky * kernel_w + kx`` is the tap's position in a patch row, and
+    ``padded[:, rows, cols, :]`` is the ``[N, OH, OW, C]`` strided window
+    of padded pixels that tap reads at every output position.
     """
     g = geometry
-    ky = xp.arange(g.kernel_height) * g.dilation_h
-    kx = xp.arange(g.kernel_width) * g.dilation_w
-    oy = xp.arange(g.output_height) * g.stride_h
-    ox = xp.arange(g.output_width) * g.stride_w
+    row_span = (g.output_height - 1) * g.stride_h + 1
+    col_span = (g.output_width - 1) * g.stride_w + 1
+    for ky in range(g.kernel_height):
+        y0 = ky * g.dilation_h
+        rows = slice(y0, y0 + row_span, g.stride_h)
+        for kx in range(g.kernel_width):
+            x0 = kx * g.dilation_w
+            cols = slice(x0, x0 + col_span, g.stride_w)
+            yield ky * g.kernel_width + kx, rows, cols
 
-    # Row index of every (output position, kernel tap) pair.
-    rows = (oy[:, None, None, None] + ky[None, None, :, None])  # [OH,1,KH,1]
-    cols = (ox[None, :, None, None] + kx[None, None, None, :])  # [1,OW,1,KW]
-    rows = xp.broadcast_to(
-        rows, (g.output_height, g.output_width, g.kernel_height, g.kernel_width))
-    cols = xp.broadcast_to(
-        cols, (g.output_height, g.output_width, g.kernel_height, g.kernel_width))
 
-    rows = rows.reshape(g.patch_positions, -1)          # [P, KH*KW]
-    cols = cols.reshape(g.patch_positions, -1)
+def _patch_matrix(padded: xp.ndarray, geometry: ConvGeometry) -> xp.ndarray:
+    """Build the ``[N * OH * OW, kh * kw * C]`` patch matrix of a padded batch.
 
-    # Expand over channels (channel is the fastest changing index, matching
-    # the NHWC layout and the HWCK filter flattening).
-    rows = xp.repeat(rows, channels, axis=1)
-    cols = xp.repeat(cols, channels, axis=1)
-    chans = xp.tile(xp.arange(channels), g.kernel_height * g.kernel_width)
-    chans = xp.broadcast_to(chans, (g.patch_positions, chans.size))
-    return rows, cols, chans
+    One strided-slice copy per kernel tap fills a C-contiguous
+    ``[N, OH, OW, kh * kw, C]`` buffer in ``padded``'s dtype, so the final
+    reshape is free and the patch row order is (kernel row, kernel column,
+    channel), matching :func:`flatten_filters`.
+    """
+    batch, _, _, channels = padded.shape
+    g = geometry
+    taps = g.kernel_height * g.kernel_width
+    patches = xp.empty(
+        (batch, g.output_height, g.output_width, taps, channels),
+        dtype=padded.dtype,
+    )
+    for tap, rows, cols in _tap_windows(g):
+        patches[:, :, :, tap, :] = padded[:, rows, cols, :]
+    return patches.reshape(batch * g.patch_positions, taps * channels)
+
+
+def _narrow_dtype(qrange: IntegerRange):
+    """Smallest integer dtype holding every value of ``qrange``."""
+    for dtype in (xp.int8, xp.uint8, xp.int16, xp.uint16, xp.int32):
+        info = xp.iinfo(dtype)
+        if info.min <= qrange.qmin and qrange.qmax <= info.max:
+            return dtype
+    return xp.int64
 
 
 def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
@@ -74,25 +110,13 @@ def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
     (one row per kernel position) together with the resolved geometry.
     """
     _check_nhwc(inputs)
-    batch, in_h, in_w, channels = inputs.shape
+    _, in_h, in_w, _ = inputs.shape
     geometry = resolve_geometry(
         in_h, in_w, kernel_height, kernel_width,
         strides=strides, dilations=dilations, padding=padding,
     )
-    padded = xp.pad(
-        inputs,
-        ((0, 0),
-         (geometry.pad_top, geometry.pad_bottom),
-         (geometry.pad_left, geometry.pad_right),
-         (0, 0)),
-        mode="constant", constant_values=pad_value,
-    )
-    rows, cols, chans = _patch_indices(geometry, channels)
-    #
-
-    patches = padded[:, rows, cols, chans]              # [N, P, K]
-    patches = patches.reshape(batch * geometry.patch_positions, -1)
-    return patches, geometry
+    padded = _pad(inputs, geometry, pad_value)
+    return _patch_matrix(padded, geometry), geometry
 
 
 def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
@@ -102,32 +126,25 @@ def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
     """Quantise an NHWC batch and build the patch matrix and patch sums.
 
     This is the ``Im2Cols`` step of Algorithm 1: the returned ``Mp`` holds the
-    quantised 8-bit patch values (one row per kernel position) and ``Sp`` the
-    per-row sums of those quantised values, needed by the dequantisation
-    correction of Eq. 4.  Padded positions receive the zero-point
-    ``beta`` so that they represent an exact real zero and their contribution
-    to Eq. 4 cancels.
+    quantised patch values (one row per kernel position) and ``Sp`` the
+    per-row int64 sums of those quantised values, needed by the
+    dequantisation correction of Eq. 4.  ``Mp`` is C-contiguous in the
+    smallest integer dtype holding ``qparams.qrange`` -- int8 or uint8 for
+    the paper's 8-bit ranges -- because the tensor is narrowed right after
+    quantisation, before padding and patch extraction.  Padded positions
+    receive the zero-point ``beta`` so that they represent an exact real
+    zero and their contribution to Eq. 4 cancels.
     """
     _check_nhwc(inputs)
-    batch, in_h, in_w, channels = inputs.shape
+    _, in_h, in_w, _ = inputs.shape
     geometry = resolve_geometry(
         in_h, in_w, kernel_height, kernel_width,
         strides=strides, dilations=dilations, padding=padding,
     )
-    quantized = qparams.quantize(inputs)
-    padded = xp.pad(
-        quantized,
-        ((0, 0),
-         (geometry.pad_top, geometry.pad_bottom),
-         (geometry.pad_left, geometry.pad_right),
-         (0, 0)),
-        mode="constant", constant_values=qparams.zero_point,
-    )
-    rows, cols, chans = _patch_indices(geometry, channels)
-    patches = padded[:, rows, cols, chans]
-    patches = patches.reshape(batch * geometry.patch_positions, -1)
-    patch_sums = patches.sum(axis=1, dtype=xp.int64)
-    return patches.astype(xp.int64), patch_sums, geometry
+    quantized = qparams.quantize(inputs).astype(_narrow_dtype(qparams.qrange))
+    padded = _pad(quantized, geometry, qparams.zero_point)
+    patches = _patch_matrix(padded, geometry)
+    return patches, patches.sum(axis=1, dtype=xp.int64), geometry
 
 
 def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
@@ -140,14 +157,21 @@ def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
     positions accumulate all of their contributions; padded positions are
     discarded).  It is the core of the convolution backward pass, turning
     the gradient of the patch matrix into the gradient of the input batch.
+
+    Each kernel tap adds its ``[N, OH, OW, C]`` slab onto its strided
+    window with one ``+=``; within a tap no two output positions share a
+    pixel.  Taps run in *reverse* order: a pixel's contributions then
+    arrive in ascending output-position order, the order an element-wise
+    ``numpy.add.at`` scatter would add them, so the float sums are
+    bit-identical to it.
     """
     batch, in_h, in_w, channels = input_shape
     geometry = resolve_geometry(
         in_h, in_w, kernel_height, kernel_width,
         strides=strides, dilations=dilations, padding=padding,
     )
-    expected = (batch * geometry.patch_positions,
-                kernel_height * kernel_width * channels)
+    taps = kernel_height * kernel_width
+    expected = (batch * geometry.patch_positions, taps * channels)
     if patches.shape != expected:
         raise ShapeError(
             f"patch matrix has shape {patches.shape}, expected {expected} for "
@@ -157,13 +181,10 @@ def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
         (batch, geometry.padded_height, geometry.padded_width, channels),
         dtype=xp.float64,
     )
-    rows, cols, chans = _patch_indices(geometry, channels)
-    values = patches.reshape(batch, geometry.patch_positions, -1)
-    xp.add.at(
-        padded,
-        (xp.arange(batch)[:, None, None], rows[None], cols[None], chans[None]),
-        values,
-    )
+    values = patches.reshape(batch, geometry.output_height,
+                             geometry.output_width, taps, channels)
+    for tap, rows, cols in reversed(list(_tap_windows(geometry))):
+        padded[:, rows, cols, :] += values[:, :, :, tap, :]
     return padded[:, geometry.pad_top:geometry.pad_top + in_h,
                   geometry.pad_left:geometry.pad_left + in_w, :]
 

@@ -12,9 +12,16 @@ Three families of invariants, mostly driven by hypothesis:
 * *degenerate shapes are well-defined*: empty reduction (K=0), empty operand
   panels (P=0 / F=0) and single-row products return the right shapes instead
   of crashing;
-* *no silent wrong answers*: operands the table cannot address raise typed
-  errors at the ``lut_matmul`` boundary, for every kernel, and the
-  finite-accumulator model matches a Python-int reference up to 64 bits.
+* *no silent wrong answers*: operands the table cannot address, and
+  non-integral float operands, raise typed errors at the ``lut_matmul``
+  boundary, for every kernel, and the finite-accumulator model matches a
+  Python-int reference up to 64 bits;
+* *operand width is invisible*: int8 / uint8 / int16 operands (the narrow
+  patch matrix ``im2col_quantized`` emits) give the int64-operand result on
+  every kernel, and the int32 panel partials of ``blocked`` and
+  ``rowgather`` (16-bit table storage) and their int64 ones (32-bit
+  storage) both match the naive kernel with table entries at the storage
+  extremes.
 
 The flat-index dtype regression tests live here too: stitched indices span
 ``2 * bit_width`` bits, so the 12-bit table no longer fits int16 indices and
@@ -34,6 +41,7 @@ from hypothesis import given, settings, strategies as st
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
     KERNELS,
+    _panel_sum_dtype,
     approx_gemm,
     dequantize_gemm,
     flat_index_dtype,
@@ -57,6 +65,11 @@ def mitchell_lut():
 @pytest.fixture(scope="module")
 def exact_lut():
     return LookupTable.from_multiplier(library.create("mul8s_exact"))
+
+
+@pytest.fixture(scope="module")
+def unsigned_lut():
+    return LookupTable.from_multiplier(library.create("mul8u_drum4"))
 
 
 def _int_case(seed, p, k, f):
@@ -268,6 +281,101 @@ class TestFlatIndexDtype:
         np.testing.assert_array_equal(naive, patches @ filters)
 
 
+class TestOperandWidth:
+    """Narrow integer operands are consumed as they are, on every kernel."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(1, 40),
+        f=st.integers(1, 8),
+        dtype=st.sampled_from([np.int8, np.uint8, np.int16]),
+    )
+    def test_narrow_operands_match_int64(self, mitchell_lut, unsigned_lut,
+                                         seed, p, k, f, dtype):
+        lut = unsigned_lut if dtype is np.uint8 else mitchell_lut
+        rng = np.random.default_rng(seed)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k))
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        reference = lut_matmul(patches, filters, lut, kernel="naive")
+        for kernel in sorted(KERNELS):
+            out = lut_matmul(patches.astype(dtype), filters.astype(dtype),
+                             lut, kernel=kernel)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, reference)
+
+
+class TestPanelSums:
+    """Both accumulation paths of the per-panel partial sums."""
+
+    #: F = 1 makes an 8-bit ``W`` tap 512 bytes, so a K panel is 2048 taps.
+    PANEL_K_8BIT = gemm_mod.ROWGATHER_PANEL_BYTES // (256 * 2)
+
+    def test_partial_dtype_bound(self):
+        # |partial| <= panel_k * max|entry| must stay below 2**31.
+        assert _panel_sum_dtype(np.int16, 65535) is np.int32
+        assert _panel_sum_dtype(np.int16, 65536) is np.int64
+        assert _panel_sum_dtype(np.uint16, 32768) is np.int32
+        assert _panel_sum_dtype(np.uint16, 32769) is np.int64
+        assert _panel_sum_dtype(np.int32, 1) is np.int64
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        p=st.integers(1, 4),
+        extra_k=st.integers(1, 2100),
+    )
+    def test_int16_extremes_take_the_int32_path(self, seed, p, extra_k):
+        rng = np.random.default_rng(seed)
+        table = rng.choice([-32768, -32767, 32767], size=(256, 256))
+        lut = LookupTable(table, bit_width=8, signed=True, name="extremes")
+        assert _panel_sum_dtype(lut.flat.dtype, self.PANEL_K_8BIT) is np.int32
+        k = self.PANEL_K_8BIT + extra_k                 # two or three panels
+        patches = rng.integers(-128, 128, size=(p, k), dtype=np.int8)
+        filters = rng.integers(-128, 128, size=(k, 1))
+        reference = lut_matmul(patches, filters, lut, kernel="naive")
+        for kernel in ("blocked", "rowgather"):
+            np.testing.assert_array_equal(
+                lut_matmul(patches, filters, lut, kernel=kernel), reference)
+
+    def test_int32_panels_add_into_int64(self):
+        """Each panel fits int32, their total does not."""
+        lut = LookupTable(np.full((256, 256), -32768), bit_width=8,
+                          signed=True, name="min16")
+        k = (1 << 16) + 5
+        patches = np.ones((2, k), dtype=np.int8)
+        filters = np.ones((k, 1), dtype=np.int64)
+        for kernel in ("blocked", "rowgather"):
+            out = lut_matmul(patches, filters, lut, kernel=kernel)
+            assert out.tolist() == [[-32768 * k]] * 2
+
+    def test_12bit_table_takes_the_int64_path(self):
+        """32-bit storage sums in int64: with a deep enough panel, 4096
+        entries of ``2**24 - 1`` overflow an int32 partial."""
+        n = 1 << 12
+        lut = LookupTable(np.full((n, n), (1 << 24) - 1, dtype=np.int32),
+                          bit_width=12, signed=False, name="max12u")
+        assert lut.flat.dtype == np.int32
+        rng = np.random.default_rng(3)
+        k = 300
+        patches = rng.integers(0, n, size=(3, k), dtype=np.int16)
+        filters = rng.integers(0, n, size=(k, 2))
+        with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", 1 << 25):
+            panel_k = gemm_mod.ROWGATHER_PANEL_BYTES // (n * 2 * 4)
+            assert panel_k >= k
+            assert _panel_sum_dtype(lut.flat.dtype, panel_k) is np.int64
+            out = lut_matmul(patches, filters, lut, kernel="rowgather")
+        assert out.tolist() == [[k * ((1 << 24) - 1)] * 2] * 3
+        np.testing.assert_array_equal(
+            out, lut_matmul(patches, filters, lut, kernel="naive"))
+        # One blocked K panel spanning the whole depth sums in int64 too.
+        np.testing.assert_array_equal(
+            lut_matmul_blocked(patches, filters, lut, block_k=k), out)
+
+
 class TestDefaultDispatch:
     """Without a named kernel, ``lut_matmul`` picks one by call size."""
 
@@ -304,3 +412,19 @@ class TestOperandValidation:
         unsigned = LookupTable.from_multiplier(library.create("mul8u_drum4"))
         with pytest.raises(TruthTableError):
             lut_matmul([[-1, 1]], [[2], [3]], unsigned, kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_non_integral_operands_raise(self, exact_lut, kernel):
+        # Truncated to int64 these would silently give 1*2 + 2*3 = 8.
+        with pytest.raises(TruthTableError, match="non-integral"):
+            lut_matmul([[1.7, 2.9]], [[2], [3]], exact_lut, kernel=kernel)
+        with pytest.raises(TruthTableError, match="non-integral"):
+            lut_matmul([[1, 2]], np.array([[2.0], [np.nan]]), exact_lut,
+                       kernel=kernel)
+        with pytest.raises(TruthTableError, match="non-integral"):
+            lut_matmul([[1, 2]], np.array([[2.0], [np.inf]]), exact_lut,
+                       kernel=kernel)
+        # Integral floats are still valid operands.
+        out = lut_matmul(np.array([[1.0, -2.0]]), [[2], [3]], exact_lut,
+                         kernel=kernel)
+        assert out.tolist() == [[-4]]
