@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -27,6 +28,10 @@ from repro.multipliers import library
 
 #: Environment variable overriding where BENCH_*.json results are written.
 RESULTS_DIR_ENV = "BENCH_RESULTS_DIR"
+
+# The LUT-GEMM reference kernel the microbenchmarks time the kernels
+# against lives with the tests (tests/lut_gemm_reference.py).
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

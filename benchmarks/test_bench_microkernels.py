@@ -15,13 +15,24 @@ Python loop were free.  The JSON artefact records the roofline, each
 kernel's absolute MACs/s and its fraction of the roofline, plus the
 blocked-vs-naive speedup (>= 1.5x, asserted here and archived by CI).
 
+The naive kernel is the seed's one-gather-per-product reference, kept in
+``tests/lut_gemm_reference.py``; it is timed here but is not one of the
+kernels ``lut_matmul`` dispatches to.
+
 It also times ``blocked`` against ``rowgather`` on the ResNet-20 stage
 shapes of a batch-32 forward pass and on one single-sample serve shape,
-asserting ``rowgather`` >= 1.3x on the three stage shapes (the calls
-``lut_matmul`` sends to it) and archiving every per-shape speed-up.  Those
+asserting ``rowgather`` >= 1.3x on the three stage shapes (the calls the
+size rule sends to it) and archiving every per-shape speed-up.  Those
 calls take the operands the pipeline passes: the narrow int8 patch matrix
 ``im2col_quantized`` emits and the int64 quantised filter bank.  The
 ``im2col_quantized`` time of each stage's batch-32 input is archived too.
+
+``factored`` is timed on rank-1/2/3 tables at the same shapes against the
+kernel the size rule would pick instead, on the same call, and must match
+it bit for bit and not lose to it.  For every library table the JSON
+records the rank of its exact factors (``null`` above 3, beside the float
+SVD rank), their denominator ``d`` and the kernel ``lut_matmul`` chooses
+for a serve call (P=16) and a batch-32 stage-2 call (P=8192).
 """
 
 from __future__ import annotations
@@ -33,8 +44,17 @@ import numpy as np
 import pytest
 
 from repro.conv import im2col_quantized, lut_matmul
-from repro.conv.gemm import KERNELS, flat_index_dtype
+from repro.conv.gemm import (
+    KERNELS,
+    choose_gemm_kernel,
+    default_gemm_kernel,
+    flat_index_dtype,
+)
+from repro.lut import LookupTable
+from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
+
+from lut_gemm_reference import lut_matmul_naive
 
 #: Bench shape: one im2col'd 3x3x16 layer chunk against 64 filters.
 BENCH_P, BENCH_K, BENCH_F = 1024, 144, 64
@@ -72,6 +92,14 @@ STAGE_INPUTS = {
 
 #: Required median rowgather-over-blocked speed-up on every stage shape.
 MIN_ROWGATHER_SPEEDUP = 1.3
+
+#: One library table per factor rank the factored kernel serves.
+FACTORED_TABLES = {1: "mul8s_trunc2", 2: "mul8s_udm", 3: "mul8u_bam_h2v4"}
+
+#: Required median factored speed-up over the size rule's kernel on every
+#: stage and serve shape: ``lut_matmul`` takes ``factored`` whenever the
+#: table has factors, so it must never lose.
+MIN_FACTORED_SPEEDUP = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +151,13 @@ def test_im2col_quantized(benchmark, activations):
 
 
 @pytest.mark.benchmark(group="micro")
-@pytest.mark.parametrize("kernel", ["naive", "blocked", "rowgather"])
+@pytest.mark.parametrize("kernel", ["naive", *sorted(KERNELS)])
 def test_lut_gemm(benchmark, exact_lut, gemm_case, kernel):
     patches, weights = gemm_case
-    acc = benchmark(lut_matmul, patches, weights, exact_lut, kernel=kernel)
+    if kernel == "naive":
+        acc = benchmark(lut_matmul_naive, patches, weights, exact_lut)
+    else:
+        acc = benchmark(lut_matmul, patches, weights, exact_lut, kernel=kernel)
     assert acc.shape == (BENCH_P, BENCH_F)
 
 
@@ -134,15 +165,20 @@ def _paired_median_seconds(lut, shape, kernels, repeats=5):
     """Median wall time of each kernel on one (P, K, F) GEMM through ``lut``.
 
     The kernels are timed in alternation so host drift over the run hits
-    them alike and the speed-up between them stays meaningful.
+    them alike and the speed-up between them stays meaningful.  Every
+    kernel's result must equal the first kernel's.
     """
     rng = np.random.default_rng(sum(shape))
     p, k, f = shape
-    patches = rng.integers(-128, 128, size=(p, k), dtype=np.int8)
-    weights = rng.integers(-128, 128, size=(k, f))
+    lo, hi = lut.operand_min, lut.operand_max + 1
+    patches = rng.integers(lo, hi, size=(p, k),
+                           dtype=np.int8 if lut.signed else np.uint8)
+    weights = rng.integers(lo, hi, size=(k, f))
     timings = {kernel: [] for kernel in kernels}
-    for kernel in kernels:
-        lut_matmul(patches, weights, lut, kernel=kernel)    # warm-up
+    first = lut_matmul(patches, weights, lut, kernel=kernels[0])
+    for kernel in kernels:                                  # warm-up
+        np.testing.assert_array_equal(
+            lut_matmul(patches, weights, lut, kernel=kernel), first)
     for _ in range(repeats):
         for kernel in kernels:
             start = time.perf_counter()
@@ -197,9 +233,13 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         "roofline_macs_per_s": roofline,
     }
     achieved = {}
-    for kernel in sorted(KERNELS):
-        median = _median_seconds(
-            lut_matmul, patches, weights, exact_lut, kernel=kernel)
+    for kernel in ["naive", *sorted(KERNELS)]:
+        if kernel == "naive":
+            median = _median_seconds(lut_matmul_naive, patches, weights,
+                                     exact_lut)
+        else:
+            median = _median_seconds(
+                lut_matmul, patches, weights, exact_lut, kernel=kernel)
         achieved[kernel] = macs / median
         payload[f"{kernel}_median_seconds"] = median
         payload[f"{kernel}_macs_per_s"] = achieved[kernel]
@@ -221,6 +261,35 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         payload[f"{label}_rowgather_vs_blocked_speedup"] = layer_speedups[label]
         for kernel, median in times.items():
             payload[f"{label}_{kernel}_macs_per_s"] = np.prod(shape) / median
+    factored_speedups = {}
+    for rank, name in FACTORED_TABLES.items():
+        lut = LookupTable.from_multiplier(library.create(name))
+        assert lut.factors is not None and lut.factors.rank == rank
+        for label, shape in {**STAGE_SHAPES, "serve": SERVE_SHAPE}.items():
+            size_rule = default_gemm_kernel(shape[0], lut.bit_width)
+            assert choose_gemm_kernel(lut, *shape[:2]) == "factored"
+            times = _paired_median_seconds(lut, shape,
+                                           (size_rule, "factored"))
+            key = f"{label}_rank{rank}"
+            factored_speedups[key] = times[size_rule] / times["factored"]
+            payload[f"{key}_factored_vs_{size_rule}_speedup"] = \
+                factored_speedups[key]
+            payload[f"{key}_factored_macs_per_s"] = \
+                np.prod(shape) / times["factored"]
+    tables = {}
+    for name in library.available():
+        lut = LookupTable.from_multiplier(library.create(name))
+        factors = lut.factors
+        tables[name] = {
+            "rank": factors.rank if factors else None,
+            "float_rank": int(np.linalg.matrix_rank(
+                lut.dense().astype(np.float64))),
+            "denominator": factors.denominator if factors else None,
+            "kernel_p16": choose_gemm_kernel(lut, *SERVE_SHAPE[:2]),
+            "kernel_p8192": choose_gemm_kernel(lut,
+                                               *STAGE_SHAPES["stage2"][:2]),
+        }
+    payload["library_tables"] = tables
     for label, shape in STAGE_INPUTS.items():
         inputs = np.random.default_rng(len(label)).normal(size=shape)
         params = compute_coeffs_from_tensor(inputs)
@@ -249,6 +318,11 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
             f"rowgather is only {layer_speedups[label]:.2f}x blocked on the "
             f"{label} shape {STAGE_SHAPES[label]} "
             f"(required: {MIN_ROWGATHER_SPEEDUP}x)"
+        )
+    for key, speedup in factored_speedups.items():
+        assert speedup >= MIN_FACTORED_SPEEDUP, (
+            f"factored is only {speedup:.2f}x the size rule's kernel at "
+            f"{key} (required: {MIN_FACTORED_SPEEDUP}x)"
         )
 
 

@@ -11,12 +11,9 @@ Two GEMM flavours are provided:
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
 The integer LUT product itself -- :func:`lut_matmul` -- dispatches to one of
-three kernels in the fixed :data:`KERNELS` table:
+three kernels in the fixed :data:`KERNELS` table, all bit-identical to the
+seed's one-gather-per-product reference the test-suite keeps:
 
-``naive``
-    The seed implementation: one row tile at a time, full-depth ``[T, K, F]``
-    int64 index tensor.  Kept as the reference the other variants must match
-    bit for bit.
 ``blocked``
     Cache-blocked gather-GEMM: the K dimension is walked in panels sized so
     the stitched-index and product intermediates stay cache-resident, the
@@ -24,8 +21,7 @@ three kernels in the fixed :data:`KERNELS` table:
     plane (one ``&``/``<<`` per operand for the whole product, not per
     tile), and the lookup gathers K-major through
     :meth:`numpy.ndarray.take` in the LUT's native 16-bit storage, summing
-    per-tap slabs like ``rowgather`` below.  Bit-identical to ``naive``
-    (integer addition is associative) at 2-3x its throughput.
+    per-tap slabs like ``rowgather`` below.
 ``rowgather``
     Weight-stationary row gather: per K panel it slices the LUT into
     ``W[k * 2**n + v, :] = LUT[v, w[k, :]]`` (native 16-bit storage), then
@@ -34,10 +30,26 @@ three kernels in the fixed :data:`KERNELS` table:
     product.  The gather is K-major, so a row block's products come out as
     contiguous per-tap ``[rows, F]`` slabs that are summed slab by slab, in
     int32 when the table's storage bounds the panel's partial sums below
-    ``2**31`` (every 8-bit table).  Bit-identical to ``naive``; 4-5x
-    ``blocked`` on the ResNet-20 stage shapes.
+    ``2**31`` (every 8-bit table).  4-5x ``blocked`` on the ResNet-20 stage
+    shapes.
+``factored``
+    Exact BLAS products for low-rank tables.  When the table is an exact
+    sum of ``r <= 3`` separable terms, ``d * LUT[a, b] = sum_s C[a, s] *
+    dG[s, b]`` in integers (:attr:`~repro.lut.LookupTable.factors`), the
+    product of lookups is ``sum_s C[:, s][bits(A)] @ dG[s][bits(W)] / d``:
+    one float64 GEMM over the ``r * K`` gathered factor columns, rounded and
+    divided exactly by ``d``.  Every product and partial sum is an integer,
+    so the GEMM is exact -- in any summation order BLAS picks -- while
+    ``K * r * max|C| * max|dG| < 2**53``.  14 of the library's 31 tables
+    (exact, truncated-operand, DRUM, UDM, ``bam_h2v4``) qualify; ``mitchell``
+    (rank 64) does not.
 
-When no kernel is named, :func:`lut_matmul` picks by call size: building
+When no kernel is named, :func:`choose_gemm_kernel` picks one from the table
+and the call: ``factored`` whenever the table has factors and the call's
+depth keeps the product exact, else the size rule of
+:func:`default_gemm_kernel`.  With one BLAS thread, ``factored`` ran
+1.3-7.4x the size rule's kernel on ResNet-20's batch-32 stage shapes and
+3.5-6.5x on serve's single-sample 16x288x64 call, for rank 1-3 tables.  Building
 ``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``, so
 ``rowgather`` runs when ``P >= 2 * 2**n`` (512 rows for 8-bit tables) and
 ``blocked`` below that, where the build would dominate (serve's
@@ -48,8 +60,9 @@ whole-model ResNet-20 inference -- while the per-call build costs at most
 1/8 of the GEMM's gathers at ResNet-20's smallest batch-32 call (P=2048),
 and needs no invalidation when training rewrites the filter banks.
 
-Every kernel accumulates in int64 (``blocked`` and ``rowgather`` add their
-int32 panel partials into it).  :func:`lut_matmul` validates once for all of them:
+Every kernel returns int64 sums (``blocked`` and ``rowgather`` add their
+int32 panel partials into an int64 accumulator; ``factored`` converts its
+exact float64 sums).  :func:`lut_matmul` validates once for all of them:
 operands outside the table's range, and float operands holding non-integral
 values, raise :class:`~repro.errors.TruthTableError` there, exactly as
 :meth:`~repro.lut.LookupTable.lookup` does for the former.  Integer operands
@@ -80,6 +93,10 @@ DEFAULT_BLOCK_K = 48
 #: Byte budget of one rowgather ``W`` panel; its K depth follows from it
 #: (32 taps of a 64-filter 8-bit bank, a single tap of a 12-bit one).
 ROWGATHER_PANEL_BYTES = 1 << 20
+
+#: Byte budget of one ``factored`` row block's gathered ``[rows, r * K]``
+#: float64 operand (cache-sized; the row count follows from it).
+FACTORED_PANEL_BYTES = 1 << 18
 
 #: ``rowgather`` is the default once ``P >= ROWGATHER_MIN_ROWS_PER_LEVEL *
 #: 2**n``: below that, building ``W`` outweighs the gathers it saves.
@@ -167,45 +184,6 @@ def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
     return _integer_operand(patches, lut), _integer_operand(filters, lut)
 
 
-def lut_matmul_naive(patches: xp.ndarray, filters: xp.ndarray,
-                     lut: LookupTable, *, tile_rows: int = 256,
-                     accumulator_bits: int | None = None,
-                     saturate: bool = False) -> xp.ndarray:
-    """The seed LUT-GEMM kernel: row tiles over a full-depth index tensor.
-
-    ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
-    ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
-    arrays of any width already validated by :func:`lut_matmul`.  The product is
-    accumulated in int64 (optionally folded into a finite-width accumulator)
-    and returned as an ``[P, F]`` int64 matrix of *approximate* dot
-    products.
-
-    The computation is tiled over patch rows only, so the intermediate index
-    tensor is ``[tile_rows, K, F]`` -- small for the paper's layer shapes but
-    far outside cache for deep inputs, which is what the ``blocked`` kernel
-    fixes.  Kept verbatim as the bit-exact reference of the parity grid.
-    """
-    patches = patches.astype(xp.int64, copy=False)
-    filters = filters.astype(xp.int64, copy=False)
-    num_patches = patches.shape[0]
-    num_filters = filters.shape[1]
-    result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
-
-    # Pre-stitch the filter half of the index once; the patch half is added
-    # tile by tile.  Index = (patch_bits << n) | filter_bits.
-    mask = (1 << lut.bit_width) - 1
-    filter_bits = (filters & mask)                      # [K, F]
-    for start in range(0, num_patches, tile_rows):
-        stop = min(start + tile_rows, num_patches)
-        tile = patches[start:stop]                      # [T, K]
-        tile_bits = (tile & mask) << lut.bit_width      # [T, K]
-        idx = tile_bits[:, :, None] | filter_bits[None, :, :]   # [T, K, F]
-        products = lut.lookup_flat(idx)                 # [T, K, F] int64
-        result[start:stop] = _wrap_accumulator(
-            products.sum(axis=1), accumulator_bits, saturate)
-    return result
-
-
 def _panel_sum_dtype(storage, panel_k: int):
     """Accumulator dtype of one K panel's partial sums (blocked, rowgather).
 
@@ -228,8 +206,12 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
                        saturate: bool = False) -> xp.ndarray:
     """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
 
-    Same contract as :func:`lut_matmul_naive`, restructured for memory
-    locality:
+    ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
+    ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
+    arrays of any width already validated by :func:`lut_matmul`; the
+    ``[P, F]`` int64 result holds the *approximate* dot products (optionally
+    folded into a finite-width accumulator).  The kernel is laid out for
+    memory locality:
 
     * the quantise-to-bit-pattern step is *fused* out of the inner loop --
       both operands are converted to stitched-index bit planes exactly once,
@@ -237,18 +219,18 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
       (:func:`flat_index_dtype`), instead of re-masking every row tile;
     * the product is walked in ``block_rows x block_k x F`` panels, so the
       stitched-index tensor and the gathered products stay cache-sized for
-      any depth ``K`` (the naive kernel's intermediates grow linearly with
-      ``K``);
+      any depth ``K`` (a full-depth ``[rows, K, F]`` index tensor grows
+      linearly with ``K``);
     * the stitched index is laid out K-major, ``[block_k, block_rows, F]``,
       so the gather reads the LUT's native 16-bit storage via ``take`` into
       one contiguous ``[block_rows, F]`` slab per tap and the panel sum adds
       whole slabs -- in int32 when :func:`_panel_sum_dtype` allows it --
-      before it joins the int64 accumulator; the int64 product tensor the
-      naive kernel allocates never exists.
+      before it joins the int64 accumulator; no int64 product tensor is
+      ever allocated.
 
     Partial K-panel sums are combined by integer addition, so the result is
-    bit-identical to the naive kernel for every block size -- the hypothesis
-    suite asserts exactly that.
+    bit-identical to the one-gather-per-product reference for every block
+    size -- the hypothesis suite asserts exactly that.
     """
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
@@ -282,7 +264,7 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
                          saturate: bool = False) -> xp.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
-    Same contract as :func:`lut_matmul_naive`.  For each K panel the LUT is
+    Same contract as :func:`lut_matmul_blocked`.  For each K panel the LUT is
     sliced into ``W[k * 2**n + v, f] = LUT[v, w[k, f]]``, so the products of
     patch operand ``v`` with a whole filter row are one contiguous row of
     ``W``.  Each row block gathers K-major: its row offsets
@@ -328,11 +310,61 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
     return _wrap_accumulator(acc, accumulator_bits, saturate)
 
 
+def lut_matmul_factored(patches: xp.ndarray, filters: xp.ndarray,
+                        lut: LookupTable, *,
+                        accumulator_bits: int | None = None,
+                        saturate: bool = False) -> xp.ndarray:
+    """Exact float64 BLAS GEMM via rank <= 3 factors (needs K*bound < 2**53).
+
+    Same contract as :func:`lut_matmul_blocked`, for tables with
+    :attr:`~repro.lut.LookupTable.factors` ``C @ dG == d * LUT``.  The patch
+    operands gather their factor rows ``C[bits(a), :]`` into one ``[rows,
+    K * r]`` float64 block, the filter operands ``dG[:, bits(w)]`` into a
+    matching ``[K * r, F]`` one, and a single GEMM sums all ``r`` terms of
+    all ``K`` taps.  The bit patterns are masked into ``intp`` first:
+    ``take`` runs several times slower on negative or narrow indices.  Each
+    entry of the float sum is ``d`` times the exact integer LUT sum, so
+    ``rint`` and an exact integer division by ``d`` recover it.
+
+    Raises :class:`~repro.errors.ConfigurationError` unless the table has
+    factors and ``K * term_bound < 2**53`` -- the bound under which every
+    product and partial sum of the GEMM is an exactly representable
+    integer, so no result is ever taken from an unverified factorisation or
+    a rounded sum.
+    """
+    factors = lut.factors
+    depth = patches.shape[1]
+    if factors is None:
+        raise ConfigurationError(
+            f"table {lut.name!r} has no exact rank <= 3 factorisation")
+    if not factors.exact_for_depth(depth):
+        raise ConfigurationError(
+            f"a depth-{depth} factored product through {lut.name!r} is not "
+            f"exact in float64")
+    rank = factors.rank
+    mask = (1 << lut.bit_width) - 1
+    filter_bits = filters.astype(xp.intp)
+    filter_bits &= mask
+    rhs = factors.scaled_rows.take(filter_bits, axis=1)       # [r, K, F]
+    rhs = rhs.transpose(1, 0, 2).reshape(depth * rank, filters.shape[1])
+    block_rows = max(1, FACTORED_PANEL_BYTES // max(1, 8 * depth * rank))
+    sums = xp.empty((patches.shape[0], filters.shape[1]), dtype=xp.float64)
+    for r0 in range(0, patches.shape[0], block_rows):
+        bits = patches[r0:r0 + block_rows].astype(xp.intp)
+        bits &= mask
+        lhs = factors.columns.take(bits, axis=0)              # [rows, K, r]
+        xp.matmul(lhs.reshape(len(bits), depth * rank), rhs,
+                  out=sums[r0:r0 + block_rows])
+    acc = xp.rint(sums).astype(xp.int64)
+    acc //= factors.denominator
+    return _wrap_accumulator(acc, accumulator_bits, saturate)
+
+
 #: The LUT-GEMM kernels :func:`lut_matmul` dispatches to, by name.
 KERNELS = {
-    "naive": lut_matmul_naive,
     "blocked": lut_matmul_blocked,
     "rowgather": lut_matmul_rowgather,
+    "factored": lut_matmul_factored,
 }
 
 
@@ -341,6 +373,22 @@ def default_gemm_kernel(num_patches: int, bit_width: int) -> str:
     if num_patches >= ROWGATHER_MIN_ROWS_PER_LEVEL << bit_width:
         return "rowgather"
     return "blocked"
+
+
+def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
+    """``factored`` when exact factors fit the call, else the size rule.
+
+    ``factored`` when the table has exact low-rank factors and a
+    depth-``depth`` product through them is exact in float64
+    (``K * term_bound < 2**53``); otherwise the size rule of
+    :func:`default_gemm_kernel`.  The first call per table
+    pays for :func:`~repro.lut.table.factor_table` (a few milliseconds at
+    8 bits).
+    """
+    factors = lut.factors
+    if factors is not None and factors.exact_for_depth(depth):
+        return "factored"
+    return default_gemm_kernel(num_patches, lut.bit_width)
 
 
 def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
@@ -354,9 +402,11 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     width are used as they are.  The product is returned as an ``[P, F]``
     int64 matrix of *approximate* dot products.
 
-    ``kernel`` names one of :data:`KERNELS` (``naive``, ``blocked``,
-    ``rowgather``); when omitted, :func:`default_gemm_kernel` picks one by
-    the call's row count.  All kernels are bit-identical.
+    ``kernel`` names one of :data:`KERNELS` (``blocked``, ``rowgather``,
+    ``factored``); when omitted, :func:`choose_gemm_kernel` picks one from
+    the table's factors and the call's shape.  All kernels are
+    bit-identical; naming ``factored`` for a table or depth it cannot
+    compute exactly raises :class:`~repro.errors.ConfigurationError`.
 
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
@@ -370,7 +420,7 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
         raise ConfigurationError("accumulator_bits must lie in [8, 64]")
     if kernel is None:
-        kernel = default_gemm_kernel(patches.shape[0], lut.bit_width)
+        kernel = choose_gemm_kernel(lut, *patches.shape)
     try:
         run = KERNELS[kernel]
     except KeyError:

@@ -114,22 +114,25 @@ class Graph:
 
         # A node may consume the same producer several times (e.g. Add(x, x));
         # dependency counting works on the set of distinct producers so each
-        # completed producer unlocks the consumer exactly once.
-        in_degree = {
-            node: len({p for p in node.inputs if p in wanted}) for node in wanted
-        }
+        # completed producer unlocks the consumer exactly once.  Consumer
+        # lists are built once, in insertion order -- the order consumers()
+        # reports -- so the sort is O(nodes + edges).
+        in_degree: dict[Node, int] = {}
+        consumers: dict[Node, list[Node]] = {}
+        for node in self._nodes.values():
+            if node not in wanted:
+                continue
+            producers = {p for p in node.inputs if p in wanted}
+            in_degree[node] = len(producers)
+            for producer in producers:
+                consumers.setdefault(producer, []).append(node)
 
-        ready = deque(
-            node for node in self._nodes.values()
-            if node in wanted and in_degree[node] == 0
-        )
+        ready = deque(node for node, degree in in_degree.items() if degree == 0)
         order: list[Node] = []
         while ready:
             node = ready.popleft()
             order.append(node)
-            for consumer in self.consumers(node):
-                if consumer not in in_degree:
-                    continue
+            for consumer in consumers.get(node, ()):
                 in_degree[consumer] -= 1
                 if in_degree[consumer] == 0:
                     ready.append(consumer)

@@ -11,14 +11,152 @@ The same class backs every emulation engine in this repository -- the direct
 CPU loop, the vectorised NumPy path and the simulated CUDA kernels -- so the
 functional behaviour of an accelerator configuration is defined in a single
 place.
+
+Many approximate multipliers only approximate their operands or drop whole
+partial-product rows (DRUM, operand truncation, UDM, broken arrays), so
+their tables are exact sums of a few separable terms,
+``T[a, b] = sum_s C[a, s] * G[s, b]``.  :func:`factor_table` finds such a
+decomposition in integers and proves it exact; :attr:`LookupTable.factors`
+caches the result per table, and the ``factored`` LUT-GEMM kernel of
+:mod:`repro.conv.gemm` turns a product of lookups into float64 BLAS GEMMs
+with it.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 from .. import xp
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
 from ..multipliers.truthtable import validate_table
+
+
+#: Highest exact rank :func:`factor_table` factors a table at.  Above it the
+#: factored GEMM's ``r``-fold wider operands cost more than the gathers they
+#: replace (measured: 1.5x or better at rank 3, 0.7x at rank 6).
+MAX_FACTOR_RANK = 3
+
+#: Every factored product, and every sum of them a GEMM forms, must stay
+#: below this to be exact in float64, whatever order the sum is taken in.
+FLOAT64_EXACT_LIMIT = 1 << 53
+
+
+@dataclass(frozen=True)
+class LutFactors:
+    """An exact integer skeleton ``columns @ scaled_rows == denominator * T``.
+
+    ``columns`` is ``C = T[:, cols]`` (``[2**n, r]``) and ``scaled_rows``
+    is ``dG = d * M^-1 @ T[rows, :]`` (``[r, 2**n]``) for ``r`` pivot rows
+    and columns with pivot block ``M = T[rows][:, cols]``, both indexed by
+    operand bit patterns like the table and held as float64 (every entry is
+    an integer of magnitude below ``2**53``).  ``term_bound`` is
+    ``r * max|C| * max|dG|``: a product of depth ``K`` sums terms whose
+    partial sums never exceed ``K * term_bound``.
+    """
+
+    columns: xp.ndarray
+    scaled_rows: xp.ndarray
+    denominator: int
+    term_bound: int
+
+    @property
+    def rank(self) -> int:
+        """Number of separable terms ``r``."""
+        return self.columns.shape[1]
+
+    def exact_for_depth(self, depth: int) -> bool:
+        """Whether a depth-``depth`` factored product is exact in float64."""
+        return depth * self.term_bound < FLOAT64_EXACT_LIMIT
+
+
+def _determinant(matrix: list[list[int]]) -> int:
+    """Exact determinant by Laplace expansion (pivot blocks are <= 3x3)."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * matrix[0][j]
+               * _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j in range(len(matrix)))
+
+
+def _adjugate(matrix: list[list[int]]) -> list[list[int]]:
+    """Exact adjugate, ``adj(M) = det(M) * M^-1``."""
+    size = len(matrix)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for k, row in enumerate(matrix) if k != i]
+
+    return [[(-1) ** (i + j) * _determinant(minor(j, i)) for j in range(size)]
+            for i in range(size)]
+
+
+def verify_factors(columns: xp.ndarray, scaled_rows: xp.ndarray,
+                   denominator: int, table: xp.ndarray) -> bool:
+    """Exact check ``columns @ scaled_rows == denominator * table`` in int64.
+
+    The caller bounds every entry of both sides below ``2**53``, so no int64
+    product or sum can wrap.
+    """
+    return bool(xp.array_equal(columns @ scaled_rows,
+                               denominator * table.astype(xp.int64)))
+
+
+def factor_table(table: xp.ndarray,
+                 max_rank: int = MAX_FACTOR_RANK) -> LutFactors | None:
+    """Exact low-rank factors of an integer truth table, or ``None``.
+
+    Pivots are chosen by complete pivoting on a float64 residual: up to
+    ``max_rank`` times the largest residual entry becomes a pivot and its
+    rank-one cross is eliminated.  If a residual entry above rounding noise
+    survives ``max_rank`` pivots, the table's rank exceeds the cutoff.  The
+    pivot block ``M`` is then inverted exactly, in Python integers
+    (``M^-1 = adj(M) / det(M)``), and the common denominator is reduced to
+    the smallest ``d`` that makes ``dG = d * M^-1 @ T[rows, :]`` integral.
+    The float pivot search only proposes; the factors are returned only when
+    :func:`verify_factors` proves ``C @ dG == d * T`` exactly and every
+    factored product is exact in float64.  All-zero tables return ``None``.
+    """
+    table = xp.asarray(table, dtype=xp.int64)
+    residual = table.astype(xp.float64)
+    noise = 1e-9 * float(xp.abs(residual).max(initial=0.0))
+    rows: list[int] = []
+    cols: list[int] = []
+    while True:
+        i, j = xp.unravel_index(int(xp.abs(residual).argmax()), residual.shape)
+        if abs(residual[i, j]) <= noise:
+            break
+        if len(rows) == max_rank:
+            return None
+        rows.append(int(i))
+        cols.append(int(j))
+        residual -= xp.outer(residual[:, j], residual[i] / residual[i, j])
+    if not rows:
+        return None
+
+    pivots = [[int(table[i, j]) for j in cols] for i in rows]
+    det = _determinant(pivots)
+    if det == 0:
+        return None
+    adjugate = xp.array(_adjugate(pivots), dtype=object)
+    scaled = adjugate.dot(table[rows].astype(object))   # det * M^-1 @ T[rows]
+    divisor = math.gcd(det, *(int(v) for v in scaled.ravel()))
+    if det < 0:
+        divisor = -divisor
+    denominator = det // divisor
+    scaled //= divisor
+    columns = table[:, cols]
+    term_bound = (len(rows) * int(xp.abs(columns).max())
+                  * max(abs(int(v)) for v in scaled.ravel()))
+    if (term_bound >= FLOAT64_EXACT_LIMIT
+            or denominator * int(xp.abs(table).max()) > term_bound):
+        return None
+    scaled = scaled.astype(xp.int64)
+    if not verify_factors(columns, scaled, denominator, table):
+        return None
+    return LutFactors(columns=columns.astype(xp.float64),
+                      scaled_rows=scaled.astype(xp.float64),
+                      denominator=denominator, term_bound=term_bound)
 
 
 class LookupTable:
@@ -56,6 +194,8 @@ class LookupTable:
             storage = xp.int32
         self._flat = xp.ascontiguousarray(table.reshape(-1).astype(storage))
         self._table_2d = table
+        self._factors: LutFactors | None = None
+        self._factored = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -113,6 +253,19 @@ class LookupTable:
         if self._signed:
             return (1 << (self._bit_width - 1)) - 1
         return (1 << self._bit_width) - 1
+
+    @property
+    def factors(self) -> LutFactors | None:
+        """Exact rank-``r <= 3`` factors of the table, or ``None``.
+
+        Computed by :func:`factor_table` on first use and cached.  Threads
+        that race on the first use compute the same factors, so the race
+        only duplicates work.
+        """
+        if not self._factored:
+            self._factors = factor_table(self._table_2d)
+            self._factored = True
+        return self._factors
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "signed" if self._signed else "unsigned"

@@ -41,7 +41,8 @@ def test_api_reference_covers_public_subpackages():
         assert f"## `{package}`" in text
     # Spot-check that the tentpole surface is actually documented.
     for symbol in ("EmulationService", "Batcher", "shared_pipeline",
-                   "stats_snapshot", "ModelSession", "LatencyStats"):
+                   "stats_snapshot", "ModelSession", "LatencyStats",
+                   "lut_matmul_factored", "choose_gemm_kernel", "LutFactors"):
         assert symbol in text, f"{symbol} missing from the API reference"
 
 

@@ -26,18 +26,15 @@ from repro.backends import (
 )
 from repro.conv import ApproxConvStats, approx_conv2d, prepare_conv2d
 from repro.conv import gemm as gemm_mod
-from repro.conv.gemm import (
-    KERNELS,
-    lut_matmul,
-    lut_matmul_blocked,
-    lut_matmul_naive,
-)
+from repro.conv.gemm import lut_matmul, lut_matmul_blocked
 from repro.errors import ConfigurationError, QuantizationError, RegistryError
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
 from repro.lut import LookupTable
 from repro.multipliers import library
+
+from lut_gemm_reference import kernels_for, lut_matmul_naive
 
 
 # Small cases: the cpusim backend is a per-pixel Python loop.
@@ -118,7 +115,8 @@ class TestKernelVariantParity:
 
     The grid crosses shapes x multipliers (signed and unsigned) x
     accumulator model -- the paper's 32-bit wrap-around accumulator and the
-    default unbounded int64 one; ``naive`` is the reference.
+    default unbounded int64 one; ``lut_matmul_naive`` is the reference.
+    ``factored`` joins for the tables it can compute (``exact``, ``drum4``).
     """
 
     @pytest.mark.parametrize("shape", GEMM_SHAPES,
@@ -134,9 +132,9 @@ class TestKernelVariantParity:
         rng = np.random.default_rng(p * 1000 + k)
         patches = rng.integers(lo, hi, size=(p, k))
         filters = rng.integers(lo, hi, size=(k, f))
-        reference = lut_matmul(patches, filters, lut, kernel="naive",
-                               accumulator_bits=accumulator_bits)
-        for name in sorted(KERNELS):
+        reference = lut_matmul_naive(patches, filters, lut,
+                                     accumulator_bits=accumulator_bits)
+        for name in kernels_for(lut, k):
             out = lut_matmul(patches, filters, lut, kernel=name,
                              accumulator_bits=accumulator_bits)
             assert out.dtype == np.int64
@@ -152,7 +150,7 @@ class TestKernelVariantParity:
         rng = np.random.default_rng(42)
         patches = rng.integers(-128, 128, size=(33, 29))
         filters = rng.integers(-128, 128, size=(29, 11))
-        reference = lut_matmul(patches, filters, lut, kernel="naive")
+        reference = lut_matmul_naive(patches, filters, lut)
         out = lut_matmul_blocked(patches, filters, lut,
                                  block_rows=block_rows, block_k=block_k)
         assert np.array_equal(out, reference)
@@ -160,25 +158,29 @@ class TestKernelVariantParity:
     @pytest.mark.parametrize("multiplier", ["mul8s_mitchell", "mul8u_drum4"])
     def test_default_conv_above_crossover_matches_naive(self, multiplier,
                                                         monkeypatch):
-        """A conv whose chunks have P >= 512 rows takes the size-selected
-        rowgather kernel and still matches the naive reference exactly."""
+        """A conv whose chunks have P >= 512 rows takes the kernel the table
+        selects -- the size rule's rowgather for ``mitchell`` (rank 64),
+        ``factored`` for the rank-1 ``drum4`` -- and still matches the naive
+        reference exactly."""
+        expected = {"mul8s_mitchell": "rowgather",
+                    "mul8u_drum4": "factored"}[multiplier]
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(4, 12, 12, 3))     # P = 4*12*12 = 576
         filters = rng.normal(size=(3, 3, 3, 5))
         with monkeypatch.context() as pinned:
-            for name in ("blocked", "rowgather"):
+            for name in list(gemm_mod.KERNELS):
                 pinned.setitem(gemm_mod.KERNELS, name, lut_matmul_naive)
             reference = emulate_conv2d(inputs, filters, multiplier,
                                        chunk_size=4)
 
-        rowgather = gemm_mod.KERNELS["rowgather"]
+        chosen = gemm_mod.KERNELS[expected]
         rows = []
 
         def spy(patches, *args, **kwargs):
             rows.append(len(patches))
-            return rowgather(patches, *args, **kwargs)
+            return chosen(patches, *args, **kwargs)
 
-        monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
+        monkeypatch.setitem(gemm_mod.KERNELS, expected, spy)
         out = emulate_conv2d(inputs, filters, multiplier, chunk_size=4)
         assert rows == [576]
         assert np.array_equal(out, reference)

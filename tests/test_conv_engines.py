@@ -19,7 +19,6 @@ from repro.conv import (
     lut_matmul,
     split_chunks,
 )
-from repro.conv.gemm import lut_matmul_naive
 from repro.errors import ConfigurationError, ShapeError
 from repro.lut import LookupTable
 from repro.multipliers import library
@@ -28,6 +27,8 @@ from repro.quantization import (
     UNSIGNED_8BIT,
     compute_coeffs_from_tensor,
 )
+
+from lut_gemm_reference import lut_matmul_naive
 
 
 class TestGemmPrimitives:

@@ -20,8 +20,16 @@ Three families of invariants, mostly driven by hypothesis:
   patch matrix ``im2col_quantized`` emits) give the int64-operand result on
   every kernel, and the int32 panel partials of ``blocked`` and
   ``rowgather`` (16-bit table storage) and their int64 ones (32-bit
-  storage) both match the naive kernel with table entries at the storage
-  extremes.
+  storage) both match the naive reference with table entries at the
+  storage extremes;
+* *factored products are exact or not taken*: random integer rank-1..3
+  tables and every library table match the naive reference through
+  ``factored``; a call whose depth breaks the float64 bound, a
+  factorisation that fails verification and a table of rank above 3 all
+  leave ``lut_matmul`` on the size rule.
+
+The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
+one-gather-per-product kernel, kept beside the tests.
 
 The flat-index dtype regression tests live here too: stitched indices span
 ``2 * bit_width`` bits, so the 12-bit table no longer fits int16 indices and
@@ -43,18 +51,22 @@ from repro.conv.gemm import (
     KERNELS,
     _panel_sum_dtype,
     approx_gemm,
+    choose_gemm_kernel,
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
     lut_matmul,
     lut_matmul_blocked,
-    lut_matmul_naive,
     lut_matmul_rowgather,
 )
 from repro.errors import ConfigurationError, TruthTableError
 from repro.lut import LookupTable
+from repro.lut import table as table_mod
+from repro.lut.table import FLOAT64_EXACT_LIMIT, factor_table
 from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
+
+from lut_gemm_reference import kernels_for, lut_matmul_naive
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +107,7 @@ class TestBlockingInvariance:
                                               f, block_rows, block_k,
                                               panel_bytes):
         patches, filters = _int_case(seed, p, k, f)
-        reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
+        reference = lut_matmul_naive(patches, filters, mitchell_lut)
         blocked = lut_matmul_blocked(patches, filters, mitchell_lut,
                                      block_rows=block_rows, block_k=block_k)
         np.testing.assert_array_equal(blocked, reference)
@@ -186,7 +198,7 @@ class TestExactLutIsAGemm:
 
 
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("kernel", ["naive", "blocked", "rowgather"])
+    @pytest.mark.parametrize("kernel", ["naive", *sorted(KERNELS)])
     @pytest.mark.parametrize("p,k,f", [
         (5, 0, 3),    # empty reduction: a well-defined all-zero product
         (0, 7, 3),    # no patches
@@ -199,7 +211,10 @@ class TestDegenerateShapes:
         rng = np.random.default_rng(k)
         patches = rng.integers(-128, 128, size=(p, k))
         filters = rng.integers(-128, 128, size=(k, f))
-        out = lut_matmul(patches, filters, exact_lut, kernel=kernel)
+        if kernel == "naive":       # the reference itself
+            out = lut_matmul_naive(patches, filters, exact_lut)
+        else:
+            out = lut_matmul(patches, filters, exact_lut, kernel=kernel)
         assert out.shape == (p, f)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, patches @ filters)
@@ -250,7 +265,7 @@ class TestFlatIndexDtype:
         filters = rng.integers(0, n, size=(7, 4))
         filters[:, 0] = n - 1
 
-        naive = lut_matmul(patches, filters, lut, kernel="naive")
+        naive = lut_matmul_naive(patches, filters, lut)
         blocked = lut_matmul_blocked(patches, filters, lut,
                                      block_rows=4, block_k=3)
         np.testing.assert_array_equal(blocked, naive)
@@ -271,7 +286,7 @@ class TestFlatIndexDtype:
         filters = rng.integers(0, n, size=(7, 4))
         filters[:, 0] = n - 1
 
-        naive = lut_matmul(patches, filters, lut, kernel="naive")
+        naive = lut_matmul_naive(patches, filters, lut)
         for panel_bytes in (1, 3 * n * 4 * 4, 1 << 20):
             with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
                                    panel_bytes):
@@ -300,8 +315,8 @@ class TestOperandWidth:
                                size=(p, k))
         filters = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(k, f))
-        reference = lut_matmul(patches, filters, lut, kernel="naive")
-        for kernel in sorted(KERNELS):
+        reference = lut_matmul_naive(patches, filters, lut)
+        for kernel in kernels_for(lut, k):
             out = lut_matmul(patches.astype(dtype), filters.astype(dtype),
                              lut, kernel=kernel)
             assert out.dtype == np.int64
@@ -336,7 +351,7 @@ class TestPanelSums:
         k = self.PANEL_K_8BIT + extra_k                 # two or three panels
         patches = rng.integers(-128, 128, size=(p, k), dtype=np.int8)
         filters = rng.integers(-128, 128, size=(k, 1))
-        reference = lut_matmul(patches, filters, lut, kernel="naive")
+        reference = lut_matmul_naive(patches, filters, lut)
         for kernel in ("blocked", "rowgather"):
             np.testing.assert_array_equal(
                 lut_matmul(patches, filters, lut, kernel=kernel), reference)
@@ -370,7 +385,7 @@ class TestPanelSums:
             out = lut_matmul(patches, filters, lut, kernel="rowgather")
         assert out.tolist() == [[k * ((1 << 24) - 1)] * 2] * 3
         np.testing.assert_array_equal(
-            out, lut_matmul(patches, filters, lut, kernel="naive"))
+            out, lut_matmul_naive(patches, filters, lut))
         # One blocked K panel spanning the whole depth sums in int64 too.
         np.testing.assert_array_equal(
             lut_matmul_blocked(patches, filters, lut, block_k=k), out)
@@ -383,19 +398,11 @@ class TestDefaultDispatch:
                                                (512, "rowgather")])
     def test_size_rule_boundary(self, mitchell_lut, monkeypatch, rows,
                                 expected):
-        calls = []
-        for name in ("blocked", "rowgather"):
-            kernel = gemm_mod.KERNELS[name]
-
-            def spy(*args, _name=name, _kernel=kernel, **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
-
-            monkeypatch.setitem(gemm_mod.KERNELS, name, spy)
+        calls = _spy_kernels(monkeypatch)
         patches, filters = _int_case(rows, rows, 20, 6)
         out = lut_matmul(patches, filters, mitchell_lut)
         assert calls == [expected]
-        reference = lut_matmul(patches, filters, mitchell_lut, kernel="naive")
+        reference = lut_matmul_naive(patches, filters, mitchell_lut)
         np.testing.assert_array_equal(out, reference)
 
 
@@ -428,3 +435,175 @@ class TestOperandValidation:
         out = lut_matmul(np.array([[1.0, -2.0]]), [[2], [3]], exact_lut,
                          kernel=kernel)
         assert out.tolist() == [[-4]]
+
+
+def _rank_r_table(seed, rank, bit_width, signed):
+    """A random ``2**n x 2**n`` integer table ``C @ G`` of rank at most
+    ``rank`` whose entries fit the ``2n``-bit product range."""
+    rng = np.random.default_rng(seed)
+    side = 1 << bit_width
+    bound = 1 << (2 * bit_width - (1 if signed else 0))
+    scale = int((bound // (rank + 1)) ** 0.5)
+    lo = -scale if signed else 0
+    columns = rng.integers(lo, scale + 1, size=(side, rank))
+    rows = rng.integers(lo, scale + 1, size=(rank, side))
+    return columns @ rows
+
+
+def _spy_kernels(monkeypatch):
+    """Record which kernels ``lut_matmul`` runs."""
+    calls = []
+    for name, kernel in list(gemm_mod.KERNELS.items()):
+        def spy(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+        monkeypatch.setitem(gemm_mod.KERNELS, name, spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def library_luts():
+    return {name: LookupTable.from_multiplier(library.create(name))
+            for name in library.available()}
+
+
+class TestFactored:
+    """The factored kernel is bit-exact whenever ``lut_matmul`` takes it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rank=st.integers(1, 3),
+        bit_width=st.integers(4, 8),
+        signed=st.booleans(),
+        p=st.one_of(st.just(1), st.integers(1, 40)),
+        k=st.one_of(st.just(1), st.integers(1, 60)),
+        f=st.one_of(st.just(1), st.integers(1, 9)),
+        accumulator_bits=st.one_of(st.none(), st.integers(12, 32),
+                                   st.sampled_from([63, 64])),
+        saturate=st.booleans(),
+    )
+    def test_random_low_rank_tables_match_reference(
+            self, seed, rank, bit_width, signed, p, k, f, accumulator_bits,
+            saturate):
+        table = _rank_r_table(seed, rank, bit_width, signed)
+        lut = LookupTable(table, bit_width=bit_width, signed=signed)
+        factors = lut.factors
+        assert factors is not None and factors.rank <= rank
+        np.testing.assert_array_equal(
+            factors.columns @ factors.scaled_rows,
+            factors.denominator * table)
+        assert choose_gemm_kernel(lut, p, k) == "factored"
+
+        rng = np.random.default_rng(seed + 1)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k))
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        reference = lut_matmul_naive(patches, filters, lut,
+                                     accumulator_bits=accumulator_bits,
+                                     saturate=saturate)
+        out = lut_matmul(patches, filters, lut,
+                         accumulator_bits=accumulator_bits, saturate=saturate)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(library.available()),
+        seed=st.integers(0, 2**31 - 1),
+        p=st.integers(1, 30),
+        k=st.integers(1, 50),
+        f=st.integers(1, 8),
+    )
+    def test_library_tables_match_reference(self, library_luts, name, seed,
+                                            p, k, f):
+        lut = library_luts[name]
+        rng = np.random.default_rng(seed)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k))
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        expected = "factored" if lut.factors is not None else "blocked"
+        assert choose_gemm_kernel(lut, p, k) == expected
+        np.testing.assert_array_equal(lut_matmul(patches, filters, lut),
+                                      lut_matmul_naive(patches, filters, lut))
+
+    def test_library_ranks(self, library_luts):
+        """The rank <= 3 tables the factored kernel serves (14 of 31)."""
+        ranks = {name: lut.factors.rank for name, lut in library_luts.items()
+                 if lut.factors is not None}
+        assert ranks == {
+            "mul8s_drum4": 1, "mul8s_exact": 1, "mul8s_trunc2": 1,
+            "mul8u_drum3": 1, "mul8u_drum4": 1, "mul8u_drum6": 1,
+            "mul8u_exact": 1, "mul8u_trunc1": 1, "mul8u_trunc2": 1,
+            "mul8u_trunc3": 1, "mul8s_udm": 2, "mul8u_udm": 2,
+            "mul8u_mitchell_it1": 2, "mul8u_bam_h2v4": 3,
+        }
+        for lut in library_luts.values():
+            if lut.factors is None:
+                assert np.linalg.matrix_rank(lut.dense().astype(float)) > 3
+
+    def test_depth_beyond_the_float64_bound_falls_back(self, monkeypatch):
+        """A depth whose partial sums could reach 2**53 takes the size rule,
+        and naming ``factored`` for it raises."""
+        table = _rank_r_table(0, 3, 8, False)
+        lut = LookupTable(table, bit_width=8, signed=False)
+        factors = lut.factors
+        assert factors is not None
+        depth = -(-FLOAT64_EXACT_LIMIT // factors.term_bound)  # first unsafe K
+        assert factors.exact_for_depth(depth - 1)
+        assert not factors.exact_for_depth(depth)
+        assert choose_gemm_kernel(lut, 2, depth - 1) == "factored"
+        assert choose_gemm_kernel(lut, 2, depth) == "blocked"
+        assert choose_gemm_kernel(lut, 512, depth) == "rowgather"
+
+        rng = np.random.default_rng(1)
+        patches = rng.integers(0, 256, size=(2, depth))
+        filters = rng.integers(0, 256, size=(depth, 2))
+        calls = _spy_kernels(monkeypatch)
+        out = lut_matmul(patches, filters, lut)
+        assert calls == ["blocked"]
+        np.testing.assert_array_equal(
+            out, lut_matmul_naive(patches, filters, lut))
+        with pytest.raises(ConfigurationError, match="not exact"):
+            lut_matmul(patches, filters, lut, kernel="factored")
+
+    def test_unverified_factors_are_never_used(self, monkeypatch):
+        monkeypatch.setattr(table_mod, "verify_factors",
+                            lambda *args: False)
+        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+        assert factor_table(lut.dense()) is None
+        assert lut.factors is None
+        assert choose_gemm_kernel(lut, 16, 288) == "blocked"
+        assert choose_gemm_kernel(lut, 512, 288) == "rowgather"
+
+        patches, filters = _int_case(3, 16, 20, 4)
+        calls = _spy_kernels(monkeypatch)
+        np.testing.assert_array_equal(lut_matmul(patches, filters, lut),
+                                      patches @ filters)
+        assert calls == ["blocked"]
+        with pytest.raises(ConfigurationError, match="no exact rank"):
+            lut_matmul(patches, filters, lut, kernel="factored")
+
+    @pytest.mark.parametrize("case", ["mitchell", "rank4", "random"])
+    def test_rank_above_three_has_no_factors(self, mitchell_lut, case):
+        if case == "mitchell":
+            lut = mitchell_lut
+        else:
+            table = (_rank_r_table(4, 4, 8, True) if case == "rank4" else
+                     np.random.default_rng(4).integers(-9, 10, size=(256, 256)))
+            lut = LookupTable(table, bit_width=8, signed=True)
+        assert lut.factors is None
+        assert choose_gemm_kernel(lut, 16, 288) == "blocked"
+        if case == "rank4":     # exact, but above the cutoff
+            assert factor_table(lut.dense(), max_rank=4).rank == 4
+
+    def test_factors_are_cached_per_table(self, monkeypatch):
+        lut = LookupTable.from_multiplier(library.create("mul8s_trunc2"))
+        calls = []
+        monkeypatch.setattr(table_mod, "factor_table",
+                            lambda table: calls.append(1) or None)
+        for _ in range(3):
+            assert lut.factors is None
+        assert calls == [1]

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import deque
+
 from repro.errors import ExecutionError, GraphError, ShapeError
 from repro.graph import Executor, Graph, infer_shapes, replace_consumers
+from repro.graph.transform import approximate_graph
+from repro.models import build_resnet, build_simple_cnn
+from repro.multipliers import library
 from repro.graph.ops import (
     Add,
     AvgPool2D,
@@ -87,6 +92,36 @@ class TestGraphStructure:
         order = g.topological_order([Identity(g, a)])
         assert b not in order
 
+    @pytest.mark.parametrize("model", ["resnet8", "resnet20", "simple_cnn",
+                                       "resnet8_approximated"])
+    def test_topological_order_matches_quadratic_reference(self, model):
+        """The linear sort returns exactly the old consumer-scan order, for
+        whole graphs and target subsets, also after a rewrite has added
+        nodes after their consumers."""
+        if model == "simple_cnn":
+            built = build_simple_cnn(input_size=16, seed=0)
+        else:
+            built = build_resnet(8 if model.startswith("resnet8") else 20)
+        if model.endswith("approximated"):
+            approximate_graph(built.graph, library.create("mul8s_exact"))
+        g = built.graph
+        nodes = g.nodes()
+        for targets in (None, [built.logits], [built.probabilities],
+                        [built.feature_node], nodes[::7], nodes[-3:]):
+            assert (g.topological_order(targets)
+                    == _quadratic_topological_order(g, targets))
+
+    def test_topological_order_raises_on_cycle(self):
+        g = Graph()
+        a = Constant(g, 1.0)
+        b = Identity(g, a)
+        c = Add(g, a, b)
+        out = Identity(g, c)
+        b.replace_input(a, c)
+        for targets in (None, [out], [c]):
+            with pytest.raises(GraphError, match="cycle"):
+                g.topological_order(targets)
+
     def test_summary_and_histogram(self):
         g = Graph("demo")
         a = Constant(g, 1.0)
@@ -104,6 +139,38 @@ class TestGraphStructure:
         assert out.inputs == (b,)
         with pytest.raises(GraphError):
             replace_consumers(g, a, a)
+
+
+def _quadratic_topological_order(graph, targets=None):
+    """The consumer-scan sort ``Graph.topological_order`` used to run, kept
+    as the reference its order must equal (``consumers()`` is O(N) per
+    node)."""
+    if targets is None:
+        wanted = set(graph.nodes())
+    else:
+        wanted = set()
+        stack = list(targets)
+        while stack:
+            node = stack.pop()
+            if node not in wanted:
+                wanted.add(node)
+                stack.extend(node.inputs)
+    in_degree = {
+        node: len({p for p in node.inputs if p in wanted}) for node in wanted
+    }
+    ready = deque(node for node in graph.nodes()
+                  if node in wanted and in_degree[node] == 0)
+    order = []
+    while ready:
+        node = ready.popleft()
+        order.append(node)
+        for consumer in graph.consumers(node):
+            if consumer not in in_degree:
+                continue
+            in_degree[consumer] -= 1
+            if in_degree[consumer] == 0:
+                ready.append(consumer)
+    return order
 
 
 class TestElementwiseOps:
@@ -253,6 +320,7 @@ def test_random_dag_executes_in_topological_order(n_nodes, seed):
     result = Executor(g).run(nodes[-1])
     assert result == pytest.approx(expected[-1])
     order = g.topological_order()
+    assert order == _quadratic_topological_order(g)
     positions = {node: i for i, node in enumerate(order)}
     for node in order:
         for producer in node.inputs:

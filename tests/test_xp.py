@@ -110,7 +110,7 @@ def test_core_module_sweep_is_not_vacuous():
 
 class TestGemmKernelRegistry:
     def test_default_variants_are_registered(self):
-        assert sorted(KERNELS) == ["blocked", "naive", "rowgather"]
+        assert sorted(KERNELS) == ["blocked", "factored", "rowgather"]
 
     def test_unknown_kernel_raises_listing_known_names(self):
         lut = LookupTable.from_multiplier(library.create("mul8s_exact"))

@@ -27,6 +27,8 @@ from pathlib import Path
 #: order.
 PACKAGES = [
     "repro.xp",
+    "repro.lut.table",
+    "repro.conv.gemm",
     "repro.backends",
     "repro.serve",
     "repro.train",
