@@ -29,10 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .. import xp
+from ..conv import gemm
+from ..conv.gemm import RowTable, choose_gemm_kernel
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
 from ..multipliers import library
@@ -118,6 +121,10 @@ class _BoundedCache:
             self._clear_epoch += 1
             self.stats = CacheStats()
 
+    def _dropped_locked(self, key) -> None:
+        """Called under the lock when ``key``'s entry is evicted or
+        invalidated; subclasses drop state derived from it."""
+
     def _finish_build_locked(self) -> None:
         self._inflight_builds -= 1
         if self._inflight_builds == 0:
@@ -155,7 +162,8 @@ class _BoundedCache:
                 # hand the value to the caller (it is correct for the bytes
                 # that were hashed) but do not cache it, and evict any racing
                 # duplicate insert of the same superseded key.
-                self._entries.pop(key, None)
+                if self._entries.pop(key, None) is not None:
+                    self._dropped_locked(key)
                 return value
             if cleared:
                 # clear() ran mid-build: return the value without inserting,
@@ -165,7 +173,8 @@ class _BoundedCache:
             if key not in self._entries:
                 self._entries[key] = value
                 while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
+                    evicted, _ = self._entries.popitem(last=False)
+                    self._dropped_locked(evicted)
                     self.stats.evictions += 1
             else:
                 self._entries.move_to_end(key)
@@ -182,6 +191,7 @@ class _BoundedCache:
             stale = [key for key in self._entries if predicate(key)]
             for key in stale:
                 del self._entries[key]
+                self._dropped_locked(key)
             self.stats.invalidations += len(stale)
             if token is not None and self._inflight_builds:
                 self._tombstones.add(token)
@@ -238,11 +248,31 @@ def _range_key(value_range: TensorRange | tuple[float, float] | None):
 
 @dataclass(frozen=True)
 class PreparedFilterBank:
-    """Cached filter-side state: coefficients, flat quantised bank and ``Sf``."""
+    """Cached filter-side state: coefficients, flat quantised bank and ``Sf``.
+
+    ``key`` is the :class:`FilterBankCache` key the bank is stored under
+    (empty for a bank built outside a cache).
+    """
 
     filter_q: QuantParams
     flat_filters: xp.ndarray
     filter_sums: xp.ndarray
+    key: tuple = field(default=(), compare=False, repr=False)
+
+
+def _read_only(array) -> bool:
+    """Whether no array along ``array``'s base chain is writeable.
+
+    Only then can NumPy not change its bytes: a read-only view of a
+    writeable array still sees every write made through the owner.  A
+    chain that ends in a foreign buffer (``bytearray``, ``mmap``) does not
+    count.
+    """
+    while isinstance(array, xp.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None
 
 
 class FilterBankCache(_BoundedCache):
@@ -252,11 +282,28 @@ class FilterBankCache(_BoundedCache):
     shape and the full quantisation configuration, so two float banks that
     quantise differently never collide.  Hashing costs one linear pass over
     the bank -- orders of magnitude cheaper than quantise + flatten + sum,
-    and it is safe for mutable arrays (unlike keying on ``id``).
+    and it is safe for mutable arrays (unlike keying on ``id``).  An array
+    that is read-only along its whole base chain -- a graph
+    :class:`~repro.graph.ops.basic.Constant`'s value -- cannot change, so
+    its digest is remembered by identity after the first hash.  Those
+    entries hold the array weakly, are bounded by ``max_entries``, and go
+    with :meth:`clear` and :meth:`invalidate`.
+
+    A bank used again also keeps its ``rowgather`` tables
+    (:meth:`row_table`), one per lookup table, within
+    :data:`~repro.conv.gemm.ROW_TABLE_CACHE_BYTES` in total.  They are
+    dropped with their bank -- eviction, :meth:`invalidate`, :meth:`clear`
+    -- and evicted least-recently-used over the byte budget.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
         super().__init__(max_entries)
+        # id(array) -> (weak reference, digest), least recently used first.
+        self._digests: OrderedDict = OrderedDict()
+        # (bank key, LookupTable) -> RowTable, or None after the first use
+        # below the size rule; least recently used first.
+        self._tables: OrderedDict = OrderedDict()
+        self._table_bytes = 0
 
     @staticmethod
     def content_digest(filters: xp.ndarray) -> str:
@@ -268,6 +315,23 @@ class FilterBankCache(_BoundedCache):
         data = xp.ascontiguousarray(filters)
         return hashlib.sha1(data.tobytes()).hexdigest()
 
+    def _digest(self, data: xp.ndarray) -> str:
+        """:meth:`content_digest`, hashed once per read-only array."""
+        if not _read_only(data):
+            return self.content_digest(data)
+        with self._lock:
+            known = self._digests.get(id(data))
+            if known is not None and known[0]() is data:
+                self._digests.move_to_end(id(data))
+                return known[1]
+        digest = self.content_digest(data)
+        with self._lock:
+            self._digests[id(data)] = (weakref.ref(data), digest)
+            self._digests.move_to_end(id(data))
+            while len(self._digests) > self._max_entries:
+                self._digests.popitem(last=False)
+        return digest
+
     def resolve(self, filters: xp.ndarray, *,
                 qrange: IntegerRange,
                 round_mode: RoundMode,
@@ -276,11 +340,82 @@ class FilterBankCache(_BoundedCache):
         """Return the prepared bank for ``filters``, building it on a miss."""
         data = xp.ascontiguousarray(filters)
         key = (
-            self.content_digest(data), data.shape, str(data.dtype),
+            self._digest(data), data.shape, str(data.dtype),
             (qrange.qmin, qrange.qmax), RoundMode.from_any(round_mode),
             _range_key(filter_range),
         )
-        return self._get_or_build(key, build, token=key[0])
+        return self._get_or_build(
+            key, lambda: replace(build(), key=key), token=key[0])
+
+    def row_table(self, bank: PreparedFilterBank, lut: LookupTable,
+                  rows: int) -> RowTable | None:
+        """``bank``'s ``rowgather`` table through ``lut``, if it has earned one.
+
+        ``rows`` is the patch-row count ``P`` of the call.  A call that the
+        size rule sends to ``blocked`` (``P < 2 * 2**n``, no exact factors)
+        counts a use of the (bank, table) pair; the second such use builds
+        the pair's :class:`~repro.conv.gemm.RowTable`, and every later call
+        of any size gets it.  Returns ``None`` on a first use, for banks no
+        longer in the cache and for tables larger than the whole byte
+        budget.
+        """
+        depth, count = bank.flat_filters.shape
+        slot = (bank.key, lut)
+        small = choose_gemm_kernel(lut, rows, depth) == "blocked"
+        with self._lock:
+            if self._entries.get(bank.key) is not bank:
+                return None
+            if slot in self._tables:
+                self._tables.move_to_end(slot)
+                table = self._tables[slot]
+                if table is not None or not small:
+                    return table
+            else:
+                if small:
+                    self._tables[slot] = None
+                    self._trim_tables_locked()
+                return None
+        if RowTable.nbytes_for(depth, count, lut) > gemm.ROW_TABLE_CACHE_BYTES:
+            return None
+        # Build outside the lock, like a bank; keep it only if the bank and
+        # its first-use mark are still there.
+        table = RowTable(bank.flat_filters, lut)
+        with self._lock:
+            if (self._entries.get(bank.key) is bank
+                    and slot in self._tables and self._tables[slot] is None):
+                self._tables[slot] = table
+                self._table_bytes += table.nbytes
+                self._trim_tables_locked()
+        return table
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the cached row tables."""
+        with self._lock:
+            return self._table_bytes
+
+    def _trim_tables_locked(self) -> None:
+        """Evict the oldest row-table slots over the byte or count bound."""
+        while self._tables and (
+                self._table_bytes > gemm.ROW_TABLE_CACHE_BYTES
+                or len(self._tables) > self._max_entries):
+            _, table = self._tables.popitem(last=False)
+            if table is not None:
+                self._table_bytes -= table.nbytes
+
+    def _dropped_locked(self, key) -> None:
+        for slot in [slot for slot in self._tables if slot[0] == key]:
+            table = self._tables.pop(slot)
+            if table is not None:
+                self._table_bytes -= table.nbytes
+
+    def clear(self) -> None:
+        """Drop every bank, row table and remembered digest; reset counters."""
+        super().clear()
+        with self._lock:
+            self._tables.clear()
+            self._table_bytes = 0
+            self._digests.clear()
 
     def invalidate(self, digest: str) -> int:
         """Drop every cached bank derived from the tensor with ``digest``.
@@ -289,11 +424,17 @@ class FilterBankCache(_BoundedCache):
         superseded banks can never be requested again (their content digest
         no longer matches any live tensor), so dropping them eagerly keeps
         the cache from filling up with dead entries and guarantees a stale
-        quantised bank is never served for recycled storage.  Returns the
-        number of entries removed.
+        quantised bank is never served for recycled storage.  The banks' row
+        tables and the remembered digests of arrays with those contents go
+        too.  Returns the number of banks removed.
         """
-        return self._invalidate_where(
+        dropped = self._invalidate_where(
             lambda key: key[0] == digest, token=digest)
+        with self._lock:
+            for ident in [ident for ident, (_, known) in self._digests.items()
+                          if known == digest]:
+                del self._digests[ident]
+        return dropped
 
 
 #: Default process-wide caches shared by :func:`repro.backends.emulate_conv2d`

@@ -67,6 +67,11 @@ class ConvBackend(abc.ABC):
     #: Table name; set by subclasses.
     name: str = "?"
 
+    #: Whether ``run_chunk`` feeds ``PreparedConv.row_table`` to
+    #: :func:`~repro.conv.gemm.lut_matmul`; the pipeline asks its cache for
+    #: row tables only for backends that do.
+    uses_row_tables: bool = False
+
     @abc.abstractmethod
     def run_chunk(self, chunk: xp.ndarray, prepared: PreparedConv, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
@@ -87,10 +92,12 @@ class NumpyBackend(ConvBackend):
     """Vectorised im2col + LUT-GEMM engine (Algorithm 1, host NumPy).
 
     :func:`repro.conv.gemm.lut_matmul` picks the LUT-GEMM kernel of each
-    chunk by its size.
+    chunk by its size, or runs ``rowgather`` on the prepared conv's row
+    table when it has one.
     """
 
     name = "numpy"
+    uses_row_tables = True
 
     def run_chunk(self, chunk, prepared, *, strides=(1, 1), dilations=(1, 1),
                   padding="SAME", accumulator_bits=None,

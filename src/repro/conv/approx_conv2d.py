@@ -34,7 +34,7 @@ from ..quantization.affine import (
 from ..quantization.ranges import TensorRange
 from ..quantization.rounding import RoundMode
 from .im2col import filter_sums, flatten_filters, im2col_quantized
-from .gemm import approx_gemm
+from .gemm import RowTable, approx_gemm
 
 
 #: Default number of images processed per chunk; mirrors the constant chunk
@@ -133,6 +133,10 @@ class PreparedConv:
     direct CPU loop, simulated CUDA device) consumes this object, so the
     quantisation/LUT resolution logic lives in exactly one place and the
     :class:`repro.backends.InferencePipeline` can cache it across calls.
+
+    ``row_table`` is the filter matrix's prebuilt ``rowgather`` table when
+    the pipeline's filter-bank cache holds one; the NumPy engine then
+    passes it to the LUT-GEMM instead of ``flat_filters``.
     """
 
     lut: LookupTable
@@ -144,6 +148,7 @@ class PreparedConv:
     kernel_width: int
     channels: int
     filter_count: int
+    row_table: RowTable | None = None
 
     @property
     def depth(self) -> int:
@@ -246,8 +251,10 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
         strides=strides, dilations=dilations, padding=padding,
     )
+    filters = (prepared.row_table if prepared.row_table is not None
+               else prepared.flat_filters)
     chunk_out = approx_gemm(
-        patches, patch_sums, prepared.flat_filters, prepared.filter_sums,
+        patches, patch_sums, filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,
         accumulator_bits=accumulator_bits, saturate=saturate,
     )

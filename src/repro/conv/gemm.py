@@ -53,12 +53,19 @@ depth keeps the product exact, else the size rule of
 ``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``, so
 ``rowgather`` runs when ``P >= 2 * 2**n`` (512 rows for 8-bit tables) and
 ``blocked`` below that, where the build would dominate (serve's
-single-sample calls).  ``W`` is rebuilt on every call rather than cached:
-it is ``K * 2**n * F`` entries per layer, ~137 MB across ResNet-20's 19
-tables (18.9 MB for each stage-3 table), over half the ~258 MB peak RSS of
-whole-model ResNet-20 inference -- while the per-call build costs at most
-1/8 of the GEMM's gathers at ResNet-20's smallest batch-32 call (P=2048),
-and needs no invalidation when training rewrites the filter banks.
+single-sample calls).
+
+A filter bank used again need not rebuild ``W``: :class:`RowTable` holds
+the whole-depth table next to its filter matrix, and :func:`lut_matmul`
+runs ``rowgather`` on it with no build (2.3-3.8x ``blocked`` at serve's
+single-sample ``mul8s_mitchell`` calls).  The
+:class:`~repro.backends.cache.FilterBankCache` builds one on a (bank,
+table) pair's second call below the size rule and keeps it with the bank,
+within :data:`ROW_TABLE_CACHE_BYTES` in total.  Tall calls keep the
+per-call build: it costs at most 1/8 of the GEMM's gathers at ResNet-20's
+smallest batch-32 call (P=2048), whereas caching its 19 tables would take
+~137 MB (18.9 MB for each stage-3 table), over half the ~258 MB peak RSS
+of whole-model ResNet-20 inference.
 
 Every kernel returns int64 sums (``blocked`` and ``rowgather`` add their
 int32 panel partials into an int64 accumulator; ``factored`` converts its
@@ -93,6 +100,12 @@ DEFAULT_BLOCK_K = 48
 #: Byte budget of one rowgather ``W`` panel; its K depth follows from it
 #: (32 taps of a 64-filter 8-bit bank, a single tap of a 12-bit one).
 ROWGATHER_PANEL_BYTES = 1 << 20
+
+#: Byte budget of all the whole-depth row tables (:class:`RowTable`) one
+#: :class:`~repro.backends.cache.FilterBankCache` keeps, least recently used
+#: evicted first; a table larger than this is never built.  Single-sample
+#: ``simple_cnn`` on ``mul8s_mitchell`` needs 11.5 MiB.
+ROW_TABLE_CACHE_BYTES = 16 << 20
 
 #: Byte budget of one ``factored`` row block's gathered ``[rows, r * K]``
 #: float64 operand (cache-sized; the row count follows from it).
@@ -172,16 +185,28 @@ def _integer_operand(values, lut: LookupTable) -> xp.ndarray:
     return values if kind in "iu" else values.astype(xp.int64)
 
 
+
+
 def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
+    """Both operands as integer arrays the table can address.
+
+    A :class:`RowTable` filter operand is returned as it is: its filters
+    were checked when it was built and are read-only.
+    """
+    table = filters if isinstance(filters, RowTable) else None
+    if table is not None and table.lut is not lut:
+        raise ConfigurationError(
+            f"row table was built for {table.lut.name!r}, not {lut.name!r}")
     patches = xp.asarray(patches)
-    filters = xp.asarray(filters)
+    filters = table.filters if table is not None else xp.asarray(filters)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("lut_matmul expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
         raise ShapeError(
             f"inner dimensions do not match: {patches.shape} x {filters.shape}"
         )
-    return _integer_operand(patches, lut), _integer_operand(filters, lut)
+    patches = _integer_operand(patches, lut)
+    return patches, table if table is not None else _integer_operand(filters, lut)
 
 
 def _panel_sum_dtype(storage, panel_k: int):
@@ -257,7 +282,91 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     return result
 
 
-def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
+def _fill_rows(out: xp.ndarray, filter_bits: xp.ndarray,
+               by_weight: xp.ndarray) -> xp.ndarray:
+    """Write ``out[k * 2**n + v, f] = LUT[v, filter_bits[k, f]]`` in place.
+
+    ``by_weight[w, v] = LUT[v, w]`` holds one contiguous row per filter
+    operand.  Taps are gathered in groups of at most
+    :data:`ROWGATHER_PANEL_BYTES` and transposed straight into their slice
+    of ``out``, so no transient grows with ``K``.
+    """
+    levels = by_weight.shape[0]
+    depth, num_filters = filter_bits.shape
+    group = max(1, ROWGATHER_PANEL_BYTES
+                // (levels * max(num_filters, 1) * by_weight.itemsize))
+    for k0 in range(0, depth, group):
+        k1 = min(k0 + group, depth)
+        panel = by_weight.take(filter_bits[k0:k1], axis=0)     # [k, F, v]
+        xp.copyto(out[k0 * levels:k1 * levels].reshape(
+            k1 - k0, levels, num_filters), panel.transpose(0, 2, 1))
+    return out
+
+
+def _gather_rows(acc: xp.ndarray, patches: xp.ndarray, rows: xp.ndarray,
+                 k0: int, k1: int, *, levels: int, block_rows: int,
+                 partial_dtype) -> None:
+    """``acc += sum_k rows[bits(patches[:, k]) + (k - k0) * 2**n]`` over one
+    K panel ``[k0, k1)`` of the row table ``rows`` (``[(k1 - k0) * 2**n, F]``).
+
+    The one gather loop of ``rowgather``, whether its table was built for
+    this call or cached with the filter bank.
+    """
+    offsets = xp.arange(0, (k1 - k0) * levels, levels)[:, None]
+    for r0 in range(0, len(acc), block_rows):
+        r1 = min(r0 + block_rows, len(acc))
+        index = patches[r0:r1, k0:k1].T.astype(xp.intp, order="C")
+        index &= levels - 1
+        index += offsets                                      # [k, rows]
+        acc[r0:r1] += rows.take(index, axis=0).sum(axis=0, dtype=partial_dtype)
+
+
+class RowTable:
+    """A ``[K, F]`` filter operand with its ``rowgather`` table built once.
+
+    ``rows[k * 2**n + v, f] = LUT[v, filters[k, f]]`` for every tap ``k`` and
+    patch operand ``v``: the whole-depth weight table that
+    :func:`lut_matmul_rowgather` otherwise builds panel by panel on every
+    call.  Passed to :func:`lut_matmul` in place of the filter matrix, it
+    sends the call to ``rowgather`` with no build.  The filters are
+    validated against ``lut`` here, once, and both arrays are private and
+    read-only, so the table can never disagree with its operand.
+    :class:`~repro.backends.cache.FilterBankCache` builds and keeps these
+    for filter banks that are used again.
+    """
+
+    def __init__(self, filters, lut: LookupTable) -> None:
+        filters = _integer_operand(xp.asarray(filters), lut)
+        if filters.ndim != 2:
+            raise ShapeError("a row table is built from a 2D filter matrix")
+        levels = 1 << lut.bit_width
+        by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
+        rows = xp.empty((filters.shape[0] * levels, filters.shape[1]),
+                        dtype=by_weight.dtype)
+        _fill_rows(rows, filters.astype(xp.intp) & (levels - 1), by_weight)
+        rows.setflags(write=False)
+        self.filters = xp.array(filters)
+        self.filters.setflags(write=False)
+        self.lut = lut
+        self.rows = rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape ``[K, F]`` of the filter operand."""
+        return self.filters.shape
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the row table."""
+        return self.rows.nbytes
+
+    @staticmethod
+    def nbytes_for(depth: int, num_filters: int, lut: LookupTable) -> int:
+        """Bytes a ``[depth, num_filters]`` operand's table through ``lut`` takes."""
+        return (depth << lut.bit_width) * num_filters * lut.flat.itemsize
+
+
+def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray | RowTable,
                          lut: LookupTable, *,
                          block_rows: int = DEFAULT_BLOCK_ROWS,
                          accumulator_bits: int | None = None,
@@ -279,34 +388,35 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray,
     ``k`` at 12 bits -- keep it cache-sized.  Each panel's partial sums are
     taken in int32 when :func:`_panel_sum_dtype` proves they cannot
     overflow (every 8-bit table), else in int64; either way they are added
-    into the int64 accumulator.  ``W`` is rebuilt on every call; the module
-    docstring explains why it is not cached.
+    into the int64 accumulator.  ``filters`` may be a :class:`RowTable`:
+    its panels are then slices of the prebuilt table, and the call does no
+    build at all.
     """
+    table = filters if isinstance(filters, RowTable) else None
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
     levels = 1 << lut.bit_width
-    mask = levels - 1
-    # by_weight[w, v] = LUT[v, w]: one contiguous row per filter operand.
-    by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
+    storage = lut.flat.dtype
     panel_k = max(1, ROWGATHER_PANEL_BYTES
-                  // (levels * max(num_filters, 1) * by_weight.itemsize))
-    partial_dtype = _panel_sum_dtype(by_weight.dtype, panel_k)
-    filter_bits = filters.astype(xp.intp) & mask
+                  // (levels * max(num_filters, 1) * storage.itemsize))
+    partial_dtype = _panel_sum_dtype(storage, panel_k)
+    if table is None:
+        # by_weight[w, v] = LUT[v, w]: one contiguous row per filter operand.
+        by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
+        filter_bits = filters.astype(xp.intp) & (levels - 1)
+        buffer = xp.empty((min(panel_k, depth) * levels, num_filters),
+                          dtype=storage)
 
     acc = xp.zeros((num_patches, num_filters), dtype=xp.int64)
     for k0 in range(0, depth, panel_k):
         k1 = min(k0 + panel_k, depth)
-        panel = by_weight.take(filter_bits[k0:k1], axis=0)   # [k, F, v]
-        weights = xp.ascontiguousarray(panel.transpose(0, 2, 1)).reshape(
-            (k1 - k0) * levels, num_filters)                  # [k * 2**n + v, F]
-        offsets = xp.arange(0, (k1 - k0) * levels, levels)[:, None]
-        for r0 in range(0, num_patches, block_rows):
-            r1 = min(r0 + block_rows, num_patches)
-            rows = patches[r0:r1, k0:k1].T.astype(xp.intp, order="C")
-            rows &= mask
-            rows += offsets                                   # [k, rows]
-            acc[r0:r1] += weights.take(rows, axis=0).sum(
-                axis=0, dtype=partial_dtype)
+        if table is None:
+            rows = _fill_rows(buffer[:(k1 - k0) * levels],
+                              filter_bits[k0:k1], by_weight)
+        else:
+            rows = table.rows[k0 * levels:k1 * levels]
+        _gather_rows(acc, patches, rows, k0, k1, levels=levels,
+                     block_rows=block_rows, partial_dtype=partial_dtype)
     return _wrap_accumulator(acc, accumulator_bits, saturate)
 
 
@@ -391,7 +501,8 @@ def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
     return default_gemm_kernel(num_patches, lut.bit_width)
 
 
-def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
+def lut_matmul(patches: xp.ndarray, filters: xp.ndarray | RowTable,
+               lut: LookupTable, *,
                accumulator_bits: int | None = None,
                saturate: bool = False,
                kernel: str | None = None) -> xp.ndarray:
@@ -401,6 +512,11 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     shape ``[K, F]`` (quantised filter columns); integer operands of any
     width are used as they are.  The product is returned as an ``[P, F]``
     int64 matrix of *approximate* dot products.
+
+    ``filters`` may instead be a :class:`RowTable` built through ``lut``: the
+    same operand with its ``rowgather`` table already built.  Such a call
+    runs ``rowgather`` on the prebuilt table unless ``kernel`` names another
+    kernel, which then gets the table's filter matrix.
 
     ``kernel`` names one of :data:`KERNELS` (``blocked``, ``rowgather``,
     ``factored``); when omitted, :func:`choose_gemm_kernel` picks one from
@@ -412,15 +528,16 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
     range or float operands with non-integral values
     :class:`~repro.errors.TruthTableError`, an ``accumulator_bits``
-    outside ``[8, 64]`` :class:`~repro.errors.ConfigurationError` and an
-    unknown kernel name :class:`~repro.errors.RegistryError`, all before
-    any work is done.
+    outside ``[8, 64]`` or a :class:`RowTable` built through another table
+    :class:`~repro.errors.ConfigurationError` and an unknown kernel name
+    :class:`~repro.errors.RegistryError`, all before any work is done.
     """
     patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
     if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
         raise ConfigurationError("accumulator_bits must lie in [8, 64]")
     if kernel is None:
-        kernel = choose_gemm_kernel(lut, *patches.shape)
+        kernel = ("rowgather" if isinstance(filters, RowTable)
+                  else choose_gemm_kernel(lut, *patches.shape))
     try:
         run = KERNELS[kernel]
     except KeyError:
@@ -428,6 +545,8 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         raise RegistryError(
             f"unknown gemm kernel {kernel!r}; known kernels: {known}"
         ) from None
+    if isinstance(filters, RowTable) and kernel != "rowgather":
+        filters = filters.filters
     return run(patches, filters, lut,
                accumulator_bits=accumulator_bits, saturate=saturate)
 
@@ -471,7 +590,7 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
 
 
 def approx_gemm(patches: xp.ndarray, patch_sums: xp.ndarray,
-                filters: xp.ndarray, filter_sums: xp.ndarray,
+                filters: xp.ndarray | RowTable, filter_sums: xp.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
                 lut: LookupTable, *,
                 accumulator_bits: int | None = None,

@@ -56,18 +56,34 @@ class Placeholder(Node):
         return self._shape
 
 
+def _frozen_copy(value) -> np.ndarray:
+    """A read-only float64 view of a private, read-only copy of ``value``.
+
+    The view cannot be made writeable again (its base is read-only), and
+    nothing else refers to the copy, so the tensor cannot change in place.
+    """
+    owner = np.array(value, dtype=np.float64)
+    owner.setflags(write=False)
+    return owner.view()
+
+
 class Constant(Node):
-    """Node holding a fixed tensor (weights, biases, hyper-parameters)."""
+    """Node holding a fixed tensor (weights, biases, hyper-parameters).
+
+    The stored tensor is read-only: writing into :attr:`value` raises, and
+    :meth:`set_value` is the one way to change it.  The filter-bank cache
+    relies on this to hash a constant's weights only once.
+    """
 
     op_type = "Constant"
 
     def __init__(self, graph, value, *, name: str | None = None) -> None:
-        self._value = np.asarray(value, dtype=np.float64)
+        self._value = _frozen_copy(value)
         super().__init__(graph, name, [])
 
     @property
     def value(self) -> np.ndarray:
-        """The stored tensor."""
+        """The stored tensor (read-only)."""
         return self._value
 
     def set_value(self, value) -> None:
@@ -76,7 +92,7 @@ class Constant(Node):
         Used by the classifier-calibration helper, which re-writes the dense
         layer weights after probing the feature extractor.
         """
-        value = np.asarray(value, dtype=np.float64)
+        value = _frozen_copy(value)
         if value.shape != self._value.shape:
             raise ShapeError(
                 f"new value shape {value.shape} does not match the constant's "

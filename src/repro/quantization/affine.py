@@ -18,6 +18,7 @@ quantise/dequantise primitives every emulation engine shares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,7 +153,18 @@ def compute_coeffs(range_min: float, range_max: float, *,
 
     Degenerate ranges (all values identical, e.g. an all-zero tensor) fall
     back to a unit scale so downstream arithmetic stays well defined.
+
+    Results are memoised on ``(range_min, range_max, qrange, round_mode)``:
+    every input is immutable, and a frozen serving graph asks for the same
+    few ranges on every call.
     """
+    return _compute_coeffs(float(range_min), float(range_max), qrange,
+                           RoundMode.from_any(round_mode))
+
+
+@functools.lru_cache(maxsize=1024)
+def _compute_coeffs(range_min: float, range_max: float,
+                    qrange: IntegerRange, round_mode: RoundMode) -> QuantParams:
     if not (math.isfinite(range_min) and math.isfinite(range_max)):
         raise QuantizationError(
             f"tensor range [{range_min}, {range_max}] is not finite"
@@ -161,7 +173,6 @@ def compute_coeffs(range_min: float, range_max: float, *,
         raise QuantizationError(
             f"tensor range is inverted: min {range_min} > max {range_max}"
         )
-    round_mode = RoundMode.from_any(round_mode)
 
     # Zero must be representable: extend the range to include it.
     range_min = min(range_min, 0.0)

@@ -530,6 +530,212 @@ class TestAxConv2DIntegration:
         assert warm.stats.quantized_values == x_val.size
 
 
+def _read_only(array):
+    """A read-only view of a private read-only copy, as ``Constant`` stores."""
+    owner = np.array(array, dtype=np.float64)
+    owner.setflags(write=False)
+    return owner.view()
+
+
+class TestRowTables:
+    """A filter bank used again keeps its ``rowgather`` table in the cache."""
+
+    @staticmethod
+    def _setup(multiplier="mul8s_mitchell", seed=31, filter_shape=(3, 3, 2, 4)):
+        cache = FilterBankCache()
+        pipeline = InferencePipeline("numpy", multiplier=multiplier,
+                                     filter_cache=cache)
+        rng = np.random.default_rng(seed)
+        return (pipeline, cache, rng.normal(size=(1, 6, 6, 2)),
+                rng.normal(size=filter_shape))
+
+    def test_built_on_second_use_below_the_size_rule(self):
+        pipeline, cache, inputs, filters = self._setup()
+        assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+        assert cache.table_bytes == 0
+        # A call the size rule sends to rowgather neither counts nor builds.
+        assert pipeline.prepare(inputs, filters, rows=512).row_table is None
+        table = pipeline.prepare(inputs, filters, rows=36).row_table
+        assert table is not None and table.shape == (18, 4)
+        assert cache.table_bytes == table.nbytes == 18 * 256 * 4 * 2
+        # Every later call of any size gets the same table; no rows, none.
+        assert pipeline.prepare(inputs, filters, rows=36).row_table is table
+        assert pipeline.prepare(inputs, filters, rows=4096).row_table is table
+        assert pipeline.prepare(inputs, filters).row_table is None
+        # Another table through the same bank is a separate pair.
+        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5", rows=36)
+        assert other.row_table is None
+        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5", rows=36)
+        assert other.row_table.lut.name == "mul8s_bam_v5"
+        assert cache.table_bytes == 2 * table.nbytes
+
+    def test_never_at_the_size_rule(self):
+        pipeline, cache, inputs, filters = self._setup()
+        for _ in range(3):
+            assert pipeline.prepare(inputs, filters, rows=512).row_table is None
+        assert cache.table_bytes == 0
+
+    def test_never_for_a_factored_table(self):
+        pipeline, cache, inputs, filters = self._setup("mul8s_exact")
+        for _ in range(3):
+            assert pipeline.prepare(inputs, filters, rows=1).row_table is None
+        assert cache.table_bytes == 0
+
+    def test_only_for_backends_that_use_them(self):
+        _, cache, inputs, filters = self._setup()
+        pipeline = InferencePipeline("gpusim", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        for _ in range(3):
+            pipeline.run(inputs, filters)
+        assert cache.table_bytes == 0
+
+    def test_byte_budget_and_lru_eviction(self, monkeypatch):
+        pipeline, cache, inputs, _ = self._setup()
+        banks = [np.random.default_rng(seed).normal(size=(3, 3, 2, 4))
+                 for seed in range(3)]
+        size = 18 * 256 * 4 * 2
+        monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", 2 * size)
+        for bank in banks[:2]:
+            pipeline.prepare(inputs, bank, rows=36)
+            assert pipeline.prepare(inputs, bank, rows=36).row_table is not None
+        assert cache.table_bytes == 2 * size
+        # Refresh bank 0, then a third table evicts bank 1's, the LRU one.
+        first = pipeline.prepare(inputs, banks[0], rows=36).row_table
+        pipeline.prepare(inputs, banks[2], rows=36)
+        assert pipeline.prepare(inputs, banks[2], rows=36).row_table is not None
+        assert cache.table_bytes == 2 * size
+        assert pipeline.prepare(inputs, banks[0], rows=36).row_table is first
+        assert pipeline.prepare(inputs, banks[1], rows=36).row_table is None
+        # A table larger than the whole budget is never built.
+        monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", size - 1)
+        pipeline, cache, inputs, filters = self._setup()
+        for _ in range(3):
+            assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+        assert cache.table_bytes == 0
+
+    def test_runs_match_approx_conv2d_bit_for_bit(self, monkeypatch):
+        calls = []
+        rowgather = gemm_mod.KERNELS["rowgather"]
+
+        def spy(patches, filters, *args, **kwargs):
+            calls.append(isinstance(filters, gemm_mod.RowTable))
+            return rowgather(patches, filters, *args, **kwargs)
+
+        monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
+        pipeline, cache, inputs, filters = self._setup()
+        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
+        expected = approx_conv2d(inputs, filters, lut, strides=(2, 2))
+        for _ in range(3):
+            out = pipeline.run(inputs, filters, strides=(2, 2)).output
+            np.testing.assert_array_equal(out, expected)
+        # The first run takes blocked; the second builds the table.
+        assert calls == [True, True]
+        assert cache.stats.hits == 2 and cache.stats.misses == 1
+
+    def test_clear_and_invalidate_drop_tables_and_digests(self):
+        pipeline, cache, inputs, filters = self._setup()
+        filters = _read_only(filters)
+        for _ in range(2):
+            pipeline.prepare(inputs, filters, rows=36)
+        assert cache.table_bytes > 0 and len(cache._digests) == 1
+        cache.clear()
+        assert cache.table_bytes == 0 and len(cache._digests) == 0
+        for _ in range(2):
+            pipeline.prepare(inputs, filters, rows=36)
+        assert cache.table_bytes > 0 and len(cache._digests) == 1
+        assert cache.invalidate(FilterBankCache.content_digest(filters)) == 1
+        assert cache.table_bytes == 0 and len(cache._digests) == 0
+        # The next call is a first use again.
+        assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+
+    def test_evicted_bank_drops_its_tables(self):
+        cache = FilterBankCache(max_entries=1)
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        rng = np.random.default_rng(3)
+        inputs = rng.normal(size=(1, 6, 6, 2))
+        filters = rng.normal(size=(3, 3, 2, 4))
+        for _ in range(2):
+            pipeline.prepare(inputs, filters, rows=36)
+        assert cache.table_bytes > 0
+        pipeline.prepare(inputs, filters + 1.0, rows=36)
+        assert cache.stats.evictions == 1 and cache.table_bytes == 0
+
+
+class TestDigestShortcut:
+    """Read-only filter banks are hashed once; anything else every call."""
+
+    @staticmethod
+    def _hashes(monkeypatch):
+        calls = []
+        digest = FilterBankCache.content_digest
+
+        def spy(filters):
+            calls.append(filters)
+            return digest(filters)
+
+        monkeypatch.setattr(FilterBankCache, "content_digest",
+                            staticmethod(spy))
+        return calls
+
+    def _resolve_twice(self, filters):
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=FilterBankCache())
+        inputs = np.ones((1, 4, 4, 1))
+        return [pipeline.run(inputs, filters).output for _ in range(2)]
+
+    def test_read_only_array_is_hashed_once(self, monkeypatch):
+        calls = self._hashes(monkeypatch)
+        filters = _read_only(np.random.default_rng(1).normal(size=(3, 3, 1, 2)))
+        first, second = self._resolve_twice(filters)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(first, second)
+
+    def test_writeable_arrays_are_hashed_every_call(self, monkeypatch):
+        calls = self._hashes(monkeypatch)
+        owner = np.random.default_rng(2).normal(size=(3, 3, 1, 2))
+        self._resolve_twice(owner)
+        # A read-only view of a writeable owner can still change.
+        view = owner.view()
+        view.setflags(write=False)
+        self._resolve_twice(view)
+        assert len(calls) == 4
+
+    def test_a_changed_owner_is_never_served_stale(self):
+        cache = FilterBankCache()
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
+        owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
+        view = owner.view()
+        view.setflags(write=False)
+        pipeline.run(inputs, view)
+        owner *= 2.0
+        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
+        np.testing.assert_array_equal(pipeline.run(inputs, view).output,
+                                      approx_conv2d(inputs, owner, lut))
+        assert cache.stats.misses == 2
+
+    def test_identity_map_keeps_no_array_alive(self):
+        import gc
+        import weakref
+
+        cache = FilterBankCache(max_entries=4)
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        inputs = np.ones((1, 4, 4, 1))
+        refs = []
+        for seed in range(10):
+            filters = _read_only(
+                np.random.default_rng(seed).normal(size=(3, 3, 1, 2)))
+            pipeline.run(inputs, filters)
+            refs.append(weakref.ref(filters))
+            del filters
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(cache._digests) <= 4
+
+
 class TestSharedPipeline:
     """The process-wide memoised pipeline handle (serving-era API)."""
 

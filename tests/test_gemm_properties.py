@@ -26,7 +26,11 @@ Three families of invariants, mostly driven by hypothesis:
   tables and every library table match the naive reference through
   ``factored``; a call whose depth breaks the float64 bound, a
   factorisation that fails verification and a table of rank above 3 all
-  leave ``lut_matmul`` on the size rule.
+  leave ``lut_matmul`` on the size rule;
+* *a prebuilt row table is the operand it was built from*: ``lut_matmul``
+  on a :class:`~repro.conv.gemm.RowTable` matches the naive reference on
+  random tables, widths and geometry below the size rule, with the
+  finite-accumulator model, and refuses a table built through another LUT.
 
 The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
 one-gather-per-product kernel, kept beside the tests.
@@ -49,6 +53,7 @@ from hypothesis import given, settings, strategies as st
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
     KERNELS,
+    RowTable,
     _panel_sum_dtype,
     approx_gemm,
     choose_gemm_kernel,
@@ -59,7 +64,7 @@ from repro.conv.gemm import (
     lut_matmul_blocked,
     lut_matmul_rowgather,
 )
-from repro.errors import ConfigurationError, TruthTableError
+from repro.errors import ConfigurationError, ShapeError, TruthTableError
 from repro.lut import LookupTable
 from repro.lut import table as table_mod
 from repro.lut.table import FLOAT64_EXACT_LIMIT, factor_table
@@ -607,3 +612,96 @@ class TestFactored:
         for _ in range(3):
             assert lut.factors is None
         assert calls == [1]
+
+
+def _random_table(seed, bit_width, signed):
+    """A random full-rank table spanning the whole ``2n``-bit product range."""
+    rng = np.random.default_rng(seed)
+    bound = 1 << (2 * bit_width - (1 if signed else 0))
+    lo, hi = (-bound, bound) if signed else (0, bound - 1)
+    side = 1 << bit_width
+    return rng.integers(lo, hi + 1, size=(side, side))
+
+
+class TestRowTable:
+    """``lut_matmul`` on a prebuilt row table is the same product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        bit_width=st.integers(4, 8),
+        signed=st.booleans(),
+        p=st.one_of(st.just(1), st.integers(1, 30)),
+        k=st.one_of(st.just(1), st.integers(1, 40)),
+        f=st.one_of(st.just(1), st.integers(1, 9)),
+        accumulator_bits=st.one_of(st.none(), st.integers(12, 32),
+                                   st.sampled_from([63, 64])),
+        saturate=st.booleans(),
+        panel_bytes=st.sampled_from([1, 1 << 12, 1 << 20]),
+    )
+    def test_matches_reference_below_size_rule(
+            self, seed, bit_width, signed, p, k, f, accumulator_bits,
+            saturate, panel_bytes):
+        lut = LookupTable(_random_table(seed, bit_width, signed),
+                          bit_width=bit_width, signed=signed)
+        assert choose_gemm_kernel(lut, p, k) == "blocked"
+        rng = np.random.default_rng(seed + 1)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k))
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        # The build and the gather both walk panels of this byte budget.
+        with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
+            table = RowTable(filters, lut)
+            out = lut_matmul(patches, table, lut,
+                             accumulator_bits=accumulator_bits,
+                             saturate=saturate)
+        reference = lut_matmul_naive(patches, filters, lut,
+                                     accumulator_bits=accumulator_bits,
+                                     saturate=saturate)
+        np.testing.assert_array_equal(out, reference)
+
+    def test_layout_and_immutability(self, mitchell_lut):
+        patches, filters = _int_case(3, 5, 7, 4)
+        table = RowTable(filters, mitchell_lut)
+        dense = mitchell_lut.dense()
+        for k, v in [(0, 0), (3, 255), (6, 128)]:
+            np.testing.assert_array_equal(
+                table.rows[k * 256 + v], dense[v, filters[k] & 255])
+        assert table.shape == (7, 4) and table.nbytes == 7 * 256 * 4 * 2
+        assert table.nbytes == RowTable.nbytes_for(7, 4, mitchell_lut)
+        for array in (table.rows, table.filters):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        # The table keeps its own copy of the operand.
+        filters[0, 0] += 1
+        np.testing.assert_array_equal(
+            lut_matmul(patches, table, mitchell_lut),
+            lut_matmul_naive(patches, table.filters, mitchell_lut))
+
+    def test_dispatch(self, mitchell_lut, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        patches, filters = _int_case(4, 3, 6, 2)
+        table = RowTable(filters, mitchell_lut)
+        reference = lut_matmul_naive(patches, filters, mitchell_lut)
+        # Unnamed, a row table runs rowgather; a named kernel gets the
+        # table's filter matrix.
+        for kernel in (None, "blocked", "rowgather"):
+            out = lut_matmul(patches, table, mitchell_lut, kernel=kernel)
+            np.testing.assert_array_equal(out, reference)
+        assert calls == ["rowgather", "blocked", "rowgather"]
+
+    def test_validation(self, mitchell_lut, exact_lut):
+        table = RowTable([[1, 2], [3, 4]], mitchell_lut)
+        with pytest.raises(ConfigurationError, match="mul8s_mitchell"):
+            lut_matmul([[1, 1]], table, exact_lut)
+        with pytest.raises(ShapeError):
+            lut_matmul([[1, 1, 1]], table, mitchell_lut)
+        with pytest.raises(TruthTableError):
+            lut_matmul([[1, 300]], table, mitchell_lut)
+        with pytest.raises(TruthTableError):
+            RowTable([[1, 300]], mitchell_lut)
+        with pytest.raises(TruthTableError, match="non-integral"):
+            RowTable([[1.5]], mitchell_lut)
+        with pytest.raises(ShapeError):
+            RowTable([1, 2], mitchell_lut)

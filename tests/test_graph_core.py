@@ -325,3 +325,49 @@ def test_random_dag_executes_in_topological_order(n_nodes, seed):
     for node in order:
         for producer in node.inputs:
             assert positions[producer] < positions[node]
+
+
+class TestConstantIsReadOnly:
+    """A constant's tensor changes only through ``set_value``."""
+
+    def test_writes_raise(self):
+        source = np.arange(6.0).reshape(2, 3)
+        c = Constant(Graph(), source)
+        with pytest.raises(ValueError):
+            c.value[...] = 1.0
+        with pytest.raises(ValueError):
+            c.value.setflags(write=True)
+        # The constant holds a private copy of what it was given.
+        source[0, 0] = 99.0
+        assert c.value[0, 0] == 0.0
+        c.set_value(source)
+        source[0, 0] = -1.0
+        assert c.value[0, 0] == 99.0
+        with pytest.raises(ValueError):
+            c.value[0, 0] = 5.0
+
+    def test_set_value_matches_a_fresh_graph(self):
+        from repro.graph.ops.conv import AxConv2D
+        from repro.lut import LookupTable
+
+        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
+        rng = np.random.default_rng(8)
+        x_val = rng.normal(size=(1, 6, 6, 2))
+        old_w, new_w = rng.normal(size=(2, 3, 3, 2, 4))
+
+        def build(weights):
+            g = Graph()
+            x = Placeholder(g, (None, 6, 6, 2), name="x")
+            w = Constant(g, weights, name="w")
+            ranges = [Constant(g, v) for v in (-4.0, 4.0, -3.0, 3.0)]
+            return g, x, w, AxConv2D(g, x, w, *ranges, lut=lut)
+
+        g, x, w, out = build(old_w)
+        executor = Executor(g)
+        for _ in range(3):    # a reused bank: the later runs use its row table
+            executor.run(out, {x: x_val})
+        w.set_value(new_w)
+        fresh_g, fresh_x, _, fresh_out = build(new_w)
+        np.testing.assert_array_equal(
+            executor.run(out, {x: x_val}),
+            Executor(fresh_g).run(fresh_out, {fresh_x: x_val}))

@@ -105,6 +105,39 @@ class TestComputeCoeffs:
         with pytest.raises(QuantizationError):
             compute_coeffs(2.0, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.floats(allow_nan=False, allow_infinity=False),
+        hi=st.floats(allow_nan=False, allow_infinity=False),
+        signed=st.booleans(),
+        mode=st.sampled_from(list(RoundMode)),
+    )
+    def test_memo_equals_unmemoised(self, lo, hi, signed, mode):
+        from repro.quantization.affine import _compute_coeffs
+
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except QuantizationError as exc:   # e.g. a span overflowing to inf
+                return type(exc)
+
+        lo, hi = min(lo, hi), max(lo, hi)
+        qrange = SIGNED_8BIT if signed else UNSIGNED_8BIT
+        memoised = outcome(compute_coeffs, lo, hi, qrange=qrange,
+                           round_mode=mode)
+        assert memoised == outcome(_compute_coeffs.__wrapped__,
+                                   lo, hi, qrange, mode)
+        if isinstance(memoised, QuantParams):
+            assert compute_coeffs(lo, hi, qrange=qrange,
+                                  round_mode=mode.value) is memoised
+
+    @pytest.mark.parametrize("lo,hi", [(float("nan"), 1.0), (0.0, float("inf")),
+                                       (float("-inf"), 0.0), (2.0, 1.0)])
+    def test_memo_still_raises(self, lo, hi):
+        for _ in range(2):
+            with pytest.raises(QuantizationError):
+                compute_coeffs(lo, hi)
+
     def test_from_tensor(self, rng):
         data = rng.normal(size=(4, 4))
         params = compute_coeffs_from_tensor(data)
