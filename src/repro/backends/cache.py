@@ -260,19 +260,20 @@ class PreparedFilterBank:
     key: tuple = field(default=(), compare=False, repr=False)
 
 
-def _read_only(array) -> bool:
-    """Whether no array along ``array``'s base chain is writeable.
+def _immutable(array) -> bool:
+    """Whether ``array``'s bytes can never change.
 
-    Only then can NumPy not change its bytes: a read-only view of a
-    writeable array still sees every write made through the owner.  A
-    chain that ends in a foreign buffer (``bytearray``, ``mmap``) does not
-    count.
+    That holds only for a chain of read-only arrays over an immutable
+    ``bytes`` object.  A read-only view of a writeable array sees every
+    write made through the owner, and an array that owns its memory (base
+    ``None``) can be made writeable again with ``setflags``; a chain that
+    ends in another buffer (``bytearray``, ``mmap``) does not count either.
     """
     while isinstance(array, xp.ndarray):
         if array.flags.writeable:
             return False
         array = array.base
-    return array is None
+    return isinstance(array, bytes)
 
 
 class FilterBankCache(_BoundedCache):
@@ -283,9 +284,9 @@ class FilterBankCache(_BoundedCache):
     quantise differently never collide.  Hashing costs one linear pass over
     the bank -- orders of magnitude cheaper than quantise + flatten + sum,
     and it is safe for mutable arrays (unlike keying on ``id``).  An array
-    that is read-only along its whole base chain -- a graph
-    :class:`~repro.graph.ops.basic.Constant`'s value -- cannot change, so
-    its digest is remembered by identity after the first hash.  Those
+    whose bytes can never change (read-only arrays over a ``bytes`` object,
+    as a graph :class:`~repro.graph.ops.basic.Constant` stores its value)
+    has its digest remembered by identity after the first hash.  Those
     entries hold the array weakly, are bounded by ``max_entries``, and go
     with :meth:`clear` and :meth:`invalidate`.
 
@@ -316,8 +317,8 @@ class FilterBankCache(_BoundedCache):
         return hashlib.sha1(data.tobytes()).hexdigest()
 
     def _digest(self, data: xp.ndarray) -> str:
-        """:meth:`content_digest`, hashed once per read-only array."""
-        if not _read_only(data):
+        """:meth:`content_digest`, hashed once per immutable array."""
+        if not _immutable(data):
             return self.content_digest(data)
         with self._lock:
             known = self._digests.get(id(data))

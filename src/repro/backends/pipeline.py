@@ -234,10 +234,10 @@ class InferencePipeline:
     # ------------------------------------------------------------------
     def prepare(self, inputs: xp.ndarray, filters: xp.ndarray,
                 multiplier: str | Multiplier | LookupTable | None = None, *,
+                strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                 input_range: TensorRange | tuple[float, float] | None = None,
                 filter_range: TensorRange | tuple[float, float] | None = None,
-                qrange: IntegerRange | None = None,
-                rows: int | None = None) -> PreparedConv:
+                qrange: IntegerRange | None = None) -> PreparedConv:
         """Resolve LUT + coefficients + filter bank through the caches.
 
         This is the cached equivalent of
@@ -246,9 +246,9 @@ class InferencePipeline:
         filter-side work from the
         :class:`~repro.backends.cache.FilterBankCache`; only the (cheap,
         batch-dependent) input-side ``ComputeCoeffs`` runs unconditionally.
-        ``rows`` is the patch-row count of the largest chunk the caller will
-        run; when it is given, a bank used again can come with its
-        ``rowgather`` table (:meth:`FilterBankCache.row_table`).
+        The geometry (as for :meth:`run`) gives the patch rows of a chunk,
+        which decide whether a bank used again comes with its ``rowgather``
+        table (:meth:`FilterBankCache.row_table`).
         """
         chosen = multiplier if multiplier is not None else self.multiplier
         if chosen is None:
@@ -276,8 +276,14 @@ class InferencePipeline:
             filters, qrange=qrange, round_mode=self.round_mode,
             filter_range=filter_range, build=build,
         )
-        table = (self.filter_cache.row_table(bank, lut, rows)
-                 if rows is not None else None)
+        table = None
+        if self.backend.uses_row_tables:
+            geometry = resolve_geometry(
+                inputs.shape[1], inputs.shape[2], kh, kw,
+                strides=strides, dilations=dilations, padding=padding)
+            rows = (min(self.chunk_size, inputs.shape[0])
+                    * geometry.output_height * geometry.output_width)
+            table = self.filter_cache.row_table(bank, lut, rows)
         return PreparedConv(
             lut=lut, input_q=input_q, filter_q=bank.filter_q,
             flat_filters=bank.flat_filters, filter_sums=bank.filter_sums,
@@ -297,18 +303,10 @@ class InferencePipeline:
         lut_before = self.lut_cache.stats_snapshot()
         filters_before = self.filter_cache.stats_snapshot()
 
-        rows = None
-        if self.backend.uses_row_tables and inputs.ndim == filters.ndim == 4:
-            geometry = resolve_geometry(
-                inputs.shape[1], inputs.shape[2],
-                filters.shape[0], filters.shape[1],
-                strides=strides, dilations=dilations, padding=padding)
-            rows = (min(self.chunk_size, inputs.shape[0])
-                    * geometry.output_height * geometry.output_width)
         prepared = self.prepare(
             inputs, filters, multiplier,
+            strides=strides, dilations=dilations, padding=padding,
             input_range=input_range, filter_range=filter_range, qrange=qrange,
-            rows=rows,
         )
 
         shards = split_chunks(inputs.shape[0], self.chunk_size)

@@ -185,8 +185,6 @@ def _integer_operand(values, lut: LookupTable) -> xp.ndarray:
     return values if kind in "iu" else values.astype(xp.int64)
 
 
-
-
 def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
     """Both operands as integer arrays the table can address.
 

@@ -57,14 +57,13 @@ class Placeholder(Node):
 
 
 def _frozen_copy(value) -> np.ndarray:
-    """A read-only float64 view of a private, read-only copy of ``value``.
+    """A float64 copy of ``value`` whose bytes can never change.
 
-    The view cannot be made writeable again (its base is read-only), and
-    nothing else refers to the copy, so the tensor cannot change in place.
+    The copy's memory is an immutable ``bytes`` object, so neither the
+    returned array nor any array on its base chain can be made writeable.
     """
-    owner = np.array(value, dtype=np.float64)
-    owner.setflags(write=False)
-    return owner.view()
+    value = np.asarray(value, dtype=np.float64)
+    return np.frombuffer(value.tobytes(), dtype=np.float64).reshape(value.shape)
 
 
 class Constant(Node):

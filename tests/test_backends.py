@@ -531,10 +531,10 @@ class TestAxConv2DIntegration:
 
 
 def _read_only(array):
-    """A read-only view of a private read-only copy, as ``Constant`` stores."""
-    owner = np.array(array, dtype=np.float64)
-    owner.setflags(write=False)
-    return owner.view()
+    """A read-only array over a private ``bytes`` copy, as ``Constant``
+    stores."""
+    array = np.asarray(array, dtype=np.float64)
+    return np.frombuffer(array.tobytes()).reshape(array.shape)
 
 
 class TestRowTables:
@@ -551,34 +551,50 @@ class TestRowTables:
 
     def test_built_on_second_use_below_the_size_rule(self):
         pipeline, cache, inputs, filters = self._setup()
-        assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+        assert pipeline.prepare(inputs, filters).row_table is None
         assert cache.table_bytes == 0
-        # A call the size rule sends to rowgather neither counts nor builds.
-        assert pipeline.prepare(inputs, filters, rows=512).row_table is None
-        table = pipeline.prepare(inputs, filters, rows=36).row_table
+        # A call the size rule sends to rowgather (15 * 36 >= 512 patch
+        # rows) neither counts nor builds.
+        tall = np.repeat(inputs, 15, axis=0)
+        assert pipeline.prepare(tall, filters).row_table is None
+        table = pipeline.prepare(inputs, filters).row_table
         assert table is not None and table.shape == (18, 4)
         assert cache.table_bytes == table.nbytes == 18 * 256 * 4 * 2
-        # Every later call of any size gets the same table; no rows, none.
-        assert pipeline.prepare(inputs, filters, rows=36).row_table is table
-        assert pipeline.prepare(inputs, filters, rows=4096).row_table is table
-        assert pipeline.prepare(inputs, filters).row_table is None
+        # Every later call of any size gets the same table.
+        assert pipeline.prepare(inputs, filters).row_table is table
+        assert pipeline.prepare(tall, filters).row_table is table
         # Another table through the same bank is a separate pair.
-        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5", rows=36)
+        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5")
         assert other.row_table is None
-        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5", rows=36)
+        other = pipeline.prepare(inputs, filters, "mul8s_bam_v5")
         assert other.row_table.lut.name == "mul8s_bam_v5"
         assert cache.table_bytes == 2 * table.nbytes
 
     def test_never_at_the_size_rule(self):
         pipeline, cache, inputs, filters = self._setup()
+        tall = np.repeat(inputs, 15, axis=0)
         for _ in range(3):
-            assert pipeline.prepare(inputs, filters, rows=512).row_table is None
+            assert pipeline.prepare(tall, filters).row_table is None
         assert cache.table_bytes == 0
+
+    def test_rows_follow_the_geometry_and_chunk_size(self):
+        pipeline, cache, inputs, filters = self._setup()
+        tall = np.repeat(inputs, 15, axis=0)
+        # 15 * 3 * 3 = 135 patch rows at stride 2: below the size rule.
+        for _ in range(2):
+            prepared = pipeline.prepare(tall, filters, strides=(2, 2))
+        assert prepared.row_table is not None
+        # Chunks of 8 images: 8 * 36 = 288 patch rows each.
+        pipeline, cache, inputs, filters = self._setup()
+        pipeline.chunk_size = 8
+        for _ in range(2):
+            prepared = pipeline.prepare(tall, filters)
+        assert prepared.row_table is not None
 
     def test_never_for_a_factored_table(self):
         pipeline, cache, inputs, filters = self._setup("mul8s_exact")
         for _ in range(3):
-            assert pipeline.prepare(inputs, filters, rows=1).row_table is None
+            assert pipeline.prepare(inputs, filters).row_table is None
         assert cache.table_bytes == 0
 
     def test_only_for_backends_that_use_them(self):
@@ -596,21 +612,21 @@ class TestRowTables:
         size = 18 * 256 * 4 * 2
         monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", 2 * size)
         for bank in banks[:2]:
-            pipeline.prepare(inputs, bank, rows=36)
-            assert pipeline.prepare(inputs, bank, rows=36).row_table is not None
+            pipeline.prepare(inputs, bank)
+            assert pipeline.prepare(inputs, bank).row_table is not None
         assert cache.table_bytes == 2 * size
         # Refresh bank 0, then a third table evicts bank 1's, the LRU one.
-        first = pipeline.prepare(inputs, banks[0], rows=36).row_table
-        pipeline.prepare(inputs, banks[2], rows=36)
-        assert pipeline.prepare(inputs, banks[2], rows=36).row_table is not None
+        first = pipeline.prepare(inputs, banks[0]).row_table
+        pipeline.prepare(inputs, banks[2])
+        assert pipeline.prepare(inputs, banks[2]).row_table is not None
         assert cache.table_bytes == 2 * size
-        assert pipeline.prepare(inputs, banks[0], rows=36).row_table is first
-        assert pipeline.prepare(inputs, banks[1], rows=36).row_table is None
+        assert pipeline.prepare(inputs, banks[0]).row_table is first
+        assert pipeline.prepare(inputs, banks[1]).row_table is None
         # A table larger than the whole budget is never built.
         monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", size - 1)
         pipeline, cache, inputs, filters = self._setup()
         for _ in range(3):
-            assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+            assert pipeline.prepare(inputs, filters).row_table is None
         assert cache.table_bytes == 0
 
     def test_runs_match_approx_conv2d_bit_for_bit(self, monkeypatch):
@@ -636,17 +652,17 @@ class TestRowTables:
         pipeline, cache, inputs, filters = self._setup()
         filters = _read_only(filters)
         for _ in range(2):
-            pipeline.prepare(inputs, filters, rows=36)
+            pipeline.prepare(inputs, filters)
         assert cache.table_bytes > 0 and len(cache._digests) == 1
         cache.clear()
         assert cache.table_bytes == 0 and len(cache._digests) == 0
         for _ in range(2):
-            pipeline.prepare(inputs, filters, rows=36)
+            pipeline.prepare(inputs, filters)
         assert cache.table_bytes > 0 and len(cache._digests) == 1
         assert cache.invalidate(FilterBankCache.content_digest(filters)) == 1
         assert cache.table_bytes == 0 and len(cache._digests) == 0
         # The next call is a first use again.
-        assert pipeline.prepare(inputs, filters, rows=36).row_table is None
+        assert pipeline.prepare(inputs, filters).row_table is None
 
     def test_evicted_bank_drops_its_tables(self):
         cache = FilterBankCache(max_entries=1)
@@ -656,9 +672,9 @@ class TestRowTables:
         inputs = rng.normal(size=(1, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
         for _ in range(2):
-            pipeline.prepare(inputs, filters, rows=36)
+            pipeline.prepare(inputs, filters)
         assert cache.table_bytes > 0
-        pipeline.prepare(inputs, filters + 1.0, rows=36)
+        pipeline.prepare(inputs, filters + 1.0)
         assert cache.stats.evictions == 1 and cache.table_bytes == 0
 
 
@@ -715,6 +731,25 @@ class TestDigestShortcut:
         np.testing.assert_array_equal(pipeline.run(inputs, view).output,
                                       approx_conv2d(inputs, owner, lut))
         assert cache.stats.misses == 2
+
+    def test_an_unfrozen_owner_is_never_served_stale(self, monkeypatch):
+        calls = self._hashes(monkeypatch)
+        cache = FilterBankCache()
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
+        owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
+        owner.flags.writeable = False
+        pipeline.run(inputs, owner)
+        # An array that owns its memory can be made writeable again.
+        owner.flags.writeable = True
+        owner *= 2.0
+        owner.flags.writeable = False
+        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
+        np.testing.assert_array_equal(pipeline.run(inputs, owner).output,
+                                      approx_conv2d(inputs, owner, lut))
+        assert cache.stats.misses == 2 and len(calls) == 2
+        assert len(cache._digests) == 0
 
     def test_identity_map_keeps_no_array_alive(self):
         import gc

@@ -337,6 +337,13 @@ class TestConstantIsReadOnly:
             c.value[...] = 1.0
         with pytest.raises(ValueError):
             c.value.setflags(write=True)
+        # No array under the value can be made writeable either.
+        base = c.value.base
+        while isinstance(base, np.ndarray):
+            with pytest.raises(ValueError):
+                base.setflags(write=True)
+            base = base.base
+        assert isinstance(base, bytes)
         # The constant holds a private copy of what it was given.
         source[0, 0] = 99.0
         assert c.value[0, 0] == 0.0
