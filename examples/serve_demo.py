@@ -5,8 +5,9 @@ Reproduces: the serving-scale version of the paper's core argument.  The
 GPU implementation is fast because LUT and filter-bank setup is amortised
 over large GEMMs; a serving workload arrives as single-sample requests, so
 `repro.serve` rebuilds the large batches at the traffic level — compatible
-requests (same model, same multiplier configuration) coalesce into one batch
-under a latency deadline, incompatible ones never mix.
+queued requests (same model, same multiplier configuration) coalesce into
+one batch of up to the batch cap, incompatible ones never mix, and an idle
+worker never waits for more traffic.
 
 The demo registers a small CNN, warms the LUT/filter-bank caches for two
 multiplier configurations, replays the same 64-request trace twice — with
@@ -38,7 +39,7 @@ MULTIPLIERS = ("mul8s_exact", "mul8s_mitchell")
 def replay(trace, *, batch_cap: int, workers: int) -> tuple[dict, object]:
     """Replay ``trace`` on a fresh service; returns (outputs, report)."""
     service = EmulationService(ServiceConfig(
-        max_batch_samples=batch_cap, max_delay_s=0.005, workers=workers))
+        max_batch_samples=batch_cap, workers=workers))
     service.register_model(
         "simple_cnn", lambda: build_simple_cnn(input_size=16, seed=0),
         calibration_samples=16)

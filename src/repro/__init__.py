@@ -21,7 +21,7 @@ self-contained Python library:
   optimisers, LR schedules and the fine-tuning loop;
 * :mod:`repro.dse` -- layer-wise multiplier design-space exploration: search
   strategies, Pareto-front bookkeeping and the budgeted evaluation engine;
-* :mod:`repro.serve` -- the micro-batching emulation service: deadline-based
+* :mod:`repro.serve` -- the micro-batching emulation service: work-conserving
   request coalescing, config-keyed admission and offline trace replay.
 """
 

@@ -1,9 +1,8 @@
 """Latency distribution summaries for serving and replay reports.
 
-The emulation service promises bounded queueing delay (the batcher's
-deadline) on top of the execution time, so its telemetry reports the
-latency *distribution*, not just a mean: the p99 is where a deadline
-regression shows up first.  :class:`LatencyStats` is the shared summary
+The emulation service adds queueing delay behind busy workers on top of the
+execution time, so its telemetry reports the latency *distribution*, not
+just a mean: the p99 is where a queueing regression shows up first.  :class:`LatencyStats` is the shared summary
 structure — built once from a sample list, JSON-friendly, deterministic.
 """
 

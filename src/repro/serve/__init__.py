@@ -5,9 +5,9 @@ setup over big GEMMs; a serving workload arrives as many small concurrent
 requests, so the amortisation has to be rebuilt at the traffic level.  This
 package does that:
 
-* :class:`Batcher` — coalesces compatible requests into maximal batches
-  under a latency deadline and a batch-size cap (deadline flushing, so a
-  trickle load is never starved);
+* :class:`Batcher` — hands an idle worker the oldest queued requests at
+  once, coalesced into one batch of up to the batch-size cap (nothing waits
+  for more traffic, and no configuration starves another);
 * config-keyed **admission** — requests carry a model name plus a
   multiplier/quantisation configuration, and only requests with identical
   configurations (same :func:`~repro.graph.assignment_key`) may share a

@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfapprox-serve",
         description="Micro-batching emulation service, offline replay mode: "
-                    "coalesce a request trace into large batches under a "
-                    "latency deadline and report throughput/latency.")
+                    "coalesce a request trace into batches of up to the "
+                    "batch cap and report throughput/latency.")
     parser.add_argument("--model", choices=sorted(_MODELS),
                         default="simple_cnn",
                         help="registered model the trace runs against")
@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="multiplier rotation of the synthetic trace")
     parser.add_argument("--batch-cap", type=int, default=32,
                         help="maximum samples coalesced into one batch")
-    parser.add_argument("--deadline-ms", type=float, default=5.0,
-                        help="maximum queueing delay before a partial "
-                             "batch is flushed")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads executing batches")
     parser.add_argument("--seed", type=int, default=0,
@@ -101,15 +98,14 @@ def main_serve(argv: list[str] | None = None) -> int:
     print(f"trace: {len(trace)} request(s), {total_samples} sample(s), "
           f"{len(configs)} multiplier configuration(s)")
     print(f"configs: {', '.join(configs)}")
-    print(f"batcher: cap {args.batch_cap} sample(s), deadline "
-          f"{args.deadline_ms:.1f} ms, {args.workers} worker(s)")
+    print(f"batcher: cap {args.batch_cap} sample(s), "
+          f"{args.workers} worker(s)")
     if args.dry_run:
         print("dry run: no requests executed")
         return 0
 
     service = EmulationService(ServiceConfig(
         max_batch_samples=args.batch_cap,
-        max_delay_s=args.deadline_ms / 1e3,
         workers=args.workers,
     ))
     try:

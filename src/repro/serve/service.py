@@ -2,12 +2,13 @@
 
 The service turns the library's one-shot APIs into a shared process:
 requests tagged with a model and a multiplier configuration are admitted
-into per-configuration queues, coalesced by the :class:`~repro.serve.batcher.
-Batcher` under a latency deadline and a batch-size cap, executed on a worker
-pool through per-configuration :class:`~repro.serve.session.ModelSession`
-replicas (which route every convolution through the shared
-:class:`~repro.backends.InferencePipeline` machinery and its process-wide
-LUT/filter-bank caches), and demuxed back into per-request results.
+into per-configuration queues, handed to an idle worker at once by the
+work-conserving :class:`~repro.serve.batcher.Batcher` (as much of the oldest
+queue as the batch-size cap allows), executed through per-configuration
+:class:`~repro.serve.session.ModelSession` replicas (which route every
+convolution through the shared :class:`~repro.backends.InferencePipeline`
+machinery and its process-wide LUT/filter-bank caches), and demuxed back
+into per-request results.
 
 Determinism: a sample's output never depends on its batch neighbours
 (sessions freeze quantisation ranges at build time), and in offline replay
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ServeError
+from ..errors import ServeError, TFApproxError
 from ..evaluation.latency import LatencyStats
 from ..quantization.rounding import RoundMode
 from .batcher import Batch, Batcher
@@ -46,14 +47,14 @@ from .trace import ReplayReport, TraceRequest
 class ServiceConfig:
     """Tunables of one :class:`EmulationService` instance.
 
-    ``max_batch_samples`` and ``max_delay_s`` are the throughput/latency
-    trade: bigger caps amortise per-batch setup over more samples, longer
-    deadlines let sparser traffic coalesce.  ``workers`` bounds concurrent
-    batch execution (and each session's replica count).
+    ``max_batch_samples`` caps how many queued samples one batch takes:
+    bigger caps amortise per-batch setup over more samples when requests
+    pile up under load.  No request ever waits for traffic to coalesce
+    with.  ``workers`` bounds concurrent batch execution (and each
+    session's replica count).
     """
 
     max_batch_samples: int = 32
-    max_delay_s: float = 0.005
     workers: int = 1
     round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO
     chunk_size: int = 32
@@ -100,9 +101,7 @@ class EmulationService:
         self._sessions_lock = threading.Lock()
         self._session_builds: dict[AdmissionKey, threading.Lock] = {}
         self._batcher = Batcher(
-            max_batch_samples=self.config.max_batch_samples,
-            max_delay_s=self.config.max_delay_s,
-        )
+            max_batch_samples=self.config.max_batch_samples)
         self._telemetry = ServiceTelemetry()
         self._workers: list[threading.Thread] = []
         self._started = False
@@ -348,7 +347,6 @@ class EmulationService:
             batches=snapshot.batches - before.batches,
             wall_time_s=wall,
             max_batch_samples=self.config.max_batch_samples,
-            max_delay_s=self.config.max_delay_s,
             workers=self.config.workers,
             latency=LatencyStats.from_samples(
                 [result.latency_s for result in results]),
@@ -382,9 +380,15 @@ class EmulationService:
                 [p.request.inputs for p in pendings], axis=0)
             outputs, report = session.run(inputs)
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
+            error = exc
+            if not isinstance(exc, TFApproxError):
+                # Callers catch the library's typed errors only.
+                error = ServeError(
+                    f"batch of {len(pendings)} request(s) failed: {exc!r}")
+                error.__cause__ = exc
             self._telemetry.record_failure(len(pendings))
             for pending in pendings:
-                pending.handle._fail(exc)
+                pending.handle._fail(error)
             return
 
         now = time.monotonic()

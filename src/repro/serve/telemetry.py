@@ -1,10 +1,10 @@
 """Service-level telemetry: queue depth, occupancy, latency, cache heat.
 
-The service's two tuning knobs — the batch-size cap and the flush deadline —
-trade latency for throughput, and the telemetry exists to make that trade
-visible: the batch-occupancy histogram shows how full the coalesced batches
-actually run, the latency percentiles show what the deadline costs, and the
-cache hit-rates (read race-free via
+The batch-size cap and the worker count trade latency for throughput, and
+the telemetry exists to make that trade visible: the batch-occupancy
+histogram shows how full the coalesced batches actually run, the latency
+percentiles show what queueing behind busy workers costs, and the cache
+hit-rates (read race-free via
 :meth:`~repro.backends.cache._BoundedCache.stats_snapshot`) show whether the
 LUT/filter-bank amortisation the paper's speedup relies on is happening.
 """

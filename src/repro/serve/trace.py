@@ -145,7 +145,6 @@ class ReplayReport:
     batches: int = 0
     wall_time_s: float = 0.0
     max_batch_samples: int = 0
-    max_delay_s: float = 0.0
     workers: int = 0
     latency: LatencyStats | None = None
     occupancy: dict[int, int] = field(default_factory=dict)
@@ -178,7 +177,6 @@ class ReplayReport:
             "requests_per_s": self.requests_per_s,
             "samples_per_s": self.samples_per_s,
             "max_batch_samples": self.max_batch_samples,
-            "max_delay_s": self.max_delay_s,
             "workers": self.workers,
             "mean_occupancy": self.mean_occupancy,
             "occupancy": {str(k): v for k, v in sorted(self.occupancy.items())},
@@ -194,7 +192,6 @@ class ReplayReport:
             f"throughput: {self.requests_per_s:.1f} requests/s "
             f"({self.samples_per_s:.1f} samples/s)",
             f"batches: {self.batches} (cap {self.max_batch_samples}, "
-            f"deadline {self.max_delay_s * 1e3:.1f} ms, "
             f"mean occupancy {self.mean_occupancy:.1f})",
         ]
         if self.latency is not None:

@@ -60,8 +60,7 @@ def test_serve_dry_run_custom_stdout_matches_golden(capsys, golden):
         "serve_dry_run_custom",
         run_cli(capsys, main_serve,
                 ["--dry-run", "--requests", "16", "--samples", "2",
-                 "--batch-cap", "8", "--deadline-ms", "2.5",
-                 "--workers", "4", "--multipliers", "mul8s_exact",
+                 "--batch-cap", "8", "--workers", "4", "--multipliers", "mul8s_exact",
                  "mul8s_udm"]),
     )
 

@@ -1,6 +1,6 @@
 """Concurrency/property suite of the micro-batching emulation service.
 
-The three properties the serving PR promises:
+The properties the service promises:
 
 * **Determinism** — replaying the same trace yields bit-identical
   per-request outputs at any worker count (sessions freeze quantisation
@@ -8,12 +8,16 @@ The three properties the serving PR promises:
   trace).
 * **Admission** — requests with different multiplier configurations never
   share a batch (they would need different transformed graphs).
-* **No starvation** — the deadline flush always fires: a trickle load that
-  never fills a batch still completes within the deadline budget.
+* **No starvation** — the batcher is work-conserving: an idle worker takes
+  the oldest queued request at once, so a trickle load that never fills a
+  batch completes without waiting, and no configuration starves another.
+* **Fault isolation** — a failing batch fails only its own requests, with
+  a typed error, and the telemetry still adds up.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 
@@ -21,7 +25,8 @@ import numpy as np
 import pytest
 
 from repro.backends.cache import cache_stats, clear_caches
-from repro.errors import ExecutionError, QuantizationError, ServeError
+from repro.errors import (ExecutionError, QuantizationError, ServeError,
+                          TFApproxError)
 from repro.models import build_simple_cnn
 from repro.serve import (
     Batcher,
@@ -41,9 +46,9 @@ def small_builder():
     return build_simple_cnn(input_size=8, seed=0)
 
 
-def make_service(*, workers=1, cap=8, delay=0.01):
+def make_service(*, workers=1, cap=8):
     service = EmulationService(ServiceConfig(
-        max_batch_samples=cap, max_delay_s=delay, workers=workers))
+        max_batch_samples=cap, workers=workers))
     service.register_model(
         "simple_cnn", small_builder, calibration_samples=8)
     return service
@@ -55,7 +60,7 @@ def make_service(*, workers=1, cap=8, delay=0.01):
 
 class TestBatcher:
     def test_full_cap_flushes_immediately(self):
-        batcher = Batcher(max_batch_samples=4, max_delay_s=60.0)
+        batcher = Batcher(max_batch_samples=4)
         for index in range(4):
             batcher.submit("key", index)
         batch = batcher.next_batch(timeout=0.5)
@@ -63,18 +68,38 @@ class TestBatcher:
         assert [entry.item for entry in batch.entries] == [0, 1, 2, 3]
         assert batch.samples == 4
 
-    def test_deadline_flushes_partial_batch(self):
-        batcher = Batcher(max_batch_samples=1000, max_delay_s=0.05)
+    def test_idle_consumer_takes_lone_request_at_once(self):
+        """A partial batch is handed out without waiting for more traffic."""
+        batcher = Batcher(max_batch_samples=1000)
         batcher.submit("key", "lonely")
-        start = time.monotonic()
-        batch = batcher.next_batch(timeout=5.0)
-        waited = time.monotonic() - start
+        batch = batcher.next_batch(timeout=0)
         assert batch is not None and batch.requests == 1
-        assert waited >= 0.04  # not flushed before the deadline
-        assert waited < 4.0    # and well before the caller timeout
+
+    def test_oldest_head_first_so_no_key_starves(self):
+        """A key kept at the cap cannot starve an older request of another.
+
+        The clock never moves, so an order by enqueue time would tie
+        everywhere; the order must come from submission itself.
+        """
+        batcher = Batcher(max_batch_samples=2, clock=lambda: 0.0)
+        refill = itertools.count()
+        for _ in range(3):
+            batcher.submit("a", f"a{next(refill)}")
+        batcher.submit("b", "b0")
+        served = []
+        for _ in range(6):
+            batch = batcher.next_batch(timeout=0)
+            served.append(
+                (batch.key, [entry.item for entry in batch.entries]))
+            for _ in range(2):
+                batcher.submit("a", f"a{next(refill)}")
+        assert served[:4] == [
+            ("a", ["a0", "a1"]), ("a", ["a2", "a3"]), ("b", ["b0"]),
+            ("a", ["a4", "a5"])]
+        assert [key for key, _ in served[4:]] == ["a", "a"]
 
     def test_keys_never_mix(self):
-        batcher = Batcher(max_batch_samples=4, max_delay_s=0.01)
+        batcher = Batcher(max_batch_samples=4)
         for index in range(4):
             batcher.submit("a" if index % 2 else "b", index)
         seen = {}
@@ -84,7 +109,7 @@ class TestBatcher:
         assert seen == {"b": [0, 2], "a": [1, 3]}
 
     def test_cap_splits_queue_fifo(self):
-        batcher = Batcher(max_batch_samples=3, max_delay_s=0.01)
+        batcher = Batcher(max_batch_samples=3)
         for index in range(8):
             batcher.submit("key", index)
         sizes, items = [], []
@@ -96,13 +121,13 @@ class TestBatcher:
         assert items == list(range(8))
 
     def test_oversized_request_forms_own_batch(self):
-        batcher = Batcher(max_batch_samples=4, max_delay_s=60.0)
+        batcher = Batcher(max_batch_samples=4)
         batcher.submit("key", "big", samples=9)
         batch = batcher.next_batch(timeout=0.5)
         assert batch.requests == 1 and batch.samples == 9
 
     def test_close_drains_then_signals_shutdown(self):
-        batcher = Batcher(max_batch_samples=100, max_delay_s=60.0)
+        batcher = Batcher(max_batch_samples=100)
         batcher.submit("key", "pending")
         batcher.close()
         batch = batcher.next_batch(timeout=0.5)
@@ -112,7 +137,7 @@ class TestBatcher:
             batcher.submit("key", "late")
 
     def test_timeout_returns_none(self):
-        batcher = Batcher(max_batch_samples=4, max_delay_s=60.0)
+        batcher = Batcher(max_batch_samples=4)
         start = time.monotonic()
         assert batcher.next_batch(timeout=0.05) is None
         assert time.monotonic() - start < 2.0
@@ -120,8 +145,6 @@ class TestBatcher:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ServeError):
             Batcher(max_batch_samples=0)
-        with pytest.raises(ServeError):
-            Batcher(max_delay_s=-1.0)
         batcher = Batcher()
         with pytest.raises(ServeError):
             batcher.submit("key", "x", samples=0)
@@ -257,9 +280,11 @@ class TestAdmission:
 
 
 class TestDeadline:
+    """Sparse traffic meets its callers' deadlines without filling a batch."""
+
     def test_trickle_load_never_starves(self):
         """Sparse traffic completes without ever filling a batch."""
-        service = make_service(workers=1, cap=1000, delay=0.02)
+        service = make_service(workers=1, cap=1000)
         spec = service.spec("simple_cnn")
         service.session("simple_cnn", "mul8s_exact")  # build outside timing
         with service:
@@ -275,7 +300,7 @@ class TestDeadline:
         assert snapshot.occupancy == {1: 3}
 
     def test_concurrent_trickle_from_many_threads(self):
-        service = make_service(workers=2, cap=1000, delay=0.02)
+        service = make_service(workers=2, cap=1000)
         spec = service.spec("simple_cnn")
         service.session("simple_cnn", "mul8s_exact")
         errors = []
@@ -298,6 +323,72 @@ class TestDeadline:
                 thread.join()
         assert not errors
         assert service.telemetry().completed == 6
+
+
+class TestFaults:
+    """A failing batch fails only its own requests, with a typed error."""
+
+    def test_session_fault_mid_traffic_fails_only_its_batch(self):
+        service = make_service(workers=1, cap=8)
+        spec = service.spec("simple_cnn")
+        faulty_multiplier, healthy_multiplier = MULTIPLIERS[1], MULTIPLIERS[0]
+        service.session("simple_cnn", healthy_multiplier)
+        faulty = service.session("simple_cnn", faulty_multiplier)
+        calls = itertools.count()
+        run = faulty.run
+
+        def run_failing_once(inputs):
+            if next(calls) == 1:
+                raise RuntimeError("injected session fault")
+            return run(inputs)
+
+        faulty.run = run_failing_once
+        rng = np.random.default_rng(0)
+        sent = []
+        with service:
+            for index in range(12):
+                multiplier = MULTIPLIERS[index % 2]
+                inputs = rng.random(size=(1, *spec.input_shape))
+                sent.append((multiplier, service.submit(
+                    "simple_cnn", inputs, multiplier)))
+                if index == 1:  # the faulty key's first run succeeds
+                    sent[index][1].result(timeout=30.0)
+                time.sleep(0.002)
+            errors = {}
+            for multiplier, handle in sent:
+                try:
+                    handle.result(timeout=30.0)
+                except TFApproxError as exc:
+                    errors[handle.request_id] = (multiplier, exc)
+            # The worker survives the fault and serves the key again.
+            recovered = service.infer(
+                "simple_cnn", inputs, faulty_multiplier, timeout=30.0)
+        assert recovered.samples == 1
+        assert all(handle.done() for _, handle in sent)
+        assert errors, "the injected fault must fail its batch"
+        assert {m for m, _ in errors.values()} == {faulty_multiplier}
+        failures = {id(exc): exc for _, exc in errors.values()}
+        assert len(failures) == 1  # one failed batch, one shared error
+        error = next(iter(failures.values()))
+        assert isinstance(error, ServeError)
+        assert isinstance(error.__cause__, RuntimeError)
+        snapshot = service.telemetry()
+        assert snapshot.failed == len(errors)
+        assert snapshot.completed == len(sent) - len(errors) + 1
+        assert snapshot.submitted == (snapshot.completed + snapshot.failed
+                                      + snapshot.queue_depth)
+
+    def test_typed_session_errors_pass_through_unchanged(self):
+        service = make_service(workers=1)
+        spec = service.spec("simple_cnn")
+        inputs = np.zeros((1, *spec.input_shape))
+        inputs[0, 0, 0, 0] = np.nan
+        handle = service.submit("simple_cnn", inputs, "mul8s_mitchell")
+        with service:
+            with pytest.raises(ExecutionError) as info:
+                handle.result(timeout=30.0)
+        assert isinstance(info.value.__cause__, QuantizationError)
+        assert service.telemetry().failed == 1
 
 
 class TestWarmupAndTelemetry:
@@ -399,7 +490,7 @@ class TestServeCli:
         code = main_serve([
             "--model", "simple_cnn", "--input-size", "8",
             "--trace", str(trace_path), "--batch-cap", "4",
-            "--deadline-ms", "2", "--json", str(report_path),
+            "--json", str(report_path),
         ])
         out = capsys.readouterr().out
         assert code == 0
