@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import InferencePipeline
 from repro.conv import approx_conv2d, approx_conv2d_direct
-from repro.gpusim import GPUConvolutionEngine
 from repro.quantization import compute_coeffs_from_tensor
 
 
@@ -47,10 +47,10 @@ def test_direct_loop_engine(benchmark, small_case, mitchell_lut):
 @pytest.mark.benchmark(group="engines")
 def test_simulated_cuda_engine(benchmark, small_case, mitchell_lut):
     inputs, filters = small_case
-    engine = GPUConvolutionEngine(chunk_size=4)
+    pipeline = InferencePipeline("gpusim", chunk_size=4)
 
     def run():
-        return engine.approx_conv2d(inputs, filters, mitchell_lut)
+        return pipeline.run(inputs, filters, mitchell_lut).output
 
     out = benchmark(run)
     assert out.shape == (1, 8, 8, 8)

@@ -2,11 +2,12 @@
 """Peek inside the simulated CUDA implementation of the approximate convolution.
 
 Runs one convolution layer through the simulated GPU device (Algorithm 1:
-the Im2Cols kernel with its prefix-scan patch sums, then the tiled LUT GEMM
-kernel fetching products through the texture object), prints the kernel
-launches and memory traffic the device recorded, and replays the LUT fetch
-stream through the texture-cache model to show why texture memory is a good
-home for the 128 kB multiplier table.
+``prepare_conv2d`` once, then per chunk the Im2Cols kernel with its
+prefix-scan patch sums and the tiled LUT GEMM kernel fetching products
+through the texture object, via ``run_gpusim_chunk`` on the demo's own
+``GPUDevice``), prints the kernel launches and memory traffic the device
+recorded, and replays the LUT fetch stream through the texture-cache model
+to show why texture memory is a good home for the 128 kB multiplier table.
 
 Reproduces: the implementation description of Section III -- the Im2Cols
 kernel (fixed block size, prefix-scan partial sums, atomicAdd into ``Sp``),
@@ -29,8 +30,9 @@ import argparse
 
 import numpy as np
 
-from repro.conv import approx_conv2d, flatten_filters, im2col_quantized
-from repro.gpusim import GPUConvolutionEngine, GPUConvRunReport
+from repro.conv import (approx_conv2d, flatten_filters, im2col_quantized,
+                        prepare_conv2d, split_chunks)
+from repro.gpusim import GPUConvRunReport, GPUDevice, run_gpusim_chunk
 from repro.lut import LookupTable, TextureCacheModel
 from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
@@ -51,14 +53,23 @@ def main() -> int:
     print(f"== Simulated GPU emulation of one AxConv2D layer ({lut.name}) ==\n")
     print(f"LUT: {lut!r}\n")
 
-    engine = GPUConvolutionEngine(chunk_size=2)
+    # Algorithm 1: ComputeCoeffs and the filter side once, then the chunk
+    # loop, every kernel launch recorded on one device.
+    device = GPUDevice()
+    prepared = prepare_conv2d(inputs, filters, lut)
     report = GPUConvRunReport()
-    gpu_out = engine.approx_conv2d(inputs, filters, lut, report=report)
+    outputs = []
+    for start, stop in split_chunks(len(inputs), chunk_size=2):
+        output, chunk_report = run_gpusim_chunk(
+            device, inputs[start:stop], prepared)
+        outputs.append(output)
+        report.merge(chunk_report)
+    gpu_out = np.concatenate(outputs)
 
     host_out = approx_conv2d(inputs, filters, lut, chunk_size=2)
-    assert np.allclose(gpu_out, host_out), "device and host engines diverged"
+    assert np.array_equal(gpu_out, host_out), "device and host engines diverged"
 
-    counters = engine.device.counters
+    counters = device.counters
     print("Kernel launches (Algorithm 1, one Im2Cols + one ApproxGEMM per chunk):")
     for launch in counters.launches:
         print(f"  {launch.name:<12} grid={launch.grid} block={launch.block} "

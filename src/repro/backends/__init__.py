@@ -1,11 +1,10 @@
 """Unified execution backends behind one batched inference API.
 
 This package dispatches between the functional emulation code and the
-engines that execute it.  All four execution paths of the library (the
-vectorised NumPy engine, the direct CPU loop, the simulated CUDA device and
-the ``AxConv2D`` graph op) resolve their quantisation coefficients and
-lookup tables through the same code path and run through the
-:class:`ConvBackend` contract.
+engines that execute it.  :class:`InferencePipeline` drives Algorithm 1's
+chunk loop for all three engines (the vectorised NumPy engine, the direct
+CPU loop and the simulated CUDA device), and the ``AxConv2D`` graph op runs
+through it, so coefficients, lookup tables and accounting have one path.
 
 Entry points:
 
@@ -36,28 +35,15 @@ from .pipeline import (
     emulate_conv2d,
     shared_pipeline,
 )
-from .registry import (
-    ChunkResult,
-    ConvBackend,
-    CpusimBackend,
-    GpusimBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-)
+from .registry import available_backends, get_backend
 
 __all__ = [
     "CacheStats",
-    "ChunkResult",
-    "ConvBackend",
-    "CpusimBackend",
     "DEFAULT_FILTER_CACHE",
     "DEFAULT_LUT_CACHE",
     "FilterBankCache",
-    "GpusimBackend",
     "InferencePipeline",
     "LUTCache",
-    "NumpyBackend",
     "PreparedFilterBank",
     "RunReport",
     "RunResult",

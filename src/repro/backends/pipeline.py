@@ -63,7 +63,7 @@ from .cache import (
     LUTCache,
     PreparedFilterBank,
 )
-from .registry import ChunkResult, get_backend
+from .registry import get_backend
 
 
 @dataclass
@@ -176,6 +176,18 @@ def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
     )
 
 
+def check_accumulator(backend: str, accumulator_bits: int | None,
+                      saturate: bool) -> None:
+    """Reject an accumulator model the named backend cannot run."""
+    if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
+        raise ConfigurationError("accumulator_bits must lie in [8, 64]")
+    if backend != "numpy" and (accumulator_bits is not None or saturate):
+        raise ConfigurationError(
+            f"the {backend} backend accumulates in unbounded integers; "
+            "use the numpy backend for finite-accumulator studies"
+        )
+
+
 class InferencePipeline:
     """High-throughput entry point over the convolution backends.
 
@@ -194,7 +206,10 @@ class InferencePipeline:
         NumPy backend whose heavy ops release the GIL.
     round_mode, accumulator_bits, saturate:
         Forwarded to the backend; see
-        :func:`repro.conv.approx_conv2d.approx_conv2d`.
+        :func:`repro.conv.approx_conv2d.approx_conv2d`.  Only ``numpy``
+        models a finite accumulator: ``accumulator_bits`` outside
+        ``[8, 64]``, or a finite accumulator on ``cpusim``/``gpusim``,
+        raises :class:`~repro.errors.ConfigurationError` here.
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
@@ -219,8 +234,9 @@ class InferencePipeline:
         if max_workers <= 0:
             raise ConfigurationError("max_workers must be positive")
         # Resolve eagerly so configuration errors surface at build time.
-        self.backend = get_backend(backend)
-        self.backend_name = backend
+        self._run_chunk = get_backend(backend)
+        check_accumulator(backend, accumulator_bits, saturate)
+        self.backend = backend
         self.multiplier = multiplier
         self.chunk_size = chunk_size
         self.max_workers = max_workers
@@ -277,7 +293,7 @@ class InferencePipeline:
             filter_range=filter_range, build=build,
         )
         table = None
-        if self.backend.uses_row_tables:
+        if self.backend == "numpy":
             geometry = resolve_geometry(
                 inputs.shape[1], inputs.shape[2], kh, kw,
                 strides=strides, dilations=dilations, padding=padding)
@@ -311,14 +327,11 @@ class InferencePipeline:
 
         shards = split_chunks(inputs.shape[0], self.chunk_size)
 
-        def run_shard(bounds: tuple[int, int]) -> ChunkResult:
+        def run_shard(bounds: tuple[int, int]):
             start, stop = bounds
-            return self.backend.run_chunk(
-                inputs[start:stop], prepared,
-                strides=strides, dilations=dilations, padding=padding,
-                accumulator_bits=self.accumulator_bits,
-                saturate=self.saturate,
-            )
+            return self._run_chunk(
+                inputs[start:stop], prepared, strides, dilations, padding,
+                self.accumulator_bits, self.saturate)
 
         if self.max_workers > 1 and len(shards) > 1:
             workers = min(self.max_workers, len(shards))
@@ -330,11 +343,11 @@ class InferencePipeline:
             workers = 1
             results = [run_shard(bounds) for bounds in shards]
 
-        output = xp.concatenate([result.output for result in results], axis=0)
+        output = xp.concatenate([out for out, _ in results], axis=0)
         filter_cache = _cache_delta(
             self.filter_cache.stats_snapshot(), filters_before)
         report = RunReport(
-            backend=self.backend_name,
+            backend=self.backend,
             lut_name=prepared.lut.name,
             batch=int(inputs.shape[0]),
             chunk_size=self.chunk_size,
@@ -345,11 +358,11 @@ class InferencePipeline:
                 inputs, prepared, output, len(shards),
                 filters_quantized=filter_cache.misses > 0),
         )
-        for result in results:
-            if result.gpu is not None:
+        for _, gpu in results:
+            if gpu is not None:
                 if report.gpu is None:
                     report.gpu = GPUConvRunReport()
-                report.gpu.merge(result.gpu)
+                report.gpu.merge(gpu)
         report.wall_time_s = time.perf_counter() - start_time
         for scope in _SCOPES.get():
             scope.merge(report)
@@ -373,20 +386,19 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    max_workers: int = 1,
                    accumulator_bits: int | None = None,
-                   saturate: bool = False,
-                   report: RunReport | None = None) -> xp.ndarray:
+                   saturate: bool = False) -> xp.ndarray:
     """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library
     name, behavioural model or pre-built LUT) and a backend, get the NHWC
     float output.  Lookup tables and filter banks are cached process-wide,
     so sweeping a batch stream through the same accelerator configuration
-    only pays the setup cost once.  Pass a :class:`RunReport` to receive the
-    unified accounting of the run.
+    only pays the setup cost once.  Open a :func:`collect_reports` scope
+    around the call to receive the unified accounting of the run.
 
     >>> y = emulate_conv2d(x, w, "mul8s_mitchell")            # doctest: +SKIP
-    >>> y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim",
-    ...                    report=my_report)                  # doctest: +SKIP
+    >>> with collect_reports() as report:                     # doctest: +SKIP
+    ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
     """
     pipeline = shared_pipeline(
         backend,
@@ -394,14 +406,11 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
         round_mode=round_mode,
         accumulator_bits=accumulator_bits, saturate=saturate,
     )
-    result = pipeline.run(
+    return pipeline.run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
         input_range=input_range, filter_range=filter_range, qrange=qrange,
-    )
-    if report is not None:
-        report.merge(result.report)
-    return result.output
+    ).output
 
 
 _SHARED_PIPELINES: dict[tuple, InferencePipeline] = {}

@@ -28,7 +28,6 @@ from ..lut.table import LookupTable
 from ..quantization.affine import (
     IntegerRange,
     QuantParams,
-    SIGNED_8BIT,
     compute_coeffs,
 )
 from ..quantization.ranges import TensorRange
@@ -79,14 +78,6 @@ class ApproxConvStats:
             chunks=chunks,
             macs=positions * prepared.depth * prepared.filter_count,
         )
-
-    def merge(self, other: "ApproxConvStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.quantized_values += other.quantized_values
-        self.patch_matrix_bytes += other.patch_matrix_bytes
-        self.output_values += other.output_values
-        self.chunks += other.chunks
-        self.macs += other.macs
 
 
 def resolve_quant_params(values: xp.ndarray | None,
@@ -172,6 +163,8 @@ def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
     """Shape/signedness validation shared by every convolution entry point."""
     if inputs.ndim != 4:
         raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
+    if inputs.size == 0:
+        raise ShapeError(f"inputs must not be empty, got shape {inputs.shape}")
     if filters.ndim != 4:
         raise ShapeError(f"filters must be HWCK (4D), got shape {filters.shape}")
     if inputs.shape[3] != filters.shape[2]:
@@ -204,27 +197,22 @@ def prepare_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
                    filter_range: TensorRange | tuple[float, float] | None = None,
                    qrange: IntegerRange | None = None,
                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   input_params: QuantParams | None = None,
-                   filter_params: QuantParams | None = None) -> PreparedConv:
+                   ) -> PreparedConv:
     """Resolve the quantisation coefficients and quantise the filter bank.
 
     This is the shared front half of Algorithm 1 (``ComputeCoeffs`` plus the
     filter-side quantisation and ``Sf``); the backends only implement the
     per-chunk back half.  When ``qrange`` is omitted it is derived from the
     lookup table's bit width and signedness, which is the only combination
-    the table can serve anyway.  Explicit ``input_params``/``filter_params``
-    bypass range resolution entirely (used by the low-level CPU reference
-    entry point, which receives pre-computed coefficients).
+    the table can serve anyway.
     """
     if qrange is None:
         qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
     validate_conv_operands(inputs, filters, lut, qrange)
     kh, kw, channels, count = filters.shape
 
-    input_q = input_params if input_params is not None else resolve_quant_params(
-        inputs, input_range, qrange, round_mode)
-    filter_q = filter_params if filter_params is not None else resolve_quant_params(
-        filters, filter_range, qrange, round_mode)
+    input_q = resolve_quant_params(inputs, input_range, qrange, round_mode)
+    filter_q = resolve_quant_params(filters, filter_range, qrange, round_mode)
 
     flat_filters, sf = quantize_filter_bank(filters, filter_q)
     return PreparedConv(
@@ -268,12 +256,11 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
-                  qrange: IntegerRange = SIGNED_8BIT,
+                  qrange: IntegerRange | None = None,
                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   accumulator_bits: int | None = None,
-                  saturate: bool = False,
-                  stats: ApproxConvStats | None = None) -> xp.ndarray:
+                  saturate: bool = False) -> xp.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
     Parameters
@@ -293,17 +280,13 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
         the data, as the transformed graph's Min/Max nodes would do.
     qrange:
         Quantised integer range ([-128, 127] for signed multipliers,
-        [0, 255] for unsigned ones).
+        [0, 255] for unsigned ones); derived from the table when omitted.
     round_mode:
         Rounding applied during quantisation.
     chunk_size:
         Number of images converted to the patch matrix at a time.
     accumulator_bits, saturate:
         Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
-    stats:
-        Optional :class:`ApproxConvStats` accumulating the run's operation
-        counts; the filter bank is quantised on every call, so its values
-        are counted.
 
     Returns
     -------
@@ -319,16 +302,11 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     )
 
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------
-    chunks = split_chunks(inputs.shape[0], chunk_size)
-    output = xp.concatenate([
+    return xp.concatenate([
         approx_conv2d_chunk(
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,
             accumulator_bits=accumulator_bits, saturate=saturate,
         )
-        for start, stop in chunks
+        for start, stop in split_chunks(inputs.shape[0], chunk_size)
     ], axis=0)
-    if stats is not None:
-        stats.merge(ApproxConvStats.of_run(
-            inputs, prepared, output, len(chunks), filters_quantized=True))
-    return output

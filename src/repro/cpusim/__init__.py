@@ -1,5 +1,9 @@
-"""CPU emulation baseline (ALWANN-style direct loop) and its timing model."""
+"""CPU emulation baseline: the timing model of the ALWANN-style direct loop.
 
-from .direct import CPUTimingModel, run_direct_reference
+The loop itself is :func:`repro.conv.reference.approx_conv2d_direct`; the
+``cpusim`` backend of :mod:`repro.backends` runs it per chunk.
+"""
 
-__all__ = ["CPUTimingModel", "run_direct_reference"]
+from .direct import CPUTimingModel
+
+__all__ = ["CPUTimingModel"]

@@ -1,7 +1,12 @@
-"""Simulated CUDA device, kernels and the analytical GPU timing model."""
+"""Simulated CUDA device, kernels and the analytical GPU timing model.
+
+:func:`run_gpusim_chunk` runs one chunk of Algorithm 1 on a
+:class:`GPUDevice`; the ``gpusim`` backend of :mod:`repro.backends` drives
+it over a whole batch.
+"""
 
 from .device import DeviceCounters, GPUDevice, KernelLaunch
-from .engine import GPUConvolutionEngine, GPUConvRunReport
+from .engine import GPUConvRunReport, run_gpusim_chunk
 from .kernels import (
     GEMM_TILE,
     IM2COLS_BLOCK_SIZE,
@@ -14,8 +19,8 @@ __all__ = [
     "GPUDevice",
     "DeviceCounters",
     "KernelLaunch",
-    "GPUConvolutionEngine",
     "GPUConvRunReport",
+    "run_gpusim_chunk",
     "GPUTimingModel",
     "PhaseTimes",
     "GEMM_TILE",

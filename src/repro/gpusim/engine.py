@@ -1,12 +1,17 @@
-"""Functional GPU engine: Algorithm 1 executed on the simulated device.
+"""Functional GPU engine: one chunk of Algorithm 1 on the simulated device.
 
-This engine reproduces the structure of the CUDA implementation exactly --
-chunking, the Im2Cols kernel (patch matrix + ``Sp``), the tiled LUT GEMM
-kernel and the Eq. 4 dequantisation -- while recording every launch and all
-memory traffic on the :class:`~repro.gpusim.device.GPUDevice`.  Its numerical
-output is identical to :func:`repro.conv.approx_conv2d.approx_conv2d`, which
-the integration tests verify; its accounting feeds the micro-benchmarks and
-the texture-cache ablation study.
+:func:`run_gpusim_chunk` reproduces the structure of the CUDA
+implementation -- the Im2Cols kernel (patch matrix + ``Sp``), the tiled LUT
+GEMM kernel and the Eq. 4 dequantisation -- while recording every launch
+and all memory traffic on the :class:`~repro.gpusim.device.GPUDevice`.  The
+``gpusim`` backend of :mod:`repro.backends` runs it per chunk (use
+``InferencePipeline("gpusim")`` or ``emulate_conv2d(..., backend="gpusim")``
+and read ``RunReport.gpu``); code that wants the raw ``KernelLaunch``
+records drives it over :func:`repro.conv.approx_conv2d.prepare_conv2d` on
+its own device.  Its numerical output is identical to
+:func:`repro.conv.approx_conv2d.approx_conv2d`, which the parity tests
+verify; its accounting feeds the micro-benchmarks and the texture-cache
+ablation study.
 """
 
 from __future__ import annotations
@@ -14,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import xp
-from ..conv.approx_conv2d import PreparedConv, prepare_conv2d, split_chunks
-from ..errors import ConfigurationError
-from ..lut.table import LookupTable
-from ..quantization.affine import IntegerRange, SIGNED_8BIT
-from ..quantization.ranges import TensorRange
-from ..quantization.rounding import RoundMode
+from ..conv.approx_conv2d import PreparedConv
 from .device import GPUDevice
 from .kernels.gemm_kernel import run_approx_gemm_kernel
 from .kernels.im2cols_kernel import run_im2cols_kernel
@@ -59,9 +59,7 @@ def run_gpusim_chunk(device: GPUDevice, chunk: xp.ndarray,
 
     Launches the Im2Cols and ApproxGEMM kernels for a single chunk of a
     prepared convolution and returns the NHWC output together with a
-    one-chunk :class:`GPUConvRunReport`.  Both the
-    :class:`GPUConvolutionEngine` and the ``gpusim`` backend of
-    :mod:`repro.backends` are thin loops over this function.
+    one-chunk :class:`GPUConvRunReport`.
     """
     im2cols = run_im2cols_kernel(
         device, chunk, prepared.kernel_height, prepared.kernel_width,
@@ -94,44 +92,3 @@ def run_gpusim_chunk(device: GPUDevice, chunk: xp.ndarray,
         }],
     )
     return output, report
-
-
-class GPUConvolutionEngine:
-    """Runs approximate 2D convolutions on a simulated CUDA device."""
-
-    def __init__(self, device: GPUDevice | None = None, *,
-                 chunk_size: int = 32) -> None:
-        if chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
-        self.device = device if device is not None else GPUDevice()
-        self.chunk_size = chunk_size
-
-    def approx_conv2d(self, inputs: xp.ndarray, filters: xp.ndarray,
-                      lut: LookupTable, *, strides=(1, 1), dilations=(1, 1),
-                      padding: str = "SAME",
-                      input_range: TensorRange | tuple[float, float] | None = None,
-                      filter_range: TensorRange | tuple[float, float] | None = None,
-                      qrange: IntegerRange = SIGNED_8BIT,
-                      round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                      report: GPUConvRunReport | None = None) -> xp.ndarray:
-        """Algorithm 1 on the simulated device; returns the NHWC float output."""
-        # ComputeCoeffs + filter quantisation through the shared path.
-        prepared = prepare_conv2d(
-            inputs, filters, lut,
-            input_range=input_range, filter_range=filter_range,
-            qrange=qrange, round_mode=round_mode,
-        )
-
-        report = report if report is not None else GPUConvRunReport()
-        report.lut_name = lut.name
-
-        outputs = []
-        for start, stop in split_chunks(inputs.shape[0], self.chunk_size):
-            output, chunk_report = run_gpusim_chunk(
-                self.device, inputs[start:stop], prepared,
-                strides=strides, dilations=dilations, padding=padding,
-            )
-            outputs.append(output)
-            report.merge(chunk_report)
-
-        return xp.concatenate(outputs, axis=0)

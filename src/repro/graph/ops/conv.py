@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...backends.pipeline import InferencePipeline
+from ...backends.pipeline import InferencePipeline, check_accumulator
 from ...conv.approx_conv2d import DEFAULT_CHUNK_SIZE
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
 from ...lut.table import LookupTable
-from ...quantization.affine import IntegerRange, SIGNED_8BIT
+from ...quantization.affine import IntegerRange
 from ...quantization.rounding import RoundMode
 from ..node import Node, OpContext
 
@@ -97,7 +97,7 @@ class AxConv2D(Node):
                  filter_min: Node, filter_max: Node, *,
                  lut: LookupTable, strides=(1, 1), dilations=(1, 1),
                  padding: str = "SAME",
-                 qrange: IntegerRange = SIGNED_8BIT,
+                 qrange: IntegerRange | None = None,
                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  accumulator_bits: int | None = None,
@@ -106,6 +106,8 @@ class AxConv2D(Node):
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
             raise ConfigurationError("AxConv2D requires a LookupTable instance")
+        if qrange is None:
+            qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
         if qrange.signed != lut.signed:
             raise ConfigurationError(
                 "the quantised range signedness must match the lookup table"
@@ -166,6 +168,7 @@ class AxConv2D(Node):
 
     @accumulator_bits.setter
     def accumulator_bits(self, value: int | None) -> None:
+        check_accumulator(self.pipeline.backend, value, self.pipeline.saturate)
         self.pipeline.accumulator_bits = value
 
     def compute(self, inputs: list[np.ndarray]) -> np.ndarray:

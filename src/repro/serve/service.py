@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ServeError, TFApproxError
+from ..errors import ConfigurationError, ServeError, TFApproxError
 from ..evaluation.latency import LatencyStats
 from ..quantization.rounding import RoundMode
 from .batcher import Batch, Batcher
@@ -65,6 +65,13 @@ class ServiceConfig:
             raise ServeError("workers must be positive")
         if self.chunk_size <= 0:
             raise ServeError("chunk_size must be positive")
+        if not self.range_margin >= 0:
+            raise ServeError("range_margin must be non-negative")
+        try:
+            mode = RoundMode.from_any(self.round_mode)
+        except ConfigurationError as exc:
+            raise ServeError(str(exc)) from exc
+        object.__setattr__(self, "round_mode", mode)
 
 
 @dataclass

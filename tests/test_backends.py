@@ -17,17 +17,17 @@ from repro.backends import (
     FilterBankCache,
     InferencePipeline,
     LUTCache,
-    RunReport,
     available_backends,
     clear_caches,
     collect_reports,
     emulate_conv2d,
     get_backend,
 )
-from repro.conv import ApproxConvStats, approx_conv2d, prepare_conv2d
+from repro.conv import ApproxConvStats, approx_conv2d
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul, lut_matmul_blocked
-from repro.errors import ConfigurationError, QuantizationError, RegistryError
+from repro.errors import (
+    ConfigurationError, QuantizationError, RegistryError, ShapeError)
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
@@ -334,12 +334,12 @@ class TestCaches:
         rng = np.random.default_rng(9)
         inputs = rng.normal(size=(1, 4, 4, 1))
         filters = rng.normal(size=(3, 3, 1, 1))
-        report = RunReport()
-        emulate_conv2d(inputs, filters, "mul8u_loa4", report=report)
+        with collect_reports() as report:
+            emulate_conv2d(inputs, filters, "mul8u_loa4")
         assert report.lut_cache.misses == 1
         clear_caches()
-        report2 = RunReport()
-        emulate_conv2d(inputs, filters, "mul8u_loa4", report=report2)
+        with collect_reports() as report2:
+            emulate_conv2d(inputs, filters, "mul8u_loa4")
         assert report2.lut_cache.misses == 1
 
 
@@ -348,9 +348,9 @@ class TestRunReport:
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(3, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
-        report = RunReport()
-        emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim",
-                       chunk_size=2, report=report)
+        with collect_reports() as report:
+            emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim",
+                           chunk_size=2)
         assert report.gpu is not None
         assert report.gpu.chunks == 2
         assert report.gpu.kernel_launches == 4      # im2cols + gemm per chunk
@@ -362,9 +362,8 @@ class TestRunReport:
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(2, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
-        report = RunReport()
-        emulate_conv2d(inputs, filters, "mul8s_exact", chunk_size=1,
-                       report=report)
+        with collect_reports() as report:
+            emulate_conv2d(inputs, filters, "mul8s_exact", chunk_size=1)
         assert report.gpu is None
         positions = 2 * 5 * 5
         assert report.stats.macs == positions * 3 * 3 * 2 * 3
@@ -375,22 +374,25 @@ class TestRunReport:
     def test_stats_identical_across_backends(self):
         """Operation counts depend on geometry, not on the executing engine.
 
-        On cold caches every backend quantises inputs and filters, exactly
-        as the uncached ``approx_conv2d`` does; a warm repeat finds the
-        filter bank cached and quantises the inputs only.
+        On cold caches every backend quantises inputs and filters; a warm
+        repeat finds the filter bank cached and quantises the inputs only.
         """
         inputs, filters, strides, padding = _case(SHAPES[0])
-        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
-        reference = ApproxConvStats()
-        approx_conv2d(inputs, filters, lut, strides=strides, padding=padding,
-                      stats=reference)
-        assert reference.quantized_values == inputs.size + filters.size
+        positions, depth, count = 5 * 5, 3 * 3 * 2, 3
+        reference = ApproxConvStats(
+            quantized_values=inputs.size + filters.size,
+            patch_matrix_bytes=positions * depth,
+            output_values=positions * count,
+            chunks=1,
+            macs=positions * depth * count,
+        )
         for name in ("numpy", "cpusim", "gpusim"):
             clear_caches()
-            cold, warm = RunReport(), RunReport()
-            for report in (cold, warm):
-                emulate_conv2d(inputs, filters, "mul8s_exact", backend=name,
-                               strides=strides, padding=padding, report=report)
+            cold, warm = [
+                InferencePipeline(name).run(
+                    inputs, filters, "mul8s_exact",
+                    strides=strides, padding=padding).report
+                for _ in range(2)]
             assert cold.stats == reference, name
             assert warm.stats == dataclasses.replace(
                 reference, quantized_values=inputs.size), name
@@ -409,9 +411,9 @@ class TestRunReport:
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(2, 4, 4, 1))
         filters = rng.normal(size=(3, 3, 1, 2))
-        total = RunReport()
-        for _ in range(3):
-            emulate_conv2d(inputs, filters, "mul8s_exact", report=total)
+        with collect_reports() as total:
+            for _ in range(3):
+                emulate_conv2d(inputs, filters, "mul8s_exact")
         assert total.batch == 6
         assert total.stats.chunks == 3
 
@@ -479,9 +481,18 @@ class TestPipelineConfiguration:
                              accumulator_bits=16, saturate=True)
         assert out.shape == (1, 4, 4, 1)
         for name in ("cpusim", "gpusim"):
-            with pytest.raises(RegistryError, match="accumulator"):
+            with pytest.raises(ConfigurationError, match="accumulator"):
+                InferencePipeline(name, accumulator_bits=16)
+            with pytest.raises(ConfigurationError, match="accumulator"):
+                InferencePipeline(name, saturate=True)
+            with pytest.raises(ConfigurationError, match="accumulator"):
                 emulate_conv2d(inputs, filters, "mul8s_exact", backend=name,
                                accumulator_bits=16)
+
+    @pytest.mark.parametrize("bits", [4, 7, 65])
+    def test_accumulator_width_checked_at_construction(self, bits):
+        with pytest.raises(ConfigurationError, match=r"\[8, 64\]"):
+            InferencePipeline("numpy", accumulator_bits=bits)
 
     def test_qrange_derived_from_lut_signedness(self):
         rng = np.random.default_rng(8)
@@ -490,6 +501,49 @@ class TestPipelineConfiguration:
         # Unsigned multiplier: no explicit qrange needed.
         out = emulate_conv2d(inputs, filters, "mul8u_drum4")
         assert out.shape == (1, 5, 5, 2)
+
+    def test_approx_conv2d_and_axconv2d_derive_qrange_too(self):
+        rng = np.random.default_rng(8)
+        inputs = np.abs(rng.normal(size=(2, 5, 5, 1)))
+        filters = np.abs(rng.normal(size=(3, 3, 1, 2)))
+        lut = LookupTable.from_multiplier(library.create("mul8u_drum4"))
+        expected = emulate_conv2d(inputs, filters, "mul8u_drum4")
+        assert np.array_equal(approx_conv2d(inputs, filters, lut), expected)
+        graph = Graph("unsigned")
+        operands = [Constant(graph, value) for value in (
+            inputs, filters, inputs.min(), inputs.max(),
+            filters.min(), filters.max())]
+        node = AxConv2D(graph, *operands, lut=lut)
+        assert node.qrange.signed is False
+        np.testing.assert_array_equal(
+            node.compute([op.value for op in operands]),
+            approx_conv2d(inputs, filters, lut,
+                          input_range=(inputs.min(), inputs.max()),
+                          filter_range=(filters.min(), filters.max())))
+
+    @pytest.mark.parametrize("engine", ["numpy", "cpusim", "gpusim",
+                                        "approx_conv2d"])
+    @pytest.mark.parametrize("input_range", [None, (-1.0, 1.0)])
+    def test_zero_image_batch_raises_shape_error(self, engine, input_range):
+        inputs = np.zeros((0, 4, 4, 1))
+        filters = np.ones((3, 3, 1, 1))
+        with pytest.raises(ShapeError, match="empty"):
+            if engine == "approx_conv2d":
+                lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+                approx_conv2d(inputs, filters, lut, input_range=input_range)
+            else:
+                emulate_conv2d(inputs, filters, "mul8s_exact", backend=engine,
+                               input_range=input_range)
+
+    def test_axconv2d_accumulator_setter_checks_the_backend(self):
+        graph = Graph("acc")
+        operands = [Constant(graph, np.ones(shape)) for shape in
+                    ((1, 4, 4, 1), (3, 3, 1, 1), (), (), (), ())]
+        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+        node = AxConv2D(graph, *operands, lut=lut, backend="gpusim")
+        with pytest.raises(ConfigurationError, match="accumulator"):
+            node.accumulator_bits = 32
+        assert node.accumulator_bits is None
 
 
 class TestAxConv2DIntegration:

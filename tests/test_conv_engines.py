@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends import InferencePipeline
 from repro.conv import (
-    ApproxConvStats,
     approx_conv2d,
     approx_conv2d_direct,
     approx_gemm,
@@ -182,8 +182,8 @@ class TestApproxConv2D:
 
     def test_stats_counters(self, small_conv_case, exact_lut_signed):
         inputs, filters = small_conv_case
-        stats = ApproxConvStats()
-        approx_conv2d(inputs, filters, exact_lut_signed, chunk_size=1, stats=stats)
+        stats = InferencePipeline("numpy", chunk_size=1).run(
+            inputs, filters, exact_lut_signed).report.stats
         positions = 2 * 9 * 9
         expected_lookups = positions * 27 * 4
         assert stats.macs == expected_lookups

@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conv import approx_conv2d
+from repro.backends import InferencePipeline
+from repro.conv import approx_conv2d, prepare_conv2d
 from repro.errors import ConfigurationError, DeviceError
 from repro.gpusim import (
-    GPUConvolutionEngine,
     GPUConvRunReport,
     GPUDevice,
     GPUTimingModel,
     PhaseTimes,
     run_approx_gemm_kernel,
+    run_gpusim_chunk,
     run_im2cols_kernel,
 )
 from repro.hwspec import GPUSpec
@@ -105,30 +106,44 @@ class TestKernels:
 
 class TestGPUEngine:
     def test_engine_matches_numpy_reference(self, rng, mitchell_lut_signed):
-        engine = GPUConvolutionEngine(chunk_size=2)
+        pipeline = InferencePipeline("gpusim", chunk_size=2)
         inputs = rng.normal(size=(5, 7, 7, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
-        report = GPUConvRunReport()
-        gpu_out = engine.approx_conv2d(inputs, filters, mitchell_lut_signed,
-                                       report=report)
+        result = pipeline.run(inputs, filters, mitchell_lut_signed)
+        report = result.report.gpu
         ref = approx_conv2d(inputs, filters, mitchell_lut_signed, chunk_size=2)
-        np.testing.assert_allclose(gpu_out, ref, atol=1e-9)
+        np.testing.assert_allclose(result.output, ref, atol=1e-9)
         assert report.chunks == 3
         assert report.kernel_launches == 6
         assert report.lut_name == mitchell_lut_signed.name
 
+    def test_chunk_on_own_device_records_launches(self, rng,
+                                                  mitchell_lut_signed):
+        device = GPUDevice()
+        inputs = rng.normal(size=(2, 5, 5, 2))
+        filters = rng.normal(size=(3, 3, 2, 3))
+        prepared = prepare_conv2d(inputs, filters, mitchell_lut_signed)
+        output, report = run_gpusim_chunk(device, inputs, prepared)
+        np.testing.assert_array_equal(
+            output, approx_conv2d(inputs, filters, mitchell_lut_signed))
+        assert isinstance(report, GPUConvRunReport)
+        assert [launch.name for launch in device.counters.launches] == [
+            "ax_im2cols", "ax_gemm"]
+        assert device.counters.texture_fetches == report.texture_fetches
+
     def test_engine_validation(self, rng, exact_lut_unsigned):
-        engine = GPUConvolutionEngine()
         from repro.errors import ShapeError
+        from repro.quantization import SIGNED_8BIT
+        pipeline = InferencePipeline("gpusim")
         with pytest.raises(ShapeError):
-            engine.approx_conv2d(np.zeros((1, 4, 4)), np.zeros((3, 3, 1, 1)),
-                                 exact_lut_unsigned)
+            pipeline.run(np.zeros((1, 4, 4)), np.zeros((3, 3, 1, 1)),
+                         exact_lut_unsigned)
         with pytest.raises(ConfigurationError):
-            GPUConvolutionEngine(chunk_size=0)
+            InferencePipeline("gpusim", chunk_size=0)
         with pytest.raises(ConfigurationError):
-            engine.approx_conv2d(rng.normal(size=(1, 4, 4, 1)),
-                                 rng.normal(size=(3, 3, 1, 1)),
-                                 exact_lut_unsigned)  # signed default range
+            pipeline.run(rng.normal(size=(1, 4, 4, 1)),
+                         rng.normal(size=(3, 3, 1, 1)),
+                         exact_lut_unsigned, qrange=SIGNED_8BIT)
 
 
 class TestGPUTimingModel:

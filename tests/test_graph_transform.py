@@ -24,7 +24,7 @@ from repro.graph.ops import (
 )
 from repro.lut import LookupTable
 from repro.multipliers import ExactMultiplier, library
-from repro.quantization import UNSIGNED_8BIT
+from repro.quantization import SIGNED_8BIT, UNSIGNED_8BIT
 
 
 def build_two_layer_graph(rng):
@@ -151,7 +151,8 @@ class TestAxConv2DNode:
         maxs = Constant(g, 1.0)
         lut = LookupTable.from_multiplier(library.create("mul8u_exact"))
         with pytest.raises(ConfigurationError):
-            AxConv2D(g, x, w, mins, maxs, mins, maxs, lut=lut)
+            AxConv2D(g, x, w, mins, maxs, mins, maxs, lut=lut,
+                     qrange=SIGNED_8BIT)
 
 
 class TestDeadNodeRemoval:

@@ -17,8 +17,10 @@ from repro.evaluation import (
     prediction_agreement,
     run_inference,
 )
+from repro.backends import InferencePipeline
+from repro.conv import prepare_conv2d
 from repro.graph import Executor, approximate_graph
-from repro.gpusim import GPUConvolutionEngine
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.lut import LookupTable
 from repro.models import build_resnet, build_simple_cnn, calibrate_classifier
 from repro.multipliers import library
@@ -102,8 +104,8 @@ class TestGPUDeviceEndToEnd:
         inputs = rng.normal(size=(4, 8, 8, 3))
         filters = rng.normal(size=(3, 3, 3, 8))
 
-        engine = GPUConvolutionEngine(chunk_size=2)
-        gpu_out = engine.approx_conv2d(inputs, filters, lut)
+        gpu_out = InferencePipeline("gpusim", chunk_size=2).run(
+            inputs, filters, lut).output
 
         from repro.graph import Graph
         from repro.graph.ops import AxConv2D, Constant, Placeholder, ReduceMax, ReduceMin
@@ -118,15 +120,15 @@ class TestGPUDeviceEndToEnd:
 
     def test_device_counters_scale_with_work(self, rng):
         lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
-        engine = GPUConvolutionEngine(chunk_size=4)
+        device = GPUDevice()
         small = rng.normal(size=(2, 6, 6, 2))
         large = rng.normal(size=(4, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
-        engine.approx_conv2d(small, filters, lut)
-        fetches_small = engine.device.counters.texture_fetches
-        engine.device.counters.reset()
-        engine.approx_conv2d(large, filters, lut)
-        fetches_large = engine.device.counters.texture_fetches
+        run_gpusim_chunk(device, small, prepare_conv2d(small, filters, lut))
+        fetches_small = device.counters.texture_fetches
+        device.counters.reset()
+        run_gpusim_chunk(device, large, prepare_conv2d(large, filters, lut))
+        fetches_large = device.counters.texture_fetches
         assert fetches_large == 2 * fetches_small
 
 

@@ -428,6 +428,23 @@ class TestWarmupAndTelemetry:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("field, value, match", [
+        ("range_margin", -1.0, "range_margin"),
+        ("range_margin", float("nan"), "range_margin"),
+        ("round_mode", "bogus", "round mode"),
+        ("workers", 0, "workers"),
+        ("chunk_size", 0, "chunk_size"),
+    ])
+    def test_config_checks_its_own_fields(self, field, value, match):
+        with pytest.raises(ServeError, match=match):
+            ServiceConfig(**{field: value})
+
+    def test_config_parses_round_mode(self):
+        from repro.quantization.rounding import RoundMode
+
+        config = ServiceConfig(round_mode="half_to_even")
+        assert config.round_mode is RoundMode.HALF_TO_EVEN
+
     def test_unknown_model_rejected_at_submit(self):
         service = make_service()
         with pytest.raises(ServeError, match="not registered"):
