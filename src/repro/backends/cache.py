@@ -33,7 +33,8 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
-from .. import xp
+import numpy as np
+
 from ..conv import gemm
 from ..conv.gemm import RowTable, choose_gemm_kernel
 from ..errors import ConfigurationError
@@ -255,8 +256,8 @@ class PreparedFilterBank:
     """
 
     filter_q: QuantParams
-    flat_filters: xp.ndarray
-    filter_sums: xp.ndarray
+    flat_filters: np.ndarray
+    filter_sums: np.ndarray
     key: tuple = field(default=(), compare=False, repr=False)
 
 
@@ -269,7 +270,7 @@ def _immutable(array) -> bool:
     ``None``) can be made writeable again with ``setflags``; a chain that
     ends in another buffer (``bytearray``, ``mmap``) does not count either.
     """
-    while isinstance(array, xp.ndarray):
+    while isinstance(array, np.ndarray):
         if array.flags.writeable:
             return False
         array = array.base
@@ -307,16 +308,16 @@ class FilterBankCache(_BoundedCache):
         self._table_bytes = 0
 
     @staticmethod
-    def content_digest(filters: xp.ndarray) -> str:
+    def content_digest(filters: np.ndarray) -> str:
         """Digest identifying a filter tensor's contents in the cache keys.
 
         The trainer records this before an optimiser step so it can
         :meth:`invalidate` every bank derived from the superseded weights.
         """
-        data = xp.ascontiguousarray(filters)
+        data = np.ascontiguousarray(filters)
         return hashlib.sha1(data.tobytes()).hexdigest()
 
-    def _digest(self, data: xp.ndarray) -> str:
+    def _digest(self, data: np.ndarray) -> str:
         """:meth:`content_digest`, hashed once per immutable array."""
         if not _immutable(data):
             return self.content_digest(data)
@@ -333,13 +334,13 @@ class FilterBankCache(_BoundedCache):
                 self._digests.popitem(last=False)
         return digest
 
-    def resolve(self, filters: xp.ndarray, *,
+    def resolve(self, filters: np.ndarray, *,
                 qrange: IntegerRange,
                 round_mode: RoundMode,
                 filter_range: TensorRange | tuple[float, float] | None,
                 build) -> PreparedFilterBank:
         """Return the prepared bank for ``filters``, building it on a miss."""
-        data = xp.ascontiguousarray(filters)
+        data = np.ascontiguousarray(filters)
         key = (
             self._digest(data), data.shape, str(data.dtype),
             (qrange.qmin, qrange.qmax), RoundMode.from_any(round_mode),

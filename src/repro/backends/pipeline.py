@@ -37,7 +37,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 
-from .. import xp
+import numpy as np
+
 from ..conv.approx_conv2d import (
     DEFAULT_CHUNK_SIZE,
     ApproxConvStats,
@@ -163,7 +164,7 @@ def collect_reports() -> Iterator[RunReport]:
 class RunResult:
     """Output tensor plus the :class:`RunReport` of one pipeline run."""
 
-    output: xp.ndarray
+    output: np.ndarray
     report: RunReport
 
 
@@ -248,7 +249,7 @@ class InferencePipeline:
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
 
     # ------------------------------------------------------------------
-    def prepare(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def prepare(self, inputs: np.ndarray, filters: np.ndarray,
                 multiplier: str | Multiplier | LookupTable | None = None, *,
                 strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                 input_range: TensorRange | tuple[float, float] | None = None,
@@ -308,7 +309,7 @@ class InferencePipeline:
         )
 
     # ------------------------------------------------------------------
-    def run(self, inputs: xp.ndarray, filters: xp.ndarray,
+    def run(self, inputs: np.ndarray, filters: np.ndarray,
             multiplier: str | Multiplier | LookupTable | None = None, *,
             strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
             input_range: TensorRange | tuple[float, float] | None = None,
@@ -343,7 +344,7 @@ class InferencePipeline:
             workers = 1
             results = [run_shard(bounds) for bounds in shards]
 
-        output = xp.concatenate([out for out, _ in results], axis=0)
+        output = np.concatenate([out for out, _ in results], axis=0)
         filter_cache = _cache_delta(
             self.filter_cache.stats_snapshot(), filters_before)
         report = RunReport(
@@ -368,14 +369,8 @@ class InferencePipeline:
             scope.merge(report)
         return RunResult(output=output, report=report)
 
-    def conv2d(self, inputs: xp.ndarray, filters: xp.ndarray,
-               multiplier: str | Multiplier | LookupTable | None = None,
-               **kwargs) -> xp.ndarray:
-        """:meth:`run` without the report, for drop-in use."""
-        return self.run(inputs, filters, multiplier, **kwargs).output
 
-
-def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
+def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    multiplier: str | Multiplier | LookupTable, *,
                    backend: str = "numpy",
                    strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
@@ -386,7 +381,7 @@ def emulate_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    max_workers: int = 1,
                    accumulator_bits: int | None = None,
-                   saturate: bool = False) -> xp.ndarray:
+                   saturate: bool = False) -> np.ndarray:
     """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library

@@ -30,17 +30,18 @@ them.
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..conv.approx_conv2d import PreparedConv, approx_conv2d_chunk
 from ..conv.reference import approx_conv2d_direct_quantized
 from ..errors import RegistryError
 from ..gpusim.device import GPUDevice
 from ..gpusim.engine import GPUConvRunReport, run_gpusim_chunk
 
-ChunkOutput = tuple[xp.ndarray, GPUConvRunReport | None]
+ChunkOutput = tuple[np.ndarray, GPUConvRunReport | None]
 
 
-def _numpy_chunk(chunk: xp.ndarray, prepared: PreparedConv, strides,
+def _numpy_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
                  dilations, padding: str, accumulator_bits: int | None,
                  saturate: bool) -> ChunkOutput:
     return approx_conv2d_chunk(
@@ -49,7 +50,7 @@ def _numpy_chunk(chunk: xp.ndarray, prepared: PreparedConv, strides,
     ), None
 
 
-def _cpusim_chunk(chunk: xp.ndarray, prepared: PreparedConv, strides,
+def _cpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
                   dilations, padding: str, accumulator_bits: None,
                   saturate: bool) -> ChunkOutput:
     return approx_conv2d_direct_quantized(
@@ -59,7 +60,7 @@ def _cpusim_chunk(chunk: xp.ndarray, prepared: PreparedConv, strides,
     ), None
 
 
-def _gpusim_chunk(chunk: xp.ndarray, prepared: PreparedConv, strides,
+def _gpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
                   dilations, padding: str, accumulator_bits: None,
                   saturate: bool) -> ChunkOutput:
     # A fresh device per chunk: a shared one would keep every

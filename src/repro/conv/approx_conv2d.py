@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError, ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import (
@@ -58,8 +59,8 @@ class ApproxConvStats:
     macs: int = 0
 
     @classmethod
-    def of_run(cls, inputs: xp.ndarray, prepared: "PreparedConv",
-               output: xp.ndarray, chunks: int,
+    def of_run(cls, inputs: np.ndarray, prepared: "PreparedConv",
+               output: np.ndarray, chunks: int,
                filters_quantized: bool) -> "ApproxConvStats":
         """Counts of one run of ``prepared`` over ``inputs``.
 
@@ -80,7 +81,7 @@ class ApproxConvStats:
         )
 
 
-def resolve_quant_params(values: xp.ndarray | None,
+def resolve_quant_params(values: np.ndarray | None,
                          value_range: TensorRange | tuple[float, float] | None,
                          qrange: IntegerRange,
                          round_mode: RoundMode | str) -> QuantParams:
@@ -133,8 +134,8 @@ class PreparedConv:
     lut: LookupTable
     input_q: QuantParams
     filter_q: QuantParams
-    flat_filters: xp.ndarray      #: quantised ``[K, F]`` int64 filter matrix
-    filter_sums: xp.ndarray       #: per-filter sums ``Sf`` (third sum of Eq. 4)
+    flat_filters: np.ndarray      #: quantised ``[K, F]`` int64 filter matrix
+    filter_sums: np.ndarray       #: per-filter sums ``Sf`` (third sum of Eq. 4)
     kernel_height: int
     kernel_width: int
     channels: int
@@ -146,7 +147,7 @@ class PreparedConv:
         """Accumulation depth ``N = kh * kw * channels`` of Eq. 4."""
         return self.kernel_height * self.kernel_width * self.channels
 
-    def quantized_filters_hwck(self) -> xp.ndarray:
+    def quantized_filters_hwck(self) -> np.ndarray:
         """Reshape the flat filter matrix back to the HWCK layout.
 
         ``flatten_filters`` is a pure reshape, so the round trip is exact;
@@ -158,7 +159,7 @@ class PreparedConv:
         )
 
 
-def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
+def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray,
                            lut: LookupTable, qrange: IntegerRange) -> None:
     """Shape/signedness validation shared by every convolution entry point."""
     if inputs.ndim != 4:
@@ -167,6 +168,8 @@ def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
         raise ShapeError(f"inputs must not be empty, got shape {inputs.shape}")
     if filters.ndim != 4:
         raise ShapeError(f"filters must be HWCK (4D), got shape {filters.shape}")
+    if filters.size == 0:
+        raise ShapeError(f"filters must not be empty, got shape {filters.shape}")
     if inputs.shape[3] != filters.shape[2]:
         raise ShapeError(
             f"channel mismatch: inputs have {inputs.shape[3]} channels, "
@@ -179,8 +182,8 @@ def validate_conv_operands(inputs: xp.ndarray, filters: xp.ndarray,
         )
 
 
-def quantize_filter_bank(filters: xp.ndarray, filter_q: QuantParams,
-                         ) -> tuple[xp.ndarray, xp.ndarray]:
+def quantize_filter_bank(filters: np.ndarray, filter_q: QuantParams,
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Quantise and flatten an HWCK filter bank and compute its sums ``Sf``.
 
     The one place the filter-side body of Algorithm 1 lives:
@@ -188,11 +191,11 @@ def quantize_filter_bank(filters: xp.ndarray, filter_q: QuantParams,
     :mod:`repro.backends` both call it, so the cached and uncached paths
     cannot drift apart numerically.
     """
-    flat = flatten_filters(filter_q.quantize(filters).astype(xp.int64))
+    flat = flatten_filters(filter_q.quantize(filters).astype(np.int64))
     return flat, filter_sums(flat)
 
 
-def prepare_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
+def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
                    qrange: IntegerRange | None = None,
@@ -223,11 +226,11 @@ def prepare_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     )
 
 
-def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
+def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
                         strides=(1, 1), dilations=(1, 1),
                         padding: str = "SAME",
                         accumulator_bits: int | None = None,
-                        saturate: bool = False) -> xp.ndarray:
+                        saturate: bool = False) -> np.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
@@ -252,7 +255,7 @@ def approx_conv2d_chunk(chunk: xp.ndarray, prepared: PreparedConv, *,
     )
 
 
-def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
+def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
@@ -260,7 +263,7 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                   chunk_size: int = DEFAULT_CHUNK_SIZE,
                   accumulator_bits: int | None = None,
-                  saturate: bool = False) -> xp.ndarray:
+                  saturate: bool = False) -> np.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
     Parameters
@@ -302,7 +305,7 @@ def approx_conv2d(inputs: xp.ndarray, filters: xp.ndarray, lut: LookupTable, *,
     )
 
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------
-    return xp.concatenate([
+    return np.concatenate([
         approx_conv2d_chunk(
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,

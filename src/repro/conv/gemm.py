@@ -85,7 +85,8 @@ results, which the cross-kernel parity grid in the test-suite checks.
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError, RegistryError, ShapeError, TruthTableError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
@@ -116,10 +117,10 @@ FACTORED_PANEL_BYTES = 1 << 18
 ROWGATHER_MIN_ROWS_PER_LEVEL = 2
 
 
-def gemm_float(a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
+def gemm_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain float matrix multiplication with shape validation."""
-    a = xp.asarray(a, dtype=xp.float64)
-    b = xp.asarray(b, dtype=xp.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError("gemm_float expects two 2D matrices")
     if a.shape[1] != b.shape[0]:
@@ -141,11 +142,11 @@ def flat_index_dtype(bit_width: int):
     """
     if bit_width < 2 or bit_width > 16:
         raise ConfigurationError(f"bit width {bit_width} outside [2, 16]")
-    return xp.int32 if 2 * bit_width <= 31 else xp.int64
+    return np.int32 if 2 * bit_width <= 31 else np.int64
 
 
-def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
-                      saturate: bool) -> xp.ndarray:
+def _wrap_accumulator(values: np.ndarray, accumulator_bits: int | None,
+                      saturate: bool) -> np.ndarray:
     """Model a finite-width MAC accumulator.
 
     The paper's accelerator uses a 32-bit accumulator behind the 8-bit
@@ -158,13 +159,13 @@ def _wrap_accumulator(values: xp.ndarray, accumulator_bits: int | None,
     if accumulator_bits is None:
         return values
     if saturate:
-        return xp.clip(values, -(1 << (accumulator_bits - 1)),
+        return np.clip(values, -(1 << (accumulator_bits - 1)),
                        (1 << (accumulator_bits - 1)) - 1)
     shift = 64 - accumulator_bits
     return (values << shift) >> shift
 
 
-def _integer_operand(values, lut: LookupTable) -> xp.ndarray:
+def _integer_operand(values, lut: LookupTable) -> np.ndarray:
     """One ``lut_matmul`` operand as an integer array the table can address.
 
     Integer arrays of any width pass through without a copy.  Booleans, and
@@ -175,14 +176,14 @@ def _integer_operand(values, lut: LookupTable) -> xp.ndarray:
     """
     kind = values.dtype.kind
     if kind not in "iub" and not (kind == "f"
-                                  and xp.all(xp.isfinite(values))
-                                  and xp.all(values == xp.trunc(values))):
+                                  and np.all(np.isfinite(values))
+                                  and np.all(values == np.trunc(values))):
         raise TruthTableError(
             f"lut_matmul operands must be integers; got non-integral "
             f"{values.dtype} values"
         )
     lut.check_operands(values)
-    return values if kind in "iu" else values.astype(xp.int64)
+    return values if kind in "iu" else values.astype(np.int64)
 
 
 def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
@@ -195,8 +196,8 @@ def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
     if table is not None and table.lut is not lut:
         raise ConfigurationError(
             f"row table was built for {table.lut.name!r}, not {lut.name!r}")
-    patches = xp.asarray(patches)
-    filters = table.filters if table is not None else xp.asarray(filters)
+    patches = np.asarray(patches)
+    filters = table.filters if table is not None else np.asarray(filters)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("lut_matmul expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
@@ -215,18 +216,18 @@ def _panel_sum_dtype(storage, panel_k: int):
     for 16-bit storage (8-bit tables) at the panel depths the byte budget
     allows.  32-bit storage (wider tables) sums in int64.
     """
-    info = xp.iinfo(storage)
+    info = np.iinfo(storage)
     if info.bits <= 16 and panel_k * max(-info.min, info.max) < 1 << 31:
-        return xp.int32
-    return xp.int64
+        return np.int32
+    return np.int64
 
 
-def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
+def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
                        lut: LookupTable, *,
                        block_rows: int = DEFAULT_BLOCK_ROWS,
                        block_k: int = DEFAULT_BLOCK_K,
                        accumulator_bits: int | None = None,
-                       saturate: bool = False) -> xp.ndarray:
+                       saturate: bool = False) -> np.ndarray:
     """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
 
     ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
@@ -268,10 +269,10 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     patch_bits = (patches.T.astype(idx_dtype, order="C") & mask) << lut.bit_width
     filter_bits = filters.astype(idx_dtype) & mask
 
-    result = xp.zeros((num_patches, num_filters), dtype=xp.int64)
+    result = np.zeros((num_patches, num_filters), dtype=np.int64)
     for r0 in range(0, num_patches, block_rows):
         r1 = min(r0 + block_rows, num_patches)
-        acc = xp.zeros((r1 - r0, num_filters), dtype=xp.int64)
+        acc = np.zeros((r1 - r0, num_filters), dtype=np.int64)
         for k0 in range(0, depth, block_k):
             k1 = min(k0 + block_k, depth)
             idx = patch_bits[k0:k1, r0:r1, None] | filter_bits[k0:k1, None, :]
@@ -280,8 +281,16 @@ def lut_matmul_blocked(patches: xp.ndarray, filters: xp.ndarray,
     return result
 
 
-def _fill_rows(out: xp.ndarray, filter_bits: xp.ndarray,
-               by_weight: xp.ndarray) -> xp.ndarray:
+def _by_weight(lut: LookupTable) -> np.ndarray:
+    """``by_weight[w, v] = LUT[v, w]``: the table transposed so that each
+    filter operand ``w`` owns one contiguous row, as :func:`_fill_rows`
+    reads it."""
+    levels = 1 << lut.bit_width
+    return np.ascontiguousarray(lut.flat.reshape(levels, levels).T)
+
+
+def _fill_rows(out: np.ndarray, filter_bits: np.ndarray,
+               by_weight: np.ndarray) -> np.ndarray:
     """Write ``out[k * 2**n + v, f] = LUT[v, filter_bits[k, f]]`` in place.
 
     ``by_weight[w, v] = LUT[v, w]`` holds one contiguous row per filter
@@ -296,12 +305,12 @@ def _fill_rows(out: xp.ndarray, filter_bits: xp.ndarray,
     for k0 in range(0, depth, group):
         k1 = min(k0 + group, depth)
         panel = by_weight.take(filter_bits[k0:k1], axis=0)     # [k, F, v]
-        xp.copyto(out[k0 * levels:k1 * levels].reshape(
+        np.copyto(out[k0 * levels:k1 * levels].reshape(
             k1 - k0, levels, num_filters), panel.transpose(0, 2, 1))
     return out
 
 
-def _gather_rows(acc: xp.ndarray, patches: xp.ndarray, rows: xp.ndarray,
+def _gather_rows(acc: np.ndarray, patches: np.ndarray, rows: np.ndarray,
                  k0: int, k1: int, *, levels: int, block_rows: int,
                  partial_dtype) -> None:
     """``acc += sum_k rows[bits(patches[:, k]) + (k - k0) * 2**n]`` over one
@@ -310,10 +319,10 @@ def _gather_rows(acc: xp.ndarray, patches: xp.ndarray, rows: xp.ndarray,
     The one gather loop of ``rowgather``, whether its table was built for
     this call or cached with the filter bank.
     """
-    offsets = xp.arange(0, (k1 - k0) * levels, levels)[:, None]
+    offsets = np.arange(0, (k1 - k0) * levels, levels)[:, None]
     for r0 in range(0, len(acc), block_rows):
         r1 = min(r0 + block_rows, len(acc))
-        index = patches[r0:r1, k0:k1].T.astype(xp.intp, order="C")
+        index = patches[r0:r1, k0:k1].T.astype(np.intp, order="C")
         index &= levels - 1
         index += offsets                                      # [k, rows]
         acc[r0:r1] += rows.take(index, axis=0).sum(axis=0, dtype=partial_dtype)
@@ -334,16 +343,16 @@ class RowTable:
     """
 
     def __init__(self, filters, lut: LookupTable) -> None:
-        filters = _integer_operand(xp.asarray(filters), lut)
+        filters = _integer_operand(np.asarray(filters), lut)
         if filters.ndim != 2:
             raise ShapeError("a row table is built from a 2D filter matrix")
         levels = 1 << lut.bit_width
-        by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
-        rows = xp.empty((filters.shape[0] * levels, filters.shape[1]),
+        by_weight = _by_weight(lut)
+        rows = np.empty((filters.shape[0] * levels, filters.shape[1]),
                         dtype=by_weight.dtype)
-        _fill_rows(rows, filters.astype(xp.intp) & (levels - 1), by_weight)
+        _fill_rows(rows, filters.astype(np.intp) & (levels - 1), by_weight)
         rows.setflags(write=False)
-        self.filters = xp.array(filters)
+        self.filters = np.array(filters)
         self.filters.setflags(write=False)
         self.lut = lut
         self.rows = rows
@@ -364,11 +373,11 @@ class RowTable:
         return (depth << lut.bit_width) * num_filters * lut.flat.itemsize
 
 
-def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray | RowTable,
+def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
                          lut: LookupTable, *,
                          block_rows: int = DEFAULT_BLOCK_ROWS,
                          accumulator_bits: int | None = None,
-                         saturate: bool = False) -> xp.ndarray:
+                         saturate: bool = False) -> np.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
     Same contract as :func:`lut_matmul_blocked`.  For each K panel the LUT is
@@ -399,13 +408,12 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray | RowTable,
                   // (levels * max(num_filters, 1) * storage.itemsize))
     partial_dtype = _panel_sum_dtype(storage, panel_k)
     if table is None:
-        # by_weight[w, v] = LUT[v, w]: one contiguous row per filter operand.
-        by_weight = xp.ascontiguousarray(lut.flat.reshape(levels, levels).T)
-        filter_bits = filters.astype(xp.intp) & (levels - 1)
-        buffer = xp.empty((min(panel_k, depth) * levels, num_filters),
+        by_weight = _by_weight(lut)
+        filter_bits = filters.astype(np.intp) & (levels - 1)
+        buffer = np.empty((min(panel_k, depth) * levels, num_filters),
                           dtype=storage)
 
-    acc = xp.zeros((num_patches, num_filters), dtype=xp.int64)
+    acc = np.zeros((num_patches, num_filters), dtype=np.int64)
     for k0 in range(0, depth, panel_k):
         k1 = min(k0 + panel_k, depth)
         if table is None:
@@ -418,10 +426,10 @@ def lut_matmul_rowgather(patches: xp.ndarray, filters: xp.ndarray | RowTable,
     return _wrap_accumulator(acc, accumulator_bits, saturate)
 
 
-def lut_matmul_factored(patches: xp.ndarray, filters: xp.ndarray,
+def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
                         lut: LookupTable, *,
                         accumulator_bits: int | None = None,
-                        saturate: bool = False) -> xp.ndarray:
+                        saturate: bool = False) -> np.ndarray:
     """Exact float64 BLAS GEMM via rank <= 3 factors (needs K*bound < 2**53).
 
     Same contract as :func:`lut_matmul_blocked`, for tables with
@@ -451,19 +459,19 @@ def lut_matmul_factored(patches: xp.ndarray, filters: xp.ndarray,
             f"exact in float64")
     rank = factors.rank
     mask = (1 << lut.bit_width) - 1
-    filter_bits = filters.astype(xp.intp)
+    filter_bits = filters.astype(np.intp)
     filter_bits &= mask
     rhs = factors.scaled_rows.take(filter_bits, axis=1)       # [r, K, F]
     rhs = rhs.transpose(1, 0, 2).reshape(depth * rank, filters.shape[1])
     block_rows = max(1, FACTORED_PANEL_BYTES // max(1, 8 * depth * rank))
-    sums = xp.empty((patches.shape[0], filters.shape[1]), dtype=xp.float64)
+    sums = np.empty((patches.shape[0], filters.shape[1]), dtype=np.float64)
     for r0 in range(0, patches.shape[0], block_rows):
-        bits = patches[r0:r0 + block_rows].astype(xp.intp)
+        bits = patches[r0:r0 + block_rows].astype(np.intp)
         bits &= mask
         lhs = factors.columns.take(bits, axis=0)              # [rows, K, r]
-        xp.matmul(lhs.reshape(len(bits), depth * rank), rhs,
+        np.matmul(lhs.reshape(len(bits), depth * rank), rhs,
                   out=sums[r0:r0 + block_rows])
-    acc = xp.rint(sums).astype(xp.int64)
+    acc = np.rint(sums).astype(np.int64)
     acc //= factors.denominator
     return _wrap_accumulator(acc, accumulator_bits, saturate)
 
@@ -499,11 +507,11 @@ def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
     return default_gemm_kernel(num_patches, lut.bit_width)
 
 
-def lut_matmul(patches: xp.ndarray, filters: xp.ndarray | RowTable,
+def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
                lut: LookupTable, *,
                accumulator_bits: int | None = None,
                saturate: bool = False,
-               kernel: str | None = None) -> xp.ndarray:
+               kernel: str | None = None) -> np.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
 
     ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
@@ -549,9 +557,9 @@ def lut_matmul(patches: xp.ndarray, filters: xp.ndarray | RowTable,
                accumulator_bits=accumulator_bits, saturate=saturate)
 
 
-def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
-                    filter_sums: xp.ndarray, depth: int,
-                    input_q: QuantParams, filter_q: QuantParams) -> xp.ndarray:
+def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
+                    filter_sums: np.ndarray, depth: int,
+                    input_q: QuantParams, filter_q: QuantParams) -> np.ndarray:
     """Apply the Eq. 4 correction and dequantisation to integer accumulators.
 
     ``acc[p, f]`` is the (approximate) sum of quantised products for patch
@@ -561,9 +569,9 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
 
     ``alpha1*alpha2 * (acc - beta2*Sp - beta1*Sf + N*beta1*beta2)``.
     """
-    acc = xp.asarray(acc, dtype=xp.float64)
-    patch_sums = xp.asarray(patch_sums, dtype=xp.float64)
-    filter_sums = xp.asarray(filter_sums, dtype=xp.float64)
+    acc = np.asarray(acc, dtype=np.float64)
+    patch_sums = np.asarray(patch_sums, dtype=np.float64)
+    filter_sums = np.asarray(filter_sums, dtype=np.float64)
     if acc.ndim != 2:
         raise ShapeError("accumulator matrix must be 2D")
     if patch_sums.shape[0] != acc.shape[0]:
@@ -587,12 +595,12 @@ def dequantize_gemm(acc: xp.ndarray, patch_sums: xp.ndarray,
     return alpha1 * alpha2 * corrected
 
 
-def approx_gemm(patches: xp.ndarray, patch_sums: xp.ndarray,
-                filters: xp.ndarray | RowTable, filter_sums: xp.ndarray,
+def approx_gemm(patches: np.ndarray, patch_sums: np.ndarray,
+                filters: np.ndarray | RowTable, filter_sums: np.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
                 lut: LookupTable, *,
                 accumulator_bits: int | None = None,
-                saturate: bool = False) -> xp.ndarray:
+                saturate: bool = False) -> np.ndarray:
     """The ``ApproxGEMM`` step of Algorithm 1.
 
     Multiplies the quantised patch matrix with the quantised filter matrix

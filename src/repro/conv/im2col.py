@@ -28,22 +28,23 @@ which adds every pixel's contributions in the order of an element-wise
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ShapeError
 from ..quantization.affine import IntegerRange, QuantParams
 from .padding import ConvGeometry, resolve_geometry
 
 
-def _check_nhwc(inputs: xp.ndarray) -> None:
+def _check_nhwc(inputs: np.ndarray) -> None:
     if inputs.ndim != 4:
         raise ShapeError(
             f"expected a 4D NHWC input tensor, got shape {inputs.shape}"
         )
 
 
-def _pad(inputs: xp.ndarray, geometry: ConvGeometry, value) -> xp.ndarray:
+def _pad(inputs: np.ndarray, geometry: ConvGeometry, value) -> np.ndarray:
     """Pad the spatial axes of an NHWC batch with the constant ``value``."""
-    return xp.pad(
+    return np.pad(
         inputs,
         ((0, 0),
          (geometry.pad_top, geometry.pad_bottom),
@@ -72,7 +73,7 @@ def _tap_windows(geometry: ConvGeometry):
             yield ky * g.kernel_width + kx, rows, cols
 
 
-def _patch_matrix(padded: xp.ndarray, geometry: ConvGeometry) -> xp.ndarray:
+def _patch_matrix(padded: np.ndarray, geometry: ConvGeometry) -> np.ndarray:
     """Build the ``[N * OH * OW, kh * kw * C]`` patch matrix of a padded batch.
 
     One strided-slice copy per kernel tap fills a C-contiguous
@@ -83,7 +84,7 @@ def _patch_matrix(padded: xp.ndarray, geometry: ConvGeometry) -> xp.ndarray:
     batch, _, _, channels = padded.shape
     g = geometry
     taps = g.kernel_height * g.kernel_width
-    patches = xp.empty(
+    patches = np.empty(
         (batch, g.output_height, g.output_width, taps, channels),
         dtype=padded.dtype,
     )
@@ -94,16 +95,16 @@ def _patch_matrix(padded: xp.ndarray, geometry: ConvGeometry) -> xp.ndarray:
 
 def _narrow_dtype(qrange: IntegerRange):
     """Smallest integer dtype holding every value of ``qrange``."""
-    for dtype in (xp.int8, xp.uint8, xp.int16, xp.uint16, xp.int32):
-        info = xp.iinfo(dtype)
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32):
+        info = np.iinfo(dtype)
         if info.min <= qrange.qmin and qrange.qmax <= info.max:
             return dtype
-    return xp.int64
+    return np.int64
 
 
-def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
+def im2col(inputs: np.ndarray, kernel_height: int, kernel_width: int, *,
            strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-           pad_value: float = 0.0) -> tuple[xp.ndarray, ConvGeometry]:
+           pad_value: float = 0.0) -> tuple[np.ndarray, ConvGeometry]:
     """Extract convolution patches from an NHWC batch.
 
     Returns a matrix of shape ``(N * out_h * out_w, kernel_h * kernel_w * C)``
@@ -119,10 +120,10 @@ def im2col(inputs: xp.ndarray, kernel_height: int, kernel_width: int, *,
     return _patch_matrix(padded, geometry), geometry
 
 
-def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
+def im2col_quantized(inputs: np.ndarray, kernel_height: int, kernel_width: int,
                      qparams: QuantParams, *, strides=(1, 1), dilations=(1, 1),
                      padding: str = "SAME",
-                     ) -> tuple[xp.ndarray, xp.ndarray, ConvGeometry]:
+                     ) -> tuple[np.ndarray, np.ndarray, ConvGeometry]:
     """Quantise an NHWC batch and build the patch matrix and patch sums.
 
     This is the ``Im2Cols`` step of Algorithm 1: the returned ``Mp`` holds the
@@ -144,12 +145,12 @@ def im2col_quantized(inputs: xp.ndarray, kernel_height: int, kernel_width: int,
     quantized = qparams.quantize(inputs).astype(_narrow_dtype(qparams.qrange))
     padded = _pad(quantized, geometry, qparams.zero_point)
     patches = _patch_matrix(padded, geometry)
-    return patches, patches.sum(axis=1, dtype=xp.int64), geometry
+    return patches, patches.sum(axis=1, dtype=np.int64), geometry
 
 
-def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
+def col2im(patches: np.ndarray, input_shape, kernel_height: int,
            kernel_width: int, *, strides=(1, 1), dilations=(1, 1),
-           padding: str = "SAME") -> xp.ndarray:
+           padding: str = "SAME") -> np.ndarray:
     """Scatter-add patch-matrix rows back onto an NHWC tensor.
 
     This is the adjoint of :func:`im2col`: every patch value is added to the
@@ -177,9 +178,9 @@ def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
             f"patch matrix has shape {patches.shape}, expected {expected} for "
             f"input shape {tuple(input_shape)}"
         )
-    padded = xp.zeros(
+    padded = np.zeros(
         (batch, geometry.padded_height, geometry.padded_width, channels),
-        dtype=xp.float64,
+        dtype=np.float64,
     )
     values = patches.reshape(batch, geometry.output_height,
                              geometry.output_width, taps, channels)
@@ -189,7 +190,7 @@ def col2im(patches: xp.ndarray, input_shape, kernel_height: int,
                   geometry.pad_left:geometry.pad_left + in_w, :]
 
 
-def flatten_filters(filters: xp.ndarray) -> xp.ndarray:
+def flatten_filters(filters: np.ndarray) -> np.ndarray:
     """Flatten an HWCK filter bank into the GEMM filter matrix.
 
     Each column of the result corresponds to one filter; the row order
@@ -204,7 +205,7 @@ def flatten_filters(filters: xp.ndarray) -> xp.ndarray:
     return filters.reshape(kh * kw * channels, count)
 
 
-def filter_sums(quantized_filters: xp.ndarray) -> xp.ndarray:
+def filter_sums(quantized_filters: np.ndarray) -> np.ndarray:
     """Per-filter sums ``Sf`` of quantised filter values (third sum of Eq. 4).
 
     ``quantized_filters`` is the flattened GEMM filter matrix (rows = kernel
@@ -215,4 +216,4 @@ def filter_sums(quantized_filters: xp.ndarray) -> xp.ndarray:
             "filter_sums expects the flattened [taps, filters] matrix, got "
             f"shape {quantized_filters.shape}"
         )
-    return quantized_filters.sum(axis=0, dtype=xp.int64)
+    return quantized_filters.sum(axis=0, dtype=np.int64)

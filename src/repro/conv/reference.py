@@ -22,7 +22,8 @@ Three engines live here:
 
 from __future__ import annotations
 
-from .. import xp
+import numpy as np
+
 from ..errors import ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
@@ -31,7 +32,7 @@ from .gemm import dequantize_gemm, gemm_float
 from .padding import resolve_geometry
 
 
-def _check_conv_args(inputs: xp.ndarray, filters: xp.ndarray) -> None:
+def _check_conv_args(inputs: np.ndarray, filters: np.ndarray) -> None:
     if inputs.ndim != 4:
         raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
     if filters.ndim != 4:
@@ -43,9 +44,9 @@ def _check_conv_args(inputs: xp.ndarray, filters: xp.ndarray) -> None:
         )
 
 
-def conv2d_float(inputs: xp.ndarray, filters: xp.ndarray, *,
+def conv2d_float(inputs: np.ndarray, filters: np.ndarray, *,
                  strides=(1, 1), dilations=(1, 1),
-                 padding: str = "SAME") -> xp.ndarray:
+                 padding: str = "SAME") -> np.ndarray:
     """Accurate float 2D convolution (im2col + GEMM), NHWC in, NHWC out."""
     _check_conv_args(inputs, filters)
     batch = inputs.shape[0]
@@ -58,10 +59,10 @@ def conv2d_float(inputs: xp.ndarray, filters: xp.ndarray, *,
     return out.reshape(batch, geometry.output_height, geometry.output_width, count)
 
 
-def conv2d_float_backward(grad_output: xp.ndarray, inputs: xp.ndarray,
-                          filters: xp.ndarray, *, strides=(1, 1),
+def conv2d_float_backward(grad_output: np.ndarray, inputs: np.ndarray,
+                          filters: np.ndarray, *, strides=(1, 1),
                           dilations=(1, 1), padding: str = "SAME",
-                          ) -> tuple[xp.ndarray, xp.ndarray]:
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of :func:`conv2d_float` w.r.t. its input and filter tensors.
 
     The forward pass is ``im2col(x) @ flatten(w)``; the adjoints are the
@@ -97,9 +98,9 @@ def conv2d_float_backward(grad_output: xp.ndarray, inputs: xp.ndarray,
     return grad_inputs, grad_filters
 
 
-def conv2d_direct(inputs: xp.ndarray, filters: xp.ndarray, *,
+def conv2d_direct(inputs: np.ndarray, filters: np.ndarray, *,
                   strides=(1, 1), dilations=(1, 1),
-                  padding: str = "SAME") -> xp.ndarray:
+                  padding: str = "SAME") -> np.ndarray:
     """Accurate float convolution written as the naive nested loop.
 
     Quadratically slower than :func:`conv2d_float`; intended for validation
@@ -111,16 +112,16 @@ def conv2d_direct(inputs: xp.ndarray, filters: xp.ndarray, *,
     geometry = resolve_geometry(
         in_h, in_w, kh, kw, strides=strides, dilations=dilations, padding=padding,
     )
-    padded = xp.pad(
-        inputs.astype(xp.float64),
+    padded = np.pad(
+        inputs.astype(np.float64),
         ((0, 0),
          (geometry.pad_top, geometry.pad_bottom),
          (geometry.pad_left, geometry.pad_right),
          (0, 0)),
     )
-    out = xp.zeros(
+    out = np.zeros(
         (batch, geometry.output_height, geometry.output_width, count),
-        dtype=xp.float64,
+        dtype=np.float64,
     )
     for n in range(batch):
         for oy in range(geometry.output_height):
@@ -139,10 +140,10 @@ def conv2d_direct(inputs: xp.ndarray, filters: xp.ndarray, *,
     return out
 
 
-def approx_conv2d_direct(inputs: xp.ndarray, filters: xp.ndarray,
+def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
                          lut: LookupTable, input_q: QuantParams,
                          filter_q: QuantParams, *, strides=(1, 1),
-                         dilations=(1, 1), padding: str = "SAME") -> xp.ndarray:
+                         dilations=(1, 1), padding: str = "SAME") -> np.ndarray:
     """ALWANN-style direct approximate convolution (the paper's CPU baseline).
 
     Every scalar product is an individual LUT access inside a system of
@@ -154,17 +155,17 @@ def approx_conv2d_direct(inputs: xp.ndarray, filters: xp.ndarray,
     """
     _check_conv_args(inputs, filters)
     return approx_conv2d_direct_quantized(
-        inputs, filter_q.quantize(filters).astype(xp.int64), lut,
+        inputs, filter_q.quantize(filters).astype(np.int64), lut,
         input_q, filter_q,
         strides=strides, dilations=dilations, padding=padding,
     )
 
 
-def approx_conv2d_direct_quantized(inputs: xp.ndarray, q_filters: xp.ndarray,
+def approx_conv2d_direct_quantized(inputs: np.ndarray, q_filters: np.ndarray,
                                    lut: LookupTable, input_q: QuantParams,
                                    filter_q: QuantParams, *, strides=(1, 1),
                                    dilations=(1, 1),
-                                   padding: str = "SAME") -> xp.ndarray:
+                                   padding: str = "SAME") -> np.ndarray:
     """Direct-loop engine operating on an already-quantised HWCK filter bank.
 
     This is the loop body of :func:`approx_conv2d_direct` with the filter
@@ -186,7 +187,7 @@ def approx_conv2d_direct_quantized(inputs: xp.ndarray, q_filters: xp.ndarray,
     )
 
     q_inputs = input_q.quantize(inputs)
-    padded = xp.pad(
+    padded = np.pad(
         q_inputs,
         ((0, 0),
          (geometry.pad_top, geometry.pad_bottom),
@@ -199,11 +200,11 @@ def approx_conv2d_direct_quantized(inputs: xp.ndarray, q_filters: xp.ndarray,
     alpha2, beta2 = filter_q.scale, filter_q.zero_point
     depth = kh * kw * channels
 
-    out = xp.zeros(
+    out = np.zeros(
         (batch, geometry.output_height, geometry.output_width, count),
-        dtype=xp.float64,
+        dtype=np.float64,
     )
-    sum_filter = xp.zeros(count, dtype=xp.int64)
+    sum_filter = np.zeros(count, dtype=np.int64)
     for f in range(count):
         sum_filter[f] = int(q_filters[:, :, :, f].sum())
 
@@ -221,7 +222,7 @@ def approx_conv2d_direct_quantized(inputs: xp.ndarray, q_filters: xp.ndarray,
                 sum_patch = int(patch.sum())
                 for f in range(count):
                     products = lut.lookup(patch, q_filters[:, :, :, f])
-                    acc = int(xp.sum(products))
+                    acc = int(np.sum(products))
                     corrected = (
                         acc
                         - beta2 * sum_patch
@@ -232,10 +233,10 @@ def approx_conv2d_direct_quantized(inputs: xp.ndarray, q_filters: xp.ndarray,
     return out
 
 
-def fake_quant_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
+def fake_quant_conv2d(inputs: np.ndarray, filters: np.ndarray,
                       input_q: QuantParams, filter_q: QuantParams, *,
                       strides=(1, 1), dilations=(1, 1),
-                      padding: str = "SAME") -> xp.ndarray:
+                      padding: str = "SAME") -> np.ndarray:
     """Quantise, convolve exactly in the integer domain and dequantise.
 
     This is TensorFlow's quantise→conv→dequantise reference; with an exact
@@ -246,8 +247,8 @@ def fake_quant_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
     batch = inputs.shape[0]
     kh, kw, _, count = filters.shape
 
-    q_inputs = input_q.quantize(inputs).astype(xp.float64)
-    q_filters = filter_q.quantize(filters).astype(xp.float64)
+    q_inputs = input_q.quantize(inputs).astype(np.float64)
+    q_filters = filter_q.quantize(filters).astype(np.float64)
 
     patches, geometry = im2col(
         q_inputs, kh, kw, strides=strides, dilations=dilations, padding=padding,
@@ -257,7 +258,7 @@ def fake_quant_conv2d(inputs: xp.ndarray, filters: xp.ndarray,
     acc = patches @ flat
 
     patch_sums = patches.sum(axis=1)
-    f_sums = filter_sums(flat.astype(xp.int64))
+    f_sums = filter_sums(flat.astype(np.int64))
     out = dequantize_gemm(
         acc, patch_sums, f_sums, patches.shape[1], input_q, filter_q,
     )

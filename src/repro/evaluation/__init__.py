@@ -6,7 +6,7 @@ from .accuracy import (
     top1_accuracy,
     top_k_accuracy,
 )
-from .error_analysis import TensorErrorReport, per_layer_errors, tensor_error
+from .error_analysis import TensorErrorReport, tensor_error
 from .latency import LatencyStats
 from .finetune import (
     FineTuneRecoveryReport,
@@ -42,7 +42,6 @@ __all__ = [
     "accuracy_drop",
     "TensorErrorReport",
     "tensor_error",
-    "per_layer_errors",
     "LatencyStats",
     "FineTuneRecoveryReport",
     "distorted_split",

@@ -62,14 +62,3 @@ def tensor_error(reference: np.ndarray, approximate: np.ndarray) -> TensorErrorR
         relative_l2_error=rel_l2,
         signal_to_noise_db=snr_db,
     )
-
-
-def per_layer_errors(reference: dict[str, np.ndarray],
-                     approximate: dict[str, np.ndarray]
-                     ) -> dict[str, TensorErrorReport]:
-    """Error reports for matching entries of two layer-output dictionaries."""
-    common = sorted(set(reference) & set(approximate))
-    if not common:
-        raise ShapeError("the two activation dictionaries share no layer names")
-    return {name: tensor_error(reference[name], approximate[name])
-            for name in common}

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import xp
+import numpy as np
+
 from ..conv.approx_conv2d import PreparedConv
 from .device import GPUDevice
 from .kernels.gemm_kernel import run_approx_gemm_kernel
@@ -51,10 +52,10 @@ class GPUConvRunReport:
         self.per_chunk.extend(other.per_chunk)
 
 
-def run_gpusim_chunk(device: GPUDevice, chunk: xp.ndarray,
+def run_gpusim_chunk(device: GPUDevice, chunk: np.ndarray,
                      prepared: PreparedConv, *, strides=(1, 1),
                      dilations=(1, 1), padding: str = "SAME",
-                     ) -> tuple[xp.ndarray, GPUConvRunReport]:
+                     ) -> tuple[np.ndarray, GPUConvRunReport]:
     """Execute one chunk of Algorithm 1 on the simulated device.
 
     Launches the Im2Cols and ApproxGEMM kernels for a single chunk of a

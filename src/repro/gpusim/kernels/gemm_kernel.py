@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ... import xp
+import numpy as np
+
 from ...conv.gemm import dequantize_gemm
 from ...errors import ShapeError
 from ...lut.table import LookupTable
@@ -36,16 +37,16 @@ GEMM_TILE = 16
 class GemmKernelResult:
     """Output of one simulated ApproxGEMM launch."""
 
-    output: xp.ndarray
+    output: np.ndarray
     launch: KernelLaunch
     texture_fetches: int
     shared_bytes: int
     flops: int
 
 
-def run_approx_gemm_kernel(device: GPUDevice, patches: xp.ndarray,
-                           patch_sums: xp.ndarray, filters: xp.ndarray,
-                           filter_sums: xp.ndarray, input_q: QuantParams,
+def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
+                           patch_sums: np.ndarray, filters: np.ndarray,
+                           filter_sums: np.ndarray, input_q: QuantParams,
                            filter_q: QuantParams, lut: LookupTable,
                            ) -> GemmKernelResult:
     """Execute the simulated tiled LUT GEMM on one chunk's patch matrix.
@@ -53,8 +54,8 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: xp.ndarray,
     ``patches`` is ``[P, K]`` (quantised), ``filters`` is ``[K, F]``
     (quantised); the result is the dequantised ``[P, F]`` float output.
     """
-    patches = xp.asarray(patches, dtype=xp.int64)
-    filters = xp.asarray(filters, dtype=xp.int64)
+    patches = np.asarray(patches, dtype=np.int64)
+    filters = np.asarray(filters, dtype=np.int64)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("ApproxGEMM kernel expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
@@ -77,7 +78,7 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: xp.ndarray,
 
     mask = (1 << lut.bit_width) - 1
     filter_bits = filters & mask
-    acc = xp.zeros((num_patches, num_filters), dtype=xp.int64)
+    acc = np.zeros((num_patches, num_filters), dtype=np.int64)
     k_tiles = -(-depth // GEMM_TILE)
     shared_bytes = 0
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ... import xp
+import numpy as np
+
 from ...conv.im2col import im2col_quantized
 from ...conv.padding import ConvGeometry
 from ...quantization.affine import QuantParams
@@ -33,15 +34,15 @@ IM2COLS_BLOCK_SIZE = 256
 class Im2ColsKernelResult:
     """Output of one simulated Im2Cols launch."""
 
-    patches: xp.ndarray
-    patch_sums: xp.ndarray
+    patches: np.ndarray
+    patch_sums: np.ndarray
     geometry: ConvGeometry
     launch: KernelLaunch
     atomic_adds: int
     shared_bytes: int
 
 
-def run_im2cols_kernel(device: GPUDevice, chunk: xp.ndarray,
+def run_im2cols_kernel(device: GPUDevice, chunk: np.ndarray,
                        kernel_height: int, kernel_width: int,
                        input_q: QuantParams, *, strides=(1, 1),
                        dilations=(1, 1), padding: str = "SAME",

@@ -12,10 +12,9 @@ from .layerwise import (
     LayerwiseReport,
     approximate_graph_layerwise,
     assignment_key,
-    uniform_assignment,
 )
 from .node import Node, OpContext, unbroadcast
-from .rewriter import count_op_types, remove_dead_nodes, replace_consumers
+from .rewriter import replace_consumers
 from .transform import (
     TransformReport,
     approximate_graph,
@@ -34,14 +33,11 @@ __all__ = [
     "infer_shapes",
     "ops",
     "replace_consumers",
-    "remove_dead_nodes",
-    "count_op_types",
     "approximate_graph",
     "restore_accurate_graph",
     "freeze_ranges",
     "TransformReport",
     "approximate_graph_layerwise",
     "assignment_key",
-    "uniform_assignment",
     "LayerwiseReport",
 ]

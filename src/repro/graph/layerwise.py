@@ -136,12 +136,6 @@ def approximate_graph_layerwise(graph: Graph,
     return report
 
 
-def uniform_assignment(graph: Graph, multiplier: "Multiplier | LookupTable | str"
-                       ) -> dict[str, "Multiplier | LookupTable | str"]:
-    """Assignment mapping every Conv2D layer of ``graph`` to one multiplier."""
-    return {node.name: multiplier for node in graph.nodes_by_type(Conv2D.op_type)}
-
-
 def assignment_key(assignment: dict[str, str]) -> tuple[tuple[str, str], ...]:
     """Canonical hashable key of a layer→multiplier-name assignment.
 

@@ -2,7 +2,7 @@
 
 The Fig. 1 transformation is a structural rewrite: one node is replaced by a
 small sub-graph and every consumer must be re-pointed at the new producer.
-These helpers keep that logic in one place (and validated) so the actual
+This helper keeps that logic in one place (and validated) so the actual
 transformation in :mod:`repro.graph.transform` stays readable.
 """
 
@@ -28,34 +28,3 @@ def replace_consumers(graph: Graph, old: Node, new: Node) -> int:
             continue
         rewired += consumer.replace_input(old, new)
     return rewired
-
-
-def remove_dead_nodes(graph: Graph, keep: list[Node]) -> int:
-    """Remove nodes that no longer contribute to the ``keep`` set.
-
-    Nodes are removed only when they have no consumers and are not listed in
-    ``keep``; the sweep repeats until a fixed point so whole dead chains
-    disappear.  Returns the number of removed nodes.
-    """
-    keep_set = set(keep)
-    removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for node in list(graph.nodes()):
-            if node in keep_set:
-                continue
-            if graph.consumers(node):
-                continue
-            graph.remove(node)
-            removed += 1
-            changed = True
-    return removed
-
-
-def count_op_types(graph: Graph, *op_types: str) -> dict[str, int]:
-    """Count nodes of the given op types (all types when none are given)."""
-    histogram = graph.op_type_histogram()
-    if not op_types:
-        return histogram
-    return {t: histogram.get(t, 0) for t in op_types}

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
 from ..multipliers.truthtable import validate_table
@@ -56,8 +57,8 @@ class LutFactors:
     partial sums never exceed ``K * term_bound``.
     """
 
-    columns: xp.ndarray
-    scaled_rows: xp.ndarray
+    columns: np.ndarray
+    scaled_rows: np.ndarray
     denominator: int
     term_bound: int
 
@@ -91,18 +92,18 @@ def _adjugate(matrix: list[list[int]]) -> list[list[int]]:
             for i in range(size)]
 
 
-def verify_factors(columns: xp.ndarray, scaled_rows: xp.ndarray,
-                   denominator: int, table: xp.ndarray) -> bool:
+def verify_factors(columns: np.ndarray, scaled_rows: np.ndarray,
+                   denominator: int, table: np.ndarray) -> bool:
     """Exact check ``columns @ scaled_rows == denominator * table`` in int64.
 
     The caller bounds every entry of both sides below ``2**53``, so no int64
     product or sum can wrap.
     """
-    return bool(xp.array_equal(columns @ scaled_rows,
-                               denominator * table.astype(xp.int64)))
+    return bool(np.array_equal(columns @ scaled_rows,
+                               denominator * table.astype(np.int64)))
 
 
-def factor_table(table: xp.ndarray,
+def factor_table(table: np.ndarray,
                  max_rank: int = MAX_FACTOR_RANK) -> LutFactors | None:
     """Exact low-rank factors of an integer truth table, or ``None``.
 
@@ -117,20 +118,20 @@ def factor_table(table: xp.ndarray,
     :func:`verify_factors` proves ``C @ dG == d * T`` exactly and every
     factored product is exact in float64.  All-zero tables return ``None``.
     """
-    table = xp.asarray(table, dtype=xp.int64)
-    residual = table.astype(xp.float64)
-    noise = 1e-9 * float(xp.abs(residual).max(initial=0.0))
+    table = np.asarray(table, dtype=np.int64)
+    residual = table.astype(np.float64)
+    noise = 1e-9 * float(np.abs(residual).max(initial=0.0))
     rows: list[int] = []
     cols: list[int] = []
     while True:
-        i, j = xp.unravel_index(int(xp.abs(residual).argmax()), residual.shape)
+        i, j = np.unravel_index(int(np.abs(residual).argmax()), residual.shape)
         if abs(residual[i, j]) <= noise:
             break
         if len(rows) == max_rank:
             return None
         rows.append(int(i))
         cols.append(int(j))
-        residual -= xp.outer(residual[:, j], residual[i] / residual[i, j])
+        residual -= np.outer(residual[:, j], residual[i] / residual[i, j])
     if not rows:
         return None
 
@@ -138,7 +139,7 @@ def factor_table(table: xp.ndarray,
     det = _determinant(pivots)
     if det == 0:
         return None
-    adjugate = xp.array(_adjugate(pivots), dtype=object)
+    adjugate = np.array(_adjugate(pivots), dtype=object)
     scaled = adjugate.dot(table[rows].astype(object))   # det * M^-1 @ T[rows]
     divisor = math.gcd(det, *(int(v) for v in scaled.ravel()))
     if det < 0:
@@ -146,16 +147,16 @@ def factor_table(table: xp.ndarray,
     denominator = det // divisor
     scaled //= divisor
     columns = table[:, cols]
-    term_bound = (len(rows) * int(xp.abs(columns).max())
+    term_bound = (len(rows) * int(np.abs(columns).max())
                   * max(abs(int(v)) for v in scaled.ravel()))
     if (term_bound >= FLOAT64_EXACT_LIMIT
-            or denominator * int(xp.abs(table).max()) > term_bound):
+            or denominator * int(np.abs(table).max()) > term_bound):
         return None
-    scaled = scaled.astype(xp.int64)
+    scaled = scaled.astype(np.int64)
     if not verify_factors(columns, scaled, denominator, table):
         return None
-    return LutFactors(columns=columns.astype(xp.float64),
-                      scaled_rows=scaled.astype(xp.float64),
+    return LutFactors(columns=columns.astype(np.float64),
+                      scaled_rows=scaled.astype(np.float64),
                       denominator=denominator, term_bound=term_bound)
 
 
@@ -178,7 +179,7 @@ class LookupTable:
         Identifier used in reports; defaults to ``"lut"``.
     """
 
-    def __init__(self, table: xp.ndarray, *, bit_width: int = 8,
+    def __init__(self, table: np.ndarray, *, bit_width: int = 8,
                  signed: bool = False, name: str = "lut") -> None:
         if bit_width < 2 or bit_width > 16:
             raise BitWidthError(f"bit width {bit_width} outside [2, 16]")
@@ -189,10 +190,10 @@ class LookupTable:
         # 16-bit storage reproduces the 128 kB footprint quoted by the paper
         # for 8-bit multipliers; wider products fall back to 32 bits.
         if 2 * bit_width <= 16:
-            storage = xp.int16 if signed else xp.uint16
+            storage = np.int16 if signed else np.uint16
         else:
-            storage = xp.int32
-        self._flat = xp.ascontiguousarray(table.reshape(-1).astype(storage))
+            storage = np.int32
+        self._flat = np.ascontiguousarray(table.reshape(-1).astype(storage))
         self._table_2d = table
         self._factors: LutFactors | None = None
         self._factored = False
@@ -236,7 +237,7 @@ class LookupTable:
         return self._flat.nbytes
 
     @property
-    def flat(self) -> xp.ndarray:
+    def flat(self) -> np.ndarray:
         """Read-only view of the flat table (what the texture object binds)."""
         view = self._flat.view()
         view.setflags(write=False)
@@ -277,7 +278,7 @@ class LookupTable:
     # ------------------------------------------------------------------
     # Index construction and lookups
     # ------------------------------------------------------------------
-    def check_operands(self, values: xp.ndarray) -> None:
+    def check_operands(self, values: np.ndarray) -> None:
         """Raise :class:`~repro.errors.TruthTableError` unless every quantised
         operand lies in ``[operand_min, operand_max]``."""
         lo, hi = self.operand_min, self.operand_max
@@ -289,21 +290,21 @@ class LookupTable:
                     f"range [{lo}, {hi}]"
                 )
 
-    def _to_bits(self, values: xp.ndarray) -> xp.ndarray:
+    def _to_bits(self, values: np.ndarray) -> np.ndarray:
         """Map quantised operand values to raw bit patterns."""
-        values = xp.asarray(values, dtype=xp.int64)
+        values = np.asarray(values, dtype=np.int64)
         self.check_operands(values)
         mask = (1 << self._bit_width) - 1
         return values & mask
 
-    def stitch_index(self, a, b) -> xp.ndarray:
+    def stitch_index(self, a, b) -> np.ndarray:
         """Stitch two quantised operands into the flat texture index.
 
         This mirrors the CUDA kernel: ``index = (bits(a) << n) | bits(b)``,
         giving a 16-bit index for 8-bit operands.
         """
-        a_bits = self._to_bits(xp.asarray(a))
-        b_bits = self._to_bits(xp.asarray(b))
+        a_bits = self._to_bits(np.asarray(a))
+        b_bits = self._to_bits(np.asarray(b))
         return (a_bits << self._bit_width) | b_bits
 
     def lookup(self, a, b):
@@ -313,34 +314,34 @@ class LookupTable:
         returned as ``int64`` so downstream accumulation never overflows.
         """
         idx = self.stitch_index(a, b)
-        products = self._flat[idx].astype(xp.int64)
-        if xp.isscalar(a) and xp.isscalar(b):
+        products = self._flat[idx].astype(np.int64)
+        if np.isscalar(a) and np.isscalar(b):
             return int(products)
         return products
 
-    def lookup_flat(self, indices: xp.ndarray) -> xp.ndarray:
+    def lookup_flat(self, indices: np.ndarray) -> np.ndarray:
         """Fetch products for pre-stitched indices (texture-fetch semantics)."""
-        indices = xp.asarray(indices)
+        indices = np.asarray(indices)
         if indices.size and (indices.min() < 0 or indices.max() >= self.size):
             raise TruthTableError(
                 f"stitched index outside [0, {self.size})"
             )
-        return self._flat[indices].astype(xp.int64)
+        return self._flat[indices].astype(np.int64)
 
-    def dense(self) -> xp.ndarray:
+    def dense(self) -> np.ndarray:
         """Return the dense ``2**n x 2**n`` truth table (a copy)."""
         return self._table_2d.copy()
 
     # ------------------------------------------------------------------
-    def error_versus_exact(self) -> xp.ndarray:
+    def error_versus_exact(self) -> np.ndarray:
         """Return the dense signed error table against exact multiplication."""
-        values = xp.arange(1 << self._bit_width, dtype=xp.int64)
+        values = np.arange(1 << self._bit_width, dtype=np.int64)
         if self._signed:
             half = 1 << (self._bit_width - 1)
-            values = xp.where(values >= half, values - (1 << self._bit_width), values)
-        a_grid, b_grid = xp.meshgrid(values, values, indexing="ij")
-        return self._table_2d.astype(xp.int64) - a_grid * b_grid
+            values = np.where(values >= half, values - (1 << self._bit_width), values)
+        a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
+        return self._table_2d.astype(np.int64) - a_grid * b_grid
 
     def is_exact(self) -> bool:
         """True when the table encodes an exact multiplier."""
-        return not xp.any(self.error_versus_exact())
+        return not np.any(self.error_versus_exact())

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import DeviceError
 from .table import LookupTable
 
@@ -63,16 +64,16 @@ class TextureObject:
         """Zero the fetch counters."""
         self._stats.reset()
 
-    def fetch(self, indices: xp.ndarray) -> xp.ndarray:
+    def fetch(self, indices: np.ndarray) -> np.ndarray:
         """Emulate ``tex1Dfetch`` for an array of stitched indices."""
-        indices = xp.asarray(indices)
+        indices = np.asarray(indices)
         products = self._lut.lookup_flat(indices)
         self._stats.fetches += int(indices.size)
         self._stats.bytes_read += int(indices.size) * self._element_bytes
         self._stats.fetch_calls += 1
         return products
 
-    def fetch_pairs(self, a: xp.ndarray, b: xp.ndarray) -> xp.ndarray:
+    def fetch_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Stitch quantised operand pairs and fetch their products."""
         return self.fetch(self._lut.stitch_index(a, b))
 
@@ -111,8 +112,8 @@ class TextureCacheModel:
         """Clear the cache contents and statistics."""
         # tags[set][way] holds the line tag, -1 means invalid;
         # lru[set][way] holds the recency counter (higher == more recent).
-        self._tags = xp.full((self._num_sets, self._ways), -1, dtype=xp.int64)
-        self._lru = xp.zeros((self._num_sets, self._ways), dtype=xp.int64)
+        self._tags = np.full((self._num_sets, self._ways), -1, dtype=np.int64)
+        self._lru = np.zeros((self._num_sets, self._ways), dtype=np.int64)
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -136,18 +137,18 @@ class TextureCacheModel:
         tag = line // self._num_sets
         self._clock += 1
         ways = self._tags[set_idx]
-        hit_way = xp.nonzero(ways == tag)[0]
+        hit_way = np.nonzero(ways == tag)[0]
         if hit_way.size:
             self._lru[set_idx, hit_way[0]] = self._clock
             self.hits += 1
             return True
-        victim = int(xp.argmin(self._lru[set_idx]))
+        victim = int(np.argmin(self._lru[set_idx]))
         self._tags[set_idx, victim] = tag
         self._lru[set_idx, victim] = self._clock
         self.misses += 1
         return False
 
-    def replay(self, indices: xp.ndarray, *, limit: int | None = 200_000) -> float:
+    def replay(self, indices: np.ndarray, *, limit: int | None = 200_000) -> float:
         """Replay an index stream through the cache and return the hit rate.
 
         Replaying full convolution workloads element-by-element in Python is
@@ -155,14 +156,14 @@ class TextureCacheModel:
         converge quickly because the stream is stationary within a layer).
         Pass ``None`` to replay everything.
         """
-        indices = xp.asarray(indices).reshape(-1)
+        indices = np.asarray(indices).reshape(-1)
         if limit is not None and indices.size > limit:
             indices = indices[:limit]
         for idx in indices:
             self.access(int(idx))
         return self.hit_rate
 
-    def estimate_hit_rate_from_histogram(self, indices: xp.ndarray) -> float:
+    def estimate_hit_rate_from_histogram(self, indices: np.ndarray) -> float:
         """Fast analytical hit-rate estimate from the index distribution.
 
         Instead of simulating every access, estimate the hit rate from the
@@ -173,10 +174,10 @@ class TextureCacheModel:
         capacity ratio.  This matches the LRU replay within a few percent for
         convolution workloads while being orders of magnitude faster.
         """
-        indices = xp.asarray(indices).reshape(-1)
+        indices = np.asarray(indices).reshape(-1)
         if indices.size == 0:
             return 0.0
-        lines = xp.unique((indices * self._element_bytes) // self._line_bytes)
+        lines = np.unique((indices * self._element_bytes) // self._line_bytes)
         capacity_lines = self._size_bytes // self._line_bytes
         compulsory = lines.size / indices.size
         if lines.size <= capacity_lines:

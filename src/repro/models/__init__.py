@@ -9,12 +9,7 @@ from .resnet import (
     conv_workloads_for_depth,
 )
 from .simple_cnn import SimpleCNNModel, build_simple_cnn
-from .summary import (
-    ModelSummary,
-    conv_workloads_from_graph,
-    count_parameters,
-    summarize_workloads,
-)
+from .summary import conv_workloads_from_graph
 
 __all__ = [
     "calibrate_classifier",
@@ -27,8 +22,5 @@ __all__ = [
     "conv_workloads_for_depth",
     "SimpleCNNModel",
     "build_simple_cnn",
-    "ModelSummary",
-    "summarize_workloads",
     "conv_workloads_from_graph",
-    "count_parameters",
 ]

@@ -1,52 +1,16 @@
-"""Model summaries: layer counts, parameters and MAC counts.
+"""Per-layer convolution workloads derived from a graph.
 
-These are the quantities of the first three columns of Table I (network
-name, number of 2D convolution layers ``L`` and MAC operations).  They can be
-derived either from a built model (its recorded workloads) or directly from a
-graph via shape inference, which doubles as a consistency check between the
-two paths.
+Table I's first columns (network name, number of 2D convolution layers ``L``
+and MAC operations) come from each built model's recorded workloads.
+:func:`conv_workloads_from_graph` derives the same workloads from a graph via
+shape inference, which doubles as a consistency check between the two paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..graph import Graph, infer_shapes
 from ..graph.ops import AxConv2D, Conv2D
 from ..workload import ConvWorkload
-
-
-@dataclass(frozen=True)
-class ModelSummary:
-    """Aggregate statistics of one network."""
-
-    name: str
-    conv_layers: int
-    macs_per_image: int
-    parameters: int
-    quantization_elements_per_image: int
-
-    def table_row(self) -> dict:
-        """Row used by the Table I report."""
-        return {
-            "model": self.name,
-            "L": self.conv_layers,
-            "macs_per_image": self.macs_per_image,
-            "parameters": self.parameters,
-        }
-
-
-def summarize_workloads(name: str, workloads: list[ConvWorkload],
-                        parameters: int = 0) -> ModelSummary:
-    """Summary from a list of per-layer workloads."""
-    return ModelSummary(
-        name=name,
-        conv_layers=len(workloads),
-        macs_per_image=sum(w.macs_per_image for w in workloads),
-        parameters=parameters,
-        quantization_elements_per_image=sum(
-            w.quantization_elements_per_image for w in workloads),
-    )
 
 
 def conv_workloads_from_graph(graph: Graph, *, batch_size: int = 1
@@ -81,11 +45,3 @@ def conv_workloads_from_graph(graph: Graph, *, batch_size: int = 1
             padding=node.padding,
         ))
     return workloads
-
-
-def count_parameters(graph: Graph) -> int:
-    """Total number of scalar values stored in Constant nodes."""
-    total = 0
-    for node in graph.nodes_by_type("Constant"):
-        total += int(node.value.size)
-    return total

@@ -14,12 +14,11 @@ from .base import (
 )
 from .broken_array import BrokenArrayMultiplier
 from .drum import DRUMMultiplier
-from .hwcost import HardwareCostEstimate, cost_table, estimate_cost
+from .hwcost import HardwareCostEstimate, estimate_cost
 from .kulkarni import UnderdesignedMultiplier
 from .loa import LOAMultiplier
 from .metrics import (
     MultiplierErrorReport,
-    compare_multipliers,
     error_report,
     error_report_from_tables,
 )
@@ -44,11 +43,9 @@ __all__ = [
     "BoundedNoiseMultiplier",
     "HardwareCostEstimate",
     "estimate_cost",
-    "cost_table",
     "MultiplierErrorReport",
     "error_report",
     "error_report_from_tables",
-    "compare_multipliers",
     "library",
     "truthtable",
 ]

@@ -160,9 +160,3 @@ def estimate_cost(multiplier: Multiplier) -> HardwareCostEstimate:
         relative_power=area / exact_area,     # activity-proportional model
         relative_delay=max(delay / exact_delay, 0.05),
     )
-
-
-def cost_table(multipliers: list[Multiplier]) -> list[HardwareCostEstimate]:
-    """Cost estimates for several multipliers, sorted by relative area."""
-    return sorted((estimate_cost(m) for m in multipliers),
-                  key=lambda e: e.relative_area)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import RegistryError
-from .base import ExactMultiplier, Multiplier, TableMultiplier
+from .base import ExactMultiplier, Multiplier
 from .broken_array import BrokenArrayMultiplier
 from .drum import DRUMMultiplier
 from .kulkarni import UnderdesignedMultiplier
@@ -40,16 +40,6 @@ def register(name: str, factory: MultiplierFactory, *,
     if not overwrite and name in _REGISTRY:
         raise RegistryError(f"multiplier {name!r} is already registered")
     _REGISTRY[name] = factory
-
-
-def register_table(name: str, table, *, bit_width: int = 8,
-                   signed: bool = False, overwrite: bool = False) -> None:
-    """Register a multiplier defined by a raw truth table."""
-    register(
-        name,
-        lambda: TableMultiplier(table, bit_width=bit_width, signed=signed, name=name),
-        overwrite=overwrite,
-    )
 
 
 def create(name: str) -> Multiplier:

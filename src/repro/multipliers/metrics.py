@@ -24,7 +24,6 @@ circuits of different bit widths can be compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Mapping
 
 import numpy as np
 
@@ -116,14 +115,3 @@ def error_report_from_tables(approx: np.ndarray, exact: np.ndarray, *,
         root_mean_squared_error=float(np.sqrt(mse)),
         variance_of_error=float(np.var(error)),
     )
-
-
-def compare_multipliers(multipliers: Mapping[str, Multiplier] | list[Multiplier]
-                        ) -> list[MultiplierErrorReport]:
-    """Characterise several multipliers and return reports sorted by MAE."""
-    if isinstance(multipliers, Mapping):
-        instances = list(multipliers.values())
-    else:
-        instances = list(multipliers)
-    reports = [error_report(m) for m in instances]
-    return sorted(reports, key=lambda r: r.mean_absolute_error)

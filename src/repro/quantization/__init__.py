@@ -1,4 +1,4 @@
-"""Affine quantisation (Eq. 1), rounding modes and range tracking."""
+"""Affine quantisation (Eq. 1), rounding modes and tensor ranges."""
 
 from .affine import (
     IntegerRange,
@@ -8,7 +8,7 @@ from .affine import (
     compute_coeffs,
     compute_coeffs_from_tensor,
 )
-from .ranges import RangeTracker, TensorRange
+from .ranges import TensorRange
 from .rounding import RoundMode, apply_rounding
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "compute_coeffs",
     "compute_coeffs_from_tensor",
     "TensorRange",
-    "RangeTracker",
     "RoundMode",
     "apply_rounding",
 ]

@@ -22,7 +22,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import QuantizationError
 from .rounding import RoundMode, apply_rounding
 
@@ -89,37 +90,26 @@ class QuantParams:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def alpha(self) -> float:
-        """Alias matching the paper's notation for the scale."""
-        return self.scale
-
-    @property
-    def beta(self) -> int:
-        """Alias matching the paper's notation for the zero-point."""
-        return self.zero_point
-
-    # ------------------------------------------------------------------
-    def quantize(self, values: xp.ndarray, *,
-                 rng: xp.random.Generator | None = None) -> xp.ndarray:
+    def quantize(self, values: np.ndarray, *,
+                 rng: np.random.Generator | None = None) -> np.ndarray:
         """Map real values to quantised integers (with clipping).
 
         Implements ``i = clip(round(r / alpha) + beta)``.  The result dtype is
         ``int64`` so it can feed any multiplier bit width.
         """
-        values = xp.asarray(values, dtype=xp.float64)
-        if values.size and not xp.all(xp.isfinite(values)):
+        values = np.asarray(values, dtype=np.float64)
+        if values.size and not np.all(np.isfinite(values)):
             raise QuantizationError("cannot quantise non-finite values")
         scaled = values / self.scale
         rounded = apply_rounding(scaled, self.round_mode, rng=rng) + self.zero_point
-        return xp.clip(rounded, self.qrange.qmin, self.qrange.qmax)
+        return np.clip(rounded, self.qrange.qmin, self.qrange.qmax)
 
-    def dequantize(self, values: xp.ndarray) -> xp.ndarray:
+    def dequantize(self, values: np.ndarray) -> np.ndarray:
         """Map quantised integers back to real values: ``r = alpha * (i - beta)``."""
-        values = xp.asarray(values, dtype=xp.float64)
+        values = np.asarray(values, dtype=np.float64)
         return self.scale * (values - self.zero_point)
 
-    def fake_quantize(self, values: xp.ndarray) -> xp.ndarray:
+    def fake_quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantise and immediately dequantise (TensorFlow's fake-quant path).
 
         The paper states that with an accurate multiplier the approximate
@@ -130,12 +120,12 @@ class QuantParams:
 
     def representable_zero(self) -> float:
         """Real value the zero-point maps to (exactly 0 by construction)."""
-        return self.dequantize(xp.asarray(self.zero_point)).item()
+        return self.dequantize(np.asarray(self.zero_point)).item()
 
     def real_range(self) -> tuple[float, float]:
         """Real-valued interval covered by the quantised range."""
-        lo = self.dequantize(xp.asarray(self.qrange.qmin)).item()
-        hi = self.dequantize(xp.asarray(self.qrange.qmax)).item()
+        lo = self.dequantize(np.asarray(self.qrange.qmin)).item()
+        hi = self.dequantize(np.asarray(self.qrange.qmax)).item()
         return lo, hi
 
 
@@ -181,7 +171,7 @@ def _compute_coeffs(range_min: float, range_max: float,
     if range_max == range_min:
         # Degenerate (all-zero) tensor: any positive scale works; pick 1.0 and
         # put the zero-point at the closest representable integer to zero.
-        zero_point = int(xp.clip(0, qrange.qmin, qrange.qmax))
+        zero_point = int(np.clip(0, qrange.qmin, qrange.qmax))
         return QuantParams(1.0, zero_point, qrange, round_mode)
 
     scale = (range_max - range_min) / (qrange.qmax - qrange.qmin)
@@ -189,24 +179,24 @@ def _compute_coeffs(range_min: float, range_max: float,
         # A subnormal span (e.g. [0, 5e-324]) underflows to a zero scale when
         # divided by the integer range; treat the tensor as degenerate like
         # the all-zero case above instead of dividing by zero below.
-        zero_point = int(xp.clip(0, qrange.qmin, qrange.qmax))
+        zero_point = int(np.clip(0, qrange.qmin, qrange.qmax))
         return QuantParams(1.0, zero_point, qrange, round_mode)
     # The zero-point is the (integer) quantised value that represents r == 0.
     zero_point_real = qrange.qmin - range_min / scale
     zero_point = int(round(zero_point_real))
-    zero_point = int(xp.clip(zero_point, qrange.qmin, qrange.qmax))
+    zero_point = int(np.clip(zero_point, qrange.qmin, qrange.qmax))
     return QuantParams(scale, zero_point, qrange, round_mode)
 
 
-def compute_coeffs_from_tensor(values: xp.ndarray, *,
+def compute_coeffs_from_tensor(values: np.ndarray, *,
                                qrange: IntegerRange = SIGNED_8BIT,
                                round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                                ) -> QuantParams:
     """Convenience wrapper deriving the coefficients directly from a tensor."""
-    values = xp.asarray(values, dtype=xp.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise QuantizationError("cannot derive a range from an empty tensor")
-    if not xp.all(xp.isfinite(values)):
+    if not np.all(np.isfinite(values)):
         raise QuantizationError("tensor contains non-finite values")
     return compute_coeffs(
         float(values.min()), float(values.max()),

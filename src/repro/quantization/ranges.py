@@ -1,19 +1,16 @@
-"""Tensor range tracking.
+"""Tensor ranges.
 
 The transformed graph of Fig. 1 inserts ``Min``/``Max`` reduction nodes in
 front of every approximate layer so the quantisation range of each input is
-"determined once per a batch".  For workflows that prefer static (calibrated)
-ranges -- e.g. when emulating an accelerator whose quantisation parameters
-are frozen at compile time -- this module also provides a running calibrator
-that aggregates ranges over many batches, including the moving-average
-scheme TensorFlow uses during quantisation-aware training.
+"determined once per a batch"; :class:`TensorRange` is that interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import xp
+import numpy as np
+
 from ..errors import QuantizationError
 
 
@@ -25,7 +22,7 @@ class TensorRange:
     max_value: float
 
     def __post_init__(self) -> None:
-        if not (xp.isfinite(self.min_value) and xp.isfinite(self.max_value)):
+        if not (np.isfinite(self.min_value) and np.isfinite(self.max_value)):
             raise QuantizationError("tensor range must be finite")
         if self.min_value > self.max_value:
             raise QuantizationError(
@@ -33,21 +30,14 @@ class TensorRange:
             )
 
     @classmethod
-    def of(cls, values: xp.ndarray) -> "TensorRange":
+    def of(cls, values: np.ndarray) -> "TensorRange":
         """Range of an array (the per-batch Min/Max of the transformed graph)."""
-        values = xp.asarray(values, dtype=xp.float64)
+        values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise QuantizationError("cannot take the range of an empty tensor")
-        if not xp.all(xp.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise QuantizationError("tensor contains non-finite values")
         return cls(float(values.min()), float(values.max()))
-
-    def union(self, other: "TensorRange") -> "TensorRange":
-        """Smallest range containing both operands."""
-        return TensorRange(
-            min(self.min_value, other.min_value),
-            max(self.max_value, other.max_value),
-        )
 
     def include_zero(self) -> "TensorRange":
         """Extend the range so that zero is representable."""
@@ -62,62 +52,3 @@ class TensorRange:
         """Return ``(min, max)`` as plain floats."""
         return self.min_value, self.max_value
 
-
-class RangeTracker:
-    """Aggregates tensor ranges over successive batches.
-
-    Two policies are supported:
-
-    * ``"minmax"`` -- keep the union of all observed ranges (post-training
-      calibration).
-    * ``"ema"`` -- exponential moving average of the per-batch ranges
-      (quantisation-aware-training style), controlled by ``momentum``.
-    """
-
-    def __init__(self, policy: str = "minmax", *, momentum: float = 0.99) -> None:
-        if policy not in ("minmax", "ema"):
-            raise QuantizationError(f"unknown range policy {policy!r}")
-        if not 0.0 < momentum < 1.0:
-            raise QuantizationError("momentum must lie in (0, 1)")
-        self._policy = policy
-        self._momentum = momentum
-        self._range: TensorRange | None = None
-        self._batches = 0
-
-    @property
-    def policy(self) -> str:
-        """Aggregation policy ("minmax" or "ema")."""
-        return self._policy
-
-    @property
-    def batches_seen(self) -> int:
-        """Number of batches folded into the current range."""
-        return self._batches
-
-    def update(self, values: xp.ndarray) -> TensorRange:
-        """Fold one batch into the tracked range and return the new range."""
-        batch_range = TensorRange.of(values)
-        if self._range is None:
-            self._range = batch_range
-        elif self._policy == "minmax":
-            self._range = self._range.union(batch_range)
-        else:
-            m = self._momentum
-            self._range = TensorRange(
-                m * self._range.min_value + (1.0 - m) * batch_range.min_value,
-                m * self._range.max_value + (1.0 - m) * batch_range.max_value,
-            )
-        self._batches += 1
-        return self._range
-
-    @property
-    def range(self) -> TensorRange:
-        """The aggregated range; raises if no batch has been observed yet."""
-        if self._range is None:
-            raise QuantizationError("no batches observed yet")
-        return self._range
-
-    def reset(self) -> None:
-        """Discard all observed statistics."""
-        self._range = None
-        self._batches = 0

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 
-from .. import xp
+import numpy as np
+
 from ..errors import ConfigurationError
 
 
@@ -46,32 +47,32 @@ class RoundMode(enum.Enum):
             ) from None
 
 
-def apply_rounding(values: xp.ndarray, mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   *, rng: xp.random.Generator | None = None) -> xp.ndarray:
+def apply_rounding(values: np.ndarray, mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
+                   *, rng: np.random.Generator | None = None) -> np.ndarray:
     """Round a float array to integers according to ``mode``.
 
     The result is returned as ``int64``.  ``STOCHASTIC`` requires an ``rng``
     (or creates a fixed-seed one so results stay reproducible).
     """
     mode = RoundMode.from_any(mode)
-    values = xp.asarray(values, dtype=xp.float64)
+    values = np.asarray(values, dtype=np.float64)
 
     if mode is RoundMode.HALF_AWAY_FROM_ZERO:
-        rounded = xp.sign(values) * xp.floor(xp.abs(values) + 0.5)
+        rounded = np.sign(values) * np.floor(np.abs(values) + 0.5)
     elif mode is RoundMode.HALF_TO_EVEN:
-        rounded = xp.rint(values)
+        rounded = np.rint(values)
     elif mode is RoundMode.FLOOR:
-        rounded = xp.floor(values)
+        rounded = np.floor(values)
     elif mode is RoundMode.CEIL:
-        rounded = xp.ceil(values)
+        rounded = np.ceil(values)
     elif mode is RoundMode.TRUNCATE:
-        rounded = xp.trunc(values)
+        rounded = np.trunc(values)
     elif mode is RoundMode.STOCHASTIC:
         if rng is None:
-            rng = xp.random.default_rng(0)
-        floor = xp.floor(values)
+            rng = np.random.default_rng(0)
+        floor = np.floor(values)
         frac = values - floor
         rounded = floor + (rng.random(values.shape) < frac)
     else:  # pragma: no cover - exhaustive over the enum
         raise ConfigurationError(f"unhandled round mode {mode}")
-    return rounded.astype(xp.int64)
+    return rounded.astype(np.int64)

@@ -111,11 +111,6 @@ class Batcher:
             self._cond.notify_all()
 
     # -- introspection ---------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` has been called."""
-        with self._cond:
-            return self._closed
 
     def pending_requests(self) -> int:
         """Queued requests not yet handed out in a batch."""

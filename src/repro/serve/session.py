@@ -170,11 +170,6 @@ class ModelSession:
                 return self._build_replica()
         return self._idle.get()
 
-    @property
-    def replicas(self) -> int:
-        """Replicas built so far (grows on demand up to ``max_replicas``)."""
-        return self._built
-
     # -- execution -------------------------------------------------------
     def run(self, inputs: np.ndarray) -> tuple[np.ndarray, RunReport]:
         """Execute one coalesced batch; returns (logits, batch report).

@@ -2,8 +2,7 @@
 
 ``docs/API.md`` is produced by ``tools/gen_api_docs.py``; this test
 regenerates the text in-process and compares it to the committed file, so
-any public-surface change that forgets to regenerate fails the tier-1 run
-(and CI, which additionally runs the generator's ``--check`` mode).
+any public-surface change that forgets to regenerate fails the tier-1 run.
 """
 
 from __future__ import annotations

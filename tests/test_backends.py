@@ -525,15 +525,24 @@ class TestPipelineConfiguration:
                                         "approx_conv2d"])
     @pytest.mark.parametrize("input_range", [None, (-1.0, 1.0)])
     def test_zero_image_batch_raises_shape_error(self, engine, input_range):
-        inputs = np.zeros((0, 4, 4, 1))
-        filters = np.ones((3, 3, 1, 1))
-        with pytest.raises(ShapeError, match="empty"):
-            if engine == "approx_conv2d":
-                lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
-                approx_conv2d(inputs, filters, lut, input_range=input_range)
-            else:
-                emulate_conv2d(inputs, filters, "mul8s_exact", backend=engine,
-                               input_range=input_range)
+        """An empty batch or an empty filter bank (0-size kernel or F=0)
+        raises ``ShapeError`` on every engine, with or without ranges."""
+        cases = [((0, 4, 4, 1), (3, 3, 1, 1), None)] + [
+            ((1, 4, 4, 1), filter_shape, filter_range)
+            for filter_shape in ((0, 3, 1, 1), (3, 3, 1, 0))
+            for filter_range in (None, (-1.0, 1.0))]
+        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+        for input_shape, filter_shape, filter_range in cases:
+            inputs, filters = np.ones(input_shape), np.ones(filter_shape)
+            with pytest.raises(ShapeError, match="empty"):
+                if engine == "approx_conv2d":
+                    approx_conv2d(inputs, filters, lut,
+                                  input_range=input_range,
+                                  filter_range=filter_range)
+                else:
+                    emulate_conv2d(inputs, filters, "mul8s_exact",
+                                   backend=engine, input_range=input_range,
+                                   filter_range=filter_range)
 
     def test_axconv2d_accumulator_setter_checks_the_backend(self):
         graph = Graph("acc")

@@ -16,7 +16,6 @@ from repro.evaluation import (
     generate_fig2,
     generate_table1,
     paper_row_for_depth,
-    per_layer_errors,
     prediction_agreement,
     tensor_error,
     top1_accuracy,
@@ -74,14 +73,6 @@ class TestTensorError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             tensor_error(np.zeros(3), np.zeros(4))
-
-    def test_per_layer_errors(self):
-        ref = {"a": np.ones(3), "b": np.zeros(3)}
-        approx = {"a": np.ones(3), "c": np.zeros(3)}
-        out = per_layer_errors(ref, approx)
-        assert list(out) == ["a"]
-        with pytest.raises(ShapeError):
-            per_layer_errors({"x": np.ones(1)}, {"y": np.ones(1)})
 
 
 class TestPaperReference:

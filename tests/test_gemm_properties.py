@@ -30,7 +30,10 @@ Three families of invariants, mostly driven by hypothesis:
 * *a prebuilt row table is the operand it was built from*: ``lut_matmul``
   on a :class:`~repro.conv.gemm.RowTable` matches the naive reference on
   random tables, widths and geometry below the size rule, with the
-  finite-accumulator model, and refuses a table built through another LUT.
+  finite-accumulator model, and refuses a table built through another LUT;
+* *the kernel table is fixed*: ``KERNELS`` names the three kernels, an
+  unknown name raises ``RegistryError`` and the size rule picks one when
+  none is named.
 
 The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
 one-gather-per-product kernel, kept beside the tests.
@@ -57,6 +60,7 @@ from repro.conv.gemm import (
     _panel_sum_dtype,
     approx_gemm,
     choose_gemm_kernel,
+    default_gemm_kernel,
     dequantize_gemm,
     flat_index_dtype,
     gemm_float,
@@ -64,7 +68,8 @@ from repro.conv.gemm import (
     lut_matmul_blocked,
     lut_matmul_rowgather,
 )
-from repro.errors import ConfigurationError, ShapeError, TruthTableError
+from repro.errors import (
+    ConfigurationError, RegistryError, ShapeError, TruthTableError)
 from repro.lut import LookupTable
 from repro.lut import table as table_mod
 from repro.lut.table import FLOAT64_EXACT_LIMIT, factor_table
@@ -394,6 +399,25 @@ class TestPanelSums:
         # One blocked K panel spanning the whole depth sums in int64 too.
         np.testing.assert_array_equal(
             lut_matmul_blocked(patches, filters, lut, block_k=k), out)
+
+
+class TestGemmKernelRegistry:
+    """The fixed kernel table: its names, the unknown-name error and the
+    size rule that picks a kernel when none is named."""
+
+    def test_default_variants_are_registered(self):
+        assert sorted(KERNELS) == ["blocked", "factored", "rowgather"]
+
+    def test_unknown_kernel_raises_listing_known_names(self, exact_lut):
+        with pytest.raises(RegistryError, match="blocked"):
+            lut_matmul([[1, 2]], [[3], [4]], exact_lut, kernel="bogus")
+
+    def test_default_follows_size_rule(self):
+        assert default_gemm_kernel(0, 8) == "blocked"
+        assert default_gemm_kernel(511, 8) == "blocked"
+        assert default_gemm_kernel(512, 8) == "rowgather"
+        assert default_gemm_kernel(8191, 12) == "blocked"
+        assert default_gemm_kernel(8192, 12) == "rowgather"
 
 
 class TestDefaultDispatch:

@@ -10,8 +10,6 @@ from repro.graph import (
     Executor,
     Graph,
     approximate_graph,
-    count_op_types,
-    remove_dead_nodes,
     restore_accurate_graph,
 )
 from repro.graph.ops import (
@@ -25,6 +23,12 @@ from repro.graph.ops import (
 from repro.lut import LookupTable
 from repro.multipliers import ExactMultiplier, library
 from repro.quantization import SIGNED_8BIT, UNSIGNED_8BIT
+
+
+def op_counts(graph, *op_types):
+    """Node count of each named op type, zero for absent ones."""
+    histogram = graph.op_type_histogram()
+    return {t: histogram.get(t, 0) for t in op_types}
 
 
 def build_two_layer_graph(rng):
@@ -47,7 +51,7 @@ class TestApproximateGraph:
         report = approximate_graph(g, ExactMultiplier(8, signed=True))
         assert report.converted_layers == 2
         assert report.inserted_range_nodes == 8
-        counts = count_op_types(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
+        counts = op_counts(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
         assert counts == {"Conv2D": 0, "AxConv2D": 2,
                           "ReduceMin": 4, "ReduceMax": 4}
 
@@ -86,7 +90,7 @@ class TestApproximateGraph:
             layer_filter=lambda conv: conv.name != "conv1")
         assert report.converted_layers == 1
         assert report.skipped == ["conv1"]
-        counts = count_op_types(g, "Conv2D", "AxConv2D")
+        counts = op_counts(g, "Conv2D", "AxConv2D")
         assert counts == {"Conv2D": 1, "AxConv2D": 1}
 
     def test_accepts_lookup_table_directly(self, rng):
@@ -127,7 +131,7 @@ class TestRestoreAccurateGraph:
         approximate_graph(g, ExactMultiplier(8, signed=True))
         restored = restore_accurate_graph(g)
         assert restored == 2
-        counts = count_op_types(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
+        counts = op_counts(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
         assert counts == {"Conv2D": 2, "AxConv2D": 0,
                           "ReduceMin": 0, "ReduceMax": 0}
         np.testing.assert_allclose(Executor(g).run(out, {x: batch}), reference)
@@ -153,16 +157,3 @@ class TestAxConv2DNode:
         with pytest.raises(ConfigurationError):
             AxConv2D(g, x, w, mins, maxs, mins, maxs, lut=lut,
                      qrange=SIGNED_8BIT)
-
-
-class TestDeadNodeRemoval:
-    def test_dead_chain_removed(self):
-        g = Graph()
-        a = Constant(g, 1.0)
-        b = Constant(g, 2.0)
-        keep = Constant(g, 3.0)
-        from repro.graph.ops import Add
-        dead = Add(g, a, b)
-        removed = remove_dead_nodes(g, keep=[keep])
-        assert removed == 3
-        assert len(g) == 1

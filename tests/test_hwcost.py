@@ -13,7 +13,6 @@ from repro.multipliers import (
     TruncatedOperandMultiplier,
     TruncatedProductMultiplier,
     UnderdesignedMultiplier,
-    cost_table,
     estimate_cost,
     library,
 )
@@ -67,14 +66,6 @@ class TestHardwareCostModel:
         plain = estimate_cost(MitchellLogMultiplier(8))
         iterative = estimate_cost(MitchellLogMultiplier(8, iterations=1))
         assert iterative.relative_area > plain.relative_area
-
-    def test_cost_table_sorted_by_area(self):
-        table = cost_table([ExactMultiplier(8),
-                            DRUMMultiplier(8, segment_bits=4),
-                            TruncatedProductMultiplier(8, dropped_bits=6)])
-        areas = [row.relative_area for row in table]
-        assert areas == sorted(areas)
-        assert table[-1].name.startswith("exactmultiplier")
 
     def test_summary_text(self):
         text = estimate_cost(DRUMMultiplier(8, segment_bits=4)).summary()

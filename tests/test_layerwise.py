@@ -9,9 +9,8 @@ from repro.errors import GraphError
 from repro.graph import (
     Executor,
     approximate_graph_layerwise,
-    uniform_assignment,
 )
-from repro.models import build_resnet, build_simple_cnn
+from repro.models import build_simple_cnn
 from repro.multipliers import library
 from repro.lut import LookupTable
 
@@ -58,13 +57,6 @@ class TestLayerwiseApproximation:
         model = build_simple_cnn(seed=0)
         with pytest.raises(GraphError):
             approximate_graph_layerwise(model.graph, {"conv1": 42})
-
-    def test_uniform_assignment_helper(self):
-        model = build_resnet(8, seed=0)
-        assignment = uniform_assignment(model.graph, "mul8s_exact")
-        assert len(assignment) == 7
-        report = approximate_graph_layerwise(model.graph, assignment)
-        assert report.converted_layers == 7
 
     def test_same_named_multipliers_keep_distinct_tables(self):
         """Grouping is by LUT instance, not display name.

@@ -22,9 +22,7 @@ from repro.models import (
     calibrate_classifier,
     conv_workloads_for_depth,
     conv_workloads_from_graph,
-    count_parameters,
     extract_features,
-    summarize_workloads,
 )
 
 
@@ -93,15 +91,6 @@ class TestModelSummary:
         derived = conv_workloads_from_graph(model.graph)
         assert len(derived) == model.conv_layer_count
         assert sum(w.macs_per_image for w in derived) == model.macs_per_image
-
-    def test_summarize_and_parameters(self):
-        model = build_resnet(8)
-        summary = summarize_workloads("ResNet-8", model.conv_workloads,
-                                      model.parameter_count)
-        assert summary.conv_layers == 7
-        assert summary.macs_per_image == model.macs_per_image
-        assert summary.table_row()["model"] == "ResNet-8"
-        assert count_parameters(model.graph) >= model.parameter_count
 
     def test_simple_cnn_summary(self):
         cnn = build_simple_cnn()

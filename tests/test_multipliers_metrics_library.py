@@ -9,7 +9,6 @@ from repro.errors import RegistryError, TruthTableError
 from repro.multipliers import (
     ExactMultiplier,
     TruncatedProductMultiplier,
-    compare_multipliers,
     error_report,
     error_report_from_tables,
     library,
@@ -44,16 +43,6 @@ class TestErrorMetrics:
         assert d["bit_width"] == 4
         assert "EP=0.000" in report.summary()
 
-    def test_compare_multipliers_sorted_by_mae(self):
-        reports = compare_multipliers([
-            TruncatedProductMultiplier(8, dropped_bits=6),
-            ExactMultiplier(8),
-            TruncatedProductMultiplier(8, dropped_bits=3),
-        ])
-        maes = [r.mean_absolute_error for r in reports]
-        assert maes == sorted(maes)
-        assert reports[0].name.startswith("exactmultiplier")
-
 
 class TestLibrary:
     def test_catalogue_contains_expected_families(self):
@@ -80,14 +69,6 @@ class TestLibrary:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(RegistryError):
             library.register("mul8u_exact", lambda: ExactMultiplier(8))
-
-    def test_register_table_and_overwrite(self):
-        table = ExactMultiplier(4).truth_table()
-        library.register_table("test_table_4", table, bit_width=4, overwrite=True)
-        m = library.create("test_table_4")
-        assert m.multiply(15, 15) == 225
-        # overwrite allowed when requested
-        library.register_table("test_table_4", table, bit_width=4, overwrite=True)
 
 
 class TestTruthTableIO:

@@ -10,7 +10,6 @@ from repro.errors import QuantizationError
 from repro.quantization import (
     IntegerRange,
     QuantParams,
-    RangeTracker,
     RoundMode,
     SIGNED_8BIT,
     TensorRange,
@@ -203,12 +202,9 @@ class TestTensorRangeTracker:
         assert r.as_tuple() == (-1.0, 2.0)
         assert r.span == 3.0
 
-    def test_union_and_include_zero(self):
-        a = TensorRange(1.0, 2.0)
-        b = TensorRange(-4.0, -3.0)
-        u = a.union(b)
-        assert u.as_tuple() == (-4.0, 2.0)
-        assert a.include_zero().min_value == 0.0
+    def test_include_zero(self):
+        assert TensorRange(1.0, 2.0).include_zero().min_value == 0.0
+        assert TensorRange(-4.0, -3.0).include_zero().max_value == 0.0
 
     def test_invalid_ranges(self):
         with pytest.raises(QuantizationError):
@@ -217,26 +213,3 @@ class TestTensorRangeTracker:
             TensorRange.of(np.array([np.nan]))
         with pytest.raises(QuantizationError):
             TensorRange.of(np.array([]))
-
-    def test_minmax_tracker_unions(self):
-        tracker = RangeTracker("minmax")
-        tracker.update(np.array([0.0, 1.0]))
-        tracker.update(np.array([-2.0, 0.5]))
-        assert tracker.range.as_tuple() == (-2.0, 1.0)
-        assert tracker.batches_seen == 2
-
-    def test_ema_tracker_moves_slowly(self):
-        tracker = RangeTracker("ema", momentum=0.9)
-        tracker.update(np.array([0.0, 1.0]))
-        tracker.update(np.array([0.0, 11.0]))
-        assert tracker.range.max_value == pytest.approx(2.0)
-
-    def test_tracker_errors(self):
-        with pytest.raises(QuantizationError):
-            RangeTracker("bogus")
-        tracker = RangeTracker()
-        with pytest.raises(QuantizationError):
-            _ = tracker.range
-        tracker.update(np.array([1.0]))
-        tracker.reset()
-        assert tracker.batches_seen == 0

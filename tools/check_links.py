@@ -10,7 +10,7 @@ links ``[text](target)`` and verifies that
   in the target file under GitHub's anchor slug rules.
 
 External (``http(s)://``, ``mailto:``) targets are not fetched.  Exit code
-is non-zero when any link is broken, which is how CI gates the docs.
+is non-zero when any link is broken; ``tests/test_docs.py`` runs it.
 
 Usage::
 

@@ -4,14 +4,13 @@
 The reference is *generated*, never hand-edited: for every documented
 subpackage it imports each module, walks the public symbols (the module's
 ``__all__`` when declared, else every non-underscore name defined in the
-module), and emits ``signature + first docstring line`` entries.  CI runs
-``gen_api_docs.py --check`` and fails when the committed file drifts from
-the source, so the reference cannot rot.
+module), and emits ``signature + first docstring line`` entries.
+``tests/test_api_docs.py`` regenerates the text and fails when the
+committed file drifts from the source, so the reference cannot rot.
 
 Usage::
 
     PYTHONPATH=src python tools/gen_api_docs.py            # (re)write docs/API.md
-    PYTHONPATH=src python tools/gen_api_docs.py --check    # exit 1 on drift
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from pathlib import Path
 #: Subpackages (or plain modules) documented in the reference, in reading
 #: order.
 PACKAGES = [
-    "repro.xp",
     "repro.lut.table",
     "repro.conv.gemm",
     "repro.backends",
@@ -46,8 +44,8 @@ edit by hand.  Regenerate with:
 PYTHONPATH=src python tools/gen_api_docs.py
 ```
 
-CI runs the generator in `--check` mode and fails when this file drifts
-from the source, so every entry below is live.  Each subpackage section
+The test suite regenerates it and fails when this file drifts from the
+source, so every entry below is live.  Each subpackage section
 lists the package's re-exported surface first, then every public module
 with its classes and functions (`signature` + first docstring line).
 """
@@ -196,9 +194,6 @@ def generate() -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare against the committed file instead of "
-                             "writing; exit 1 on drift")
     parser.add_argument("--output", default=None,
                         help="output path (default: docs/API.md next to "
                              "this repository's docs/)")
@@ -207,19 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     output = Path(args.output) if args.output else (
         Path(__file__).resolve().parent.parent / "docs" / "API.md")
     text = generate()
-
-    if args.check:
-        if not output.exists():
-            print(f"error: {output} does not exist; run "
-                  "`PYTHONPATH=src python tools/gen_api_docs.py`")
-            return 1
-        if output.read_text() != text:
-            print(f"error: {output} is stale; regenerate with "
-                  "`PYTHONPATH=src python tools/gen_api_docs.py` and commit "
-                  "the diff")
-            return 1
-        print(f"{output} is up to date")
-        return 0
 
     output.parent.mkdir(parents=True, exist_ok=True)
     output.write_text(text)
