@@ -177,18 +177,6 @@ def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
     )
 
 
-def check_accumulator(backend: str, accumulator_bits: int | None,
-                      saturate: bool) -> None:
-    """Reject an accumulator model the named backend cannot run."""
-    if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
-        raise ConfigurationError("accumulator_bits must lie in [8, 64]")
-    if backend != "numpy" and (accumulator_bits is not None or saturate):
-        raise ConfigurationError(
-            f"the {backend} backend accumulates in unbounded integers; "
-            "use the numpy backend for finite-accumulator studies"
-        )
-
-
 class InferencePipeline:
     """High-throughput entry point over the convolution backends.
 
@@ -205,16 +193,13 @@ class InferencePipeline:
         Thread-pool width for shard execution.  ``1`` (the default) runs
         shards inline; larger values overlap shards, which pays off for the
         NumPy backend whose heavy ops release the GIL.
-    round_mode, accumulator_bits, saturate:
-        Forwarded to the backend; see
-        :func:`repro.conv.approx_conv2d.approx_conv2d`.  Only ``numpy``
-        models a finite accumulator: ``accumulator_bits`` outside
-        ``[8, 64]``, or a finite accumulator on ``cpusim``/``gpusim``,
-        raises :class:`~repro.errors.ConfigurationError` here.
+    round_mode:
+        Rounding applied during quantisation; see
+        :func:`repro.conv.approx_conv2d.approx_conv2d`.
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
-    Thread safety: :meth:`run` / :meth:`prepare` / :meth:`conv2d` only read
+    Thread safety: :meth:`run` / :meth:`prepare` only read
     the pipeline's configuration and go through the thread-safe caches, so
     one pipeline instance may serve concurrent calls from many threads (the
     serving layer does exactly that).  Mutating the configuration attributes
@@ -226,8 +211,6 @@ class InferencePipeline:
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  max_workers: int = 1,
                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                 accumulator_bits: int | None = None,
-                 saturate: bool = False,
                  lut_cache: LUTCache | None = None,
                  filter_cache: FilterBankCache | None = None) -> None:
         if chunk_size <= 0:
@@ -236,14 +219,11 @@ class InferencePipeline:
             raise ConfigurationError("max_workers must be positive")
         # Resolve eagerly so configuration errors surface at build time.
         self._run_chunk = get_backend(backend)
-        check_accumulator(backend, accumulator_bits, saturate)
         self.backend = backend
         self.multiplier = multiplier
         self.chunk_size = chunk_size
         self.max_workers = max_workers
         self.round_mode = RoundMode.from_any(round_mode)
-        self.accumulator_bits = accumulator_bits
-        self.saturate = saturate
         self.lut_cache = lut_cache if lut_cache is not None else DEFAULT_LUT_CACHE
         self.filter_cache = (
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
@@ -331,8 +311,7 @@ class InferencePipeline:
         def run_shard(bounds: tuple[int, int]):
             start, stop = bounds
             return self._run_chunk(
-                inputs[start:stop], prepared, strides, dilations, padding,
-                self.accumulator_bits, self.saturate)
+                inputs[start:stop], prepared, strides, dilations, padding)
 
         if self.max_workers > 1 and len(shards) > 1:
             workers = min(self.max_workers, len(shards))
@@ -379,9 +358,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    qrange: IntegerRange | None = None,
                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                   max_workers: int = 1,
-                   accumulator_bits: int | None = None,
-                   saturate: bool = False) -> np.ndarray:
+                   max_workers: int = 1) -> np.ndarray:
     """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library
@@ -396,11 +373,8 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
     ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
     """
     pipeline = shared_pipeline(
-        backend,
-        chunk_size=chunk_size, max_workers=max_workers,
-        round_mode=round_mode,
-        accumulator_bits=accumulator_bits, saturate=saturate,
-    )
+        backend, chunk_size=chunk_size, max_workers=max_workers,
+        round_mode=round_mode)
     return pipeline.run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
@@ -415,9 +389,8 @@ _SHARED_PIPELINES_LOCK = threading.Lock()
 def shared_pipeline(backend: str = "numpy", *,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
                     max_workers: int = 1,
-                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                    accumulator_bits: int | None = None,
-                    saturate: bool = False) -> InferencePipeline:
+                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO
+                    ) -> InferencePipeline:
     """Process-wide :class:`InferencePipeline` for one configuration.
 
     Returns the same instance for equal configurations, so independent
@@ -428,18 +401,13 @@ def shared_pipeline(backend: str = "numpy", *,
     and never carry a default multiplier, so callers state theirs per call
     and cannot observe each other's.
     """
-    key = (
-        backend, int(chunk_size), int(max_workers),
-        RoundMode.from_any(round_mode), accumulator_bits, bool(saturate),
-    )
+    key = (backend, int(chunk_size), int(max_workers),
+           RoundMode.from_any(round_mode))
     with _SHARED_PIPELINES_LOCK:
         pipeline = _SHARED_PIPELINES.get(key)
         if pipeline is None:
             pipeline = InferencePipeline(
-                backend,
-                chunk_size=chunk_size, max_workers=max_workers,
-                round_mode=round_mode, accumulator_bits=accumulator_bits,
-                saturate=saturate,
-            )
+                backend, chunk_size=chunk_size, max_workers=max_workers,
+                round_mode=round_mode)
             _SHARED_PIPELINES[key] = pipeline
         return pipeline

@@ -17,12 +17,12 @@ The table holds exactly three backends:
     Algorithm 1 on the simulated CUDA device, recording kernel launches,
     texture fetches and shared-memory traffic.
 
-Each chunk function takes ``(chunk, prepared, strides, dilations, padding,
-accumulator_bits, saturate)`` and returns the chunk's NHWC output plus its
+Each chunk function takes ``(chunk, prepared, strides, dilations, padding)``
+and returns the chunk's NHWC output plus its
 :class:`~repro.gpusim.engine.GPUConvRunReport` (``None`` off ``gpusim``).
-Only ``numpy`` models a finite accumulator; the pipeline rejects one for
-the other two when it is built.  Every engine must be deterministic and
-bit-identical to ``numpy``; the cross-backend parity test enforces this.
+Every engine sums its products in exact integers, must be deterministic and
+must be bit-identical to ``numpy``; the cross-backend parity test enforces
+this.
 
 :func:`get_backend` looks one up by name; :func:`available_backends` lists
 them.
@@ -42,17 +42,14 @@ ChunkOutput = tuple[np.ndarray, GPUConvRunReport | None]
 
 
 def _numpy_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
-                 dilations, padding: str, accumulator_bits: int | None,
-                 saturate: bool) -> ChunkOutput:
+                 dilations, padding: str) -> ChunkOutput:
     return approx_conv2d_chunk(
         chunk, prepared, strides=strides, dilations=dilations,
-        padding=padding, accumulator_bits=accumulator_bits, saturate=saturate,
-    ), None
+        padding=padding), None
 
 
 def _cpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
-                  dilations, padding: str, accumulator_bits: None,
-                  saturate: bool) -> ChunkOutput:
+                  dilations, padding: str) -> ChunkOutput:
     return approx_conv2d_direct_quantized(
         chunk, prepared.quantized_filters_hwck(), prepared.lut,
         prepared.input_q, prepared.filter_q,
@@ -61,8 +58,7 @@ def _cpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
 
 
 def _gpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
-                  dilations, padding: str, accumulator_bits: None,
-                  saturate: bool) -> ChunkOutput:
+                  dilations, padding: str) -> ChunkOutput:
     # A fresh device per chunk: a shared one would keep every
     # ``KernelLaunch`` record for the life of the process.
     return run_gpusim_chunk(

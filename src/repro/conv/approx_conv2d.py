@@ -228,9 +228,7 @@ def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
 
 def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
                         strides=(1, 1), dilations=(1, 1),
-                        padding: str = "SAME",
-                        accumulator_bits: int | None = None,
-                        saturate: bool = False) -> np.ndarray:
+                        padding: str = "SAME") -> np.ndarray:
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
@@ -247,7 +245,6 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
     chunk_out = approx_gemm(
         patches, patch_sums, filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,
-        accumulator_bits=accumulator_bits, saturate=saturate,
     )
     return chunk_out.reshape(
         chunk.shape[0], geometry.output_height, geometry.output_width,
@@ -261,9 +258,7 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   filter_range: TensorRange | tuple[float, float] | None = None,
                   qrange: IntegerRange | None = None,
                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                  accumulator_bits: int | None = None,
-                  saturate: bool = False) -> np.ndarray:
+                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
     Parameters
@@ -288,8 +283,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
         Rounding applied during quantisation.
     chunk_size:
         Number of images converted to the patch matrix at a time.
-    accumulator_bits, saturate:
-        Optional finite-accumulator model (see :func:`repro.conv.gemm.lut_matmul`).
 
     Returns
     -------
@@ -309,7 +302,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
         approx_conv2d_chunk(
             inputs[start:stop], prepared,
             strides=strides, dilations=dilations, padding=padding,
-            accumulator_bits=accumulator_bits, saturate=saturate,
         )
         for start, stop in split_chunks(inputs.shape[0], chunk_size)
     ], axis=0)

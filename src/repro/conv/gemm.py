@@ -145,26 +145,6 @@ def flat_index_dtype(bit_width: int):
     return np.int32 if 2 * bit_width <= 31 else np.int64
 
 
-def _wrap_accumulator(values: np.ndarray, accumulator_bits: int | None,
-                      saturate: bool) -> np.ndarray:
-    """Model a finite-width MAC accumulator.
-
-    The paper's accelerator uses a 32-bit accumulator behind the 8-bit
-    multiplier; by default the emulation uses int64 so no overflow can occur,
-    but callers may opt into modelling the finite accumulator either with
-    wrap-around (two's complement) or saturation semantics.  Wrapping
-    sign-extends the low ``accumulator_bits`` bits with a shift pair, which
-    stays inside int64 for every width up to 64.
-    """
-    if accumulator_bits is None:
-        return values
-    if saturate:
-        return np.clip(values, -(1 << (accumulator_bits - 1)),
-                       (1 << (accumulator_bits - 1)) - 1)
-    shift = 64 - accumulator_bits
-    return (values << shift) >> shift
-
-
 def _integer_operand(values, lut: LookupTable) -> np.ndarray:
     """One ``lut_matmul`` operand as an integer array the table can address.
 
@@ -225,17 +205,14 @@ def _panel_sum_dtype(storage, panel_k: int):
 def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
                        lut: LookupTable, *,
                        block_rows: int = DEFAULT_BLOCK_ROWS,
-                       block_k: int = DEFAULT_BLOCK_K,
-                       accumulator_bits: int | None = None,
-                       saturate: bool = False) -> np.ndarray:
+                       block_k: int = DEFAULT_BLOCK_K) -> np.ndarray:
     """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
 
     ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
     ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
     arrays of any width already validated by :func:`lut_matmul`; the
-    ``[P, F]`` int64 result holds the *approximate* dot products (optionally
-    folded into a finite-width accumulator).  The kernel is laid out for
-    memory locality:
+    ``[P, F]`` int64 result holds the *approximate* dot products.  The kernel
+    is laid out for memory locality:
 
     * the quantise-to-bit-pattern step is *fused* out of the inner loop --
       both operands are converted to stitched-index bit planes exactly once,
@@ -272,12 +249,11 @@ def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
     result = np.zeros((num_patches, num_filters), dtype=np.int64)
     for r0 in range(0, num_patches, block_rows):
         r1 = min(r0 + block_rows, num_patches)
-        acc = np.zeros((r1 - r0, num_filters), dtype=np.int64)
+        acc = result[r0:r1]
         for k0 in range(0, depth, block_k):
             k1 = min(k0 + block_k, depth)
             idx = patch_bits[k0:k1, r0:r1, None] | filter_bits[k0:k1, None, :]
             acc += flat.take(idx).sum(axis=0, dtype=partial_dtype)
-        result[r0:r1] = _wrap_accumulator(acc, accumulator_bits, saturate)
     return result
 
 
@@ -375,9 +351,7 @@ class RowTable:
 
 def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
                          lut: LookupTable, *,
-                         block_rows: int = DEFAULT_BLOCK_ROWS,
-                         accumulator_bits: int | None = None,
-                         saturate: bool = False) -> np.ndarray:
+                         block_rows: int = DEFAULT_BLOCK_ROWS) -> np.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
     Same contract as :func:`lut_matmul_blocked`.  For each K panel the LUT is
@@ -423,13 +397,11 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
             rows = table.rows[k0 * levels:k1 * levels]
         _gather_rows(acc, patches, rows, k0, k1, levels=levels,
                      block_rows=block_rows, partial_dtype=partial_dtype)
-    return _wrap_accumulator(acc, accumulator_bits, saturate)
+    return acc
 
 
 def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
-                        lut: LookupTable, *,
-                        accumulator_bits: int | None = None,
-                        saturate: bool = False) -> np.ndarray:
+                        lut: LookupTable) -> np.ndarray:
     """Exact float64 BLAS GEMM via rank <= 3 factors (needs K*bound < 2**53).
 
     Same contract as :func:`lut_matmul_blocked`, for tables with
@@ -473,7 +445,7 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
                   out=sums[r0:r0 + block_rows])
     acc = np.rint(sums).astype(np.int64)
     acc //= factors.denominator
-    return _wrap_accumulator(acc, accumulator_bits, saturate)
+    return acc
 
 
 #: The LUT-GEMM kernels :func:`lut_matmul` dispatches to, by name.
@@ -509,8 +481,6 @@ def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
 
 def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
                lut: LookupTable, *,
-               accumulator_bits: int | None = None,
-               saturate: bool = False,
                kernel: str | None = None) -> np.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
 
@@ -533,14 +503,12 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
     range or float operands with non-integral values
-    :class:`~repro.errors.TruthTableError`, an ``accumulator_bits``
-    outside ``[8, 64]`` or a :class:`RowTable` built through another table
-    :class:`~repro.errors.ConfigurationError` and an unknown kernel name
+    :class:`~repro.errors.TruthTableError`, a :class:`RowTable` built
+    through another table :class:`~repro.errors.ConfigurationError` and an
+    unknown kernel name
     :class:`~repro.errors.RegistryError`, all before any work is done.
     """
     patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
-    if accumulator_bits is not None and not 8 <= accumulator_bits <= 64:
-        raise ConfigurationError("accumulator_bits must lie in [8, 64]")
     if kernel is None:
         kernel = ("rowgather" if isinstance(filters, RowTable)
                   else choose_gemm_kernel(lut, *patches.shape))
@@ -553,8 +521,7 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
         ) from None
     if isinstance(filters, RowTable) and kernel != "rowgather":
         filters = filters.filters
-    return run(patches, filters, lut,
-               accumulator_bits=accumulator_bits, saturate=saturate)
+    return run(patches, filters, lut)
 
 
 def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
@@ -598,19 +565,13 @@ def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
 def approx_gemm(patches: np.ndarray, patch_sums: np.ndarray,
                 filters: np.ndarray | RowTable, filter_sums: np.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
-                lut: LookupTable, *,
-                accumulator_bits: int | None = None,
-                saturate: bool = False) -> np.ndarray:
+                lut: LookupTable) -> np.ndarray:
     """The ``ApproxGEMM`` step of Algorithm 1.
 
     Multiplies the quantised patch matrix with the quantised filter matrix
     through the multiplier LUT (see :func:`lut_matmul`) and returns the
     dequantised float output of shape ``[patches, filters]``.
     """
-    acc = lut_matmul(
-        patches, filters, lut,
-        accumulator_bits=accumulator_bits,
-        saturate=saturate,
-    )
+    acc = lut_matmul(patches, filters, lut)
     depth = patches.shape[1]
     return dequantize_gemm(acc, patch_sums, filter_sums, depth, input_q, filter_q)

@@ -14,6 +14,17 @@ The simulated kernel walks the same tile structure (so the launch geometry,
 shared-memory traffic and texture-fetch counts are faithful), but evaluates
 each tile with vectorised NumPy through the bound texture object.  With an
 identical LUT the numerical result matches the host engines bit for bit.
+
+Like every engine here, the simulated kernel sums the lookups in int64, not
+in float32.  The two agree while every partial sum is an integer float32
+holds exactly, i.e. while ``K * max|T| <= 2**24`` for depth ``K`` and the
+table's largest entry magnitude ``max|T|``; then the paper's accumulator is
+exact in any summation order.  The deepest such ``K`` is
+``(1 << 24) // max|T|``: 1024 for most ``mul8s_*`` library tables, 1023 for
+``mul8s_noise64`` and 809 for ``mul8s_drum4``, so every signed table keeps
+the bound at ResNet-20's deepest conv (``K = 576``).  The ``mul8u_*`` tables
+allow only 257-334, so there the float32 original may round sums that the
+int64 emulation keeps exact.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...backends.pipeline import InferencePipeline, check_accumulator
+from ...backends.pipeline import InferencePipeline
 from ...conv.approx_conv2d import DEFAULT_CHUNK_SIZE
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
@@ -100,9 +100,6 @@ class AxConv2D(Node):
                  qrange: IntegerRange | None = None,
                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 accumulator_bits: int | None = None,
-                 backend: str = "numpy",
-                 max_workers: int = 1,
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
             raise ConfigurationError("AxConv2D requires a LookupTable instance")
@@ -116,60 +113,17 @@ class AxConv2D(Node):
         self.dilations = dilations
         self.padding = padding
         self.qrange = qrange
-        #: Every execution routes through a conv backend; the pipeline
-        #: caches this layer's quantised filter bank across runs, so repeated
-        #: inference only pays the filter-side setup once.  The pipeline is
-        #: the single owner of the tunable execution parameters -- ``lut``,
-        #: ``chunk_size``, ``round_mode`` and ``accumulator_bits`` below are
-        #: properties over it, so mutating them on the node keeps working.
+        #: The pipeline is the one owner of the execution settings (the
+        #: table as its ``multiplier``, ``chunk_size``, ``round_mode``); it
+        #: caches this layer's quantised filter bank across runs, so
+        #: repeated inference only pays the filter-side setup once.
         self.pipeline = InferencePipeline(
-            backend,
-            multiplier=lut,
-            chunk_size=chunk_size,
-            max_workers=max_workers,
+            "numpy", multiplier=lut, chunk_size=chunk_size,
             round_mode=round_mode,
-            accumulator_bits=accumulator_bits,
         )
         super().__init__(
             graph, name, [x, filters, input_min, input_max, filter_min, filter_max],
         )
-
-    # -- tunables delegated to the pipeline so post-construction mutation
-    # -- (an established pattern for ablations) takes effect on execution.
-    @property
-    def lut(self) -> LookupTable:
-        return self.pipeline.multiplier
-
-    @lut.setter
-    def lut(self, value: LookupTable) -> None:
-        if not isinstance(value, LookupTable):
-            raise ConfigurationError("AxConv2D requires a LookupTable instance")
-        self.pipeline.multiplier = value
-
-    @property
-    def chunk_size(self) -> int:
-        return self.pipeline.chunk_size
-
-    @chunk_size.setter
-    def chunk_size(self, value: int) -> None:
-        self.pipeline.chunk_size = value
-
-    @property
-    def round_mode(self) -> RoundMode:
-        return self.pipeline.round_mode
-
-    @round_mode.setter
-    def round_mode(self, value: RoundMode | str) -> None:
-        self.pipeline.round_mode = RoundMode.from_any(value)
-
-    @property
-    def accumulator_bits(self) -> int | None:
-        return self.pipeline.accumulator_bits
-
-    @accumulator_bits.setter
-    def accumulator_bits(self, value: int | None) -> None:
-        check_accumulator(self.pipeline.backend, value, self.pipeline.saturate)
-        self.pipeline.accumulator_bits = value
 
     def compute(self, inputs: list[np.ndarray]) -> np.ndarray:
         self._expect_inputs(inputs, 6)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..errors import GraphError
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.affine import IntegerRange, SIGNED_8BIT, UNSIGNED_8BIT
+from ..quantization.affine import IntegerRange
 from ..quantization.rounding import RoundMode
 from .graph import Graph
 from .node import Node
@@ -70,7 +70,6 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
                       qrange: IntegerRange | None = None,
                       round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                       chunk_size: int = 32,
-                      accumulator_bits: int | None = None,
                       layer_filter=None) -> TransformReport:
     """Replace every ``Conv2D`` in ``graph`` by an ``AxConv2D`` (Fig. 1).
 
@@ -82,14 +81,13 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         The approximate multiplier to emulate, either as a behavioural model
         or directly as its lookup table.
     qrange:
-        Quantised integer range; defaults to the range matching the
-        multiplier's signedness ([-128, 127] or [0, 255]).
+        Quantised integer range; defaults to the table's own operand range
+        (``IntegerRange.for_bits(bit_width, signed=...)``: [-128, 127] or
+        [0, 255] at 8 bits).
     round_mode:
         Rounding mode applied during quantisation.
     chunk_size:
         Batch chunk size forwarded to the approximate convolution.
-    accumulator_bits:
-        Optional finite-accumulator width forwarded to the engine.
     layer_filter:
         Optional predicate ``f(conv_node) -> bool``; layers for which it
         returns False keep their accurate implementation.  This enables the
@@ -101,8 +99,6 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         Names of replaced/skipped layers and insertion counts.
     """
     lut = _resolve_lut(multiplier_or_lut)
-    if qrange is None:
-        qrange = SIGNED_8BIT if lut.signed else UNSIGNED_8BIT
     report = TransformReport(lut_name=lut.name)
 
     for conv in list(graph.nodes_by_type(Conv2D.op_type)):
@@ -121,8 +117,7 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
             graph, data, filters, input_min, input_max, filter_min, filter_max,
             lut=lut, strides=conv.strides, dilations=conv.dilations,
             padding=conv.padding, qrange=qrange, round_mode=round_mode,
-            chunk_size=chunk_size, accumulator_bits=accumulator_bits,
-            name=f"{conv.name}/approx",
+            chunk_size=chunk_size, name=f"{conv.name}/approx",
         )
         replace_consumers(graph, conv, ax)
         graph.remove(conv)

@@ -13,8 +13,7 @@ from ..graph.ops import AxConv2D, Conv2D
 from ..workload import ConvWorkload
 
 
-def conv_workloads_from_graph(graph: Graph, *, batch_size: int = 1
-                              ) -> list[ConvWorkload]:
+def conv_workloads_from_graph(graph: Graph) -> list[ConvWorkload]:
     """Derive per-layer workloads from the convolution nodes of a graph.
 
     Uses static shape inference, so every placeholder must have a fully

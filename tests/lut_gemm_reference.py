@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.conv.gemm import KERNELS, _wrap_accumulator
+from repro.conv.gemm import KERNELS
 
 
-def lut_matmul_naive(patches, filters, lut, *, tile_rows: int = 256,
-                     accumulator_bits: int | None = None,
-                     saturate: bool = False) -> np.ndarray:
+def lut_matmul_naive(patches, filters, lut, *,
+                     tile_rows: int = 256) -> np.ndarray:
     """Row tiles over a full-depth ``[T, K, F]`` int64 index tensor.
 
     ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
     ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
     operands inside the table's range.  The product is accumulated in int64
-    (optionally folded into a finite-width accumulator) and returned as an
-    ``[P, F]`` int64 matrix of *approximate* dot products.
+    and returned as an ``[P, F]`` int64 matrix of *approximate* dot products.
     """
     patches = np.asarray(patches).astype(np.int64, copy=False)
     filters = np.asarray(filters).astype(np.int64, copy=False)
@@ -37,8 +35,7 @@ def lut_matmul_naive(patches, filters, lut, *, tile_rows: int = 256,
         tile_bits = (patches[start:stop] & mask) << lut.bit_width  # [T, K]
         idx = tile_bits[:, :, None] | filter_bits[None, :, :]      # [T, K, F]
         products = lut.lookup_flat(idx)                     # [T, K, F] int64
-        result[start:stop] = _wrap_accumulator(
-            products.sum(axis=1), accumulator_bits, saturate)
+        result[start:stop] = products.sum(axis=1)
     return result
 
 

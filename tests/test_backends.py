@@ -113,31 +113,27 @@ GEMM_MULTIPLIERS = ["mul8s_exact", "mul8s_mitchell", "mul8u_drum4"]
 class TestKernelVariantParity:
     """Every LUT-GEMM kernel in ``KERNELS`` must agree bit for bit.
 
-    The grid crosses shapes x multipliers (signed and unsigned) x
-    accumulator model -- the paper's 32-bit wrap-around accumulator and the
-    default unbounded int64 one; ``lut_matmul_naive`` is the reference.
-    ``factored`` joins for the tables it can compute (``exact``, ``drum4``).
+    The grid crosses shapes x multipliers (signed and unsigned); every
+    kernel sums in one int64 accumulator and ``lut_matmul_naive`` is the
+    reference.  ``factored`` joins for the tables it can compute
+    (``exact``, ``drum4``).
     """
 
     @pytest.mark.parametrize("shape", GEMM_SHAPES,
                              ids=["remainder", "aligned", "spill"])
     @pytest.mark.parametrize("multiplier", GEMM_MULTIPLIERS)
-    @pytest.mark.parametrize("accumulator_bits", [32, None],
-                             ids=["acc32", "acc64"])
-    def test_all_kernels_bit_identical(self, shape, multiplier,
-                                       accumulator_bits):
+    @pytest.mark.parametrize("acc_dtype", [np.int64], ids=["acc64"])
+    def test_all_kernels_bit_identical(self, shape, multiplier, acc_dtype):
         p, k, f = shape
         lut = LookupTable.from_multiplier(library.create(multiplier))
         lo, hi = (-128, 128) if lut.signed else (0, 256)
         rng = np.random.default_rng(p * 1000 + k)
         patches = rng.integers(lo, hi, size=(p, k))
         filters = rng.integers(lo, hi, size=(k, f))
-        reference = lut_matmul_naive(patches, filters, lut,
-                                     accumulator_bits=accumulator_bits)
+        reference = lut_matmul_naive(patches, filters, lut)
         for name in kernels_for(lut, k):
-            out = lut_matmul(patches, filters, lut, kernel=name,
-                             accumulator_bits=accumulator_bits)
-            assert out.dtype == np.int64
+            out = lut_matmul(patches, filters, lut, kernel=name)
+            assert out.dtype == acc_dtype
             assert np.array_equal(out, reference), (
                 f"kernel {name!r} diverged from naive for {multiplier} "
                 f"at shape {shape}"
@@ -473,27 +469,6 @@ class TestPipelineConfiguration:
         with pytest.raises(ConfigurationError, match="multiplier"):
             pipeline.run(np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 1, 1)))
 
-    def test_finite_accumulator_only_on_numpy(self):
-        rng = np.random.default_rng(6)
-        inputs = rng.normal(size=(1, 4, 4, 1))
-        filters = rng.normal(size=(3, 3, 1, 1))
-        out = emulate_conv2d(inputs, filters, "mul8s_exact",
-                             accumulator_bits=16, saturate=True)
-        assert out.shape == (1, 4, 4, 1)
-        for name in ("cpusim", "gpusim"):
-            with pytest.raises(ConfigurationError, match="accumulator"):
-                InferencePipeline(name, accumulator_bits=16)
-            with pytest.raises(ConfigurationError, match="accumulator"):
-                InferencePipeline(name, saturate=True)
-            with pytest.raises(ConfigurationError, match="accumulator"):
-                emulate_conv2d(inputs, filters, "mul8s_exact", backend=name,
-                               accumulator_bits=16)
-
-    @pytest.mark.parametrize("bits", [4, 7, 65])
-    def test_accumulator_width_checked_at_construction(self, bits):
-        with pytest.raises(ConfigurationError, match=r"\[8, 64\]"):
-            InferencePipeline("numpy", accumulator_bits=bits)
-
     def test_qrange_derived_from_lut_signedness(self):
         rng = np.random.default_rng(8)
         inputs = np.abs(rng.normal(size=(1, 5, 5, 1)))
@@ -543,17 +518,6 @@ class TestPipelineConfiguration:
                     emulate_conv2d(inputs, filters, "mul8s_exact",
                                    backend=engine, input_range=input_range,
                                    filter_range=filter_range)
-
-    def test_axconv2d_accumulator_setter_checks_the_backend(self):
-        graph = Graph("acc")
-        operands = [Constant(graph, np.ones(shape)) for shape in
-                    ((1, 4, 4, 1), (3, 3, 1, 1), (), (), (), ())]
-        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
-        node = AxConv2D(graph, *operands, lut=lut, backend="gpusim")
-        with pytest.raises(ConfigurationError, match="accumulator"):
-            node.accumulator_bits = 32
-        assert node.accumulator_bits is None
-
 
 class TestAxConv2DIntegration:
     def test_graph_op_routes_through_pipeline_and_caches(self):

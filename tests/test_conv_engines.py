@@ -58,25 +58,6 @@ class TestGemmPrimitives:
     def test_lut_matmul_validation(self, exact_lut_signed):
         with pytest.raises(ShapeError):
             lut_matmul(np.zeros((2, 3)), np.zeros((4, 2)), exact_lut_signed)
-        with pytest.raises(ConfigurationError):
-            lut_matmul(np.zeros((2, 3)), np.zeros((3, 2)), exact_lut_signed,
-                       accumulator_bits=4)
-
-    def test_accumulator_saturation(self, exact_lut_signed):
-        a = np.full((1, 300), 127, dtype=np.int64)
-        b = np.full((300, 1), 127, dtype=np.int64)
-        exact = lut_matmul(a, b, exact_lut_signed)
-        saturated = lut_matmul(a, b, exact_lut_signed,
-                               accumulator_bits=16, saturate=True)
-        assert exact[0, 0] == 300 * 127 * 127
-        assert saturated[0, 0] == (1 << 15) - 1
-
-    def test_accumulator_wraparound(self, exact_lut_signed):
-        a = np.full((1, 10), 127, dtype=np.int64)
-        b = np.full((10, 1), 127, dtype=np.int64)
-        wrapped = lut_matmul(a, b, exact_lut_signed, accumulator_bits=16)
-        expected = ((10 * 127 * 127 + (1 << 15)) % (1 << 16)) - (1 << 15)
-        assert wrapped[0, 0] == expected
 
     def test_dequantize_gemm_validation(self, rng):
         iq = compute_coeffs_from_tensor(rng.normal(size=4))

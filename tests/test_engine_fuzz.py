@@ -7,9 +7,6 @@ randomly drawn geometry, tables and chunk sizes, and must equal
 same data-derived coefficients.  The ``numpy`` pipeline runs twice per draw:
 for a table without exact factors, the second call finds the filter bank
 cached and runs ``rowgather`` on its prebuilt row table.
-
-Finite accumulators are out of scope here: the direct loop does not model
-them, and ``tests/test_gemm_properties.py`` checks them per kernel.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ Three families of invariants, mostly driven by hypothesis:
   of crashing;
 * *no silent wrong answers*: operands the table cannot address, and
   non-integral float operands, raise typed errors at the ``lut_matmul``
-  boundary, for every kernel, and the finite-accumulator model matches a
-  Python-int reference up to 64 bits;
+  boundary, for every kernel;
 * *operand width is invisible*: int8 / uint8 / int16 operands (the narrow
   patch matrix ``im2col_quantized`` emits) give the int64-operand result on
   every kernel, and the int32 panel partials of ``blocked`` and
@@ -29,8 +28,8 @@ Three families of invariants, mostly driven by hypothesis:
   leave ``lut_matmul`` on the size rule;
 * *a prebuilt row table is the operand it was built from*: ``lut_matmul``
   on a :class:`~repro.conv.gemm.RowTable` matches the naive reference on
-  random tables, widths and geometry below the size rule, with the
-  finite-accumulator model, and refuses a table built through another LUT;
+  random tables, widths and geometry below the size rule, and refuses a
+  table built through another LUT;
 * *the kernel table is fixed*: ``KERNELS`` names the three kernels, an
   unknown name raises ``RegistryError`` and the size rule picks one when
   none is named.
@@ -139,39 +138,6 @@ class TestBlockingInvariance:
         tiled = lut_matmul_naive(patches, filters, mitchell_lut,
                                  tile_rows=tile_rows)
         np.testing.assert_array_equal(tiled, full)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        accumulator_bits=st.one_of(st.integers(12, 24),
-                                   st.sampled_from([63, 64])),
-        saturate=st.booleans(),
-    )
-    def test_finite_accumulator_parity_across_kernels(self, exact_lut, seed,
-                                                      accumulator_bits,
-                                                      saturate):
-        """Every kernel applies wrap/saturate exactly as Python ints do."""
-        patches, filters = _int_case(seed, 9, 50, 4)
-        lo = -(1 << (accumulator_bits - 1))
-        hi = (1 << (accumulator_bits - 1)) - 1
-
-        def finite(value: int) -> int:
-            if saturate:
-                return min(max(value, lo), hi)
-            return (value - lo) % (1 << accumulator_bits) + lo
-
-        reference = np.array([[finite(int(v)) for v in row]
-                              for row in patches @ filters], dtype=np.int64)
-        for kernel in sorted(KERNELS):
-            out = lut_matmul(patches, filters, exact_lut, kernel=kernel,
-                             accumulator_bits=accumulator_bits,
-                             saturate=saturate)
-            np.testing.assert_array_equal(out, reference)
-        # Several row and K panels, each folded separately.
-        out = lut_matmul_blocked(patches, filters, exact_lut, block_rows=4,
-                                 block_k=13, accumulator_bits=accumulator_bits,
-                                 saturate=saturate)
-        np.testing.assert_array_equal(out, reference)
 
 
 class TestExactLutIsAGemm:
@@ -508,13 +474,9 @@ class TestFactored:
         p=st.one_of(st.just(1), st.integers(1, 40)),
         k=st.one_of(st.just(1), st.integers(1, 60)),
         f=st.one_of(st.just(1), st.integers(1, 9)),
-        accumulator_bits=st.one_of(st.none(), st.integers(12, 32),
-                                   st.sampled_from([63, 64])),
-        saturate=st.booleans(),
     )
     def test_random_low_rank_tables_match_reference(
-            self, seed, rank, bit_width, signed, p, k, f, accumulator_bits,
-            saturate):
+            self, seed, rank, bit_width, signed, p, k, f):
         table = _rank_r_table(seed, rank, bit_width, signed)
         lut = LookupTable(table, bit_width=bit_width, signed=signed)
         factors = lut.factors
@@ -529,11 +491,8 @@ class TestFactored:
                                size=(p, k))
         filters = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(k, f))
-        reference = lut_matmul_naive(patches, filters, lut,
-                                     accumulator_bits=accumulator_bits,
-                                     saturate=saturate)
-        out = lut_matmul(patches, filters, lut,
-                         accumulator_bits=accumulator_bits, saturate=saturate)
+        reference = lut_matmul_naive(patches, filters, lut)
+        out = lut_matmul(patches, filters, lut)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, reference)
 
@@ -658,14 +617,10 @@ class TestRowTable:
         p=st.one_of(st.just(1), st.integers(1, 30)),
         k=st.one_of(st.just(1), st.integers(1, 40)),
         f=st.one_of(st.just(1), st.integers(1, 9)),
-        accumulator_bits=st.one_of(st.none(), st.integers(12, 32),
-                                   st.sampled_from([63, 64])),
-        saturate=st.booleans(),
         panel_bytes=st.sampled_from([1, 1 << 12, 1 << 20]),
     )
     def test_matches_reference_below_size_rule(
-            self, seed, bit_width, signed, p, k, f, accumulator_bits,
-            saturate, panel_bytes):
+            self, seed, bit_width, signed, p, k, f, panel_bytes):
         lut = LookupTable(_random_table(seed, bit_width, signed),
                           bit_width=bit_width, signed=signed)
         assert choose_gemm_kernel(lut, p, k) == "blocked"
@@ -677,12 +632,8 @@ class TestRowTable:
         # The build and the gather both walk panels of this byte budget.
         with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
             table = RowTable(filters, lut)
-            out = lut_matmul(patches, table, lut,
-                             accumulator_bits=accumulator_bits,
-                             saturate=saturate)
-        reference = lut_matmul_naive(patches, filters, lut,
-                                     accumulator_bits=accumulator_bits,
-                                     saturate=saturate)
+            out = lut_matmul(patches, table, lut)
+        reference = lut_matmul_naive(patches, filters, lut)
         np.testing.assert_array_equal(out, reference)
 
     def test_layout_and_immutability(self, mitchell_lut):

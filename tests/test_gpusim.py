@@ -18,6 +18,9 @@ from repro.gpusim import (
     run_im2cols_kernel,
 )
 from repro.hwspec import GPUSpec
+from repro.lut import LookupTable
+from repro.models import conv_workloads_for_depth
+from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
 from repro.workload import ConvWorkload
 
@@ -102,6 +105,19 @@ class TestKernels:
             run_approx_gemm_kernel(dev, np.zeros((4, 3)), np.zeros(4),
                                    np.zeros((5, 2)), np.zeros(2), iq, iq,
                                    exact_lut_signed)
+
+    def test_signed_tables_keep_the_float32_accumulator_exact(self):
+        """The paper's kernel sums lookups in float32, exact while
+        ``K * max|T| <= 2**24``; every signed library table keeps that bound
+        at ResNet-20's deepest conv, so the int64 sums equal the paper's."""
+        depth = max(w.patch_length for w in conv_workloads_for_depth(20))
+        assert depth == 576
+        names = [n for n in library.available() if n.startswith("mul8s_")]
+        assert names
+        for name in names:
+            lut = LookupTable.from_multiplier(library.create(name))
+            largest = int(np.abs(lut.flat.astype(np.int64)).max())
+            assert depth * largest <= 1 << 24, name
 
 
 class TestGPUEngine:

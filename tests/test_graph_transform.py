@@ -10,6 +10,7 @@ from repro.graph import (
     Executor,
     Graph,
     approximate_graph,
+    approximate_graph_layerwise,
     restore_accurate_graph,
 )
 from repro.graph.ops import (
@@ -21,8 +22,9 @@ from repro.graph.ops import (
     ReLU,
 )
 from repro.lut import LookupTable
+from repro.models import build_simple_cnn
 from repro.multipliers import ExactMultiplier, library
-from repro.quantization import SIGNED_8BIT, UNSIGNED_8BIT
+from repro.quantization import SIGNED_8BIT, UNSIGNED_8BIT, IntegerRange
 
 
 def op_counts(graph, *op_types):
@@ -104,6 +106,29 @@ class TestApproximateGraph:
         approximate_graph(g, library.create("mul8u_drum4"))
         ax = g.nodes_by_type("AxConv2D")[0]
         assert ax.qrange == UNSIGNED_8BIT
+
+    def test_default_range_follows_the_table_width(self, rng):
+        """A 4-bit table quantises to its own [-8, 7], not to 8 bits, so
+        the transformed graph runs."""
+        model = build_simple_cnn(input_size=8)
+        approximate_graph(model.graph, ExactMultiplier(4, signed=True))
+        for ax in model.graph.nodes_by_type("AxConv2D"):
+            assert ax.qrange == IntegerRange.for_bits(4, signed=True)
+        logits = Executor(model.graph).run(
+            model.logits, {model.input_node: rng.normal(size=(2, 8, 8, 3))})
+        assert logits.shape == (2, model.num_classes)
+        assert np.all(np.isfinite(logits))
+
+    def test_layerwise_range_follows_the_table_width(self):
+        n = 1 << 12
+        operands = np.arange(n, dtype=np.int32)
+        operands[n // 2:] -= n                   # bit pattern -> signed value
+        lut = LookupTable(np.multiply.outer(operands, operands),
+                          bit_width=12, signed=True, name="mul12s_exact")
+        model = build_simple_cnn(input_size=8)
+        approximate_graph_layerwise(model.graph, {"conv1": lut})
+        (ax,) = model.graph.nodes_by_type("AxConv2D")
+        assert ax.qrange == IntegerRange.for_bits(12, signed=True)
 
     def test_invalid_multiplier_argument(self, rng):
         g, x, out = build_two_layer_graph(rng)

@@ -78,7 +78,7 @@ class TestLayerwiseApproximation:
 
         model = build_simple_cnn(seed=0)
         approximate_graph_layerwise(model.graph, {"conv1": ta, "conv2": tb})
-        luts = {node.name: node.lut
+        luts = {node.name: node.pipeline.multiplier
                 for node in model.graph.nodes_by_type(AxConv2D.op_type)}
         assert luts["conv1/approx"].lookup(3, 5) == 15
         assert luts["conv2/approx"].lookup(3, 5) == 0
