@@ -4,8 +4,8 @@
 Runs one convolution layer through the simulated GPU device (Algorithm 1:
 ``prepare_conv2d`` once, then per chunk the Im2Cols kernel with its
 prefix-scan patch sums and the tiled LUT GEMM kernel fetching products
-through the texture object, via ``run_gpusim_chunk`` on the demo's own
-``GPUDevice``), prints the kernel launches and memory traffic the device
+from the LUT bound to texture memory, via ``run_gpusim_chunk`` on the
+demo's own ``GPUDevice``), prints the kernel launches and memory traffic the device
 recorded, and replays the LUT fetch stream through the texture-cache model
 to show why texture memory is a good home for the 128 kB multiplier table.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.conv import (approx_conv2d, flatten_filters, im2col_quantized,
                         prepare_conv2d, split_chunks)
-from repro.gpusim import GPUConvRunReport, GPUDevice, run_gpusim_chunk
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.lut import LookupTable, TextureCacheModel
 from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
@@ -57,14 +57,10 @@ def main() -> int:
     # loop, every kernel launch recorded on one device.
     device = GPUDevice()
     prepared = prepare_conv2d(inputs, filters, lut)
-    report = GPUConvRunReport()
-    outputs = []
-    for start, stop in split_chunks(len(inputs), chunk_size=2):
-        output, chunk_report = run_gpusim_chunk(
-            device, inputs[start:stop], prepared)
-        outputs.append(output)
-        report.merge(chunk_report)
-    gpu_out = np.concatenate(outputs)
+    chunks = split_chunks(len(inputs), chunk_size=2)
+    gpu_out = np.concatenate([
+        run_gpusim_chunk(device, inputs[start:stop], prepared)
+        for start, stop in chunks])
 
     host_out = approx_conv2d(inputs, filters, lut, chunk_size=2)
     assert np.array_equal(gpu_out, host_out), "device and host engines diverged"
@@ -74,7 +70,7 @@ def main() -> int:
     for launch in counters.launches:
         print(f"  {launch.name:<12} grid={launch.grid} block={launch.block} "
               f"shared={launch.shared_memory_bytes} B")
-    print(f"\nDevice counters over {report.chunks} chunks:")
+    print(f"\nDevice counters over {len(chunks)} chunks:")
     print(f"  texture fetches (LUT lookups) : {counters.texture_fetches:,}")
     print(f"  atomicAdd operations on Sp    : {counters.atomic_adds:,}")
     print(f"  global memory read            : {counters.global_bytes_read:,} B")

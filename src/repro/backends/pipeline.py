@@ -15,8 +15,8 @@ hot path:
   results are deterministic and bit-identical to a sequential run;
 * every run returns a :class:`RunReport` merging the functional operation
   counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
-  launch-level GPU accounting
-  (:class:`~repro.gpusim.engine.GPUConvRunReport`) when the ``gpusim``
+  simulated device's counters
+  (:class:`~repro.gpusim.device.DeviceCounters`) when the ``gpusim``
   backend ran, plus cache hit/miss counters and the wall-clock time.
   :meth:`InferencePipeline.run` is the one place a convolution's work is
   counted: once per run, from the geometry.  A caller that wants the total
@@ -50,7 +50,7 @@ from ..conv.approx_conv2d import (
 )
 from ..conv.padding import resolve_geometry
 from ..errors import ConfigurationError
-from ..gpusim.engine import GPUConvRunReport
+from ..gpusim.device import DeviceCounters
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
 from ..quantization.affine import IntegerRange
@@ -73,10 +73,10 @@ class RunReport:
 
     Merges the two accounting structures the seed code kept separate: the
     engine-agnostic operation counts every backend reports (``stats``) and
-    the simulated-CUDA launch records (``gpu``), populated only when the
-    ``gpusim`` backend executed the run.  The cache counters are deltas over
-    this run, not lifetime totals, so a caller can assert "the second call
-    hit the cache" without bookkeeping of its own.
+    the simulated device's counters and launch records (``gpu``), populated
+    only when the ``gpusim`` backend executed the run.  The cache counters
+    are deltas over this run, not lifetime totals, so a caller can assert
+    "the second call hit the cache" without bookkeeping of its own.
     """
 
     backend: str = ""
@@ -88,7 +88,7 @@ class RunReport:
     lut_cache: CacheStats = field(default_factory=CacheStats)
     filter_cache: CacheStats = field(default_factory=CacheStats)
     stats: ApproxConvStats = field(default_factory=ApproxConvStats)
-    gpu: GPUConvRunReport | None = None
+    gpu: DeviceCounters | None = None
 
     def merge(self, other: "RunReport") -> None:
         """Accumulate another run's accounting (e.g. a multi-layer sweep).
@@ -106,7 +106,7 @@ class RunReport:
                         + getattr(theirs, counter.name))
         if other.gpu is not None:
             if self.gpu is None:
-                self.gpu = GPUConvRunReport()
+                self.gpu = DeviceCounters()
             self.gpu.merge(other.gpu)
         if other.lut_name:
             self.lut_name = other.lut_name
@@ -341,7 +341,7 @@ class InferencePipeline:
         for _, gpu in results:
             if gpu is not None:
                 if report.gpu is None:
-                    report.gpu = GPUConvRunReport()
+                    report.gpu = DeviceCounters()
                 report.gpu.merge(gpu)
         report.wall_time_s = time.perf_counter() - start_time
         for scope in _SCOPES.get():

@@ -18,8 +18,8 @@ The table holds exactly three backends:
     texture fetches and shared-memory traffic.
 
 Each chunk function takes ``(chunk, prepared, strides, dilations, padding)``
-and returns the chunk's NHWC output plus its
-:class:`~repro.gpusim.engine.GPUConvRunReport` (``None`` off ``gpusim``).
+and returns the chunk's NHWC output plus the simulated device's
+:class:`~repro.gpusim.device.DeviceCounters` (``None`` off ``gpusim``).
 Every engine sums its products in exact integers, must be deterministic and
 must be bit-identical to ``numpy``; the cross-backend parity test enforces
 this.
@@ -35,10 +35,10 @@ import numpy as np
 from ..conv.approx_conv2d import PreparedConv, approx_conv2d_chunk
 from ..conv.reference import approx_conv2d_direct_quantized
 from ..errors import RegistryError
-from ..gpusim.device import GPUDevice
-from ..gpusim.engine import GPUConvRunReport, run_gpusim_chunk
+from ..gpusim.device import DeviceCounters, GPUDevice
+from ..gpusim.engine import run_gpusim_chunk
 
-ChunkOutput = tuple[np.ndarray, GPUConvRunReport | None]
+ChunkOutput = tuple[np.ndarray, DeviceCounters | None]
 
 
 def _numpy_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
@@ -61,10 +61,12 @@ def _gpusim_chunk(chunk: np.ndarray, prepared: PreparedConv, strides,
                   dilations, padding: str) -> ChunkOutput:
     # A fresh device per chunk: a shared one would keep every
     # ``KernelLaunch`` record for the life of the process.
-    return run_gpusim_chunk(
-        GPUDevice(), chunk, prepared,
+    device = GPUDevice()
+    output = run_gpusim_chunk(
+        device, chunk, prepared,
         strides=strides, dilations=dilations, padding=padding,
     )
+    return output, device.counters
 
 
 _BACKENDS = {

@@ -2,11 +2,14 @@
 
 :func:`run_gpusim_chunk` runs one chunk of Algorithm 1 on a
 :class:`GPUDevice`; the ``gpusim`` backend of :mod:`repro.backends` drives
-it over a whole batch.
+it over a whole batch.  :class:`DeviceCounters` is the one record of what
+the simulated device did: every kernel charges its launch, texture fetches,
+atomicAdds and memory traffic there, and ``RunReport.gpu`` is the merged
+counters of a run's chunks.
 """
 
 from .device import DeviceCounters, GPUDevice, KernelLaunch
-from .engine import GPUConvRunReport, run_gpusim_chunk
+from .engine import run_gpusim_chunk
 from .kernels import (
     GEMM_TILE,
     IM2COLS_BLOCK_SIZE,
@@ -19,7 +22,6 @@ __all__ = [
     "GPUDevice",
     "DeviceCounters",
     "KernelLaunch",
-    "GPUConvRunReport",
     "run_gpusim_chunk",
     "GPUTimingModel",
     "PhaseTimes",

@@ -2,20 +2,20 @@
 
 The :class:`GPUDevice` couples a :class:`~repro.hwspec.GPUSpec` (the physical
 description used by the timing model) with the functional state the emulated
-kernels need: bound texture objects, launch statistics and memory-traffic
-counters.  It is *not* a cycle-accurate simulator -- the paper does not need
+kernels need: the LUTs bound to texture memory and :class:`DeviceCounters`,
+the one record of every launch, texture fetch, atomicAdd and byte of memory
+traffic.  It is *not* a cycle-accurate simulator -- the paper does not need
 one; it needs a faithful functional model of the kernels plus an analytical
 cost model that reproduces where the time goes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import DeviceError
 from ..hwspec import GPUSpec, GTX_1080
 from ..lut.table import LookupTable
-from ..lut.texture import TextureObject
 
 
 @dataclass
@@ -27,53 +27,36 @@ class KernelLaunch:
     block: tuple[int, int, int]
     shared_memory_bytes: int = 0
 
-    @property
-    def blocks(self) -> int:
-        """Total number of thread blocks in the launch."""
-        return self.grid[0] * self.grid[1] * self.grid[2]
-
-    @property
-    def threads_per_block(self) -> int:
-        """Threads per block."""
-        return self.block[0] * self.block[1] * self.block[2]
-
-    @property
-    def total_threads(self) -> int:
-        """Total threads across the whole grid."""
-        return self.blocks * self.threads_per_block
-
 
 @dataclass
 class DeviceCounters:
-    """Aggregated work counters of every kernel executed on the device."""
+    """Aggregated work counters of every kernel executed on the device.
+
+    The one record of what the simulated GPU did: the kernels charge it
+    directly, and a ``gpusim`` pipeline run merges its chunks' counters into
+    ``RunReport.gpu``.
+    """
 
     kernel_launches: int = 0
-    total_threads: int = 0
     global_bytes_read: int = 0
     global_bytes_written: int = 0
     shared_bytes_traffic: int = 0
     texture_fetches: int = 0
     atomic_adds: int = 0
-    flops: int = 0
     launches: list[KernelLaunch] = field(default_factory=list)
 
     def record_launch(self, launch: KernelLaunch) -> None:
         """Account for a kernel launch."""
         self.kernel_launches += 1
-        self.total_threads += launch.total_threads
         self.launches.append(launch)
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.kernel_launches = 0
-        self.total_threads = 0
-        self.global_bytes_read = 0
-        self.global_bytes_written = 0
-        self.shared_bytes_traffic = 0
-        self.texture_fetches = 0
-        self.atomic_adds = 0
-        self.flops = 0
-        self.launches.clear()
+    def merge(self, other: "DeviceCounters") -> None:
+        """Add another device's counters (e.g. one chunk's) to these."""
+        for counter in fields(self):
+            if counter.name != "launches":
+                setattr(self, counter.name, getattr(self, counter.name)
+                        + getattr(other, counter.name))
+        self.launches.extend(other.launches)
 
 
 class GPUDevice:
@@ -82,38 +65,24 @@ class GPUDevice:
     def __init__(self, spec: GPUSpec = GTX_1080) -> None:
         self._spec = spec
         self.counters = DeviceCounters()
-        self._textures: dict[str, TextureObject] = {}
+        self._textures: dict[str, LookupTable] = {}
 
     @property
     def spec(self) -> GPUSpec:
         """The physical device description."""
         return self._spec
 
-    # ------------------------------------------------------------------
-    # Texture objects
-    # ------------------------------------------------------------------
-    def bind_texture(self, lut: LookupTable) -> TextureObject:
-        """Create (or reuse) a texture object bound to a multiplier LUT.
+    def bind_texture(self, lut: LookupTable) -> None:
+        """Bind a multiplier LUT to texture memory.
 
-        Binding the LUT mimics ``cudaCreateTextureObject``; the table is
-        uploaded once per accelerator configuration and reused by every
-        approximate convolution, so repeated binds of the same table return
-        the existing object.
+        Binding mimics ``cudaCreateTextureObject``; the table is uploaded
+        once per accelerator configuration and reused by every approximate
+        convolution, so a repeated bind of the same table costs nothing.
         """
-        texture = self._textures.get(lut.name)
-        if texture is not None and texture.lut is lut:
-            return texture
-        texture = TextureObject(lut)
-        self._textures[lut.name] = texture
+        if self._textures.get(lut.name) is lut:
+            return
+        self._textures[lut.name] = lut
         self.counters.global_bytes_written += lut.nbytes  # host->device upload
-        return texture
-
-    def texture(self, name: str) -> TextureObject:
-        """Return a previously bound texture object."""
-        try:
-            return self._textures[name]
-        except KeyError:
-            raise DeviceError(f"no texture object bound for LUT {name!r}") from None
 
     # ------------------------------------------------------------------
     # Launch-geometry helpers
@@ -146,17 +115,7 @@ class GPUDevice:
         grid = (max(1, -(-cols // tile)), max(1, -(-rows // tile)), 1)
         return grid, (tile, tile, 1)
 
-    def occupancy(self, launch: KernelLaunch) -> float:
-        """Fraction of the device's thread capacity used by a launch.
-
-        A crude occupancy estimate: the ratio of resident threads to the
-        maximum the device can host, capped at 1.  Used by the timing model
-        to penalise very small launches (shallow layers / small chunks).
-        """
-        max_resident = self._spec.sm_count * 2048
-        return min(1.0, launch.total_threads / max_resident)
-
     def reset(self) -> None:
         """Clear counters and unbind textures (a fresh emulation run)."""
-        self.counters.reset()
+        self.counters = DeviceCounters()
         self._textures.clear()

@@ -12,7 +12,7 @@ step is to perform dequantization and a correction according to Eq. 4."
 
 The simulated kernel walks the same tile structure (so the launch geometry,
 shared-memory traffic and texture-fetch counts are faithful), but evaluates
-each tile with vectorised NumPy through the bound texture object.  With an
+each tile with vectorised NumPy fetches from the bound LUT.  With an
 identical LUT the numerical result matches the host engines bit for bit.
 
 Like every engine here, the simulated kernel sums the lookups in int64, not
@@ -29,8 +29,6 @@ int64 emulation keeps exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...conv.gemm import dequantize_gemm
@@ -44,26 +42,18 @@ from ..device import GPUDevice, KernelLaunch
 GEMM_TILE = 16
 
 
-@dataclass
-class GemmKernelResult:
-    """Output of one simulated ApproxGEMM launch."""
-
-    output: np.ndarray
-    launch: KernelLaunch
-    texture_fetches: int
-    shared_bytes: int
-    flops: int
-
-
 def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
                            patch_sums: np.ndarray, filters: np.ndarray,
                            filter_sums: np.ndarray, input_q: QuantParams,
                            filter_q: QuantParams, lut: LookupTable,
-                           ) -> GemmKernelResult:
+                           ) -> np.ndarray:
     """Execute the simulated tiled LUT GEMM on one chunk's patch matrix.
 
     ``patches`` is ``[P, K]`` (quantised), ``filters`` is ``[K, F]``
     (quantised); the result is the dequantised ``[P, F]`` float output.
+    Operands outside the table's range raise
+    :class:`~repro.errors.TruthTableError` before the launch is recorded,
+    as :func:`~repro.conv.gemm.lut_matmul` does.
     """
     patches = np.asarray(patches, dtype=np.int64)
     filters = np.asarray(filters, dtype=np.int64)
@@ -74,18 +64,20 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
             f"inner dimensions do not match: {patches.shape} x {filters.shape}"
         )
 
-    texture = device.bind_texture(lut)
+    lut.check_operands(patches)
+    lut.check_operands(filters)
+
+    device.bind_texture(lut)
     num_patches, depth = patches.shape
     num_filters = filters.shape[1]
 
     grid, block = device.launch_config_2d(num_patches, num_filters, tile=GEMM_TILE)
-    launch = KernelLaunch(
+    device.counters.record_launch(KernelLaunch(
         name="ax_gemm",
         grid=grid,
         block=block,
         shared_memory_bytes=2 * GEMM_TILE * GEMM_TILE * 4,  # two uint tiles
-    )
-    device.counters.record_launch(launch)
+    ))
 
     mask = (1 << lut.bit_width) - 1
     filter_bits = filters & mask
@@ -102,7 +94,7 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
         a_tile = (patches[:, k0:k1] & mask) << lut.bit_width     # [P, kt]
         b_tile = filter_bits[k0:k1, :]                           # [kt, F]
         idx = a_tile[:, :, None] | b_tile[None, :, :]            # [P, kt, F]
-        acc += texture.fetch(idx).sum(axis=1)
+        acc += lut.lookup_flat(idx).sum(axis=1)
         # Every K tile is staged through shared memory once per block row /
         # column: A tile rows x kt ints + kt x B tile columns ints.
         shared_bytes += (num_patches * (k1 - k0) + (k1 - k0) * num_filters) * 4
@@ -111,14 +103,5 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
     device.counters.global_bytes_read += int(patches.size) + int(filters.size) * 4
     device.counters.global_bytes_written += num_patches * num_filters * 4
     device.counters.texture_fetches += num_patches * num_filters * depth
-    flops = 2 * num_patches * num_filters * depth
-    device.counters.flops += flops
 
-    output = dequantize_gemm(acc, patch_sums, filter_sums, depth, input_q, filter_q)
-    return GemmKernelResult(
-        output=output,
-        launch=launch,
-        texture_fetches=num_patches * num_filters * depth,
-        shared_bytes=shared_bytes,
-        flops=flops,
-    )
+    return dequantize_gemm(acc, patch_sums, filter_sums, depth, input_q, filter_q)

@@ -15,8 +15,6 @@ through shared memory for the prefix scan, and how many atomic additions hit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ...conv.im2col import im2col_quantized
@@ -30,28 +28,16 @@ from ..device import GPUDevice, KernelLaunch
 IM2COLS_BLOCK_SIZE = 256
 
 
-@dataclass
-class Im2ColsKernelResult:
-    """Output of one simulated Im2Cols launch."""
-
-    patches: np.ndarray
-    patch_sums: np.ndarray
-    geometry: ConvGeometry
-    launch: KernelLaunch
-    atomic_adds: int
-    shared_bytes: int
-
-
 def run_im2cols_kernel(device: GPUDevice, chunk: np.ndarray,
                        kernel_height: int, kernel_width: int,
                        input_q: QuantParams, *, strides=(1, 1),
                        dilations=(1, 1), padding: str = "SAME",
-                       ) -> Im2ColsKernelResult:
+                       ) -> tuple[np.ndarray, np.ndarray, ConvGeometry]:
     """Execute the simulated Im2Cols kernel on one input chunk.
 
-    Returns the quantised patch matrix ``Mp``, the per-patch sums ``Sp`` and
-    the launch record, while charging the device counters with the traffic
-    the real kernel would generate.
+    Returns ``(Mp, Sp, geometry)`` like
+    :func:`~repro.conv.im2col.im2col_quantized`, while charging the device
+    counters with the launch and the traffic the real kernel would generate.
     """
     patches, patch_sums, geometry = im2col_quantized(
         chunk, kernel_height, kernel_width, input_q,
@@ -70,24 +56,15 @@ def run_im2cols_kernel(device: GPUDevice, chunk: np.ndarray,
     blocks_per_patch = max(1, -(-patch_len // IM2COLS_BLOCK_SIZE))
     atomic_adds = int(patches.shape[0]) * blocks_per_patch
 
-    launch = KernelLaunch(
+    device.counters.record_launch(KernelLaunch(
         name="ax_im2cols",
         grid=grid,
         block=block,
         shared_memory_bytes=IM2COLS_BLOCK_SIZE * 4,
-    )
-    device.counters.record_launch(launch)
+    ))
     device.counters.global_bytes_read += int(chunk.size) * 4      # float input
     device.counters.global_bytes_written += total_values          # int8 Mp
     device.counters.global_bytes_written += int(patch_sums.size) * 4
     device.counters.shared_bytes_traffic += shared_bytes
     device.counters.atomic_adds += atomic_adds
-
-    return Im2ColsKernelResult(
-        patches=patches,
-        patch_sums=patch_sums,
-        geometry=geometry,
-        launch=launch,
-        atomic_adds=atomic_adds,
-        shared_bytes=shared_bytes,
-    )
+    return patches, patch_sums, geometry

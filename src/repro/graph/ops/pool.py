@@ -44,6 +44,30 @@ def _pool_patches(x: np.ndarray, kernel, strides, padding: str,
     return windows, (geometry.output_height, geometry.output_width)
 
 
+def _window_sizes(input_shape, kernel, strides, padding: str) -> np.ndarray:
+    """In-image pixel count of each pooling window, shape ``[OH, OW, 1]``.
+
+    TensorFlow's average pooling divides each window by this count, so the
+    zeros a ``SAME`` window reads past the image edge do not dilute the
+    mean.  Under ``VALID`` every entry is ``KH*KW``.
+    """
+    kh, kw = kernel
+    geometry = resolve_geometry(
+        input_shape[1], input_shape[2], kh, kw, strides=strides,
+        padding=padding,
+    )
+
+    def covered(outputs, stride, pad, k, size):
+        start = np.arange(outputs) * stride - pad
+        return np.minimum(start + k, size) - np.maximum(start, 0)
+
+    rows = covered(geometry.output_height, geometry.stride_h,
+                   geometry.pad_top, kh, input_shape[1])
+    cols = covered(geometry.output_width, geometry.stride_w,
+                   geometry.pad_left, kw, input_shape[2])
+    return np.multiply.outer(rows, cols)[:, :, None]
+
+
 def _scatter_patches(grad_windows: np.ndarray, input_shape, kernel, strides,
                      padding: str) -> np.ndarray:
     """Adjoint of :func:`_pool_patches`: add window gradients back onto pixels.
@@ -107,7 +131,11 @@ class MaxPool2D(Node):
 
 
 class AvgPool2D(Node):
-    """Average pooling over NHWC tensors."""
+    """Average pooling over NHWC tensors.
+
+    Like TensorFlow's ``AvgPool``, each window averages only its in-image
+    pixels: ``SAME`` padding does not count towards the mean.
+    """
 
     op_type = "AvgPool2D"
 
@@ -123,12 +151,16 @@ class AvgPool2D(Node):
         windows, _ = _pool_patches(
             inputs[0], self.kernel, self.strides, self.padding, 0.0,
         )
-        return windows.mean(axis=3)
+        total = windows.sum(axis=3)
+        sizes = _window_sizes(
+            inputs[0].shape, self.kernel, self.strides, self.padding)
+        return total / sizes.astype(total.dtype)
 
     def backward(self, grad_output, ctx: OpContext):
         kh, kw = self.kernel
         x = ctx.inputs[0]
-        share = grad_output[:, :, :, None, :] / (kh * kw)
+        sizes = _window_sizes(x.shape, self.kernel, self.strides, self.padding)
+        share = (grad_output / sizes.astype(grad_output.dtype))[:, :, :, None, :]
         grad_windows = np.broadcast_to(
             share, grad_output.shape[:3] + (kh * kw, x.shape[3]))
         return [_scatter_patches(

@@ -1,81 +1,24 @@
-"""Texture-memory model for LUT fetches.
+"""Texture-cache model for LUT fetches.
 
 On the real GPU, TFApprox binds the multiplier LUT to a
 ``cudaTextureObject_t`` and reads it with ``tex1Dfetch<ushort>``; the texture
 path is attractive because it is optimised for irregular read-only access and
-on Pascal-class devices is served by the per-SM L1/texture cache.  Here we
-model that mechanism with two cooperating classes:
-
-* :class:`TextureObject` -- a functional stand-in for the CUDA texture object:
-  it owns the bound :class:`~repro.lut.table.LookupTable`, services fetches
-  and counts them, so the timing model knows exactly how many LUT lookups a
-  kernel performed.
-* :class:`TextureCacheModel` -- an optional set-associative LRU cache model
-  that replays an access stream and reports the hit rate.  The 128 kB table of
-  an 8-bit multiplier does not fit into a single 48 kB texture cache, so the
-  hit rate depends on the locality of the quantised operand values; the model
-  lets the texture-cache ablation benchmark quantify that.
+on Pascal-class devices is served by the per-SM L1/texture cache.  The
+simulated device binds the :class:`~repro.lut.table.LookupTable` itself
+(:meth:`~repro.gpusim.device.GPUDevice.bind_texture`) and counts the fetches
+in its :class:`~repro.gpusim.device.DeviceCounters`; this module adds
+:class:`TextureCacheModel`, a set-associative LRU cache model that replays an
+access stream and reports the hit rate.  The 128 kB table of an 8-bit
+multiplier does not fit into a single 48 kB texture cache, so the hit rate
+depends on the locality of the quantised operand values; the model lets the
+texture-cache ablation benchmark quantify that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DeviceError
-from .table import LookupTable
-
-
-@dataclass
-class TextureFetchStats:
-    """Counters accumulated by a :class:`TextureObject`."""
-
-    fetches: int = 0
-    bytes_read: int = 0
-    fetch_calls: int = 0
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.fetches = 0
-        self.bytes_read = 0
-        self.fetch_calls = 0
-
-
-class TextureObject:
-    """Functional model of ``cudaTextureObject_t`` bound to a multiplier LUT."""
-
-    def __init__(self, lut: LookupTable) -> None:
-        self._lut = lut
-        self._stats = TextureFetchStats()
-        self._element_bytes = lut.flat.dtype.itemsize
-
-    @property
-    def lut(self) -> LookupTable:
-        """The bound lookup table."""
-        return self._lut
-
-    @property
-    def stats(self) -> TextureFetchStats:
-        """Fetch counters accumulated since the last reset."""
-        return self._stats
-
-    def reset_stats(self) -> None:
-        """Zero the fetch counters."""
-        self._stats.reset()
-
-    def fetch(self, indices: np.ndarray) -> np.ndarray:
-        """Emulate ``tex1Dfetch`` for an array of stitched indices."""
-        indices = np.asarray(indices)
-        products = self._lut.lookup_flat(indices)
-        self._stats.fetches += int(indices.size)
-        self._stats.bytes_read += int(indices.size) * self._element_bytes
-        self._stats.fetch_calls += 1
-        return products
-
-    def fetch_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Stitch quantised operand pairs and fetch their products."""
-        return self.fetch(self._lut.stitch_index(a, b))
 
 
 class TextureCacheModel:

@@ -27,12 +27,14 @@ from repro.conv import ApproxConvStats, approx_conv2d
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul, lut_matmul_blocked
 from repro.errors import (
-    ConfigurationError, QuantizationError, RegistryError, ShapeError)
+    ConfigurationError, QuantizationError, RegistryError, ShapeError,
+    TruthTableError)
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
 from repro.lut import LookupTable
 from repro.multipliers import library
+from repro.quantization import IntegerRange
 
 from lut_gemm_reference import kernels_for, lut_matmul_naive
 
@@ -348,11 +350,13 @@ class TestRunReport:
             emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim",
                            chunk_size=2)
         assert report.gpu is not None
-        assert report.gpu.chunks == 2
+        assert report.stats.chunks == 2
         assert report.gpu.kernel_launches == 4      # im2cols + gemm per chunk
-        assert report.gpu.texture_fetches > 0
-        assert report.gpu.lut_name == "mul8s_exact"
-        assert len(report.gpu.per_chunk) == 2
+        assert [launch.name for launch in report.gpu.launches] == [
+            "ax_im2cols", "ax_gemm"] * 2
+        # One texture fetch per MAC, summed over both chunks.
+        assert report.gpu.texture_fetches == report.stats.macs
+        assert report.lut_name == "mul8s_exact"
 
     def test_numpy_report_has_no_gpu_section_and_counts_work(self):
         rng = np.random.default_rng(2)
@@ -402,6 +406,18 @@ class TestRunReport:
         with pytest.raises(QuantizationError):
             emulate_conv2d(inputs, filters, "mul8s_exact", backend=backend,
                            strides=strides, padding=padding)
+
+    @pytest.mark.parametrize("backend", ["numpy", "cpusim", "gpusim"])
+    def test_operands_outside_the_table_range_raise(self, backend):
+        """A 12-bit quantisation range feeds an 8-bit table operands it
+        cannot address; no engine may wrap them into a wrong answer."""
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(2, 5, 5, 3))
+        filters = rng.normal(size=(3, 3, 3, 4))
+        pipeline = InferencePipeline(backend, multiplier="mul8s_exact")
+        with pytest.raises(TruthTableError, match="outside the table range"):
+            pipeline.run(inputs, filters,
+                         qrange=IntegerRange.for_bits(12, signed=True))
 
     def test_report_merge_accumulates(self):
         rng = np.random.default_rng(4)

@@ -3,7 +3,9 @@
 Each test runs a CLI main in-process, captures its stdout and compares it
 against the checked-in text under ``tests/golden/``.  The CLIs print output
 derived from analytical models and static configuration only (the DSE CLI is
-pinned to ``--dry-run``), so the text is fully deterministic.
+pinned to ``--dry-run``), so the text is fully deterministic.  The
+simulated-GPU example is pinned the same way: it runs on a seeded input and
+prints every kernel launch and device counter.
 
 Updating the goldens after an intentional output change::
 
@@ -13,6 +15,10 @@ then review and commit the resulting diff like any other code change.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +69,16 @@ def test_serve_dry_run_custom_stdout_matches_golden(capsys, golden):
                  "--batch-cap", "8", "--workers", "4", "--multipliers", "mul8s_exact",
                  "mul8s_udm"]),
     )
+
+
+def test_gpu_emulation_demo_stdout_matches_golden(capsys, golden,
+                                                 monkeypatch):
+    path = Path(__file__).parents[1] / "examples" / "gpu_emulation_demo.py"
+    spec = importlib.util.spec_from_file_location("gpu_emulation_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    golden("gpu_emulation_demo", run_cli(capsys, lambda argv: demo.main(), []))
 
 
 def test_serve_rejects_missing_trace_file(capsys):

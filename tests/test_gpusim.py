@@ -9,7 +9,7 @@ from repro.backends import InferencePipeline
 from repro.conv import approx_conv2d, prepare_conv2d
 from repro.errors import ConfigurationError, DeviceError
 from repro.gpusim import (
-    GPUConvRunReport,
+    DeviceCounters,
     GPUDevice,
     GPUTimingModel,
     PhaseTimes,
@@ -40,31 +40,26 @@ class TestGPUDevice:
         with pytest.raises(DeviceError):
             dev.launch_config_2d(10, 10, tile=64)
 
-    def test_texture_binding_reuse(self, exact_lut_signed):
+    def test_texture_binding_reuse(self, exact_lut_signed,
+                                   mitchell_lut_signed):
         dev = GPUDevice()
-        t1 = dev.bind_texture(exact_lut_signed)
-        t2 = dev.bind_texture(exact_lut_signed)
-        assert t1 is t2
-        assert dev.texture(exact_lut_signed.name) is t1
-        with pytest.raises(DeviceError):
-            dev.texture("unbound")
-
-    def test_occupancy_bounds(self):
-        dev = GPUDevice()
-        _, block = dev.launch_config_1d(128)
-        from repro.gpusim.device import KernelLaunch
-        tiny = KernelLaunch("k", (1, 1, 1), (32, 1, 1))
-        huge = KernelLaunch("k", (10_000, 1, 1), (256, 1, 1))
-        assert 0.0 < dev.occupancy(tiny) < dev.occupancy(huge) <= 1.0
+        dev.bind_texture(exact_lut_signed)
+        dev.bind_texture(exact_lut_signed)
+        # The table is uploaded once per configuration, not once per bind.
+        assert dev.counters.global_bytes_written == exact_lut_signed.nbytes
+        dev.bind_texture(mitchell_lut_signed)
+        assert dev.counters.global_bytes_written == (
+            exact_lut_signed.nbytes + mitchell_lut_signed.nbytes)
 
     def test_reset_clears_state(self, exact_lut_signed):
         dev = GPUDevice()
         dev.bind_texture(exact_lut_signed)
         dev.counters.texture_fetches = 10
         dev.reset()
-        assert dev.counters.texture_fetches == 0
-        with pytest.raises(DeviceError):
-            dev.texture(exact_lut_signed.name)
+        assert dev.counters == DeviceCounters()
+        # Reset unbinds the tables, so the next bind uploads again.
+        dev.bind_texture(exact_lut_signed)
+        assert dev.counters.global_bytes_written == exact_lut_signed.nbytes
 
 
 class TestKernels:
@@ -73,12 +68,16 @@ class TestKernels:
         dev = GPUDevice()
         chunk = rng.normal(size=(2, 6, 6, 3))
         qparams = compute_coeffs_from_tensor(chunk)
-        result = run_im2cols_kernel(dev, chunk, 3, 3, qparams)
-        patches, sums, _ = im2col_quantized(chunk, 3, 3, qparams)
-        np.testing.assert_array_equal(result.patches, patches)
-        np.testing.assert_array_equal(result.patch_sums, sums)
-        assert result.atomic_adds > 0
+        kernel_patches, kernel_sums, kernel_geometry = run_im2cols_kernel(
+            dev, chunk, 3, 3, qparams)
+        patches, sums, geometry = im2col_quantized(chunk, 3, 3, qparams)
+        np.testing.assert_array_equal(kernel_patches, patches)
+        np.testing.assert_array_equal(kernel_sums, sums)
+        assert kernel_geometry == geometry
+        assert dev.counters.atomic_adds > 0
         assert dev.counters.kernel_launches == 1
+        assert [launch.name for launch in dev.counters.launches] == [
+            "ax_im2cols"]
 
     def test_gemm_kernel_matches_host_gemm(self, rng, mitchell_lut_signed):
         from repro.conv import approx_gemm, filter_sums
@@ -89,13 +88,13 @@ class TestKernels:
         f_sums = filter_sums(filters)
         iq = compute_coeffs_from_tensor(rng.normal(size=10))
         fq = compute_coeffs_from_tensor(rng.normal(size=10))
-        result = run_approx_gemm_kernel(
+        output = run_approx_gemm_kernel(
             dev, patches, sums, filters, f_sums, iq, fq, mitchell_lut_signed)
         host = approx_gemm(patches, sums, filters, f_sums, iq, fq,
                            mitchell_lut_signed)
-        np.testing.assert_allclose(result.output, host, atol=1e-9)
-        assert result.texture_fetches == 40 * 5 * 27
+        np.testing.assert_allclose(output, host, atol=1e-9)
         assert dev.counters.texture_fetches == 40 * 5 * 27
+        assert [launch.name for launch in dev.counters.launches] == ["ax_gemm"]
 
     def test_gemm_kernel_shape_validation(self, rng, exact_lut_signed):
         dev = GPUDevice()
@@ -126,12 +125,13 @@ class TestGPUEngine:
         inputs = rng.normal(size=(5, 7, 7, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
         result = pipeline.run(inputs, filters, mitchell_lut_signed)
-        report = result.report.gpu
         ref = approx_conv2d(inputs, filters, mitchell_lut_signed, chunk_size=2)
         np.testing.assert_allclose(result.output, ref, atol=1e-9)
-        assert report.chunks == 3
-        assert report.kernel_launches == 6
-        assert report.lut_name == mitchell_lut_signed.name
+        assert result.report.stats.chunks == 3
+        assert result.report.gpu.kernel_launches == 6
+        assert [launch.name for launch in result.report.gpu.launches] == [
+            "ax_im2cols", "ax_gemm"] * 3
+        assert result.report.lut_name == mitchell_lut_signed.name
 
     def test_chunk_on_own_device_records_launches(self, rng,
                                                   mitchell_lut_signed):
@@ -139,13 +139,13 @@ class TestGPUEngine:
         inputs = rng.normal(size=(2, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
         prepared = prepare_conv2d(inputs, filters, mitchell_lut_signed)
-        output, report = run_gpusim_chunk(device, inputs, prepared)
+        output = run_gpusim_chunk(device, inputs, prepared)
         np.testing.assert_array_equal(
             output, approx_conv2d(inputs, filters, mitchell_lut_signed))
-        assert isinstance(report, GPUConvRunReport)
         assert [launch.name for launch in device.counters.launches] == [
             "ax_im2cols", "ax_gemm"]
-        assert device.counters.texture_fetches == report.texture_fetches
+        # One fetch per MAC: 2*5*5 patches x 3 filters x 3*3*2 taps.
+        assert device.counters.texture_fetches == 2 * 5 * 5 * 3 * 3 * 3 * 2
 
     def test_engine_validation(self, rng, exact_lut_unsigned):
         from repro.errors import ShapeError

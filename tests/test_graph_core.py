@@ -236,6 +236,37 @@ class TestElementwiseOps:
             Executor(g).run(MatMul(g, a, b))
 
 
+def _pool_reference(data, kernel, strides, padding):
+    """Max and average pooling by a direct loop over TensorFlow's windows.
+
+    Each window keeps only its in-image pixels: max ignores the padding and
+    the average divides by the in-image count.
+    """
+    batch, height, width, channels = data.shape
+    (kh, kw), (sh, sw) = kernel, strides
+    if padding == "SAME":
+        out_h, out_w = -(-height // sh), -(-width // sw)
+        top = max((out_h - 1) * sh + kh - height, 0) // 2
+        left = max((out_w - 1) * sw + kw - width, 0) // 2
+    else:
+        out_h, out_w = (height - kh) // sh + 1, (width - kw) // sw + 1
+        top = left = 0
+    ref_max = np.zeros((batch, out_h, out_w, channels))
+    ref_avg = np.zeros((batch, out_h, out_w, channels))
+    for n in range(batch):
+        for oy in range(out_h):
+            for ox in range(out_w):
+                for c in range(channels):
+                    values = [
+                        data[n, y, xx, c]
+                        for y in range(oy * sh - top, oy * sh - top + kh)
+                        for xx in range(ox * sw - left, ox * sw - left + kw)
+                        if 0 <= y < height and 0 <= xx < width]
+                    ref_max[n, oy, ox, c] = max(values)
+                    ref_avg[n, oy, ox, c] = sum(values) / len(values)
+    return ref_max, ref_avg
+
+
 class TestPoolingOps:
     def test_max_pool(self):
         g = Graph()
@@ -248,6 +279,36 @@ class TestPoolingOps:
         data = np.arange(16, dtype=float).reshape(1, 4, 4, 1)
         out = Executor(g).run(AvgPool2D(g, Constant(g, data)))
         np.testing.assert_array_equal(out[0, :, :, 0], [[2.5, 4.5], [10.5, 12.5]])
+
+    @pytest.mark.parametrize("in_shape,kernel,strides", [
+        ((2, 5, 5, 3), (2, 2), (2, 2)),
+        ((1, 7, 6, 2), (3, 3), (2, 2)),
+        ((1, 6, 7, 2), (2, 3), (1, 2)),
+        ((2, 5, 4, 1), (3, 2), (2, 1)),
+        ((1, 4, 4, 2), (1, 1), (2, 2)),
+        ((1, 3, 5, 1), (3, 3), (3, 2)),
+    ])
+    @pytest.mark.parametrize("padding", ["SAME", "VALID"])
+    def test_pools_match_nested_loop_reference(self, rng, in_shape, kernel,
+                                               strides, padding):
+        data = rng.normal(size=in_shape)
+        ref_max, ref_avg = _pool_reference(data, kernel, strides, padding)
+        g = Graph()
+        x = Constant(g, data)
+        options = dict(kernel=kernel, strides=strides, padding=padding)
+        executor = Executor(g)
+        np.testing.assert_array_equal(
+            executor.run(MaxPool2D(g, x, **options)), ref_max)
+        np.testing.assert_allclose(
+            executor.run(AvgPool2D(g, x, **options)), ref_avg,
+            rtol=1e-12, atol=1e-15)
+
+    def test_avg_pool_same_ignores_padding(self):
+        """TensorFlow divides a SAME window by its in-image pixels."""
+        g = Graph()
+        pool = AvgPool2D(g, Constant(g, np.ones((1, 3, 3, 1))),
+                         kernel=(2, 2), strides=(2, 2), padding="SAME")
+        np.testing.assert_array_equal(Executor(g).run(pool), np.ones((1, 2, 2, 1)))
 
     def test_global_avg_pool(self, rng):
         g = Graph()

@@ -126,7 +126,7 @@ class TestGPUDeviceEndToEnd:
         filters = rng.normal(size=(3, 3, 2, 4))
         run_gpusim_chunk(device, small, prepare_conv2d(small, filters, lut))
         fetches_small = device.counters.texture_fetches
-        device.counters.reset()
+        device.reset()
         run_gpusim_chunk(device, large, prepare_conv2d(large, filters, lut))
         fetches_large = device.counters.texture_fetches
         assert fetches_large == 2 * fetches_small

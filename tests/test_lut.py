@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import BitWidthError, DeviceError, TruthTableError
-from repro.lut import LookupTable, TextureCacheModel, TextureObject
+from repro.lut import LookupTable, TextureCacheModel
 from repro.multipliers import ExactMultiplier, MitchellLogMultiplier, library
 
 
@@ -80,25 +80,6 @@ class TestLookupTable:
         m = library.create("mul8s_drum4")
         lut = LookupTable.from_multiplier(m)
         assert lut.lookup(a, b) == m.multiply(a, b)
-
-
-class TestTextureObject:
-    def test_fetch_counts_accesses(self, exact_lut_signed):
-        tex = TextureObject(exact_lut_signed)
-        idx = exact_lut_signed.stitch_index(
-            np.arange(-5, 5), np.arange(-5, 5))
-        products = tex.fetch(idx)
-        assert products.shape == (10,)
-        assert tex.stats.fetches == 10
-        assert tex.stats.fetch_calls == 1
-        assert tex.stats.bytes_read == 10 * 2
-
-    def test_fetch_pairs_and_reset(self, exact_lut_signed):
-        tex = TextureObject(exact_lut_signed)
-        out = tex.fetch_pairs(np.array([2, -3]), np.array([4, 5]))
-        np.testing.assert_array_equal(out, [8, -15])
-        tex.reset_stats()
-        assert tex.stats.fetches == 0
 
 
 class TestTextureCacheModel:
