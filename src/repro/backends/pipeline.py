@@ -323,7 +323,8 @@ class InferencePipeline:
             workers = 1
             results = [run_shard(bounds) for bounds in shards]
 
-        output = np.concatenate([out for out, _ in results], axis=0)
+        output = (results[0][0] if len(results) == 1
+                  else np.concatenate([out for out, _ in results], axis=0))
         filter_cache = _cache_delta(
             self.filter_cache.stats_snapshot(), filters_before)
         report = RunReport(

@@ -67,6 +67,24 @@ smallest batch-32 call (P=2048), whereas caching its 19 tables would take
 ~137 MB (18.9 MB for each stage-3 table), over half the ~258 MB peak RSS
 of whole-model ResNet-20 inference.
 
+A large gather call runs on two cores.  :func:`lut_matmul` splits the
+depth ``K`` of a ``blocked`` or ``rowgather`` call with at least
+:data:`SPLIT_MIN_MACS` (``2**22``) MACs, and at least
+:data:`SPLIT_MIN_ROW_MACS` per patch row in each half, when the process
+may use two CPUs: the calling thread runs the kernel on taps ``[0,
+mid)``, one worker thread on ``[mid, K)``, and the two int64 sums are
+added -- exact, so the result is bit-identical.  The split is on the
+depth, not the rows, so neither half repeats the other's ``W`` panels or
+index build and the threads meet once per call (two threads each on half
+the rows measured 0.80-0.83x).  NumPy releases the interpreter lock
+inside each gather, so the halves overlap; between ops the threads hand
+the lock to each other, which is why narrow calls (the ResNet-20 stem, 27
+taps x 16 filters) stay whole and ``rowgather`` gathers
+:data:`ROWGATHER_BLOCK_ROWS` rows at a time.  A split ``mul8s_mitchell``
+call at ResNet-20's batch-32 stage shapes ran 1.5-1.7x the whole call on
+two vCPUs; serve's single-sample calls (at most 295K MACs) never split.
+``factored`` runs whole: its GEMM already runs on BLAS's threads.
+
 Every kernel returns int64 sums (``blocked`` and ``rowgather`` add their
 int32 panel partials into an int64 accumulator; ``factored`` converts its
 exact float64 sums).  :func:`lut_matmul` validates once for all of them:
@@ -85,18 +103,27 @@ results, which the cross-kernel parity grid in the test-suite checks.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from ..errors import ConfigurationError, RegistryError, ShapeError, TruthTableError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
 
-#: Default row-panel height of the blocked and rowgather kernels (tuned so
+#: Default row-panel height of the blocked kernel (tuned so
 #: one panel's index + product intermediates fit in L2 for the bench shapes).
 DEFAULT_BLOCK_ROWS = 128
 
 #: Default K-panel depth of the blocked kernel.
 DEFAULT_BLOCK_K = 48
+
+#: Default row-block height of the rowgather kernel.  Twice the blocked
+#: kernel's: a split call's two threads pass the interpreter lock between
+#: every NumPy op, so fewer, larger gathers pay (stage 1 of batch-32
+#: ResNet-20, 32768x144x16, split: 63 -> 46 ms; whole calls 0.93-1.1x).
+ROWGATHER_BLOCK_ROWS = 256
 
 #: Byte budget of one rowgather ``W`` panel; its K depth follows from it
 #: (32 taps of a 64-filter 8-bit bank, a single tap of a 12-bit one).
@@ -108,13 +135,31 @@ ROWGATHER_PANEL_BYTES = 1 << 20
 #: ``simple_cnn`` on ``mul8s_mitchell`` needs 11.5 MiB.
 ROW_TABLE_CACHE_BYTES = 16 << 20
 
-#: Byte budget of one ``factored`` row block's gathered ``[rows, r * K]``
-#: float64 operand (cache-sized; the row count follows from it).
-FACTORED_PANEL_BYTES = 1 << 18
+#: Byte budget of one ``factored`` row block's gathered ``[rows, g * K]``
+#: float64 operand, ``g <= 2`` factor columns per gather (the row count
+#: follows from it).  Twice L2-sized: with OpenBLAS's default two threads,
+#: 256 KiB blocks ran rank-3 calls at ResNet-20's stage 1 (32768x144x16)
+#: no faster than ``rowgather`` split over two threads; 512 KiB ran them
+#: 1.4-1.6x.  With one BLAS thread the stage-1 calls ran up to 10% slower.
+FACTORED_PANEL_BYTES = 1 << 19
 
 #: ``rowgather`` is the default once ``P >= ROWGATHER_MIN_ROWS_PER_LEVEL *
 #: 2**n``: below that, building ``W`` outweighs the gathers it saves.
 ROWGATHER_MIN_ROWS_PER_LEVEL = 2
+
+#: A :func:`lut_matmul` call of at least this many MACs (``P * K * F``)
+#: splits its depth between the calling thread and one worker when the
+#: process may use two CPUs.  Every ResNet-20 / ResNet-8 batch call is
+#: above it; serve's largest single-sample call (16x288x64, 295K MACs) is
+#: far below, where a thread start would cost more than it saves.
+SPLIT_MIN_MACS = 1 << 22
+
+#: ... and each depth half has at least this many MACs per patch row
+#: (``(K // 2) * F``).  That product sets the size of every gather op in
+#: the halves; below it the two threads spend their time handing the
+#: interpreter lock to each other between small NumPy ops (the batch-32
+#: ResNet-20 stem, 32768x27x16, ran 0.4x split).
+SPLIT_MIN_ROW_MACS = 1 << 10
 
 
 def gemm_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,7 +197,9 @@ def _integer_operand(values, lut: LookupTable) -> np.ndarray:
     floats whose every value is a finite integer (``np.zeros`` operands,
     say), are cast to int64.  Any other float would be truncated silently,
     so it raises :class:`~repro.errors.TruthTableError`, as do values
-    outside the table's operand range.
+    outside the table's operand range.  An integer dtype whose every value
+    is inside that range (int8 patches on a signed 8-bit table) needs no
+    scan.
     """
     kind = values.dtype.kind
     if kind not in "iub" and not (kind == "f"
@@ -162,8 +209,13 @@ def _integer_operand(values, lut: LookupTable) -> np.ndarray:
             f"lut_matmul operands must be integers; got non-integral "
             f"{values.dtype} values"
         )
+    if kind in "iu":
+        info = np.iinfo(values.dtype)
+        if info.min < lut.operand_min or info.max > lut.operand_max:
+            lut.check_operands(values)
+        return values
     lut.check_operands(values)
-    return values if kind in "iu" else values.astype(np.int64)
+    return values.astype(np.int64)
 
 
 def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
@@ -257,6 +309,13 @@ def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
     return result
 
 
+def _panel_taps(levels: int, num_filters: int, itemsize: int) -> int:
+    """Taps per ``rowgather`` ``W`` panel: as many as fit
+    :data:`ROWGATHER_PANEL_BYTES`, at least one."""
+    return max(1, ROWGATHER_PANEL_BYTES
+               // (levels * max(num_filters, 1) * itemsize))
+
+
 def _by_weight(lut: LookupTable) -> np.ndarray:
     """``by_weight[w, v] = LUT[v, w]``: the table transposed so that each
     filter operand ``w`` owns one contiguous row, as :func:`_fill_rows`
@@ -276,8 +335,7 @@ def _fill_rows(out: np.ndarray, filter_bits: np.ndarray,
     """
     levels = by_weight.shape[0]
     depth, num_filters = filter_bits.shape
-    group = max(1, ROWGATHER_PANEL_BYTES
-                // (levels * max(num_filters, 1) * by_weight.itemsize))
+    group = _panel_taps(levels, num_filters, by_weight.itemsize)
     for k0 in range(0, depth, group):
         k1 = min(k0 + group, depth)
         panel = by_weight.take(filter_bits[k0:k1], axis=0)     # [k, F, v]
@@ -286,20 +344,32 @@ def _fill_rows(out: np.ndarray, filter_bits: np.ndarray,
     return out
 
 
+def _bit_patterns(patches: np.ndarray, lut: LookupTable):
+    """``(operand, masked)``: an operand dtype exactly as wide as the table
+    (int8 on an 8-bit table) is viewed as unsigned, which makes every value
+    its own bit pattern; any other still needs ``& (2**n - 1)`` once
+    widened, which ``masked`` says."""
+    if patches.dtype.itemsize * 8 == lut.bit_width:
+        return patches.view(f"u{patches.dtype.itemsize}"), False
+    return patches, True
+
+
 def _gather_rows(acc: np.ndarray, patches: np.ndarray, rows: np.ndarray,
                  k0: int, k1: int, *, levels: int, block_rows: int,
-                 partial_dtype) -> None:
+                 partial_dtype, masked: bool) -> None:
     """``acc += sum_k rows[bits(patches[:, k]) + (k - k0) * 2**n]`` over one
     K panel ``[k0, k1)`` of the row table ``rows`` (``[(k1 - k0) * 2**n, F]``).
 
     The one gather loop of ``rowgather``, whether its table was built for
-    this call or cached with the filter bank.
+    this call or cached with the filter bank.  ``masked`` is
+    :func:`_bit_patterns`' flag for ``patches``.
     """
     offsets = np.arange(0, (k1 - k0) * levels, levels)[:, None]
     for r0 in range(0, len(acc), block_rows):
         r1 = min(r0 + block_rows, len(acc))
         index = patches[r0:r1, k0:k1].T.astype(np.intp, order="C")
-        index &= levels - 1
+        if masked:
+            index &= levels - 1
         index += offsets                                      # [k, rows]
         acc[r0:r1] += rows.take(index, axis=0).sum(axis=0, dtype=partial_dtype)
 
@@ -351,7 +421,7 @@ class RowTable:
 
 def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
                          lut: LookupTable, *,
-                         block_rows: int = DEFAULT_BLOCK_ROWS) -> np.ndarray:
+                         block_rows: int = ROWGATHER_BLOCK_ROWS) -> np.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
     Same contract as :func:`lut_matmul_blocked`.  For each K panel the LUT is
@@ -378,8 +448,7 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
     num_filters = filters.shape[1]
     levels = 1 << lut.bit_width
     storage = lut.flat.dtype
-    panel_k = max(1, ROWGATHER_PANEL_BYTES
-                  // (levels * max(num_filters, 1) * storage.itemsize))
+    panel_k = _panel_taps(levels, num_filters, storage.itemsize)
     partial_dtype = _panel_sum_dtype(storage, panel_k)
     if table is None:
         by_weight = _by_weight(lut)
@@ -387,6 +456,7 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
         buffer = np.empty((min(panel_k, depth) * levels, num_filters),
                           dtype=storage)
 
+    patches, masked = _bit_patterns(patches, lut)
     acc = np.zeros((num_patches, num_filters), dtype=np.int64)
     for k0 in range(0, depth, panel_k):
         k1 = min(k0 + panel_k, depth)
@@ -396,7 +466,8 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
         else:
             rows = table.rows[k0 * levels:k1 * levels]
         _gather_rows(acc, patches, rows, k0, k1, levels=levels,
-                     block_rows=block_rows, partial_dtype=partial_dtype)
+                     block_rows=block_rows, partial_dtype=partial_dtype,
+                     masked=masked)
     return acc
 
 
@@ -409,10 +480,13 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
     operands gather their factor rows ``C[bits(a), :]`` into one ``[rows,
     K * r]`` float64 block, the filter operands ``dG[:, bits(w)]`` into a
     matching ``[K * r, F]`` one, and a single GEMM sums all ``r`` terms of
-    all ``K`` taps.  The bit patterns are masked into ``intp`` first:
-    ``take`` runs several times slower on negative or narrow indices.  Each
-    entry of the float sum is ``d`` times the exact integer LUT sum, so
-    ``rint`` and an exact integer division by ``d`` recover it.
+    all ``K`` taps; rank 3 gathers its terms as a pair and a single and
+    runs two GEMMs, because ``take`` copies 24-byte items several times
+    slower than 16- and 8-byte ones.  The bit patterns are widened into
+    ``intp`` first (and masked, unless the operand dtype is exactly as wide
+    as the table): ``take`` runs several times slower on negative or narrow
+    indices.  Each entry of the float sum is ``d`` times the exact integer
+    LUT sum, so ``rint`` and an exact integer division by ``d`` recover it.
 
     Raises :class:`~repro.errors.ConfigurationError` unless the table has
     factors and ``K * term_bound < 2**53`` -- the bound under which every
@@ -433,18 +507,33 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
     mask = (1 << lut.bit_width) - 1
     filter_bits = filters.astype(np.intp)
     filter_bits &= mask
-    rhs = factors.scaled_rows.take(filter_bits, axis=1)       # [r, K, F]
-    rhs = rhs.transpose(1, 0, 2).reshape(depth * rank, filters.shape[1])
-    block_rows = max(1, FACTORED_PANEL_BYTES // max(1, 8 * depth * rank))
+    patches, masked = _bit_patterns(patches, lut)
+    # Rank 3 as a pair and a single column: 1.1-1.5x one 24-byte gather at
+    # the ResNet-20 stage shapes.
+    terms = []
+    for s0, s1 in ((0, 2), (2, 3)) if rank == 3 else ((0, rank),):
+        rhs = factors.scaled_rows[s0:s1].take(filter_bits, axis=1)  # [g, K, F]
+        terms.append((np.ascontiguousarray(factors.columns[:, s0:s1]),
+                      rhs.transpose(1, 0, 2).reshape(depth * (s1 - s0),
+                                                     filters.shape[1])))
+    block_rows = max(1, FACTORED_PANEL_BYTES // max(1, 8 * depth
+                                                     * min(rank, 2)))
     sums = np.empty((patches.shape[0], filters.shape[1]), dtype=np.float64)
     for r0 in range(0, patches.shape[0], block_rows):
         bits = patches[r0:r0 + block_rows].astype(np.intp)
-        bits &= mask
-        lhs = factors.columns.take(bits, axis=0)              # [rows, K, r]
-        np.matmul(lhs.reshape(len(bits), depth * rank), rhs,
-                  out=sums[r0:r0 + block_rows])
-    acc = np.rint(sums).astype(np.int64)
-    acc //= factors.denominator
+        if masked:
+            bits &= mask
+        out = sums[r0:r0 + block_rows]
+        for i, (columns, rhs) in enumerate(terms):
+            lhs = columns.take(bits, axis=0)                  # [rows, K, g]
+            lhs = lhs.reshape(len(bits), len(rhs))
+            if i:
+                out += lhs @ rhs
+            else:
+                np.matmul(lhs, rhs, out=out)
+    acc = np.rint(sums, out=sums).astype(np.int64)
+    if factors.denominator != 1:
+        acc //= factors.denominator
     return acc
 
 
@@ -479,6 +568,60 @@ def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
     return default_gemm_kernel(num_patches, lut.bit_width)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split_depth(kernel: str, patches_shape: tuple[int, int], num_filters: int,
+                lut: LookupTable) -> int:
+    """Where :func:`lut_matmul` splits a call's depth; 0 runs it whole.
+
+    A ``blocked`` or ``rowgather`` call splits when it has at least
+    :data:`SPLIT_MIN_MACS` MACs, each half at least
+    :data:`SPLIT_MIN_ROW_MACS` MACs per patch row, and the process may use
+    two CPUs.  ``factored`` always runs whole: its GEMM already runs on
+    BLAS's threads, and a second Python thread calling BLAS at the same
+    time ran 0.25-0.9x with OpenBLAS's default two threads.  The split
+    point is ``K // 2`` rounded down to the kernel's K panel
+    (``blocked``'s ``block_k``, ``rowgather``'s ``W`` panel) when a panel
+    fits in a half, so the halves walk no more panels than the whole call.
+    """
+    num_patches, depth = patches_shape
+    if (kernel == "factored"
+            or num_patches * depth * num_filters < SPLIT_MIN_MACS
+            or depth // 2 * num_filters < SPLIT_MIN_ROW_MACS
+            or depth < 2 or _usable_cpus() < 2):
+        return 0
+    if kernel == "rowgather":
+        panel = _panel_taps(1 << lut.bit_width, num_filters,
+                            lut.flat.itemsize)
+    else:
+        panel = DEFAULT_BLOCK_K
+    mid = depth // 2
+    return mid - mid % panel if mid >= panel else mid
+
+
+def _taps(filters: np.ndarray | RowTable, k0: int, k1: int):
+    """Rows ``[k0, k1)`` of a filter operand.
+
+    A :class:`RowTable`'s part is a table over read-only slices of its
+    arrays: nothing is copied or validated again.
+    """
+    if not isinstance(filters, RowTable):
+        return filters[k0:k1]
+    part = object.__new__(RowTable)
+    part.filters = filters.filters[k0:k1]
+    part.lut = filters.lut
+    part.rows = filters.rows[k0 << filters.lut.bit_width:
+                             k1 << filters.lut.bit_width]
+    return part
+
+
 def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
                lut: LookupTable, *,
                kernel: str | None = None) -> np.ndarray:
@@ -499,6 +642,12 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     the table's factors and the call's shape.  All kernels are
     bit-identical; naming ``factored`` for a table or depth it cannot
     compute exactly raises :class:`~repro.errors.ConfigurationError`.
+
+    A large ``blocked`` or ``rowgather`` call, in a process that may use
+    two CPUs, runs its kernel on two depth halves at once (see
+    :func:`_split_depth`): the calling thread sums ``[0, mid)``, one worker
+    thread ``[mid, K)``, and the two int64 sums are added -- exact integer
+    addition, so the result is the whole call's bit for bit.
 
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
@@ -521,7 +670,22 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
         ) from None
     if isinstance(filters, RowTable) and kernel != "rowgather":
         filters = filters.filters
-    return run(patches, filters, lut)
+    depth = patches.shape[1]
+    mid = _split_depth(kernel, patches.shape, filters.shape[1], lut)
+    if not mid:
+        return run(patches, filters, lut)
+    # The kernels are called directly, never lut_matmul itself, so a split
+    # call is still one lut_matmul call to anything that wraps the name.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        upper = pool.submit(run, patches[:, mid:], _taps(filters, mid, depth),
+                            lut)
+        try:
+            acc = run(patches[:, :mid], _taps(filters, 0, mid), lut)
+        except BaseException:
+            upper.exception()       # wait for the worker and read its outcome
+            raise
+        acc += upper.result()
+    return acc
 
 
 def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
@@ -535,10 +699,16 @@ def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
     is the real-valued convolution output
 
     ``alpha1*alpha2 * (acc - beta2*Sp - beta1*Sf + N*beta1*beta2)``.
+
+    ``acc - beta2*Sp`` is taken in exact int64 (in float64 when an operand
+    is a float array) and converted once, into the float64 array that is
+    returned; ``acc`` is left as it is.  The filter term is an integer
+    well below ``2**53``, so subtracting it there is exact as well, and the
+    result equals a float64 evaluation of the formula bit for bit.
     """
-    acc = np.asarray(acc, dtype=np.float64)
-    patch_sums = np.asarray(patch_sums, dtype=np.float64)
-    filter_sums = np.asarray(filter_sums, dtype=np.float64)
+    acc = np.asarray(acc)
+    patch_sums = np.asarray(patch_sums)
+    filter_sums = np.asarray(filter_sums)
     if acc.ndim != 2:
         raise ShapeError("accumulator matrix must be 2D")
     if patch_sums.shape[0] != acc.shape[0]:
@@ -553,13 +723,12 @@ def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
         )
     alpha1, beta1 = input_q.scale, input_q.zero_point
     alpha2, beta2 = filter_q.scale, filter_q.zero_point
-    corrected = (
-        acc
-        - beta2 * patch_sums[:, None]
-        - beta1 * filter_sums[None, :]
-        + depth * beta1 * beta2
-    )
-    return alpha1 * alpha2 * corrected
+    out = np.empty(acc.shape)
+    np.subtract(acc, beta2 * patch_sums[:, None], out=out,
+                dtype=np.result_type(acc, patch_sums, np.int64))
+    out -= beta1 * filter_sums - depth * beta1 * beta2
+    out *= alpha1 * alpha2
+    return out
 
 
 def approx_gemm(patches: np.ndarray, patch_sums: np.ndarray,

@@ -131,21 +131,29 @@ def im2col_quantized(inputs: np.ndarray, kernel_height: int, kernel_width: int,
     per-row int64 sums of those quantised values, needed by the
     dequantisation correction of Eq. 4.  ``Mp`` is C-contiguous in the
     smallest integer dtype holding ``qparams.qrange`` -- int8 or uint8 for
-    the paper's 8-bit ranges -- because the tensor is narrowed right after
-    quantisation, before padding and patch extraction.  Padded positions
-    receive the zero-point ``beta`` so that they represent an exact real
-    zero and their contribution to Eq. 4 cancels.
+    the paper's 8-bit ranges: the batch is quantised straight into the
+    interior of a padded buffer of that dtype.  Padded positions hold the
+    zero-point ``beta`` so that they represent an exact real zero and their
+    contribution to Eq. 4 cancels.  ``Sp`` adds each tap window of the
+    padded buffer's per-pixel channel sums, ``kh * kw`` adds of one value
+    per output pixel instead of a pass over ``Mp``.
     """
     _check_nhwc(inputs)
-    _, in_h, in_w, _ = inputs.shape
-    geometry = resolve_geometry(
+    batch, in_h, in_w, channels = inputs.shape
+    g = resolve_geometry(
         in_h, in_w, kernel_height, kernel_width,
         strides=strides, dilations=dilations, padding=padding,
     )
-    quantized = qparams.quantize(inputs).astype(_narrow_dtype(qparams.qrange))
-    padded = _pad(quantized, geometry, qparams.zero_point)
-    patches = _patch_matrix(padded, geometry)
-    return patches, patches.sum(axis=1, dtype=np.int64), geometry
+    padded = np.full((batch, g.padded_height, g.padded_width, channels),
+                     qparams.zero_point, dtype=_narrow_dtype(qparams.qrange))
+    qparams.quantize(inputs, out=padded[:, g.pad_top:g.pad_top + in_h,
+                                        g.pad_left:g.pad_left + in_w])
+    pixel_sums = padded.sum(axis=3, dtype=np.int64)
+    patch_sums = np.zeros((batch, g.output_height, g.output_width),
+                          dtype=np.int64)
+    for _, rows, cols in _tap_windows(g):
+        patch_sums += pixel_sums[:, rows, cols]
+    return _patch_matrix(padded, g), patch_sums.reshape(-1), g
 
 
 def col2im(patches: np.ndarray, input_shape, kernel_height: int,

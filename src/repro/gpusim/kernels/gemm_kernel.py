@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...conv.gemm import dequantize_gemm
+from ...conv.gemm import _integer_operand, dequantize_gemm
 from ...errors import ShapeError
 from ...lut.table import LookupTable
 from ...quantization.affine import QuantParams
@@ -51,21 +51,21 @@ def run_approx_gemm_kernel(device: GPUDevice, patches: np.ndarray,
 
     ``patches`` is ``[P, K]`` (quantised), ``filters`` is ``[K, F]``
     (quantised); the result is the dequantised ``[P, F]`` float output.
-    Operands outside the table's range raise
-    :class:`~repro.errors.TruthTableError` before the launch is recorded,
-    as :func:`~repro.conv.gemm.lut_matmul` does.
+    Operands outside the table's range, and float operands with
+    non-integral values, raise :class:`~repro.errors.TruthTableError`
+    before the launch is recorded, as :func:`~repro.conv.gemm.lut_matmul`
+    does: both go through its operand check.
     """
-    patches = np.asarray(patches, dtype=np.int64)
-    filters = np.asarray(filters, dtype=np.int64)
+    patches = np.asarray(patches)
+    filters = np.asarray(filters)
     if patches.ndim != 2 or filters.ndim != 2:
         raise ShapeError("ApproxGEMM kernel expects 2D operands")
     if patches.shape[1] != filters.shape[0]:
         raise ShapeError(
             f"inner dimensions do not match: {patches.shape} x {filters.shape}"
         )
-
-    lut.check_operands(patches)
-    lut.check_operands(filters)
+    patches = _integer_operand(patches, lut).astype(np.int64, copy=False)
+    filters = _integer_operand(filters, lut).astype(np.int64, copy=False)
 
     device.bind_texture(lut)
     num_patches, depth = patches.shape

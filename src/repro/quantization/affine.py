@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QuantizationError
-from .rounding import RoundMode, apply_rounding
+from .rounding import RoundMode, round_in_place
 
 
 @dataclass(frozen=True)
@@ -91,18 +91,30 @@ class QuantParams:
 
     # ------------------------------------------------------------------
     def quantize(self, values: np.ndarray, *,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
+                 rng: np.random.Generator | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """Map real values to quantised integers (with clipping).
 
         Implements ``i = clip(round(r / alpha) + beta)``.  The result dtype is
-        ``int64`` so it can feed any multiplier bit width.
+        ``int64`` so it can feed any multiplier bit width.  Given ``out``, an
+        integer array (or view) of ``values``' shape -- the interior of a
+        padded int8 buffer, say -- the integers are written into it instead
+        and ``out`` is returned.  Rounding, the zero-point and the clip are
+        applied in one float64 buffer; every step is exact for integers
+        below ``2**53``, so the values equal an int64 evaluation's.
         """
         values = np.asarray(values, dtype=np.float64)
-        if values.size and not np.all(np.isfinite(values)):
+        if values.size and not (np.isfinite(values.min())
+                                and np.isfinite(values.max())):
             raise QuantizationError("cannot quantise non-finite values")
-        scaled = values / self.scale
-        rounded = apply_rounding(scaled, self.round_mode, rng=rng) + self.zero_point
-        return np.clip(rounded, self.qrange.qmin, self.qrange.qmax)
+        scaled = np.divide(values, self.scale, out=np.empty(values.shape))
+        round_in_place(scaled, self.round_mode, rng=rng)
+        scaled += self.zero_point
+        np.clip(scaled, self.qrange.qmin, self.qrange.qmax, out=scaled)
+        if out is None:
+            return scaled.astype(np.int64)
+        np.copyto(out, scaled, casting="unsafe")
+        return out
 
     def dequantize(self, values: np.ndarray) -> np.ndarray:
         """Map quantised integers back to real values: ``r = alpha * (i - beta)``."""

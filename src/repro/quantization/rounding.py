@@ -47,32 +47,47 @@ class RoundMode(enum.Enum):
             ) from None
 
 
-def apply_rounding(values: np.ndarray, mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   *, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Round a float array to integers according to ``mode``.
+def round_in_place(values: np.ndarray,
+                   mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO, *,
+                   rng: np.random.Generator | None = None) -> np.ndarray:
+    """Round the float64 array ``values`` to integral values in place.
 
-    The result is returned as ``int64``.  ``STOCHASTIC`` requires an ``rng``
-    (or creates a fixed-seed one so results stay reproducible).
+    The one implementation of every :class:`RoundMode`; returns ``values``.
+    ``STOCHASTIC`` requires an ``rng`` (or creates a fixed-seed one so
+    results stay reproducible).
     """
     mode = RoundMode.from_any(mode)
-    values = np.asarray(values, dtype=np.float64)
-
     if mode is RoundMode.HALF_AWAY_FROM_ZERO:
-        rounded = np.sign(values) * np.floor(np.abs(values) + 0.5)
+        negative = np.signbit(values)
+        np.abs(values, out=values)
+        values += 0.5
+        np.floor(values, out=values)
+        np.negative(values, out=values, where=negative)
     elif mode is RoundMode.HALF_TO_EVEN:
-        rounded = np.rint(values)
+        np.rint(values, out=values)
     elif mode is RoundMode.FLOOR:
-        rounded = np.floor(values)
+        np.floor(values, out=values)
     elif mode is RoundMode.CEIL:
-        rounded = np.ceil(values)
+        np.ceil(values, out=values)
     elif mode is RoundMode.TRUNCATE:
-        rounded = np.trunc(values)
+        np.trunc(values, out=values)
     elif mode is RoundMode.STOCHASTIC:
         if rng is None:
             rng = np.random.default_rng(0)
         floor = np.floor(values)
-        frac = values - floor
-        rounded = floor + (rng.random(values.shape) < frac)
+        values -= floor                                     # the fraction
+        np.add(floor, rng.random(values.shape) < values, out=values)
     else:  # pragma: no cover - exhaustive over the enum
         raise ConfigurationError(f"unhandled round mode {mode}")
-    return rounded.astype(np.int64)
+    return values
+
+
+def apply_rounding(values: np.ndarray, mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
+                   *, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Round a float array to integers according to ``mode``.
+
+    The result is returned as ``int64``; ``values`` is not modified (see
+    :func:`round_in_place`).
+    """
+    rounded = np.array(values, dtype=np.float64)
+    return round_in_place(rounded, mode, rng=rng).astype(np.int64)

@@ -32,7 +32,13 @@ Three families of invariants, mostly driven by hypothesis:
   table built through another LUT;
 * *the kernel table is fixed*: ``KERNELS`` names the three kernels, an
   unknown name raises ``RegistryError`` and the size rule picks one when
-  none is named.
+  none is named;
+* *a depth split is invisible*: a call split between the calling thread and
+  a worker matches the naive reference on every kernel, a ``RowTable``
+  operand and odd depths; the split rule takes the calls it names and no
+  others, an error in either half reaches the caller, and four threads
+  calling split products at once under a short switch interval all get
+  their own results.
 
 The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
 one-gather-per-product kernel, kept beside the tests.
@@ -46,6 +52,9 @@ narrow index planes rely on.
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -208,6 +217,29 @@ class TestDegenerateShapes:
         assert np.all(np.isfinite(out))
 
 
+class TestDequantize:
+    @pytest.mark.parametrize("sums_dtype", [np.int64, np.float64])
+    def test_matches_float_eq4_and_keeps_acc(self, sums_dtype):
+        """The int64 correction equals the float64 evaluation of Eq. 4 bit
+        for bit, and the caller's accumulators are not written."""
+        rng = np.random.default_rng(1)
+        acc = rng.integers(-(1 << 20), 1 << 20, size=(37, 6))
+        patch_sums = rng.integers(-5000, 5000, size=37).astype(sums_dtype)
+        filter_sums = rng.integers(-5000, 5000, size=6).astype(sums_dtype)
+        input_q = compute_coeffs_from_tensor(rng.normal(size=8))
+        filter_q = compute_coeffs_from_tensor(rng.normal(size=8) + 0.7)
+        before = acc.copy()
+        out = dequantize_gemm(acc, patch_sums, filter_sums, 75, input_q,
+                              filter_q)
+        b1, b2 = input_q.zero_point, filter_q.zero_point
+        expected = input_q.scale * filter_q.scale * (
+            acc.astype(np.float64) - b2 * patch_sums[:, None].astype(float)
+            - b1 * filter_sums[None, :].astype(float) + 75 * b1 * b2)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(acc, before)
+
+
 class TestFlatIndexDtype:
     """Stitched-index width boundaries (the latent-overflow regression)."""
 
@@ -297,6 +329,29 @@ class TestOperandWidth:
                              lut, kernel=kernel)
             assert out.dtype == np.int64
             np.testing.assert_array_equal(out, reference)
+
+
+    def test_narrow_dtype_inside_the_range_is_not_scanned(self,
+                                                          mitchell_lut,
+                                                          unsigned_lut):
+        """int8 operands of a signed 8-bit table cannot leave its range, so
+        the min/max scan is skipped; uint8 on that table, or int16, is
+        still scanned (and an int16 300 still raises)."""
+        calls = []
+        with mock.patch.object(LookupTable, "check_operands",
+                               lambda self, values: calls.append(
+                                   values.dtype)):
+            lut_matmul(np.ones((3, 2), np.int8), np.ones((2, 2), np.int8),
+                       mitchell_lut)
+            lut_matmul(np.ones((3, 2), np.uint8), np.ones((2, 2), np.int64),
+                       unsigned_lut)
+            assert calls == [np.int64]
+            lut_matmul(np.ones((3, 2), np.uint8), np.ones((2, 2), np.int16),
+                       mitchell_lut)
+            assert calls == [np.int64, np.uint8, np.int16]
+        with pytest.raises(TruthTableError, match="300"):
+            lut_matmul(np.full((3, 2), 300, np.int16),
+                       np.ones((2, 2), np.int8), mitchell_lut)
 
 
 class TestPanelSums:
@@ -680,3 +735,166 @@ class TestRowTable:
             RowTable([[1.5]], mitchell_lut)
         with pytest.raises(ShapeError):
             RowTable([1, 2], mitchell_lut)
+
+
+@contextlib.contextmanager
+def _forced_split():
+    """Split every ``lut_matmul`` call of depth >= 2, whatever the host's
+    CPU count."""
+    with mock.patch.object(gemm_mod, "SPLIT_MIN_MACS", 0), \
+            mock.patch.object(gemm_mod, "SPLIT_MIN_ROW_MACS", 0), \
+            mock.patch.object(gemm_mod, "_usable_cpus", lambda: 2):
+        yield
+
+
+def _recording(kernel, calls):
+    """``kernel`` recording ``(thread id, depth, filter operand)`` per call."""
+    def run(patches, filters, lut):
+        calls.append((threading.get_ident(), patches.shape[1], filters))
+        return kernel(patches, filters, lut)
+    return run
+
+
+class TestDepthSplit:
+    """A call split between two threads is the whole call, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        name=st.sampled_from(["mul8s_mitchell", "mul8s_exact", "mul8u_drum4",
+                              "mul8s_trunc2"]),
+        p=st.integers(1, 30),
+        k=st.one_of(st.just(2), st.just(3), st.integers(2, 41)),
+        f=st.integers(1, 9),
+        as_table=st.booleans(),
+        panel_bytes=st.sampled_from([1, 1 << 12, 1 << 20]),
+        data=st.data(),
+    )
+    def test_split_matches_reference(self, library_luts, seed, name, p, k, f,
+                                     as_table, panel_bytes, data):
+        lut = library_luts[name]
+        kernel = data.draw(st.sampled_from(kernels_for(lut, k)))
+        rng = np.random.default_rng(seed)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k)).astype(np.int8 if lut.signed
+                                                   else np.uint8)
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        calls = []
+        with _forced_split(), \
+                mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
+                                  panel_bytes), \
+                mock.patch.dict(gemm_mod.KERNELS, {kernel: _recording(
+                    gemm_mod.KERNELS[kernel], calls)}):
+            operand = RowTable(filters, lut) if as_table else filters
+            out = lut_matmul(patches, operand, lut, kernel=kernel)
+        np.testing.assert_array_equal(out, lut_matmul_naive(patches, filters,
+                                                            lut))
+        if kernel == "factored":        # a BLAS kernel runs whole
+            assert [(ident, depth) for ident, depth, _ in calls] == [
+                (threading.get_ident(), k)]
+            return
+        # Two halves covering the depth, one on a worker thread; a row
+        # table reaches rowgather sliced, as a table.
+        assert len(calls) == 2
+        assert calls[0][1] + calls[1][1] == k
+        assert len({ident for ident, _, _ in calls}) == 2
+        assert threading.get_ident() in {ident for ident, _, _ in calls}
+        for _, depth, half in calls:
+            assert isinstance(half, RowTable) == (
+                as_table and kernel == "rowgather")
+            assert half.shape[0] == depth
+
+    def test_split_rule(self, mitchell_lut, exact_lut, monkeypatch):
+        split = gemm_mod._split_depth
+        monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 2)
+        # Batch-32 ResNet-20: every stage call splits, rowgather at a
+        # W-panel boundary (64 taps for F=32); the stem's 27x16 rows are
+        # too narrow.  Serve's largest single-sample call never splits.
+        assert split("rowgather", (32768, 144), 16, mitchell_lut) == 72
+        assert split("rowgather", (8192, 288), 32, mitchell_lut) == 128
+        assert split("rowgather", (2048, 576), 64, mitchell_lut) == 288
+        assert split("blocked", (2048, 577), 64, mitchell_lut) == 288
+        assert split("blocked", (8192, 289), 32, mitchell_lut) == 144
+        assert split("blocked", (8192, 200), 64, mitchell_lut) == 96
+        assert split("factored", (8192, 288), 32, exact_lut) == 0
+        assert split("rowgather", (32768, 27), 16, mitchell_lut) == 0
+        assert split("blocked", (16, 288), 64, mitchell_lut) == 0
+        # The MAC threshold is inclusive.
+        depth, filters = 64, 32
+        rows = gemm_mod.SPLIT_MIN_MACS // (depth * filters)
+        assert split("blocked", (rows, depth), filters, mitchell_lut) == 32
+        assert split("blocked", (rows - 1, depth), filters, mitchell_lut) == 0
+        monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 1)
+        assert split("rowgather", (2048, 576), 64, mitchell_lut) == 0
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(gemm_mod.os, "sched_getaffinity",
+                            lambda pid: {0, 3, 5}, raising=False)
+        assert gemm_mod._usable_cpus() == 3
+        monkeypatch.delattr(gemm_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(gemm_mod.os, "cpu_count", lambda: None)
+        assert gemm_mod._usable_cpus() == 1
+
+    @pytest.mark.parametrize("failing_half", ["caller", "worker"])
+    def test_errors_in_either_half_reach_the_caller(self, mitchell_lut,
+                                                    failing_half):
+        patches, filters = _int_case(5, 6, 9, 3)
+        caller = threading.get_ident()
+        finished = []
+
+        def kernel(p, f, lut):
+            on_caller = threading.get_ident() == caller
+            if on_caller == (failing_half == "caller"):
+                raise RuntimeError(f"{failing_half} half failed")
+            finished.append(p.shape[1])
+            return lut_matmul_blocked(p, f, lut)
+
+        with _forced_split(), \
+                mock.patch.dict(gemm_mod.KERNELS, {"blocked": kernel}):
+            with pytest.raises(RuntimeError, match=failing_half):
+                lut_matmul(patches, filters, mitchell_lut, kernel="blocked")
+        # The other half ran to the end before the call returned.
+        assert finished == ([9 - 4] if failing_half == "caller" else [4])
+
+
+class TestConcurrentSplitCalls:
+    """Split calls from several threads at once keep their own results."""
+
+    def test_four_threads_under_a_short_switch_interval(self, mitchell_lut,
+                                                        exact_lut):
+        cases = []
+        for i in range(8):
+            lut = (mitchell_lut, exact_lut)[i % 2]
+            patches, filters = _int_case(100 + i, 40 + i, 17 + 2 * i, 5)
+            cases.append((patches, filters, lut,
+                          lut_matmul_naive(patches, filters, lut)))
+        errors, done = [], []
+
+        def worker(index):
+            try:
+                for round_ in range(6):
+                    patches, filters, lut, expected = cases[
+                        (index + round_) % len(cases)]
+                    out = lut_matmul(patches, filters, lut)
+                    if not np.array_equal(out, expected):
+                        errors.append((index, round_))
+                done.append(index)
+            except Exception as exc:        # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _forced_split():
+                threads = [threading.Thread(target=worker, args=(i,))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(done) == [0, 1, 2, 3]

@@ -105,6 +105,27 @@ class TestKernels:
                                    np.zeros((5, 2)), np.zeros(2), iq, iq,
                                    exact_lut_signed)
 
+    def test_gemm_kernel_rejects_non_integral_operands(self, rng,
+                                                       exact_lut_signed):
+        """A 2.7 operand raises as in ``lut_matmul``; truncating it to 2
+        would return a finite, wrong output."""
+        from repro.errors import TruthTableError
+        dev = GPUDevice()
+        iq = compute_coeffs_from_tensor(rng.normal(size=4))
+        patches = np.array([[1.0, 2.7], [3.0, -1.0]])
+        filters = np.array([[2.0], [1.0]])
+        for a, b in [(patches, filters), (filters.T, patches.T)]:
+            with pytest.raises(TruthTableError, match="non-integral"):
+                run_approx_gemm_kernel(dev, a, np.zeros(len(a)), b,
+                                       np.zeros(b.shape[1]), iq, iq,
+                                       exact_lut_signed)
+        assert dev.counters.launches == []
+        # Integral floats are still operands.
+        out = run_approx_gemm_kernel(dev, np.round(patches), np.zeros(2),
+                                     filters, np.zeros(1), iq, iq,
+                                     exact_lut_signed)
+        assert out.shape == (2, 1)
+
     def test_signed_tables_keep_the_float32_accumulator_exact(self):
         """The paper's kernel sums lookups in float32, exact while
         ``K * max|T| <= 2**24``; every signed library table keeps that bound

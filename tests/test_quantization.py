@@ -61,6 +61,46 @@ class TestRounding:
         out = apply_rounding(vals, RoundMode.STOCHASTIC, rng=rng)
         assert abs(out.mean() - 0.25) < 0.02
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40),
+        mode=st.sampled_from(list(RoundMode)),
+        scale=st.floats(1e-3, 50.0),
+        zero_point=st.integers(-128, 127),
+    )
+    def test_quantize_matches_int64_reference(self, values, mode, scale,
+                                              zero_point):
+        """``quantize`` -- also into a narrow ``out`` -- gives what the
+        integer evaluation ``clip(int64(round(r / alpha)) + beta)`` gives,
+        with the stochastic mode drawing the same numbers."""
+        q = QuantParams(scale, zero_point, SIGNED_8BIT, mode)
+        values = np.array(values)
+        scaled = values / scale
+        rng = np.random.default_rng(3)
+        if mode is RoundMode.HALF_AWAY_FROM_ZERO:
+            rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+        elif mode is RoundMode.STOCHASTIC:
+            floor = np.floor(scaled)
+            rounded = floor + (rng.random(scaled.shape) < scaled - floor)
+        else:
+            rounded = {RoundMode.HALF_TO_EVEN: np.rint,
+                       RoundMode.FLOOR: np.floor, RoundMode.CEIL: np.ceil,
+                       RoundMode.TRUNCATE: np.trunc}[mode](scaled)
+        expected = np.clip(rounded.astype(np.int64) + zero_point, -128, 127)
+        out = q.quantize(values, rng=np.random.default_rng(3))
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, expected)
+        narrow = np.zeros(len(values) + 2, dtype=np.int8)
+        q.quantize(values, rng=np.random.default_rng(3), out=narrow[1:-1])
+        np.testing.assert_array_equal(narrow[1:-1], expected)
+        assert narrow[0] == narrow[-1] == 0
+
+    def test_apply_rounding_leaves_its_input(self):
+        vals = np.array([0.5, -1.5, 2.25])
+        for mode in RoundMode:
+            apply_rounding(vals, mode)
+            np.testing.assert_array_equal(vals, [0.5, -1.5, 2.25])
+
     def test_mode_from_string(self):
         assert RoundMode.from_any("floor") is RoundMode.FLOOR
         with pytest.raises(Exception):
