@@ -43,7 +43,6 @@ from ..multipliers import library
 from ..multipliers.base import Multiplier
 from ..quantization.affine import IntegerRange, QuantParams
 from ..quantization.ranges import TensorRange
-from ..quantization.rounding import RoundMode
 
 
 @dataclass
@@ -336,15 +335,13 @@ class FilterBankCache(_BoundedCache):
 
     def resolve(self, filters: np.ndarray, *,
                 qrange: IntegerRange,
-                round_mode: RoundMode,
                 filter_range: TensorRange | tuple[float, float] | None,
                 build) -> PreparedFilterBank:
         """Return the prepared bank for ``filters``, building it on a miss."""
         data = np.ascontiguousarray(filters)
         key = (
             self._digest(data), data.shape, str(data.dtype),
-            (qrange.qmin, qrange.qmax), RoundMode.from_any(round_mode),
-            _range_key(filter_range),
+            (qrange.qmin, qrange.qmax), _range_key(filter_range),
         )
         return self._get_or_build(
             key, lambda: replace(build(), key=key), token=key[0])

@@ -55,7 +55,6 @@ from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
 from ..quantization.affine import IntegerRange
 from ..quantization.ranges import TensorRange
-from ..quantization.rounding import RoundMode
 from .cache import (
     DEFAULT_FILTER_CACHE,
     DEFAULT_LUT_CACHE,
@@ -193,9 +192,6 @@ class InferencePipeline:
         Thread-pool width for shard execution.  ``1`` (the default) runs
         shards inline; larger values overlap shards, which pays off for the
         NumPy backend whose heavy ops release the GIL.
-    round_mode:
-        Rounding applied during quantisation; see
-        :func:`repro.conv.approx_conv2d.approx_conv2d`.
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
@@ -210,7 +206,6 @@ class InferencePipeline:
                  multiplier: str | Multiplier | LookupTable | None = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  max_workers: int = 1,
-                 round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  lut_cache: LUTCache | None = None,
                  filter_cache: FilterBankCache | None = None) -> None:
         if chunk_size <= 0:
@@ -223,7 +218,6 @@ class InferencePipeline:
         self.multiplier = multiplier
         self.chunk_size = chunk_size
         self.max_workers = max_workers
-        self.round_mode = RoundMode.from_any(round_mode)
         self.lut_cache = lut_cache if lut_cache is not None else DEFAULT_LUT_CACHE
         self.filter_cache = (
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
@@ -259,19 +253,16 @@ class InferencePipeline:
         validate_conv_operands(inputs, filters, lut, qrange)
         kh, kw, channels, count = filters.shape
 
-        input_q = resolve_quant_params(
-            inputs, input_range, qrange, self.round_mode)
+        input_q = resolve_quant_params(inputs, input_range, qrange)
 
         def build() -> PreparedFilterBank:
-            filter_q = resolve_quant_params(
-                filters, filter_range, qrange, self.round_mode)
+            filter_q = resolve_quant_params(filters, filter_range, qrange)
             flat, sf = quantize_filter_bank(filters, filter_q)
             return PreparedFilterBank(
                 filter_q=filter_q, flat_filters=flat, filter_sums=sf)
 
         bank = self.filter_cache.resolve(
-            filters, qrange=qrange, round_mode=self.round_mode,
-            filter_range=filter_range, build=build,
+            filters, qrange=qrange, filter_range=filter_range, build=build,
         )
         table = None
         if self.backend == "numpy":
@@ -357,7 +348,6 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
                    qrange: IntegerRange | None = None,
-                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    max_workers: int = 1) -> np.ndarray:
     """Emulate one approximate convolution on the named backend.
@@ -374,8 +364,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
     ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
     """
     pipeline = shared_pipeline(
-        backend, chunk_size=chunk_size, max_workers=max_workers,
-        round_mode=round_mode)
+        backend, chunk_size=chunk_size, max_workers=max_workers)
     return pipeline.run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
@@ -389,9 +378,7 @@ _SHARED_PIPELINES_LOCK = threading.Lock()
 
 def shared_pipeline(backend: str = "numpy", *,
                     chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    max_workers: int = 1,
-                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO
-                    ) -> InferencePipeline:
+                    max_workers: int = 1) -> InferencePipeline:
     """Process-wide :class:`InferencePipeline` for one configuration.
 
     Returns the same instance for equal configurations, so independent
@@ -402,13 +389,11 @@ def shared_pipeline(backend: str = "numpy", *,
     and never carry a default multiplier, so callers state theirs per call
     and cannot observe each other's.
     """
-    key = (backend, int(chunk_size), int(max_workers),
-           RoundMode.from_any(round_mode))
+    key = (backend, int(chunk_size), int(max_workers))
     with _SHARED_PIPELINES_LOCK:
         pipeline = _SHARED_PIPELINES.get(key)
         if pipeline is None:
             pipeline = InferencePipeline(
-                backend, chunk_size=chunk_size, max_workers=max_workers,
-                round_mode=round_mode)
+                backend, chunk_size=chunk_size, max_workers=max_workers)
             _SHARED_PIPELINES[key] = pipeline
         return pipeline

@@ -32,7 +32,6 @@ from ..quantization.affine import (
     compute_coeffs,
 )
 from ..quantization.ranges import TensorRange
-from ..quantization.rounding import RoundMode
 from .im2col import filter_sums, flatten_filters, im2col_quantized
 from .gemm import RowTable, approx_gemm
 
@@ -83,8 +82,7 @@ class ApproxConvStats:
 
 def resolve_quant_params(values: np.ndarray | None,
                          value_range: TensorRange | tuple[float, float] | None,
-                         qrange: IntegerRange,
-                         round_mode: RoundMode | str) -> QuantParams:
+                         qrange: IntegerRange) -> QuantParams:
     """Derive quantisation parameters from an explicit range or from data.
 
     The transformed graph provides the ranges through its Min/Max nodes; when
@@ -103,7 +101,7 @@ def resolve_quant_params(values: np.ndarray | None,
                 "either an explicit range or a non-empty tensor is required"
             )
         lo, hi = float(values.min()), float(values.max())
-    return compute_coeffs(lo, hi, qrange=qrange, round_mode=round_mode)
+    return compute_coeffs(lo, hi, qrange=qrange)
 
 
 def split_chunks(batch: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -198,9 +196,7 @@ def quantize_filter_bank(filters: np.ndarray, filter_q: QuantParams,
 def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
-                   qrange: IntegerRange | None = None,
-                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   ) -> PreparedConv:
+                   qrange: IntegerRange | None = None) -> PreparedConv:
     """Resolve the quantisation coefficients and quantise the filter bank.
 
     This is the shared front half of Algorithm 1 (``ComputeCoeffs`` plus the
@@ -214,8 +210,8 @@ def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
     validate_conv_operands(inputs, filters, lut, qrange)
     kh, kw, channels, count = filters.shape
 
-    input_q = resolve_quant_params(inputs, input_range, qrange, round_mode)
-    filter_q = resolve_quant_params(filters, filter_range, qrange, round_mode)
+    input_q = resolve_quant_params(inputs, input_range, qrange)
+    filter_q = resolve_quant_params(filters, filter_range, qrange)
 
     flat_filters, sf = quantize_filter_bank(filters, filter_q)
     return PreparedConv(
@@ -257,7 +253,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
                   qrange: IntegerRange | None = None,
-                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
@@ -279,8 +274,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
     qrange:
         Quantised integer range ([-128, 127] for signed multipliers,
         [0, 255] for unsigned ones); derived from the table when omitted.
-    round_mode:
-        Rounding applied during quantisation.
     chunk_size:
         Number of images converted to the patch matrix at a time.
 
@@ -294,7 +287,7 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
     prepared = prepare_conv2d(
         inputs, filters, lut,
         input_range=input_range, filter_range=filter_range,
-        qrange=qrange, round_mode=round_mode,
+        qrange=qrange,
     )
 
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------

@@ -32,7 +32,6 @@ from ..backends.cache import (
 )
 from ..backends.pipeline import RunReport, _cache_delta
 from ..errors import DSEError
-from ..quantization.rounding import RoundMode
 from .evaluator import CandidateResult, Evaluator
 from .pareto import ParetoFront, ParetoPoint
 from .space import Candidate, SearchSpace
@@ -235,7 +234,6 @@ def search(model_builder, dataset, *,
            max_workers: int = 1,
            batch_size: int = 32,
            normalize_inputs: bool = True,
-           round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
            chunk_size: int = 32,
            space: SearchSpace | None = None,
            evaluator: Evaluator | None = None) -> DSEReport:
@@ -262,7 +260,7 @@ def search(model_builder, dataset, *,
         Seed of the search trajectory.  Same seed ⇒ bit-identical results.
     max_workers:
         Thread-pool width for concurrent candidate evaluation.
-    batch_size, normalize_inputs, round_mode, chunk_size:
+    batch_size, normalize_inputs, chunk_size:
         Forwarded to the :class:`~repro.dse.evaluator.Evaluator`.
     space, evaluator:
         Pre-built instances for advanced callers (``space`` is ignored when
@@ -289,7 +287,7 @@ def search(model_builder, dataset, *,
         evaluator = Evaluator(
             space, model_builder, dataset,
             batch_size=batch_size, normalize_inputs=normalize_inputs,
-            round_mode=round_mode, chunk_size=chunk_size, probe=probe,
+            chunk_size=chunk_size, probe=probe,
         )
 
     broker = EvaluationBroker(

@@ -36,7 +36,6 @@ from ..graph.layerwise import approximate_graph_layerwise
 from ..graph.ops.conv import Conv2D
 from ..multipliers import library
 from ..multipliers.hwcost import estimate_cost
-from ..quantization.rounding import RoundMode
 from .space import Candidate, SearchSpace
 
 
@@ -106,7 +105,7 @@ class Evaluator:
         Evaluation split the accuracy objective is measured on.
     batch_size, normalize_inputs:
         Forwarded to :func:`repro.evaluation.run_inference`.
-    round_mode, chunk_size:
+    chunk_size:
         Forwarded to the layer-wise graph transformation.
     probe:
         Optional already-built model instance to derive the per-layer MAC
@@ -116,14 +115,12 @@ class Evaluator:
 
     def __init__(self, space: SearchSpace, model_builder, dataset, *,
                  batch_size: int = 32, normalize_inputs: bool = True,
-                 round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = 32, probe=None) -> None:
         self.space = space
         self.model_builder = model_builder
         self.dataset = dataset
         self.batch_size = batch_size
         self.normalize_inputs = normalize_inputs
-        self.round_mode = RoundMode.from_any(round_mode)
         self.chunk_size = chunk_size
         self._memo: dict[Candidate, CandidateResult] = {}
         self._lock = threading.Lock()
@@ -237,8 +234,7 @@ class Evaluator:
                 candidate = None  # partial assignment: legal, not memoisable
         model = self.model_builder()
         approximate_graph_layerwise(
-            model.graph, dict(assignment),
-            round_mode=self.round_mode, chunk_size=self.chunk_size,
+            model.graph, dict(assignment), chunk_size=self.chunk_size,
         )
         with collect_reports() as report:
             inference = run_inference(

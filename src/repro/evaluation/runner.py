@@ -24,7 +24,6 @@ from ..errors import ConfigurationError
 from ..graph import Executor, approximate_graph
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.rounding import RoundMode
 from .accuracy import prediction_agreement, top1_accuracy
 from .error_analysis import TensorErrorReport, tensor_error
 
@@ -89,7 +88,6 @@ def run_inference(model, dataset: DatasetSplit, *, batch_size: int = 32,
 def compare_accurate_vs_approximate(model_builder, dataset: DatasetSplit,
                                     multiplier: Multiplier | LookupTable, *,
                                     batch_size: int = 32,
-                                    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                                     chunk_size: int = 32,
                                     normalize_inputs: bool = True) -> ComparisonResult:
     """Run the same model accurately and approximately and compare.
@@ -106,8 +104,7 @@ def compare_accurate_vs_approximate(model_builder, dataset: DatasetSplit,
 
     approx_model = model_builder()
     report = approximate_graph(
-        approx_model.graph, multiplier,
-        round_mode=round_mode, chunk_size=chunk_size,
+        approx_model.graph, multiplier, chunk_size=chunk_size,
     )
     approximate = run_inference(
         approx_model, dataset, batch_size=batch_size,

@@ -17,7 +17,6 @@ from ..backends.cache import DEFAULT_LUT_CACHE
 from ..errors import GraphError
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.rounding import RoundMode
 from .graph import Graph
 from .ops.conv import Conv2D
 from .transform import TransformReport, approximate_graph
@@ -65,7 +64,6 @@ def _resolve(multiplier: "Multiplier | LookupTable | str") -> LookupTable:
 def approximate_graph_layerwise(graph: Graph,
                                 assignment: dict[str, "Multiplier | LookupTable | str"],
                                 *, default: "Multiplier | LookupTable | str | None" = None,
-                                round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                                 chunk_size: int = 32) -> LayerwiseReport:
     """Replace Conv2D layers with per-layer approximate multipliers.
 
@@ -123,8 +121,7 @@ def approximate_graph_layerwise(graph: Graph,
     for lut, layers in groups.values():
         wanted = set(layers)
         pass_report = approximate_graph(
-            graph, lut,
-            round_mode=round_mode, chunk_size=chunk_size,
+            graph, lut, chunk_size=chunk_size,
             layer_filter=lambda conv, wanted=wanted: conv.name in wanted,
         )
         report.reports.append(pass_report)

@@ -20,7 +20,6 @@ from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
 from ...lut.table import LookupTable
 from ...quantization.affine import IntegerRange
-from ...quantization.rounding import RoundMode
 from ..node import Node, OpContext
 
 
@@ -98,7 +97,6 @@ class AxConv2D(Node):
                  lut: LookupTable, strides=(1, 1), dilations=(1, 1),
                  padding: str = "SAME",
                  qrange: IntegerRange | None = None,
-                 round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
@@ -114,12 +112,11 @@ class AxConv2D(Node):
         self.padding = padding
         self.qrange = qrange
         #: The pipeline is the one owner of the execution settings (the
-        #: table as its ``multiplier``, ``chunk_size``, ``round_mode``); it
+        #: table as its ``multiplier`` and ``chunk_size``); it
         #: caches this layer's quantised filter bank across runs, so
         #: repeated inference only pays the filter-side setup once.
         self.pipeline = InferencePipeline(
             "numpy", multiplier=lut, chunk_size=chunk_size,
-            round_mode=round_mode,
         )
         super().__init__(
             graph, name, [x, filters, input_min, input_max, filter_min, filter_max],

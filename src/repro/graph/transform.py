@@ -24,7 +24,6 @@ from ..errors import GraphError
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
 from ..quantization.affine import IntegerRange
-from ..quantization.rounding import RoundMode
 from .graph import Graph
 from .node import Node
 from .ops.basic import Constant, ReduceMax, ReduceMin
@@ -68,7 +67,6 @@ def _resolve_lut(multiplier_or_lut: Multiplier | LookupTable) -> LookupTable:
 
 def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable, *,
                       qrange: IntegerRange | None = None,
-                      round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                       chunk_size: int = 32,
                       layer_filter=None) -> TransformReport:
     """Replace every ``Conv2D`` in ``graph`` by an ``AxConv2D`` (Fig. 1).
@@ -84,8 +82,6 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         Quantised integer range; defaults to the table's own operand range
         (``IntegerRange.for_bits(bit_width, signed=...)``: [-128, 127] or
         [0, 255] at 8 bits).
-    round_mode:
-        Rounding mode applied during quantisation.
     chunk_size:
         Batch chunk size forwarded to the approximate convolution.
     layer_filter:
@@ -116,7 +112,7 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         ax = AxConv2D(
             graph, data, filters, input_min, input_max, filter_min, filter_max,
             lut=lut, strides=conv.strides, dilations=conv.dilations,
-            padding=conv.padding, qrange=qrange, round_mode=round_mode,
+            padding=conv.padding, qrange=qrange,
             chunk_size=chunk_size, name=f"{conv.name}/approx",
         )
         replace_consumers(graph, conv, ax)

@@ -1,4 +1,4 @@
-"""Affine quantisation (Eq. 1), rounding modes and tensor ranges."""
+"""Affine quantisation (Eq. 1) and tensor ranges."""
 
 from .affine import (
     IntegerRange,
@@ -9,7 +9,6 @@ from .affine import (
     compute_coeffs_from_tensor,
 )
 from .ranges import TensorRange
-from .rounding import RoundMode, apply_rounding
 
 __all__ = [
     "IntegerRange",
@@ -19,6 +18,4 @@ __all__ = [
     "compute_coeffs",
     "compute_coeffs_from_tensor",
     "TensorRange",
-    "RoundMode",
-    "apply_rounding",
 ]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import QuantizationError
-from .rounding import RoundMode, round_in_place
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,6 @@ class QuantParams:
     scale: float
     zero_point: int
     qrange: IntegerRange
-    round_mode: RoundMode = RoundMode.HALF_AWAY_FROM_ZERO
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.scale) or self.scale <= 0.0:
@@ -91,11 +89,14 @@ class QuantParams:
 
     # ------------------------------------------------------------------
     def quantize(self, values: np.ndarray, *,
-                 rng: np.random.Generator | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Map real values to quantised integers (with clipping).
 
-        Implements ``i = clip(round(r / alpha) + beta)``.  The result dtype is
+        Implements ``i = clip(round(r / alpha) + beta)``.  ``round`` rounds
+        half away from zero, the one rule here: it is the default round mode
+        of TensorFlow's ``tf.quantization.quantize``, and this reproduction
+        fixes the paper's "requested round mode" parameter to it.  The
+        input is not modified.  The result dtype is
         ``int64`` so it can feed any multiplier bit width.  Given ``out``, an
         integer array (or view) of ``values``' shape -- the interior of a
         padded int8 buffer, say -- the integers are written into it instead
@@ -108,7 +109,11 @@ class QuantParams:
                                 and np.isfinite(values.max())):
             raise QuantizationError("cannot quantise non-finite values")
         scaled = np.divide(values, self.scale, out=np.empty(values.shape))
-        round_in_place(scaled, self.round_mode, rng=rng)
+        negative = np.signbit(scaled)
+        np.abs(scaled, out=scaled)
+        scaled += 0.5
+        np.floor(scaled, out=scaled)
+        np.negative(scaled, out=scaled, where=negative)
         scaled += self.zero_point
         np.clip(scaled, self.qrange.qmin, self.qrange.qmax, out=scaled)
         if out is None:
@@ -142,9 +147,7 @@ class QuantParams:
 
 
 def compute_coeffs(range_min: float, range_max: float, *,
-                   qrange: IntegerRange = SIGNED_8BIT,
-                   round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                   ) -> QuantParams:
+                   qrange: IntegerRange = SIGNED_8BIT) -> QuantParams:
     """Derive the affine coefficients from a tensor's real-valued range.
 
     This is ``ComputeCoeffs`` of Algorithm 1.  The range is first *nudged* so
@@ -156,17 +159,16 @@ def compute_coeffs(range_min: float, range_max: float, *,
     Degenerate ranges (all values identical, e.g. an all-zero tensor) fall
     back to a unit scale so downstream arithmetic stays well defined.
 
-    Results are memoised on ``(range_min, range_max, qrange, round_mode)``:
+    Results are memoised on ``(range_min, range_max, qrange)``:
     every input is immutable, and a frozen serving graph asks for the same
     few ranges on every call.
     """
-    return _compute_coeffs(float(range_min), float(range_max), qrange,
-                           RoundMode.from_any(round_mode))
+    return _compute_coeffs(float(range_min), float(range_max), qrange)
 
 
 @functools.lru_cache(maxsize=1024)
 def _compute_coeffs(range_min: float, range_max: float,
-                    qrange: IntegerRange, round_mode: RoundMode) -> QuantParams:
+                    qrange: IntegerRange) -> QuantParams:
     if not (math.isfinite(range_min) and math.isfinite(range_max)):
         raise QuantizationError(
             f"tensor range [{range_min}, {range_max}] is not finite"
@@ -184,7 +186,7 @@ def _compute_coeffs(range_min: float, range_max: float,
         # Degenerate (all-zero) tensor: any positive scale works; pick 1.0 and
         # put the zero-point at the closest representable integer to zero.
         zero_point = int(np.clip(0, qrange.qmin, qrange.qmax))
-        return QuantParams(1.0, zero_point, qrange, round_mode)
+        return QuantParams(1.0, zero_point, qrange)
 
     scale = (range_max - range_min) / (qrange.qmax - qrange.qmin)
     if scale == 0.0:
@@ -192,18 +194,18 @@ def _compute_coeffs(range_min: float, range_max: float,
         # divided by the integer range; treat the tensor as degenerate like
         # the all-zero case above instead of dividing by zero below.
         zero_point = int(np.clip(0, qrange.qmin, qrange.qmax))
-        return QuantParams(1.0, zero_point, qrange, round_mode)
+        return QuantParams(1.0, zero_point, qrange)
     # The zero-point is the (integer) quantised value that represents r == 0.
     zero_point_real = qrange.qmin - range_min / scale
+    # Symmetric signed ranges land on the -0.5 tie; ``round`` (ties to even)
+    # keeps their zero point at 0.
     zero_point = int(round(zero_point_real))
     zero_point = int(np.clip(zero_point, qrange.qmin, qrange.qmax))
-    return QuantParams(scale, zero_point, qrange, round_mode)
+    return QuantParams(scale, zero_point, qrange)
 
 
 def compute_coeffs_from_tensor(values: np.ndarray, *,
-                               qrange: IntegerRange = SIGNED_8BIT,
-                               round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
-                               ) -> QuantParams:
+                               qrange: IntegerRange = SIGNED_8BIT) -> QuantParams:
     """Convenience wrapper deriving the coefficients directly from a tensor."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
@@ -211,6 +213,5 @@ def compute_coeffs_from_tensor(values: np.ndarray, *,
     if not np.all(np.isfinite(values)):
         raise QuantizationError("tensor contains non-finite values")
     return compute_coeffs(
-        float(values.min()), float(values.max()),
-        qrange=qrange, round_mode=round_mode,
+        float(values.min()), float(values.max()), qrange=qrange,
     )

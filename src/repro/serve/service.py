@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError, ServeError, TFApproxError
+from ..errors import ServeError, TFApproxError
 from ..evaluation.latency import LatencyStats
-from ..quantization.rounding import RoundMode
 from .batcher import Batch, Batcher
 from .request import (
     AdmissionKey,
@@ -56,7 +55,6 @@ class ServiceConfig:
 
     max_batch_samples: int = 32
     workers: int = 1
-    round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO
     chunk_size: int = 32
     range_margin: float = 0.05
 
@@ -67,11 +65,6 @@ class ServiceConfig:
             raise ServeError("chunk_size must be positive")
         if not self.range_margin >= 0:
             raise ServeError("range_margin must be non-negative")
-        try:
-            mode = RoundMode.from_any(self.round_mode)
-        except ConfigurationError as exc:
-            raise ServeError(str(exc)) from exc
-        object.__setattr__(self, "round_mode", mode)
 
 
 @dataclass
@@ -199,7 +192,6 @@ class EmulationService:
                     return session
             session = build_session(
                 spec, multiplier,
-                round_mode=self.config.round_mode,
                 chunk_size=self.config.chunk_size,
                 range_margin=self.config.range_margin,
                 max_replicas=self.config.workers,

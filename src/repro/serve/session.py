@@ -32,7 +32,6 @@ from ..graph.executor import Executor
 from ..graph.layerwise import approximate_graph_layerwise
 from ..graph.ops.conv import Conv2D
 from ..graph.transform import freeze_ranges
-from ..quantization.rounding import RoundMode
 from .request import AdmissionKey, admission_key, normalize_assignment
 
 
@@ -111,7 +110,7 @@ class ModelSession:
         The registered model.
     assignment:
         Full layer→library-name assignment (already normalised).
-    round_mode, chunk_size, range_margin:
+    chunk_size, range_margin:
         Transformation parameters; the margin widens the frozen input ranges
         beyond the calibration span (see :func:`repro.graph.freeze_ranges`).
     max_replicas:
@@ -120,7 +119,6 @@ class ModelSession:
     """
 
     def __init__(self, spec: ModelSpec, assignment: dict[str, str], *,
-                 round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                  chunk_size: int = 32,
                  range_margin: float = 0.05,
                  max_replicas: int = 1) -> None:
@@ -129,7 +127,6 @@ class ModelSession:
         self.spec = spec
         self.assignment = dict(assignment)
         self.key: AdmissionKey = admission_key(spec.name, self.assignment)
-        self.round_mode = RoundMode.from_any(round_mode)
         self.chunk_size = int(chunk_size)
         self.range_margin = float(range_margin)
         self.max_replicas = int(max_replicas)
@@ -150,8 +147,7 @@ class ModelSession:
     def _build_replica(self) -> _Replica:
         model = self.spec.builder()
         approximate_graph_layerwise(
-            model.graph, dict(self.assignment),
-            round_mode=self.round_mode, chunk_size=self.chunk_size,
+            model.graph, dict(self.assignment), chunk_size=self.chunk_size,
         )
         freeze_ranges(
             model.graph, {model.input_node: self._calibration_feed()},
@@ -212,15 +208,13 @@ class ModelSession:
 
 
 def build_session(spec: ModelSpec, multiplier: "str | dict[str, str]", *,
-                  round_mode: RoundMode | str = RoundMode.HALF_AWAY_FROM_ZERO,
                   chunk_size: int = 32, range_margin: float = 0.05,
                   max_replicas: int = 1) -> ModelSession:
     """Normalise ``multiplier`` against ``spec`` and build the session."""
     assignment = normalize_assignment(multiplier, spec.conv_layers)
     try:
         return ModelSession(
-            spec, assignment,
-            round_mode=round_mode, chunk_size=chunk_size,
+            spec, assignment, chunk_size=chunk_size,
             range_margin=range_margin, max_replicas=max_replicas,
         )
     except ServeError:

@@ -23,7 +23,7 @@ from repro.backends import (
     emulate_conv2d,
     get_backend,
 )
-from repro.conv import ApproxConvStats, approx_conv2d
+from repro.conv import ApproxConvStats, approx_conv2d, approx_conv2d_direct
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul, lut_matmul_blocked
 from repro.errors import (
@@ -34,7 +34,8 @@ from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
 from repro.lut import LookupTable
 from repro.multipliers import library
-from repro.quantization import IntegerRange
+from repro.quantization import (
+    IntegerRange, compute_coeffs, compute_coeffs_from_tensor)
 
 from lut_gemm_reference import kernels_for, lut_matmul_naive
 
@@ -74,6 +75,44 @@ class TestBackendParity:
             assert np.array_equal(out, reference), (
                 f"backend {name!r} diverged from numpy for {multiplier}"
             )
+
+    @pytest.mark.parametrize("shape_spec", SHAPES, ids=["same", "strided", "1x1"])
+    @pytest.mark.parametrize("multiplier", MULTIPLIERS)
+    def test_exact_ties_round_half_away_from_zero(self, shape_spec, multiplier):
+        """Inputs on exact quantisation ties round half away from zero on
+        every engine and in the direct loop.
+
+        The range (-32, 31.75) gives scale 0.25 exactly (zero point 0 signed,
+        128 unsigned), so odd multiples of 0.125 land on ``i + 0.5``: -0.375
+        quantises to -2 and 2.625 to 11.  Snapping the inputs half away from
+        zero onto the 0.25 grid first must not change any output.
+        """
+        inputs, filters, strides, padding = _case(shape_spec)
+        odd = 2 * np.random.default_rng(11).integers(-128, 127, inputs.shape) + 1
+        ties = odd * 0.125                      # in [-31.875, 31.625]
+        snapped = np.sign(ties) * (np.abs(ties) + 0.125)
+        # Ties to even would round some of these the other way.
+        assert not np.array_equal(np.rint(ties / 0.25), snapped / 0.25)
+        input_range = (-32.0, 31.75)
+        lut = LookupTable.from_multiplier(library.create(multiplier))
+        qrange = IntegerRange.for_bits(8, signed=lut.signed)
+        input_q = compute_coeffs(*input_range, qrange=qrange)
+        filter_q = compute_coeffs_from_tensor(filters, qrange=qrange)
+        assert input_q.scale == 0.25
+
+        def direct(data):
+            return approx_conv2d_direct(data, filters, lut, input_q, filter_q,
+                                        strides=strides, padding=padding)
+
+        reference = direct(snapped)
+        assert np.array_equal(direct(ties), reference)
+        for name in available_backends():
+            for data in (ties, snapped):
+                out = emulate_conv2d(
+                    data, filters, lut, backend=name, strides=strides,
+                    padding=padding, input_range=input_range, chunk_size=2,
+                )
+                assert np.array_equal(out, reference), (name, multiplier)
 
     def test_matches_seed_entry_point(self):
         """emulate_conv2d reproduces the original approx_conv2d exactly."""

@@ -20,15 +20,11 @@ import pytest
 from repro.backends import InferencePipeline
 from repro.backends.cache import FilterBankCache, LUTCache, PreparedFilterBank
 from repro.quantization.affine import SIGNED_8BIT
-from repro.quantization.rounding import RoundMode
 
 
 def _resolve(cache: FilterBankCache, filters: np.ndarray, build):
     return cache.resolve(
-        filters, qrange=SIGNED_8BIT,
-        round_mode=RoundMode.HALF_AWAY_FROM_ZERO,
-        filter_range=None, build=build,
-    )
+        filters, qrange=SIGNED_8BIT, filter_range=None, build=build)
 
 
 def _bank(filters: np.ndarray) -> PreparedFilterBank:

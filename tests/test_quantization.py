@@ -10,11 +10,9 @@ from repro.errors import QuantizationError
 from repro.quantization import (
     IntegerRange,
     QuantParams,
-    RoundMode,
     SIGNED_8BIT,
     TensorRange,
     UNSIGNED_8BIT,
-    apply_rounding,
     compute_coeffs,
     compute_coeffs_from_tensor,
 )
@@ -39,72 +37,39 @@ class TestIntegerRange:
 
 
 class TestRounding:
+    """``QuantParams.quantize`` rounds half away from zero."""
+
     def test_half_away_from_zero(self):
-        vals = np.array([0.5, 1.5, -0.5, -1.5, 2.4])
-        out = apply_rounding(vals, RoundMode.HALF_AWAY_FROM_ZERO)
-        np.testing.assert_array_equal(out, [1, 2, -1, -2, 2])
-
-    def test_half_to_even(self):
-        vals = np.array([0.5, 1.5, 2.5, -0.5])
-        out = apply_rounding(vals, RoundMode.HALF_TO_EVEN)
-        np.testing.assert_array_equal(out, [0, 2, 2, 0])
-
-    def test_floor_ceil_truncate(self):
-        vals = np.array([1.7, -1.7])
-        np.testing.assert_array_equal(apply_rounding(vals, RoundMode.FLOOR), [1, -2])
-        np.testing.assert_array_equal(apply_rounding(vals, RoundMode.CEIL), [2, -1])
-        np.testing.assert_array_equal(apply_rounding(vals, RoundMode.TRUNCATE), [1, -1])
-
-    def test_stochastic_mean_converges(self):
-        rng = np.random.default_rng(0)
-        vals = np.full(20_000, 0.25)
-        out = apply_rounding(vals, RoundMode.STOCHASTIC, rng=rng)
-        assert abs(out.mean() - 0.25) < 0.02
+        q = QuantParams(1.0, 0, SIGNED_8BIT)
+        vals = np.array([0.5, 1.5, -0.5, -1.5, 2.4, 2.5, -2.5])
+        np.testing.assert_array_equal(q.quantize(vals), [1, 2, -1, -2, 2, 3, -3])
 
     @settings(max_examples=60, deadline=None)
     @given(
         values=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40),
-        mode=st.sampled_from(list(RoundMode)),
         scale=st.floats(1e-3, 50.0),
         zero_point=st.integers(-128, 127),
     )
-    def test_quantize_matches_int64_reference(self, values, mode, scale,
-                                              zero_point):
+    def test_quantize_matches_int64_reference(self, values, scale, zero_point):
         """``quantize`` -- also into a narrow ``out`` -- gives what the
-        integer evaluation ``clip(int64(round(r / alpha)) + beta)`` gives,
-        with the stochastic mode drawing the same numbers."""
-        q = QuantParams(scale, zero_point, SIGNED_8BIT, mode)
+        integer evaluation ``clip(int64(round(r / alpha)) + beta)`` gives."""
+        q = QuantParams(scale, zero_point, SIGNED_8BIT)
         values = np.array(values)
         scaled = values / scale
-        rng = np.random.default_rng(3)
-        if mode is RoundMode.HALF_AWAY_FROM_ZERO:
-            rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-        elif mode is RoundMode.STOCHASTIC:
-            floor = np.floor(scaled)
-            rounded = floor + (rng.random(scaled.shape) < scaled - floor)
-        else:
-            rounded = {RoundMode.HALF_TO_EVEN: np.rint,
-                       RoundMode.FLOOR: np.floor, RoundMode.CEIL: np.ceil,
-                       RoundMode.TRUNCATE: np.trunc}[mode](scaled)
+        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
         expected = np.clip(rounded.astype(np.int64) + zero_point, -128, 127)
-        out = q.quantize(values, rng=np.random.default_rng(3))
+        out = q.quantize(values)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, expected)
         narrow = np.zeros(len(values) + 2, dtype=np.int8)
-        q.quantize(values, rng=np.random.default_rng(3), out=narrow[1:-1])
+        q.quantize(values, out=narrow[1:-1])
         np.testing.assert_array_equal(narrow[1:-1], expected)
         assert narrow[0] == narrow[-1] == 0
 
-    def test_apply_rounding_leaves_its_input(self):
+    def test_quantize_leaves_its_input(self):
         vals = np.array([0.5, -1.5, 2.25])
-        for mode in RoundMode:
-            apply_rounding(vals, mode)
-            np.testing.assert_array_equal(vals, [0.5, -1.5, 2.25])
-
-    def test_mode_from_string(self):
-        assert RoundMode.from_any("floor") is RoundMode.FLOOR
-        with pytest.raises(Exception):
-            RoundMode.from_any("bogus")
+        QuantParams(0.25, 3, SIGNED_8BIT).quantize(vals)
+        np.testing.assert_array_equal(vals, [0.5, -1.5, 2.25])
 
 
 class TestComputeCoeffs:
@@ -116,7 +81,7 @@ class TestComputeCoeffs:
 
     def test_symmetric_range_signed(self):
         params = compute_coeffs(-1.0, 1.0, qrange=SIGNED_8BIT)
-        assert params.zero_point == pytest.approx(0, abs=1)
+        assert params.zero_point == 0
         assert params.scale == pytest.approx(2.0 / 255.0)
 
     def test_unsigned_positive_range(self):
@@ -149,9 +114,8 @@ class TestComputeCoeffs:
         lo=st.floats(allow_nan=False, allow_infinity=False),
         hi=st.floats(allow_nan=False, allow_infinity=False),
         signed=st.booleans(),
-        mode=st.sampled_from(list(RoundMode)),
     )
-    def test_memo_equals_unmemoised(self, lo, hi, signed, mode):
+    def test_memo_equals_unmemoised(self, lo, hi, signed):
         from repro.quantization.affine import _compute_coeffs
 
         def outcome(fn, *args, **kwargs):
@@ -162,13 +126,11 @@ class TestComputeCoeffs:
 
         lo, hi = min(lo, hi), max(lo, hi)
         qrange = SIGNED_8BIT if signed else UNSIGNED_8BIT
-        memoised = outcome(compute_coeffs, lo, hi, qrange=qrange,
-                           round_mode=mode)
+        memoised = outcome(compute_coeffs, lo, hi, qrange=qrange)
         assert memoised == outcome(_compute_coeffs.__wrapped__,
-                                   lo, hi, qrange, mode)
+                                   lo, hi, qrange)
         if isinstance(memoised, QuantParams):
-            assert compute_coeffs(lo, hi, qrange=qrange,
-                                  round_mode=mode.value) is memoised
+            assert compute_coeffs(lo, hi, qrange=qrange) is memoised
 
     @pytest.mark.parametrize("lo,hi", [(float("nan"), 1.0), (0.0, float("inf")),
                                        (float("-inf"), 0.0), (2.0, 1.0)])
