@@ -1,21 +1,16 @@
-"""Pipeline sweep: LUT/filter-bank caching and batch sharding vs the seed path.
+"""Pipeline sweep: LUT/filter-bank caching vs the seed path.
 
 The seed code rebuilt the 256x256 multiplier table and re-quantised the
 filter bank on *every* ``approx_conv2d`` call; the
 :class:`repro.backends.InferencePipeline` amortises both through
-process-wide caches and shards large batches across a thread pool.  This
-module quantifies the difference:
+process-wide caches.  This module quantifies the difference:
 
 * ``cold`` benchmarks clear the caches before every call (the seed
   behaviour: per-call setup included);
 * ``warm`` benchmarks reuse a primed pipeline (the steady state of a batch
-  stream);
+  stream, also over a multi-chunk batch);
 * ``test_warm_calls_beat_cold_calls`` asserts the speedup, which is the
-  acceptance gate of the backend-registry PR;
-* the sharding benchmarks measure thread-pool fan-out -- on multi-core
-  hosts the NumPy backend overlaps shards (its heavy ops release the GIL);
-  on the single-core CI runner they only demonstrate that sharding adds no
-  meaningful overhead and stays deterministic.
+  acceptance gate of the backend-registry PR.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def batch_workload():
-    """Compute-dominated case: a large batch for the sharding benchmarks."""
+    """Compute-dominated case: a large batch split into several chunks."""
     rng = np.random.default_rng(1)
     inputs = rng.normal(size=(32, 12, 12, 8))
     filters = rng.normal(size=(3, 3, 8, 16))
@@ -110,41 +105,15 @@ def test_warm_calls_beat_cold_calls(workload, bench_json):
     )
 
 
-@pytest.mark.benchmark(group="pipeline-sharding")
+@pytest.mark.benchmark(group="pipeline-cache")
 def test_sequential_batch(benchmark, batch_workload):
+    """Steady state over a batch of eight chunks, run in order."""
     inputs, filters = batch_workload
-    pipeline = InferencePipeline(
-        "numpy", multiplier=MULTIPLIER, chunk_size=4, max_workers=1)
-    pipeline.run(inputs, filters)  # prime caches so only sharding differs
-
-    result = benchmark(pipeline.run, inputs, filters)
-    assert result.report.stats.chunks == 8
-    assert result.report.workers == 1
-
-
-@pytest.mark.benchmark(group="pipeline-sharding")
-def test_sharded_batch(benchmark, batch_workload):
-    inputs, filters = batch_workload
-    pipeline = InferencePipeline(
-        "numpy", multiplier=MULTIPLIER, chunk_size=4, max_workers=4)
+    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER, chunk_size=4)
     pipeline.run(inputs, filters)  # prime
 
     result = benchmark(pipeline.run, inputs, filters)
     assert result.report.stats.chunks == 8
-    assert result.report.workers == 4
-
-
-def test_sharded_output_matches_sequential(batch_workload):
-    """Sharding is a pure scheduling change: outputs stay bit-identical."""
-    inputs, filters = batch_workload
-    sequential = InferencePipeline(
-        "numpy", multiplier=MULTIPLIER, chunk_size=4, max_workers=1)
-    sharded = InferencePipeline(
-        "numpy", multiplier=MULTIPLIER, chunk_size=4, max_workers=4)
-    assert np.array_equal(
-        sequential.run(inputs, filters).output,
-        sharded.run(inputs, filters).output,
-    )
 
 
 @pytest.mark.benchmark(group="pipeline-backends")

@@ -10,7 +10,7 @@ Entry points:
 
 * :func:`emulate_conv2d` -- one-call approximate convolution on any backend;
 * :class:`InferencePipeline` -- reusable pipeline with LUT/filter-bank
-  caching and thread-pool batch sharding;
+  caching and the chunk loop;
 * :func:`collect_reports` -- a scope totalling the :class:`RunReport` of
   every pipeline run on the calling thread (e.g. a whole model's forward);
 * :func:`get_backend` / :func:`available_backends` -- the fixed table of

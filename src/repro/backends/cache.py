@@ -11,18 +11,19 @@ amortisation:
   multiplier models in :mod:`repro.multipliers`;
 * :class:`FilterBankCache` memoises the quantised flattened filter matrix and
   the per-filter sums ``Sf`` keyed by the filter tensor's content digest plus
-  the quantisation configuration (integer range, round mode, explicit filter
-  range) that determines the quantised values.
+  the quantisation configuration (the table's integer range and the explicit
+  filter range) that determines the quantised values.
 
-Both caches are thread-safe (the :class:`~repro.backends.InferencePipeline`
-shards batches across a thread pool) and bounded; eviction is true LRU (a
-hit moves the entry to the back of the eviction queue), which matters for
-training workloads where the same few layers are exercised every step while
-a stream of stale, superseded filter banks passes through.  The trainer in
-:mod:`repro.train` additionally drops superseded banks eagerly through
-:meth:`FilterBankCache.invalidate` after every weight update.  Module-level
-default instances are shared by :func:`repro.backends.emulate_conv2d` and
-every pipeline that does not bring its own.
+Both caches are thread-safe (one :class:`~repro.backends.InferencePipeline`
+serves concurrent calls, e.g. from serve workers) and bounded; eviction is
+true LRU (a hit moves the entry to the back of the eviction queue), which
+matters for training workloads where the same few layers are exercised every
+step while a stream of stale, superseded filter banks passes through.  The
+trainer in :mod:`repro.train` additionally drops superseded banks eagerly
+through :meth:`FilterBankCache.invalidate` after every weight update.
+Module-level default instances are shared by
+:func:`repro.backends.emulate_conv2d` and every pipeline that does not bring
+its own.
 """
 
 from __future__ import annotations

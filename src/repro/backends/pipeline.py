@@ -1,4 +1,4 @@
-"""Batched inference pipeline: caching, sharding and unified accounting.
+"""Batched inference pipeline: caching, chunking and unified accounting.
 
 The paper's headline result is that emulation becomes usable once per-call
 setup is amortised and the bulk work is executed by an efficient engine.
@@ -10,9 +10,8 @@ hot path:
   so repeated calls with the same accelerator configuration skip the
   256x256-product table construction and the filter-side half of
   ``ComputeCoeffs`` entirely;
-* large input batches are sharded into chunks executed across a thread pool
-  (``max_workers``); shard outputs are concatenated in submission order, so
-  results are deterministic and bit-identical to a sequential run;
+* input batches are split into chunks of ``chunk_size`` images (Algorithm
+  1's chunk loop), run in order and concatenated;
 * every run returns a :class:`RunReport` merging the functional operation
   counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
   simulated device's counters
@@ -32,7 +31,6 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
@@ -53,7 +51,6 @@ from ..errors import ConfigurationError
 from ..gpusim.device import DeviceCounters
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.affine import IntegerRange
 from ..quantization.ranges import TensorRange
 from .cache import (
     DEFAULT_FILTER_CACHE,
@@ -82,7 +79,6 @@ class RunReport:
     lut_name: str = ""
     batch: int = 0
     chunk_size: int = 0
-    workers: int = 1
     wall_time_s: float = 0.0
     lut_cache: CacheStats = field(default_factory=CacheStats)
     filter_cache: CacheStats = field(default_factory=CacheStats)
@@ -93,7 +89,7 @@ class RunReport:
         """Accumulate another run's accounting (e.g. a multi-layer sweep).
 
         Counters add up; the configuration fields (backend, chunk size,
-        workers, LUT name) describe the latest run merged in.
+        LUT name) describe the latest run merged in.
         """
         self.batch += other.batch
         self.wall_time_s += other.wall_time_s
@@ -112,14 +108,12 @@ class RunReport:
         if other.backend:
             self.backend = other.backend
             self.chunk_size = other.chunk_size
-            self.workers = other.workers
 
     def summary(self) -> str:
         """Compact human-readable digest used by examples and benchmarks."""
         lines = [
             f"backend={self.backend} lut={self.lut_name} "
-            f"batch={self.batch} chunks={self.stats.chunks} "
-            f"workers={self.workers}",
+            f"batch={self.batch} chunks={self.stats.chunks}",
             f"wall time: {self.wall_time_s * 1e3:.2f} ms",
             f"MACs: {self.stats.macs:,}  "
             f"quantised: {self.stats.quantized_values:,}  "
@@ -148,8 +142,8 @@ def collect_reports() -> Iterator[RunReport]:
     Each :meth:`InferencePipeline.run` on the calling thread merges its
     report into every scope open there (scopes nest), so wrapping a graph
     execution yields the whole model's accounting.  Context variables do
-    not follow work into other threads: a run on a pool thread reaches only
-    the scopes opened on that thread.
+    not follow work into other threads: a run on another thread (a serve
+    worker, say) reaches only the scopes opened on that thread.
     """
     report = RunReport()
     token = _SCOPES.set(_SCOPES.get() + (report,))
@@ -187,11 +181,7 @@ class InferencePipeline:
         Default multiplier for :meth:`run` calls that do not pass their own:
         a library name, a behavioural model or a pre-built lookup table.
     chunk_size:
-        Images per shard (Algorithm 1's constant chunk size).
-    max_workers:
-        Thread-pool width for shard execution.  ``1`` (the default) runs
-        shards inline; larger values overlap shards, which pays off for the
-        NumPy backend whose heavy ops release the GIL.
+        Images per chunk (Algorithm 1's constant chunk size).
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
@@ -205,19 +195,15 @@ class InferencePipeline:
     def __init__(self, backend: str = "numpy", *,
                  multiplier: str | Multiplier | LookupTable | None = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 max_workers: int = 1,
                  lut_cache: LUTCache | None = None,
                  filter_cache: FilterBankCache | None = None) -> None:
         if chunk_size <= 0:
             raise ConfigurationError("chunk_size must be positive")
-        if max_workers <= 0:
-            raise ConfigurationError("max_workers must be positive")
         # Resolve eagerly so configuration errors surface at build time.
         self._run_chunk = get_backend(backend)
         self.backend = backend
         self.multiplier = multiplier
         self.chunk_size = chunk_size
-        self.max_workers = max_workers
         self.lut_cache = lut_cache if lut_cache is not None else DEFAULT_LUT_CACHE
         self.filter_cache = (
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
@@ -228,7 +214,7 @@ class InferencePipeline:
                 strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                 input_range: TensorRange | tuple[float, float] | None = None,
                 filter_range: TensorRange | tuple[float, float] | None = None,
-                qrange: IntegerRange | None = None) -> PreparedConv:
+                ) -> PreparedConv:
         """Resolve LUT + coefficients + filter bank through the caches.
 
         This is the cached equivalent of
@@ -237,6 +223,8 @@ class InferencePipeline:
         filter-side work from the
         :class:`~repro.backends.cache.FilterBankCache`; only the (cheap,
         batch-dependent) input-side ``ComputeCoeffs`` runs unconditionally.
+        Both operands quantise to the table's operand range
+        (:attr:`~repro.lut.table.LookupTable.qrange`).
         The geometry (as for :meth:`run`) gives the patch rows of a chunk,
         which decide whether a bank used again comes with its ``rowgather``
         table (:meth:`FilterBankCache.row_table`).
@@ -248,9 +236,8 @@ class InferencePipeline:
                 "pipeline default"
             )
         lut = self.lut_cache.resolve(chosen)
-        if qrange is None:
-            qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
-        validate_conv_operands(inputs, filters, lut, qrange)
+        qrange = lut.qrange
+        validate_conv_operands(inputs, filters)
         kh, kw, channels, count = filters.shape
 
         input_q = resolve_quant_params(inputs, input_range, qrange)
@@ -285,7 +272,7 @@ class InferencePipeline:
             strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
             input_range: TensorRange | tuple[float, float] | None = None,
             filter_range: TensorRange | tuple[float, float] | None = None,
-            qrange: IntegerRange | None = None) -> RunResult:
+            ) -> RunResult:
         """Run one batched approximate convolution; returns output + report."""
         start_time = time.perf_counter()
         lut_before = self.lut_cache.stats_snapshot()
@@ -294,25 +281,15 @@ class InferencePipeline:
         prepared = self.prepare(
             inputs, filters, multiplier,
             strides=strides, dilations=dilations, padding=padding,
-            input_range=input_range, filter_range=filter_range, qrange=qrange,
+            input_range=input_range, filter_range=filter_range,
         )
 
-        shards = split_chunks(inputs.shape[0], self.chunk_size)
-
-        def run_shard(bounds: tuple[int, int]):
-            start, stop = bounds
-            return self._run_chunk(
+        chunks = split_chunks(inputs.shape[0], self.chunk_size)
+        results = [
+            self._run_chunk(
                 inputs[start:stop], prepared, strides, dilations, padding)
-
-        if self.max_workers > 1 and len(shards) > 1:
-            workers = min(self.max_workers, len(shards))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # executor.map preserves submission order, so concatenation
-                # below is deterministic regardless of completion order.
-                results = list(pool.map(run_shard, shards))
-        else:
-            workers = 1
-            results = [run_shard(bounds) for bounds in shards]
+            for start, stop in chunks
+        ]
 
         output = (results[0][0] if len(results) == 1
                   else np.concatenate([out for out, _ in results], axis=0))
@@ -323,11 +300,10 @@ class InferencePipeline:
             lut_name=prepared.lut.name,
             batch=int(inputs.shape[0]),
             chunk_size=self.chunk_size,
-            workers=workers,
             lut_cache=_cache_delta(self.lut_cache.stats_snapshot(), lut_before),
             filter_cache=filter_cache,
             stats=ApproxConvStats.of_run(
-                inputs, prepared, output, len(shards),
+                inputs, prepared, output, len(chunks),
                 filters_quantized=filter_cache.misses > 0),
         )
         for _, gpu in results:
@@ -347,9 +323,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
-                   qrange: IntegerRange | None = None,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE,
-                   max_workers: int = 1) -> np.ndarray:
+                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
     """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library
@@ -363,12 +337,11 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
     >>> with collect_reports() as report:                     # doctest: +SKIP
     ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
     """
-    pipeline = shared_pipeline(
-        backend, chunk_size=chunk_size, max_workers=max_workers)
+    pipeline = shared_pipeline(backend, chunk_size=chunk_size)
     return pipeline.run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
-        input_range=input_range, filter_range=filter_range, qrange=qrange,
+        input_range=input_range, filter_range=filter_range,
     ).output
 
 
@@ -377,8 +350,7 @@ _SHARED_PIPELINES_LOCK = threading.Lock()
 
 
 def shared_pipeline(backend: str = "numpy", *,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE,
-                    max_workers: int = 1) -> InferencePipeline:
+                    chunk_size: int = DEFAULT_CHUNK_SIZE) -> InferencePipeline:
     """Process-wide :class:`InferencePipeline` for one configuration.
 
     Returns the same instance for equal configurations, so independent
@@ -389,11 +361,10 @@ def shared_pipeline(backend: str = "numpy", *,
     and never carry a default multiplier, so callers state theirs per call
     and cannot observe each other's.
     """
-    key = (backend, int(chunk_size), int(max_workers))
+    key = (backend, int(chunk_size))
     with _SHARED_PIPELINES_LOCK:
         pipeline = _SHARED_PIPELINES.get(key)
         if pipeline is None:
-            pipeline = InferencePipeline(
-                backend, chunk_size=chunk_size, max_workers=max_workers)
+            pipeline = InferencePipeline(backend, chunk_size=chunk_size)
             _SHARED_PIPELINES[key] = pipeline
         return pipeline

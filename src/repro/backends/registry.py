@@ -3,8 +3,8 @@
 :class:`~repro.backends.pipeline.InferencePipeline` drives Algorithm 1's
 chunk loop for every engine.  It resolves the batch-independent state into a
 :class:`~repro.conv.approx_conv2d.PreparedConv` once, then calls one of the
-functions below per chunk; range resolution, filter caching, batch
-sharding, threading and accounting are therefore identical across engines.
+functions below per chunk; range resolution, filter caching, chunking and
+accounting are therefore identical across engines.
 
 The table holds exactly three backends:
 

@@ -157,9 +157,8 @@ class PreparedConv:
         )
 
 
-def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray,
-                           lut: LookupTable, qrange: IntegerRange) -> None:
-    """Shape/signedness validation shared by every convolution entry point."""
+def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray) -> None:
+    """Shape validation shared by every convolution entry point."""
     if inputs.ndim != 4:
         raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
     if inputs.size == 0:
@@ -172,11 +171,6 @@ def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray,
         raise ShapeError(
             f"channel mismatch: inputs have {inputs.shape[3]} channels, "
             f"filters expect {filters.shape[2]}"
-        )
-    if qrange.signed != lut.signed:
-        raise ConfigurationError(
-            f"quantised range signedness ({qrange.signed}) does not match the "
-            f"lookup table ({lut.signed})"
         )
 
 
@@ -196,22 +190,19 @@ def quantize_filter_bank(filters: np.ndarray, filter_q: QuantParams,
 def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
-                   qrange: IntegerRange | None = None) -> PreparedConv:
+                   ) -> PreparedConv:
     """Resolve the quantisation coefficients and quantise the filter bank.
 
     This is the shared front half of Algorithm 1 (``ComputeCoeffs`` plus the
     filter-side quantisation and ``Sf``); the backends only implement the
-    per-chunk back half.  When ``qrange`` is omitted it is derived from the
-    lookup table's bit width and signedness, which is the only combination
-    the table can serve anyway.
+    per-chunk back half.  Both operands quantise to the table's own
+    operand range (:attr:`~repro.lut.table.LookupTable.qrange`).
     """
-    if qrange is None:
-        qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
-    validate_conv_operands(inputs, filters, lut, qrange)
+    validate_conv_operands(inputs, filters)
     kh, kw, channels, count = filters.shape
 
-    input_q = resolve_quant_params(inputs, input_range, qrange)
-    filter_q = resolve_quant_params(filters, filter_range, qrange)
+    input_q = resolve_quant_params(inputs, input_range, lut.qrange)
+    filter_q = resolve_quant_params(filters, filter_range, lut.qrange)
 
     flat_filters, sf = quantize_filter_bank(filters, filter_q)
     return PreparedConv(
@@ -252,7 +243,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
                   strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                   input_range: TensorRange | tuple[float, float] | None = None,
                   filter_range: TensorRange | tuple[float, float] | None = None,
-                  qrange: IntegerRange | None = None,
                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
     """Approximate 2D convolution emulating a LUT-multiplier accelerator.
 
@@ -264,16 +254,14 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
         HWCK float filter bank.
     lut:
         Lookup table of the approximate multiplier used by the emulated MAC
-        units.  The table's signedness must match ``qrange``.
+        units.  Both operands quantise to its operand range ([-128, 127]
+        for signed 8-bit multipliers, [0, 255] for unsigned ones).
     strides, dilations, padding:
         Standard convolution geometry parameters.
     input_range, filter_range:
         Optional pre-computed (min, max) ranges -- the four extra scalar
         inputs of the ``AxConv2D`` op.  When omitted they are derived from
         the data, as the transformed graph's Min/Max nodes would do.
-    qrange:
-        Quantised integer range ([-128, 127] for signed multipliers,
-        [0, 255] for unsigned ones); derived from the table when omitted.
     chunk_size:
         Number of images converted to the patch matrix at a time.
 
@@ -287,7 +275,6 @@ def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
     prepared = prepare_conv2d(
         inputs, filters, lut,
         input_range=input_range, filter_range=filter_range,
-        qrange=qrange,
     )
 
     # --- Chunked Im2Cols + ApproxGEMM ----------------------------------

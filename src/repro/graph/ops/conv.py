@@ -3,10 +3,12 @@
 ``Conv2D`` mirrors TensorFlow's NHWC/HWCK convolution.  ``AxConv2D`` is the
 op the paper introduces: it reads two floating-point tensors plus "four
 scalars specifying the quantization coefficients" (delivered as the min/max
-of each input by the graph transformation of Fig. 1), a multiplier model
-given by its truth table, the expected quantised range and the requested
-round mode, and produces a floating-point output with the same range as the
-original convolutional layer.
+of each input by the graph transformation of Fig. 1) and a multiplier model
+given by its truth table, and produces a floating-point output with the same
+range as the original convolutional layer.  The paper's op also takes the
+expected quantised range and a round mode; here the range is the table's own
+operand range (the only one it can address) and the quantiser has one
+rounding rule, half away from zero.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
 from ...lut.table import LookupTable
-from ...quantization.affine import IntegerRange
 from ..node import Node, OpContext
 
 
@@ -96,21 +97,13 @@ class AxConv2D(Node):
                  filter_min: Node, filter_max: Node, *,
                  lut: LookupTable, strides=(1, 1), dilations=(1, 1),
                  padding: str = "SAME",
-                 qrange: IntegerRange | None = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
             raise ConfigurationError("AxConv2D requires a LookupTable instance")
-        if qrange is None:
-            qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
-        if qrange.signed != lut.signed:
-            raise ConfigurationError(
-                "the quantised range signedness must match the lookup table"
-            )
         self.strides = strides
         self.dilations = dilations
         self.padding = padding
-        self.qrange = qrange
         #: The pipeline is the one owner of the execution settings (the
         #: table as its ``multiplier`` and ``chunk_size``); it
         #: caches this layer's quantised filter bank across runs, so
@@ -130,7 +123,6 @@ class AxConv2D(Node):
             strides=self.strides, dilations=self.dilations, padding=self.padding,
             input_range=(float(in_min), float(in_max)),
             filter_range=(float(f_min), float(f_max)),
-            qrange=self.qrange,
         ).output
 
     def backward(self, grad_output, ctx: OpContext):

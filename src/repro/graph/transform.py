@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from ..errors import GraphError
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.affine import IntegerRange
 from .graph import Graph
 from .node import Node
 from .ops.basic import Constant, ReduceMax, ReduceMin
@@ -66,7 +65,6 @@ def _resolve_lut(multiplier_or_lut: Multiplier | LookupTable) -> LookupTable:
 
 
 def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable, *,
-                      qrange: IntegerRange | None = None,
                       chunk_size: int = 32,
                       layer_filter=None) -> TransformReport:
     """Replace every ``Conv2D`` in ``graph`` by an ``AxConv2D`` (Fig. 1).
@@ -77,11 +75,8 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         The graph to transform, modified in place.
     multiplier_or_lut:
         The approximate multiplier to emulate, either as a behavioural model
-        or directly as its lookup table.
-    qrange:
-        Quantised integer range; defaults to the table's own operand range
-        (``IntegerRange.for_bits(bit_width, signed=...)``: [-128, 127] or
-        [0, 255] at 8 bits).
+        or directly as its lookup table.  Each ``AxConv2D`` quantises to
+        the table's own operand range ([-128, 127] or [0, 255] at 8 bits).
     chunk_size:
         Batch chunk size forwarded to the approximate convolution.
     layer_filter:
@@ -112,8 +107,8 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         ax = AxConv2D(
             graph, data, filters, input_min, input_max, filter_min, filter_max,
             lut=lut, strides=conv.strides, dilations=conv.dilations,
-            padding=conv.padding, qrange=qrange,
-            chunk_size=chunk_size, name=f"{conv.name}/approx",
+            padding=conv.padding, chunk_size=chunk_size,
+            name=f"{conv.name}/approx",
         )
         replace_consumers(graph, conv, ax)
         graph.remove(conv)

@@ -32,6 +32,7 @@ import numpy as np
 from ..errors import BitWidthError, TruthTableError
 from ..multipliers.base import Multiplier
 from ..multipliers.truthtable import validate_table
+from ..quantization.affine import IntegerRange
 
 
 #: Highest exact rank :func:`factor_table` factors a table at.  Above it the
@@ -254,6 +255,15 @@ class LookupTable:
         if self._signed:
             return (1 << (self._bit_width - 1)) - 1
         return (1 << self._bit_width) - 1
+
+    @property
+    def qrange(self) -> IntegerRange:
+        """Quantised range of both operands of a convolution on this table.
+
+        ``[operand_min, operand_max]``: the only operands the table can
+        address, and the one place a conv entry point gets its range.
+        """
+        return IntegerRange(self.operand_min, self.operand_max)
 
     @property
     def factors(self) -> LutFactors | None:

@@ -23,7 +23,8 @@ from repro.backends import (
     emulate_conv2d,
     get_backend,
 )
-from repro.conv import ApproxConvStats, approx_conv2d, approx_conv2d_direct
+from repro.conv import (
+    ApproxConvStats, approx_conv2d, approx_conv2d_direct, prepare_conv2d)
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul, lut_matmul_blocked
 from repro.errors import (
@@ -123,22 +124,6 @@ class TestBackendParity:
         new_path = emulate_conv2d(inputs, filters, lut,
                                   strides=strides, padding=padding)
         assert np.array_equal(seed_path, new_path)
-
-    def test_sharded_run_is_deterministic(self):
-        """Thread-pool sharding must not change results or their order."""
-        rng = np.random.default_rng(3)
-        inputs = rng.normal(size=(13, 6, 6, 2))
-        filters = rng.normal(size=(3, 3, 2, 4))
-        sequential = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", chunk_size=2, max_workers=1)
-        sharded = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", chunk_size=2, max_workers=4)
-        ref = sequential.run(inputs, filters)
-        for _ in range(3):
-            out = sharded.run(inputs, filters)
-            assert np.array_equal(out.output, ref.output)
-        assert ref.report.stats.chunks == 7
-        assert out.report.workers == 4
 
 
 #: Grid for the LUT-GEMM kernel-variant parity test: [P, K] x [K, F] shapes
@@ -448,15 +433,18 @@ class TestRunReport:
 
     @pytest.mark.parametrize("backend", ["numpy", "cpusim", "gpusim"])
     def test_operands_outside_the_table_range_raise(self, backend):
-        """A 12-bit quantisation range feeds an 8-bit table operands it
-        cannot address; no engine may wrap them into a wrong answer."""
+        """Inputs quantised to a 12-bit range feed an 8-bit table operands
+        it cannot address; no engine may wrap them into a wrong answer."""
         rng = np.random.default_rng(0)
         inputs = rng.normal(size=(2, 5, 5, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
-        pipeline = InferencePipeline(backend, multiplier="mul8s_exact")
+        lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
+        prepared = dataclasses.replace(
+            prepare_conv2d(inputs, filters, lut),
+            input_q=compute_coeffs_from_tensor(
+                inputs, qrange=IntegerRange.for_bits(12, signed=True)))
         with pytest.raises(TruthTableError, match="outside the table range"):
-            pipeline.run(inputs, filters,
-                         qrange=IntegerRange.for_bits(12, signed=True))
+            get_backend(backend)(inputs, prepared, (1, 1), (1, 1), "SAME")
 
     def test_report_merge_accumulates(self):
         rng = np.random.default_rng(4)
@@ -516,8 +504,6 @@ class TestPipelineConfiguration:
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             InferencePipeline("numpy", chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            InferencePipeline("numpy", max_workers=0)
 
     def test_missing_multiplier(self):
         pipeline = InferencePipeline("numpy")
@@ -544,7 +530,9 @@ class TestPipelineConfiguration:
             inputs, filters, inputs.min(), inputs.max(),
             filters.min(), filters.max())]
         node = AxConv2D(graph, *operands, lut=lut)
-        assert node.qrange.signed is False
+        prepared = node.pipeline.prepare(inputs, filters)
+        assert not prepared.input_q.qrange.signed
+        assert not prepared.filter_q.qrange.signed
         np.testing.assert_array_equal(
             node.compute([op.value for op in operands]),
             approx_conv2d(inputs, filters, lut,

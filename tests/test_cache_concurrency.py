@@ -1,7 +1,7 @@
 """Concurrency tests of the backend caches (invalidate vs in-flight builds).
 
-The trainer invalidates superseded filter banks *while* the inference
-pipeline's thread pool may be resolving banks for concurrent forward passes.
+The trainer invalidates superseded filter banks *while* other threads'
+pipeline calls may be resolving banks for concurrent forward passes.
 Builds intentionally run outside the cache lock, so an ``invalidate`` can
 land between a miss and its insert; without the tombstone logic in
 ``_BoundedCache`` the late insert would resurrect the invalidated entry
@@ -186,7 +186,7 @@ class TestInvalidateStress:
         lut_cache = LUTCache()
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_exact", chunk_size=2, max_workers=2,
+            "numpy", multiplier="mul8s_exact", chunk_size=2,
             lut_cache=lut_cache, filter_cache=filter_cache,
         )
         rng = np.random.default_rng(4)

@@ -22,11 +22,7 @@ from repro.conv import (
 from repro.errors import ConfigurationError, ShapeError
 from repro.lut import LookupTable
 from repro.multipliers import library
-from repro.quantization import (
-    SIGNED_8BIT,
-    UNSIGNED_8BIT,
-    compute_coeffs_from_tensor,
-)
+from repro.quantization import compute_coeffs_from_tensor
 
 from lut_gemm_reference import lut_matmul_naive
 
@@ -142,16 +138,10 @@ class TestApproxConv2D:
     def test_unsigned_range_with_unsigned_lut(self, rng, exact_lut_unsigned):
         inputs = rng.uniform(0, 1, size=(1, 6, 6, 2))
         filters = rng.uniform(0, 1, size=(3, 3, 2, 2))
-        approx = approx_conv2d(inputs, filters, exact_lut_unsigned,
-                               qrange=UNSIGNED_8BIT)
+        approx = approx_conv2d(inputs, filters, exact_lut_unsigned)
         accurate = conv2d_float(inputs, filters)
         scale = np.abs(accurate).max()
         assert np.max(np.abs(approx - accurate)) < 0.05 * scale
-
-    def test_signedness_mismatch_rejected(self, small_conv_case, exact_lut_unsigned):
-        inputs, filters = small_conv_case
-        with pytest.raises(ConfigurationError):
-            approx_conv2d(inputs, filters, exact_lut_unsigned, qrange=SIGNED_8BIT)
 
     def test_shape_validation(self, exact_lut_signed):
         with pytest.raises(ShapeError):

@@ -170,17 +170,12 @@ class TestGPUEngine:
 
     def test_engine_validation(self, rng, exact_lut_unsigned):
         from repro.errors import ShapeError
-        from repro.quantization import SIGNED_8BIT
         pipeline = InferencePipeline("gpusim")
         with pytest.raises(ShapeError):
             pipeline.run(np.zeros((1, 4, 4)), np.zeros((3, 3, 1, 1)),
                          exact_lut_unsigned)
         with pytest.raises(ConfigurationError):
             InferencePipeline("gpusim", chunk_size=0)
-        with pytest.raises(ConfigurationError):
-            pipeline.run(rng.normal(size=(1, 4, 4, 1)),
-                         rng.normal(size=(3, 3, 1, 1)),
-                         exact_lut_unsigned, qrange=SIGNED_8BIT)
 
 
 class TestGPUTimingModel:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import shared_pipeline
 from repro.errors import ConfigurationError, GraphError
 from repro.graph import (
     Executor,
@@ -24,7 +25,7 @@ from repro.graph.ops import (
 from repro.lut import LookupTable
 from repro.models import build_simple_cnn
 from repro.multipliers import ExactMultiplier, library
-from repro.quantization import SIGNED_8BIT, UNSIGNED_8BIT, IntegerRange
+from repro.quantization import UNSIGNED_8BIT, IntegerRange
 
 
 def op_counts(graph, *op_types):
@@ -45,6 +46,30 @@ def build_two_layer_graph(rng):
     conv2 = Conv2D(g, act1, w2, strides=(2, 2), name="conv2")
     out = ReLU(g, conv2, name="out")
     return g, x, out
+
+
+def exact_table(bits: int, signed: bool) -> LookupTable:
+    """Exact-product lookup table of any width."""
+    n = 1 << bits
+    operands = np.arange(n, dtype=np.int32)
+    if signed:
+        operands[n // 2:] -= n                   # bit pattern -> signed value
+    kind = "s" if signed else "u"
+    return LookupTable(np.multiply.outer(operands, operands), bit_width=bits,
+                       signed=signed, name=f"mul{bits}{kind}_exact")
+
+
+def assert_quantises_to_table_range(ax, rng):
+    """Both operands of ``ax``'s convolution quantise to its table's operand
+    range, through the node's own pipeline and through a shared one."""
+    lut = ax.pipeline.multiplier
+    expected = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
+    inputs = rng.normal(size=(1, 6, 6, 3))
+    filters = rng.normal(size=(3, 3, 3, 2))
+    for prepared in (ax.pipeline.prepare(inputs, filters),
+                     shared_pipeline().prepare(inputs, filters, lut)):
+        assert prepared.input_q.qrange == expected
+        assert prepared.filter_q.qrange == expected
 
 
 class TestApproximateGraph:
@@ -105,30 +130,37 @@ class TestApproximateGraph:
         g, x, out = build_two_layer_graph(rng)
         approximate_graph(g, library.create("mul8u_drum4"))
         ax = g.nodes_by_type("AxConv2D")[0]
-        assert ax.qrange == UNSIGNED_8BIT
+        prepared = ax.pipeline.prepare(rng.normal(size=(1, 8, 8, 3)),
+                                       rng.normal(size=(3, 3, 3, 4)))
+        assert prepared.input_q.qrange == UNSIGNED_8BIT
+        assert prepared.filter_q.qrange == UNSIGNED_8BIT
 
     def test_default_range_follows_the_table_width(self, rng):
-        """A 4-bit table quantises to its own [-8, 7], not to 8 bits, so
-        the transformed graph runs."""
-        model = build_simple_cnn(input_size=8)
-        approximate_graph(model.graph, ExactMultiplier(4, signed=True))
-        for ax in model.graph.nodes_by_type("AxConv2D"):
-            assert ax.qrange == IntegerRange.for_bits(4, signed=True)
-        logits = Executor(model.graph).run(
-            model.logits, {model.input_node: rng.normal(size=(2, 8, 8, 3))})
-        assert logits.shape == (2, model.num_classes)
-        assert np.all(np.isfinite(logits))
+        """A 4-bit table quantises to its own range ([-8, 7] or [0, 15]),
+        not to 8 bits, so the transformed graph runs."""
+        for bits in (4, 8):
+            for signed in (True, False):
+                model = build_simple_cnn(input_size=8)
+                approximate_graph(model.graph, exact_table(bits, signed))
+                for ax in model.graph.nodes_by_type("AxConv2D"):
+                    assert_quantises_to_table_range(ax, rng)
+                logits = Executor(model.graph).run(
+                    model.logits,
+                    {model.input_node: rng.normal(size=(2, 8, 8, 3))})
+                assert logits.shape == (2, model.num_classes)
+                assert np.all(np.isfinite(logits))
 
-    def test_layerwise_range_follows_the_table_width(self):
-        n = 1 << 12
-        operands = np.arange(n, dtype=np.int32)
-        operands[n // 2:] -= n                   # bit pattern -> signed value
-        lut = LookupTable(np.multiply.outer(operands, operands),
-                          bit_width=12, signed=True, name="mul12s_exact")
-        model = build_simple_cnn(input_size=8)
-        approximate_graph_layerwise(model.graph, {"conv1": lut})
-        (ax,) = model.graph.nodes_by_type("AxConv2D")
-        assert ax.qrange == IntegerRange.for_bits(12, signed=True)
+    def test_layerwise_range_follows_the_table_width(self, rng, monkeypatch):
+        # Choosing a kernel factors the table, which at 12 bits (2**24
+        # entries) costs ~0.7 GB; the quantised range does not depend on it.
+        monkeypatch.setattr("repro.backends.cache.choose_gemm_kernel",
+                            lambda lut, rows, depth: "rowgather")
+        for signed in (True, False):
+            model = build_simple_cnn(input_size=8)
+            approximate_graph_layerwise(
+                model.graph, {"conv1": exact_table(12, signed)})
+            (ax,) = model.graph.nodes_by_type("AxConv2D")
+            assert_quantises_to_table_range(ax, rng)
 
     def test_invalid_multiplier_argument(self, rng):
         g, x, out = build_two_layer_graph(rng)
@@ -172,13 +204,3 @@ class TestAxConv2DNode:
         with pytest.raises(ConfigurationError):
             AxConv2D(g, x, w, mins, maxs, mins, maxs, lut="not a lut")
 
-    def test_signedness_mismatch_rejected(self, rng):
-        g = Graph()
-        x = Placeholder(g, (None, 4, 4, 1))
-        w = Constant(g, rng.normal(size=(3, 3, 1, 2)))
-        mins = Constant(g, -1.0)
-        maxs = Constant(g, 1.0)
-        lut = LookupTable.from_multiplier(library.create("mul8u_exact"))
-        with pytest.raises(ConfigurationError):
-            AxConv2D(g, x, w, mins, maxs, mins, maxs, lut=lut,
-                     qrange=SIGNED_8BIT)
