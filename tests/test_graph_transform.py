@@ -48,17 +48,6 @@ def build_two_layer_graph(rng):
     return g, x, out
 
 
-def exact_table(bits: int, signed: bool) -> LookupTable:
-    """Exact-product lookup table of any width."""
-    n = 1 << bits
-    operands = np.arange(n, dtype=np.int32)
-    if signed:
-        operands[n // 2:] -= n                   # bit pattern -> signed value
-    kind = "s" if signed else "u"
-    return LookupTable(np.multiply.outer(operands, operands), bit_width=bits,
-                       signed=signed, name=f"mul{bits}{kind}_exact")
-
-
 def assert_quantises_to_table_range(ax, rng):
     """Both operands of ``ax``'s convolution quantise to its table's operand
     range, through the node's own pipeline and through a shared one."""
@@ -141,7 +130,8 @@ class TestApproximateGraph:
         for bits in (4, 8):
             for signed in (True, False):
                 model = build_simple_cnn(input_size=8)
-                approximate_graph(model.graph, exact_table(bits, signed))
+                approximate_graph(model.graph,
+                                  ExactMultiplier(bits, signed=signed))
                 for ax in model.graph.nodes_by_type("AxConv2D"):
                     assert_quantises_to_table_range(ax, rng)
                 logits = Executor(model.graph).run(
@@ -155,10 +145,15 @@ class TestApproximateGraph:
         # entries) costs ~0.7 GB; the quantised range does not depend on it.
         monkeypatch.setattr("repro.backends.cache.choose_gemm_kernel",
                             lambda lut, rows, depth: "rowgather")
+        n = 1 << 12
         for signed in (True, False):
+            operands = np.arange(n, dtype=np.int32)
+            if signed:
+                operands[n // 2:] -= n           # bit pattern -> signed value
+            lut = LookupTable(np.multiply.outer(operands, operands),
+                              bit_width=12, signed=signed, name="mul12_exact")
             model = build_simple_cnn(input_size=8)
-            approximate_graph_layerwise(
-                model.graph, {"conv1": exact_table(12, signed)})
+            approximate_graph_layerwise(model.graph, {"conv1": lut})
             (ax,) = model.graph.nodes_by_type("AxConv2D")
             assert_quantises_to_table_range(ax, rng)
 
