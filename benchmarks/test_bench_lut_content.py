@@ -4,8 +4,8 @@ execution time" (Section IV).
 The claim is about the paper's gather kernel, and the analytical GPU timing
 model is shown to be a function of the workload only.  The wall-clock of
 the functional NumPy engine is benchmarked for several very different
-multipliers on the same workload.  Its gather kernels (``blocked``,
-``rowgather``) cost the same for any table, but ``lut_matmul`` runs tables
+multipliers on the same workload.  Its gather kernel (``rowgather``)
+costs the same for any table, but ``lut_matmul`` runs tables
 with exact rank <= 3 factors (``mul8s_exact`` and ``mul8s_drum4`` here)
 through the ``factored`` BLAS kernel, so on the host those two run faster:
 there the content does change the time, by design.

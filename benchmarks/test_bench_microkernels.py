@@ -16,31 +16,30 @@ design, so the bandwidth is a STREAM-style copy of a cache-resident buffer
 BLAS, so its roofline is a bare float64 GEMM of the same ``[P, r*K] x [r*K,
 F]`` shape, at ``r`` multiply-adds per emulated MAC.  The JSON artefact
 records the bandwidths, each kernel's bytes per MAC, roofline, absolute
-MACs/s and fraction of its roofline, plus the blocked-vs-naive speedup
+MACs/s and fraction of its roofline, plus the rowgather-vs-naive speedup
 (>= 1.5x, asserted here and archived by CI).
 
 The naive kernel is the seed's one-gather-per-product reference, kept in
 ``tests/lut_gemm_reference.py``; it is timed here but is not one of the
 kernels ``lut_matmul`` dispatches to.
 
-It also times ``blocked`` against ``rowgather`` on the ResNet-20 stage
-shapes of a batch-32 forward pass and on one single-sample serve shape,
-asserting ``rowgather`` >= 1.3x on the three stage shapes (the calls the
-size rule sends to it) and archiving every per-shape speed-up.  Those
-calls take the operands the pipeline passes: the narrow int8 patch matrix
+It also archives ``rowgather``'s MACs/s on the ResNet-20 stage shapes of a
+batch-32 forward pass and on one single-sample serve shape.  Those calls
+take the operands the pipeline passes: the narrow int8 patch matrix
 ``im2col_quantized`` emits and the int64 quantised filter bank.  The
 ``im2col_quantized`` time of each stage's batch-32 input is archived too.
 
 A filter bank used again keeps its whole-depth ``rowgather`` table
 (:class:`~repro.conv.gemm.RowTable`).  At the three ``mul8s_mitchell``
 calls of a single-sample ``serve_cnn16_open`` request the cached-table path
-is timed against ``blocked`` -- the kernel those calls take without a
+is timed against per-call ``rowgather`` -- what those calls run without a
 table -- and must beat it; its MACs/s, the table's bytes and its one-off
 build time are archived.
 
-``factored`` is timed on rank-1/2/3 tables at the same shapes against the
-kernel the size rule would pick instead, on the same call, and must match
-it bit for bit and not lose to it.  For every library table the JSON
+``factored`` is timed on rank-1/2/3 tables at the same shapes against
+``rowgather``, the kernel the table would take without factors, on the
+same call, and must match it bit for bit and not lose to it.  For every
+library table the JSON
 records the rank of its exact factors (``null`` above 3, beside the float
 SVD rank), their denominator ``d`` and the kernel ``lut_matmul`` chooses
 for a serve call (P=16) and a batch-32 stage-2 call (P=8192).
@@ -59,7 +58,6 @@ from repro.conv.gemm import (
     KERNELS,
     RowTable,
     choose_gemm_kernel,
-    default_gemm_kernel,
 )
 from repro.lut import LookupTable
 from repro.multipliers import library
@@ -72,21 +70,20 @@ BENCH_P, BENCH_K, BENCH_F = 1024, 144, 64
 
 #: Minimum fraction of its roofline each kernel must reach on the bench
 #: shape.  Observed on a 2-vCPU host with a 60 GB/s cache-resident copy:
-#: naive and blocked ~0.06, rowgather ~0.07 and cached-table rowgather
-#: ~0.14 of the copy-bandwidth roofline, factored ~0.2 of a bare GEMM.
+#: naive ~0.06, rowgather ~0.07 and cached-table rowgather ~0.14 of the
+#: copy-bandwidth roofline, factored ~0.2 of a bare GEMM.
 #: The gathers are bound by latency more than bandwidth, hence the low
 #: fractions.  The floors sit about 4x lower, to stay robust on noisy
 #: shared runners while still catching order-of-magnitude regressions.
-ROOFLINE_FLOORS = {"naive": 0.015, "blocked": 0.015, "rowgather": 0.02,
+ROOFLINE_FLOORS = {"naive": 0.015, "rowgather": 0.02,
                    "rowgather_cached": 0.03, "factored": 0.05}
 
-#: The tentpole claim, asserted on every run: median blocked MACs/s must be
-#: at least this multiple of the naive kernel's.
-MIN_BLOCKED_SPEEDUP = 1.5
+#: Asserted on every run: median rowgather MACs/s on the bench shape must
+#: be at least this multiple of the naive kernel's.
+MIN_ROWGATHER_SPEEDUP = 1.5
 
-#: (P, K, F) of the ResNet-20 stage convolutions at batch 32, which the size
-#: rule sends to ``rowgather``, and one single-sample serve call (P=16) that
-#: it keeps on ``blocked``.
+#: (P, K, F) of the ResNet-20 stage convolutions at batch 32 and one
+#: single-sample serve call (P=16).
 STAGE_SHAPES = {
     "stage1": (32768, 144, 16),
     "stage2": (8192, 288, 32),
@@ -102,11 +99,9 @@ STAGE_INPUTS = {
     "stage3": (32, 8, 8, 64),
 }
 
-#: Required median rowgather-over-blocked speed-up on every stage shape.
-MIN_ROWGATHER_SPEEDUP = 1.3
-
 #: (P, K, F) of the three ``mul8s_mitchell`` conv calls of one
-#: single-sample ``simple_cnn`` 16x16 request, all below the size rule.
+#: single-sample ``simple_cnn`` 16x16 request, all short calls that earn
+#: their filter banks a cached row table.
 SERVE_MITCHELL_SHAPES = {
     "conv1": (256, 27, 16),
     "conv2": (64, 144, 32),
@@ -116,9 +111,9 @@ SERVE_MITCHELL_SHAPES = {
 #: One library table per factor rank the factored kernel serves.
 FACTORED_TABLES = {1: "mul8s_trunc2", 2: "mul8s_udm", 3: "mul8u_bam_h2v4"}
 
-#: Required median factored speed-up over the size rule's kernel on every
-#: stage and serve shape: ``lut_matmul`` takes ``factored`` whenever the
-#: table has factors, so it must never lose.
+#: Required median factored speed-up over ``rowgather`` on every stage and
+#: serve shape: ``lut_matmul`` takes ``factored`` whenever the table has
+#: factors, so it must never lose.
 MIN_FACTORED_SPEEDUP = 1.0
 
 
@@ -225,8 +220,6 @@ def bytes_per_mac(kernel: str, shape, patch_itemsize: int,
 
     * ``naive``: int64 stitched index written and read (16), int64 product
       written and read (16).
-    * ``blocked``: int32 stitched index written and read (8), int16 product
-      slab written and read (4).
     * ``rowgather_cached``: one int16 ``W`` entry read per MAC, written
       into a slab and read back by the sum (6).
     * ``rowgather``: the same, plus building ``W`` per call -- ``2**n * K *
@@ -235,7 +228,7 @@ def bytes_per_mac(kernel: str, shape, patch_itemsize: int,
     """
     p, _, f = shape
     operand = patch_itemsize / f
-    streams = {"naive": 32.0, "blocked": 12.0, "rowgather_cached": 6.0,
+    streams = {"naive": 32.0, "rowgather_cached": 6.0,
                "rowgather": 6.0 + 6.0 * (1 << bit_width) / p}
     return streams[kernel] + operand
 
@@ -312,31 +305,27 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         payload[f"{kernel}_roofline_macs_per_s"] = roofline
         payload[f"{kernel}_roofline_fraction"] = fractions[kernel]
 
-    speedup = achieved["blocked"] / achieved["naive"]
-    payload["blocked_vs_naive_speedup"] = speedup
+    speedup = achieved["rowgather"] / achieved["naive"]
+    payload["rowgather_vs_naive_speedup"] = speedup
     # Trajectory keys earlier PRs archived, continued by whatever kernel the
     # default dispatch picks for the bench shape.
     default_median = _median_seconds(lut_matmul, patches, weights, exact_lut)
     payload["lut_gemm_macs_per_s"] = macs / default_median
     payload["lut_gemm_median_seconds"] = default_median
 
-    layer_speedups = {}
     for label, shape in {**STAGE_SHAPES, "serve": SERVE_SHAPE}.items():
-        times = _paired_median_seconds(mitchell_lut, shape,
-                                       ("blocked", "rowgather"))
-        layer_speedups[label] = times["blocked"] / times["rowgather"]
-        payload[f"{label}_rowgather_vs_blocked_speedup"] = layer_speedups[label]
-        for kernel, median in times.items():
-            payload[f"{label}_{kernel}_macs_per_s"] = np.prod(shape) / median
+        times = _paired_median_seconds(mitchell_lut, shape, ("rowgather",))
+        payload[f"{label}_rowgather_macs_per_s"] = \
+            np.prod(shape) / times["rowgather"]
     cached_speedups = {}
     for label, shape in SERVE_MITCHELL_SHAPES.items():
         times = _paired_median_seconds(mitchell_lut, shape,
-                                       ("blocked", "rowgather_cached"))
-        cached_speedups[label] = times["blocked"] / times["rowgather_cached"]
+                                       ("rowgather", "rowgather_cached"))
+        cached_speedups[label] = times["rowgather"] / times["rowgather_cached"]
         filters = np.random.default_rng(shape[1]).integers(
             -128, 128, size=shape[1:])
         key = f"serve_{label}"
-        payload[f"{key}_rowgather_cached_vs_blocked_speedup"] = \
+        payload[f"{key}_rowgather_cached_vs_rowgather_speedup"] = \
             cached_speedups[label]
         payload[f"{key}_rowgather_cached_macs_per_s"] = \
             np.prod(shape) / times["rowgather_cached"]
@@ -349,13 +338,12 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
         lut = LookupTable.from_multiplier(library.create(name))
         assert lut.factors is not None and lut.factors.rank == rank
         for label, shape in {**STAGE_SHAPES, "serve": SERVE_SHAPE}.items():
-            size_rule = default_gemm_kernel(shape[0], lut.bit_width)
-            assert choose_gemm_kernel(lut, *shape[:2]) == "factored"
+            assert choose_gemm_kernel(lut, shape[1]) == "factored"
             times = _paired_median_seconds(lut, shape,
-                                           (size_rule, "factored"))
+                                           ("rowgather", "factored"))
             key = f"{label}_rank{rank}"
-            factored_speedups[key] = times[size_rule] / times["factored"]
-            payload[f"{key}_factored_vs_{size_rule}_speedup"] = \
+            factored_speedups[key] = times["rowgather"] / times["factored"]
+            payload[f"{key}_factored_vs_rowgather_speedup"] = \
                 factored_speedups[key]
             payload[f"{key}_factored_macs_per_s"] = \
                 np.prod(shape) / times["factored"]
@@ -368,9 +356,8 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
             "float_rank": int(np.linalg.matrix_rank(
                 lut.dense().astype(np.float64))),
             "denominator": factors.denominator if factors else None,
-            "kernel_p16": choose_gemm_kernel(lut, *SERVE_SHAPE[:2]),
-            "kernel_p8192": choose_gemm_kernel(lut,
-                                               *STAGE_SHAPES["stage2"][:2]),
+            "kernel_p16": choose_gemm_kernel(lut, SERVE_SHAPE[1]),
+            "kernel_p8192": choose_gemm_kernel(lut, STAGE_SHAPES["stage2"][1]),
         }
     payload["library_tables"] = tables
     for label, shape in STAGE_INPUTS.items():
@@ -390,24 +377,19 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
             f"{payload[f'{kernel}_roofline_macs_per_s']:.3e} MACs/s "
             f"roofline (floor: {floor})"
         )
-    assert speedup >= MIN_BLOCKED_SPEEDUP, (
-        f"blocked kernel is only {speedup:.2f}x the naive kernel "
-        f"(required: {MIN_BLOCKED_SPEEDUP}x)"
+    assert speedup >= MIN_ROWGATHER_SPEEDUP, (
+        f"rowgather kernel is only {speedup:.2f}x the naive kernel "
+        f"(required: {MIN_ROWGATHER_SPEEDUP}x)"
     )
-    for label in STAGE_SHAPES:
-        assert layer_speedups[label] >= MIN_ROWGATHER_SPEEDUP, (
-            f"rowgather is only {layer_speedups[label]:.2f}x blocked on the "
-            f"{label} shape {STAGE_SHAPES[label]} "
-            f"(required: {MIN_ROWGATHER_SPEEDUP}x)"
-        )
     for label, speedup in cached_speedups.items():
         assert speedup > 1.0, (
-            f"cached-table rowgather is only {speedup:.2f}x blocked on the "
-            f"serve {label} shape {SERVE_MITCHELL_SHAPES[label]}"
+            f"cached-table rowgather is only {speedup:.2f}x per-call "
+            f"rowgather on the serve {label} shape "
+            f"{SERVE_MITCHELL_SHAPES[label]}"
         )
     for key, speedup in factored_speedups.items():
         assert speedup >= MIN_FACTORED_SPEEDUP, (
-            f"factored is only {speedup:.2f}x the size rule's kernel at "
+            f"factored is only {speedup:.2f}x rowgather at "
             f"{key} (required: {MIN_FACTORED_SPEEDUP}x)"
         )
 

@@ -302,8 +302,8 @@ class FilterBankCache(_BoundedCache):
         super().__init__(max_entries)
         # id(array) -> (weak reference, digest), least recently used first.
         self._digests: OrderedDict = OrderedDict()
-        # (bank key, LookupTable) -> RowTable, or None after the first use
-        # below the size rule; least recently used first.
+        # (bank key, LookupTable) -> RowTable, or None after the first
+        # short call; least recently used first.
         self._tables: OrderedDict = OrderedDict()
         self._table_bytes = 0
 
@@ -351,8 +351,9 @@ class FilterBankCache(_BoundedCache):
                   rows: int) -> RowTable | None:
         """``bank``'s ``rowgather`` table through ``lut``, if it has earned one.
 
-        ``rows`` is the patch-row count ``P`` of the call.  A call that the
-        size rule sends to ``blocked`` (``P < 2 * 2**n``, no exact factors)
+        ``rows`` is the patch-row count ``P`` of the call.  A short
+        ``rowgather`` call (no exact factors for the depth, ``P <``
+        :data:`~repro.conv.gemm.ROW_TABLE_ROWS_PER_LEVEL` ``* 2**n``)
         counts a use of the (bank, table) pair; the second such use builds
         the pair's :class:`~repro.conv.gemm.RowTable`, and every later call
         of any size gets it.  Returns ``None`` on a first use, for banks no
@@ -361,7 +362,8 @@ class FilterBankCache(_BoundedCache):
         """
         depth, count = bank.flat_filters.shape
         slot = (bank.key, lut)
-        small = choose_gemm_kernel(lut, rows, depth) == "blocked"
+        small = (choose_gemm_kernel(lut, depth) == "rowgather"
+                 and rows < gemm.ROW_TABLE_ROWS_PER_LEVEL << lut.bit_width)
         with self._lock:
             if self._entries.get(bank.key) is not bank:
                 return None

@@ -11,17 +11,9 @@ Two GEMM flavours are provided:
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
 The integer LUT product itself -- :func:`lut_matmul` -- dispatches to one of
-three kernels in the fixed :data:`KERNELS` table, all bit-identical to the
+two kernels in the fixed :data:`KERNELS` table, both bit-identical to the
 seed's one-gather-per-product reference the test-suite keeps:
 
-``blocked``
-    Cache-blocked gather-GEMM: the K dimension is walked in panels sized so
-    the stitched-index and product intermediates stay cache-resident, the
-    operand-to-index conversion is fused into a narrow pre-computed bit
-    plane (one ``&``/``<<`` per operand for the whole product, not per
-    tile), and the lookup gathers K-major through
-    :meth:`numpy.ndarray.take` in the LUT's native 16-bit storage, summing
-    per-tap slabs like ``rowgather`` below.
 ``rowgather``
     Weight-stationary row gather: per K panel it slices the LUT into
     ``W[k * 2**n + v, :] = LUT[v, w[k, :]]`` (native 16-bit storage), then
@@ -30,8 +22,7 @@ seed's one-gather-per-product reference the test-suite keeps:
     product.  The gather is K-major, so a row block's products come out as
     contiguous per-tap ``[rows, F]`` slabs that are summed slab by slab, in
     int32 when the table's storage bounds the panel's partial sums below
-    ``2**31`` (every 8-bit table).  4-5x ``blocked`` on the ResNet-20 stage
-    shapes.
+    ``2**31`` (every 8-bit table).
 ``factored``
     Exact BLAS products for low-rank tables.  When the table is an exact
     sum of ``r <= 3`` separable terms, ``d * LUT[a, b] = sum_s C[a, s] *
@@ -45,30 +36,27 @@ seed's one-gather-per-product reference the test-suite keeps:
     (rank 64) does not.
 
 When no kernel is named, :func:`choose_gemm_kernel` picks one from the table
-and the call: ``factored`` whenever the table has factors and the call's
-depth keeps the product exact, else the size rule of
-:func:`default_gemm_kernel`.  With one BLAS thread, ``factored`` ran
-1.3-7.4x the size rule's kernel on ResNet-20's batch-32 stage shapes and
-3.5-6.5x on serve's single-sample 16x288x64 call, for rank 1-3 tables.  Building
-``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``, so
-``rowgather`` runs when ``P >= 2 * 2**n`` (512 rows for 8-bit tables) and
-``blocked`` below that, where the build would dominate (serve's
-single-sample calls).
+and the call's depth: ``factored`` whenever the table has factors and the
+depth keeps the product exact, else ``rowgather``, at any row count.  With
+one BLAS thread, ``factored`` ran 1.3-7.4x the gather kernel on ResNet-20's
+batch-32 stage shapes and 3.5-6.5x on serve's single-sample 16x288x64
+call, for rank 1-3 tables.
 
-A filter bank used again need not rebuild ``W``: :class:`RowTable` holds
-the whole-depth table next to its filter matrix, and :func:`lut_matmul`
-runs ``rowgather`` on it with no build (2.3-3.8x ``blocked`` at serve's
-single-sample ``mul8s_mitchell`` calls).  The
+Building ``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``,
+so on a short call (``P < 2 * 2**n``, 512 rows for 8-bit tables) the build
+is most of the work.  A filter bank used again need not rebuild it:
+:class:`RowTable` holds the whole-depth table next to its filter matrix,
+and :func:`lut_matmul` runs ``rowgather`` on it with no build.  The
 :class:`~repro.backends.cache.FilterBankCache` builds one on a (bank,
-table) pair's second call below the size rule and keeps it with the bank,
-within :data:`ROW_TABLE_CACHE_BYTES` in total.  Tall calls keep the
-per-call build: it costs at most 1/8 of the GEMM's gathers at ResNet-20's
-smallest batch-32 call (P=2048), whereas caching its 19 tables would take
-~137 MB (18.9 MB for each stage-3 table), over half the ~258 MB peak RSS
-of whole-model ResNet-20 inference.
+table) pair's second short call (:data:`ROW_TABLE_ROWS_PER_LEVEL`) and
+keeps it with the bank, within :data:`ROW_TABLE_CACHE_BYTES` in total.
+Tall calls keep the per-call build: it costs at most 1/8 of the GEMM's
+gathers at ResNet-20's smallest batch-32 call (P=2048), whereas caching
+its 19 tables would take ~137 MB (18.9 MB for each stage-3 table), over
+half the ~258 MB peak RSS of whole-model ResNet-20 inference.
 
 A large gather call runs on two cores.  :func:`lut_matmul` splits the
-depth ``K`` of a ``blocked`` or ``rowgather`` call with at least
+depth ``K`` of a ``rowgather`` call with at least
 :data:`SPLIT_MIN_MACS` (``2**22``) MACs, and at least
 :data:`SPLIT_MIN_ROW_MACS` per patch row in each half, when the process
 may use two CPUs: the calling thread runs the kernel on taps ``[0,
@@ -85,8 +73,8 @@ call at ResNet-20's batch-32 stage shapes ran 1.5-1.7x the whole call on
 two vCPUs; serve's single-sample calls (at most 295K MACs) never split.
 ``factored`` runs whole: its GEMM already runs on BLAS's threads.
 
-Every kernel returns int64 sums (``blocked`` and ``rowgather`` add their
-int32 panel partials into an int64 accumulator; ``factored`` converts its
+Every kernel returns int64 sums (``rowgather`` adds its int32 panel
+partials into an int64 accumulator; ``factored`` converts its
 exact float64 sums).  :func:`lut_matmul` validates once for all of them:
 operands outside the table's range, and float operands holding non-integral
 values, raise :class:`~repro.errors.TruthTableError` there, exactly as
@@ -112,17 +100,10 @@ from ..errors import ConfigurationError, RegistryError, ShapeError, TruthTableEr
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
 
-#: Default row-panel height of the blocked kernel (tuned so
-#: one panel's index + product intermediates fit in L2 for the bench shapes).
-DEFAULT_BLOCK_ROWS = 128
-
-#: Default K-panel depth of the blocked kernel.
-DEFAULT_BLOCK_K = 48
-
-#: Default row-block height of the rowgather kernel.  Twice the blocked
-#: kernel's: a split call's two threads pass the interpreter lock between
-#: every NumPy op, so fewer, larger gathers pay (stage 1 of batch-32
-#: ResNet-20, 32768x144x16, split: 63 -> 46 ms; whole calls 0.93-1.1x).
+#: Default row-block height of the rowgather kernel.  A split call's two
+#: threads pass the interpreter lock between every NumPy op, so fewer,
+#: larger gathers pay (stage 1 of batch-32 ResNet-20, 32768x144x16, split:
+#: 128 -> 256 rows took 63 -> 46 ms; whole calls 0.93-1.1x).
 ROWGATHER_BLOCK_ROWS = 256
 
 #: Byte budget of one rowgather ``W`` panel; its K depth follows from it
@@ -143,9 +124,11 @@ ROW_TABLE_CACHE_BYTES = 16 << 20
 #: 1.4-1.6x.  With one BLAS thread the stage-1 calls ran up to 10% slower.
 FACTORED_PANEL_BYTES = 1 << 19
 
-#: ``rowgather`` is the default once ``P >= ROWGATHER_MIN_ROWS_PER_LEVEL *
-#: 2**n``: below that, building ``W`` outweighs the gathers it saves.
-ROWGATHER_MIN_ROWS_PER_LEVEL = 2
+#: A call with fewer than ``ROW_TABLE_ROWS_PER_LEVEL * 2**n`` patch rows is
+#: *short*: building its ``W`` (``2**n * K * F`` gathers) is over half the
+#: GEMM's ``P * K * F``, so a filter bank that makes short calls through a
+#: non-factored table earns a cached :class:`RowTable`.
+ROW_TABLE_ROWS_PER_LEVEL = 2
 
 #: A :func:`lut_matmul` call of at least this many MACs (``P * K * F``)
 #: splits its depth between the calling thread and one worker when the
@@ -173,21 +156,6 @@ def gemm_float(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"inner dimensions do not match: {a.shape} x {b.shape}"
         )
     return a @ b
-
-
-def flat_index_dtype(bit_width: int):
-    """Smallest safe integer dtype for stitched flat LUT indices.
-
-    The stitched index ``(a_bits << n) | b_bits`` spans ``2 * n`` bits for an
-    ``n``-bit multiplier, so narrow index buffers overflow silently once the
-    width grows: int16 already fails at 9 bits and a 16-bit LUT's top index
-    (``2**32 - 1``) no longer fits a *signed* 32-bit integer.  Every kernel
-    that stitches indices routes them through this choice; the tests pin
-    the 12-bit and 16-bit boundaries.
-    """
-    if bit_width < 2 or bit_width > 16:
-        raise ConfigurationError(f"bit width {bit_width} outside [2, 16]")
-    return np.int32 if 2 * bit_width <= 31 else np.int64
 
 
 def _integer_operand(values, lut: LookupTable) -> np.ndarray:
@@ -241,7 +209,7 @@ def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
 
 
 def _panel_sum_dtype(storage, panel_k: int):
-    """Accumulator dtype of one K panel's partial sums (blocked, rowgather).
+    """Accumulator dtype of one ``rowgather`` K panel's partial sums.
 
     A partial sum adds ``panel_k`` table entries, so it fits int32 whenever
     ``panel_k * max|entry| < 2**31`` for the table's storage dtype: always
@@ -252,61 +220,6 @@ def _panel_sum_dtype(storage, panel_k: int):
     if info.bits <= 16 and panel_k * max(-info.min, info.max) < 1 << 31:
         return np.int32
     return np.int64
-
-
-def lut_matmul_blocked(patches: np.ndarray, filters: np.ndarray,
-                       lut: LookupTable, *,
-                       block_rows: int = DEFAULT_BLOCK_ROWS,
-                       block_k: int = DEFAULT_BLOCK_K) -> np.ndarray:
-    """Cache-blocked gather-GEMM over K panels with a fused index inner loop.
-
-    ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
-    ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
-    arrays of any width already validated by :func:`lut_matmul`; the
-    ``[P, F]`` int64 result holds the *approximate* dot products.  The kernel
-    is laid out for memory locality:
-
-    * the quantise-to-bit-pattern step is *fused* out of the inner loop --
-      both operands are converted to stitched-index bit planes exactly once,
-      in the narrowest dtype the LUT width allows
-      (:func:`flat_index_dtype`), instead of re-masking every row tile;
-    * the product is walked in ``block_rows x block_k x F`` panels, so the
-      stitched-index tensor and the gathered products stay cache-sized for
-      any depth ``K`` (a full-depth ``[rows, K, F]`` index tensor grows
-      linearly with ``K``);
-    * the stitched index is laid out K-major, ``[block_k, block_rows, F]``,
-      so the gather reads the LUT's native 16-bit storage via ``take`` into
-      one contiguous ``[block_rows, F]`` slab per tap and the panel sum adds
-      whole slabs -- in int32 when :func:`_panel_sum_dtype` allows it --
-      before it joins the int64 accumulator; no int64 product tensor is
-      ever allocated.
-
-    Partial K-panel sums are combined by integer addition, so the result is
-    bit-identical to the one-gather-per-product reference for every block
-    size -- the hypothesis suite asserts exactly that.
-    """
-    num_patches, depth = patches.shape
-    num_filters = filters.shape[1]
-    idx_dtype = flat_index_dtype(lut.bit_width)
-    mask = (1 << lut.bit_width) - 1
-    flat = lut.flat
-
-    partial_dtype = _panel_sum_dtype(flat.dtype, block_k)
-
-    # Fused quantise+flat-index preparation: one masked shift per operand
-    # element for the whole product, the patch plane transposed to [K, P].
-    patch_bits = (patches.T.astype(idx_dtype, order="C") & mask) << lut.bit_width
-    filter_bits = filters.astype(idx_dtype) & mask
-
-    result = np.zeros((num_patches, num_filters), dtype=np.int64)
-    for r0 in range(0, num_patches, block_rows):
-        r1 = min(r0 + block_rows, num_patches)
-        acc = result[r0:r1]
-        for k0 in range(0, depth, block_k):
-            k1 = min(k0 + block_k, depth)
-            idx = patch_bits[k0:k1, r0:r1, None] | filter_bits[k0:k1, None, :]
-            acc += flat.take(idx).sum(axis=0, dtype=partial_dtype)
-    return result
 
 
 def _panel_taps(levels: int, num_filters: int, itemsize: int) -> int:
@@ -424,15 +337,20 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
                          block_rows: int = ROWGATHER_BLOCK_ROWS) -> np.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
-    Same contract as :func:`lut_matmul_blocked`.  For each K panel the LUT is
+    ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
+    ``filters`` the ``[K, F]`` matrix of quantised filter columns, integer
+    arrays of any width already validated by :func:`lut_matmul`; the
+    ``[P, F]`` int64 result holds the *approximate* dot products.  Partial
+    sums are combined by integer addition, so the result is bit-identical
+    to the one-gather-per-product reference for every panel and block
+    size.  For each K panel the LUT is
     sliced into ``W[k * 2**n + v, f] = LUT[v, w[k, f]]``, so the products of
     patch operand ``v`` with a whole filter row are one contiguous row of
     ``W``.  Each row block gathers K-major: its row offsets
     ``rows[k, p] = bits(a[p, k]) + k * 2**n`` are laid out tap by tap, so
     ``W.take(rows, axis=0)`` is a stack of contiguous ``[block, F]`` slabs,
     one per tap, and ``.sum(axis=0)`` adds whole slabs.  Row offsets cost
-    ``P * K`` adds instead of the ``P * K * F`` stitched indices of the
-    other kernels.
+    ``P * K`` adds instead of ``P * K * F`` stitched indices.
 
     A panel holds as many ``k`` as fit :data:`ROWGATHER_PANEL_BYTES` of
     ``W`` (at least one), so wide tables -- 4096 rows of 4-byte entries per
@@ -475,7 +393,7 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
                         lut: LookupTable) -> np.ndarray:
     """Exact float64 BLAS GEMM via rank <= 3 factors (needs K*bound < 2**53).
 
-    Same contract as :func:`lut_matmul_blocked`, for tables with
+    Same contract as :func:`lut_matmul_rowgather`, for tables with
     :attr:`~repro.lut.LookupTable.factors` ``C @ dG == d * LUT``.  The patch
     operands gather their factor rows ``C[bits(a), :]`` into one ``[rows,
     K * r]`` float64 block, the filter operands ``dG[:, bits(w)]`` into a
@@ -539,33 +457,24 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
 
 #: The LUT-GEMM kernels :func:`lut_matmul` dispatches to, by name.
 KERNELS = {
-    "blocked": lut_matmul_blocked,
     "rowgather": lut_matmul_rowgather,
     "factored": lut_matmul_factored,
 }
 
 
-def default_gemm_kernel(num_patches: int, bit_width: int) -> str:
-    """The size rule: ``rowgather`` once ``P >= 2 * 2**n`` rows, else ``blocked``."""
-    if num_patches >= ROWGATHER_MIN_ROWS_PER_LEVEL << bit_width:
-        return "rowgather"
-    return "blocked"
-
-
-def choose_gemm_kernel(lut: LookupTable, num_patches: int, depth: int) -> str:
-    """``factored`` when exact factors fit the call, else the size rule.
+def choose_gemm_kernel(lut: LookupTable, depth: int) -> str:
+    """``factored`` when exact factors fit the call, else ``rowgather``.
 
     ``factored`` when the table has exact low-rank factors and a
     depth-``depth`` product through them is exact in float64
-    (``K * term_bound < 2**53``); otherwise the size rule of
-    :func:`default_gemm_kernel`.  The first call per table
-    pays for :func:`~repro.lut.table.factor_table` (a few milliseconds at
-    8 bits).
+    (``K * term_bound < 2**53``); otherwise ``rowgather``, whatever the
+    call's row count.  The first call per table pays for
+    :func:`~repro.lut.table.factor_table` (a few milliseconds at 8 bits).
     """
     factors = lut.factors
     if factors is not None and factors.exact_for_depth(depth):
         return "factored"
-    return default_gemm_kernel(num_patches, lut.bit_width)
+    return "rowgather"
 
 
 def _usable_cpus() -> int:
@@ -581,15 +490,14 @@ def _split_depth(kernel: str, patches_shape: tuple[int, int], num_filters: int,
                 lut: LookupTable) -> int:
     """Where :func:`lut_matmul` splits a call's depth; 0 runs it whole.
 
-    A ``blocked`` or ``rowgather`` call splits when it has at least
+    A ``rowgather`` call splits when it has at least
     :data:`SPLIT_MIN_MACS` MACs, each half at least
     :data:`SPLIT_MIN_ROW_MACS` MACs per patch row, and the process may use
     two CPUs.  ``factored`` always runs whole: its GEMM already runs on
     BLAS's threads, and a second Python thread calling BLAS at the same
     time ran 0.25-0.9x with OpenBLAS's default two threads.  The split
-    point is ``K // 2`` rounded down to the kernel's K panel
-    (``blocked``'s ``block_k``, ``rowgather``'s ``W`` panel) when a panel
-    fits in a half, so the halves walk no more panels than the whole call.
+    point is ``K // 2`` rounded down to the ``W`` panel when a panel fits
+    in a half, so the halves walk no more panels than the whole call.
     """
     num_patches, depth = patches_shape
     if (kernel == "factored"
@@ -597,11 +505,7 @@ def _split_depth(kernel: str, patches_shape: tuple[int, int], num_filters: int,
             or depth // 2 * num_filters < SPLIT_MIN_ROW_MACS
             or depth < 2 or _usable_cpus() < 2):
         return 0
-    if kernel == "rowgather":
-        panel = _panel_taps(1 << lut.bit_width, num_filters,
-                            lut.flat.itemsize)
-    else:
-        panel = DEFAULT_BLOCK_K
+    panel = _panel_taps(1 << lut.bit_width, num_filters, lut.flat.itemsize)
     mid = depth // 2
     return mid - mid % panel if mid >= panel else mid
 
@@ -637,13 +541,13 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     runs ``rowgather`` on the prebuilt table unless ``kernel`` names another
     kernel, which then gets the table's filter matrix.
 
-    ``kernel`` names one of :data:`KERNELS` (``blocked``, ``rowgather``,
-    ``factored``); when omitted, :func:`choose_gemm_kernel` picks one from
-    the table's factors and the call's shape.  All kernels are
-    bit-identical; naming ``factored`` for a table or depth it cannot
-    compute exactly raises :class:`~repro.errors.ConfigurationError`.
+    ``kernel`` names one of :data:`KERNELS` (``rowgather``, ``factored``);
+    when omitted, :func:`choose_gemm_kernel` picks one from the table's
+    factors and the call's depth.  Both kernels are bit-identical; naming
+    ``factored`` for a table or depth it cannot compute exactly raises
+    :class:`~repro.errors.ConfigurationError`.
 
-    A large ``blocked`` or ``rowgather`` call, in a process that may use
+    A large ``rowgather`` call, in a process that may use
     two CPUs, runs its kernel on two depth halves at once (see
     :func:`_split_depth`): the calling thread sums ``[0, mid)``, one worker
     thread ``[mid, K)``, and the two int64 sums are added -- exact integer
@@ -660,7 +564,7 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
     if kernel is None:
         kernel = ("rowgather" if isinstance(filters, RowTable)
-                  else choose_gemm_kernel(lut, *patches.shape))
+                  else choose_gemm_kernel(lut, patches.shape[1]))
     try:
         run = KERNELS[kernel]
     except KeyError:

@@ -101,7 +101,8 @@ def verify_factors(columns: np.ndarray, scaled_rows: np.ndarray,
     product or sum can wrap.
     """
     return bool(np.array_equal(columns @ scaled_rows,
-                               denominator * table.astype(np.int64)))
+                               denominator * table.astype(np.int64,
+                                                          copy=False)))
 
 
 def factor_table(table: np.ndarray,
@@ -121,18 +122,24 @@ def factor_table(table: np.ndarray,
     """
     table = np.asarray(table, dtype=np.int64)
     residual = table.astype(np.float64)
-    noise = 1e-9 * float(np.abs(residual).max(initial=0.0))
+    # One scratch array holds |residual| and each rank-one update in turn,
+    # so the search peaks at two float64 copies of the table.
+    scratch = np.abs(residual)
+    noise = 1e-9 * float(scratch.max(initial=0.0))
     rows: list[int] = []
     cols: list[int] = []
     while True:
-        i, j = np.unravel_index(int(np.abs(residual).argmax()), residual.shape)
+        i, j = np.unravel_index(int(scratch.argmax()), residual.shape)
         if abs(residual[i, j]) <= noise:
             break
         if len(rows) == max_rank:
             return None
         rows.append(int(i))
         cols.append(int(j))
-        residual -= np.outer(residual[:, j], residual[i] / residual[i, j])
+        residual -= np.multiply.outer(residual[:, j],
+                                      residual[i] / residual[i, j], out=scratch)
+        np.abs(residual, out=scratch)
+    del residual, scratch
     if not rows:
         return None
 

@@ -26,7 +26,7 @@ from repro.backends import (
 from repro.conv import (
     ApproxConvStats, approx_conv2d, approx_conv2d_direct, prepare_conv2d)
 from repro.conv import gemm as gemm_mod
-from repro.conv.gemm import lut_matmul, lut_matmul_blocked
+from repro.conv.gemm import lut_matmul
 from repro.errors import (
     ConfigurationError, QuantizationError, RegistryError, ShapeError,
     TruthTableError)
@@ -165,23 +165,11 @@ class TestKernelVariantParity:
                 f"at shape {shape}"
             )
 
-    @pytest.mark.parametrize("block_rows,block_k",
-                             [(1, 1), (16, 7), (64, 48), (1024, 1024)])
-    def test_blocked_parity_across_block_sizes(self, block_rows, block_k):
-        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
-        rng = np.random.default_rng(42)
-        patches = rng.integers(-128, 128, size=(33, 29))
-        filters = rng.integers(-128, 128, size=(29, 11))
-        reference = lut_matmul_naive(patches, filters, lut)
-        out = lut_matmul_blocked(patches, filters, lut,
-                                 block_rows=block_rows, block_k=block_k)
-        assert np.array_equal(out, reference)
-
     @pytest.mark.parametrize("multiplier", ["mul8s_mitchell", "mul8u_drum4"])
     def test_default_conv_above_crossover_matches_naive(self, multiplier,
                                                         monkeypatch):
         """A conv whose chunks have P >= 512 rows takes the kernel the table
-        selects -- the size rule's rowgather for ``mitchell`` (rank 64),
+        selects -- ``rowgather`` for ``mitchell`` (rank 64),
         ``factored`` for the rank-1 ``drum4`` -- and still matches the naive
         reference exactly."""
         expected = {"mul8s_mitchell": "rowgather",
@@ -623,8 +611,8 @@ class TestRowTables:
         pipeline, cache, inputs, filters = self._setup()
         assert pipeline.prepare(inputs, filters).row_table is None
         assert cache.table_bytes == 0
-        # A call the size rule sends to rowgather (15 * 36 >= 512 patch
-        # rows) neither counts nor builds.
+        # A tall call (15 * 36 >= 512 patch rows) neither counts nor
+        # builds.
         tall = np.repeat(inputs, 15, axis=0)
         assert pipeline.prepare(tall, filters).row_table is None
         table = pipeline.prepare(inputs, filters).row_table
@@ -650,7 +638,7 @@ class TestRowTables:
     def test_rows_follow_the_geometry_and_chunk_size(self):
         pipeline, cache, inputs, filters = self._setup()
         tall = np.repeat(inputs, 15, axis=0)
-        # 15 * 3 * 3 = 135 patch rows at stride 2: below the size rule.
+        # 15 * 3 * 3 = 135 patch rows at stride 2: a short call.
         for _ in range(2):
             prepared = pipeline.prepare(tall, filters, strides=(2, 2))
         assert prepared.row_table is not None
@@ -707,15 +695,15 @@ class TestRowTables:
             calls.append(isinstance(filters, gemm_mod.RowTable))
             return rowgather(patches, filters, *args, **kwargs)
 
-        monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
         pipeline, cache, inputs, filters = self._setup()
         lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
         expected = approx_conv2d(inputs, filters, lut, strides=(2, 2))
+        monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
         for _ in range(3):
             out = pipeline.run(inputs, filters, strides=(2, 2)).output
             np.testing.assert_array_equal(out, expected)
-        # The first run takes blocked; the second builds the table.
-        assert calls == [True, True]
+        # The first run builds W per call; the second builds the table.
+        assert calls == [False, True, True]
         assert cache.stats.hits == 2 and cache.stats.misses == 1
 
     def test_clear_and_invalidate_drop_tables_and_digests(self):

@@ -3,8 +3,8 @@
 Three families of invariants, mostly driven by hypothesis:
 
 * *blocking is invisible*: integer addition is associative, so no choice of
-  ``block_rows``/``block_k``/``tile_rows`` may change a single bit of the
-  result, for any operands;
+  ``block_rows``, ``W`` panel bytes or ``tile_rows`` may change a single
+  bit of the result, for any operands;
 * *the exact LUT is a real GEMM*: with an exact-product table,
   ``approx_gemm`` must equal the float GEMM of the same quantised operands
   after dequantisation to within 1 ULP (both accumulate integers that are
@@ -17,22 +17,21 @@ Three families of invariants, mostly driven by hypothesis:
   boundary, for every kernel;
 * *operand width is invisible*: int8 / uint8 / int16 operands (the narrow
   patch matrix ``im2col_quantized`` emits) give the int64-operand result on
-  every kernel, and the int32 panel partials of ``blocked`` and
-  ``rowgather`` (16-bit table storage) and their int64 ones (32-bit
-  storage) both match the naive reference with table entries at the
-  storage extremes;
+  every kernel, and the int32 panel partials of ``rowgather`` (16-bit
+  table storage) and its int64 ones (32-bit storage) both match the naive
+  reference with table entries at the storage extremes;
 * *factored products are exact or not taken*: random integer rank-1..3
   tables and every library table match the naive reference through
   ``factored``; a call whose depth breaks the float64 bound, a
   factorisation that fails verification and a table of rank above 3 all
-  leave ``lut_matmul`` on the size rule;
+  leave ``lut_matmul`` on ``rowgather``;
 * *a prebuilt row table is the operand it was built from*: ``lut_matmul``
   on a :class:`~repro.conv.gemm.RowTable` matches the naive reference on
-  random tables, widths and geometry below the size rule, and refuses a
-  table built through another LUT;
-* *the kernel table is fixed*: ``KERNELS`` names the three kernels, an
-  unknown name raises ``RegistryError`` and the size rule picks one when
-  none is named;
+  random tables, widths and short-call geometry, and refuses a table built
+  through another LUT;
+* *the kernel table is fixed*: ``KERNELS`` names the two kernels, an
+  unknown name raises ``RegistryError``, and a non-factored table takes
+  ``rowgather`` at any row count when none is named;
 * *a depth split is invisible*: a call split between the calling thread and
   a worker matches the naive reference on every kernel, a ``RowTable``
   operand and odd depths; the split rule takes the calls it names and no
@@ -42,12 +41,6 @@ Three families of invariants, mostly driven by hypothesis:
 
 The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
 one-gather-per-product kernel, kept beside the tests.
-
-The flat-index dtype regression tests live here too: stitched indices span
-``2 * bit_width`` bits, so the 12-bit table no longer fits int16 indices and
-the 16-bit table no longer fits *signed* int32 -- the boundary
-:func:`repro.conv.gemm.flat_index_dtype` encodes and the blocked kernel's
-narrow index planes rely on.
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -68,12 +62,9 @@ from repro.conv.gemm import (
     _panel_sum_dtype,
     approx_gemm,
     choose_gemm_kernel,
-    default_gemm_kernel,
     dequantize_gemm,
-    flat_index_dtype,
     gemm_float,
     lut_matmul,
-    lut_matmul_blocked,
     lut_matmul_rowgather,
 )
 from repro.errors import (
@@ -118,17 +109,12 @@ class TestBlockingInvariance:
         k=st.integers(1, 40),
         f=st.integers(1, 12),
         block_rows=st.integers(1, 48),
-        block_k=st.integers(1, 48),
         panel_bytes=st.integers(1, 1 << 16),
     )
     def test_block_size_never_changes_results(self, mitchell_lut, seed, p, k,
-                                              f, block_rows, block_k,
-                                              panel_bytes):
+                                              f, block_rows, panel_bytes):
         patches, filters = _int_case(seed, p, k, f)
         reference = lut_matmul_naive(patches, filters, mitchell_lut)
-        blocked = lut_matmul_blocked(patches, filters, mitchell_lut,
-                                     block_rows=block_rows, block_k=block_k)
-        np.testing.assert_array_equal(blocked, reference)
         # rowgather's K-panel depth follows its W panel byte budget.
         with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
             rowgather = lut_matmul_rowgather(patches, filters, mitchell_lut,
@@ -241,43 +227,7 @@ class TestDequantize:
 
 
 class TestFlatIndexDtype:
-    """Stitched-index width boundaries (the latent-overflow regression)."""
-
-    def test_boundaries(self):
-        assert flat_index_dtype(8) is np.int32     # 16-bit index
-        assert flat_index_dtype(12) is np.int32    # 24 bits: > int16, fits int32
-        assert flat_index_dtype(15) is np.int32    # 30 bits: last int32 width
-        assert flat_index_dtype(16) is np.int64    # 32 bits: signed int32 fails
-
-    def test_rejects_widths_outside_table_range(self):
-        with pytest.raises(ConfigurationError):
-            flat_index_dtype(1)
-        with pytest.raises(ConfigurationError):
-            flat_index_dtype(17)
-
-    def test_12bit_lut_blocked_kernel_regression(self):
-        """End-to-end at the boundary width: 12-bit stitched indices span 24
-        bits, silently wrapping in any int16 index plane; the blocked kernel
-        must still match the all-int64 naive path bit for bit."""
-        n = 1 << 12
-        ops = np.arange(n, dtype=np.int64)
-        table = np.multiply.outer(ops, ops).astype(np.int32)
-        lut = LookupTable(table, bit_width=12, signed=False, name="mul12u_exact")
-        assert lut.flat.dtype == np.int32          # wide products: 32-bit storage
-
-        rng = np.random.default_rng(12)
-        patches = rng.integers(0, n, size=(9, 7))
-        # Include the extreme operands whose stitched index is the table's
-        # last entry -- the first value an overflowing index plane corrupts.
-        patches[0, :] = n - 1
-        filters = rng.integers(0, n, size=(7, 4))
-        filters[:, 0] = n - 1
-
-        naive = lut_matmul_naive(patches, filters, lut)
-        blocked = lut_matmul_blocked(patches, filters, lut,
-                                     block_rows=4, block_k=3)
-        np.testing.assert_array_equal(blocked, naive)
-        np.testing.assert_array_equal(blocked, patches @ filters)
+    """A 12-bit table's row offsets and panels (the wide-index regression)."""
 
     def test_12bit_lut_rowgather_kernel_regression(self):
         """At 12 bits one ``W`` tap is 4096 rows of 4-byte entries, so the
@@ -287,9 +237,12 @@ class TestFlatIndexDtype:
         ops = np.arange(n, dtype=np.int64)
         table = np.multiply.outer(ops, ops).astype(np.int32)
         lut = LookupTable(table, bit_width=12, signed=False, name="mul12u_exact")
+        assert lut.flat.dtype == np.int32          # wide products: 32-bit storage
 
         rng = np.random.default_rng(12)
         patches = rng.integers(0, n, size=(9, 7))
+        # Include the extreme operands, whose row offsets are the last of
+        # each tap.
         patches[0, :] = n - 1
         filters = rng.integers(0, n, size=(7, 4))
         filters[:, 0] = n - 1
@@ -383,9 +336,8 @@ class TestPanelSums:
         patches = rng.integers(-128, 128, size=(p, k), dtype=np.int8)
         filters = rng.integers(-128, 128, size=(k, 1))
         reference = lut_matmul_naive(patches, filters, lut)
-        for kernel in ("blocked", "rowgather"):
-            np.testing.assert_array_equal(
-                lut_matmul(patches, filters, lut, kernel=kernel), reference)
+        np.testing.assert_array_equal(
+            lut_matmul(patches, filters, lut, kernel="rowgather"), reference)
 
     def test_int32_panels_add_into_int64(self):
         """Each panel fits int32, their total does not."""
@@ -394,9 +346,8 @@ class TestPanelSums:
         k = (1 << 16) + 5
         patches = np.ones((2, k), dtype=np.int8)
         filters = np.ones((k, 1), dtype=np.int64)
-        for kernel in ("blocked", "rowgather"):
-            out = lut_matmul(patches, filters, lut, kernel=kernel)
-            assert out.tolist() == [[-32768 * k]] * 2
+        out = lut_matmul(patches, filters, lut, kernel="rowgather")
+        assert out.tolist() == [[-32768 * k]] * 2
 
     def test_12bit_table_takes_the_int64_path(self):
         """32-bit storage sums in int64: with a deep enough panel, 4096
@@ -417,34 +368,26 @@ class TestPanelSums:
         assert out.tolist() == [[k * ((1 << 24) - 1)] * 2] * 3
         np.testing.assert_array_equal(
             out, lut_matmul_naive(patches, filters, lut))
-        # One blocked K panel spanning the whole depth sums in int64 too.
-        np.testing.assert_array_equal(
-            lut_matmul_blocked(patches, filters, lut, block_k=k), out)
 
 
 class TestGemmKernelRegistry:
-    """The fixed kernel table: its names, the unknown-name error and the
-    size rule that picks a kernel when none is named."""
+    """The fixed kernel table: its names and the unknown-name error."""
 
     def test_default_variants_are_registered(self):
-        assert sorted(KERNELS) == ["blocked", "factored", "rowgather"]
+        assert sorted(KERNELS) == ["factored", "rowgather"]
 
     def test_unknown_kernel_raises_listing_known_names(self, exact_lut):
-        with pytest.raises(RegistryError, match="blocked"):
+        with pytest.raises(RegistryError, match="factored, rowgather"):
             lut_matmul([[1, 2]], [[3], [4]], exact_lut, kernel="bogus")
-
-    def test_default_follows_size_rule(self):
-        assert default_gemm_kernel(0, 8) == "blocked"
-        assert default_gemm_kernel(511, 8) == "blocked"
-        assert default_gemm_kernel(512, 8) == "rowgather"
-        assert default_gemm_kernel(8191, 12) == "blocked"
-        assert default_gemm_kernel(8192, 12) == "rowgather"
 
 
 class TestDefaultDispatch:
-    """Without a named kernel, ``lut_matmul`` picks one by call size."""
+    """Without a named kernel, a table with no exact factors takes
+    ``rowgather`` at any row count, on either side of the ``2 * 2**n`` rows
+    where a filter bank starts to earn a cached row table."""
 
-    @pytest.mark.parametrize("rows,expected", [(511, "blocked"),
+    @pytest.mark.parametrize("rows,expected", [(1, "rowgather"),
+                                               (511, "rowgather"),
                                                (512, "rowgather")])
     def test_size_rule_boundary(self, mitchell_lut, monkeypatch, rows,
                                 expected):
@@ -539,7 +482,7 @@ class TestFactored:
         np.testing.assert_array_equal(
             factors.columns @ factors.scaled_rows,
             factors.denominator * table)
-        assert choose_gemm_kernel(lut, p, k) == "factored"
+        assert choose_gemm_kernel(lut, k) == "factored"
 
         rng = np.random.default_rng(seed + 1)
         patches = rng.integers(lut.operand_min, lut.operand_max + 1,
@@ -567,8 +510,8 @@ class TestFactored:
                                size=(p, k))
         filters = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(k, f))
-        expected = "factored" if lut.factors is not None else "blocked"
-        assert choose_gemm_kernel(lut, p, k) == expected
+        expected = "factored" if lut.factors is not None else "rowgather"
+        assert choose_gemm_kernel(lut, k) == expected
         np.testing.assert_array_equal(lut_matmul(patches, filters, lut),
                                       lut_matmul_naive(patches, filters, lut))
 
@@ -588,7 +531,7 @@ class TestFactored:
                 assert np.linalg.matrix_rank(lut.dense().astype(float)) > 3
 
     def test_depth_beyond_the_float64_bound_falls_back(self, monkeypatch):
-        """A depth whose partial sums could reach 2**53 takes the size rule,
+        """A depth whose partial sums could reach 2**53 takes ``rowgather``,
         and naming ``factored`` for it raises."""
         table = _rank_r_table(0, 3, 8, False)
         lut = LookupTable(table, bit_width=8, signed=False)
@@ -597,16 +540,15 @@ class TestFactored:
         depth = -(-FLOAT64_EXACT_LIMIT // factors.term_bound)  # first unsafe K
         assert factors.exact_for_depth(depth - 1)
         assert not factors.exact_for_depth(depth)
-        assert choose_gemm_kernel(lut, 2, depth - 1) == "factored"
-        assert choose_gemm_kernel(lut, 2, depth) == "blocked"
-        assert choose_gemm_kernel(lut, 512, depth) == "rowgather"
+        assert choose_gemm_kernel(lut, depth - 1) == "factored"
+        assert choose_gemm_kernel(lut, depth) == "rowgather"
 
         rng = np.random.default_rng(1)
         patches = rng.integers(0, 256, size=(2, depth))
         filters = rng.integers(0, 256, size=(depth, 2))
         calls = _spy_kernels(monkeypatch)
         out = lut_matmul(patches, filters, lut)
-        assert calls == ["blocked"]
+        assert calls == ["rowgather"]
         np.testing.assert_array_equal(
             out, lut_matmul_naive(patches, filters, lut))
         with pytest.raises(ConfigurationError, match="not exact"):
@@ -618,14 +560,13 @@ class TestFactored:
         lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
         assert factor_table(lut.dense()) is None
         assert lut.factors is None
-        assert choose_gemm_kernel(lut, 16, 288) == "blocked"
-        assert choose_gemm_kernel(lut, 512, 288) == "rowgather"
+        assert choose_gemm_kernel(lut, 288) == "rowgather"
 
         patches, filters = _int_case(3, 16, 20, 4)
         calls = _spy_kernels(monkeypatch)
         np.testing.assert_array_equal(lut_matmul(patches, filters, lut),
                                       patches @ filters)
-        assert calls == ["blocked"]
+        assert calls == ["rowgather"]
         with pytest.raises(ConfigurationError, match="no exact rank"):
             lut_matmul(patches, filters, lut, kernel="factored")
 
@@ -638,9 +579,23 @@ class TestFactored:
                      np.random.default_rng(4).integers(-9, 10, size=(256, 256)))
             lut = LookupTable(table, bit_width=8, signed=True)
         assert lut.factors is None
-        assert choose_gemm_kernel(lut, 16, 288) == "blocked"
+        assert choose_gemm_kernel(lut, 288) == "rowgather"
         if case == "rank4":     # exact, but above the cutoff
             assert factor_table(lut.dense(), max_rank=4).rank == 4
+
+    def test_factoring_peaks_below_two_and_a_half_tables(self):
+        """The pivot search holds the float64 residual and one scratch
+        array; both are gone before the int64 verification runs."""
+        ops = np.arange(1 << 10, dtype=np.int64)
+        table = np.multiply.outer(ops, ops)
+        tracemalloc.start()
+        try:
+            factors = factor_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factors is not None and factors.rank == 1
+        assert peak <= 2.5 * table.nbytes
 
     def test_factors_are_cached_per_table(self, monkeypatch):
         lut = LookupTable.from_multiplier(library.create("mul8s_trunc2"))
@@ -678,7 +633,8 @@ class TestRowTable:
             self, seed, bit_width, signed, p, k, f, panel_bytes):
         lut = LookupTable(_random_table(seed, bit_width, signed),
                           bit_width=bit_width, signed=signed)
-        assert choose_gemm_kernel(lut, p, k) == "blocked"
+        assert choose_gemm_kernel(lut, k) == "rowgather"
+        assert p < gemm_mod.ROW_TABLE_ROWS_PER_LEVEL << bit_width
         rng = np.random.default_rng(seed + 1)
         patches = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(p, k))
@@ -709,17 +665,18 @@ class TestRowTable:
             lut_matmul(patches, table, mitchell_lut),
             lut_matmul_naive(patches, table.filters, mitchell_lut))
 
-    def test_dispatch(self, mitchell_lut, monkeypatch):
+    def test_dispatch(self, mitchell_lut, exact_lut, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         patches, filters = _int_case(4, 3, 6, 2)
-        table = RowTable(filters, mitchell_lut)
-        reference = lut_matmul_naive(patches, filters, mitchell_lut)
-        # Unnamed, a row table runs rowgather; a named kernel gets the
-        # table's filter matrix.
-        for kernel in (None, "blocked", "rowgather"):
-            out = lut_matmul(patches, table, mitchell_lut, kernel=kernel)
-            np.testing.assert_array_equal(out, reference)
-        assert calls == ["rowgather", "blocked", "rowgather"]
+        # Unnamed, a row table runs rowgather; another named kernel gets
+        # the table's filter matrix.
+        for lut, kernel in ((mitchell_lut, None), (mitchell_lut, "rowgather"),
+                            (exact_lut, "factored")):
+            out = lut_matmul(patches, RowTable(filters, lut), lut,
+                             kernel=kernel)
+            np.testing.assert_array_equal(
+                out, lut_matmul_naive(patches, filters, lut))
+        assert calls == ["rowgather", "rowgather", "factored"]
 
     def test_validation(self, mitchell_lut, exact_lut):
         table = RowTable([[1, 2], [3, 4]], mitchell_lut)
@@ -808,23 +765,29 @@ class TestDepthSplit:
     def test_split_rule(self, mitchell_lut, exact_lut, monkeypatch):
         split = gemm_mod._split_depth
         monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 2)
-        # Batch-32 ResNet-20: every stage call splits, rowgather at a
-        # W-panel boundary (64 taps for F=32); the stem's 27x16 rows are
-        # too narrow.  Serve's largest single-sample call never splits.
+        # Batch-32 ResNet-20: every stage call splits at a W-panel boundary
+        # (128 / 64 / 32 taps for F = 16 / 32 / 64); the stem's 27x16 rows
+        # are too narrow.  Serve's largest single-sample call never splits.
         assert split("rowgather", (32768, 144), 16, mitchell_lut) == 72
         assert split("rowgather", (8192, 288), 32, mitchell_lut) == 128
         assert split("rowgather", (2048, 576), 64, mitchell_lut) == 288
-        assert split("blocked", (2048, 577), 64, mitchell_lut) == 288
-        assert split("blocked", (8192, 289), 32, mitchell_lut) == 144
-        assert split("blocked", (8192, 200), 64, mitchell_lut) == 96
+        assert split("rowgather", (2048, 577), 64, mitchell_lut) == 288
+        assert split("rowgather", (8192, 289), 32, mitchell_lut) == 128
+        assert split("rowgather", (8192, 200), 64, mitchell_lut) == 96
         assert split("factored", (8192, 288), 32, exact_lut) == 0
         assert split("rowgather", (32768, 27), 16, mitchell_lut) == 0
-        assert split("blocked", (16, 288), 64, mitchell_lut) == 0
+        assert split("rowgather", (16, 288), 64, mitchell_lut) == 0
         # The MAC threshold is inclusive.
         depth, filters = 64, 32
         rows = gemm_mod.SPLIT_MIN_MACS // (depth * filters)
-        assert split("blocked", (rows, depth), filters, mitchell_lut) == 32
-        assert split("blocked", (rows - 1, depth), filters, mitchell_lut) == 0
+        assert split("rowgather", (rows, depth), filters, mitchell_lut) == 32
+        assert split("rowgather", (rows - 1, depth), filters,
+                     mitchell_lut) == 0
+        # So is the per-row one: (K // 2) * F >= SPLIT_MIN_ROW_MACS.
+        depth = 2 * gemm_mod.SPLIT_MIN_ROW_MACS // 16
+        assert split("rowgather", (32768, depth), 16, mitchell_lut) == \
+            depth // 2
+        assert split("rowgather", (32768, depth - 1), 16, mitchell_lut) == 0
         monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 1)
         assert split("rowgather", (2048, 576), 64, mitchell_lut) == 0
 
@@ -848,12 +811,12 @@ class TestDepthSplit:
             if on_caller == (failing_half == "caller"):
                 raise RuntimeError(f"{failing_half} half failed")
             finished.append(p.shape[1])
-            return lut_matmul_blocked(p, f, lut)
+            return lut_matmul_rowgather(p, f, lut)
 
         with _forced_split(), \
-                mock.patch.dict(gemm_mod.KERNELS, {"blocked": kernel}):
+                mock.patch.dict(gemm_mod.KERNELS, {"rowgather": kernel}):
             with pytest.raises(RuntimeError, match=failing_half):
-                lut_matmul(patches, filters, mitchell_lut, kernel="blocked")
+                lut_matmul(patches, filters, mitchell_lut, kernel="rowgather")
         # The other half ran to the end before the call returned.
         assert finished == ([9 - 4] if failing_half == "caller" else [4])
 

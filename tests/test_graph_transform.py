@@ -144,7 +144,7 @@ class TestApproximateGraph:
         # Choosing a kernel factors the table, which at 12 bits (2**24
         # entries) costs ~0.7 GB; the quantised range does not depend on it.
         monkeypatch.setattr("repro.backends.cache.choose_gemm_kernel",
-                            lambda lut, rows, depth: "rowgather")
+                            lambda lut, depth: "rowgather")
         n = 1 << 12
         for signed in (True, False):
             operands = np.arange(n, dtype=np.int32)
