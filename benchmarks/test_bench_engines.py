@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import InferencePipeline
-from repro.conv import approx_conv2d, approx_conv2d_direct
+from repro.backends import InferencePipeline, emulate_conv2d
+from repro.conv import approx_conv2d_direct
 from repro.quantization import compute_coeffs_from_tensor
 
 
@@ -31,7 +31,7 @@ def small_case():
 @pytest.mark.benchmark(group="engines")
 def test_gemm_engine(benchmark, small_case, mitchell_lut):
     inputs, filters = small_case
-    out = benchmark(approx_conv2d, inputs, filters, mitchell_lut)
+    out = benchmark(emulate_conv2d, inputs, filters, mitchell_lut)
     assert out.shape == (1, 8, 8, 8)
 
 
@@ -47,7 +47,7 @@ def test_direct_loop_engine(benchmark, small_case, mitchell_lut):
 @pytest.mark.benchmark(group="engines")
 def test_simulated_cuda_engine(benchmark, small_case, mitchell_lut):
     inputs, filters = small_case
-    pipeline = InferencePipeline("gpusim", chunk_size=4)
+    pipeline = InferencePipeline("gpusim")
 
     def run():
         return pipeline.run(inputs, filters, mitchell_lut).output

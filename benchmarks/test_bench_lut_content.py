@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conv import approx_conv2d
+from repro.backends import emulate_conv2d
 from repro.gpusim import GPUTimingModel
 from repro.lut import LookupTable
 from repro.models import conv_workloads_for_depth
@@ -39,7 +39,7 @@ def test_emulation_time_independent_of_lut_content(benchmark, workload, name):
     """The same convolution through different LUTs costs the same time."""
     inputs, filters = workload
     lut = LookupTable.from_multiplier(library.create(name))
-    out = benchmark(approx_conv2d, inputs, filters, lut)
+    out = benchmark(emulate_conv2d, inputs, filters, lut)
     assert out.shape == (2, 16, 16, 16)
 
 

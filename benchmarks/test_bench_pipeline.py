@@ -1,12 +1,12 @@
-"""Pipeline sweep: LUT/filter-bank caching vs the seed path.
+"""Pipeline sweep: LUT/filter-bank caching vs cold calls.
 
-The seed code rebuilt the 256x256 multiplier table and re-quantised the
-filter bank on *every* ``approx_conv2d`` call; the
+Without caches, every convolution call would rebuild the 256x256
+multiplier table and re-quantise the filter bank; the
 :class:`repro.backends.InferencePipeline` amortises both through
 process-wide caches.  This module quantifies the difference:
 
-* ``cold`` benchmarks clear the caches before every call (the seed
-  behaviour: per-call setup included);
+* ``cold`` benchmarks clear the caches before every call (per-call setup
+  included);
 * ``warm`` benchmarks reuse a primed pipeline (the steady state of a batch
   stream, also over a multi-chunk batch);
 * ``test_warm_calls_beat_cold_calls`` asserts the speedup, which is the
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.backends import InferencePipeline, clear_caches, emulate_conv2d
+from repro.conv import CHUNK_SIZE
 
 MULTIPLIER = "mul8s_mitchell"
 
@@ -37,18 +38,27 @@ def workload():
 
 @pytest.fixture(scope="module")
 def batch_workload():
-    """Compute-dominated case: a large batch split into several chunks."""
+    """Compute-dominated case: a large batch in one chunk."""
     rng = np.random.default_rng(1)
     inputs = rng.normal(size=(32, 12, 12, 8))
     filters = rng.normal(size=(3, 3, 8, 16))
     return inputs, filters
 
 
+@pytest.fixture(scope="module")
+def chunked_workload():
+    """A batch of eight chunks of 4x4 images: 512 patch rows per chunk."""
+    rng = np.random.default_rng(1)
+    inputs = rng.normal(size=(8 * CHUNK_SIZE, 4, 4, 8))
+    filters = rng.normal(size=(3, 3, 8, 16))
+    return inputs, filters
+
+
 @pytest.mark.benchmark(group="pipeline-cache")
 def test_cold_pipeline_call(benchmark, workload):
-    """Seed behaviour: every call pays LUT construction + filter setup."""
+    """Cold caches: every call pays LUT construction + filter setup."""
     inputs, filters = workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER, chunk_size=2)
+    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
 
     def cold_call():
         clear_caches()
@@ -63,7 +73,7 @@ def test_cold_pipeline_call(benchmark, workload):
 def test_warm_pipeline_call(benchmark, workload):
     """Steady state: LUT and filter bank come from the caches."""
     inputs, filters = workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER, chunk_size=2)
+    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
     pipeline.run(inputs, filters)  # prime
 
     result = benchmark(pipeline.run, inputs, filters)
@@ -74,7 +84,7 @@ def test_warm_pipeline_call(benchmark, workload):
 def test_warm_calls_beat_cold_calls(workload, bench_json):
     """Acceptance gate: cached calls are measurably faster than cold calls."""
     inputs, filters = workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER, chunk_size=2)
+    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
 
     def timed_run():
         start = time.perf_counter()
@@ -106,10 +116,10 @@ def test_warm_calls_beat_cold_calls(workload, bench_json):
 
 
 @pytest.mark.benchmark(group="pipeline-cache")
-def test_sequential_batch(benchmark, batch_workload):
+def test_sequential_batch(benchmark, chunked_workload):
     """Steady state over a batch of eight chunks, run in order."""
-    inputs, filters = batch_workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER, chunk_size=4)
+    inputs, filters = chunked_workload
+    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
     pipeline.run(inputs, filters)  # prime
 
     result = benchmark(pipeline.run, inputs, filters)
@@ -128,6 +138,5 @@ def test_backend_throughput(benchmark, batch_workload, backend):
     inputs, filters = batch_workload
     out = benchmark(
         emulate_conv2d, inputs, filters, MULTIPLIER, backend=backend,
-        chunk_size=8,
     )
     assert out.shape == (32, 12, 12, 16)

@@ -2,7 +2,7 @@
 """Peek inside the simulated CUDA implementation of the approximate convolution.
 
 Runs one convolution layer through the simulated GPU device (Algorithm 1:
-``prepare_conv2d`` once, then per chunk the Im2Cols kernel with its
+``InferencePipeline.prepare`` once, then per chunk the Im2Cols kernel with its
 prefix-scan patch sums and the tiled LUT GEMM kernel fetching products
 from the LUT bound to texture memory, via ``run_gpusim_chunk`` on the
 demo's own ``GPUDevice``), prints the kernel launches and memory traffic the device
@@ -30,8 +30,8 @@ import argparse
 
 import numpy as np
 
-from repro.conv import (approx_conv2d, flatten_filters, im2col_quantized,
-                        prepare_conv2d, split_chunks)
+from repro.backends import InferencePipeline, emulate_conv2d
+from repro.conv import flatten_filters, im2col_quantized
 from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.lut import LookupTable, TextureCacheModel
 from repro.multipliers import library
@@ -53,16 +53,16 @@ def main() -> int:
     print(f"== Simulated GPU emulation of one AxConv2D layer ({lut.name}) ==\n")
     print(f"LUT: {lut!r}\n")
 
-    # Algorithm 1: ComputeCoeffs and the filter side once, then the chunk
-    # loop, every kernel launch recorded on one device.
+    # Algorithm 1: ComputeCoeffs and the filter side once, then a loop over
+    # chunks of two images, every kernel launch recorded on one device.
     device = GPUDevice()
-    prepared = prepare_conv2d(inputs, filters, lut)
-    chunks = split_chunks(len(inputs), chunk_size=2)
+    prepared = InferencePipeline("gpusim").prepare(inputs, filters, lut)
+    starts = range(0, len(inputs), 2)
     gpu_out = np.concatenate([
-        run_gpusim_chunk(device, inputs[start:stop], prepared)
-        for start, stop in chunks])
+        run_gpusim_chunk(device, inputs[start:start + 2], prepared)
+        for start in starts])
 
-    host_out = approx_conv2d(inputs, filters, lut, chunk_size=2)
+    host_out = emulate_conv2d(inputs, filters, lut)
     assert np.array_equal(gpu_out, host_out), "device and host engines diverged"
 
     counters = device.counters
@@ -70,7 +70,7 @@ def main() -> int:
     for launch in counters.launches:
         print(f"  {launch.name:<12} grid={launch.grid} block={launch.block} "
               f"shared={launch.shared_memory_bytes} B")
-    print(f"\nDevice counters over {len(chunks)} chunks:")
+    print(f"\nDevice counters over {len(starts)} chunks:")
     print(f"  texture fetches (LUT lookups) : {counters.texture_fetches:,}")
     print(f"  atomicAdd operations on Sp    : {counters.atomic_adds:,}")
     print(f"  global memory read            : {counters.global_bytes_read:,} B")

@@ -1,8 +1,8 @@
 """Process-wide caches amortising per-call setup of the emulation.
 
 The paper's CUDA implementation pays its setup costs (building the 256x256
-product table, quantising the filter bank) once per session; the seed Python
-code paid them on *every* ``approx_conv2d`` call.  Two caches restore the
+product table, quantising the filter bank) once per session; an uncached
+driver would pay them on *every* convolution call.  Two caches restore the
 amortisation:
 
 * :class:`LUTCache` memoises constructed :class:`~repro.lut.table.LookupTable`

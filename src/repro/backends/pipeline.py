@@ -10,8 +10,10 @@ hot path:
   so repeated calls with the same accelerator configuration skip the
   256x256-product table construction and the filter-side half of
   ``ComputeCoeffs`` entirely;
-* input batches are split into chunks of ``chunk_size`` images (Algorithm
-  1's chunk loop), run in order and concatenated;
+* input batches are split into chunks of
+  :data:`~repro.conv.approx_conv2d.CHUNK_SIZE` images (Algorithm 1's chunk
+  loop; :meth:`InferencePipeline.run` is its one driver), run in order and
+  concatenated;
 * every run returns a :class:`RunReport` merging the functional operation
   counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
   simulated device's counters
@@ -38,11 +40,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..conv.approx_conv2d import (
-    DEFAULT_CHUNK_SIZE,
+    CHUNK_SIZE,
     ApproxConvStats,
     PreparedConv,
     quantize_filter_bank,
-    split_chunks,
     validate_conv_operands,
     resolve_quant_params,
 )
@@ -78,7 +79,6 @@ class RunReport:
     backend: str = ""
     lut_name: str = ""
     batch: int = 0
-    chunk_size: int = 0
     wall_time_s: float = 0.0
     lut_cache: CacheStats = field(default_factory=CacheStats)
     filter_cache: CacheStats = field(default_factory=CacheStats)
@@ -88,8 +88,8 @@ class RunReport:
     def merge(self, other: "RunReport") -> None:
         """Accumulate another run's accounting (e.g. a multi-layer sweep).
 
-        Counters add up; the configuration fields (backend, chunk size,
-        LUT name) describe the latest run merged in.
+        Counters add up; the configuration fields (backend, LUT name)
+        describe the latest run merged in.
         """
         self.batch += other.batch
         self.wall_time_s += other.wall_time_s
@@ -107,7 +107,6 @@ class RunReport:
             self.lut_name = other.lut_name
         if other.backend:
             self.backend = other.backend
-            self.chunk_size = other.chunk_size
 
     def summary(self) -> str:
         """Compact human-readable digest used by examples and benchmarks."""
@@ -180,8 +179,6 @@ class InferencePipeline:
     multiplier:
         Default multiplier for :meth:`run` calls that do not pass their own:
         a library name, a behavioural model or a pre-built lookup table.
-    chunk_size:
-        Images per chunk (Algorithm 1's constant chunk size).
     lut_cache, filter_cache:
         Cache instances to use; default to the process-wide shared caches.
 
@@ -194,16 +191,12 @@ class InferencePipeline:
 
     def __init__(self, backend: str = "numpy", *,
                  multiplier: str | Multiplier | LookupTable | None = None,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  lut_cache: LUTCache | None = None,
                  filter_cache: FilterBankCache | None = None) -> None:
-        if chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
         # Resolve eagerly so configuration errors surface at build time.
         self._run_chunk = get_backend(backend)
         self.backend = backend
         self.multiplier = multiplier
-        self.chunk_size = chunk_size
         self.lut_cache = lut_cache if lut_cache is not None else DEFAULT_LUT_CACHE
         self.filter_cache = (
             filter_cache if filter_cache is not None else DEFAULT_FILTER_CACHE)
@@ -217,12 +210,13 @@ class InferencePipeline:
                 ) -> PreparedConv:
         """Resolve LUT + coefficients + filter bank through the caches.
 
-        This is the cached equivalent of
-        :func:`repro.conv.approx_conv2d.prepare_conv2d`: the lookup table
-        comes from the :class:`~repro.backends.cache.LUTCache` and the
-        filter-side work from the
-        :class:`~repro.backends.cache.FilterBankCache`; only the (cheap,
-        batch-dependent) input-side ``ComputeCoeffs`` runs unconditionally.
+        This is the front half of Algorithm 1 (``ComputeCoeffs`` plus the
+        filter-side quantisation and ``Sf``); the backends only implement
+        the per-chunk back half.  The lookup table comes from the
+        :class:`~repro.backends.cache.LUTCache` and the filter-side work
+        from the :class:`~repro.backends.cache.FilterBankCache`; only the
+        (cheap, batch-dependent) input-side ``ComputeCoeffs`` runs
+        unconditionally.
         Both operands quantise to the table's operand range
         (:attr:`~repro.lut.table.LookupTable.qrange`).
         The geometry (as for :meth:`run`) gives the patch rows of a chunk,
@@ -256,7 +250,7 @@ class InferencePipeline:
             geometry = resolve_geometry(
                 inputs.shape[1], inputs.shape[2], kh, kw,
                 strides=strides, dilations=dilations, padding=padding)
-            rows = (min(self.chunk_size, inputs.shape[0])
+            rows = (min(CHUNK_SIZE, inputs.shape[0])
                     * geometry.output_height * geometry.output_width)
             table = self.filter_cache.row_table(bank, lut, rows)
         return PreparedConv(
@@ -284,11 +278,10 @@ class InferencePipeline:
             input_range=input_range, filter_range=filter_range,
         )
 
-        chunks = split_chunks(inputs.shape[0], self.chunk_size)
         results = [
-            self._run_chunk(
-                inputs[start:stop], prepared, strides, dilations, padding)
-            for start, stop in chunks
+            self._run_chunk(inputs[start:start + CHUNK_SIZE], prepared,
+                            strides, dilations, padding)
+            for start in range(0, inputs.shape[0], CHUNK_SIZE)
         ]
 
         output = (results[0][0] if len(results) == 1
@@ -299,11 +292,10 @@ class InferencePipeline:
             backend=self.backend,
             lut_name=prepared.lut.name,
             batch=int(inputs.shape[0]),
-            chunk_size=self.chunk_size,
             lut_cache=_cache_delta(self.lut_cache.stats_snapshot(), lut_before),
             filter_cache=filter_cache,
             stats=ApproxConvStats.of_run(
-                inputs, prepared, output, len(chunks),
+                inputs, prepared, output, len(results),
                 filters_quantized=filter_cache.misses > 0),
         )
         for _, gpu in results:
@@ -323,7 +315,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
                    input_range: TensorRange | tuple[float, float] | None = None,
                    filter_range: TensorRange | tuple[float, float] | None = None,
-                   chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
+                   ) -> np.ndarray:
     """Emulate one approximate convolution on the named backend.
 
     The single-call public API of the library: pick a multiplier (by library
@@ -337,7 +329,7 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
     >>> with collect_reports() as report:                     # doctest: +SKIP
     ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
     """
-    pipeline = shared_pipeline(backend, chunk_size=chunk_size)
+    pipeline = shared_pipeline(backend)
     return pipeline.run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
@@ -345,15 +337,14 @@ def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
     ).output
 
 
-_SHARED_PIPELINES: dict[tuple, InferencePipeline] = {}
+_SHARED_PIPELINES: dict[str, InferencePipeline] = {}
 _SHARED_PIPELINES_LOCK = threading.Lock()
 
 
-def shared_pipeline(backend: str = "numpy", *,
-                    chunk_size: int = DEFAULT_CHUNK_SIZE) -> InferencePipeline:
-    """Process-wide :class:`InferencePipeline` for one configuration.
+def shared_pipeline(backend: str = "numpy") -> InferencePipeline:
+    """Process-wide :class:`InferencePipeline` for one backend.
 
-    Returns the same instance for equal configurations, so independent
+    Returns the same instance for the same backend, so independent
     callers share one thread-safe handle instead of constructing throwaway
     pipelines -- :func:`emulate_conv2d` routes every call through here, and
     user threads can hold a handle directly.  Shared pipelines always use
@@ -361,10 +352,9 @@ def shared_pipeline(backend: str = "numpy", *,
     and never carry a default multiplier, so callers state theirs per call
     and cannot observe each other's.
     """
-    key = (backend, int(chunk_size))
     with _SHARED_PIPELINES_LOCK:
-        pipeline = _SHARED_PIPELINES.get(key)
+        pipeline = _SHARED_PIPELINES.get(backend)
         if pipeline is None:
-            pipeline = InferencePipeline(backend, chunk_size=chunk_size)
-            _SHARED_PIPELINES[key] = pipeline
+            pipeline = InferencePipeline(backend)
+            _SHARED_PIPELINES[backend] = pipeline
         return pipeline

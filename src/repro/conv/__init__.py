@@ -1,15 +1,12 @@
 """Convolution engines: geometry, im2col, GEMM and the Algorithm 1 pipeline."""
 
 from .approx_conv2d import (
+    CHUNK_SIZE,
     ApproxConvStats,
-    DEFAULT_CHUNK_SIZE,
     PreparedConv,
-    approx_conv2d,
     approx_conv2d_chunk,
-    prepare_conv2d,
     quantize_filter_bank,
     resolve_quant_params,
-    split_chunks,
     validate_conv_operands,
 )
 from .gemm import approx_gemm, dequantize_gemm, gemm_float, lut_matmul
@@ -25,15 +22,12 @@ from .reference import (
 )
 
 __all__ = [
+    "CHUNK_SIZE",
     "ApproxConvStats",
-    "DEFAULT_CHUNK_SIZE",
     "PreparedConv",
-    "approx_conv2d",
     "approx_conv2d_chunk",
-    "prepare_conv2d",
     "quantize_filter_bank",
     "resolve_quant_params",
-    "split_chunks",
     "validate_conv_operands",
     "approx_gemm",
     "dequantize_gemm",

@@ -1,21 +1,23 @@
-"""Algorithm 1: the chunked approximate 2D convolution.
+"""Algorithm 1: the building blocks of the chunked approximate 2D convolution.
 
-This module is the heart of the emulator.  :func:`approx_conv2d` follows the
-high-level structure of Algorithm 1 in the paper:
+This module is the heart of the emulator.  Algorithm 1 in the paper:
 
 1. ``ComputeCoeffs`` -- derive the affine quantisation coefficients of the
    input batch and of the filter bank from their (min, max) ranges;
 2. compute the per-filter sums ``Sf`` (third sum of Eq. 4);
-3. split the input batch into chunks of a constant size "to decouple memory
-   usage from convolution parameters";
+3. split the input batch into chunks of a constant size (:data:`CHUNK_SIZE`)
+   "to decouple memory usage from convolution parameters";
 4. for each chunk, run ``Im2Cols`` (patch matrix ``Mp`` + patch sums ``Sp``)
    and ``ApproxGEMM`` (LUT-based integer GEMM followed by the Eq. 4
    correction and dequantisation);
 5. append the chunk output to the output batch.
 
-The function is pure NumPy and engine-agnostic; the simulated CPU/GPU
-devices reuse the same building blocks but additionally account for the time
-and memory traffic each phase would cost on the modelled hardware.
+:class:`repro.backends.InferencePipeline` is the one driver of that loop:
+it resolves steps 1-2 through its caches into a :class:`PreparedConv` and
+hands each chunk to a backend.  :func:`approx_conv2d_chunk` is the
+vectorised NumPy body of one chunk; the simulated CPU/GPU devices run the
+same steps but additionally account for the time and memory traffic each
+phase would cost on the modelled hardware.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .im2col import filter_sums, flatten_filters, im2col_quantized
 from .gemm import RowTable, approx_gemm
 
 
-#: Default number of images processed per chunk; mirrors the constant chunk
-#: size used by the CUDA implementation to bound the patch-matrix footprint.
-DEFAULT_CHUNK_SIZE = 32
+#: Number of images processed per chunk: the constant chunk size of the CUDA
+#: implementation, which bounds the patch-matrix footprint.
+CHUNK_SIZE = 32
 
 
 @dataclass
@@ -52,7 +54,6 @@ class ApproxConvStats:
     """
 
     quantized_values: int = 0
-    patch_matrix_bytes: int = 0
     output_values: int = 0
     chunks: int = 0
     macs: int = 0
@@ -73,7 +74,6 @@ class ApproxConvStats:
             quantized += int(prepared.flat_filters.size)
         return cls(
             quantized_values=quantized,
-            patch_matrix_bytes=positions * prepared.depth,  # one byte each
             output_values=int(output.size),
             chunks=chunks,
             macs=positions * prepared.depth * prepared.filter_count,
@@ -102,14 +102,6 @@ def resolve_quant_params(values: np.ndarray | None,
             )
         lo, hi = float(values.min()), float(values.max())
     return compute_coeffs(lo, hi, qrange=qrange)
-
-
-def split_chunks(batch: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Split a batch of ``batch`` images into ``[start, stop)`` chunks."""
-    if chunk_size <= 0:
-        raise ConfigurationError("chunk_size must be positive")
-    return [(start, min(start + chunk_size, batch))
-            for start in range(0, batch, chunk_size)]
 
 
 @dataclass(frozen=True)
@@ -178,39 +170,12 @@ def quantize_filter_bank(filters: np.ndarray, filter_q: QuantParams,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Quantise and flatten an HWCK filter bank and compute its sums ``Sf``.
 
-    The one place the filter-side body of Algorithm 1 lives:
-    :func:`prepare_conv2d` and the caching pipeline in
-    :mod:`repro.backends` both call it, so the cached and uncached paths
-    cannot drift apart numerically.
+    The one place the filter-side body of Algorithm 1 lives; the caching
+    pipeline in :mod:`repro.backends` calls it when a bank misses its
+    cache.
     """
     flat = flatten_filters(filter_q.quantize(filters).astype(np.int64))
     return flat, filter_sums(flat)
-
-
-def prepare_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
-                   input_range: TensorRange | tuple[float, float] | None = None,
-                   filter_range: TensorRange | tuple[float, float] | None = None,
-                   ) -> PreparedConv:
-    """Resolve the quantisation coefficients and quantise the filter bank.
-
-    This is the shared front half of Algorithm 1 (``ComputeCoeffs`` plus the
-    filter-side quantisation and ``Sf``); the backends only implement the
-    per-chunk back half.  Both operands quantise to the table's own
-    operand range (:attr:`~repro.lut.table.LookupTable.qrange`).
-    """
-    validate_conv_operands(inputs, filters)
-    kh, kw, channels, count = filters.shape
-
-    input_q = resolve_quant_params(inputs, input_range, lut.qrange)
-    filter_q = resolve_quant_params(filters, filter_range, lut.qrange)
-
-    flat_filters, sf = quantize_filter_bank(filters, filter_q)
-    return PreparedConv(
-        lut=lut, input_q=input_q, filter_q=filter_q,
-        flat_filters=flat_filters, filter_sums=sf,
-        kernel_height=kh, kernel_width=kw, channels=channels,
-        filter_count=count,
-    )
 
 
 def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
@@ -219,9 +184,8 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
-    vectorised NumPy engine; :func:`approx_conv2d` and the ``numpy`` backend
-    of :mod:`repro.backends` both call it, so their numerical behaviour is
-    one code path.
+    vectorised NumPy engine, the ``numpy`` backend of
+    :mod:`repro.backends`.
     """
     patches, patch_sums, geometry = im2col_quantized(
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
@@ -237,51 +201,3 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
         chunk.shape[0], geometry.output_height, geometry.output_width,
         prepared.filter_count,
     )
-
-
-def approx_conv2d(inputs: np.ndarray, filters: np.ndarray, lut: LookupTable, *,
-                  strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-                  input_range: TensorRange | tuple[float, float] | None = None,
-                  filter_range: TensorRange | tuple[float, float] | None = None,
-                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> np.ndarray:
-    """Approximate 2D convolution emulating a LUT-multiplier accelerator.
-
-    Parameters
-    ----------
-    inputs:
-        NHWC float batch.
-    filters:
-        HWCK float filter bank.
-    lut:
-        Lookup table of the approximate multiplier used by the emulated MAC
-        units.  Both operands quantise to its operand range ([-128, 127]
-        for signed 8-bit multipliers, [0, 255] for unsigned ones).
-    strides, dilations, padding:
-        Standard convolution geometry parameters.
-    input_range, filter_range:
-        Optional pre-computed (min, max) ranges -- the four extra scalar
-        inputs of the ``AxConv2D`` op.  When omitted they are derived from
-        the data, as the transformed graph's Min/Max nodes would do.
-    chunk_size:
-        Number of images converted to the patch matrix at a time.
-
-    Returns
-    -------
-    numpy.ndarray
-        NHWC float output with the same range semantics as an accurate
-        convolution of the same operands.
-    """
-    # --- ComputeCoeffs + filter-side quantisation (shared path) --------
-    prepared = prepare_conv2d(
-        inputs, filters, lut,
-        input_range=input_range, filter_range=filter_range,
-    )
-
-    # --- Chunked Im2Cols + ApproxGEMM ----------------------------------
-    return np.concatenate([
-        approx_conv2d_chunk(
-            inputs[start:stop], prepared,
-            strides=strides, dilations=dilations, padding=padding,
-        )
-        for start, stop in split_chunks(inputs.shape[0], chunk_size)
-    ], axis=0)

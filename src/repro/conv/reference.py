@@ -17,7 +17,7 @@ Three engines live here:
 * :func:`fake_quant_conv2d` -- quantise inputs and filters, run an *exact*
   integer convolution and dequantise.  The paper states the approximate layer
   with an accurate multiplier matches exactly this computation, which the
-  test-suite verifies against :func:`repro.conv.approx_conv2d.approx_conv2d`.
+  test-suite verifies against :func:`repro.backends.emulate_conv2d`.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
     nested loops -- the formulation that "is difficult to efficiently
     parallelize on GPUs" (Section III) and that the GEMM-based engine of this
     library replaces.  Functionally it must agree exactly with
-    :func:`repro.conv.approx_conv2d.approx_conv2d`; the integration tests rely
-    on that property.
+    :func:`repro.backends.emulate_conv2d`; the integration tests rely on that
+    property.
     """
     _check_conv_args(inputs, filters)
     return approx_conv2d_direct_quantized(
@@ -170,8 +170,8 @@ def approx_conv2d_direct_quantized(inputs: np.ndarray, q_filters: np.ndarray,
 
     This is the loop body of :func:`approx_conv2d_direct` with the filter
     quantisation factored out, so the ``cpusim`` backend can reuse the filter
-    bank prepared (and cached) by the shared
-    :func:`repro.conv.approx_conv2d.prepare_conv2d` path instead of
+    bank prepared (and cached) by
+    :meth:`repro.backends.InferencePipeline.prepare` instead of
     re-quantising per call.
     """
     if inputs.ndim != 4:

@@ -234,7 +234,6 @@ def search(model_builder, dataset, *,
            max_workers: int = 1,
            batch_size: int = 32,
            normalize_inputs: bool = True,
-           chunk_size: int = 32,
            space: SearchSpace | None = None,
            evaluator: Evaluator | None = None) -> DSEReport:
     """Explore per-layer multiplier assignments of a model.
@@ -260,7 +259,7 @@ def search(model_builder, dataset, *,
         Seed of the search trajectory.  Same seed ⇒ bit-identical results.
     max_workers:
         Thread-pool width for concurrent candidate evaluation.
-    batch_size, normalize_inputs, chunk_size:
+    batch_size, normalize_inputs:
         Forwarded to the :class:`~repro.dse.evaluator.Evaluator`.
     space, evaluator:
         Pre-built instances for advanced callers (``space`` is ignored when
@@ -287,7 +286,7 @@ def search(model_builder, dataset, *,
         evaluator = Evaluator(
             space, model_builder, dataset,
             batch_size=batch_size, normalize_inputs=normalize_inputs,
-            chunk_size=chunk_size, probe=probe,
+            probe=probe,
         )
 
     broker = EvaluationBroker(

@@ -105,8 +105,6 @@ class Evaluator:
         Evaluation split the accuracy objective is measured on.
     batch_size, normalize_inputs:
         Forwarded to :func:`repro.evaluation.run_inference`.
-    chunk_size:
-        Forwarded to the layer-wise graph transformation.
     probe:
         Optional already-built model instance to derive the per-layer MAC
         counts from (spares one ``model_builder()`` call when the caller
@@ -115,13 +113,12 @@ class Evaluator:
 
     def __init__(self, space: SearchSpace, model_builder, dataset, *,
                  batch_size: int = 32, normalize_inputs: bool = True,
-                 chunk_size: int = 32, probe=None) -> None:
+                 probe=None) -> None:
         self.space = space
         self.model_builder = model_builder
         self.dataset = dataset
         self.batch_size = batch_size
         self.normalize_inputs = normalize_inputs
-        self.chunk_size = chunk_size
         self._memo: dict[Candidate, CandidateResult] = {}
         self._lock = threading.Lock()
         self._power = {name: relative_power(name) for name in space.catalogue}
@@ -233,9 +230,7 @@ class Evaluator:
             except DSEError:
                 candidate = None  # partial assignment: legal, not memoisable
         model = self.model_builder()
-        approximate_graph_layerwise(
-            model.graph, dict(assignment), chunk_size=self.chunk_size,
-        )
+        approximate_graph_layerwise(model.graph, dict(assignment))
         with collect_reports() as report:
             inference = run_inference(
                 model, self.dataset, batch_size=self.batch_size,

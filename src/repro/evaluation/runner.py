@@ -88,7 +88,6 @@ def run_inference(model, dataset: DatasetSplit, *, batch_size: int = 32,
 def compare_accurate_vs_approximate(model_builder, dataset: DatasetSplit,
                                     multiplier: Multiplier | LookupTable, *,
                                     batch_size: int = 32,
-                                    chunk_size: int = 32,
                                     normalize_inputs: bool = True) -> ComparisonResult:
     """Run the same model accurately and approximately and compare.
 
@@ -103,9 +102,7 @@ def compare_accurate_vs_approximate(model_builder, dataset: DatasetSplit,
     )
 
     approx_model = model_builder()
-    report = approximate_graph(
-        approx_model.graph, multiplier, chunk_size=chunk_size,
-    )
+    report = approximate_graph(approx_model.graph, multiplier)
     approximate = run_inference(
         approx_model, dataset, batch_size=batch_size,
         normalize_inputs=normalize_inputs,

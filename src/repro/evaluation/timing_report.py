@@ -88,7 +88,7 @@ class Table1Row:
 def generate_table1(*, depths=PAPER_DEPTHS, images: int = PAPER_TEST_IMAGES,
                     cpu_model: CPUTimingModel | None = None,
                     gpu_model: GPUTimingModel | None = None,
-                    chunk_size: int = 32) -> list[Table1Row]:
+                    ) -> list[Table1Row]:
     """Regenerate Table I for the given network depths and image count."""
     if images <= 0:
         raise ConfigurationError("images must be positive")
@@ -109,8 +109,7 @@ def generate_table1(*, depths=PAPER_DEPTHS, images: int = PAPER_TEST_IMAGES,
                 workloads, images, dataset_bytes=dataset_bytes),
             cpu_approximate=cpu_model.approximate_inference(workloads, images),
             gpu_approximate=gpu_model.approximate_inference(
-                workloads, images, dataset_bytes=dataset_bytes,
-                chunk_size=chunk_size),
+                workloads, images, dataset_bytes=dataset_bytes),
         ))
     return rows
 

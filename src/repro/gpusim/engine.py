@@ -8,11 +8,10 @@ counters.  The ``gpusim`` backend of :mod:`repro.backends` runs it per
 chunk (use ``InferencePipeline("gpusim")`` or
 ``emulate_conv2d(..., backend="gpusim")`` and read ``RunReport.gpu``); code
 that wants the raw ``KernelLaunch`` records drives it over
-:func:`repro.conv.approx_conv2d.prepare_conv2d` on its own device.  Its
-numerical output is identical to
-:func:`repro.conv.approx_conv2d.approx_conv2d`, which the parity tests
-verify; its accounting feeds the micro-benchmarks and the texture-cache
-ablation study.
+``InferencePipeline("gpusim").prepare(...)`` on its own device.  Its
+numerical output is identical to the ``numpy`` backend's, which the parity
+tests verify; its accounting feeds the micro-benchmarks and the
+texture-cache ablation study.
 """
 
 from __future__ import annotations

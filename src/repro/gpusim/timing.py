@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..conv.approx_conv2d import CHUNK_SIZE
 from ..errors import ConfigurationError
 from ..hwspec import GPUSpec, GTX_1080
 from ..workload import ConvWorkload, total_workload
@@ -126,18 +127,15 @@ class GPUTimingModel:
         )
 
     def approximate_inference(self, workloads: list[ConvWorkload], images: int, *,
-                              dataset_bytes: int = 0,
-                              chunk_size: int = 32) -> PhaseTimes:
+                              dataset_bytes: int = 0) -> PhaseTimes:
         """Time of the approximate (``AxConv2D``) inference path."""
-        if chunk_size <= 0:
-            raise ConfigurationError("chunk_size must be positive")
         totals = total_workload(workloads, images)
         lut_time = totals.macs / self.lut_lookups_per_second
         quant_time = totals.quantization_elements / self.quant_elements_per_second
         remaining = totals.macs * self.remaining_seconds_per_mac
         # Kernel-launch overhead: one Im2Cols + one GEMM launch per layer and
         # per chunk of images.
-        chunks = -(-images // chunk_size)
+        chunks = -(-images // CHUNK_SIZE)
         launches = 2 * totals.layers * chunks
         remaining += launches * self.spec.kernel_launch_overhead_us * 1e-6
         # Patch-matrix traffic (written by Im2Cols, re-read by the GEMM).

@@ -64,7 +64,7 @@ def _resolve(multiplier: "Multiplier | LookupTable | str") -> LookupTable:
 def approximate_graph_layerwise(graph: Graph,
                                 assignment: dict[str, "Multiplier | LookupTable | str"],
                                 *, default: "Multiplier | LookupTable | str | None" = None,
-                                chunk_size: int = 32) -> LayerwiseReport:
+                                ) -> LayerwiseReport:
     """Replace Conv2D layers with per-layer approximate multipliers.
 
     Parameters
@@ -121,7 +121,7 @@ def approximate_graph_layerwise(graph: Graph,
     for lut, layers in groups.values():
         wanted = set(layers)
         pass_report = approximate_graph(
-            graph, lut, chunk_size=chunk_size,
+            graph, lut,
             layer_filter=lambda conv, wanted=wanted: conv.name in wanted,
         )
         report.reports.append(pass_report)

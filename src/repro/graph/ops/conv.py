@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...backends.pipeline import InferencePipeline
-from ...conv.approx_conv2d import DEFAULT_CHUNK_SIZE
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
@@ -97,20 +96,16 @@ class AxConv2D(Node):
                  filter_min: Node, filter_max: Node, *,
                  lut: LookupTable, strides=(1, 1), dilations=(1, 1),
                  padding: str = "SAME",
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  name: str | None = None) -> None:
         if not isinstance(lut, LookupTable):
             raise ConfigurationError("AxConv2D requires a LookupTable instance")
         self.strides = strides
         self.dilations = dilations
         self.padding = padding
-        #: The pipeline is the one owner of the execution settings (the
-        #: table as its ``multiplier`` and ``chunk_size``); it
+        #: The pipeline holds the table as its ``multiplier``; it
         #: caches this layer's quantised filter bank across runs, so
         #: repeated inference only pays the filter-side setup once.
-        self.pipeline = InferencePipeline(
-            "numpy", multiplier=lut, chunk_size=chunk_size,
-        )
+        self.pipeline = InferencePipeline("numpy", multiplier=lut)
         super().__init__(
             graph, name, [x, filters, input_min, input_max, filter_min, filter_max],
         )

@@ -29,6 +29,10 @@ from .ops.basic import Constant, ReduceMax, ReduceMin
 from .ops.conv import AxConv2D, Conv2D
 from .rewriter import replace_consumers
 
+#: Fraction of the calibrated span by which :func:`freeze_ranges` widens
+#: each input range on both ends.
+RANGE_MARGIN = 0.05
+
 
 @dataclass
 class TransformReport:
@@ -65,7 +69,6 @@ def _resolve_lut(multiplier_or_lut: Multiplier | LookupTable) -> LookupTable:
 
 
 def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable, *,
-                      chunk_size: int = 32,
                       layer_filter=None) -> TransformReport:
     """Replace every ``Conv2D`` in ``graph`` by an ``AxConv2D`` (Fig. 1).
 
@@ -77,8 +80,6 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         The approximate multiplier to emulate, either as a behavioural model
         or directly as its lookup table.  Each ``AxConv2D`` quantises to
         the table's own operand range ([-128, 127] or [0, 255] at 8 bits).
-    chunk_size:
-        Batch chunk size forwarded to the approximate convolution.
     layer_filter:
         Optional predicate ``f(conv_node) -> bool``; layers for which it
         returns False keep their accurate implementation.  This enables the
@@ -107,8 +108,7 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         ax = AxConv2D(
             graph, data, filters, input_min, input_max, filter_min, filter_max,
             lut=lut, strides=conv.strides, dilations=conv.dilations,
-            padding=conv.padding, chunk_size=chunk_size,
-            name=f"{conv.name}/approx",
+            padding=conv.padding, name=f"{conv.name}/approx",
         )
         replace_consumers(graph, conv, ax)
         graph.remove(conv)
@@ -118,7 +118,7 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
     return report
 
 
-def freeze_ranges(graph: Graph, feeds: dict, *, margin: float = 0.0) -> int:
+def freeze_ranges(graph: Graph, feeds: dict) -> int:
     """Replace the dynamic Min/Max range probes with calibrated constants.
 
     The Fig. 1 transformation determines quantisation ranges "once per a
@@ -129,10 +129,13 @@ def freeze_ranges(graph: Graph, feeds: dict, *, margin: float = 0.0) -> int:
     :meth:`~repro.graph.executor.Executor.run` feeds), reads every
     ``ReduceMin``/``ReduceMax`` probe feeding an ``AxConv2D`` range slot and
     replaces it with a :class:`~repro.graph.ops.basic.Constant` holding the
-    observed value.  Afterwards every sample's output is independent of the
-    rest of its batch (quantisation clips values outside the frozen range),
-    so a micro-batching service can coalesce freely without changing
-    results.
+    observed value.  Each *data* range (the input min/max pair) is widened
+    by :data:`RANGE_MARGIN` of its span on both ends, headroom for serving
+    traffic slightly outside the calibration distribution; filter ranges
+    are exact (weights are constants) and never widened.  Afterwards every
+    sample's output is independent of the rest of its batch (quantisation
+    clips values outside the frozen range), so a micro-batching service can
+    coalesce freely without changing results.
 
     Parameters
     ----------
@@ -140,12 +143,6 @@ def freeze_ranges(graph: Graph, feeds: dict, *, margin: float = 0.0) -> int:
         A transformed graph (``AxConv2D`` nodes present), modified in place.
     feeds:
         Placeholder feeds of the calibration batch the ranges are read from.
-    margin:
-        Fractional widening of each *data* range (the input min/max pair):
-        a margin of ``0.1`` extends the observed span by 10% on both ends,
-        buying headroom for serving traffic slightly outside the calibration
-        distribution.  Filter ranges are exact (weights are constants) and
-        never widened.
 
     Returns
     -------
@@ -154,8 +151,6 @@ def freeze_ranges(graph: Graph, feeds: dict, *, margin: float = 0.0) -> int:
     """
     from .executor import Executor  # local import: executor imports this package
 
-    if margin < 0:
-        raise GraphError("margin must be non-negative")
     ax_nodes = list(graph.nodes_by_type(AxConv2D.op_type))
     if not ax_nodes:
         raise GraphError(
@@ -174,13 +169,12 @@ def freeze_ranges(graph: Graph, feeds: dict, *, margin: float = 0.0) -> int:
     values = Executor(graph).run(dynamic, feeds)
     observed = dict(zip(dynamic, values))
 
-    if margin:
-        for ax in ax_nodes:
-            low, high = ax.inputs[2], ax.inputs[3]
-            if low in observed and high in observed:
-                span = float(observed[high]) - float(observed[low])
-                observed[low] = observed[low] - margin * span
-                observed[high] = observed[high] + margin * span
+    for ax in ax_nodes:
+        low, high = ax.inputs[2], ax.inputs[3]
+        if low in observed and high in observed:
+            span = float(observed[high]) - float(observed[low])
+            observed[low] = observed[low] - RANGE_MARGIN * span
+            observed[high] = observed[high] + RANGE_MARGIN * span
 
     frozen = 0
     for probe, value in observed.items():

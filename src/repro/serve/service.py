@@ -55,16 +55,10 @@ class ServiceConfig:
 
     max_batch_samples: int = 32
     workers: int = 1
-    chunk_size: int = 32
-    range_margin: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers <= 0:
             raise ServeError("workers must be positive")
-        if self.chunk_size <= 0:
-            raise ServeError("chunk_size must be positive")
-        if not self.range_margin >= 0:
-            raise ServeError("range_margin must be non-negative")
 
 
 @dataclass
@@ -191,11 +185,7 @@ class EmulationService:
                 if session is not None:
                     return session
             session = build_session(
-                spec, multiplier,
-                chunk_size=self.config.chunk_size,
-                range_margin=self.config.range_margin,
-                max_replicas=self.config.workers,
-            )
+                spec, multiplier, max_replicas=self.config.workers)
             with self._sessions_lock:
                 self._sessions[key] = session
         return session

@@ -110,25 +110,18 @@ class ModelSession:
         The registered model.
     assignment:
         Full layer→library-name assignment (already normalised).
-    chunk_size, range_margin:
-        Transformation parameters; the margin widens the frozen input ranges
-        beyond the calibration span (see :func:`repro.graph.freeze_ranges`).
     max_replicas:
         Upper bound on concurrently executing batches of this session —
         normally the service's worker count.
     """
 
     def __init__(self, spec: ModelSpec, assignment: dict[str, str], *,
-                 chunk_size: int = 32,
-                 range_margin: float = 0.05,
                  max_replicas: int = 1) -> None:
         if max_replicas <= 0:
             raise ServeError("max_replicas must be positive")
         self.spec = spec
         self.assignment = dict(assignment)
         self.key: AdmissionKey = admission_key(spec.name, self.assignment)
-        self.chunk_size = int(chunk_size)
-        self.range_margin = float(range_margin)
         self.max_replicas = int(max_replicas)
         self._idle: "queue.LifoQueue[_Replica]" = queue.LifoQueue()
         self._built = 0
@@ -146,13 +139,9 @@ class ModelSession:
 
     def _build_replica(self) -> _Replica:
         model = self.spec.builder()
-        approximate_graph_layerwise(
-            model.graph, dict(self.assignment), chunk_size=self.chunk_size,
-        )
+        approximate_graph_layerwise(model.graph, dict(self.assignment))
         freeze_ranges(
-            model.graph, {model.input_node: self._calibration_feed()},
-            margin=self.range_margin,
-        )
+            model.graph, {model.input_node: self._calibration_feed()})
         return _Replica(model=model, executor=Executor(model.graph))
 
     def _acquire(self) -> _Replica:
@@ -208,15 +197,11 @@ class ModelSession:
 
 
 def build_session(spec: ModelSpec, multiplier: "str | dict[str, str]", *,
-                  chunk_size: int = 32, range_margin: float = 0.05,
                   max_replicas: int = 1) -> ModelSession:
     """Normalise ``multiplier`` against ``spec`` and build the session."""
     assignment = normalize_assignment(multiplier, spec.conv_layers)
     try:
-        return ModelSession(
-            spec, assignment, chunk_size=chunk_size,
-            range_margin=range_margin, max_replicas=max_replicas,
-        )
+        return ModelSession(spec, assignment, max_replicas=max_replicas)
     except ServeError:
         raise
     except TFApproxError as exc:

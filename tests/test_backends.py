@@ -23,8 +23,7 @@ from repro.backends import (
     emulate_conv2d,
     get_backend,
 )
-from repro.conv import (
-    ApproxConvStats, approx_conv2d, approx_conv2d_direct, prepare_conv2d)
+from repro.conv import CHUNK_SIZE, ApproxConvStats, approx_conv2d_direct
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul
 from repro.errors import (
@@ -51,6 +50,12 @@ SHAPES = [
 MULTIPLIERS = ["mul8s_mitchell", "mul8u_drum4", "mul8s_exact"]
 
 
+def _cold_pipeline() -> InferencePipeline:
+    """A pipeline on caches of its own: nothing is served from a cache."""
+    return InferencePipeline("numpy", lut_cache=LUTCache(),
+                             filter_cache=FilterBankCache())
+
+
 def _case(shape_spec, seed=7):
     in_shape, f_shape, strides, padding = shape_spec
     rng = np.random.default_rng(seed)
@@ -66,7 +71,7 @@ class TestBackendParity:
         outputs = {
             name: emulate_conv2d(
                 inputs, filters, multiplier, backend=name,
-                strides=strides, padding=padding, chunk_size=2,
+                strides=strides, padding=padding,
             )
             for name in available_backends()
         }
@@ -111,19 +116,9 @@ class TestBackendParity:
             for data in (ties, snapped):
                 out = emulate_conv2d(
                     data, filters, lut, backend=name, strides=strides,
-                    padding=padding, input_range=input_range, chunk_size=2,
+                    padding=padding, input_range=input_range,
                 )
                 assert np.array_equal(out, reference), (name, multiplier)
-
-    def test_matches_seed_entry_point(self):
-        """emulate_conv2d reproduces the original approx_conv2d exactly."""
-        inputs, filters, strides, padding = _case(SHAPES[0])
-        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
-        seed_path = approx_conv2d(inputs, filters, lut,
-                                  strides=strides, padding=padding)
-        new_path = emulate_conv2d(inputs, filters, lut,
-                                  strides=strides, padding=padding)
-        assert np.array_equal(seed_path, new_path)
 
 
 #: Grid for the LUT-GEMM kernel-variant parity test: [P, K] x [K, F] shapes
@@ -180,8 +175,7 @@ class TestKernelVariantParity:
         with monkeypatch.context() as pinned:
             for name in list(gemm_mod.KERNELS):
                 pinned.setitem(gemm_mod.KERNELS, name, lut_matmul_naive)
-            reference = emulate_conv2d(inputs, filters, multiplier,
-                                       chunk_size=4)
+            reference = emulate_conv2d(inputs, filters, multiplier)
 
         chosen = gemm_mod.KERNELS[expected]
         rows = []
@@ -191,7 +185,7 @@ class TestKernelVariantParity:
             return chosen(patches, *args, **kwargs)
 
         monkeypatch.setitem(gemm_mod.KERNELS, expected, spy)
-        out = emulate_conv2d(inputs, filters, multiplier, chunk_size=4)
+        out = emulate_conv2d(inputs, filters, multiplier)
         assert rows == [576]
         assert np.array_equal(out, reference)
 
@@ -356,11 +350,10 @@ class TestCaches:
 class TestRunReport:
     def test_gpusim_report_includes_launch_accounting(self):
         rng = np.random.default_rng(2)
-        inputs = rng.normal(size=(3, 5, 5, 2))
+        inputs = rng.normal(size=(CHUNK_SIZE + 1, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
         with collect_reports() as report:
-            emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim",
-                           chunk_size=2)
+            emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim")
         assert report.gpu is not None
         assert report.stats.chunks == 2
         assert report.gpu.kernel_launches == 4      # im2cols + gemm per chunk
@@ -372,12 +365,12 @@ class TestRunReport:
 
     def test_numpy_report_has_no_gpu_section_and_counts_work(self):
         rng = np.random.default_rng(2)
-        inputs = rng.normal(size=(2, 5, 5, 2))
+        inputs = rng.normal(size=(CHUNK_SIZE + 1, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
         with collect_reports() as report:
-            emulate_conv2d(inputs, filters, "mul8s_exact", chunk_size=1)
+            emulate_conv2d(inputs, filters, "mul8s_exact")
         assert report.gpu is None
-        positions = 2 * 5 * 5
+        positions = (CHUNK_SIZE + 1) * 5 * 5
         assert report.stats.macs == positions * 3 * 3 * 2 * 3
         assert report.stats.chunks == 2
         assert report.wall_time_s > 0
@@ -393,7 +386,6 @@ class TestRunReport:
         positions, depth, count = 5 * 5, 3 * 3 * 2, 3
         reference = ApproxConvStats(
             quantized_values=inputs.size + filters.size,
-            patch_matrix_bytes=positions * depth,
             output_values=positions * count,
             chunks=1,
             macs=positions * depth * count,
@@ -428,7 +420,7 @@ class TestRunReport:
         filters = rng.normal(size=(3, 3, 3, 4))
         lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
         prepared = dataclasses.replace(
-            prepare_conv2d(inputs, filters, lut),
+            _cold_pipeline().prepare(inputs, filters, lut),
             input_q=compute_coeffs_from_tensor(
                 inputs, qrange=IntegerRange.for_bits(12, signed=True)))
         with pytest.raises(TruthTableError, match="outside the table range"):
@@ -489,10 +481,6 @@ class TestCollectReports:
 
 
 class TestPipelineConfiguration:
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            InferencePipeline("numpy", chunk_size=0)
-
     def test_missing_multiplier(self):
         pipeline = InferencePipeline("numpy")
         with pytest.raises(ConfigurationError, match="multiplier"):
@@ -512,7 +500,7 @@ class TestPipelineConfiguration:
         filters = np.abs(rng.normal(size=(3, 3, 1, 2)))
         lut = LookupTable.from_multiplier(library.create("mul8u_drum4"))
         expected = emulate_conv2d(inputs, filters, "mul8u_drum4")
-        assert np.array_equal(approx_conv2d(inputs, filters, lut), expected)
+        assert np.array_equal(emulate_conv2d(inputs, filters, lut), expected)
         graph = Graph("unsigned")
         operands = [Constant(graph, value) for value in (
             inputs, filters, inputs.min(), inputs.max(),
@@ -523,12 +511,11 @@ class TestPipelineConfiguration:
         assert not prepared.filter_q.qrange.signed
         np.testing.assert_array_equal(
             node.compute([op.value for op in operands]),
-            approx_conv2d(inputs, filters, lut,
-                          input_range=(inputs.min(), inputs.max()),
-                          filter_range=(filters.min(), filters.max())))
+            emulate_conv2d(inputs, filters, lut,
+                           input_range=(inputs.min(), inputs.max()),
+                           filter_range=(filters.min(), filters.max())))
 
-    @pytest.mark.parametrize("engine", ["numpy", "cpusim", "gpusim",
-                                        "approx_conv2d"])
+    @pytest.mark.parametrize("engine", ["numpy", "cpusim", "gpusim"])
     @pytest.mark.parametrize("input_range", [None, (-1.0, 1.0)])
     def test_zero_image_batch_raises_shape_error(self, engine, input_range):
         """An empty batch or an empty filter bank (0-size kernel or F=0)
@@ -541,14 +528,9 @@ class TestPipelineConfiguration:
         for input_shape, filter_shape, filter_range in cases:
             inputs, filters = np.ones(input_shape), np.ones(filter_shape)
             with pytest.raises(ShapeError, match="empty"):
-                if engine == "approx_conv2d":
-                    approx_conv2d(inputs, filters, lut,
-                                  input_range=input_range,
-                                  filter_range=filter_range)
-                else:
-                    emulate_conv2d(inputs, filters, "mul8s_exact",
-                                   backend=engine, input_range=input_range,
-                                   filter_range=filter_range)
+                emulate_conv2d(inputs, filters, "mul8s_exact",
+                               backend=engine, input_range=input_range,
+                               filter_range=filter_range)
 
 class TestAxConv2DIntegration:
     def test_graph_op_routes_through_pipeline_and_caches(self):
@@ -567,11 +549,11 @@ class TestAxConv2DIntegration:
         f_max = Constant(graph, np.float64(w_val.max()), name="f_max")
         node = AxConv2D(graph, x, w, in_min, in_max, f_min, f_max, lut=lut)
 
-        expected = approx_conv2d(
+        expected = _cold_pipeline().run(
             x_val, w_val, lut,
             input_range=(float(x_val.min()), float(x_val.max())),
             filter_range=(float(w_val.min()), float(w_val.max())),
-        )
+        ).output
         feeds = [x_val, w_val, x_val.min(), x_val.max(), w_val.min(), w_val.max()]
         with collect_reports() as cold:
             first = node.compute(feeds)
@@ -642,11 +624,13 @@ class TestRowTables:
         for _ in range(2):
             prepared = pipeline.prepare(tall, filters, strides=(2, 2))
         assert prepared.row_table is not None
-        # Chunks of 8 images: 8 * 36 = 288 patch rows each.
+        # Two chunks of 3x3 images: 9 * CHUNK_SIZE = 288 patch rows each,
+        # though the whole batch has 576.
         pipeline, cache, inputs, filters = self._setup()
-        pipeline.chunk_size = 8
+        small = np.repeat(inputs[:, :3, :3], 2 * CHUNK_SIZE, axis=0)
+        assert 9 * CHUNK_SIZE < 512 <= 9 * len(small)
         for _ in range(2):
-            prepared = pipeline.prepare(tall, filters)
+            prepared = pipeline.prepare(small, filters)
         assert prepared.row_table is not None
 
     def test_never_for_a_factored_table(self):
@@ -688,6 +672,7 @@ class TestRowTables:
         assert cache.table_bytes == 0
 
     def test_runs_match_approx_conv2d_bit_for_bit(self, monkeypatch):
+        """Runs on a cached row table match a cold pipeline."""
         calls = []
         rowgather = gemm_mod.KERNELS["rowgather"]
 
@@ -696,8 +681,8 @@ class TestRowTables:
             return rowgather(patches, filters, *args, **kwargs)
 
         pipeline, cache, inputs, filters = self._setup()
-        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
-        expected = approx_conv2d(inputs, filters, lut, strides=(2, 2))
+        expected = _cold_pipeline().run(
+            inputs, filters, "mul8s_mitchell", strides=(2, 2)).output
         monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
         for _ in range(3):
             out = pipeline.run(inputs, filters, strides=(2, 2)).output
@@ -785,27 +770,28 @@ class TestDigestShortcut:
         view.setflags(write=False)
         pipeline.run(inputs, view)
         owner *= 2.0
-        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
-        np.testing.assert_array_equal(pipeline.run(inputs, view).output,
-                                      approx_conv2d(inputs, owner, lut))
+        np.testing.assert_array_equal(
+            pipeline.run(inputs, view).output,
+            _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
         assert cache.stats.misses == 2
 
     def test_an_unfrozen_owner_is_never_served_stale(self, monkeypatch):
+        inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
+        owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
+        expected = _cold_pipeline().run(
+            inputs, owner * 2.0, "mul8s_mitchell").output
         calls = self._hashes(monkeypatch)
         cache = FilterBankCache()
         pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
                                      filter_cache=cache)
-        inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
-        owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
         owner.flags.writeable = False
         pipeline.run(inputs, owner)
         # An array that owns its memory can be made writeable again.
         owner.flags.writeable = True
         owner *= 2.0
         owner.flags.writeable = False
-        lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
         np.testing.assert_array_equal(pipeline.run(inputs, owner).output,
-                                      approx_conv2d(inputs, owner, lut))
+                                      expected)
         assert cache.stats.misses == 2 and len(calls) == 2
         assert len(cache._digests) == 0
 
@@ -835,12 +821,12 @@ class TestSharedPipeline:
     def test_same_configuration_shares_one_instance(self):
         from repro.backends import shared_pipeline
 
-        first = shared_pipeline("numpy", chunk_size=16)
-        second = shared_pipeline("numpy", chunk_size=16)
-        other = shared_pipeline("numpy", chunk_size=8)
+        first = shared_pipeline("numpy")
+        second = shared_pipeline("numpy")
+        other = shared_pipeline("gpusim")
         assert first is second
         assert first is not other
-        assert first.chunk_size == 16 and other.chunk_size == 8
+        assert first.backend == "numpy" and other.backend == "gpusim"
 
     def test_emulate_conv2d_routes_through_the_shared_handle(self):
         from repro.backends import emulate_conv2d, shared_pipeline
@@ -849,11 +835,11 @@ class TestSharedPipeline:
         rng = np.random.default_rng(7)
         inputs = rng.normal(size=(2, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
-        emulate_conv2d(inputs, filters, "mul8s_exact", chunk_size=5)
+        emulate_conv2d(inputs, filters, "mul8s_exact")
         count = len(_SHARED_PIPELINES)
-        emulate_conv2d(inputs, filters, "mul8s_exact", chunk_size=5)
+        emulate_conv2d(inputs, filters, "mul8s_exact")
         assert len(_SHARED_PIPELINES) == count  # memoised, not re-created
-        handle = shared_pipeline("numpy", chunk_size=5)
+        handle = shared_pipeline("numpy")
         assert handle.multiplier is None  # callers never see a default
 
     def test_concurrent_runs_on_one_handle_are_identical(self):
@@ -861,7 +847,7 @@ class TestSharedPipeline:
 
         from repro.backends import shared_pipeline
 
-        pipeline = shared_pipeline("numpy", chunk_size=4)
+        pipeline = shared_pipeline("numpy")
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(4, 8, 8, 2))
         filters = rng.normal(size=(3, 3, 2, 4))

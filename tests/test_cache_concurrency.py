@@ -186,7 +186,7 @@ class TestInvalidateStress:
         lut_cache = LUTCache()
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_exact", chunk_size=2,
+            "numpy", multiplier="mul8s_exact",
             lut_cache=lut_cache, filter_cache=filter_cache,
         )
         rng = np.random.default_rng(4)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import InferencePipeline
+from repro.backends import InferencePipeline, emulate_conv2d
 from repro.conv import (
-    approx_conv2d,
+    CHUNK_SIZE,
     approx_conv2d_direct,
     approx_gemm,
     conv2d_direct,
@@ -17,12 +17,11 @@ from repro.conv import (
     fake_quant_conv2d,
     gemm_float,
     lut_matmul,
-    split_chunks,
 )
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ShapeError
 from repro.lut import LookupTable
 from repro.multipliers import library
-from repro.quantization import compute_coeffs_from_tensor
+from repro.quantization import compute_coeffs, compute_coeffs_from_tensor
 
 from lut_gemm_reference import lut_matmul_naive
 
@@ -64,20 +63,23 @@ class TestGemmPrimitives:
 
 
 class TestChunking:
-    def test_split_chunks_covers_batch(self):
-        chunks = split_chunks(10, 4)
-        assert chunks == [(0, 4), (4, 8), (8, 10)]
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            split_chunks(10, 0)
-
-    def test_chunk_size_does_not_change_result(self, small_conv_case,
-                                                mitchell_lut_signed):
-        inputs, filters = small_conv_case
-        a = approx_conv2d(inputs, filters, mitchell_lut_signed, chunk_size=1)
-        b = approx_conv2d(inputs, filters, mitchell_lut_signed, chunk_size=64)
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+    def test_chunk_size_does_not_change_result(self, rng, mitchell_lut_signed):
+        """A batch one image over the chunk size runs as two chunks on
+        every backend and matches the direct loop over the whole batch."""
+        inputs = rng.normal(size=(CHUNK_SIZE + 1, 4, 4, 2))
+        filters = rng.normal(size=(3, 3, 2, 2))
+        input_range, filter_range = (-3.0, 3.0), (-2.5, 2.5)
+        qrange = mitchell_lut_signed.qrange
+        expected = approx_conv2d_direct(
+            inputs, filters, mitchell_lut_signed,
+            compute_coeffs(*input_range, qrange=qrange),
+            compute_coeffs(*filter_range, qrange=qrange))
+        for backend in ("numpy", "cpusim", "gpusim"):
+            result = InferencePipeline(backend).run(
+                inputs, filters, mitchell_lut_signed,
+                input_range=input_range, filter_range=filter_range)
+            assert result.report.stats.chunks == 2, backend
+            np.testing.assert_array_equal(result.output, expected, backend)
 
 
 class TestApproxConv2D:
@@ -86,13 +88,13 @@ class TestApproxConv2D:
         inputs, filters = small_conv_case
         iq = compute_coeffs_from_tensor(inputs)
         fq = compute_coeffs_from_tensor(filters)
-        approx = approx_conv2d(inputs, filters, exact_lut_signed)
+        approx = emulate_conv2d(inputs, filters, exact_lut_signed)
         reference = fake_quant_conv2d(inputs, filters, iq, fq)
         np.testing.assert_allclose(approx, reference, atol=1e-9)
 
     def test_exact_lut_close_to_float_conv(self, small_conv_case, exact_lut_signed):
         inputs, filters = small_conv_case
-        approx = approx_conv2d(inputs, filters, exact_lut_signed)
+        approx = emulate_conv2d(inputs, filters, exact_lut_signed)
         accurate = conv2d_float(inputs, filters)
         # 8-bit quantisation error only.
         scale = np.abs(accurate).max()
@@ -103,7 +105,7 @@ class TestApproxConv2D:
         inputs, filters = small_conv_case
         iq = compute_coeffs_from_tensor(inputs)
         fq = compute_coeffs_from_tensor(filters)
-        gemm_out = approx_conv2d(
+        gemm_out = emulate_conv2d(
             inputs, filters, mitchell_lut_signed,
             input_range=(inputs.min(), inputs.max()),
             filter_range=(filters.min(), filters.max()),
@@ -119,7 +121,7 @@ class TestApproxConv2D:
     def test_strided_convolution(self, rng, exact_lut_signed):
         inputs = rng.normal(size=(1, 8, 8, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
-        approx = approx_conv2d(inputs, filters, exact_lut_signed, strides=(2, 2))
+        approx = emulate_conv2d(inputs, filters, exact_lut_signed, strides=(2, 2))
         accurate = conv2d_float(inputs, filters, strides=(2, 2))
         assert approx.shape == accurate.shape == (1, 4, 4, 3)
         scale = np.abs(accurate).max()
@@ -128,8 +130,8 @@ class TestApproxConv2D:
     def test_valid_padding_and_dilation(self, rng, exact_lut_signed):
         inputs = rng.normal(size=(1, 10, 10, 2))
         filters = rng.normal(size=(3, 3, 2, 2))
-        approx = approx_conv2d(inputs, filters, exact_lut_signed,
-                               dilations=(2, 2), padding="VALID")
+        approx = emulate_conv2d(inputs, filters, exact_lut_signed,
+                                dilations=(2, 2), padding="VALID")
         accurate = conv2d_float(inputs, filters, dilations=(2, 2), padding="VALID")
         assert approx.shape == accurate.shape
         scale = np.abs(accurate).max()
@@ -138,24 +140,25 @@ class TestApproxConv2D:
     def test_unsigned_range_with_unsigned_lut(self, rng, exact_lut_unsigned):
         inputs = rng.uniform(0, 1, size=(1, 6, 6, 2))
         filters = rng.uniform(0, 1, size=(3, 3, 2, 2))
-        approx = approx_conv2d(inputs, filters, exact_lut_unsigned)
+        approx = emulate_conv2d(inputs, filters, exact_lut_unsigned)
         accurate = conv2d_float(inputs, filters)
         scale = np.abs(accurate).max()
         assert np.max(np.abs(approx - accurate)) < 0.05 * scale
 
     def test_shape_validation(self, exact_lut_signed):
         with pytest.raises(ShapeError):
-            approx_conv2d(np.zeros((2, 4, 4)), np.zeros((3, 3, 1, 1)),
-                          exact_lut_signed)
+            emulate_conv2d(np.zeros((2, 4, 4)), np.zeros((3, 3, 1, 1)),
+                           exact_lut_signed)
         with pytest.raises(ShapeError):
-            approx_conv2d(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 1)),
-                          exact_lut_signed)
+            emulate_conv2d(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 1)),
+                           exact_lut_signed)
 
-    def test_stats_counters(self, small_conv_case, exact_lut_signed):
-        inputs, filters = small_conv_case
-        stats = InferencePipeline("numpy", chunk_size=1).run(
+    def test_stats_counters(self, rng, exact_lut_signed):
+        inputs = rng.normal(size=(CHUNK_SIZE + 1, 9, 9, 3))
+        filters = rng.normal(size=(3, 3, 3, 4))
+        stats = InferencePipeline("numpy").run(
             inputs, filters, exact_lut_signed).report.stats
-        positions = 2 * 9 * 9
+        positions = (CHUNK_SIZE + 1) * 9 * 9
         expected_lookups = positions * 27 * 4
         assert stats.macs == expected_lookups
         assert stats.chunks == 2
@@ -163,9 +166,9 @@ class TestApproxConv2D:
 
     def test_explicit_ranges_respected(self, small_conv_case, exact_lut_signed):
         inputs, filters = small_conv_case
-        wide = approx_conv2d(inputs, filters, exact_lut_signed,
-                             input_range=(-100.0, 100.0))
-        tight = approx_conv2d(inputs, filters, exact_lut_signed)
+        wide = emulate_conv2d(inputs, filters, exact_lut_signed,
+                              input_range=(-100.0, 100.0))
+        tight = emulate_conv2d(inputs, filters, exact_lut_signed)
         accurate = conv2d_float(inputs, filters)
         # A vastly oversized range wastes quantisation levels, so its error
         # must be larger than the per-batch range computed from the data.
@@ -183,7 +186,7 @@ def test_property_exact_lut_equals_fake_quant(seed):
     lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
     iq = compute_coeffs_from_tensor(inputs)
     fq = compute_coeffs_from_tensor(filters)
-    approx = approx_conv2d(inputs, filters, lut)
+    approx = emulate_conv2d(inputs, filters, lut)
     reference = fake_quant_conv2d(inputs, filters, iq, fq)
     np.testing.assert_allclose(approx, reference, atol=1e-9)
 
@@ -198,7 +201,7 @@ def test_property_gemm_and_direct_engines_agree(seed):
     lut = LookupTable.from_multiplier(library.create("mul8s_drum4"))
     iq = compute_coeffs_from_tensor(inputs)
     fq = compute_coeffs_from_tensor(filters)
-    gemm_out = approx_conv2d(
+    gemm_out = emulate_conv2d(
         inputs, filters, lut,
         input_range=(inputs.min(), inputs.max()),
         filter_range=(filters.min(), filters.max()),

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conv import approx_conv2d, approx_conv2d_direct
+from repro.backends import emulate_conv2d
+from repro.conv import approx_conv2d_direct
 from repro.cpusim import CPUTimingModel
 from repro.errors import ConfigurationError, ShapeError
 from repro.hwspec import CPUSpec, GPUSpec, PAPER_SYSTEM, SystemSpec
@@ -119,7 +120,7 @@ class TestCPUTimingModel:
         iq = compute_coeffs_from_tensor(inputs)
         fq = compute_coeffs_from_tensor(filters)
         direct = approx_conv2d_direct(inputs, filters, lut, iq, fq)
-        gemm = approx_conv2d(
+        gemm = emulate_conv2d(
             inputs, filters, lut,
             input_range=(inputs.min(), inputs.max()),
             filter_range=(filters.min(), filters.max()),

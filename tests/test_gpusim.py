@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import InferencePipeline
-from repro.conv import approx_conv2d, prepare_conv2d
+from repro.backends import InferencePipeline, emulate_conv2d
+from repro.conv import CHUNK_SIZE
 from repro.errors import ConfigurationError, DeviceError
 from repro.gpusim import (
     DeviceCounters,
@@ -142,11 +142,11 @@ class TestKernels:
 
 class TestGPUEngine:
     def test_engine_matches_numpy_reference(self, rng, mitchell_lut_signed):
-        pipeline = InferencePipeline("gpusim", chunk_size=2)
-        inputs = rng.normal(size=(5, 7, 7, 3))
+        pipeline = InferencePipeline("gpusim")
+        inputs = rng.normal(size=(2 * CHUNK_SIZE + 1, 7, 7, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
         result = pipeline.run(inputs, filters, mitchell_lut_signed)
-        ref = approx_conv2d(inputs, filters, mitchell_lut_signed, chunk_size=2)
+        ref = emulate_conv2d(inputs, filters, mitchell_lut_signed)
         np.testing.assert_allclose(result.output, ref, atol=1e-9)
         assert result.report.stats.chunks == 3
         assert result.report.gpu.kernel_launches == 6
@@ -159,10 +159,11 @@ class TestGPUEngine:
         device = GPUDevice()
         inputs = rng.normal(size=(2, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
-        prepared = prepare_conv2d(inputs, filters, mitchell_lut_signed)
+        prepared = InferencePipeline("gpusim").prepare(
+            inputs, filters, mitchell_lut_signed)
         output = run_gpusim_chunk(device, inputs, prepared)
         np.testing.assert_array_equal(
-            output, approx_conv2d(inputs, filters, mitchell_lut_signed))
+            output, emulate_conv2d(inputs, filters, mitchell_lut_signed))
         assert [launch.name for launch in device.counters.launches] == [
             "ax_im2cols", "ax_gemm"]
         # One fetch per MAC: 2*5*5 patches x 3 filters x 3*3*2 taps.
@@ -174,8 +175,6 @@ class TestGPUEngine:
         with pytest.raises(ShapeError):
             pipeline.run(np.zeros((1, 4, 4)), np.zeros((3, 3, 1, 1)),
                          exact_lut_unsigned)
-        with pytest.raises(ConfigurationError):
-            InferencePipeline("gpusim", chunk_size=0)
 
 
 class TestGPUTimingModel:
@@ -215,9 +214,6 @@ class TestGPUTimingModel:
             GPUTimingModel(gemm_efficiency=0.0)
         with pytest.raises(ConfigurationError):
             GPUTimingModel(quant_elements_per_second=-1)
-        model = GPUTimingModel()
-        with pytest.raises(ConfigurationError):
-            model.approximate_inference(self.WORKLOAD, 100, chunk_size=0)
 
     def test_custom_spec_changes_throughput(self):
         slow_spec = GPUSpec(name="slow", sm_count=4)

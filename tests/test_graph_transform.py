@@ -12,6 +12,7 @@ from repro.graph import (
     Graph,
     approximate_graph,
     approximate_graph_layerwise,
+    freeze_ranges,
     restore_accurate_graph,
 )
 from repro.graph.ops import (
@@ -22,6 +23,7 @@ from repro.graph.ops import (
     Placeholder,
     ReLU,
 )
+from repro.graph.transform import RANGE_MARGIN
 from repro.lut import LookupTable
 from repro.models import build_simple_cnn
 from repro.multipliers import ExactMultiplier, library
@@ -187,6 +189,34 @@ class TestRestoreAccurateGraph:
         assert counts == {"Conv2D": 2, "AxConv2D": 0,
                           "ReduceMin": 0, "ReduceMax": 0}
         np.testing.assert_allclose(Executor(g).run(out, {x: batch}), reference)
+
+
+class TestFreezeRanges:
+    def test_frozen_ranges_make_samples_batch_invariant(self, rng):
+        g = Graph("one_conv")
+        x = Placeholder(g, (None, 6, 6, 2), name="input")
+        filters = rng.normal(size=(3, 3, 2, 3))
+        Conv2D(g, x, Constant(g, filters, name="w"), name="conv")
+        approximate_graph(g, library.create("mul8s_mitchell"))
+        (ax,) = g.nodes_by_type(AxConv2D.op_type)
+        calibration = rng.normal(size=(4, 6, 6, 2))
+
+        assert freeze_ranges(g, {x: calibration}) == 4
+        assert op_counts(g, "ReduceMin", "ReduceMax") == {
+            "ReduceMin": 0, "ReduceMax": 0}
+        in_min, in_max, f_min, f_max = (
+            float(node.value) for node in ax.inputs[2:6])
+        low, high = float(calibration.min()), float(calibration.max())
+        widen = RANGE_MARGIN * (high - low)
+        assert (in_min, in_max) == (low - widen, high + widen)
+        assert (f_min, f_max) == (filters.min(), filters.max())
+
+        sample = 0.5 * calibration[:1]
+        outlier = 10.0 * calibration[1:2]
+        assert outlier.max() > in_max
+        alone = Executor(g).run(ax, {x: sample})
+        batched = Executor(g).run(ax, {x: np.concatenate([sample, outlier])})
+        np.testing.assert_array_equal(batched[:1], alone)
 
 
 class TestAxConv2DNode:

@@ -18,7 +18,6 @@ from repro.evaluation import (
     run_inference,
 )
 from repro.backends import InferencePipeline
-from repro.conv import prepare_conv2d
 from repro.graph import Executor, approximate_graph
 from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.lut import LookupTable
@@ -104,7 +103,7 @@ class TestGPUDeviceEndToEnd:
         inputs = rng.normal(size=(4, 8, 8, 3))
         filters = rng.normal(size=(3, 3, 3, 8))
 
-        gpu_out = InferencePipeline("gpusim", chunk_size=2).run(
+        gpu_out = InferencePipeline("gpusim").run(
             inputs, filters, lut).output
 
         from repro.graph import Graph
@@ -114,7 +113,7 @@ class TestGPUDeviceEndToEnd:
         w = Constant(g, filters)
         ax = AxConv2D(g, x, w,
                       ReduceMin(g, x), ReduceMax(g, x),
-                      ReduceMin(g, w), ReduceMax(g, w), lut=lut, chunk_size=2)
+                      ReduceMin(g, w), ReduceMax(g, w), lut=lut)
         host_out = Executor(g).run(ax, {x: inputs})
         np.testing.assert_allclose(gpu_out, host_out, atol=1e-9)
 
@@ -124,10 +123,11 @@ class TestGPUDeviceEndToEnd:
         small = rng.normal(size=(2, 6, 6, 2))
         large = rng.normal(size=(4, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
-        run_gpusim_chunk(device, small, prepare_conv2d(small, filters, lut))
+        pipeline = InferencePipeline("gpusim", multiplier=lut)
+        run_gpusim_chunk(device, small, pipeline.prepare(small, filters))
         fetches_small = device.counters.texture_fetches
         device.reset()
-        run_gpusim_chunk(device, large, prepare_conv2d(large, filters, lut))
+        run_gpusim_chunk(device, large, pipeline.prepare(large, filters))
         fetches_large = device.counters.texture_fetches
         assert fetches_large == 2 * fetches_small
 

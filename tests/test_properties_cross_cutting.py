@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.conv import approx_conv2d, conv2d_float, lut_matmul
+from repro.backends import emulate_conv2d
+from repro.conv import conv2d_float, lut_matmul
 from repro.graph import Executor, Graph, approximate_graph
 from repro.graph.ops import Constant, Conv2D, Placeholder, ReLU
 from repro.lut import LookupTable
@@ -53,7 +54,7 @@ def test_conv_error_scales_with_multiplier_error(dropped, seed):
     def mean_error(bits):
         lut = LookupTable.from_multiplier(
             TruncatedProductMultiplier(8, dropped_bits=bits, signed=True))
-        out = approx_conv2d(inputs, filters, lut)
+        out = emulate_conv2d(inputs, filters, lut)
         return float(np.abs(out - accurate).mean())
 
     assert mean_error(dropped) <= mean_error(12) + 1e-9
@@ -102,8 +103,8 @@ def test_quantized_conv_commutes_with_scaling(seed):
     inputs = rng.normal(size=(1, 5, 5, 2))
     filters = rng.normal(size=(3, 3, 2, 2))
     lut = LookupTable.from_multiplier(library.create("mul8s_exact"))
-    base = approx_conv2d(inputs, filters, lut)
-    scaled = approx_conv2d(inputs * scale, filters, lut)
+    base = emulate_conv2d(inputs, filters, lut)
+    scaled = emulate_conv2d(inputs * scale, filters, lut)
     tolerance = 0.1 * np.abs(base * scale).max() + 1e-6
     assert np.max(np.abs(scaled - base * scale)) < tolerance
 

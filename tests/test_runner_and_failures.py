@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conv import approx_conv2d
+from repro.backends import emulate_conv2d
 from repro.datasets import generate_cifar_like
 from repro.errors import (
     ConfigurationError,
@@ -86,7 +86,7 @@ class TestFailureInjection:
         inputs = np.full((1, 4, 4, 1), np.nan)
         filters = np.ones((3, 3, 1, 1))
         with pytest.raises(TFApproxError):
-            approx_conv2d(inputs, filters, exact_lut_signed)
+            emulate_conv2d(inputs, filters, exact_lut_signed)
 
     def test_inf_range_rejected(self):
         with pytest.raises(QuantizationError):
@@ -123,10 +123,10 @@ class TestFailureInjection:
         inputs = np.zeros((1, 4, 4, 3))
         filters = np.zeros((3, 3, 2, 4))
         with pytest.raises(ShapeError):
-            approx_conv2d(inputs, filters, exact_lut_signed)
+            emulate_conv2d(inputs, filters, exact_lut_signed)
 
     def test_empty_batch_is_rejected(self, exact_lut_signed):
         inputs = np.zeros((0, 4, 4, 1))
         filters = np.ones((3, 3, 1, 1))
         with pytest.raises(TFApproxError):
-            approx_conv2d(inputs, filters, exact_lut_signed)
+            emulate_conv2d(inputs, filters, exact_lut_signed)
