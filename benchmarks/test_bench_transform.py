@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graph import approximate_graph, restore_accurate_graph
+from repro.graph import approximate_graph
 from repro.models import build_resnet
 from repro.multipliers import library
 
@@ -39,18 +39,3 @@ def test_transform_resnet(benchmark, depth):
     assert histogram.get("Conv2D", 0) == 0
     assert histogram["ReduceMin"] == 2 * (depth - 1)
 
-
-@pytest.mark.benchmark(group="transform")
-def test_transform_round_trip(benchmark):
-    """Transform + restore returns the graph to its original structure."""
-    def round_trip():
-        model = build_resnet(14, seed=0)
-        before = model.graph.op_type_histogram()
-        approximate_graph(model.graph, library.create("mul8s_exact"))
-        restore_accurate_graph(model.graph)
-        after = model.graph.op_type_histogram()
-        return before, after
-
-    before, after = benchmark(round_trip)
-    assert before["Conv2D"] == after["Conv2D"]
-    assert "AxConv2D" not in after

@@ -18,7 +18,7 @@ self-contained Python library:
 * :mod:`repro.models`, :mod:`repro.datasets`, :mod:`repro.evaluation` -- the
   CIFAR ResNets, a synthetic CIFAR-10 stand-in and the experiment harness;
 * :mod:`repro.train` -- approximate-aware training: the STE backward pass,
-  optimisers, LR schedules and the fine-tuning loop;
+  the SGD optimiser and the fine-tuning loop;
 * :mod:`repro.dse` -- layer-wise multiplier design-space exploration: search
   strategies, Pareto-front bookkeeping and the budgeted evaluation engine;
 * :mod:`repro.serve` -- the micro-batching emulation service: work-conserving

@@ -15,10 +15,8 @@ from .padding import ConvGeometry, resolve_geometry
 from .reference import (
     approx_conv2d_direct,
     approx_conv2d_direct_quantized,
-    conv2d_direct,
     conv2d_float,
     conv2d_float_backward,
-    fake_quant_conv2d,
 )
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "resolve_geometry",
     "conv2d_float",
     "conv2d_float_backward",
-    "conv2d_direct",
     "approx_conv2d_direct",
     "approx_conv2d_direct_quantized",
-    "fake_quant_conv2d",
 ]

@@ -1,23 +1,18 @@
 """Reference convolution engines.
 
-Three engines live here:
+Two engines live here, with the float backward pass:
 
 * :func:`conv2d_float` -- accurate float convolution via im2col + GEMM; this
   is the behaviour of TensorFlow's native ``Conv2D`` that the accurate
-  columns of Table I measure.
-* :func:`conv2d_direct` -- the same accurate convolution written as the naive
-  nested loop.  It is only used by the tests (to validate the im2col/GEMM
-  path against an independent formulation) and by very small examples.
+  columns of Table I measure.  :func:`conv2d_float_backward` is its
+  gradient, which ``AxConv2D`` reuses under the straight-through estimator.
 * :func:`approx_conv2d_direct` -- the ALWANN-style direct approximate
   convolution: the system of nested loops over batch, output pixel and output
   channel that reference [12] of the paper used on the CPU, with each scalar
   multiplication served by the multiplier LUT.  The paper's CPU baseline for
   the approximate columns of Table I is this algorithm; its poor GPU
   parallelisability is what motivates the GEMM-based design of Section III.
-* :func:`fake_quant_conv2d` -- quantise inputs and filters, run an *exact*
-  integer convolution and dequantise.  The paper states the approximate layer
-  with an accurate multiplier matches exactly this computation, which the
-  test-suite verifies against :func:`repro.backends.emulate_conv2d`.
+  The ``cpusim`` backend runs it.
 """
 
 from __future__ import annotations
@@ -27,8 +22,8 @@ import numpy as np
 from ..errors import ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
-from .im2col import col2im, filter_sums, flatten_filters, im2col
-from .gemm import dequantize_gemm, gemm_float
+from .im2col import col2im, flatten_filters, im2col
+from .gemm import gemm_float
 from .padding import resolve_geometry
 
 
@@ -96,48 +91,6 @@ def conv2d_float_backward(grad_output: np.ndarray, inputs: np.ndarray,
         strides=strides, dilations=dilations, padding=padding,
     )
     return grad_inputs, grad_filters
-
-
-def conv2d_direct(inputs: np.ndarray, filters: np.ndarray, *,
-                  strides=(1, 1), dilations=(1, 1),
-                  padding: str = "SAME") -> np.ndarray:
-    """Accurate float convolution written as the naive nested loop.
-
-    Quadratically slower than :func:`conv2d_float`; intended for validation
-    on small tensors only.
-    """
-    _check_conv_args(inputs, filters)
-    batch, in_h, in_w, channels = inputs.shape
-    kh, kw, _, count = filters.shape
-    geometry = resolve_geometry(
-        in_h, in_w, kh, kw, strides=strides, dilations=dilations, padding=padding,
-    )
-    padded = np.pad(
-        inputs.astype(np.float64),
-        ((0, 0),
-         (geometry.pad_top, geometry.pad_bottom),
-         (geometry.pad_left, geometry.pad_right),
-         (0, 0)),
-    )
-    out = np.zeros(
-        (batch, geometry.output_height, geometry.output_width, count),
-        dtype=np.float64,
-    )
-    for n in range(batch):
-        for oy in range(geometry.output_height):
-            for ox in range(geometry.output_width):
-                y0 = oy * geometry.stride_h
-                x0 = ox * geometry.stride_w
-                for f in range(count):
-                    acc = 0.0
-                    for ky in range(kh):
-                        for kx in range(kw):
-                            iy = y0 + ky * geometry.dilation_h
-                            ix = x0 + kx * geometry.dilation_w
-                            for c in range(channels):
-                                acc += padded[n, iy, ix, c] * filters[ky, kx, c, f]
-                    out[n, oy, ox, f] = acc
-    return out
 
 
 def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
@@ -231,35 +184,3 @@ def approx_conv2d_direct_quantized(inputs: np.ndarray, q_filters: np.ndarray,
                     )
                     out[n, oy, ox, f] = alpha1 * alpha2 * corrected
     return out
-
-
-def fake_quant_conv2d(inputs: np.ndarray, filters: np.ndarray,
-                      input_q: QuantParams, filter_q: QuantParams, *,
-                      strides=(1, 1), dilations=(1, 1),
-                      padding: str = "SAME") -> np.ndarray:
-    """Quantise, convolve exactly in the integer domain and dequantise.
-
-    This is TensorFlow's quantise→conv→dequantise reference; with an exact
-    multiplier LUT the approximate engines must reproduce it bit for bit
-    (up to float summation order).
-    """
-    _check_conv_args(inputs, filters)
-    batch = inputs.shape[0]
-    kh, kw, _, count = filters.shape
-
-    q_inputs = input_q.quantize(inputs).astype(np.float64)
-    q_filters = filter_q.quantize(filters).astype(np.float64)
-
-    patches, geometry = im2col(
-        q_inputs, kh, kw, strides=strides, dilations=dilations, padding=padding,
-        pad_value=float(input_q.zero_point),
-    )
-    flat = flatten_filters(q_filters)
-    acc = patches @ flat
-
-    patch_sums = patches.sum(axis=1)
-    f_sums = filter_sums(flat.astype(np.int64))
-    out = dequantize_gemm(
-        acc, patch_sums, f_sums, patches.shape[1], input_q, filter_q,
-    )
-    return out.reshape(batch, geometry.output_height, geometry.output_width, count)

@@ -19,7 +19,6 @@ from .transform import (
     TransformReport,
     approximate_graph,
     freeze_ranges,
-    restore_accurate_graph,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "ops",
     "replace_consumers",
     "approximate_graph",
-    "restore_accurate_graph",
     "freeze_ranges",
     "TransformReport",
     "approximate_graph_layerwise",

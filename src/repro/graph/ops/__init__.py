@@ -6,18 +6,15 @@ from .basic import (
     Constant,
     Flatten,
     Identity,
-    Multiply,
     Pad,
     Placeholder,
     ReduceMax,
     ReduceMin,
     ReLU,
-    Reshape,
     Softmax,
 )
 from .conv import AxConv2D, Conv2D
 from .dense import MatMul
-from .norm import BatchNorm
 from .pool import AvgPool2D, GlobalAvgPool, MaxPool2D
 
 __all__ = [
@@ -25,19 +22,16 @@ __all__ = [
     "Constant",
     "Identity",
     "Add",
-    "Multiply",
     "BiasAdd",
     "ReLU",
     "Softmax",
     "Flatten",
-    "Reshape",
     "Pad",
     "ReduceMin",
     "ReduceMax",
     "Conv2D",
     "AxConv2D",
     "MatMul",
-    "BatchNorm",
     "MaxPool2D",
     "AvgPool2D",
     "GlobalAvgPool",

@@ -146,27 +146,6 @@ class Add(Node):
         return input_shapes[0] or input_shapes[1]
 
 
-class Multiply(Node):
-    """Elementwise multiplication."""
-
-    op_type = "Multiply"
-
-    def __init__(self, graph, a: Node, b: Node, *, name: str | None = None) -> None:
-        super().__init__(graph, name, [a, b])
-
-    def compute(self, inputs: list[np.ndarray]) -> np.ndarray:
-        self._expect_inputs(inputs, 2)
-        return inputs[0] * inputs[1]
-
-    def backward(self, grad_output, ctx: OpContext):
-        a, b = ctx.inputs
-        return [unbroadcast(grad_output * b, a.shape),
-                unbroadcast(grad_output * a, b.shape)]
-
-    def infer_shape(self, input_shapes):
-        return input_shapes[0] or input_shapes[1]
-
-
 class BiasAdd(Node):
     """Add a per-channel bias vector to an NHWC or NC tensor."""
 
@@ -262,29 +241,6 @@ class Flatten(Node):
         for s in shape[1:]:
             flat *= s
         return (shape[0], flat)
-
-
-class Reshape(Node):
-    """Reshape to a fixed target shape (``-1`` allowed once)."""
-
-    op_type = "Reshape"
-
-    def __init__(self, graph, x: Node, shape: Sequence[int], *,
-                 name: str | None = None) -> None:
-        self._target = tuple(int(s) for s in shape)
-        super().__init__(graph, name, [x])
-
-    def compute(self, inputs: list[np.ndarray]) -> np.ndarray:
-        self._expect_inputs(inputs, 1)
-        return inputs[0].reshape(self._target)
-
-    def backward(self, grad_output, ctx: OpContext):
-        return [grad_output.reshape(ctx.inputs[0].shape)]
-
-    def infer_shape(self, input_shapes):
-        if -1 in self._target:
-            return None
-        return self._target
 
 
 class Pad(Node):

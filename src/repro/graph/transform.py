@@ -184,28 +184,3 @@ def freeze_ranges(graph: Graph, feeds: dict) -> int:
         frozen += 1
     graph.validate()
     return frozen
-
-
-def restore_accurate_graph(graph: Graph) -> int:
-    """Inverse transformation: turn every ``AxConv2D`` back into ``Conv2D``.
-
-    The Min/Max range nodes become dead and are removed.  Returns the number
-    of restored layers.  Useful for A/B comparisons on the same graph object.
-    """
-    restored = 0
-    for ax in list(graph.nodes_by_type(AxConv2D.op_type)):
-        data, filters = ax.inputs[0], ax.inputs[1]
-        range_nodes = list(ax.inputs[2:])
-        conv = Conv2D(
-            graph, data, filters,
-            strides=ax.strides, dilations=ax.dilations, padding=ax.padding,
-            name=f"{ax.name}/accurate",
-        )
-        replace_consumers(graph, ax, conv)
-        graph.remove(ax)
-        for node in range_nodes:
-            if not graph.consumers(node):
-                graph.remove(node)
-        restored += 1
-    graph.validate()
-    return restored

@@ -9,7 +9,6 @@ from .resnet import (
     conv_workloads_for_depth,
 )
 from .simple_cnn import SimpleCNNModel, build_simple_cnn
-from .summary import conv_workloads_from_graph
 
 __all__ = [
     "calibrate_classifier",
@@ -22,5 +21,4 @@ __all__ = [
     "conv_workloads_for_depth",
     "SimpleCNNModel",
     "build_simple_cnn",
-    "conv_workloads_from_graph",
 ]

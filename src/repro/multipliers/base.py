@@ -231,10 +231,10 @@ class ExactMultiplier(Multiplier):
 class TableMultiplier(Multiplier):
     """Multiplier defined directly by a truth table.
 
-    This is the entry point for external circuits: EvoApprox-style designs
-    shipped as C behavioural models can be exported as binary truth tables
-    (see :mod:`repro.multipliers.truthtable`) and loaded here without having a
-    Python implementation of the circuit.
+    This is the entry point for external circuits: an EvoApprox-style design
+    shipped as a TFApprox binary truth table is read with
+    :func:`repro.multipliers.truthtable.load_binary` and wrapped here without
+    a Python implementation of the circuit.
     """
 
     def __init__(self, table: np.ndarray, *, bit_width: int = 8,

@@ -1,22 +1,20 @@
-"""Truth-table import and export.
+"""Truth-table validation and the TFApprox binary format.
 
 The released TFApprox artefacts ship approximate multipliers as flat binary
 truth tables (one product per operand-pair, operand ``a`` in the outer loop),
 which the CUDA code memory-maps straight into the texture object.  This module
-reads and writes the same layout plus two softer formats (``.npy`` and a
-human-readable text format) that are convenient for tests and for exchanging
-circuits with other tools.
+reads and writes that layout (:func:`save_binary` / :func:`load_binary`);
+wrap a loaded table in :class:`~repro.multipliers.base.TableMultiplier` to
+use it as a multiplier.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import TruthTableError
-from .base import Multiplier, TableMultiplier
 
 
 def _table_side(bit_width: int) -> int:
@@ -89,95 +87,3 @@ def load_binary(path: str | Path, *, bit_width: int = 8,
         )
     table = np.frombuffer(raw, dtype=dtype).astype(np.int64).reshape(side, side)
     return validate_table(table, bit_width, signed=signed)
-
-
-# ----------------------------------------------------------------------
-# NumPy format
-# ----------------------------------------------------------------------
-def save_npy(table: np.ndarray, path: str | Path, *, bit_width: int = 8,
-             signed: bool = False) -> None:
-    """Write a truth table as a ``.npy`` file."""
-    np.save(Path(path), validate_table(table, bit_width, signed=signed))
-
-
-def load_npy(path: str | Path, *, bit_width: int = 8,
-             signed: bool = False) -> np.ndarray:
-    """Read a truth table from a ``.npy`` file."""
-    return validate_table(np.load(Path(path)), bit_width, signed=signed)
-
-
-# ----------------------------------------------------------------------
-# Text format: "a b product" per line, '#' comments allowed
-# ----------------------------------------------------------------------
-def save_text(table: np.ndarray, path: str | Path, *, bit_width: int = 8,
-              signed: bool = False) -> None:
-    """Write a truth table as a three-column text file (``a b product``).
-
-    Operands are written as raw bit patterns so the file round-trips
-    regardless of signedness.
-    """
-    table = validate_table(table, bit_width, signed=signed)
-    side = _table_side(bit_width)
-    buf = io.StringIO()
-    buf.write(f"# {bit_width}-bit {'signed' if signed else 'unsigned'} multiplier\n")
-    buf.write("# a_bits b_bits product\n")
-    for a in range(side):
-        for b in range(side):
-            buf.write(f"{a} {b} {int(table[a, b])}\n")
-    Path(path).write_text(buf.getvalue())
-
-
-def load_text(path: str | Path, *, bit_width: int = 8,
-              signed: bool = False) -> np.ndarray:
-    """Read a truth table written by :func:`save_text`."""
-    side = _table_side(bit_width)
-    table = np.zeros((side, side), dtype=np.int64)
-    seen = np.zeros((side, side), dtype=bool)
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise TruthTableError(f"{path}:{lineno}: expected 'a b product'")
-        try:
-            a, b, product = (int(p) for p in parts)
-        except ValueError as exc:
-            raise TruthTableError(f"{path}:{lineno}: non-integer field") from exc
-        if not (0 <= a < side and 0 <= b < side):
-            raise TruthTableError(
-                f"{path}:{lineno}: operand bit pattern out of range [0, {side})"
-            )
-        table[a, b] = product
-        seen[a, b] = True
-    if not seen.all():
-        missing = int((~seen).sum())
-        raise TruthTableError(f"{path}: {missing} operand pairs missing from table")
-    return validate_table(table, bit_width, signed=signed)
-
-
-# ----------------------------------------------------------------------
-# Convenience round-trips
-# ----------------------------------------------------------------------
-def export_multiplier(multiplier: Multiplier, path: str | Path,
-                      fmt: str = "binary") -> None:
-    """Export a multiplier's truth table to ``path`` in the given format."""
-    table = multiplier.truth_table()
-    writer = {"binary": save_binary, "npy": save_npy, "text": save_text}.get(fmt)
-    if writer is None:
-        raise TruthTableError(f"unknown truth-table format {fmt!r}")
-    writer(table, path, bit_width=multiplier.bit_width, signed=multiplier.signed)
-
-
-def import_multiplier(path: str | Path, *, bit_width: int = 8,
-                      signed: bool = False, fmt: str = "binary",
-                      name: str | None = None) -> TableMultiplier:
-    """Load a truth table from ``path`` and wrap it as a multiplier."""
-    reader = {"binary": load_binary, "npy": load_npy, "text": load_text}.get(fmt)
-    if reader is None:
-        raise TruthTableError(f"unknown truth-table format {fmt!r}")
-    table = reader(path, bit_width=bit_width, signed=signed)
-    return TableMultiplier(
-        table, bit_width=bit_width, signed=signed,
-        name=name or Path(path).stem,
-    )

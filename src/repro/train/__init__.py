@@ -1,4 +1,4 @@
-"""Approximate-aware training: losses, optimisers, schedules and the loop.
+"""Approximate-aware training: the loss, the optimiser and the loop.
 
 The paper's point is that emulation fast enough for *retraining* is what
 makes approximate accelerators practical -- its evaluation retrains CIFAR
@@ -8,12 +8,10 @@ around gradient support for approximate-multiplier emulation.  This package
 adds that capability to the reproduction:
 
 * :mod:`repro.train.losses` -- softmax cross-entropy and its logit gradient;
-* :mod:`repro.train.optim` -- SGD (momentum/weight decay) and Adam over
-  graph ``Constant`` parameters;
-* :mod:`repro.train.schedules` -- constant / step-decay / cosine learning
-  rates;
+* :mod:`repro.train.optim` -- SGD with momentum over graph ``Constant``
+  parameters;
 * :mod:`repro.train.trainer` -- the mini-batch :class:`Trainer` loop with
-  deterministic shuffling, checkpointing and filter-bank cache hygiene.
+  deterministic shuffling and filter-bank cache hygiene.
 
 Gradients flow through the approximate ``AxConv2D`` layers under the
 straight-through-estimator convention: quantised, approximate forward;
@@ -21,8 +19,7 @@ exact float backward through the dequantised values.
 """
 
 from .losses import log_softmax, one_hot, softmax_cross_entropy
-from .optim import Adam, Optimizer, SGD
-from .schedules import ConstantLR, CosineAnnealingLR, LRSchedule, StepDecayLR
+from .optim import Optimizer, SGD
 from .trainer import EpochMetrics, Trainer, TrainHistory, trainable_constants
 
 __all__ = [
@@ -31,11 +28,6 @@ __all__ = [
     "one_hot",
     "Optimizer",
     "SGD",
-    "Adam",
-    "LRSchedule",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineAnnealingLR",
     "Trainer",
     "TrainHistory",
     "EpochMetrics",

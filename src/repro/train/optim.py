@@ -1,11 +1,10 @@
-"""Gradient-descent optimisers over graph ``Constant`` parameters.
+"""Gradient descent over graph ``Constant`` parameters.
 
 Parameters in the graph framework are :class:`~repro.graph.ops.basic.Constant`
 nodes; an optimiser owns a list of them and applies in-place updates through
 ``Constant.set_value`` from the gradient dictionary produced by
-:meth:`repro.graph.Executor.backward`.  SGD (with momentum and weight decay)
-and Adam cover the configurations used by the paper's CIFAR retraining and by
-the ApproxTrain fine-tuning recipes.
+:meth:`repro.graph.Executor.backward`.  SGD with momentum is the update rule
+of the paper's CIFAR retraining and of the ApproxTrain fine-tuning recipe.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from ..graph.ops.basic import Constant
 
 
 class Optimizer:
-    """Base class: owns the parameter list and the (mutable) learning rate."""
+    """Base class: owns the parameter list and the learning rate."""
 
     def __init__(self, params: Sequence[Constant], lr: float) -> None:
         params = list(params)
@@ -58,8 +57,8 @@ class Optimizer:
         """Apply one update from a gradient dictionary.
 
         Parameters missing from ``grads`` are left untouched.  A zero
-        gradient is a real gradient: momentum keeps coasting and weight
-        decay keeps shrinking the parameter, per the classic formulation.
+        gradient is a real gradient: momentum keeps coasting, per the
+        classic formulation.
         (Non-trainable constants are excluded structurally by
         :func:`repro.train.trainer.trainable_constants`, not by gradient
         value.)
@@ -75,71 +74,25 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and L2 weight decay.
+    """Stochastic gradient descent with momentum.
 
-    The update follows the classic (coupled) formulation used by the CIFAR
-    ResNet training recipes: ``g += weight_decay * w``;
-    ``v = momentum * v + g``; ``w -= lr * v`` (or the Nesterov look-ahead
-    variant when ``nesterov`` is set).
+    The update follows the classic formulation used by the CIFAR ResNet
+    training recipes: ``v = momentum * v + g``; ``w -= lr * v``.
     """
 
     def __init__(self, params: Sequence[Constant], lr: float = 0.01, *,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False) -> None:
+                 momentum: float = 0.0) -> None:
         super().__init__(params, lr)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
-        if weight_decay < 0.0:
-            raise ConfigurationError("weight_decay must be non-negative")
-        if nesterov and momentum == 0.0:
-            raise ConfigurationError("nesterov requires a non-zero momentum")
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
-        self.nesterov = nesterov
         self._velocity: dict[int, np.ndarray] = {}
 
     def _update(self, index: int, param: Constant, grad: np.ndarray) -> None:
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.value
         if self.momentum:
             velocity = self._velocity.get(index)
             if velocity is None:
                 velocity = np.zeros_like(param.value)
-            velocity = self.momentum * velocity + grad
-            self._velocity[index] = velocity
-            grad = grad + self.momentum * velocity if self.nesterov else velocity
+            grad = self.momentum * velocity + grad
+            self._velocity[index] = grad
         param.set_value(param.value - self.lr * grad)
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional L2 weight decay."""
-
-    def __init__(self, params: Sequence[Constant], lr: float = 1e-3, *,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr)
-        beta1, beta2 = float(betas[0]), float(betas[1])
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigurationError("betas must lie in [0, 1)")
-        if eps <= 0.0:
-            raise ConfigurationError("eps must be positive")
-        if weight_decay < 0.0:
-            raise ConfigurationError("weight_decay must be non-negative")
-        self.betas = (beta1, beta2)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self._moments: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-
-    def _update(self, index: int, param: Constant, grad: np.ndarray) -> None:
-        beta1, beta2 = self.betas
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.value
-        m, v, t = self._moments.get(
-            index, (np.zeros_like(param.value), np.zeros_like(param.value), 0))
-        t += 1
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        self._moments[index] = (m, v, t)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        param.set_value(param.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))

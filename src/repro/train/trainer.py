@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from ..graph.node import Node
 from ..graph.ops.basic import Constant
 from .losses import softmax_cross_entropy
 from .optim import Optimizer
-from .schedules import LRSchedule
 
 
 def trainable_constants(graph: Graph, output: Node) -> list[Constant]:
@@ -38,9 +36,8 @@ def trainable_constants(graph: Graph, output: Node) -> list[Constant]:
     Structural filter over the graph: a constant is trainable when at least
     one of its consumers differentiates through the position it occupies.
     This excludes the quantisation-range probes (``ReduceMin``/``ReduceMax``
-    consumers), the range-scalar operands of ``AxConv2D`` and the frozen
-    moving statistics of ``BatchNorm`` -- exactly the inputs whose
-    ``backward`` returns ``None``.
+    consumers) and the range-scalar operands of ``AxConv2D`` -- exactly the
+    inputs whose ``backward`` returns ``None``.
     """
     ancestors = graph.topological_order([output])
     constants = [node for node in ancestors if isinstance(node, Constant)]
@@ -52,8 +49,6 @@ def trainable_constants(graph: Graph, output: Node) -> list[Constant]:
             if consumer.op_type in ("ReduceMin", "ReduceMax"):
                 continue
             if consumer.op_type == "AxConv2D" and min(positions) >= 2:
-                continue
-            if consumer.op_type == "BatchNorm" and min(positions) >= 3:
                 continue
             return True
         return False
@@ -122,20 +117,11 @@ class Trainer:
         An :class:`~repro.train.optim.Optimizer` over the parameters to
         update.  Build one over :func:`trainable_constants` for "train
         everything" behaviour.
-    schedule:
-        Optional :class:`~repro.train.schedules.LRSchedule`; when given, the
-        trainer sets ``optimizer.lr`` from it at the start of every epoch.
     batch_size:
         Mini-batch size of :meth:`fit`.
     seed:
         Seed of the per-epoch shuffling.  Runs with equal seeds, data and
         initial weights are bit-reproducible.
-    normalize_inputs:
-        Apply the standard CIFAR normalisation before feeding images.
-    invalidate_stale_banks:
-        Drop superseded quantised filter banks from the ``AxConv2D``
-        pipeline caches after every optimiser step (see module docstring).
-        Disable only for cache-behaviour experiments.
     reuse_caches:
         When False, every forward pass starts from cleared pipeline caches
         (the per-call-setup behaviour the paper's Section II ascribes to
@@ -149,11 +135,8 @@ class Trainer:
     """
 
     def __init__(self, model, optimizer: Optimizer, *,
-                 schedule: LRSchedule | None = None,
                  batch_size: int = 32,
                  seed: int = 0,
-                 normalize_inputs: bool = True,
-                 invalidate_stale_banks: bool = True,
                  reuse_caches: bool = True,
                  grad_clip_norm: float | None = None) -> None:
         if batch_size <= 0:
@@ -162,11 +145,8 @@ class Trainer:
             raise ConfigurationError("grad_clip_norm must be positive")
         self.model = model
         self.optimizer = optimizer
-        self.schedule = schedule
         self.batch_size = int(batch_size)
         self.seed = int(seed)
-        self.normalize_inputs = normalize_inputs
-        self.invalidate_stale_banks = invalidate_stale_banks
         self.reuse_caches = reuse_caches
         self.grad_clip_norm = grad_clip_norm
         self.executor = Executor(model.graph)
@@ -180,9 +160,6 @@ class Trainer:
 
     def _approx_nodes(self) -> list:
         return self.graph.nodes_by_type("AxConv2D")
-
-    def _feed(self, images: np.ndarray) -> np.ndarray:
-        return normalize(images) if self.normalize_inputs else images
 
     def _clear_pipeline_caches(self) -> None:
         seen: set[int] = set()
@@ -217,15 +194,14 @@ class Trainer:
         if not self.reuse_caches:
             self._clear_pipeline_caches()
         logits, tape = self.executor.record(
-            self.model.logits, {self.model.input_node: self._feed(images)})
+            self.model.logits, {self.model.input_node: normalize(images)})
         loss, grad_logits = softmax_cross_entropy(logits, labels)
         grads = self.executor.backward(
             tape, self.model.logits, grad_logits,
             wrt=list(self.optimizer.params))
         if self.grad_clip_norm is not None:
             grads = self._clip_gradients(grads)
-        stale = (self._stale_bank_digests()
-                 if self.invalidate_stale_banks else [])
+        stale = self._stale_bank_digests()
         self.optimizer.step(grads)
         for cache, node, digest in stale:
             # Only retire a bank when the step actually changed the
@@ -244,8 +220,6 @@ class Trainer:
 
     def train_epoch(self, split: DatasetSplit) -> EpochMetrics:
         """One pass over ``split`` in shuffled mini-batches."""
-        if self.schedule is not None:
-            self.optimizer.lr = self.schedule(self._epoch)
         rng = np.random.default_rng(self.seed + self._epoch)
         order = rng.permutation(len(split))
         images, labels = split.images[order], split.labels[order]
@@ -290,46 +264,12 @@ class Trainer:
     def evaluate(self, split: DatasetSplit, *,
                  batch_size: int | None = None) -> tuple[float, float]:
         """Mean loss and top-1 accuracy over ``split`` (no updates)."""
-        batch_size = batch_size or self.batch_size
+        if batch_size is None:
+            batch_size = self.batch_size
         logits_parts = []
         for images, _ in split.batches(batch_size):
             logits_parts.append(self.executor.run(
-                self.model.logits, {self.model.input_node: self._feed(images)}))
+                self.model.logits, {self.model.input_node: normalize(images)}))
         logits = np.concatenate(logits_parts, axis=0)
         loss, _ = softmax_cross_entropy(logits, split.labels)
         return loss, top1_accuracy(logits, split.labels)
-
-    # ------------------------------------------------------------------
-    def save_checkpoint(self, path: str | Path) -> Path:
-        """Serialise every optimiser parameter (by node name) to ``.npz``."""
-        path = Path(path)
-        arrays = {param.name: param.value for param in self.optimizer.params}
-        with path.open("wb") as handle:
-            np.savez(handle, **arrays)
-        return path
-
-    def restore_checkpoint(self, path: str | Path) -> int:
-        """Load parameter values saved by :meth:`save_checkpoint`.
-
-        Every parameter of the optimiser must be present in the file (extra
-        arrays are rejected too, so silently mismatched checkpoints cannot
-        slip through).  Stale filter banks of the overwritten weights are
-        invalidated.  Returns the number of restored parameters.
-        """
-        with np.load(Path(path)) as data:
-            names = {param.name for param in self.optimizer.params}
-            if set(data.files) != names:
-                missing = sorted(names - set(data.files))
-                extra = sorted(set(data.files) - names)
-                raise ConfigurationError(
-                    f"checkpoint does not match the optimiser parameters "
-                    f"(missing: {missing}, unexpected: {extra})"
-                )
-            stale = (self._stale_bank_digests()
-                     if self.invalidate_stale_banks else [])
-            for param in self.optimizer.params:
-                param.set_value(data[param.name])
-            for cache, node, digest in stale:
-                if FilterBankCache.content_digest(node.value) != digest:
-                    cache.invalidate(digest)
-        return len(names)

@@ -11,10 +11,8 @@ from repro.conv import (
     CHUNK_SIZE,
     approx_conv2d_direct,
     approx_gemm,
-    conv2d_direct,
     conv2d_float,
     dequantize_gemm,
-    fake_quant_conv2d,
     gemm_float,
     lut_matmul,
 )
@@ -23,6 +21,7 @@ from repro.lut import LookupTable
 from repro.multipliers import library
 from repro.quantization import compute_coeffs, compute_coeffs_from_tensor
 
+from conv_reference import conv2d_direct, fake_quant_conv2d
 from lut_gemm_reference import lut_matmul_naive
 
 

@@ -35,7 +35,6 @@ DOCTEST_MODULES = [
     "repro.graph.layerwise",
     "repro.serve.trace",
     "repro.train.losses",
-    "repro.train.schedules",
 ]
 
 

@@ -13,7 +13,6 @@ from repro.graph import (
     approximate_graph,
     approximate_graph_layerwise,
     freeze_ranges,
-    restore_accurate_graph,
 )
 from repro.graph.ops import (
     AxConv2D,
@@ -175,20 +174,6 @@ class TestApproximateGraph:
         g, x, out = build_two_layer_graph(rng)
         report = approximate_graph(g, ExactMultiplier(8, signed=True))
         assert "2 Conv2D" in report.summary()
-
-
-class TestRestoreAccurateGraph:
-    def test_round_trip_restores_structure_and_values(self, rng):
-        g, x, out = build_two_layer_graph(rng)
-        batch = rng.normal(size=(1, 8, 8, 3))
-        reference = Executor(g).run(out, {x: batch})
-        approximate_graph(g, ExactMultiplier(8, signed=True))
-        restored = restore_accurate_graph(g)
-        assert restored == 2
-        counts = op_counts(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
-        assert counts == {"Conv2D": 2, "AxConv2D": 0,
-                          "ReduceMin": 0, "ReduceMax": 0}
-        np.testing.assert_allclose(Executor(g).run(out, {x: batch}), reference)
 
 
 class TestFreezeRanges:

@@ -21,9 +21,10 @@ from repro.models import (
     blocks_per_stage,
     calibrate_classifier,
     conv_workloads_for_depth,
-    conv_workloads_from_graph,
     extract_features,
 )
+
+from conv_reference import conv_workloads_from_graph
 
 
 class TestResNetBuilder:

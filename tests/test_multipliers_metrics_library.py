@@ -8,6 +8,7 @@ import pytest
 from repro.errors import RegistryError, TruthTableError
 from repro.multipliers import (
     ExactMultiplier,
+    TableMultiplier,
     TruncatedProductMultiplier,
     error_report,
     error_report_from_tables,
@@ -72,19 +73,19 @@ class TestLibrary:
 
 
 class TestTruthTableIO:
-    @pytest.mark.parametrize("fmt", ["binary", "npy", "text"])
-    def test_round_trip_all_formats(self, tmp_path, fmt):
+    def test_binary_round_trip(self, tmp_path):
         m = TruncatedProductMultiplier(4, dropped_bits=2, signed=True)
-        path = tmp_path / f"table.{fmt}"
-        truthtable.export_multiplier(m, path, fmt=fmt)
-        loaded = truthtable.import_multiplier(
-            path, bit_width=4, signed=True, fmt=fmt)
+        path = tmp_path / "table.bin"
+        truthtable.save_binary(m.truth_table(), path, bit_width=4, signed=True)
+        loaded = TableMultiplier(
+            truthtable.load_binary(path, bit_width=4, signed=True),
+            bit_width=4, signed=True)
         np.testing.assert_array_equal(loaded.truth_table(), m.truth_table())
 
     def test_binary_8bit_is_128kib(self, tmp_path):
         m = ExactMultiplier(8, signed=True)
         path = tmp_path / "mul8s.bin"
-        truthtable.export_multiplier(m, path, fmt="binary")
+        truthtable.save_binary(m.truth_table(), path, signed=True)
         assert path.stat().st_size == 256 * 256 * 2  # the paper's 128 kB
 
     def test_binary_wrong_size_rejected(self, tmp_path):
@@ -92,18 +93,6 @@ class TestTruthTableIO:
         path.write_bytes(b"\x00" * 100)
         with pytest.raises(TruthTableError):
             truthtable.load_binary(path, bit_width=8)
-
-    def test_text_missing_entries_rejected(self, tmp_path):
-        path = tmp_path / "partial.txt"
-        path.write_text("0 0 0\n1 1 1\n")
-        with pytest.raises(TruthTableError):
-            truthtable.load_text(path, bit_width=4)
-
-    def test_text_bad_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 0\n")
-        with pytest.raises(TruthTableError):
-            truthtable.load_text(path, bit_width=2)
 
     def test_validate_table_range_check(self):
         table = np.full((16, 16), 10_000)
@@ -114,7 +103,3 @@ class TestTruthTableIO:
         table = ExactMultiplier(4).truth_table().astype(np.float64)
         out = truthtable.validate_table(table, 4, signed=False)
         assert out.dtype == np.int32
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(TruthTableError):
-            truthtable.export_multiplier(ExactMultiplier(4), tmp_path / "x", fmt="xml")
