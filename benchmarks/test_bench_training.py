@@ -16,6 +16,15 @@ caches are worth there:
 ``test_cached_steps_beat_uncached_steps`` is the acceptance gate of the
 training-subsystem PR; the steps/s of both modes land in
 ``BENCH_training.json``.
+
+``test_tap_wise_conv_backward_beats_im2col`` times the float convolution
+backward every training step runs (``Conv2D`` and the ``AxConv2D``
+straight-through estimator both call it) on the seven conv layers of a
+batch-16 ResNet-8: the tap-wise :func:`repro.conv.conv2d_float_backward`
+against the im2col formulation it replaced (a ``[P, 9C]`` patch matrix,
+its gradient and a ``col2im`` scatter, kept in ``tests/conv_reference.py``).
+Reps alternate between the two; per-layer and summed medians and the
+summed speed-up land in ``BENCH_conv_backward.json``.
 """
 
 from __future__ import annotations
@@ -27,15 +36,20 @@ import numpy as np
 import pytest
 
 from repro.backends import clear_caches
+from repro.conv import conv2d_float_backward, resolve_geometry
 from repro.datasets import generate_cifar_like
 from repro.graph import approximate_graph
-from repro.models import build_simple_cnn
+from repro.models import build_resnet, build_simple_cnn
 from repro.multipliers import library
 from repro.train import SGD, Trainer
+
+from conv_reference import conv2d_float_backward_im2col
 
 MULTIPLIER = "mul8s_mitchell"
 BATCH = 16
 STEPS = 6
+#: Alternating reps per layer of the conv-backward comparison.
+BACKWARD_REPS = 5
 
 
 def _make_trainer(*, reuse_caches: bool):
@@ -114,3 +128,59 @@ def test_train_step_cached(benchmark, split):
     assert np.isfinite(loss)
     assert logits.shape == (BATCH, 10)
     clear_caches()
+
+
+def _seconds(fn, *args, **kwargs) -> float:
+    start = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - start
+
+
+def test_tap_wise_conv_backward_beats_im2col(bench_json):
+    """The tap-wise backward must not lose to the im2col formulation,
+    summed over the seven ResNet-8 layers (no per-layer gate: single
+    layers take a few ms and swing with host load)."""
+    rng = np.random.default_rng(0)
+    layers = {}
+    for workload in build_resnet(8, seed=0).conv_workloads:
+        kh, kw = workload.kernel_height, workload.kernel_width
+        geometry = dict(strides=(workload.stride, workload.stride),
+                        padding=workload.padding)
+        g = resolve_geometry(workload.input_height, workload.input_width,
+                             kh, kw, **geometry)
+        inputs = rng.normal(size=(BATCH, workload.input_height,
+                                  workload.input_width,
+                                  workload.input_channels))
+        filters = rng.normal(size=(kh, kw, workload.input_channels,
+                                   workload.output_channels))
+        grad = rng.normal(size=(BATCH, g.output_height, g.output_width,
+                                workload.output_channels))
+        tap_wise, im2col = [], []
+        for _ in range(BACKWARD_REPS):
+            im2col.append(_seconds(
+                conv2d_float_backward_im2col, grad, inputs, filters,
+                **geometry))
+            tap_wise.append(_seconds(
+                conv2d_float_backward, grad, inputs, filters, **geometry))
+        layers[workload.name] = {
+            "tap_wise_seconds": statistics.median(tap_wise),
+            "im2col_seconds": statistics.median(im2col),
+        }
+    tap_wise_total = sum(v["tap_wise_seconds"] for v in layers.values())
+    im2col_total = sum(v["im2col_seconds"] for v in layers.values())
+    speedup = im2col_total / tap_wise_total
+    print(f"\nconv backward over {len(layers)} ResNet-8 layers: im2col "
+          f"{im2col_total * 1e3:.1f} ms, tap-wise {tap_wise_total * 1e3:.1f} "
+          f"ms, speedup {speedup:.2f}x")
+    bench_json("conv_backward", {
+        "batch_size": BATCH,
+        "reps": BACKWARD_REPS,
+        "layers": layers,
+        "tap_wise_seconds": tap_wise_total,
+        "im2col_seconds": im2col_total,
+        "tap_wise_vs_im2col_speedup": speedup,
+    })
+    assert speedup >= 1.0, (
+        f"tap-wise conv backward ({tap_wise_total:.4f}s over the ResNet-8 "
+        f"layers) lost to the im2col formulation ({im2col_total:.4f}s)"
+    )

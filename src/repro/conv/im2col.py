@@ -20,10 +20,13 @@ Two entry points are provided:
 
 Both build the patch matrix with one strided-slice copy per kernel tap into
 a contiguous ``[N, OH, OW, kh * kw, C]`` buffer, which reshapes to ``Mp``
-without a copy.  :func:`col2im`, the adjoint used by the backward pass,
-walks the same tap windows in reverse order with one strided ``+=`` each,
-which adds every pixel's contributions in the order of an element-wise
-``numpy.add.at`` scatter, so its float sums match that scatter bit for bit.
+without a copy.  :func:`col2im`, the adjoint of :func:`im2col` and the
+pooling backward's scatter, walks the same tap windows in reverse order
+with one strided ``+=`` each, which adds every pixel's contributions in the
+order of an element-wise ``numpy.add.at`` scatter, so its float sums match
+that scatter bit for bit.  The convolution backward
+(:func:`repro.conv.reference.conv2d_float_backward`) walks the tap windows
+(:func:`_tap_windows`) itself and builds no patch matrix.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ def col2im(patches: np.ndarray, input_shape, kernel_height: int,
     This is the adjoint of :func:`im2col`: every patch value is added to the
     input pixel it was gathered from (pixels covered by several kernel
     positions accumulate all of their contributions; padded positions are
-    discarded).  It is the core of the convolution backward pass, turning
-    the gradient of the patch matrix into the gradient of the input batch.
+    discarded).  The pooling ops' backward uses it to turn the gradient of
+    their ``[N, OH, OW, kh * kw, C]`` windows into the gradient of the
+    input batch.
 
     Each kernel tap adds its ``[N, OH, OW, C]`` slab onto its strided
     window with one ``+=``; within a tap no two output positions share a

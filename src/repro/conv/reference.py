@@ -6,6 +6,8 @@ Two engines live here, with the float backward pass:
   is the behaviour of TensorFlow's native ``Conv2D`` that the accurate
   columns of Table I measure.  :func:`conv2d_float_backward` is its
   gradient, which ``AxConv2D`` reuses under the straight-through estimator.
+  It walks the kernel's tap windows of the padded input with one small GEMM
+  per tap for each operand and builds no patch matrix.
 * :func:`approx_conv2d_direct` -- the ALWANN-style direct approximate
   convolution: the system of nested loops over batch, output pixel and output
   channel that reference [12] of the paper used on the CPU, with each scalar
@@ -22,7 +24,9 @@ import numpy as np
 from ..errors import ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
-from .im2col import col2im, flatten_filters, im2col
+from .im2col import _pad, _tap_windows, flatten_filters, im2col
+# Unused here; perfbench's tracer wraps ``repro.conv.reference.col2im``.
+from .im2col import col2im  # noqa: F401
 from .gemm import gemm_float
 from .padding import resolve_geometry
 
@@ -60,36 +64,52 @@ def conv2d_float_backward(grad_output: np.ndarray, inputs: np.ndarray,
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of :func:`conv2d_float` w.r.t. its input and filter tensors.
 
-    The forward pass is ``im2col(x) @ flatten(w)``; the adjoints are the
-    matching matrix products, with :func:`~repro.conv.im2col.col2im`
-    scattering the patch-matrix gradient back onto the input pixels.  The
-    approximate ``AxConv2D`` op reuses this exact-float gradient under the
-    straight-through-estimator convention (approximate forward, exact
+    The forward pass is ``im2col(x) @ flatten(w)``; its adjoints are taken
+    one kernel tap at a time over the same strided windows of the padded
+    input that the patch matrix is built from, so no patch matrix (and no
+    patch-matrix gradient) is ever built.  With ``G`` the ``[P, K]``
+    output gradient and ``W[tap]`` the tap's ``[C, K]`` filter slice:
+
+    * ``grad_w[tap] = window(x).T @ G``;
+    * ``window(grad_x) += G @ W[tap].T``, taps in reverse order, so every
+      pixel's contributions add in ascending output-position order, the
+      order of an element-wise ``numpy.add.at`` scatter (as
+      :func:`~repro.conv.im2col.col2im` adds them).
+
+    The approximate ``AxConv2D`` op reuses this exact-float gradient under
+    the straight-through-estimator convention (approximate forward, exact
     backward through the dequantised values).
     """
     _check_conv_args(inputs, filters)
+    batch, in_h, in_w, channels = inputs.shape
     kh, kw, _, count = filters.shape
-    geometry = resolve_geometry(
-        inputs.shape[1], inputs.shape[2], kh, kw,
+    g = resolve_geometry(
+        in_h, in_w, kh, kw,
         strides=strides, dilations=dilations, padding=padding,
     )
-    expected = (inputs.shape[0], geometry.output_height,
-                geometry.output_width, count)
+    expected = (batch, g.output_height, g.output_width, count)
     if grad_output.shape != expected:
         raise ShapeError(
             f"grad_output must have the forward output shape {expected}, "
             f"got {grad_output.shape}"
         )
-    patches, _ = im2col(
-        inputs, kh, kw, strides=strides, dilations=dilations, padding=padding,
-    )
+    padded = _pad(inputs, g, 0.0)
     grad_flat_out = grad_output.reshape(-1, count)
-    grad_filters = (patches.T @ grad_flat_out).reshape(filters.shape)
-    grad_patches = grad_flat_out @ flatten_filters(filters).T
-    grad_inputs = col2im(
-        grad_patches, inputs.shape, kh, kw,
-        strides=strides, dilations=dilations, padding=padding,
+    tap_filters = filters.reshape(kh * kw, channels, count)
+    windows = list(_tap_windows(g))
+    grad_filters = np.stack([
+        padded[:, rows, cols, :].reshape(-1, channels).T @ grad_flat_out
+        for _, rows, cols in windows
+    ]).reshape(filters.shape)
+    grad_padded = np.zeros(
+        (batch, g.padded_height, g.padded_width, channels), dtype=np.float64,
     )
+    for tap, rows, cols in reversed(windows):
+        grad_padded[:, rows, cols, :] += (
+            grad_flat_out @ tap_filters[tap].T
+        ).reshape(batch, g.output_height, g.output_width, channels)
+    grad_inputs = grad_padded[:, g.pad_top:g.pad_top + in_h,
+                              g.pad_left:g.pad_left + in_w, :]
     return grad_inputs, grad_filters
 
 

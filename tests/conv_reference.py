@@ -5,6 +5,10 @@ than in :mod:`repro.conv.reference`, because no program path runs them:
 
 * :func:`conv2d_direct` -- accurate float convolution as the naive nested
   loop, checked against :func:`repro.conv.conv2d_float` (im2col + GEMM);
+* :func:`conv2d_float_backward_im2col` -- the convolution backward as the
+  adjoint GEMMs of the im2col formulation (a ``[P, kh*kw*C]`` patch matrix,
+  its gradient and a ``col2im`` scatter), checked against the tap-wise
+  :func:`repro.conv.conv2d_float_backward`;
 * :func:`fake_quant_conv2d` -- quantise inputs and filters, convolve exactly
   in the integer domain and dequantise.  The paper states that the
   approximate layer with an accurate multiplier computes exactly this, which
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.conv import (dequantize_gemm, filter_sums, flatten_filters, im2col,
-                        resolve_geometry)
+from repro.conv import (col2im, dequantize_gemm, filter_sums, flatten_filters,
+                        im2col, resolve_geometry)
 from repro.graph import Graph, infer_shapes
 from repro.graph.ops import AxConv2D, Conv2D
 from repro.quantization import QuantParams
@@ -65,6 +69,30 @@ def conv2d_direct(inputs: np.ndarray, filters: np.ndarray, *,
                                 acc += padded[n, iy, ix, c] * filters[ky, kx, c, f]
                     out[n, oy, ox, f] = acc
     return out
+
+
+def conv2d_float_backward_im2col(grad_output: np.ndarray, inputs: np.ndarray,
+                                 filters: np.ndarray, *, strides=(1, 1),
+                                 dilations=(1, 1), padding: str = "SAME",
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the float convolution through its patch matrix.
+
+    The forward pass is ``im2col(x) @ flatten(w)``; the adjoints are the
+    matching matrix products, with ``col2im`` scattering the patch-matrix
+    gradient back onto the input pixels.
+    """
+    kh, kw, _, count = filters.shape
+    patches, _ = im2col(
+        inputs, kh, kw, strides=strides, dilations=dilations, padding=padding,
+    )
+    grad_flat_out = grad_output.reshape(-1, count)
+    grad_filters = (patches.T @ grad_flat_out).reshape(filters.shape)
+    grad_patches = grad_flat_out @ flatten_filters(filters).T
+    grad_inputs = col2im(
+        grad_patches, inputs.shape, kh, kw,
+        strides=strides, dilations=dilations, padding=padding,
+    )
+    return grad_inputs, grad_filters
 
 
 def fake_quant_conv2d(inputs: np.ndarray, filters: np.ndarray,

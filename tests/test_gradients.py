@@ -12,14 +12,19 @@ staircase whose true derivative is zero almost everywhere, so it is checked
 against the finite difference of the *exact float* convolution of the same
 operands -- which is precisely the straight-through-estimator contract the
 op's backward implements.
+
+The tap-wise :func:`repro.conv.conv2d_float_backward` both ops call is also
+checked against the im2col formulation of the same adjoints
+(``tests/conv_reference.py``) on random geometry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.conv import conv2d_float
+from repro.conv import conv2d_float, conv2d_float_backward
 from repro.errors import ExecutionError
 from repro.graph import Executor, Graph
 from repro.graph.node import Node, unbroadcast
@@ -41,6 +46,8 @@ from repro.graph.ops import (
     ReLU,
     Softmax,
 )
+
+from conv_reference import conv2d_float_backward_im2col
 
 EPS = 1e-6
 RTOL = 1e-5
@@ -157,6 +164,53 @@ class TestConvGradients:
             lambda g, x, w: Conv2D(g, x, w, strides=strides,
                                    padding=padding, dilations=dilations),
             [rng.normal(size=in_shape), rng.normal(size=f_shape)])
+
+
+@st.composite
+def _backward_cases(draw):
+    """N 1-3, C 1-3, F 1-4, kernel 1-3 per axis (1x1 and rectangular),
+    stride 1-3, dilation 1-2, SAME/VALID; inputs large enough for VALID."""
+    kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    dilations = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    extent = [(k - 1) * d + 1 for k, d in zip(kernel, dilations)]
+    channels = draw(st.integers(1, 3))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(extent[0], 9)),
+             draw(st.integers(extent[1], 9)), channels)
+    filter_shape = (*kernel, channels, draw(st.integers(1, 4)))
+    geometry = dict(
+        strides=(draw(st.integers(1, 3)), draw(st.integers(1, 3))),
+        dilations=dilations,
+        padding=draw(st.sampled_from(["SAME", "VALID"])),
+    )
+    return shape, filter_shape, geometry, draw(st.integers(0, 2**31 - 1))
+
+
+def _relative_error(actual, expected) -> float:
+    """Max-abs error over the max-abs expected value."""
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+class TestConvBackwardOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_backward_cases())
+    def test_tap_wise_matches_im2col_adjoints(self, case):
+        shape, filter_shape, geometry, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=filter_shape)
+        out_shape = conv2d_float(x, w, **geometry).shape
+        grad = rng.normal(size=out_shape)
+        x_copy, w_copy, grad_copy = x.copy(), w.copy(), grad.copy()
+
+        grad_x, grad_w = conv2d_float_backward(grad, x, w, **geometry)
+        ref_x, ref_w = conv2d_float_backward_im2col(grad, x, w, **geometry)
+
+        assert np.array_equal(x, x_copy)
+        assert np.array_equal(w, w_copy)
+        assert np.array_equal(grad, grad_copy)
+        assert grad_x.shape == shape and grad_w.shape == filter_shape
+        assert _relative_error(grad_x, ref_x) < 1e-12
+        assert _relative_error(grad_w, ref_w) < 1e-12
 
 
 POOL_GRID = [
