@@ -105,7 +105,7 @@ class _BoundedCache:
         """Consistent copy of the hit/miss counters, taken under the lock.
 
         ``self.stats`` is mutated while the cache lock is held, so readers in
-        other threads (the serving telemetry, per-run cache deltas) must not
+        other threads (the serving telemetry, a DSE search's counts) must not
         read its fields directly -- a read interleaved with an update can see
         a half-applied state (e.g. a build's miss counted but its eviction
         not yet).  This method is the race-free spelling: every counter in

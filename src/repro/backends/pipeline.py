@@ -18,11 +18,13 @@ hot path:
   counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
   simulated device's counters
   (:class:`~repro.gpusim.device.DeviceCounters`) when the ``gpusim``
-  backend ran, plus cache hit/miss counters and the wall-clock time.
-  :meth:`InferencePipeline.run` is the one place a convolution's work is
-  counted: once per run, from the geometry.  A caller that wants the total
-  over many runs -- a whole model's forward pass -- opens a
-  :func:`collect_reports` scope around them.
+  backend ran.  :meth:`InferencePipeline.run` is the one place a
+  convolution's work is counted: once per run, from the geometry.  A caller
+  that wants the total over many runs -- a whole model's forward pass --
+  opens a :func:`collect_reports` scope around them.  Cache hits and misses
+  are counted once, by the caches themselves
+  (:class:`~repro.backends.cache.CacheStats`), and wall time by whichever
+  caller owns the clock.
 
 :func:`emulate_conv2d` is the one-call spelling of the same machinery and
 the recommended entry point for user code.
@@ -31,7 +33,6 @@ the recommended entry point for user code.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -56,7 +57,6 @@ from ..quantization.ranges import TensorRange
 from .cache import (
     DEFAULT_FILTER_CACHE,
     DEFAULT_LUT_CACHE,
-    CacheStats,
     FilterBankCache,
     LUTCache,
     PreparedFilterBank,
@@ -71,17 +71,15 @@ class RunReport:
     Merges the two accounting structures the seed code kept separate: the
     engine-agnostic operation counts every backend reports (``stats``) and
     the simulated device's counters and launch records (``gpu``), populated
-    only when the ``gpusim`` backend executed the run.  The cache counters
-    are deltas over this run, not lifetime totals, so a caller can assert
-    "the second call hit the cache" without bookkeeping of its own.
+    only when the ``gpusim`` backend executed the run.  It counts this
+    run's work only: whether the run's table and filter bank came from a
+    cache is the caches' own count, which a concurrent run on another
+    thread cannot mix into this report.
     """
 
     backend: str = ""
     lut_name: str = ""
     batch: int = 0
-    wall_time_s: float = 0.0
-    lut_cache: CacheStats = field(default_factory=CacheStats)
-    filter_cache: CacheStats = field(default_factory=CacheStats)
     stats: ApproxConvStats = field(default_factory=ApproxConvStats)
     gpu: DeviceCounters | None = None
 
@@ -92,13 +90,10 @@ class RunReport:
         describe the latest run merged in.
         """
         self.batch += other.batch
-        self.wall_time_s += other.wall_time_s
-        for mine, theirs in ((self.stats, other.stats),
-                             (self.lut_cache, other.lut_cache),
-                             (self.filter_cache, other.filter_cache)):
-            for counter in fields(mine):
-                setattr(mine, counter.name, getattr(mine, counter.name)
-                        + getattr(theirs, counter.name))
+        for counter in fields(self.stats):
+            setattr(self.stats, counter.name,
+                    getattr(self.stats, counter.name)
+                    + getattr(other.stats, counter.name))
         if other.gpu is not None:
             if self.gpu is None:
                 self.gpu = DeviceCounters()
@@ -113,12 +108,9 @@ class RunReport:
         lines = [
             f"backend={self.backend} lut={self.lut_name} "
             f"batch={self.batch} chunks={self.stats.chunks}",
-            f"wall time: {self.wall_time_s * 1e3:.2f} ms",
             f"MACs: {self.stats.macs:,}  "
             f"quantised: {self.stats.quantized_values:,}  "
             f"outputs: {self.stats.output_values:,}",
-            f"caches: lut {self.lut_cache.hits}h/{self.lut_cache.misses}m  "
-            f"filters {self.filter_cache.hits}h/{self.filter_cache.misses}m",
         ]
         if self.gpu is not None:
             lines.append(
@@ -158,15 +150,6 @@ class RunResult:
 
     output: np.ndarray
     report: RunReport
-
-
-def _cache_delta(after: CacheStats, before: CacheStats) -> CacheStats:
-    return CacheStats(
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        evictions=after.evictions - before.evictions,
-        invalidations=after.invalidations - before.invalidations,
-    )
 
 
 class InferencePipeline:
@@ -268,10 +251,6 @@ class InferencePipeline:
             filter_range: TensorRange | tuple[float, float] | None = None,
             ) -> RunResult:
         """Run one batched approximate convolution; returns output + report."""
-        start_time = time.perf_counter()
-        lut_before = self.lut_cache.stats_snapshot()
-        filters_before = self.filter_cache.stats_snapshot()
-
         prepared = self.prepare(
             inputs, filters, multiplier,
             strides=strides, dilations=dilations, padding=padding,
@@ -286,24 +265,18 @@ class InferencePipeline:
 
         output = (results[0][0] if len(results) == 1
                   else np.concatenate([out for out, _ in results], axis=0))
-        filter_cache = _cache_delta(
-            self.filter_cache.stats_snapshot(), filters_before)
         report = RunReport(
             backend=self.backend,
             lut_name=prepared.lut.name,
             batch=int(inputs.shape[0]),
-            lut_cache=_cache_delta(self.lut_cache.stats_snapshot(), lut_before),
-            filter_cache=filter_cache,
             stats=ApproxConvStats.of_run(
-                inputs, prepared, output, len(results),
-                filters_quantized=filter_cache.misses > 0),
+                inputs, prepared, output, len(results)),
         )
         for _, gpu in results:
             if gpu is not None:
                 if report.gpu is None:
                     report.gpu = DeviceCounters()
                 report.gpu.merge(gpu)
-        report.wall_time_s = time.perf_counter() - start_time
         for scope in _SCOPES.get():
             scope.merge(report)
         return RunResult(output=output, report=report)

@@ -49,8 +49,9 @@ class ApproxConvStats:
 
     Every count depends only on the geometry of a run, never on how it was
     scheduled, so :meth:`of_run` derives them once per run from shapes and
-    every engine reports identical work.  The simulated devices convert
-    these counts into time.
+    every engine reports identical work.  ``quantized_values`` counts the
+    run's inputs: a filter bank is quantised once, on a filter-bank cache
+    miss, and that cache's ``misses`` counts it.
     """
 
     quantized_values: int = 0
@@ -60,20 +61,12 @@ class ApproxConvStats:
 
     @classmethod
     def of_run(cls, inputs: np.ndarray, prepared: "PreparedConv",
-               output: np.ndarray, chunks: int,
-               filters_quantized: bool) -> "ApproxConvStats":
-        """Counts of one run of ``prepared`` over ``inputs``.
-
-        ``filters_quantized`` says whether this run built the quantised
-        filter bank; a cached bank costs no quantisation.
-        """
+               output: np.ndarray, chunks: int) -> "ApproxConvStats":
+        """Counts of one run of ``prepared`` over ``inputs``."""
         batch, height, width, _ = output.shape
         positions = int(batch * height * width)
-        quantized = int(inputs.size)
-        if filters_quantized:
-            quantized += int(prepared.flat_filters.size)
         return cls(
-            quantized_values=quantized,
+            quantized_values=int(inputs.size),
             output_values=int(output.size),
             chunks=chunks,
             macs=positions * prepared.depth * prepared.filter_count,

@@ -30,7 +30,7 @@ from ..backends.cache import (
     DEFAULT_LUT_CACHE,
     CacheStats,
 )
-from ..backends.pipeline import RunReport, _cache_delta
+from ..backends.pipeline import RunReport
 from ..errors import DSEError
 from .evaluator import CandidateResult, Evaluator
 from .pareto import ParetoFront, ParetoPoint
@@ -123,8 +123,9 @@ class DSEReport:
 
     Rolls the per-candidate :class:`~repro.backends.pipeline.RunReport`
     accounting into one structure next to the front and the search-level
-    cache counters, so a caller can assert cache sharing ("the warm search
-    re-used every LUT") without instrumenting the evaluator.
+    cache hits and misses (the default caches' counts over the search), so
+    a caller can assert cache sharing ("the warm search re-used every LUT")
+    without instrumenting the evaluator.
     """
 
     strategy: str = ""
@@ -297,6 +298,8 @@ def search(model_builder, dataset, *,
     start = time.perf_counter()
     strategy.run(evaluator.space, broker, rng)
     wall = time.perf_counter() - start
+    lut_after = DEFAULT_LUT_CACHE.stats_snapshot()
+    filters_after = DEFAULT_FILTER_CACHE.stats_snapshot()
 
     report = DSEReport(
         strategy=strategy.name,
@@ -308,9 +311,11 @@ def search(model_builder, dataset, *,
         front=broker.front,
         history=broker.history,
         space=evaluator.space,
-        lut_cache=_cache_delta(DEFAULT_LUT_CACHE.stats_snapshot(), lut_before),
-        filter_cache=_cache_delta(
-            DEFAULT_FILTER_CACHE.stats_snapshot(), filters_before),
+        lut_cache=CacheStats(hits=lut_after.hits - lut_before.hits,
+                             misses=lut_after.misses - lut_before.misses),
+        filter_cache=CacheStats(
+            hits=filters_after.hits - filters_before.hits,
+            misses=filters_after.misses - filters_before.misses),
     )
     for result in broker.history:
         report.run_report.merge(result.report)

@@ -237,7 +237,6 @@ class Evaluator:
                 normalize_inputs=self.normalize_inputs,
             )
         report.batch = inference.images
-        report.wall_time_s = inference.wall_seconds
         return CandidateResult(
             candidate=candidate,
             assignment=dict(assignment),

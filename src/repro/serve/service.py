@@ -37,7 +37,12 @@ from .request import (
     admission_key,
     normalize_assignment,
 )
-from .session import ModelSession, ModelSpec, build_session
+from .session import (
+    ModelSession,
+    ModelSpec,
+    build_session,
+    static_input_shape,
+)
 from .telemetry import BatchRecord, ServiceTelemetry, TelemetrySnapshot
 from .trace import ReplayReport, TraceRequest
 
@@ -122,13 +127,7 @@ class EmulationService:
             raise ServeError(f"model {name!r} is already registered")
         probe = builder()
         if calibration is None:
-            shape = getattr(probe.input_node, "shape", None)
-            if (shape is None or len(shape) != 4
-                    or any(s is None for s in shape[1:])):
-                raise ServeError(
-                    f"model {name!r} must declare a static (None, H, W, C) "
-                    f"input shape, got {shape}"
-                )
+            shape = static_input_shape(name, probe)
             height, width, channels = shape[1], shape[2], shape[3]
             if height != width or channels != 3:
                 raise ServeError(
@@ -191,33 +190,24 @@ class EmulationService:
         return session
 
     def warmup(self, model: str | None = None,
-               multipliers: "list[str | dict[str, str]] | None" = None, *,
-               samples: int = 4) -> dict[str, dict]:
+               multipliers: "list[str | dict[str, str]] | None" = None,
+               ) -> None:
         """Pre-build sessions and pre-populate the LUT/filter-bank caches.
 
         ``model=None`` warms every registered model.  Each named
         configuration gets its session built (resolving every multiplier's
         lookup table) and one small calibration batch executed (quantising
         every approximated layer's filter bank), so the first real request
-        finds both caches hot.  Returns per-configuration cache-delta
-        summaries.
+        finds both caches hot; :func:`~repro.backends.cache.cache_stats`
+        shows what the warm-up built.
         """
         if multipliers is None:
             raise ServeError("warmup needs the multiplier configurations "
                              "traffic will use")
         names = self.models() if model is None else [model]
-        summary: dict[str, dict] = {}
         for name in names:
             for multiplier in multipliers:
-                session = self.session(name, multiplier)
-                report = session.warmup(samples)
-                label = f"{name}:{session.key[1]}"
-                summary[label] = {
-                    "lut_misses": report.lut_cache.misses,
-                    "filter_misses": report.filter_cache.misses,
-                    "samples": report.batch,
-                }
-        return summary
+                self.session(name, multiplier).warmup()
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "EmulationService":
@@ -367,7 +357,9 @@ class EmulationService:
             session = self._sessions[batch.key]
             inputs = np.concatenate(
                 [p.request.inputs for p in pendings], axis=0)
-            outputs, report = session.run(inputs)
+            start = time.perf_counter()
+            outputs, _ = session.run(inputs)
+            wall = time.perf_counter() - start
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
             error = exc
             if not isinstance(exc, TFApproxError):
@@ -401,7 +393,7 @@ class EmulationService:
                 request_ids=tuple(
                     p.request.request_id for p in pendings),
                 samples=total,
-                wall_time_s=report.wall_time_s,
+                wall_time_s=wall,
             ),
             latencies,
         )

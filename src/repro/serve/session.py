@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,24 @@ from ..graph.layerwise import approximate_graph_layerwise
 from ..graph.ops.conv import Conv2D
 from ..graph.transform import freeze_ranges
 from .request import AdmissionKey, admission_key, normalize_assignment
+
+#: Calibration samples a warm-up run executes.
+WARMUP_SAMPLES = 4
+
+
+def static_input_shape(name: str, model) -> tuple:
+    """``model``'s declared ``(None, H, W, C)`` input shape.
+
+    A served model needs static spatial dimensions and channels; anything
+    else raises :class:`~repro.errors.ServeError`.
+    """
+    shape = getattr(model.input_node, "shape", None)
+    if shape is None or len(shape) != 4 or any(s is None for s in shape[1:]):
+        raise ServeError(
+            f"model {name!r} must declare a static (None, H, W, C) "
+            f"input shape, got {shape}"
+        )
+    return tuple(shape)
 
 
 @dataclass(frozen=True)
@@ -57,12 +74,7 @@ class ModelSpec:
         """
         if model is None:
             model = builder()
-        shape = getattr(model.input_node, "shape", None)
-        if shape is None or len(shape) != 4 or any(s is None for s in shape[1:]):
-            raise ServeError(
-                f"model {name!r} must declare a static (None, H, W, C) "
-                f"input shape, got {shape}"
-            )
+        shape = static_input_shape(name, model)
         conv_layers = tuple(
             node.name for node in model.graph.nodes_by_type(Conv2D.op_type))
         if not conv_layers:
@@ -161,39 +173,36 @@ class ModelSession:
 
         The report totals every approximate convolution of the batch (the
         pipeline runs merged by :func:`~repro.backends.collect_reports`),
-        with the batch's own size and wall time.  Thread-safe up to
-        ``max_replicas`` concurrent calls; outputs are bit-identical no
-        matter which replica serves the batch.
+        with the batch's own size.  Thread-safe up to ``max_replicas``
+        concurrent calls; outputs are bit-identical no matter which replica
+        serves the batch.
         """
         inputs = self.spec.check_inputs(inputs)
         feed = normalize(inputs) if self.spec.normalize_inputs else inputs
         replica = self._acquire()
         try:
-            start = time.perf_counter()
             with collect_reports() as report:
                 logits = replica.executor.run(
                     replica.model.logits, {replica.model.input_node: feed})
             # A model run's batch is its input batch, not the sum of its
             # layers' batches.
             report.batch = int(inputs.shape[0])
-            report.wall_time_s = time.perf_counter() - start
         finally:
             self._idle.put(replica)
         return logits, report
 
-    def warmup(self, samples: int = 4) -> RunReport:
+    def warmup(self) -> None:
         """Run a small calibration slice to pre-populate the shared caches.
 
         Session construction already resolves every assigned multiplier's
         lookup table through the process-wide
-        :class:`~repro.backends.cache.LUTCache`; this warm run additionally
-        quantises each approximated layer's filter bank into the
+        :class:`~repro.backends.cache.LUTCache`; this warm run of
+        :data:`WARMUP_SAMPLES` calibration samples additionally quantises
+        each approximated layer's filter bank into the
         :class:`~repro.backends.cache.FilterBankCache`, so the first real
-        request pays no setup at all.  Returns the warm run's batch report.
+        request pays no setup at all.
         """
-        count = min(max(int(samples), 1), self.spec.calibration.shape[0])
-        _, report = self.run(self.spec.calibration[:count])
-        return report
+        self.run(self.spec.calibration[:WARMUP_SAMPLES])
 
 
 def build_session(spec: ModelSpec, multiplier: "str | dict[str, str]", *,

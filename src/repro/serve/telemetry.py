@@ -29,7 +29,11 @@ MAX_BATCH_RECORDS = 8_192
 
 @dataclass(frozen=True)
 class BatchRecord:
-    """One executed micro-batch: admission key, members and shape."""
+    """One executed micro-batch: admission key, members and shape.
+
+    ``wall_time_s`` is the worker's own timing of the batch's
+    :meth:`~repro.serve.session.ModelSession.run`.
+    """
 
     key: Hashable
     request_ids: tuple[str, ...]

@@ -6,7 +6,9 @@ Builds intentionally run outside the cache lock, so an ``invalidate`` can
 land between a miss and its insert; without the tombstone logic in
 ``_BoundedCache`` the late insert would resurrect the invalidated entry
 (stale-entry race).  These tests pin the fix deterministically and stress it
-with racing thread pools.
+with racing thread pools.  The last class checks that overlapping runs on
+one pipeline each report their own work while the shared cache counts
+every lookup once.
 """
 
 from __future__ import annotations
@@ -306,3 +308,67 @@ class TestStatsSnapshot:
         cache.resolve("mul8s_exact")
         assert snapshot.hits == 1
         assert cache.stats_snapshot().hits == 2
+
+
+class TestConcurrentRunReports:
+    """Regression: a run's report counts that run only.
+
+    Two threads share one pipeline and its caches, as serve workers and
+    DSE candidate threads do.  A report that copied the shared caches'
+    counters over its own run also counted the other thread's lookups
+    made meanwhile: the run on a cached bank reported a miss and the
+    other bank's filters as quantised values.
+    """
+
+    ROUNDS = 40
+
+    def test_overlapping_runs_count_only_their_own_work(self):
+        lut_cache, filter_cache = LUTCache(), FilterBankCache()
+        pipeline = InferencePipeline(
+            "numpy", multiplier="mul8s_mitchell",
+            lut_cache=lut_cache, filter_cache=filter_cache,
+        )
+        rng = np.random.default_rng(12)
+        inputs = rng.normal(size=(8, 16, 16, 16))
+        cached = rng.normal(size=(3, 3, 16, 8))
+        fresh = [rng.normal(size=cached.shape) for _ in range(self.ROUNDS)]
+        pipeline.run(inputs, cached)
+
+        # The barrier's action runs once each time both threads arrive:
+        # before and after every round, with no run in flight.
+        snapshots = []
+        barrier = threading.Barrier(
+            2, action=lambda: snapshots.append(filter_cache.stats_snapshot()))
+        reports: dict[str, list] = {"cached": [], "fresh": []}
+        errors: list[BaseException] = []
+
+        def runner(kind: str) -> None:
+            try:
+                for round_ in range(self.ROUNDS):
+                    filters = cached if kind == "cached" else fresh[round_]
+                    barrier.wait(timeout=30.0)
+                    reports[kind].append(pipeline.run(inputs, filters).report)
+                    barrier.wait(timeout=30.0)
+            except BaseException as exc:  # pragma: no cover - fail path
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=runner, args=(kind,))
+                   for kind in reports]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        for kind, runs in reports.items():
+            assert len(runs) == self.ROUNDS
+            for round_, report in enumerate(runs):
+                assert report.stats.quantized_values == inputs.size, (
+                    kind, round_)
+        assert len(snapshots) == 2 * self.ROUNDS
+        for round_ in range(self.ROUNDS):
+            before, after = snapshots[2 * round_], snapshots[2 * round_ + 1]
+            assert after.hits - before.hits == 1, round_
+            assert after.misses - before.misses == 1, round_

@@ -234,7 +234,6 @@ class TestSessionAccounting:
         assert report.batch == samples
         assert report.stats.macs == self.builder().macs_per_image * samples
         assert report.stats.chunks == len(session.spec.conv_layers)
-        assert report.wall_time_s > 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inputs_raise_through_frozen_ranges(self, session,
@@ -265,6 +264,7 @@ class TestAdmission:
             }
             assert len(keys) == 1
             assert record.key in keys
+            assert record.wall_time_s > 0
 
     def test_layerwise_and_uniform_configs_are_distinct(self):
         service = make_service()
@@ -397,6 +397,7 @@ class TestWarmupAndTelemetry:
         service = make_service(workers=1, cap=8)
         service.warmup("simple_cnn", list(MULTIPLIERS))
         before = cache_stats()
+        assert before["filters"].misses > 0
         trace = synthetic_trace(
             "simple_cnn", requests=12, samples=1,
             multipliers=MULTIPLIERS, seed=9)
