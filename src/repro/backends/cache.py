@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..conv import gemm
+from ..conv.approx_conv2d import PreparedConv
 from ..conv.gemm import RowTable, choose_gemm_kernel
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
@@ -261,7 +262,7 @@ class PreparedFilterBank:
     key: tuple = field(default=(), compare=False, repr=False)
 
 
-def _immutable(array) -> bool:
+def is_immutable(array) -> bool:
     """Whether ``array``'s bytes can never change.
 
     That holds only for a chain of read-only arrays over an immutable
@@ -295,7 +296,9 @@ class FilterBankCache(_BoundedCache):
     (:meth:`row_table`), one per lookup table, within
     :data:`~repro.conv.gemm.ROW_TABLE_CACHE_BYTES` in total.  They are
     dropped with their bank -- eviction, :meth:`invalidate`, :meth:`clear`
-    -- and evicted least-recently-used over the byte budget.
+    -- and evicted least-recently-used over the byte budget.  The plans a
+    frozen :class:`~repro.graph.ops.AxConv2D` binds (:meth:`bind`) are kept
+    here too, and go with the bank or row table they were derived from.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
@@ -306,6 +309,9 @@ class FilterBankCache(_BoundedCache):
         # short call; least recently used first.
         self._tables: OrderedDict = OrderedDict()
         self._table_bytes = 0
+        # owner -> (row-table slot, plan): set-up kept by :meth:`bind`,
+        # dropped with the bank or row table it was derived from.
+        self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @staticmethod
     def content_digest(filters: np.ndarray) -> str:
@@ -319,7 +325,7 @@ class FilterBankCache(_BoundedCache):
 
     def _digest(self, data: np.ndarray) -> str:
         """:meth:`content_digest`, hashed once per immutable array."""
-        if not _immutable(data):
+        if not is_immutable(data):
             return self.content_digest(data)
         with self._lock:
             known = self._digests.get(id(data))
@@ -401,21 +407,58 @@ class FilterBankCache(_BoundedCache):
         while self._tables and (
                 self._table_bytes > gemm.ROW_TABLE_CACHE_BYTES
                 or len(self._tables) > self._max_entries):
-            _, table = self._tables.popitem(last=False)
+            slot, table = self._tables.popitem(last=False)
             if table is not None:
                 self._table_bytes -= table.nbytes
+            self._unbind_locked(lambda bound: bound == slot)
 
     def _dropped_locked(self, key) -> None:
         for slot in [slot for slot in self._tables if slot[0] == key]:
             table = self._tables.pop(slot)
             if table is not None:
                 self._table_bytes -= table.nbytes
+        self._unbind_locked(lambda bound: bound[0] == key)
+
+    def _unbind_locked(self, predicate) -> None:
+        """Drop the plans whose row-table slot satisfies ``predicate``."""
+        for owner in [owner for owner, (slot, _) in self._plans.items()
+                      if predicate(slot)]:
+            del self._plans[owner]
+
+    def bind(self, owner, prepared: PreparedConv, plan) -> None:
+        """Keep ``plan``, ``owner``'s set-up derived from ``prepared``.
+
+        ``prepared`` is a :meth:`~repro.backends.InferencePipeline.prepare`
+        result through this cache.  :meth:`bound` returns ``plan`` until
+        ``prepared``'s bank or row table leaves the cache (eviction,
+        :meth:`invalidate`, :meth:`clear`) or ``owner`` binds another, so a
+        plan never keeps alive what the cache has let go.  Nothing is kept
+        when the bank or row table is already gone.  The cache holds
+        ``owner`` weakly.
+        """
+        slot = (prepared.bank_key, prepared.lut)
+        with self._lock:
+            bank = self._entries.get(prepared.bank_key)
+            if (bank is None or bank.flat_filters is not prepared.flat_filters
+                    or (prepared.row_table is not None
+                        and self._tables.get(slot) is not prepared.row_table)):
+                self._plans.pop(owner, None)
+                return
+            self._plans[owner] = (slot, plan)
+
+    def bound(self, owner):
+        """The plan :meth:`bind` keeps for ``owner``, or ``None``."""
+        with self._lock:
+            entry = self._plans.get(owner)
+        return None if entry is None else entry[1]
 
     def clear(self) -> None:
-        """Drop every bank, row table and remembered digest; reset counters."""
+        """Drop every bank, row table, plan and remembered digest; reset
+        counters."""
         super().clear()
         with self._lock:
             self._tables.clear()
+            self._plans.clear()
             self._table_bytes = 0
             self._digests.clear()
 
@@ -427,8 +470,8 @@ class FilterBankCache(_BoundedCache):
         no longer matches any live tensor), so dropping them eagerly keeps
         the cache from filling up with dead entries and guarantees a stale
         quantised bank is never served for recycled storage.  The banks' row
-        tables and the remembered digests of arrays with those contents go
-        too.  Returns the number of banks removed.
+        tables and plans, and the remembered digests of arrays with those
+        contents, go too.  Returns the number of banks removed.
         """
         dropped = self._invalidate_where(
             lambda key: key[0] == digest, token=digest)

@@ -18,7 +18,9 @@ hot path:
   counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
   simulated device's counters
   (:class:`~repro.gpusim.device.DeviceCounters`) when the ``gpusim``
-  backend ran.  :meth:`InferencePipeline.run` is the one place a
+  backend ran.  :meth:`InferencePipeline.run_prepared`, the back half of
+  every :meth:`~InferencePipeline.run` and all a bound
+  :class:`~repro.graph.ops.AxConv2D` runs, is the one place a
   convolution's work is counted: once per run, from the geometry.  A caller
   that wants the total over many runs -- a whole model's forward pass --
   opens a :func:`collect_reports` scope around them.  Cache hits and misses
@@ -49,7 +51,7 @@ from ..conv.approx_conv2d import (
     resolve_quant_params,
 )
 from ..conv.padding import resolve_geometry
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ShapeError
 from ..gpusim.device import DeviceCounters
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
@@ -130,7 +132,8 @@ _SCOPES: ContextVar[tuple[RunReport, ...]] = ContextVar(
 def collect_reports() -> Iterator[RunReport]:
     """Collect the :class:`RunReport` of every pipeline run in the block.
 
-    Each :meth:`InferencePipeline.run` on the calling thread merges its
+    Each :meth:`InferencePipeline.run` (or
+    :meth:`~InferencePipeline.run_prepared`) on the calling thread merges its
     report into every scope open there (scopes nest), so wrapping a graph
     execution yields the whole model's accounting.  Context variables do
     not follow work into other threads: a run on another thread (a serve
@@ -240,7 +243,7 @@ class InferencePipeline:
             lut=lut, input_q=input_q, filter_q=bank.filter_q,
             flat_filters=bank.flat_filters, filter_sums=bank.filter_sums,
             kernel_height=kh, kernel_width=kw, channels=channels,
-            filter_count=count, row_table=table,
+            filter_count=count, row_table=table, bank_key=bank.key,
         )
 
     # ------------------------------------------------------------------
@@ -250,13 +253,37 @@ class InferencePipeline:
             input_range: TensorRange | tuple[float, float] | None = None,
             filter_range: TensorRange | tuple[float, float] | None = None,
             ) -> RunResult:
-        """Run one batched approximate convolution; returns output + report."""
+        """Run one batched approximate convolution; returns output + report.
+
+        :meth:`prepare` followed by :meth:`run_prepared`.
+        """
         prepared = self.prepare(
             inputs, filters, multiplier,
             strides=strides, dilations=dilations, padding=padding,
             input_range=input_range, filter_range=filter_range,
         )
+        return self.run_prepared(inputs, prepared, strides=strides,
+                                 dilations=dilations, padding=padding)
 
+    def run_prepared(self, inputs: np.ndarray, prepared: PreparedConv, *,
+                     strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
+                     ) -> RunResult:
+        """Algorithm 1's chunk loop over an already prepared convolution.
+
+        Runs :data:`~repro.conv.approx_conv2d.CHUNK_SIZE`-image chunks of
+        ``inputs`` through the backend's chunk function, concatenates them
+        and counts the run into a :class:`RunReport`, which it also merges
+        into every open :func:`collect_reports` scope.  ``prepared`` must
+        come from :meth:`prepare` on inputs of the same spatial shape and
+        with the same geometry arguments; a caller holding one for operands
+        that cannot change (a bound :class:`~repro.graph.ops.AxConv2D`)
+        skips the set-up this way.
+        """
+        if (inputs.ndim != 4 or inputs.shape[0] == 0
+                or inputs.shape[3] != prepared.channels):
+            raise ShapeError(
+                f"inputs of shape {inputs.shape} do not fit a prepared "
+                f"{prepared.channels}-channel convolution")
         results = [
             self._run_chunk(inputs[start:start + CHUNK_SIZE], prepared,
                             strides, dilations, padding)

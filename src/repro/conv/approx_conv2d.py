@@ -22,7 +22,7 @@ phase would cost on the modelled hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..quantization.affine import (
 )
 from ..quantization.ranges import TensorRange
 from .im2col import filter_sums, flatten_filters, im2col_quantized
-from .gemm import RowTable, approx_gemm
+from .gemm import FactoredFilters, RowTable, approx_gemm
 
 
 #: Number of images processed per chunk: the constant chunk size of the CUDA
@@ -110,8 +110,12 @@ class PreparedConv:
     :class:`repro.backends.InferencePipeline` can cache it across calls.
 
     ``row_table`` is the filter matrix's prebuilt ``rowgather`` table when
-    the pipeline's filter-bank cache holds one; the NumPy engine then
-    passes it to the LUT-GEMM instead of ``flat_filters``.
+    the pipeline's filter-bank cache holds one, and ``factored`` its
+    prebuilt ``factored`` operand when a bound
+    :class:`~repro.graph.ops.AxConv2D` plan added one; the NumPy engine
+    then passes that to the LUT-GEMM instead of ``flat_filters``.
+    ``bank_key`` is the :class:`~repro.backends.cache.FilterBankCache` key
+    the filter side came from (empty when it came from no cache).
     """
 
     lut: LookupTable
@@ -124,6 +128,8 @@ class PreparedConv:
     channels: int
     filter_count: int
     row_table: RowTable | None = None
+    factored: FactoredFilters | None = None
+    bank_key: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def depth(self) -> int:
@@ -184,8 +190,7 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
         strides=strides, dilations=dilations, padding=padding,
     )
-    filters = (prepared.row_table if prepared.row_table is not None
-               else prepared.flat_filters)
+    filters = prepared.row_table or prepared.factored or prepared.flat_filters
     chunk_out = approx_gemm(
         patches, patch_sums, filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,

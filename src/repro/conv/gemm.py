@@ -54,6 +54,11 @@ Tall calls keep the per-call build: it costs at most 1/8 of the GEMM's
 gathers at ResNet-20's smallest batch-32 call (P=2048), whereas caching
 its 19 tables would take ~137 MB (18.9 MB for each stage-3 table), over
 half the ~258 MB peak RSS of whole-model ResNet-20 inference.
+``factored`` has a filter side too: it gathers ``dG[s][bits(W)]`` and
+copies its transpose on every call, 57-60 us over serve's three
+single-sample calls on ``mul8s_exact``/``mul8s_trunc2`` (one BLAS thread).
+:class:`FactoredFilters` holds it next to its filter matrix; a bound
+:class:`~repro.graph.ops.AxConv2D` plan keeps one.
 
 A large gather call runs on two cores.  :func:`lut_matmul` splits the
 depth ``K`` of a ``rowgather`` call with at least
@@ -189,13 +194,15 @@ def _integer_operand(values, lut: LookupTable) -> np.ndarray:
 def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
     """Both operands as integer arrays the table can address.
 
-    A :class:`RowTable` filter operand is returned as it is: its filters
-    were checked when it was built and are read-only.
+    A prebuilt filter operand (:class:`RowTable`, :class:`FactoredFilters`)
+    is returned as it is: its filters were checked when it was built and
+    are read-only.
     """
-    table = filters if isinstance(filters, RowTable) else None
+    table = filters if type(filters) in _PREBUILT else None
     if table is not None and table.lut is not lut:
         raise ConfigurationError(
-            f"row table was built for {table.lut.name!r}, not {lut.name!r}")
+            f"{type(table).__name__} was built for {table.lut.name!r}, "
+            f"not {lut.name!r}")
     patches = np.asarray(patches)
     filters = table.filters if table is not None else np.asarray(filters)
     if patches.ndim != 2 or filters.ndim != 2:
@@ -389,7 +396,70 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
     return acc
 
 
-def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
+def _check_factored(lut: LookupTable, depth: int) -> None:
+    """Raise unless ``lut``'s factors compute a depth-``depth`` product
+    exactly."""
+    if lut.factors is None:
+        raise ConfigurationError(
+            f"table {lut.name!r} has no exact rank <= 3 factorisation")
+    if not lut.factors.exact_for_depth(depth):
+        raise ConfigurationError(
+            f"a depth-{depth} factored product through {lut.name!r} is not "
+            f"exact in float64")
+
+
+def _factored_terms(filters: np.ndarray, lut: LookupTable) -> tuple:
+    """The filter side of ``factored``: per GEMM, the factor columns ``C``
+    it gathers patch rows from and its ``[K * g, F]`` right-hand side
+    ``dG[s][bits(W)]``, term-major within each tap.  Rank 3 runs a pair and
+    a single: 1.1-1.5x one 24-byte gather at the ResNet-20 stage shapes."""
+    factors = lut.factors
+    depth, num_filters = filters.shape
+    filter_bits = filters.astype(np.intp)
+    filter_bits &= (1 << lut.bit_width) - 1
+    terms = []
+    for s0, s1 in ((0, 2), (2, 3)) if factors.rank == 3 else ((0, factors.rank),):
+        rhs = factors.scaled_rows[s0:s1].take(filter_bits, axis=1)  # [g, K, F]
+        terms.append((np.ascontiguousarray(factors.columns[:, s0:s1]),
+                      rhs.transpose(1, 0, 2).reshape(depth * (s1 - s0),
+                                                     num_filters)))
+    return tuple(terms)
+
+
+class FactoredFilters:
+    """A ``[K, F]`` filter operand with its ``factored`` right-hand sides
+    gathered once.
+
+    :func:`lut_matmul_factored` otherwise gathers ``dG[s][bits(W)]`` from
+    the table's factors and copies its transpose on every call.  Passed to
+    :func:`lut_matmul` in place of the filter matrix, it sends the call to
+    ``factored`` with no filter-side work.  The table must have exact
+    factors for the operand's depth; the filters are validated against it
+    here, once, and every array is private and read-only, so the operand
+    can never disagree with its filters.  A bound
+    :class:`~repro.graph.ops.AxConv2D` plan keeps one for its bank.
+    """
+
+    def __init__(self, filters, lut: LookupTable) -> None:
+        filters = _integer_operand(np.asarray(filters), lut)
+        if filters.ndim != 2:
+            raise ShapeError("factored filters are built from a 2D matrix")
+        _check_factored(lut, filters.shape[0])
+        self.filters = np.array(filters)
+        self.filters.setflags(write=False)
+        self.lut = lut
+        self.terms = _factored_terms(self.filters, lut)
+        for _, rhs in self.terms:
+            rhs.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape ``[K, F]`` of the filter operand."""
+        return self.filters.shape
+
+
+def lut_matmul_factored(patches: np.ndarray,
+                        filters: np.ndarray | FactoredFilters,
                         lut: LookupTable) -> np.ndarray:
     """Exact float64 BLAS GEMM via rank <= 3 factors (needs K*bound < 2**53).
 
@@ -410,30 +480,17 @@ def lut_matmul_factored(patches: np.ndarray, filters: np.ndarray,
     factors and ``K * term_bound < 2**53`` -- the bound under which every
     product and partial sum of the GEMM is an exactly representable
     integer, so no result is ever taken from an unverified factorisation or
-    a rounded sum.
+    a rounded sum.  ``filters`` may be a :class:`FactoredFilters`, whose
+    right-hand sides are then used as they are.
     """
     factors = lut.factors
     depth = patches.shape[1]
-    if factors is None:
-        raise ConfigurationError(
-            f"table {lut.name!r} has no exact rank <= 3 factorisation")
-    if not factors.exact_for_depth(depth):
-        raise ConfigurationError(
-            f"a depth-{depth} factored product through {lut.name!r} is not "
-            f"exact in float64")
+    _check_factored(lut, depth)
     rank = factors.rank
     mask = (1 << lut.bit_width) - 1
-    filter_bits = filters.astype(np.intp)
-    filter_bits &= mask
     patches, masked = _bit_patterns(patches, lut)
-    # Rank 3 as a pair and a single column: 1.1-1.5x one 24-byte gather at
-    # the ResNet-20 stage shapes.
-    terms = []
-    for s0, s1 in ((0, 2), (2, 3)) if rank == 3 else ((0, rank),):
-        rhs = factors.scaled_rows[s0:s1].take(filter_bits, axis=1)  # [g, K, F]
-        terms.append((np.ascontiguousarray(factors.columns[:, s0:s1]),
-                      rhs.transpose(1, 0, 2).reshape(depth * (s1 - s0),
-                                                     filters.shape[1])))
+    terms = (filters.terms if isinstance(filters, FactoredFilters)
+             else _factored_terms(filters, lut))
     block_rows = max(1, FACTORED_PANEL_BYTES // max(1, 8 * depth
                                                      * min(rank, 2)))
     sums = np.empty((patches.shape[0], filters.shape[1]), dtype=np.float64)
@@ -460,6 +517,9 @@ KERNELS = {
     "rowgather": lut_matmul_rowgather,
     "factored": lut_matmul_factored,
 }
+
+#: The prebuilt filter operands and the kernel each was built for.
+_PREBUILT = {RowTable: "rowgather", FactoredFilters: "factored"}
 
 
 def choose_gemm_kernel(lut: LookupTable, depth: int) -> str:
@@ -526,7 +586,8 @@ def _taps(filters: np.ndarray | RowTable, k0: int, k1: int):
     return part
 
 
-def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
+def lut_matmul(patches: np.ndarray,
+               filters: np.ndarray | RowTable | FactoredFilters,
                lut: LookupTable, *,
                kernel: str | None = None) -> np.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
@@ -536,10 +597,12 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     width are used as they are.  The product is returned as an ``[P, F]``
     int64 matrix of *approximate* dot products.
 
-    ``filters`` may instead be a :class:`RowTable` built through ``lut``: the
-    same operand with its ``rowgather`` table already built.  Such a call
-    runs ``rowgather`` on the prebuilt table unless ``kernel`` names another
-    kernel, which then gets the table's filter matrix.
+    ``filters`` may instead be a prebuilt operand through ``lut``: a
+    :class:`RowTable` (its ``rowgather`` table built) or a
+    :class:`FactoredFilters` (its ``factored`` right-hand sides gathered).
+    Such a call runs the kernel the operand was built for, with no
+    filter-side work, unless ``kernel`` names another kernel, which then
+    gets the operand's filter matrix.
 
     ``kernel`` names one of :data:`KERNELS` (``rowgather``, ``factored``);
     when omitted, :func:`choose_gemm_kernel` picks one from the table's
@@ -556,15 +619,15 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
     range or float operands with non-integral values
-    :class:`~repro.errors.TruthTableError`, a :class:`RowTable` built
+    :class:`~repro.errors.TruthTableError`, a prebuilt operand built
     through another table :class:`~repro.errors.ConfigurationError` and an
     unknown kernel name
     :class:`~repro.errors.RegistryError`, all before any work is done.
     """
     patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
+    built_for = _PREBUILT.get(type(filters))
     if kernel is None:
-        kernel = ("rowgather" if isinstance(filters, RowTable)
-                  else choose_gemm_kernel(lut, patches.shape[1]))
+        kernel = built_for or choose_gemm_kernel(lut, patches.shape[1])
     try:
         run = KERNELS[kernel]
     except KeyError:
@@ -572,7 +635,7 @@ def lut_matmul(patches: np.ndarray, filters: np.ndarray | RowTable,
         raise RegistryError(
             f"unknown gemm kernel {kernel!r}; known kernels: {known}"
         ) from None
-    if isinstance(filters, RowTable) and kernel != "rowgather":
+    if built_for is not None and kernel != built_for:
         filters = filters.filters
     depth = patches.shape[1]
     mid = _split_depth(kernel, patches.shape, filters.shape[1], lut)
@@ -636,7 +699,8 @@ def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,
 
 
 def approx_gemm(patches: np.ndarray, patch_sums: np.ndarray,
-                filters: np.ndarray | RowTable, filter_sums: np.ndarray,
+                filters: np.ndarray | RowTable | FactoredFilters,
+                filter_sums: np.ndarray,
                 input_q: QuantParams, filter_q: QuantParams,
                 lut: LookupTable) -> np.ndarray:
     """The ``ApproxGEMM`` step of Algorithm 1.

@@ -13,9 +13,15 @@ rounding rule, half away from zero.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from ...backends.cache import is_immutable
 from ...backends.pipeline import InferencePipeline
+from ...conv import gemm
+from ...conv.approx_conv2d import CHUNK_SIZE, PreparedConv
+from ...conv.gemm import RowTable
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
@@ -77,6 +83,33 @@ class Conv2D(Node):
         return out_positions * per_position
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """An :class:`AxConv2D`'s set-up, bound to the arrays it came from.
+
+    ``operands`` are the filter and the four range arrays, all immutable
+    (:func:`~repro.backends.cache.is_immutable`), so holding them keeps
+    their identities from being reused and the plan can never disagree
+    with them.  A chunk of fewer than ``table_images`` images is a short
+    call that would still earn the bank's ``rowgather`` table (0 once the
+    plan has it, or when it never will: a ``factored`` bank, whose plan
+    holds its :class:`~repro.conv.gemm.FactoredFilters` instead, or a table
+    over the byte budget), so such a call prepares again, as an unbound
+    call would.
+    """
+
+    operands: tuple
+    input_shape: tuple
+    prepared: PreparedConv
+    table_images: int
+
+    def serves(self, x: np.ndarray, operands) -> bool:
+        """Whether this plan is the set-up of a call with these inputs."""
+        return (x.shape[1:] == self.input_shape
+                and all(a is b for a, b in zip(operands, self.operands))
+                and min(CHUNK_SIZE, x.shape[0]) >= self.table_images)
+
+
 class AxConv2D(Node):
     """Approximate 2D convolution backed by a multiplier lookup table.
 
@@ -84,8 +117,25 @@ class AxConv2D(Node):
     range scalars ``input_min, input_max, filter_min, filter_max`` produced
     by the Min/Max nodes of the transformed graph.
 
-    Each execution is one :meth:`~repro.backends.InferencePipeline.run`,
-    which counts its work; wrap a graph run in
+    While the filter and the four range inputs are immutable arrays -- the
+    values of graph :class:`~repro.graph.ops.basic.Constant` nodes, as in
+    a graph whose ranges :func:`~repro.graph.freeze_ranges` froze -- the
+    node binds its prepared convolution (coefficients, quantised bank,
+    ``Sf``, the ``rowgather`` row table or
+    :class:`~repro.conv.gemm.FactoredFilters`) once, keyed on those
+    arrays' identities and the input's spatial shape, and later
+    executions run only the chunk loop
+    (:meth:`~repro.backends.InferencePipeline.run_prepared`).  A new
+    array in any of those slots (:meth:`Constant.set_value
+    <repro.graph.ops.basic.Constant.set_value>`, a rewired input) binds
+    again.  The plan is kept in the pipeline's filter cache
+    (:meth:`~repro.backends.cache.FilterBankCache.bind`), which drops it
+    with the bank or row table it came from: on eviction,
+    :meth:`~repro.backends.cache.FilterBankCache.invalidate` and
+    :func:`~repro.backends.clear_caches`.  Per-batch ranges (the
+    ``ReduceMin``/``ReduceMax`` probes) never bind: each such execution is
+    one :meth:`~repro.backends.InferencePipeline.run`.  Either way the run
+    counts its work; wrap a graph run in
     :func:`repro.backends.collect_reports` to total it.
     """
 
@@ -113,12 +163,50 @@ class AxConv2D(Node):
     def compute(self, inputs: list[np.ndarray]) -> np.ndarray:
         self._expect_inputs(inputs, 6)
         x, filters, in_min, in_max, f_min, f_max = inputs
-        return self.pipeline.run(
-            x, filters,
-            strides=self.strides, dilations=self.dilations, padding=self.padding,
+        operands = inputs[1:]
+        plan = self.pipeline.filter_cache.bound(self)
+        if plan is None or not plan.serves(x, operands):
+            if not all(is_immutable(value) for value in operands):
+                return self.pipeline.run(
+                    x, filters, strides=self.strides,
+                    dilations=self.dilations, padding=self.padding,
+                    input_range=(float(in_min), float(in_max)),
+                    filter_range=(float(f_min), float(f_max)),
+                ).output
+            plan = self._bind(x, operands)
+        return self.pipeline.run_prepared(
+            x, plan.prepared, strides=self.strides,
+            dilations=self.dilations, padding=self.padding).output
+
+    def _bind(self, x: np.ndarray, operands) -> _Plan:
+        """Prepare this node's convolution for ``x`` and keep the plan in
+        the filter cache, which drops it with the bank it came from."""
+        filters, in_min, in_max, f_min, f_max = operands
+        prepared = self.pipeline.prepare(
+            x, filters, strides=self.strides, dilations=self.dilations,
+            padding=self.padding,
             input_range=(float(in_min), float(in_max)),
             filter_range=(float(f_min), float(f_max)),
-        ).output
+        )
+        lut, depth = prepared.lut, prepared.depth
+        table_images = 0
+        if gemm.choose_gemm_kernel(lut, depth) == "factored":
+            prepared = replace(prepared, factored=gemm.FactoredFilters(
+                prepared.flat_filters, lut))
+        elif (prepared.row_table is None
+              and RowTable.nbytes_for(depth, prepared.filter_count, lut)
+              <= gemm.ROW_TABLE_CACHE_BYTES):
+            geometry = resolve_geometry(
+                x.shape[1], x.shape[2], prepared.kernel_height,
+                prepared.kernel_width, strides=self.strides,
+                dilations=self.dilations, padding=self.padding)
+            positions = geometry.output_height * geometry.output_width
+            short_rows = gemm.ROW_TABLE_ROWS_PER_LEVEL << lut.bit_width
+            table_images = -(-short_rows // positions)
+        plan = _Plan(operands=tuple(operands), input_shape=x.shape[1:],
+                     prepared=prepared, table_images=table_images)
+        self.pipeline.filter_cache.bind(self, prepared, plan)
+        return plan
 
     def backward(self, grad_output, ctx: OpContext):
         """Straight-through-estimator gradient (ApproxTrain convention).

@@ -372,3 +372,69 @@ class TestConcurrentRunReports:
             before, after = snapshots[2 * round_], snapshots[2 * round_ + 1]
             assert after.hits - before.hits == 1, round_
             assert after.misses - before.misses == 1, round_
+
+
+class TestBoundReplicas:
+    """Two serve workers run bound replicas of one session at once.
+
+    Each replica is its own graph, so its ``AxConv2D`` nodes bind their own
+    plans, over the banks and row tables the replicas share in the default
+    filter cache.  Outputs must not depend on which thread or replica ran
+    a sample, also when the plans are dropped (``clear_caches``) while
+    both threads run; once both replicas are bound, a round makes no
+    filter-cache lookup at all.
+    """
+
+    ROUNDS = 30
+
+    def test_two_threads_on_bound_replicas(self):
+        from repro.backends import DEFAULT_FILTER_CACHE, clear_caches
+        from repro.models import build_simple_cnn
+        from repro.serve import EmulationService, ServiceConfig
+
+        clear_caches()
+        service = EmulationService(ServiceConfig(workers=2))
+        service.register_model(
+            "cnn", lambda: build_simple_cnn(input_size=16, seed=0),
+            calibration_samples=8)
+        session = service.session("cnn", "mul8s_mitchell")
+        rng = np.random.default_rng(21)
+        inputs = [rng.uniform(0, 1, (1, 16, 16, 3)) for _ in range(2)]
+        expected = [session.run(x)[0] for x in inputs]
+
+        barrier = threading.Barrier(2)
+        outputs: dict[int, list] = {0: [], 1: []}
+        lookups: list[int] = []
+        errors: list[BaseException] = []
+
+        def runner(index: int) -> None:
+            try:
+                for round_ in range(self.ROUNDS):
+                    if barrier.wait(timeout=30.0) == 0:
+                        if round_ == self.ROUNDS // 2:
+                            clear_caches()
+                        lookups.append(
+                            DEFAULT_FILTER_CACHE.stats_snapshot().lookups)
+                    barrier.wait(timeout=30.0)
+                    outputs[index].append(session.run(inputs[index])[0])
+            except BaseException as exc:  # pragma: no cover - fail path
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=runner, args=(index,))
+                   for index in outputs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        for index, runs in outputs.items():
+            assert len(runs) == self.ROUNDS
+            for out in runs:
+                assert np.array_equal(out, expected[index]), index
+        # Bound by the last rounds before and after the clear: no lookups.
+        half = self.ROUNDS // 2
+        assert lookups[half - 1] == lookups[half - 5]
+        assert lookups[-1] == lookups[-5]

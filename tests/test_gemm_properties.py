@@ -58,6 +58,7 @@ from hypothesis import given, settings, strategies as st
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
     KERNELS,
+    FactoredFilters,
     RowTable,
     _panel_sum_dtype,
     approx_gemm,
@@ -692,6 +693,87 @@ class TestRowTable:
             RowTable([[1.5]], mitchell_lut)
         with pytest.raises(ShapeError):
             RowTable([1, 2], mitchell_lut)
+
+
+class TestFactoredFilters:
+    """``lut_matmul`` on prebuilt factored filters is the same product."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rank=st.integers(1, 3),
+        bit_width=st.integers(4, 8),
+        signed=st.booleans(),
+        p=st.one_of(st.just(1), st.integers(1, 30)),
+        k=st.one_of(st.just(1), st.integers(1, 60)),
+        f=st.one_of(st.just(1), st.integers(1, 9)),
+    )
+    def test_matches_reference(self, seed, rank, bit_width, signed, p, k, f):
+        lut = LookupTable(_rank_r_table(seed, rank, bit_width, signed),
+                          bit_width=bit_width, signed=signed)
+        rng = np.random.default_rng(seed + 1)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(p, k))
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(k, f))
+        out = lut_matmul(patches, FactoredFilters(filters, lut), lut)
+        np.testing.assert_array_equal(
+            out, lut_matmul_naive(patches, filters, lut))
+
+    @pytest.mark.parametrize("name", ["mul8s_exact", "mul8s_trunc2",
+                                      "mul8u_drum4"])
+    def test_library_tables(self, library_luts, name):
+        lut = library_luts[name]
+        rng = np.random.default_rng(3)
+        patches = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(16, 288)).astype(
+                                   np.int8 if lut.signed else np.uint8)
+        filters = rng.integers(lut.operand_min, lut.operand_max + 1,
+                               size=(288, 64))
+        np.testing.assert_array_equal(
+            lut_matmul(patches, FactoredFilters(filters, lut), lut),
+            lut_matmul_naive(patches, filters, lut))
+
+    def test_immutability(self, exact_lut):
+        patches, filters = _int_case(5, 4, 6, 3)
+        operand = FactoredFilters(filters, exact_lut)
+        assert operand.shape == (6, 3)
+        for array in [operand.filters] + [rhs for _, rhs in operand.terms]:
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        # The operand keeps its own copy of the filters.
+        filters[0, 0] += 1
+        np.testing.assert_array_equal(
+            lut_matmul(patches, operand, exact_lut),
+            lut_matmul_naive(patches, operand.filters, exact_lut))
+
+    def test_dispatch(self, exact_lut, monkeypatch):
+        calls = _spy_kernels(monkeypatch)
+        patches, filters = _int_case(4, 3, 6, 2)
+        # Unnamed, factored filters run factored; another named kernel
+        # gets the operand's filter matrix.
+        for kernel in (None, "factored", "rowgather"):
+            out = lut_matmul(patches, FactoredFilters(filters, exact_lut),
+                             exact_lut, kernel=kernel)
+            np.testing.assert_array_equal(
+                out, lut_matmul_naive(patches, filters, exact_lut))
+        assert calls == ["factored", "factored", "rowgather"]
+
+    def test_validation(self, mitchell_lut, exact_lut, library_luts):
+        operand = FactoredFilters([[1, 2], [3, 4]], exact_lut)
+        with pytest.raises(ConfigurationError, match="mul8s_exact"):
+            lut_matmul([[1, 1]], operand,
+                       library_luts["mul8s_trunc2"])
+        with pytest.raises(ShapeError):
+            lut_matmul([[1, 1, 1]], operand, exact_lut)
+        with pytest.raises(TruthTableError):
+            lut_matmul([[1, 300]], operand, exact_lut)
+        with pytest.raises(ConfigurationError, match="factorisation"):
+            FactoredFilters([[1, 2]], mitchell_lut)
+        with pytest.raises(TruthTableError):
+            FactoredFilters([[1, 300]], exact_lut)
+        with pytest.raises(ShapeError):
+            FactoredFilters([1, 2], exact_lut)
 
 
 @contextlib.contextmanager

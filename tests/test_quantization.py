@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +68,52 @@ class TestRounding:
         q.quantize(values, out=narrow[1:-1])
         np.testing.assert_array_equal(narrow[1:-1], expected)
         assert narrow[0] == narrow[-1] == 0
+
+    #: Quotients where rounding goes wrong easily: signed zeros, the float
+    #: just below 0.5 (``+ 0.5`` rounds it up to 1.0), and integers above
+    #: ``2**52``, where ``+ 0.5`` is itself a tie.
+    EDGES = [0.0, -0.0, 0.49999999999999994, -0.49999999999999994, 0.5,
+             -0.5, 2.0 ** 52 + 1, -(2.0 ** 52 + 1), 2.0 ** 53 - 1]
+
+    @staticmethod
+    def _exact(values, scale):
+        """``clip(round(r / alpha))`` with the float64 quotient rounded half
+        away from zero in exact rational arithmetic."""
+        expected = []
+        for quotient in np.asarray(values) / scale:
+            magnitude = math.floor(abs(Fraction(float(quotient)))
+                                   + Fraction(1, 2))
+            expected.append(-magnitude if quotient < 0 else magnitude)
+        return np.array(expected, dtype=object)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        scale=st.sampled_from([1.0, 0.25]) | st.floats(1e-3, 50.0),
+        target=st.sampled_from([
+            (np.int8, SIGNED_8BIT), (np.uint8, UNSIGNED_8BIT),
+            (np.int16, IntegerRange.for_bits(16, signed=True))]),
+    )
+    def test_rounding_matches_exact_fractions(self, data, scale, target):
+        """Half away from zero, exactly, on every float64 quotient: exact
+        ``k + 0.5`` ties, the edge quotients above, and values clipped at
+        both ends, into int64 and into each narrow ``out=`` dtype."""
+        dtype, qrange = target
+        zero_point = data.draw(st.integers(qrange.qmin, qrange.qmax))
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e300, 1e300)
+            | st.integers(-3 * qrange.qmax, 3 * qrange.qmax).map(
+                lambda k: (k + 0.5) * scale)
+            | st.sampled_from(self.EDGES).map(lambda q: q * scale),
+            min_size=1, max_size=40)))
+        q = QuantParams(scale, zero_point, qrange)
+        rounded = self._exact(values, scale)
+        expected = np.clip(rounded + zero_point, qrange.qmin,
+                           qrange.qmax).astype(np.int64)
+        np.testing.assert_array_equal(q.quantize(values), expected)
+        narrow = np.zeros(len(values), dtype=dtype)
+        assert q.quantize(values, out=narrow) is narrow
+        np.testing.assert_array_equal(narrow, expected)
 
     def test_quantize_leaves_its_input(self):
         vals = np.array([0.5, -1.5, 2.25])
