@@ -11,7 +11,6 @@ describes is :func:`repro.conv.reference.approx_conv2d_direct`; the
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
 from ..gpusim.timing import PhaseTimes
 from ..hwspec import CPUSpec, XEON_E5_2620
 from ..workload import ConvWorkload, total_workload
@@ -20,34 +19,23 @@ from ..workload import ConvWorkload, total_workload
 class CPUTimingModel:
     """Analytical performance model of the CPU emulation baseline.
 
-    Parameters
-    ----------
-    spec:
-        CPU description (defaults to the paper's Xeon E5-2620).
-    float_efficiency:
-        Fraction of the vector FMA peak achieved by the accurate float
-        convolution (optimised BLAS-backed path).
-    quant_elements_per_second:
-        Throughput of the scalar quantisation / range scanning code.
-    remaining_seconds_per_mac:
-        Per-MAC cost of everything in the direct loop that is not the LUT
-        access itself: loop/index arithmetic, accumulation and the Eq. 4
-        correction.  This is the dominant term of the CPU emulation, which is
-        why Fig. 2 attributes ~64 % of the CPU time to "remaining".
+    ``spec`` is the CPU description (defaults to the paper's Xeon
+    E5-2620); the three calibration coefficients are class constants.
     """
 
-    def __init__(self, spec: CPUSpec = XEON_E5_2620, *,
-                 float_efficiency: float = 0.95,
-                 quant_elements_per_second: float = 9.0e7,
-                 remaining_seconds_per_mac: float = 1.64e-9) -> None:
-        if not 0.0 < float_efficiency <= 1.0:
-            raise ConfigurationError("float_efficiency must lie in (0, 1]")
-        if quant_elements_per_second <= 0 or remaining_seconds_per_mac <= 0:
-            raise ConfigurationError("throughput coefficients must be positive")
+    #: Fraction of the vector FMA peak achieved by the accurate float
+    #: convolution (optimised BLAS-backed path).
+    float_efficiency = 0.95
+    #: Throughput of the scalar quantisation / range scanning code.
+    quant_elements_per_second = 9.0e7
+    #: Per-MAC cost of everything in the direct loop that is not the LUT
+    #: access itself: loop/index arithmetic, accumulation and the Eq. 4
+    #: correction.  This is the dominant term of the CPU emulation, which is
+    #: why Fig. 2 attributes ~64 % of the CPU time to "remaining".
+    remaining_seconds_per_mac = 1.64e-9
+
+    def __init__(self, spec: CPUSpec = XEON_E5_2620) -> None:
         self.spec = spec
-        self.float_efficiency = float_efficiency
-        self.quant_elements_per_second = quant_elements_per_second
-        self.remaining_seconds_per_mac = remaining_seconds_per_mac
 
     # ------------------------------------------------------------------
     @property

@@ -148,13 +148,6 @@ class DSEReport:
             return 0.0
         return self.evaluations / self.wall_time_s
 
-    def best_by_accuracy(self) -> ParetoPoint:
-        """Front point with the highest accuracy."""
-        if not len(self.front):
-            raise DSEError("the search produced an empty Pareto front")
-        return max(self.front.points,
-                   key=lambda p: (p.accuracy, -p.relative_energy))
-
     def summary(self) -> str:
         """Multi-line human-readable digest (CLI / example output)."""
         lines = [

@@ -32,7 +32,7 @@ from ..backends.pipeline import RunReport, collect_reports
 from ..errors import DSEError
 from ..evaluation.runner import run_inference
 from ..graph.executor import infer_shapes
-from ..graph.layerwise import approximate_graph_layerwise
+from ..graph.transform import approximate_graph_layerwise
 from ..graph.ops.conv import Conv2D
 from ..multipliers import library
 from ..multipliers.hwcost import estimate_cost
@@ -157,11 +157,6 @@ class Evaluator:
             for workload in getattr(model, "conv_workloads", []) or []:
                 macs[workload.name] = workload.macs_per_image
         return macs
-
-    @property
-    def layer_macs(self) -> dict[str, int]:
-        """Per-image MAC count of every assignable layer."""
-        return dict(self._macs)
 
     def relative_energy(self, assignment: dict[str, str]) -> float:
         """MAC-weighted relative power of ``assignment`` (1.0 = all exact).

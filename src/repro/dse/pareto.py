@@ -128,10 +128,6 @@ class ParetoFront:
         self._points.append(point)
         return True
 
-    def dominated_by_front(self, point: ParetoPoint) -> bool:
-        """True when an existing front point dominates ``point``."""
-        return any(dominates(existing, point) for existing in self._points)
-
     def summary(self) -> str:
         """One-line digest used by the CLI and the example."""
         if not self._points:

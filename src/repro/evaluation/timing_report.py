@@ -64,26 +64,6 @@ class Table1Row:
         """GPU-vs-CPU speed-up of the approximate (emulated) implementation."""
         return self.cpu_approximate.total / self.gpu_approximate.total
 
-    def as_dict(self) -> dict:
-        """Flat dictionary used by the benchmarks and EXPERIMENTS.md."""
-        return {
-            "model": self.model,
-            "L": self.conv_layers,
-            "macs_per_image_millions": self.macs_per_image / 1e6,
-            "cpu_accurate_init_s": self.cpu_accurate.initialization,
-            "cpu_accurate_comp_s": self.cpu_accurate.compute,
-            "gpu_accurate_init_s": self.gpu_accurate.initialization,
-            "gpu_accurate_comp_s": self.gpu_accurate.compute,
-            "cpu_approx_init_s": self.cpu_approximate.initialization,
-            "cpu_approx_comp_s": self.cpu_approximate.compute,
-            "gpu_approx_init_s": self.gpu_approximate.initialization,
-            "gpu_approx_comp_s": self.gpu_approximate.compute,
-            "overhead_cpu_s": self.overhead_cpu,
-            "overhead_gpu_s": self.overhead_gpu,
-            "speedup_accurate": self.speedup_accurate,
-            "speedup_approximate": self.speedup_approximate,
-        }
-
 
 def generate_table1(*, depths=PAPER_DEPTHS, images: int = PAPER_TEST_IMAGES,
                     cpu_model: CPUTimingModel | None = None,

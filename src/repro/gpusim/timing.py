@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..conv.approx_conv2d import CHUNK_SIZE
-from ..errors import ConfigurationError
 from ..hwspec import GPUSpec, GTX_1080
 from ..workload import ConvWorkload, total_workload
 
@@ -67,33 +66,22 @@ class PhaseTimes:
 class GPUTimingModel:
     """Analytical performance model of the GPU emulation path.
 
-    Parameters
-    ----------
-    spec:
-        GPU description providing peak arithmetic/texture throughput.
-    gemm_efficiency:
-        Fraction of peak FMA throughput achieved by the accurate (cuDNN-like)
-        convolution.  Calibrated to ~0.25 so a GTX 1080 sustains ~1.1 TMAC/s,
-        matching the accurate GPU column of Table I.
-    quant_elements_per_second:
-        Throughput of the quantisation/dequantisation and min/max kernels.
-    remaining_seconds_per_mac:
-        Cost of the non-LUT part of the emulated convolution (im2cols, index
-        arithmetic, accumulation, output writes) per MAC.
+    ``spec`` is the GPU description providing peak arithmetic/texture
+    throughput; the three calibration coefficients are class constants.
     """
 
-    def __init__(self, spec: GPUSpec = GTX_1080, *,
-                 gemm_efficiency: float = 0.25,
-                 quant_elements_per_second: float = 6.8e9,
-                 remaining_seconds_per_mac: float = 5.1e-12) -> None:
-        if not 0.0 < gemm_efficiency <= 1.0:
-            raise ConfigurationError("gemm_efficiency must lie in (0, 1]")
-        if quant_elements_per_second <= 0 or remaining_seconds_per_mac <= 0:
-            raise ConfigurationError("throughput coefficients must be positive")
+    #: Fraction of peak FMA throughput achieved by the accurate (cuDNN-like)
+    #: convolution.  Calibrated to ~0.25 so a GTX 1080 sustains ~1.1 TMAC/s,
+    #: matching the accurate GPU column of Table I.
+    gemm_efficiency = 0.25
+    #: Throughput of the quantisation/dequantisation and min/max kernels.
+    quant_elements_per_second = 6.8e9
+    #: Cost of the non-LUT part of the emulated convolution (im2cols, index
+    #: arithmetic, accumulation, output writes) per MAC.
+    remaining_seconds_per_mac = 5.1e-12
+
+    def __init__(self, spec: GPUSpec = GTX_1080) -> None:
         self.spec = spec
-        self.gemm_efficiency = gemm_efficiency
-        self.quant_elements_per_second = quant_elements_per_second
-        self.remaining_seconds_per_mac = remaining_seconds_per_mac
 
     # ------------------------------------------------------------------
     @property

@@ -8,16 +8,13 @@ swaps accurate convolutions for approximate ones.
 from . import ops
 from .executor import BackwardResult, Executor, Tape, infer_shapes
 from .graph import Graph
-from .layerwise import (
-    LayerwiseReport,
-    approximate_graph_layerwise,
-    assignment_key,
-)
+from .layerwise import assignment_key
 from .node import Node, OpContext, unbroadcast
 from .rewriter import replace_consumers
 from .transform import (
     TransformReport,
     approximate_graph,
+    approximate_graph_layerwise,
     freeze_ranges,
 )
 
@@ -37,5 +34,4 @@ __all__ = [
     "TransformReport",
     "approximate_graph_layerwise",
     "assignment_key",
-    "LayerwiseReport",
 ]

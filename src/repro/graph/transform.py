@@ -10,16 +10,21 @@ The design flow described in Section II is:
     suitable for the inference as well as training because the minimum and
     maximum values of the input tensors are determined once per a batch."
 
-:func:`approximate_graph` implements exactly that flow on our graph
-framework: every ``Conv2D`` node is replaced in place by an ``AxConv2D`` fed
-by ``ReduceMin``/``ReduceMax`` nodes over the original data and filter
-tensors, and all downstream consumers are rewired to the new node.
+One loop implements that flow on our graph framework: each selected
+``Conv2D`` node is replaced in place by an ``AxConv2D`` fed by
+``ReduceMin``/``ReduceMax`` nodes over the original data and filter tensors,
+and all downstream consumers are rewired to the new node.
+:func:`approximate_graph` selects every convolution with one multiplier;
+:func:`approximate_graph_layerwise` selects the layers of an ALWANN-style
+per-layer assignment (reference [12] of the paper), each with its own
+multiplier, and leaves the rest accurate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..backends.cache import DEFAULT_LUT_CACHE
 from ..errors import GraphError
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
@@ -36,75 +41,87 @@ RANGE_MARGIN = 0.05
 
 @dataclass
 class TransformReport:
-    """Summary of one graph transformation run."""
+    """Which layer got which multiplier and which stayed accurate."""
 
-    replaced: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    inserted_range_nodes: int = 0
-    lut_name: str = ""
+    per_layer: dict[str, str] = field(default_factory=dict)
+    accurate_layers: list[str] = field(default_factory=list)
+
+    @property
+    def replaced(self) -> list[str]:
+        """Names of the ``Conv2D`` layers converted, in graph order."""
+        return list(self.per_layer)
 
     @property
     def converted_layers(self) -> int:
         """Number of convolution layers converted to approximate variants."""
-        return len(self.replaced)
+        return len(self.per_layer)
 
     def summary(self) -> str:
         """One-line human readable summary."""
+        kinds = sorted(set(self.per_layer.values()))
         return (
             f"replaced {self.converted_layers} Conv2D node(s) with AxConv2D "
-            f"(lut={self.lut_name!r}), inserted {self.inserted_range_nodes} "
-            f"range node(s), skipped {len(self.skipped)}"
+            f"using {len(kinds)} multiplier(s) ({', '.join(kinds)}); "
+            f"{len(self.accurate_layers)} layer(s) kept accurate"
         )
 
 
-def _resolve_lut(multiplier_or_lut: Multiplier | LookupTable) -> LookupTable:
-    if isinstance(multiplier_or_lut, LookupTable):
-        return multiplier_or_lut
-    if isinstance(multiplier_or_lut, Multiplier):
-        return LookupTable.from_multiplier(multiplier_or_lut)
-    raise GraphError(
-        "expected a Multiplier or LookupTable, got "
-        f"{type(multiplier_or_lut).__name__}"
-    )
-
-
-def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable, *,
-                      layer_filter=None) -> TransformReport:
+def approximate_graph(graph: Graph,
+                      multiplier_or_lut: Multiplier | LookupTable | str,
+                      ) -> TransformReport:
     """Replace every ``Conv2D`` in ``graph`` by an ``AxConv2D`` (Fig. 1).
 
-    Parameters
-    ----------
-    graph:
-        The graph to transform, modified in place.
-    multiplier_or_lut:
-        The approximate multiplier to emulate, either as a behavioural model
-        or directly as its lookup table.  Each ``AxConv2D`` quantises to
-        the table's own operand range ([-128, 127] or [0, 255] at 8 bits).
-    layer_filter:
-        Optional predicate ``f(conv_node) -> bool``; layers for which it
-        returns False keep their accurate implementation.  This enables the
-        layer-wise approximation studies of ALWANN-style flows.
-
-    Returns
-    -------
-    TransformReport
-        Names of replaced/skipped layers and insertion counts.
+    ``multiplier_or_lut`` is the approximate multiplier to emulate: a
+    behavioural model, its lookup table or a library name.  Each
+    ``AxConv2D`` quantises to the table's own operand range ([-128, 127] or
+    [0, 255] at 8 bits).  The graph is modified in place.
     """
-    lut = _resolve_lut(multiplier_or_lut)
-    report = TransformReport(lut_name=lut.name)
+    lut = DEFAULT_LUT_CACHE.resolve(multiplier_or_lut)
+    return approximate_graph_layerwise(
+        graph, {conv.name: lut for conv in graph.nodes_by_type(Conv2D.op_type)})
 
+
+def approximate_graph_layerwise(graph: Graph,
+                                assignment: dict[str, Multiplier | LookupTable | str],
+                                ) -> TransformReport:
+    """Replace the assigned ``Conv2D`` layers, each with its own multiplier.
+
+    ``assignment`` maps ``Conv2D`` node names to the multiplier emulated in
+    that layer: a behavioural model, a lookup table or a library name.
+    Layers it does not list keep their accurate implementation (the ALWANN
+    convention for "layer left exact").  Tables are resolved through the
+    process-wide LUT cache: a design-space search applies hundreds of
+    assignments drawn from a small catalogue, and each distinct
+    multiplier's table should be built exactly once.  The graph is modified
+    in place; nothing is modified when a name or a multiplier is invalid.
+    """
+    conv_names = {node.name for node in graph.nodes_by_type(Conv2D.op_type)}
+    unknown = sorted(set(assignment) - conv_names)
+    if unknown:
+        wrong_type = [name for name in unknown if name in graph]
+        if wrong_type:
+            kinds = ", ".join(
+                f"{name} ({graph.get(name).op_type})" for name in wrong_type)
+            raise GraphError(
+                f"assignment targets non-Conv2D node(s): {kinds}"
+            )
+        raise GraphError(
+            f"assignment references unknown Conv2D layers: {', '.join(unknown)}"
+        )
+    luts = {layer: DEFAULT_LUT_CACHE.resolve(multiplier)
+            for layer, multiplier in assignment.items()}
+
+    report = TransformReport()
     for conv in list(graph.nodes_by_type(Conv2D.op_type)):
-        if layer_filter is not None and not layer_filter(conv):
-            report.skipped.append(conv.name)
+        lut = luts.get(conv.name)
+        if lut is None:
+            report.accurate_layers.append(conv.name)
             continue
         data, filters = conv.inputs
-
         input_min = ReduceMin(graph, data, name=f"{conv.name}/input_min")
         input_max = ReduceMax(graph, data, name=f"{conv.name}/input_max")
         filter_min = ReduceMin(graph, filters, name=f"{conv.name}/filter_min")
         filter_max = ReduceMax(graph, filters, name=f"{conv.name}/filter_max")
-        report.inserted_range_nodes += 4
-
         ax = AxConv2D(
             graph, data, filters, input_min, input_max, filter_min, filter_max,
             lut=lut, strides=conv.strides, dilations=conv.dilations,
@@ -112,9 +129,10 @@ def approximate_graph(graph: Graph, multiplier_or_lut: Multiplier | LookupTable,
         )
         replace_consumers(graph, conv, ax)
         graph.remove(conv)
-        report.replaced.append(conv.name)
+        report.per_layer[conv.name] = lut.name
 
     graph.validate()
+    report.accurate_layers.sort()
     return report
 
 

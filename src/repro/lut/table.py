@@ -348,17 +348,3 @@ class LookupTable:
     def dense(self) -> np.ndarray:
         """Return the dense ``2**n x 2**n`` truth table (a copy)."""
         return self._table_2d.copy()
-
-    # ------------------------------------------------------------------
-    def error_versus_exact(self) -> np.ndarray:
-        """Return the dense signed error table against exact multiplication."""
-        values = np.arange(1 << self._bit_width, dtype=np.int64)
-        if self._signed:
-            half = 1 << (self._bit_width - 1)
-            values = np.where(values >= half, values - (1 << self._bit_width), values)
-        a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
-        return self._table_2d.astype(np.int64) - a_grid * b_grid
-
-    def is_exact(self) -> bool:
-        """True when the table encodes an exact multiplier."""
-        return not np.any(self.error_versus_exact())

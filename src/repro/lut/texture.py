@@ -105,25 +105,3 @@ class TextureCacheModel:
         for idx in indices:
             self.access(int(idx))
         return self.hit_rate
-
-    def estimate_hit_rate_from_histogram(self, indices: np.ndarray) -> float:
-        """Fast analytical hit-rate estimate from the index distribution.
-
-        Instead of simulating every access, estimate the hit rate from the
-        working-set size: count how many distinct cache lines the stream
-        touches and compare with the cache capacity.  When the touched lines
-        fit in the cache the hit rate approaches ``1 - lines/accesses``
-        (compulsory misses only); otherwise it degrades proportionally to the
-        capacity ratio.  This matches the LRU replay within a few percent for
-        convolution workloads while being orders of magnitude faster.
-        """
-        indices = np.asarray(indices).reshape(-1)
-        if indices.size == 0:
-            return 0.0
-        lines = np.unique((indices * self._element_bytes) // self._line_bytes)
-        capacity_lines = self._size_bytes // self._line_bytes
-        compulsory = lines.size / indices.size
-        if lines.size <= capacity_lines:
-            return float(max(0.0, 1.0 - compulsory))
-        capacity_factor = capacity_lines / lines.size
-        return float(max(0.0, (1.0 - compulsory) * capacity_factor))

@@ -6,8 +6,9 @@ blocks and thus the number of 2D convolutional layers L and MAC operations".
 These are the classic CIFAR ResNets of He et al.: a 3x3 stem convolution with
 16 filters followed by three stages of ``n`` basic blocks (two 3x3
 convolutions each) with 16, 32 and 64 filters, spatial down-sampling by
-stride-2 at the first block of stages two and three, 1x1 projection shortcuts
-where the shape changes, global average pooling and a dense classifier.
+stride-2 at the first block of stages two and three, identity shortcuts
+("option A": sub-sampling plus zero padding, no convolution) where the shape
+changes, global average pooling and a dense classifier.
 
 Pre-trained weights are not available offline, so the builder initialises the
 network with a deterministic He-style pseudo-training scheme: weights are
@@ -100,16 +101,11 @@ class _ResNetBuilder:
     """Internal helper constructing the graph layer by layer."""
 
     def __init__(self, depth: int, num_classes: int, input_size: int,
-                 base_filters: int, seed: int, shortcut: str) -> None:
-        if shortcut not in ("identity", "projection"):
-            raise ConfigurationError(
-                f"shortcut must be 'identity' or 'projection', got {shortcut!r}"
-            )
+                 base_filters: int, seed: int) -> None:
         self.depth = depth
         self.num_classes = num_classes
         self.input_size = input_size
         self.base_filters = base_filters
-        self.shortcut_kind = shortcut
         self.rng = np.random.default_rng(seed)
         self.graph = Graph(f"resnet{depth}")
         self.workloads: list[ConvWorkload] = []
@@ -118,11 +114,10 @@ class _ResNetBuilder:
         self._channels = 3
 
     # ------------------------------------------------------------------
-    def conv(self, x, out_channels: int, *, kernel: int = 3, stride: int = 1,
+    def conv(self, x, out_channels: int, *, stride: int = 1,
              name: str) -> Conv2D:
-        """Add a convolution, recording its workload and parameters."""
-        weights = _he_normal(
-            self.rng, (kernel, kernel, self._channels, out_channels))
+        """Add a 3x3 convolution, recording its workload and parameters."""
+        weights = _he_normal(self.rng, (3, 3, self._channels, out_channels))
         w_node = Constant(self.graph, weights, name=f"{name}/weights")
         conv = Conv2D(
             self.graph, x, w_node,
@@ -133,8 +128,8 @@ class _ResNetBuilder:
             input_height=self._spatial,
             input_width=self._spatial,
             input_channels=self._channels,
-            kernel_height=kernel,
-            kernel_width=kernel,
+            kernel_height=3,
+            kernel_width=3,
             output_channels=out_channels,
             stride=stride,
             padding="SAME",
@@ -158,44 +153,28 @@ class _ResNetBuilder:
                        name: str):
         """Basic residual block: two 3x3 convolutions plus a shortcut."""
         in_channels = self._channels
-        in_spatial = self._spatial
 
         conv1 = self.conv(x, out_channels, stride=stride, name=f"{name}/conv1")
         act1 = self.bias_relu(conv1, out_channels, name=f"{name}/conv1")
         conv2 = self.conv(act1, out_channels, stride=1, name=f"{name}/conv2")
         act2 = self.bias_relu(conv2, out_channels, name=f"{name}/conv2", relu=False)
 
-        if stride != 1 or in_channels != out_channels:
-            if self.shortcut_kind == "projection":
-                # Projection shortcut (1x1 convolution, "option B") bringing
-                # the input to the block's output shape; restore the builder's
-                # spatial/channel cursor first because self.conv advances it.
-                self._spatial = in_spatial
-                self._channels = in_channels
-                shortcut = self.conv(
-                    x, out_channels, kernel=1, stride=stride, name=f"{name}/shortcut")
-                self._spatial = -(-in_spatial // stride)
-                self._channels = out_channels
-            else:
-                # Identity shortcut ("option A" of He et al.): spatial
-                # sub-sampling (a 1x1 average pool with the block's stride)
-                # followed by zero-padding of the new channels.  It adds no
-                # convolution layer and no MACs, which is how the paper's L
-                # column counts the CIFAR ResNets.
-                shortcut = x
-                if stride != 1:
-                    shortcut = AvgPool2D(
-                        self.graph, shortcut, kernel=(1, 1),
-                        strides=(stride, stride), padding="VALID",
-                        name=f"{name}/shortcut_pool")
-                missing = out_channels - in_channels
-                if missing > 0:
-                    shortcut = Pad(
-                        self.graph, shortcut,
-                        [(0, 0), (0, 0), (0, 0), (missing // 2, missing - missing // 2)],
-                        name=f"{name}/shortcut_pad")
-        else:
-            shortcut = x
+        # Identity shortcut ("option A" of He et al.): spatial sub-sampling
+        # (a 1x1 average pool with the block's stride) followed by
+        # zero-padding of the new channels.  It adds no convolution layer and
+        # no MACs, which is how the paper's L column counts the CIFAR ResNets.
+        shortcut = x
+        if stride != 1:
+            shortcut = AvgPool2D(
+                self.graph, shortcut, kernel=(1, 1),
+                strides=(stride, stride), padding="VALID",
+                name=f"{name}/shortcut_pool")
+        missing = out_channels - in_channels
+        if missing > 0:
+            shortcut = Pad(
+                self.graph, shortcut,
+                [(0, 0), (0, 0), (0, 0), (missing // 2, missing - missing // 2)],
+                name=f"{name}/shortcut_pad")
 
         summed = Add(self.graph, act2, shortcut, name=f"{name}/add")
         return ReLU(self.graph, summed, name=f"{name}/relu")
@@ -256,9 +235,8 @@ class _ResNetBuilder:
 
 
 def build_resnet(depth: int, *, num_classes: int = 10, input_size: int = 32,
-                 base_filters: int = 16, seed: int = 0,
-                 shortcut: str = "identity") -> ResNetModel:
-    """Build a CIFAR-style ResNet-``depth`` model.
+                 base_filters: int = 16, seed: int = 0) -> ResNetModel:
+    """Build a CIFAR-style ResNet-``depth`` model (``L = 6n + 1`` conv layers).
 
     Parameters
     ----------
@@ -272,19 +250,13 @@ def build_resnet(depth: int, *, num_classes: int = 10, input_size: int = 32,
         Filters of the first stage (16 in the original architecture).
     seed:
         Seed of the deterministic pseudo-training initialisation.
-    shortcut:
-        Residual shortcut style: ``"identity"`` (option A -- sub-sampling plus
-        zero padding, no extra convolutions; gives ``L = 6n + 1`` conv layers
-        as in Table I) or ``"projection"`` (option B -- 1x1 convolutions where
-        the shape changes).
     """
     return _ResNetBuilder(
-        depth, num_classes, input_size, base_filters, seed, shortcut).build()
+        depth, num_classes, input_size, base_filters, seed).build()
 
 
 def conv_workloads_for_depth(depth: int, *, input_size: int = 32,
-                             base_filters: int = 16,
-                             shortcut: str = "identity") -> list[ConvWorkload]:
+                             base_filters: int = 16) -> list[ConvWorkload]:
     """Per-layer convolution workloads of ResNet-``depth`` without building weights.
 
     The Table I harness sweeps ten depths; constructing the weight tensors for
@@ -298,15 +270,15 @@ def conv_workloads_for_depth(depth: int, *, input_size: int = 32,
     spatial = input_size
     channels = 3
 
-    def add(name: str, out_channels: int, kernel: int, stride: int) -> None:
+    def add(name: str, out_channels: int, stride: int) -> None:
         nonlocal spatial, channels
         workloads.append(ConvWorkload(
             name=name,
             input_height=spatial,
             input_width=spatial,
             input_channels=channels,
-            kernel_height=kernel,
-            kernel_width=kernel,
+            kernel_height=3,
+            kernel_width=3,
             output_channels=out_channels,
             stride=stride,
             padding="SAME",
@@ -314,21 +286,10 @@ def conv_workloads_for_depth(depth: int, *, input_size: int = 32,
         spatial = -(-spatial // stride)
         channels = out_channels
 
-    if shortcut not in ("identity", "projection"):
-        raise ConfigurationError(
-            f"shortcut must be 'identity' or 'projection', got {shortcut!r}")
-
-    add("stem/conv", base_filters, 3, 1)
+    add("stem/conv", base_filters, 1)
     for stage, filters in enumerate((base_filters, 2 * base_filters, 4 * base_filters)):
         for block in range(n):
             stride = 2 if (stage > 0 and block == 0) else 1
-            in_channels = channels
-            in_spatial = spatial
-            add(f"stage{stage + 1}/block{block + 1}/conv1", filters, 3, stride)
-            add(f"stage{stage + 1}/block{block + 1}/conv2", filters, 3, 1)
-            if shortcut == "projection" and (stride != 1 or in_channels != filters):
-                out_spatial, out_channels = spatial, channels
-                spatial, channels = in_spatial, in_channels
-                add(f"stage{stage + 1}/block{block + 1}/shortcut", filters, 1, stride)
-                spatial, channels = out_spatial, out_channels
+            add(f"stage{stage + 1}/block{block + 1}/conv1", filters, stride)
+            add(f"stage{stage + 1}/block{block + 1}/conv2", filters, 1)
     return workloads

@@ -98,11 +98,6 @@ class Multiplier(ABC):
             return (1 << (self._bit_width - 1)) - 1
         return (1 << self._bit_width) - 1
 
-    @property
-    def product_bits(self) -> int:
-        """Number of bits needed to store any product of this multiplier."""
-        return 2 * self._bit_width
-
     def _default_name(self) -> str:
         sign = "s" if self._signed else "u"
         return f"{type(self).__name__.lower()}_{self._bit_width}{sign}"
@@ -205,15 +200,6 @@ class Multiplier(ABC):
         a_grid, b_grid = np.meshgrid(values, values, indexing="ij")
         products = self.multiply(a_grid, b_grid)
         return np.asarray(products, dtype=np.int32)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def error_on(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        """Return ``multiply(a, b) - a*b`` (the signed arithmetic error)."""
-        return np.asarray(self.multiply(a, b), dtype=np.int64) - np.asarray(
-            self.exact(a, b), dtype=np.int64
-        )
 
 
 class ExactMultiplier(Multiplier):

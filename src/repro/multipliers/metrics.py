@@ -23,7 +23,7 @@ circuits of different bit widths can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class MultiplierErrorReport:
     mean_squared_error: float
     root_mean_squared_error: float
     variance_of_error: float
-
-    def as_dict(self) -> dict:
-        """Return the report as a plain dictionary (for tables / JSON)."""
-        return asdict(self)
 
     def summary(self) -> str:
         """One-line human-readable summary used by the example scripts."""

@@ -142,25 +142,6 @@ class QuantParams:
         values = np.asarray(values, dtype=np.float64)
         return self.scale * (values - self.zero_point)
 
-    def fake_quantize(self, values: np.ndarray) -> np.ndarray:
-        """Quantise and immediately dequantise (TensorFlow's fake-quant path).
-
-        The paper states that with an accurate multiplier the approximate
-        layer matches "the quantization followed by dequantization available
-        in TensorFlow"; this helper is that reference behaviour.
-        """
-        return self.dequantize(self.quantize(values))
-
-    def representable_zero(self) -> float:
-        """Real value the zero-point maps to (exactly 0 by construction)."""
-        return self.dequantize(np.asarray(self.zero_point)).item()
-
-    def real_range(self) -> tuple[float, float]:
-        """Real-valued interval covered by the quantised range."""
-        lo = self.dequantize(np.asarray(self.qrange.qmin)).item()
-        hi = self.dequantize(np.asarray(self.qrange.qmax)).item()
-        return lo, hi
-
 
 def compute_coeffs(range_min: float, range_max: float, *,
                    qrange: IntegerRange = SIGNED_8BIT) -> QuantParams:

@@ -39,10 +39,6 @@ class TensorRange:
             raise QuantizationError("tensor contains non-finite values")
         return cls(float(values.min()), float(values.max()))
 
-    def include_zero(self) -> "TensorRange":
-        """Extend the range so that zero is representable."""
-        return TensorRange(min(self.min_value, 0.0), max(self.max_value, 0.0))
-
     @property
     def span(self) -> float:
         """Width of the interval."""

@@ -28,9 +28,8 @@ from ..backends.pipeline import RunReport, collect_reports
 from ..datasets.cifar import normalize
 from ..errors import ServeError, TFApproxError
 from ..graph.executor import Executor
-from ..graph.layerwise import approximate_graph_layerwise
 from ..graph.ops.conv import Conv2D
-from ..graph.transform import freeze_ranges
+from ..graph.transform import approximate_graph_layerwise, freeze_ranges
 from .request import AdmissionKey, admission_key, normalize_assignment
 
 #: Calibration samples a warm-up run executes.

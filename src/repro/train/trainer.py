@@ -83,13 +83,6 @@ class TrainHistory:
     def __iter__(self):
         return iter(self.epochs)
 
-    @property
-    def final_accuracy(self) -> float:
-        """Training accuracy of the last recorded epoch."""
-        if not self.epochs:
-            raise ConfigurationError("history is empty")
-        return self.epochs[-1].accuracy
-
     def summary(self) -> str:
         """Multi-line table of the recorded epochs."""
         lines = ["epoch  lr        loss      acc     val_acc"]

@@ -9,6 +9,8 @@ than in :mod:`repro.conv.reference`, because no program path runs them:
   adjoint GEMMs of the im2col formulation (a ``[P, kh*kw*C]`` patch matrix,
   its gradient and a ``col2im`` scatter), checked against the tap-wise
   :func:`repro.conv.conv2d_float_backward`;
+* :func:`fake_quantize` -- quantise and dequantise one tensor (TensorFlow's
+  fake-quant path), checked against the input it round-trips;
 * :func:`fake_quant_conv2d` -- quantise inputs and filters, convolve exactly
   in the integer domain and dequantise.  The paper states that the
   approximate layer with an accurate multiplier computes exactly this, which
@@ -93,6 +95,16 @@ def conv2d_float_backward_im2col(grad_output: np.ndarray, inputs: np.ndarray,
         strides=strides, dilations=dilations, padding=padding,
     )
     return grad_inputs, grad_filters
+
+
+def fake_quantize(params: QuantParams, values: np.ndarray) -> np.ndarray:
+    """Quantise and immediately dequantise (TensorFlow's fake-quant path).
+
+    The paper states that with an accurate multiplier the approximate layer
+    matches "the quantization followed by dequantization available in
+    TensorFlow"; this is that reference behaviour for one tensor.
+    """
+    return params.dequantize(params.quantize(values))
 
 
 def fake_quant_conv2d(inputs: np.ndarray, filters: np.ndarray,

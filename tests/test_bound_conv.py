@@ -19,8 +19,8 @@ from repro.backends import (DEFAULT_FILTER_CACHE, FilterBankCache,
                             collect_reports)
 from repro.conv import CHUNK_SIZE
 from repro.conv import gemm as gemm_mod
-from repro.graph import (Executor, Graph, approximate_graph_layerwise,
-                         freeze_ranges)
+from repro.graph import (Executor, Graph, approximate_graph,
+                         approximate_graph_layerwise, freeze_ranges)
 from repro.graph.ops import AxConv2D, Constant, Placeholder
 from repro.lut import LookupTable
 from repro.models import build_simple_cnn
@@ -39,7 +39,7 @@ CONFIGS = {
 def frozen_model(config):
     model = build_simple_cnn(input_size=16, seed=0)
     if isinstance(config, str):
-        approximate_graph_layerwise(model.graph, {}, default=config)
+        approximate_graph(model.graph, config)
     else:
         approximate_graph_layerwise(model.graph, dict(config))
     calibration = np.random.default_rng(3).uniform(0, 1, (8, 16, 16, 3))
@@ -209,7 +209,7 @@ class TestBinding:
     def test_probed_ranges_never_bind(self):
         clear_caches()
         model = build_simple_cnn(input_size=16, seed=0)
-        approximate_graph_layerwise(model.graph, {}, default="mul8s_mitchell")
+        approximate_graph(model.graph, "mul8s_mitchell")
         x = samples(1)
         for _ in range(3):
             Executor(model.graph).run(model.logits, {model.input_node: x})

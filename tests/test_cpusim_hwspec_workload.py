@@ -107,12 +107,6 @@ class TestCPUTimingModel:
         times = model.approximate_inference(self.WORKLOAD, 10_000)
         assert times.breakdown()["initialization"] < 0.02
 
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            CPUTimingModel(float_efficiency=2.0)
-        with pytest.raises(ConfigurationError):
-            CPUTimingModel(remaining_seconds_per_mac=0)
-
     def test_direct_reference_wrapper_matches_gemm_engine(self, rng):
         inputs = rng.normal(size=(1, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 3))

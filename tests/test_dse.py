@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_reference import conv_workloads_from_graph
 from repro.backends.cache import clear_caches
 from repro.datasets import generate_cifar_like
 from repro.dse import (
@@ -121,7 +122,7 @@ class TestParetoFront:
                 and p.relative_energy == point.relative_energy
                 for p in front.points
             )
-            assert on_front or front.dominated_by_front(point)
+            assert on_front or any(dominates(p, point) for p in front.points)
 
     def test_dominance_is_irreflexive_and_asymmetric(self):
         a = ParetoPoint(accuracy=0.9, relative_energy=0.5)
@@ -273,8 +274,9 @@ class TestEvaluator:
         assert evaluator.relative_energy(assignment) == pytest.approx(1.0)
 
     def test_energy_is_mac_weighted(self, dse_setup):
-        _, _, space, evaluator = dse_setup
-        macs = evaluator.layer_macs
+        builder, _, space, evaluator = dse_setup
+        macs = {workload.name: workload.macs_per_image
+                for workload in conv_workloads_from_graph(builder().graph)}
         assert set(macs) == set(space.layers)
         # Approximating only the heaviest layer saves more energy than
         # approximating only the lightest one.
@@ -420,8 +422,6 @@ class TestSearch:
         payload = nsga_report.to_json()
         assert payload["front"] == nsga_report.front.to_json()
         assert len(payload["history"]) == len(nsga_report.history)
-        assert nsga_report.best_by_accuracy().accuracy == max(
-            p.accuracy for p in nsga_report.front.points)
 
     def test_search_shares_luts_across_candidates(self, nsga_report):
         # Each catalogue multiplier's table is built at most once for the

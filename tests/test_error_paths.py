@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.registry import get_backend
-from repro.errors import GraphError, RegistryError
+from repro.errors import ConfigurationError, GraphError, RegistryError
 from repro.graph import approximate_graph_layerwise
 from repro.models import build_simple_cnn
 from repro.multipliers import library
@@ -39,16 +39,10 @@ class TestLayerwiseErrorPaths:
             approximate_graph_layerwise(
                 model.graph, {"pool1": "mul8s_exact"})
 
-    def test_invalid_multiplier_value_raises_graph_error(self):
+    def test_invalid_multiplier_value_raises_config_error(self):
         model = build_simple_cnn(seed=0)
-        with pytest.raises(GraphError, match="cannot interpret"):
+        with pytest.raises(ConfigurationError, match="got float"):
             approximate_graph_layerwise(model.graph, {"conv1": 3.14})
-
-    def test_unknown_default_multiplier_raises_registry_error(self):
-        model = build_simple_cnn(seed=0)
-        with pytest.raises(RegistryError, match="unknown multiplier"):
-            approximate_graph_layerwise(
-                model.graph, {"conv1": "mul8s_exact"}, default="mul8s_nope")
 
 
 class TestRegistryErrorPaths:

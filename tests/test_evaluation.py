@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ class TestTable1Generation:
 
     def test_row_as_dict_and_paper_comparison(self):
         row = generate_table1(depths=(32,))[0]
-        d = row.as_dict()
+        d = dataclasses.asdict(row)
         assert d["model"] == "ResNet-32"
         cmp = compare_row_with_paper(row)
         assert cmp["speedup_approximate_paper"] == pytest.approx(191.0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.backends import InferencePipeline, emulate_conv2d
 from repro.conv import CHUNK_SIZE
-from repro.errors import ConfigurationError, DeviceError
+from repro.errors import DeviceError
 from repro.gpusim import (
     DeviceCounters,
     GPUDevice,
@@ -208,12 +208,6 @@ class TestGPUTimingModel:
         a = model.approximate_inference(self.WORKLOAD, 500)
         b = model.approximate_inference(list(self.WORKLOAD), 500)
         assert a == b
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            GPUTimingModel(gemm_efficiency=0.0)
-        with pytest.raises(ConfigurationError):
-            GPUTimingModel(quant_elements_per_second=-1)
 
     def test_custom_spec_changes_throughput(self):
         slow_spec = GPUSpec(name="slow", sm_count=4)

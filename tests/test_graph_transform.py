@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backends import shared_pipeline
-from repro.errors import ConfigurationError, GraphError
+from repro.errors import ConfigurationError
 from repro.graph import (
     Executor,
     Graph,
@@ -67,7 +67,6 @@ class TestApproximateGraph:
         g, x, out = build_two_layer_graph(rng)
         report = approximate_graph(g, ExactMultiplier(8, signed=True))
         assert report.converted_layers == 2
-        assert report.inserted_range_nodes == 8
         counts = op_counts(g, "Conv2D", "AxConv2D", "ReduceMin", "ReduceMax")
         assert counts == {"Conv2D": 0, "AxConv2D": 2,
                           "ReduceMin": 4, "ReduceMax": 4}
@@ -100,21 +99,14 @@ class TestApproximateGraph:
                    if n.name.startswith("conv2")]
         assert strided and strided[0].strides == (2, 2)
 
-    def test_layer_filter_keeps_selected_layers_accurate(self, rng):
-        g, x, out = build_two_layer_graph(rng)
-        report = approximate_graph(
-            g, ExactMultiplier(8, signed=True),
-            layer_filter=lambda conv: conv.name != "conv1")
-        assert report.converted_layers == 1
-        assert report.skipped == ["conv1"]
-        counts = op_counts(g, "Conv2D", "AxConv2D")
-        assert counts == {"Conv2D": 1, "AxConv2D": 1}
-
     def test_accepts_lookup_table_directly(self, rng):
         g, x, out = build_two_layer_graph(rng)
         lut = LookupTable.from_multiplier(library.create("mul8s_mitchell"))
         report = approximate_graph(g, lut)
-        assert report.lut_name == "mul8s_mitchell"
+        assert report.per_layer == {"conv1": "mul8s_mitchell",
+                                    "conv2": "mul8s_mitchell"}
+        assert all(ax.pipeline.multiplier is lut
+                   for ax in g.nodes_by_type("AxConv2D"))
 
     def test_unsigned_multiplier_uses_unsigned_range(self, rng):
         g, x, out = build_two_layer_graph(rng)
@@ -160,8 +152,10 @@ class TestApproximateGraph:
 
     def test_invalid_multiplier_argument(self, rng):
         g, x, out = build_two_layer_graph(rng)
-        with pytest.raises(GraphError):
-            approximate_graph(g, "not a multiplier")
+        with pytest.raises(ConfigurationError):
+            approximate_graph(g, 3.14)
+        assert op_counts(g, "Conv2D", "AxConv2D") == {"Conv2D": 2,
+                                                      "AxConv2D": 0}
 
     def test_transform_is_idempotent_on_axconv(self, rng):
         g, x, out = build_two_layer_graph(rng)

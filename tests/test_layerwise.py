@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import ConfigurationError, GraphError
 from repro.graph import (
     Executor,
     approximate_graph_layerwise,
@@ -40,14 +40,6 @@ class TestLayerwiseApproximation:
         assert report.accurate_layers == []
         assert "3 multiplier(s)" in report.summary()
 
-    def test_default_multiplier_fills_unassigned_layers(self):
-        model = build_simple_cnn(seed=0)
-        report = approximate_graph_layerwise(
-            model.graph, {"conv1": "mul8s_drum4"}, default="mul8s_exact")
-        assert report.converted_layers == 3
-        assert report.per_layer["conv2"] == "mul8s_exact"
-        assert report.per_layer["conv1"] == "mul8s_drum4"
-
     def test_unknown_layer_rejected(self):
         model = build_simple_cnn(seed=0)
         with pytest.raises(GraphError):
@@ -55,7 +47,7 @@ class TestLayerwiseApproximation:
 
     def test_invalid_multiplier_value_rejected(self):
         model = build_simple_cnn(seed=0)
-        with pytest.raises(GraphError):
+        with pytest.raises(ConfigurationError):
             approximate_graph_layerwise(model.graph, {"conv1": 42})
 
     def test_same_named_multipliers_keep_distinct_tables(self):
@@ -94,8 +86,8 @@ class TestLayerwiseApproximation:
         batch = rng.normal(size=(2, 32, 32, 3))
         reference = Executor(model.graph).run(model.logits,
                                               {model.input_node: batch})
-        approximate_graph_layerwise(
-            model.graph, {"conv1": "mul8s_exact"}, default="mul8s_exact")
+        approximate_graph_layerwise(model.graph, dict.fromkeys(
+            ("conv1", "conv2", "conv3"), "mul8s_exact"))
         approx = Executor(model.graph).run(model.logits,
                                            {model.input_node: batch})
         assert approx.shape == reference.shape
@@ -108,16 +100,16 @@ class TestLayerwiseApproximation:
         rng = np.random.default_rng(0)
         batch = rng.normal(size=(2, 32, 32, 3))
 
-        def logits_with(assignment, default=None):
+        def logits_with(assignment):
             model = build_simple_cnn(seed=0)
             reference = Executor(model.graph).run(model.logits,
                                                   {model.input_node: batch})
-            approximate_graph_layerwise(model.graph, assignment, default=default)
+            approximate_graph_layerwise(model.graph, assignment)
             approx = Executor(model.graph).run(model.logits,
                                                {model.input_node: batch})
             return float(np.abs(approx - reference).mean())
 
         one_layer = logits_with({"conv1": "mul8s_trunc2"})
-        all_layers = logits_with(
-            {"conv1": "mul8s_trunc2"}, default="mul8s_trunc2")
+        all_layers = logits_with(dict.fromkeys(
+            ("conv1", "conv2", "conv3"), "mul8s_trunc2"))
         assert one_layer < all_layers

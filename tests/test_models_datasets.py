@@ -40,8 +40,6 @@ class TestResNetBuilder:
             build_resnet(9)
         with pytest.raises(ConfigurationError):
             blocks_per_stage(7)
-        with pytest.raises(ConfigurationError):
-            build_resnet(8, shortcut="bogus")
 
     def test_macs_grow_linearly_with_depth(self):
         macs = [sum(w.macs_per_image for w in conv_workloads_for_depth(d))
@@ -57,13 +55,6 @@ class TestResNetBuilder:
         expected = conv_workloads_for_depth(14)
         assert [(w.name, w.macs_per_image) for w in model.conv_workloads] == \
             [(w.name, w.macs_per_image) for w in expected]
-
-    def test_projection_variant_has_more_layers(self):
-        identity = build_resnet(8, shortcut="identity")
-        projection = build_resnet(8, shortcut="projection")
-        assert projection.conv_layer_count == identity.conv_layer_count + 2
-        assert conv_workloads_for_depth(8, shortcut="projection") \
-            and len(conv_workloads_for_depth(8, shortcut="projection")) == 9
 
     def test_forward_pass_shapes(self, rng):
         model = build_resnet(8)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestErrorMetrics:
 
     def test_report_as_dict_and_summary(self):
         report = error_report(ExactMultiplier(4))
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert d["bit_width"] == 4
         assert "EP=0.000" in report.summary()
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import emulate_conv2d
-from repro.conv import conv2d_float, lut_matmul
-from repro.graph import Executor, Graph, approximate_graph
+from repro.backends import DEFAULT_LUT_CACHE, emulate_conv2d
+from repro.conv import (conv2d_float, flatten_filters, im2col_quantized,
+                        lut_matmul)
+from repro.conv.gemm import FactoredFilters, RowTable
+from repro.graph import Executor, Graph, approximate_graph, freeze_ranges
 from repro.graph.ops import Constant, Conv2D, Placeholder, ReLU
 from repro.lut import LookupTable
 from repro.multipliers import (
@@ -116,7 +118,69 @@ def test_quant_params_from_conv_inputs_always_cover_zero(seed):
     rng = np.random.default_rng(seed)
     data = rng.uniform(rng.uniform(-10, 0), rng.uniform(0.1, 10), size=50)
     params = compute_coeffs_from_tensor(data)
-    assert params.representable_zero() == 0.0
-    lo, hi = params.real_range()
+    assert params.dequantize(params.zero_point) == 0.0
+    lo, hi = params.dequantize([params.qrange.qmin, params.qrange.qmax])
     assert lo <= float(data.min()) + params.scale
     assert hi >= float(data.max()) - params.scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       batch=st.integers(min_value=1, max_value=3),
+       side=st.integers(min_value=3, max_value=7),
+       channels=st.integers(min_value=1, max_value=3),
+       count=st.integers(min_value=1, max_value=4),
+       kernel=st.sampled_from([1, 3]),
+       stride=st.sampled_from([1, 2]),
+       padding=st.sampled_from(["SAME", "VALID"]),
+       table=st.sampled_from(["mul8s_exact", "mul8s_mitchell",
+                              "mul8u_drum4"]))
+def test_conv_entry_points_leave_their_operands_unchanged(
+        seed, batch, side, channels, count, kernel, stride, padding, table):
+    """Every public conv entry point reads its operands and never writes
+    them: ``im2col_quantized``; ``lut_matmul`` on a plain filter matrix, a
+    ``RowTable`` and a ``FactoredFilters``; ``emulate_conv2d``; and a bound
+    ``AxConv2D`` (frozen ranges, run twice)."""
+    kept = {}   # name -> (operand, its copy before any entry point ran)
+
+    def keep(name, array):
+        kept[name] = (array, array.copy())
+        return array
+
+    rng = np.random.default_rng(seed)
+    inputs = keep("inputs", rng.normal(size=(batch, side, side, channels)))
+    filters = keep("filters", rng.normal(size=(kernel, kernel, channels, count)))
+    geometry = dict(strides=(stride, stride), padding=padding)
+    lut = DEFAULT_LUT_CACHE.resolve(table)
+    # A table with exact factors and the same operand range.
+    factored_lut = DEFAULT_LUT_CACHE.resolve(
+        "mul8s_exact" if lut.signed else "mul8u_trunc2")
+
+    input_q = compute_coeffs_from_tensor(inputs, qrange=lut.qrange)
+    patches, _, _ = im2col_quantized(inputs, kernel, kernel, input_q,
+                                     **geometry)
+    keep("patches", patches)
+    flat = keep("flat", flatten_filters(compute_coeffs_from_tensor(
+        filters, qrange=lut.qrange).quantize(filters)))
+    row_table = RowTable(flat, lut)
+    factored = FactoredFilters(flat, factored_lut)
+    keep("rows", row_table.rows)
+    for index, (_, rhs) in enumerate(factored.terms):
+        keep(f"factored term {index}", rhs)
+    lut_matmul(patches, flat, lut)
+    lut_matmul(patches, row_table, lut)
+    lut_matmul(patches, factored, factored_lut)
+    emulate_conv2d(inputs, filters, lut, **geometry)
+
+    g = Graph("one_conv")
+    x = Placeholder(g, (None, side, side, channels), name="input")
+    Conv2D(g, x, Constant(g, filters, name="w"), name="conv", **geometry)
+    approximate_graph(g, lut)
+    freeze_ranges(g, {x: inputs})
+    (ax,) = g.nodes_by_type("AxConv2D")
+    for _ in range(2):
+        Executor(g).run(ax, {x: inputs})
+    assert ax.pipeline.filter_cache.bound(ax) is not None
+
+    for name, (array, copy) in kept.items():
+        np.testing.assert_array_equal(array, copy, err_msg=name)

@@ -168,7 +168,7 @@ class TestTrainer:
         history = trainer.fit(split, 3)
         assert len(history) == 3
         assert history.epochs[-1].loss < history.epochs[0].loss
-        assert history.final_accuracy > history.epochs[0].accuracy
+        assert history.epochs[-1].accuracy > history.epochs[0].accuracy
 
     def test_training_is_deterministic(self):
         results = []
