@@ -22,7 +22,8 @@ import time
 
 import pytest
 
-from repro.backends.cache import clear_caches
+from repro.backends.cache import (DEFAULT_FILTER_CACHE, DEFAULT_LUT_CACHE,
+                                  CacheStats, clear_caches)
 from repro.datasets import generate_cifar_like
 from repro.dse import make_calibrated_builder, search
 from repro.models import build_simple_cnn
@@ -51,17 +52,30 @@ def run_search(dse_case, seed: int = 0):
     )
 
 
+def counted_search(dse_case):
+    """One search and the default LUT and filter caches' hits and misses
+    over it: ``(report, lut_counts, filter_counts)``."""
+    caches = (DEFAULT_LUT_CACHE, DEFAULT_FILTER_CACHE)
+    before = [cache.stats_snapshot() for cache in caches]
+    report = run_search(dse_case)
+    counts = [CacheStats(hits=after.hits - prior.hits,
+                         misses=after.misses - prior.misses)
+              for prior, after in zip(
+                  before, [cache.stats_snapshot() for cache in caches])]
+    return report, *counts
+
+
 @pytest.mark.benchmark(group="dse")
 def test_cold_search(benchmark, dse_case):
     """First-ever search: every LUT and filter bank is built from scratch."""
     def cold():
         clear_caches()
-        return run_search(dse_case)
+        return counted_search(dse_case)
 
-    report = benchmark(cold)
+    report, lut, filters = benchmark(cold)
     assert report.evaluations == BUDGET
-    assert report.lut_cache.misses > 0
-    assert report.filter_cache.misses > 0
+    assert lut.misses > 0
+    assert filters.misses > 0
 
 
 @pytest.mark.benchmark(group="dse")
@@ -70,25 +84,25 @@ def test_warm_search(benchmark, dse_case):
     clear_caches()
     run_search(dse_case)  # prime
 
-    report = benchmark(run_search, dse_case)
+    report, lut, filters = benchmark(counted_search, dse_case)
     assert report.evaluations == BUDGET
-    assert report.lut_cache.misses == 0
-    assert report.filter_cache.misses == 0
+    assert lut.misses == 0
+    assert filters.misses == 0
 
 
 def test_warm_search_reuses_caches(dse_case, bench_json):
     """Acceptance gate: warm searches re-use cached LUTs and filter banks."""
     clear_caches()
     start = time.perf_counter()
-    cold = run_search(dse_case)
+    cold, cold_lut, cold_filters = counted_search(dse_case)
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = run_search(dse_case)
+    warm, warm_lut, warm_filters = counted_search(dse_case)
     warm_seconds = time.perf_counter() - start
 
-    cold_hit_ratio = cold.filter_cache.hit_rate
-    warm_hit_ratio = warm.filter_cache.hit_rate
+    cold_hit_ratio = cold_filters.hit_rate
+    warm_hit_ratio = warm_filters.hit_rate
     payload = {
         "budget": BUDGET,
         "cold_candidates_per_s": cold.evaluations / cold_seconds,
@@ -97,8 +111,8 @@ def test_warm_search_reuses_caches(dse_case, bench_json):
         "warm_seconds": warm_seconds,
         "cold_filter_cache_hit_ratio": cold_hit_ratio,
         "warm_filter_cache_hit_ratio": warm_hit_ratio,
-        "cold_lut_cache_hit_ratio": cold.lut_cache.hit_rate,
-        "warm_lut_cache_hit_ratio": warm.lut_cache.hit_rate,
+        "cold_lut_cache_hit_ratio": cold_lut.hit_rate,
+        "warm_lut_cache_hit_ratio": warm_lut.hit_rate,
     }
     print("\n" + "\n".join(f"{key}: {value:.3f}" if isinstance(value, float)
                            else f"{key}: {value}"
@@ -107,9 +121,9 @@ def test_warm_search_reuses_caches(dse_case, bench_json):
 
     # The warm search must actually share state with the cold one...
     assert warm_hit_ratio > 0
-    assert warm.lut_cache.hit_rate > 0
-    assert warm.lut_cache.misses == 0
-    assert warm.filter_cache.misses == 0
+    assert warm_lut.hit_rate > 0
+    assert warm_lut.misses == 0
+    assert warm_filters.misses == 0
     # ...and even the cold search shares across its own candidates.
     assert cold_hit_ratio > 0
     # Outcomes are independent of cache temperature.

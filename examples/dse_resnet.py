@@ -11,9 +11,9 @@ space for the accuracy/relative-energy Pareto front.
 
 Expected output: the search-space summary (7 conv layers, so the catalogue
 spans thousands of candidates of which only ``--budget`` are emulated), a
-progress digest with candidates/s and the LUT/filter-bank cache hit counts
-(the whole search shares one quantised bank per layer and one 256x256 table
-per catalogue multiplier), and the resulting front -- the exact-heavy
+progress digest with candidates/s (the whole search shares one quantised
+bank per layer and one 256x256 table per catalogue multiplier through the
+process-wide caches), and the resulting front -- the exact-heavy
 assignments anchor the high-accuracy end while Mitchell/truncation in the
 wide layers buys the energy reduction.
 

@@ -12,7 +12,11 @@ amortisation:
 * :class:`FilterBankCache` memoises the quantised flattened filter matrix and
   the per-filter sums ``Sf`` keyed by the filter tensor's content digest plus
   the quantisation configuration (the table's integer range and the explicit
-  filter range) that determines the quantised values.
+  filter range) that determines the quantised values.  It is also the one
+  place that decides when a bank gets a prebuilt LUT-GEMM operand (a
+  ``rowgather`` row table or ``factored`` right-hand sides) and builds it,
+  and it keeps the plans of bound (frozen) ``AxConv2D`` nodes, the one
+  identity-keyed shortcut: TFApprox's quantise-the-filters-once set-up.
 
 Both caches are thread-safe (one :class:`~repro.backends.InferencePipeline`
 serves concurrent calls, e.g. from serve workers) and bounded; eviction is
@@ -37,8 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..conv import gemm
-from ..conv.approx_conv2d import PreparedConv
-from ..conv.gemm import RowTable, choose_gemm_kernel
+from ..conv.gemm import FactoredFilters, RowTable, choose_gemm_kernel
 from ..errors import ConfigurationError
 from ..lut.table import LookupTable
 from ..multipliers import library
@@ -285,32 +288,32 @@ class FilterBankCache(_BoundedCache):
     shape and the full quantisation configuration, so two float banks that
     quantise differently never collide.  Hashing costs one linear pass over
     the bank -- orders of magnitude cheaper than quantise + flatten + sum,
-    and it is safe for mutable arrays (unlike keying on ``id``).  An array
-    whose bytes can never change (read-only arrays over a ``bytes`` object,
-    as a graph :class:`~repro.graph.ops.basic.Constant` stores its value)
-    has its digest remembered by identity after the first hash.  Those
-    entries hold the array weakly, are bounded by ``max_entries``, and go
-    with :meth:`clear` and :meth:`invalidate`.
+    and it is safe for mutable arrays (unlike keying on ``id``).  Every
+    :meth:`resolve` hashes; a caller that holds set-up for arrays that can
+    never change keeps it with :meth:`bind` instead.
 
-    A bank used again also keeps its ``rowgather`` tables
-    (:meth:`row_table`), one per lookup table, within
-    :data:`~repro.conv.gemm.ROW_TABLE_CACHE_BYTES` in total.  They are
+    This cache is also the one owner of the banks' prebuilt LUT-GEMM
+    operands: each (bank, lookup table) slot holds at most one, a
+    :class:`~repro.conv.gemm.RowTable` for a ``rowgather`` table or a
+    :class:`~repro.conv.gemm.FactoredFilters` for a ``factored`` one
+    (:func:`~repro.conv.gemm.choose_gemm_kernel`).  :meth:`prebuilt` gives
+    a bank's ``rowgather`` slot its row table on the second short call,
+    and :meth:`bind` builds the slot's operand at once.  Together they take
+    at most :data:`~repro.conv.gemm.ROW_TABLE_CACHE_BYTES`.  They are
     dropped with their bank -- eviction, :meth:`invalidate`, :meth:`clear`
-    -- and evicted least-recently-used over the byte budget.  The plans a
-    frozen :class:`~repro.graph.ops.AxConv2D` binds (:meth:`bind`) are kept
-    here too, and go with the bank or row table they were derived from.
+    -- and evicted least-recently-used over the byte budget.  The plans
+    that frozen :class:`~repro.graph.ops.AxConv2D` nodes bind are kept here
+    too, and go with the bank or operand they were derived from.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
         super().__init__(max_entries)
-        # id(array) -> (weak reference, digest), least recently used first.
-        self._digests: OrderedDict = OrderedDict()
-        # (bank key, LookupTable) -> RowTable, or None after the first
-        # short call; least recently used first.
-        self._tables: OrderedDict = OrderedDict()
-        self._table_bytes = 0
-        # owner -> (row-table slot, plan): set-up kept by :meth:`bind`,
-        # dropped with the bank or row table it was derived from.
+        # (bank key, LookupTable) -> RowTable or FactoredFilters, or None
+        # after a first short call; least recently used first.
+        self._operands: OrderedDict = OrderedDict()
+        self._operand_bytes = 0
+        # owner -> (operand slot, plan): set-up kept by :meth:`bind`,
+        # dropped with the bank or operand it was derived from.
         self._plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @staticmethod
@@ -323,23 +326,6 @@ class FilterBankCache(_BoundedCache):
         data = np.ascontiguousarray(filters)
         return hashlib.sha1(data.tobytes()).hexdigest()
 
-    def _digest(self, data: np.ndarray) -> str:
-        """:meth:`content_digest`, hashed once per immutable array."""
-        if not is_immutable(data):
-            return self.content_digest(data)
-        with self._lock:
-            known = self._digests.get(id(data))
-            if known is not None and known[0]() is data:
-                self._digests.move_to_end(id(data))
-                return known[1]
-        digest = self.content_digest(data)
-        with self._lock:
-            self._digests[id(data)] = (weakref.ref(data), digest)
-            self._digests.move_to_end(id(data))
-            while len(self._digests) > self._max_entries:
-                self._digests.popitem(last=False)
-        return digest
-
     def resolve(self, filters: np.ndarray, *,
                 qrange: IntegerRange,
                 filter_range: TensorRange | tuple[float, float] | None,
@@ -347,104 +333,126 @@ class FilterBankCache(_BoundedCache):
         """Return the prepared bank for ``filters``, building it on a miss."""
         data = np.ascontiguousarray(filters)
         key = (
-            self._digest(data), data.shape, str(data.dtype),
+            self.content_digest(data), data.shape, str(data.dtype),
             (qrange.qmin, qrange.qmax), _range_key(filter_range),
         )
         return self._get_or_build(
             key, lambda: replace(build(), key=key), token=key[0])
 
-    def row_table(self, bank: PreparedFilterBank, lut: LookupTable,
-                  rows: int) -> RowTable | None:
-        """``bank``'s ``rowgather`` table through ``lut``, if it has earned one.
+    def prebuilt(self, bank: PreparedFilterBank, lut: LookupTable,
+                 rows: int) -> RowTable | FactoredFilters | None:
+        """``bank``'s prebuilt operand through ``lut``, if it has one.
 
         ``rows`` is the patch-row count ``P`` of the call.  A short
         ``rowgather`` call (no exact factors for the depth, ``P <``
         :data:`~repro.conv.gemm.ROW_TABLE_ROWS_PER_LEVEL` ``* 2**n``)
-        counts a use of the (bank, table) pair; the second such use builds
-        the pair's :class:`~repro.conv.gemm.RowTable`, and every later call
-        of any size gets it.  Returns ``None`` on a first use, for banks no
-        longer in the cache and for tables larger than the whole byte
-        budget.
+        counts a use of the (bank, table) slot; the second such use builds
+        the slot's :class:`~repro.conv.gemm.RowTable`.  Every later call of
+        any size gets what the slot holds, a row table or the
+        :class:`~repro.conv.gemm.FactoredFilters` that :meth:`bind` built.
+        Returns ``None`` on a first use, for ``factored`` slots nothing
+        bound, for banks no longer in the cache and for operands larger
+        than the whole byte budget.
         """
-        depth, count = bank.flat_filters.shape
         slot = (bank.key, lut)
-        small = (choose_gemm_kernel(lut, depth) == "rowgather"
+        short = (choose_gemm_kernel(lut, bank.flat_filters.shape[0])
+                 == "rowgather"
                  and rows < gemm.ROW_TABLE_ROWS_PER_LEVEL << lut.bit_width)
         with self._lock:
             if self._entries.get(bank.key) is not bank:
                 return None
-            if slot in self._tables:
-                self._tables.move_to_end(slot)
-                table = self._tables[slot]
-                if table is not None or not small:
-                    return table
-            else:
-                if small:
-                    self._tables[slot] = None
-                    self._trim_tables_locked()
+            operand = self._operands.get(slot)
+            if slot in self._operands:
+                self._operands.move_to_end(slot)
+            elif short:
+                self._operands[slot] = None
+                self._trim_operands_locked()
                 return None
-        if RowTable.nbytes_for(depth, count, lut) > gemm.ROW_TABLE_CACHE_BYTES:
+            if operand is not None or not short:
+                return operand
+        return self._build_operand(slot, bank.flat_filters)
+
+    def _build_operand(self, slot, flat_filters: np.ndarray):
+        """Build ``slot``'s operand for the bank's ``flat_filters`` and keep
+        it while that bank is cached; ``None`` over the byte budget."""
+        lut = slot[1]
+        depth, count = flat_filters.shape
+        kind = (RowTable if choose_gemm_kernel(lut, depth) == "rowgather"
+                else FactoredFilters)
+        if kind.nbytes_for(depth, count, lut) > gemm.ROW_TABLE_CACHE_BYTES:
             return None
-        # Build outside the lock, like a bank; keep it only if the bank and
-        # its first-use mark are still there.
-        table = RowTable(bank.flat_filters, lut)
+        # Build outside the lock, like a bank.
+        operand = kind(flat_filters, lut)
         with self._lock:
-            if (self._entries.get(bank.key) is bank
-                    and slot in self._tables and self._tables[slot] is None):
-                self._tables[slot] = table
-                self._table_bytes += table.nbytes
-                self._trim_tables_locked()
-        return table
+            bank = self._entries.get(slot[0])
+            if bank is None or bank.flat_filters is not flat_filters:
+                return operand
+            kept = self._operands.get(slot)
+            if kept is not None:
+                return kept
+            self._operands[slot] = operand
+            self._operands.move_to_end(slot)
+            self._operand_bytes += operand.nbytes
+            self._trim_operands_locked()
+        return operand
 
     @property
     def table_bytes(self) -> int:
-        """Bytes held by the cached row tables."""
+        """Bytes held by the cached prebuilt operands."""
         with self._lock:
-            return self._table_bytes
+            return self._operand_bytes
 
-    def _trim_tables_locked(self) -> None:
-        """Evict the oldest row-table slots over the byte or count bound."""
-        while self._tables and (
-                self._table_bytes > gemm.ROW_TABLE_CACHE_BYTES
-                or len(self._tables) > self._max_entries):
-            slot, table = self._tables.popitem(last=False)
-            if table is not None:
-                self._table_bytes -= table.nbytes
+    def _trim_operands_locked(self) -> None:
+        """Evict the oldest operand slots over the byte or count bound."""
+        while self._operands and (
+                self._operand_bytes > gemm.ROW_TABLE_CACHE_BYTES
+                or len(self._operands) > self._max_entries):
+            slot, operand = self._operands.popitem(last=False)
+            if operand is not None:
+                self._operand_bytes -= operand.nbytes
             self._unbind_locked(lambda bound: bound == slot)
 
     def _dropped_locked(self, key) -> None:
-        for slot in [slot for slot in self._tables if slot[0] == key]:
-            table = self._tables.pop(slot)
-            if table is not None:
-                self._table_bytes -= table.nbytes
+        for slot in [slot for slot in self._operands if slot[0] == key]:
+            operand = self._operands.pop(slot)
+            if operand is not None:
+                self._operand_bytes -= operand.nbytes
         self._unbind_locked(lambda bound: bound[0] == key)
 
     def _unbind_locked(self, predicate) -> None:
-        """Drop the plans whose row-table slot satisfies ``predicate``."""
+        """Drop the plans whose operand slot satisfies ``predicate``."""
         for owner in [owner for owner, (slot, _) in self._plans.items()
                       if predicate(slot)]:
             del self._plans[owner]
 
-    def bind(self, owner, prepared: PreparedConv, plan) -> None:
-        """Keep ``plan``, ``owner``'s set-up derived from ``prepared``.
+    def bind(self, owner, plan):
+        """Keep ``plan``, ``owner``'s set-up, and return it with its operand.
 
-        ``prepared`` is a :meth:`~repro.backends.InferencePipeline.prepare`
-        result through this cache.  :meth:`bound` returns ``plan`` until
-        ``prepared``'s bank or row table leaves the cache (eviction,
+        ``plan`` is a dataclass record whose ``prepared`` field is a
+        :meth:`~repro.backends.InferencePipeline.prepare` result through
+        this cache.  A bound bank is reused by definition, so its slot's
+        prebuilt operand is built now, within the byte budget, and the
+        returned plan's ``prepared`` holds it.  :meth:`bound` returns that
+        plan until the bank or operand leaves the cache (eviction,
         :meth:`invalidate`, :meth:`clear`) or ``owner`` binds another, so a
         plan never keeps alive what the cache has let go.  Nothing is kept
-        when the bank or row table is already gone.  The cache holds
-        ``owner`` weakly.
+        when the bank is already gone.  The cache holds ``owner`` weakly.
         """
+        prepared = plan.prepared
         slot = (prepared.bank_key, prepared.lut)
+        operand = prepared.prebuilt or self._build_operand(
+            slot, prepared.flat_filters)
+        if operand is not None:
+            plan = replace(plan, prepared=replace(prepared, prebuilt=operand))
         with self._lock:
             bank = self._entries.get(prepared.bank_key)
             if (bank is None or bank.flat_filters is not prepared.flat_filters
-                    or (prepared.row_table is not None
-                        and self._tables.get(slot) is not prepared.row_table)):
+                    or (operand is not None
+                        and self._operands.get(slot) is not operand)):
                 self._plans.pop(owner, None)
-                return
-            self._plans[owner] = (slot, plan)
+            else:
+                self._plans[owner] = (slot, plan)
+        return plan
 
     def bound(self, owner):
         """The plan :meth:`bind` keeps for ``owner``, or ``None``."""
@@ -453,14 +461,12 @@ class FilterBankCache(_BoundedCache):
         return None if entry is None else entry[1]
 
     def clear(self) -> None:
-        """Drop every bank, row table, plan and remembered digest; reset
-        counters."""
+        """Drop every bank, prebuilt operand and plan; reset counters."""
         super().clear()
         with self._lock:
-            self._tables.clear()
+            self._operands.clear()
             self._plans.clear()
-            self._table_bytes = 0
-            self._digests.clear()
+            self._operand_bytes = 0
 
     def invalidate(self, digest: str) -> int:
         """Drop every cached bank derived from the tensor with ``digest``.
@@ -469,17 +475,12 @@ class FilterBankCache(_BoundedCache):
         superseded banks can never be requested again (their content digest
         no longer matches any live tensor), so dropping them eagerly keeps
         the cache from filling up with dead entries and guarantees a stale
-        quantised bank is never served for recycled storage.  The banks' row
-        tables and plans, and the remembered digests of arrays with those
-        contents, go too.  Returns the number of banks removed.
+        quantised bank is never served for recycled storage.  The banks'
+        prebuilt operands and plans go too.  Returns the number of banks
+        removed.
         """
-        dropped = self._invalidate_where(
+        return self._invalidate_where(
             lambda key: key[0] == digest, token=digest)
-        with self._lock:
-            for ident in [ident for ident, (_, known) in self._digests.items()
-                          if known == digest]:
-                del self._digests[ident]
-        return dropped
 
 
 #: Default process-wide caches shared by :func:`repro.backends.emulate_conv2d`

@@ -207,7 +207,7 @@ class InferencePipeline:
         (:attr:`~repro.lut.table.LookupTable.qrange`).
         The geometry (as for :meth:`run`) gives the patch rows of a chunk,
         which decide whether a bank used again comes with its ``rowgather``
-        table (:meth:`FilterBankCache.row_table`).
+        table (:meth:`FilterBankCache.prebuilt`).
         """
         chosen = multiplier if multiplier is not None else self.multiplier
         if chosen is None:
@@ -231,19 +231,19 @@ class InferencePipeline:
         bank = self.filter_cache.resolve(
             filters, qrange=qrange, filter_range=filter_range, build=build,
         )
-        table = None
+        prebuilt = None
         if self.backend == "numpy":
             geometry = resolve_geometry(
                 inputs.shape[1], inputs.shape[2], kh, kw,
                 strides=strides, dilations=dilations, padding=padding)
             rows = (min(CHUNK_SIZE, inputs.shape[0])
                     * geometry.output_height * geometry.output_width)
-            table = self.filter_cache.row_table(bank, lut, rows)
+            prebuilt = self.filter_cache.prebuilt(bank, lut, rows)
         return PreparedConv(
             lut=lut, input_q=input_q, filter_q=bank.filter_q,
             flat_filters=bank.flat_filters, filter_sums=bank.filter_sums,
             kernel_height=kh, kernel_width=kw, channels=channels,
-            filter_count=count, row_table=table, bank_key=bank.key,
+            filter_count=count, prebuilt=prebuilt, bank_key=bank.key,
         )
 
     # ------------------------------------------------------------------

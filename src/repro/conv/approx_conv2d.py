@@ -14,7 +14,9 @@ This module is the heart of the emulator.  Algorithm 1 in the paper:
 
 :class:`repro.backends.InferencePipeline` is the one driver of that loop:
 it resolves steps 1-2 through its caches into a :class:`PreparedConv` and
-hands each chunk to a backend.  :func:`approx_conv2d_chunk` is the
+hands each chunk to a backend.  The filter-bank cache may add a prebuilt
+LUT-GEMM filter operand (``PreparedConv.prebuilt``), which the NumPy
+engine uses in place of the flat filter matrix.  :func:`approx_conv2d_chunk` is the
 vectorised NumPy body of one chunk; the simulated CPU/GPU devices run the
 same steps but additionally account for the time and memory traffic each
 phase would cost on the modelled hardware.
@@ -109,13 +111,13 @@ class PreparedConv:
     quantisation/LUT resolution logic lives in exactly one place and the
     :class:`repro.backends.InferencePipeline` can cache it across calls.
 
-    ``row_table`` is the filter matrix's prebuilt ``rowgather`` table when
-    the pipeline's filter-bank cache holds one, and ``factored`` its
-    prebuilt ``factored`` operand when a bound
-    :class:`~repro.graph.ops.AxConv2D` plan added one; the NumPy engine
-    then passes that to the LUT-GEMM instead of ``flat_filters``.
-    ``bank_key`` is the :class:`~repro.backends.cache.FilterBankCache` key
-    the filter side came from (empty when it came from no cache).
+    ``prebuilt`` is the filter matrix's prebuilt LUT-GEMM operand (a
+    ``rowgather`` :class:`~repro.conv.gemm.RowTable` or a ``factored``
+    :class:`~repro.conv.gemm.FactoredFilters`) when the pipeline's
+    filter-bank cache holds one; the NumPy engine then passes it to the
+    LUT-GEMM instead of ``flat_filters``.  ``bank_key`` is the
+    :class:`~repro.backends.cache.FilterBankCache` key the filter side came
+    from (empty when it came from no cache).
     """
 
     lut: LookupTable
@@ -127,8 +129,7 @@ class PreparedConv:
     kernel_width: int
     channels: int
     filter_count: int
-    row_table: RowTable | None = None
-    factored: FactoredFilters | None = None
+    prebuilt: RowTable | FactoredFilters | None = None
     bank_key: tuple = field(default=(), compare=False, repr=False)
 
     @property
@@ -190,7 +191,7 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,
         strides=strides, dilations=dilations, padding=padding,
     )
-    filters = prepared.row_table or prepared.factored or prepared.flat_filters
+    filters = prepared.prebuilt or prepared.flat_filters
     chunk_out = approx_gemm(
         patches, patch_sums, filters, prepared.filter_sums,
         prepared.input_q, prepared.filter_q, prepared.lut,

@@ -46,19 +46,21 @@ Building ``W`` costs ``2**n * K * F`` gathers and the GEMM ``P * K * F``,
 so on a short call (``P < 2 * 2**n``, 512 rows for 8-bit tables) the build
 is most of the work.  A filter bank used again need not rebuild it:
 :class:`RowTable` holds the whole-depth table next to its filter matrix,
-and :func:`lut_matmul` runs ``rowgather`` on it with no build.  The
-:class:`~repro.backends.cache.FilterBankCache` builds one on a (bank,
-table) pair's second short call (:data:`ROW_TABLE_ROWS_PER_LEVEL`) and
-keeps it with the bank, within :data:`ROW_TABLE_CACHE_BYTES` in total.
-Tall calls keep the per-call build: it costs at most 1/8 of the GEMM's
-gathers at ResNet-20's smallest batch-32 call (P=2048), whereas caching
-its 19 tables would take ~137 MB (18.9 MB for each stage-3 table), over
-half the ~258 MB peak RSS of whole-model ResNet-20 inference.
+and :func:`lut_matmul` runs ``rowgather`` on it with no build.
 ``factored`` has a filter side too: it gathers ``dG[s][bits(W)]`` and
 copies its transpose on every call, 57-60 us over serve's three
 single-sample calls on ``mul8s_exact``/``mul8s_trunc2`` (one BLAS thread).
-:class:`FactoredFilters` holds it next to its filter matrix; a bound
-:class:`~repro.graph.ops.AxConv2D` plan keeps one.
+:class:`FactoredFilters` holds it next to its filter matrix.  These two
+are the prebuilt filter operands; the
+:class:`~repro.backends.cache.FilterBankCache` alone decides when to
+build one and keeps it with its bank, within :data:`ROW_TABLE_CACHE_BYTES`
+in total.  It builds a :class:`RowTable` on a (bank, table) pair's second
+short call (:data:`ROW_TABLE_ROWS_PER_LEVEL`), and either operand at once
+for a bank that a frozen :class:`~repro.graph.ops.AxConv2D` binds.  Tall
+unbound calls keep the per-call build: it costs at most 1/8 of the GEMM's
+gathers at ResNet-20's smallest batch-32 call (P=2048), whereas caching
+its 19 tables would take ~137 MB (18.9 MB for each stage-3 table), over
+half the ~258 MB peak RSS of whole-model ResNet-20 inference.
 
 A large gather call runs on two cores.  :func:`lut_matmul` splits the
 depth ``K`` of a ``rowgather`` call with at least
@@ -115,10 +117,11 @@ ROWGATHER_BLOCK_ROWS = 256
 #: (32 taps of a 64-filter 8-bit bank, a single tap of a 12-bit one).
 ROWGATHER_PANEL_BYTES = 1 << 20
 
-#: Byte budget of all the whole-depth row tables (:class:`RowTable`) one
-#: :class:`~repro.backends.cache.FilterBankCache` keeps, least recently used
-#: evicted first; a table larger than this is never built.  Single-sample
-#: ``simple_cnn`` on ``mul8s_mitchell`` needs 11.5 MiB.
+#: Byte budget of all the prebuilt filter operands (:class:`RowTable`,
+#: :class:`FactoredFilters`) one :class:`~repro.backends.cache.FilterBankCache`
+#: keeps, least recently used evicted first; an operand larger than this is
+#: never built.  Single-sample ``simple_cnn`` on ``mul8s_mitchell`` needs
+#: 11.5 MiB of row tables.
 ROW_TABLE_CACHE_BYTES = 16 << 20
 
 #: Byte budget of one ``factored`` row block's gathered ``[rows, g * K]``
@@ -436,8 +439,9 @@ class FactoredFilters:
     ``factored`` with no filter-side work.  The table must have exact
     factors for the operand's depth; the filters are validated against it
     here, once, and every array is private and read-only, so the operand
-    can never disagree with its filters.  A bound
-    :class:`~repro.graph.ops.AxConv2D` plan keeps one for its bank.
+    can never disagree with its filters.
+    :class:`~repro.backends.cache.FilterBankCache` builds and keeps these
+    for the filter banks of bound :class:`~repro.graph.ops.AxConv2D` nodes.
     """
 
     def __init__(self, filters, lut: LookupTable) -> None:
@@ -456,6 +460,17 @@ class FactoredFilters:
     def shape(self) -> tuple[int, int]:
         """Shape ``[K, F]`` of the filter operand."""
         return self.filters.shape
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the gathered right-hand sides."""
+        return sum(rhs.nbytes for _, rhs in self.terms)
+
+    @staticmethod
+    def nbytes_for(depth: int, num_filters: int, lut: LookupTable) -> int:
+        """Bytes a ``[depth, num_filters]`` operand's right-hand sides through
+        ``lut`` take."""
+        return depth * lut.factors.rank * num_filters * 8
 
 
 def lut_matmul_factored(patches: np.ndarray,

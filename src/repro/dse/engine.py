@@ -25,11 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..backends.cache import (
-    DEFAULT_FILTER_CACHE,
-    DEFAULT_LUT_CACHE,
-    CacheStats,
-)
 from ..backends.pipeline import RunReport
 from ..errors import DSEError
 from .evaluator import CandidateResult, Evaluator
@@ -122,10 +117,11 @@ class DSEReport:
     """Outcome of one design-space exploration.
 
     Rolls the per-candidate :class:`~repro.backends.pipeline.RunReport`
-    accounting into one structure next to the front and the search-level
-    cache hits and misses (the default caches' counts over the search), so
-    a caller can assert cache sharing ("the warm search re-used every LUT")
-    without instrumenting the evaluator.
+    accounting into one structure next to the front.  It holds no cache
+    counts: the caches are shared by the whole process, so a search's share
+    of their lookups is only knowable when nothing else runs; read a
+    cache's own :meth:`~repro.backends.cache.LUTCache.stats_snapshot`
+    around the search in that case.
     """
 
     strategy: str = ""
@@ -138,8 +134,6 @@ class DSEReport:
     history: list[CandidateResult] = field(default_factory=list)
     space: SearchSpace | None = None
     run_report: RunReport = field(default_factory=RunReport)
-    lut_cache: CacheStats = field(default_factory=CacheStats)
-    filter_cache: CacheStats = field(default_factory=CacheStats)
 
     @property
     def candidates_per_second(self) -> float:
@@ -156,8 +150,6 @@ class DSEReport:
             f"memoised={self.memo_hits}",
             f"wall time: {self.wall_time_s:.2f} s "
             f"({self.candidates_per_second:.2f} candidates/s)",
-            f"caches: lut {self.lut_cache.hits}h/{self.lut_cache.misses}m  "
-            f"filters {self.filter_cache.hits}h/{self.filter_cache.misses}m",
             f"front: {self.front.summary()}",
         ]
         return "\n".join(lines)
@@ -188,12 +180,6 @@ class DSEReport:
                 }
                 for result in self.history
             ],
-            "caches": {
-                "lut": {"hits": self.lut_cache.hits,
-                        "misses": self.lut_cache.misses},
-                "filters": {"hits": self.filter_cache.hits,
-                            "misses": self.filter_cache.misses},
-            },
         }
 
     def dumps(self, **kwargs) -> str:
@@ -286,13 +272,9 @@ def search(model_builder, dataset, *,
     broker = EvaluationBroker(
         evaluator, budget=budget, max_workers=max_workers)
     rng = np.random.default_rng(seed)
-    lut_before = DEFAULT_LUT_CACHE.stats_snapshot()
-    filters_before = DEFAULT_FILTER_CACHE.stats_snapshot()
     start = time.perf_counter()
     strategy.run(evaluator.space, broker, rng)
     wall = time.perf_counter() - start
-    lut_after = DEFAULT_LUT_CACHE.stats_snapshot()
-    filters_after = DEFAULT_FILTER_CACHE.stats_snapshot()
 
     report = DSEReport(
         strategy=strategy.name,
@@ -304,11 +286,6 @@ def search(model_builder, dataset, *,
         front=broker.front,
         history=broker.history,
         space=evaluator.space,
-        lut_cache=CacheStats(hits=lut_after.hits - lut_before.hits,
-                             misses=lut_after.misses - lut_before.misses),
-        filter_cache=CacheStats(
-            hits=filters_after.hits - filters_before.hits,
-            misses=filters_after.misses - filters_before.misses),
     )
     for result in broker.history:
         report.run_report.merge(result.report)

@@ -53,10 +53,6 @@ class CandidateResult:
     relative_energy: float
     report: RunReport = field(default_factory=RunReport)
 
-    def objectives(self) -> tuple[float, float]:
-        """(accuracy, relative_energy) pair."""
-        return (self.accuracy, self.relative_energy)
-
 
 def relative_power(multiplier_name: str) -> float:
     """Relative power of one library multiplier under the unit-gate model."""

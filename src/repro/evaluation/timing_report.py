@@ -66,14 +66,11 @@ class Table1Row:
 
 
 def generate_table1(*, depths=PAPER_DEPTHS, images: int = PAPER_TEST_IMAGES,
-                    cpu_model: CPUTimingModel | None = None,
-                    gpu_model: GPUTimingModel | None = None,
                     ) -> list[Table1Row]:
     """Regenerate Table I for the given network depths and image count."""
     if images <= 0:
         raise ConfigurationError("images must be positive")
-    cpu_model = cpu_model or CPUTimingModel()
-    gpu_model = gpu_model or GPUTimingModel()
+    cpu_model, gpu_model = CPUTimingModel(), GPUTimingModel()
     dataset_bytes = images * IMAGE_SIZE * IMAGE_SIZE * NUM_CHANNELS * 4
 
     rows: list[Table1Row] = []
@@ -149,16 +146,13 @@ def compare_row_with_paper(row: Table1Row) -> dict:
 # Fig. 2: distribution of the total computational time
 # ----------------------------------------------------------------------
 def generate_fig2(*, models=PAPER_FIG2_MODELS, images: int = PAPER_TEST_IMAGES,
-                  cpu_model: CPUTimingModel | None = None,
-                  gpu_model: GPUTimingModel | None = None
                   ) -> dict[tuple[str, str], dict[str, float]]:
     """Regenerate the Fig. 2 phase breakdown.
 
     Returns a mapping ``(implementation, model) -> {phase: fraction}`` with
     the same keys as :data:`repro.evaluation.paper_reference.PAPER_FIG2`.
     """
-    cpu_model = cpu_model or CPUTimingModel()
-    gpu_model = gpu_model or GPUTimingModel()
+    cpu_model, gpu_model = CPUTimingModel(), GPUTimingModel()
     dataset_bytes = images * IMAGE_SIZE * IMAGE_SIZE * NUM_CHANNELS * 4
 
     breakdown: dict[tuple[str, str], dict[str, float]] = {}

@@ -53,15 +53,6 @@ class PhaseTimes:
             "remaining": self.remaining / total,
         }
 
-    def scaled(self, factor: float) -> "PhaseTimes":
-        """Scale every phase (used for what-if analyses)."""
-        return PhaseTimes(
-            self.initialization * factor,
-            self.quantization * factor,
-            self.lut_lookups * factor,
-            self.remaining * factor,
-        )
-
 
 class GPUTimingModel:
     """Analytical performance model of the GPU emulation path.

@@ -8,20 +8,21 @@ given by its truth table, and produces a floating-point output with the same
 range as the original convolutional layer.  The paper's op also takes the
 expected quantised range and a round mode; here the range is the table's own
 operand range (the only one it can address) and the quantiser has one
-rounding rule, half away from zero.
+rounding rule, half away from zero.  Like the paper's op, which binds the
+table and quantises the filters once, a frozen ``AxConv2D`` binds its
+set-up once; the filter-bank cache of :mod:`repro.backends.cache` builds
+all of it, the prebuilt LUT-GEMM filter operand included, and keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...backends.cache import is_immutable
 from ...backends.pipeline import InferencePipeline
-from ...conv import gemm
-from ...conv.approx_conv2d import CHUNK_SIZE, PreparedConv
-from ...conv.gemm import RowTable
+from ...conv.approx_conv2d import PreparedConv
 from ...conv.padding import resolve_geometry
 from ...conv.reference import conv2d_float, conv2d_float_backward
 from ...errors import ConfigurationError, ShapeError
@@ -90,24 +91,18 @@ class _Plan:
     ``operands`` are the filter and the four range arrays, all immutable
     (:func:`~repro.backends.cache.is_immutable`), so holding them keeps
     their identities from being reused and the plan can never disagree
-    with them.  A chunk of fewer than ``table_images`` images is a short
-    call that would still earn the bank's ``rowgather`` table (0 once the
-    plan has it, or when it never will: a ``factored`` bank, whose plan
-    holds its :class:`~repro.conv.gemm.FactoredFilters` instead, or a table
-    over the byte budget), so such a call prepares again, as an unbound
-    call would.
+    with them.  ``prepared`` holds the bank's prebuilt LUT-GEMM operand
+    whenever it fits the filter cache's byte budget.
     """
 
     operands: tuple
     input_shape: tuple
     prepared: PreparedConv
-    table_images: int
 
     def serves(self, x: np.ndarray, operands) -> bool:
         """Whether this plan is the set-up of a call with these inputs."""
         return (x.shape[1:] == self.input_shape
-                and all(a is b for a, b in zip(operands, self.operands))
-                and min(CHUNK_SIZE, x.shape[0]) >= self.table_images)
+                and all(a is b for a, b in zip(operands, self.operands)))
 
 
 class AxConv2D(Node):
@@ -121,16 +116,15 @@ class AxConv2D(Node):
     values of graph :class:`~repro.graph.ops.basic.Constant` nodes, as in
     a graph whose ranges :func:`~repro.graph.freeze_ranges` froze -- the
     node binds its prepared convolution (coefficients, quantised bank,
-    ``Sf``, the ``rowgather`` row table or
-    :class:`~repro.conv.gemm.FactoredFilters`) once, keyed on those
-    arrays' identities and the input's spatial shape, and later
-    executions run only the chunk loop
+    ``Sf`` and the prebuilt LUT-GEMM operand the filter cache builds for
+    it) once, keyed on those arrays' identities and the input's spatial
+    shape, and later executions run only the chunk loop
     (:meth:`~repro.backends.InferencePipeline.run_prepared`).  A new
     array in any of those slots (:meth:`Constant.set_value
     <repro.graph.ops.basic.Constant.set_value>`, a rewired input) binds
     again.  The plan is kept in the pipeline's filter cache
     (:meth:`~repro.backends.cache.FilterBankCache.bind`), which drops it
-    with the bank or row table it came from: on eviction,
+    with the bank or prebuilt operand it came from: on eviction,
     :meth:`~repro.backends.cache.FilterBankCache.invalidate` and
     :func:`~repro.backends.clear_caches`.  Per-batch ranges (the
     ``ReduceMin``/``ReduceMax`` probes) never bind: each such execution is
@@ -180,7 +174,8 @@ class AxConv2D(Node):
 
     def _bind(self, x: np.ndarray, operands) -> _Plan:
         """Prepare this node's convolution for ``x`` and keep the plan in
-        the filter cache, which drops it with the bank it came from."""
+        the filter cache, which adds the bank's prebuilt operand and drops
+        the plan with the bank it came from."""
         filters, in_min, in_max, f_min, f_max = operands
         prepared = self.pipeline.prepare(
             x, filters, strides=self.strides, dilations=self.dilations,
@@ -188,25 +183,9 @@ class AxConv2D(Node):
             input_range=(float(in_min), float(in_max)),
             filter_range=(float(f_min), float(f_max)),
         )
-        lut, depth = prepared.lut, prepared.depth
-        table_images = 0
-        if gemm.choose_gemm_kernel(lut, depth) == "factored":
-            prepared = replace(prepared, factored=gemm.FactoredFilters(
-                prepared.flat_filters, lut))
-        elif (prepared.row_table is None
-              and RowTable.nbytes_for(depth, prepared.filter_count, lut)
-              <= gemm.ROW_TABLE_CACHE_BYTES):
-            geometry = resolve_geometry(
-                x.shape[1], x.shape[2], prepared.kernel_height,
-                prepared.kernel_width, strides=self.strides,
-                dilations=self.dilations, padding=self.padding)
-            positions = geometry.output_height * geometry.output_width
-            short_rows = gemm.ROW_TABLE_ROWS_PER_LEVEL << lut.bit_width
-            table_images = -(-short_rows // positions)
-        plan = _Plan(operands=tuple(operands), input_shape=x.shape[1:],
-                     prepared=prepared, table_images=table_images)
-        self.pipeline.filter_cache.bind(self, prepared, plan)
-        return plan
+        return self.pipeline.filter_cache.bind(self, _Plan(
+            operands=tuple(operands), input_shape=x.shape[1:],
+            prepared=prepared))
 
     def backward(self, grad_output, ctx: OpContext):
         """Straight-through-estimator gradient (ApproxTrain convention).

@@ -601,30 +601,30 @@ class TestRowTables:
 
     def test_built_on_second_use_below_the_size_rule(self):
         pipeline, cache, inputs, filters = self._setup()
-        assert pipeline.prepare(inputs, filters).row_table is None
+        assert pipeline.prepare(inputs, filters).prebuilt is None
         assert cache.table_bytes == 0
         # A tall call (15 * 36 >= 512 patch rows) neither counts nor
         # builds.
         tall = np.repeat(inputs, 15, axis=0)
-        assert pipeline.prepare(tall, filters).row_table is None
-        table = pipeline.prepare(inputs, filters).row_table
+        assert pipeline.prepare(tall, filters).prebuilt is None
+        table = pipeline.prepare(inputs, filters).prebuilt
         assert table is not None and table.shape == (18, 4)
         assert cache.table_bytes == table.nbytes == 18 * 256 * 4 * 2
         # Every later call of any size gets the same table.
-        assert pipeline.prepare(inputs, filters).row_table is table
-        assert pipeline.prepare(tall, filters).row_table is table
+        assert pipeline.prepare(inputs, filters).prebuilt is table
+        assert pipeline.prepare(tall, filters).prebuilt is table
         # Another table through the same bank is a separate pair.
         other = pipeline.prepare(inputs, filters, "mul8s_bam_v5")
-        assert other.row_table is None
+        assert other.prebuilt is None
         other = pipeline.prepare(inputs, filters, "mul8s_bam_v5")
-        assert other.row_table.lut.name == "mul8s_bam_v5"
+        assert other.prebuilt.lut.name == "mul8s_bam_v5"
         assert cache.table_bytes == 2 * table.nbytes
 
     def test_never_at_the_size_rule(self):
         pipeline, cache, inputs, filters = self._setup()
         tall = np.repeat(inputs, 15, axis=0)
         for _ in range(3):
-            assert pipeline.prepare(tall, filters).row_table is None
+            assert pipeline.prepare(tall, filters).prebuilt is None
         assert cache.table_bytes == 0
 
     def test_rows_follow_the_geometry_and_chunk_size(self):
@@ -633,7 +633,7 @@ class TestRowTables:
         # 15 * 3 * 3 = 135 patch rows at stride 2: a short call.
         for _ in range(2):
             prepared = pipeline.prepare(tall, filters, strides=(2, 2))
-        assert prepared.row_table is not None
+        assert prepared.prebuilt is not None
         # Two chunks of 3x3 images: 9 * CHUNK_SIZE = 288 patch rows each,
         # though the whole batch has 576.
         pipeline, cache, inputs, filters = self._setup()
@@ -641,12 +641,12 @@ class TestRowTables:
         assert 9 * CHUNK_SIZE < 512 <= 9 * len(small)
         for _ in range(2):
             prepared = pipeline.prepare(small, filters)
-        assert prepared.row_table is not None
+        assert prepared.prebuilt is not None
 
     def test_never_for_a_factored_table(self):
         pipeline, cache, inputs, filters = self._setup("mul8s_exact")
         for _ in range(3):
-            assert pipeline.prepare(inputs, filters).row_table is None
+            assert pipeline.prepare(inputs, filters).prebuilt is None
         assert cache.table_bytes == 0
 
     def test_only_for_backends_that_use_them(self):
@@ -665,20 +665,20 @@ class TestRowTables:
         monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", 2 * size)
         for bank in banks[:2]:
             pipeline.prepare(inputs, bank)
-            assert pipeline.prepare(inputs, bank).row_table is not None
+            assert pipeline.prepare(inputs, bank).prebuilt is not None
         assert cache.table_bytes == 2 * size
         # Refresh bank 0, then a third table evicts bank 1's, the LRU one.
-        first = pipeline.prepare(inputs, banks[0]).row_table
+        first = pipeline.prepare(inputs, banks[0]).prebuilt
         pipeline.prepare(inputs, banks[2])
-        assert pipeline.prepare(inputs, banks[2]).row_table is not None
+        assert pipeline.prepare(inputs, banks[2]).prebuilt is not None
         assert cache.table_bytes == 2 * size
-        assert pipeline.prepare(inputs, banks[0]).row_table is first
-        assert pipeline.prepare(inputs, banks[1]).row_table is None
+        assert pipeline.prepare(inputs, banks[0]).prebuilt is first
+        assert pipeline.prepare(inputs, banks[1]).prebuilt is None
         # A table larger than the whole budget is never built.
         monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES", size - 1)
         pipeline, cache, inputs, filters = self._setup()
         for _ in range(3):
-            assert pipeline.prepare(inputs, filters).row_table is None
+            assert pipeline.prepare(inputs, filters).prebuilt is None
         assert cache.table_bytes == 0
 
     def test_runs_match_approx_conv2d_bit_for_bit(self, monkeypatch):
@@ -703,19 +703,18 @@ class TestRowTables:
 
     def test_clear_and_invalidate_drop_tables_and_digests(self):
         pipeline, cache, inputs, filters = self._setup()
-        filters = _read_only(filters)
         for _ in range(2):
             pipeline.prepare(inputs, filters)
-        assert cache.table_bytes > 0 and len(cache._digests) == 1
+        assert cache.table_bytes > 0
         cache.clear()
-        assert cache.table_bytes == 0 and len(cache._digests) == 0
+        assert cache.table_bytes == 0
         for _ in range(2):
             pipeline.prepare(inputs, filters)
-        assert cache.table_bytes > 0 and len(cache._digests) == 1
+        assert cache.table_bytes > 0
         assert cache.invalidate(FilterBankCache.content_digest(filters)) == 1
-        assert cache.table_bytes == 0 and len(cache._digests) == 0
+        assert cache.table_bytes == 0
         # The next call is a first use again.
-        assert pipeline.prepare(inputs, filters).row_table is None
+        assert pipeline.prepare(inputs, filters).prebuilt is None
 
     def test_evicted_bank_drops_its_tables(self):
         cache = FilterBankCache(max_entries=1)
@@ -731,98 +730,53 @@ class TestRowTables:
         assert cache.stats.evictions == 1 and cache.table_bytes == 0
 
 
-class TestDigestShortcut:
-    """Read-only filter banks are hashed once; anything else every call."""
+def test_every_resolve_hashes_its_filters(monkeypatch):
+    calls = []
+    digest = FilterBankCache.content_digest
 
-    @staticmethod
-    def _hashes(monkeypatch):
-        calls = []
-        digest = FilterBankCache.content_digest
+    def spy(filters):
+        calls.append(filters)
+        return digest(filters)
 
-        def spy(filters):
-            calls.append(filters)
-            return digest(filters)
-
-        monkeypatch.setattr(FilterBankCache, "content_digest",
-                            staticmethod(spy))
-        return calls
-
-    def _resolve_twice(self, filters):
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
-                                     filter_cache=FilterBankCache())
-        inputs = np.ones((1, 4, 4, 1))
-        return [pipeline.run(inputs, filters).output for _ in range(2)]
-
-    def test_read_only_array_is_hashed_once(self, monkeypatch):
-        calls = self._hashes(monkeypatch)
-        filters = _read_only(np.random.default_rng(1).normal(size=(3, 3, 1, 2)))
-        first, second = self._resolve_twice(filters)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(first, second)
-
-    def test_writeable_arrays_are_hashed_every_call(self, monkeypatch):
-        calls = self._hashes(monkeypatch)
-        owner = np.random.default_rng(2).normal(size=(3, 3, 1, 2))
-        self._resolve_twice(owner)
-        # A read-only view of a writeable owner can still change.
-        view = owner.view()
-        view.setflags(write=False)
-        self._resolve_twice(view)
-        assert len(calls) == 4
-
-    def test_a_changed_owner_is_never_served_stale(self):
-        cache = FilterBankCache()
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
-                                     filter_cache=cache)
-        inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
-        owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
-        view = owner.view()
-        view.setflags(write=False)
-        pipeline.run(inputs, view)
-        owner *= 2.0
-        np.testing.assert_array_equal(
-            pipeline.run(inputs, view).output,
-            _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
-        assert cache.stats.misses == 2
-
-    def test_an_unfrozen_owner_is_never_served_stale(self, monkeypatch):
-        inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
-        owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
-        expected = _cold_pipeline().run(
-            inputs, owner * 2.0, "mul8s_mitchell").output
-        calls = self._hashes(monkeypatch)
-        cache = FilterBankCache()
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
-                                     filter_cache=cache)
-        owner.flags.writeable = False
-        pipeline.run(inputs, owner)
-        # An array that owns its memory can be made writeable again.
-        owner.flags.writeable = True
-        owner *= 2.0
-        owner.flags.writeable = False
-        np.testing.assert_array_equal(pipeline.run(inputs, owner).output,
-                                      expected)
-        assert cache.stats.misses == 2 and len(calls) == 2
-        assert len(cache._digests) == 0
-
-    def test_identity_map_keeps_no_array_alive(self):
-        import gc
-        import weakref
-
-        cache = FilterBankCache(max_entries=4)
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
-                                     filter_cache=cache)
-        inputs = np.ones((1, 4, 4, 1))
-        refs = []
-        for seed in range(10):
-            filters = _read_only(
-                np.random.default_rng(seed).normal(size=(3, 3, 1, 2)))
+    monkeypatch.setattr(FilterBankCache, "content_digest", staticmethod(spy))
+    pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                 filter_cache=FilterBankCache())
+    inputs = np.ones((1, 4, 4, 1))
+    owner = np.random.default_rng(2).normal(size=(3, 3, 1, 2))
+    # A read-only view of a writeable owner, and an array over immutable
+    # bytes, are hashed on every call too.
+    view = owner.view()
+    view.setflags(write=False)
+    for filters in (owner, view, _read_only(owner)):
+        for _ in range(2):
             pipeline.run(inputs, filters)
-            refs.append(weakref.ref(filters))
-            del filters
-        gc.collect()
-        assert all(ref() is None for ref in refs)
-        assert len(cache._digests) <= 4
+    assert len(calls) == 6
+
+
+def test_a_mutated_array_is_never_served_a_stale_bank():
+    inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
+    owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
+    cache = FilterBankCache()
+    pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                 filter_cache=cache)
+    # Through a read-only view of the array ...
+    view = owner.view()
+    view.setflags(write=False)
+    pipeline.run(inputs, view)
+    owner *= 2.0
+    np.testing.assert_array_equal(
+        pipeline.run(inputs, view).output,
+        _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
+    # ... and through the array itself, made writeable again.
+    owner.flags.writeable = False
+    pipeline.run(inputs, owner)
+    owner.flags.writeable = True
+    owner *= 2.0
+    owner.flags.writeable = False
+    np.testing.assert_array_equal(
+        pipeline.run(inputs, owner).output,
+        _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
+    assert cache.stats.misses == 3
 
 
 class TestSharedPipeline:

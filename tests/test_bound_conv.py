@@ -82,12 +82,20 @@ def check_against_cold(model, x):
 
 
 def warm(model, x):
-    """Run until every node is bound (the second short call of a
-    ``rowgather`` bank builds its row table)."""
-    for _ in range(3):
-        check_against_cold(model, x)
+    """Run once, which binds every node."""
+    check_against_cold(model, x)
     assert all(DEFAULT_FILTER_CACHE.bound(node) is not None
                for node in ax_nodes(model))
+
+
+def assert_plans_hold_their_operands(model):
+    """Each plan holds its kernel's prebuilt filter operand."""
+    for node in ax_nodes(model):
+        prepared = DEFAULT_FILTER_CACHE.bound(node).prepared
+        kind = (gemm_mod.RowTable
+                if node.pipeline.multiplier.name == "mul8s_mitchell"
+                else gemm_mod.FactoredFilters)
+        assert isinstance(prepared.prebuilt, kind), node.name
 
 
 @pytest.fixture
@@ -172,20 +180,24 @@ class TestBinding:
         check_against_cold(model, x)
 
     def test_evicted_row_table_drops_its_plan(self, model, monkeypatch):
+        # A new bank's row table over a budget that a model's operands fill
+        # evicts the oldest of them, and that operand's plan with it: a
+        # row table (mitchell) or factored right-hand sides (exact).
         x = samples(1)
-        warm(model, x)
-        # A new bank's table over a budget that the model's tables fill
-        # evicts the oldest of them, and that table's plan with it.
-        monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES",
-                            DEFAULT_FILTER_CACHE.table_bytes)
         rng = np.random.default_rng(6)
         inputs, filters = rng.normal(size=(1, 4, 4, 8)), rng.normal(
             size=(3, 3, 8, 4))
-        for _ in range(2):
-            InferencePipeline("numpy").run(inputs, filters, "mul8s_mitchell")
-        assert any(DEFAULT_FILTER_CACHE.bound(node) is None
-                   for node in ax_nodes(model))
-        check_against_cold(model, x)
+        for frozen in (model, frozen_model(CONFIGS["exact"])):
+            clear_caches()
+            warm(frozen, x)
+            monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES",
+                                DEFAULT_FILTER_CACHE.table_bytes)
+            for _ in range(2):
+                InferencePipeline("numpy").run(inputs, filters,
+                                               "mul8s_mitchell")
+            assert any(DEFAULT_FILTER_CACHE.bound(node) is None
+                       for node in ax_nodes(frozen))
+            check_against_cold(frozen, x)
 
     def test_new_input_shape_binds_again(self):
         clear_caches()
@@ -222,13 +234,17 @@ class TestBinding:
         clear_caches()
         model = frozen_model(CONFIGS[config])
         warm(model, samples(1, seed=1))
-        # Each plan holds its kernel's prebuilt filter operand.
-        for node in ax_nodes(model):
-            prepared = DEFAULT_FILTER_CACHE.bound(node).prepared
-            if node.pipeline.multiplier.name == "mul8s_mitchell":
-                assert prepared.row_table is not None
-            else:
-                assert prepared.factored is not None
+        assert_plans_hold_their_operands(model)
         x = samples(batch, seed=2)
         check_against_cold(model, x)
         assert check_against_cold(model, x) == 0
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_a_short_call_after_a_tall_one_makes_no_lookup(self, config):
+        # The first call binds every node with its operand, so a later
+        # single-sample call needs nothing more from the filter cache.
+        clear_caches()
+        model = frozen_model(CONFIGS[config])
+        check_against_cold(model, samples(4, seed=1))
+        assert check_against_cold(model, samples(1, seed=2)) == 0
+        assert_plans_hold_their_operands(model)

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conv_reference import conv_workloads_from_graph
-from repro.backends.cache import clear_caches
+from repro.backends.cache import (DEFAULT_FILTER_CACHE, DEFAULT_LUT_CACHE,
+                                  clear_caches)
 from repro.datasets import generate_cifar_like
 from repro.dse import (
     CandidateResult,
@@ -69,15 +70,28 @@ def dse_setup():
 
 
 @pytest.fixture(scope="module")
-def nsga_report(dse_setup):
-    """One completed NSGA-II search, shared by several assertions."""
+def nsga_search(dse_setup):
+    """One completed NSGA-II search and the default caches' hits and
+    misses over it: ``(report, lut_counts, filter_counts)``."""
     builder, evaluation, space, _ = dse_setup
     clear_caches()
-    return search(
+    caches = (DEFAULT_LUT_CACHE, DEFAULT_FILTER_CACHE)
+    before = [cache.stats_snapshot() for cache in caches]
+    report = search(
         builder, evaluation, space=space, strategy="nsga2",
         strategy_params={"population": 8, "generations": 4},
         budget=18, seed=7, batch_size=16,
     )
+    counts = [(after.hits - prior.hits, after.misses - prior.misses)
+              for prior, after in zip(
+                  before, [cache.stats_snapshot() for cache in caches])]
+    return report, *counts
+
+
+@pytest.fixture(scope="module")
+def nsga_report(nsga_search):
+    """The NSGA-II search's report, shared by several assertions."""
+    return nsga_search[0]
 
 
 # ----------------------------------------------------------------------
@@ -423,17 +437,19 @@ class TestSearch:
         assert payload["front"] == nsga_report.front.to_json()
         assert len(payload["history"]) == len(nsga_report.history)
 
-    def test_search_shares_luts_across_candidates(self, nsga_report):
+    def test_search_shares_luts_across_candidates(self, nsga_search):
         # Each catalogue multiplier's table is built at most once for the
         # whole search; every further use is a cache hit.
-        assert nsga_report.lut_cache.misses <= len(CATALOGUE)
-        assert nsga_report.lut_cache.hits > nsga_report.lut_cache.misses
+        _, (hits, misses), _ = nsga_search
+        assert misses <= len(CATALOGUE)
+        assert hits > misses
 
-    def test_search_shares_filter_banks_across_candidates(self, nsga_report):
+    def test_search_shares_filter_banks_across_candidates(self, nsga_search):
         # Candidates rebuild the model with identical weights, so one
         # quantised bank per conv layer serves the whole search.
-        assert nsga_report.filter_cache.misses <= 3
-        assert nsga_report.filter_cache.hits > 0
+        _, _, (hits, misses) = nsga_search
+        assert misses <= 3
+        assert hits > 0
 
 
 class TestStrategies:

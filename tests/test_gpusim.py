@@ -185,7 +185,6 @@ class TestGPUTimingModel:
         assert times.compute == 9.0
         assert times.total == 10.0
         assert sum(times.breakdown().values()) == pytest.approx(1.0)
-        assert times.scaled(2.0).total == 20.0
 
     def test_compute_scales_linearly_with_images(self):
         model = GPUTimingModel()
