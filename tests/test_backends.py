@@ -753,30 +753,50 @@ def test_every_resolve_hashes_its_filters(monkeypatch):
     assert len(calls) == 6
 
 
-def test_a_mutated_array_is_never_served_a_stale_bank():
-    inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
-    owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
-    cache = FilterBankCache()
-    pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
-                                 filter_cache=cache)
-    # Through a read-only view of the array ...
-    view = owner.view()
-    view.setflags(write=False)
-    pipeline.run(inputs, view)
-    owner *= 2.0
-    np.testing.assert_array_equal(
-        pipeline.run(inputs, view).output,
-        _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
-    # ... and through the array itself, made writeable again.
-    owner.flags.writeable = False
-    pipeline.run(inputs, owner)
-    owner.flags.writeable = True
-    owner *= 2.0
-    owner.flags.writeable = False
-    np.testing.assert_array_equal(
-        pipeline.run(inputs, owner).output,
-        _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
-    assert cache.stats.misses == 3
+class TestDigestShortcut:
+    """Every resolve hashes its filters, so no change to them goes unseen."""
+
+    def test_a_changed_owner_is_never_served_stale(self):
+        cache = FilterBankCache()
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
+        owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
+        view = owner.view()
+        view.setflags(write=False)
+        pipeline.run(inputs, view)
+        owner *= 2.0
+        np.testing.assert_array_equal(
+            pipeline.run(inputs, view).output,
+            _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
+        assert cache.stats.misses == 2
+
+    def test_an_unfrozen_owner_is_never_served_stale(self, monkeypatch):
+        inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
+        owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
+        expected = _cold_pipeline().run(
+            inputs, owner * 2.0, "mul8s_mitchell").output
+        calls = []
+        digest = FilterBankCache.content_digest
+
+        def spy(filters):
+            calls.append(filters)
+            return digest(filters)
+
+        monkeypatch.setattr(FilterBankCache, "content_digest",
+                            staticmethod(spy))
+        cache = FilterBankCache()
+        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+                                     filter_cache=cache)
+        owner.flags.writeable = False
+        pipeline.run(inputs, owner)
+        # An array that owns its memory can be made writeable again.
+        owner.flags.writeable = True
+        owner *= 2.0
+        owner.flags.writeable = False
+        np.testing.assert_array_equal(pipeline.run(inputs, owner).output,
+                                      expected)
+        assert cache.stats.misses == 2 and len(calls) == 2
 
 
 class TestSharedPipeline:
