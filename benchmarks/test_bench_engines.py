@@ -16,6 +16,7 @@ import pytest
 
 from repro.backends import InferencePipeline, emulate_conv2d
 from repro.conv import approx_conv2d_direct
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.quantization import compute_coeffs_from_tensor
 
 
@@ -47,10 +48,11 @@ def test_direct_loop_engine(benchmark, small_case, mitchell_lut):
 @pytest.mark.benchmark(group="engines")
 def test_simulated_cuda_engine(benchmark, small_case, mitchell_lut):
     inputs, filters = small_case
-    pipeline = InferencePipeline("gpusim")
+    pipeline = InferencePipeline()
 
     def run():
-        return pipeline.run(inputs, filters, mitchell_lut).output
+        prepared = pipeline.prepare(inputs, filters, mitchell_lut)
+        return run_gpusim_chunk(GPUDevice(), inputs, prepared)
 
     out = benchmark(run)
     assert out.shape == (1, 8, 8, 8)

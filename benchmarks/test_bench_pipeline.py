@@ -9,8 +9,9 @@ process-wide caches.  This module quantifies the difference:
   included);
 * ``warm`` benchmarks reuse a primed pipeline (the steady state of a batch
   stream, also over a multi-chunk batch);
-* ``test_warm_calls_beat_cold_calls`` asserts the speedup, which is the
-  acceptance gate of the backend-registry PR.
+* ``test_warm_calls_beat_cold_calls`` asserts the speedup;
+* ``test_backend_throughput`` sets the vectorised engine beside the
+  simulated GPU on one workload.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from repro.backends import (
     InferencePipeline,
     LUTCache,
     clear_caches,
+    collect_reports,
     emulate_conv2d,
+    shared_pipeline,
 )
 from repro.conv import CHUNK_SIZE
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 
 MULTIPLIER = "mul8s_mitchell"
 
@@ -65,7 +69,7 @@ def test_cold_pipeline_call(benchmark, workload):
     """Cold caches: every call pays LUT construction + filter setup."""
     inputs, filters = workload
     lut_cache, filter_cache = LUTCache(), FilterBankCache()
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER,
+    pipeline = InferencePipeline(multiplier=MULTIPLIER,
                                  lut_cache=lut_cache, filter_cache=filter_cache)
 
     def cold_call():
@@ -84,7 +88,7 @@ def test_warm_pipeline_call(benchmark, workload):
     """Steady state: LUT and filter bank come from the caches."""
     inputs, filters = workload
     lut_cache, filter_cache = LUTCache(), FilterBankCache()
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER,
+    pipeline = InferencePipeline(multiplier=MULTIPLIER,
                                  lut_cache=lut_cache, filter_cache=filter_cache)
     pipeline.run(inputs, filters)  # prime
 
@@ -98,7 +102,7 @@ def test_warm_pipeline_call(benchmark, workload):
 def test_warm_calls_beat_cold_calls(workload, bench_json):
     """Acceptance gate: cached calls are measurably faster than cold calls."""
     inputs, filters = workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
+    pipeline = InferencePipeline(multiplier=MULTIPLIER)
 
     def timed_run():
         start = time.perf_counter()
@@ -133,24 +137,33 @@ def test_warm_calls_beat_cold_calls(workload, bench_json):
 def test_sequential_batch(benchmark, chunked_workload):
     """Steady state over a batch of eight chunks, run in order."""
     inputs, filters = chunked_workload
-    pipeline = InferencePipeline("numpy", multiplier=MULTIPLIER)
+    pipeline = InferencePipeline(multiplier=MULTIPLIER)
     pipeline.run(inputs, filters)  # prime
 
-    result = benchmark(pipeline.run, inputs, filters)
-    assert result.report.stats.chunks == 8
+    benchmark(pipeline.run, inputs, filters)
+    with collect_reports() as report:
+        pipeline.run(inputs, filters)
+    assert report.stats.chunks == 8
 
 
 @pytest.mark.benchmark(group="pipeline-backends")
 @pytest.mark.parametrize("backend", ["numpy", "gpusim"])
 def test_backend_throughput(benchmark, batch_workload, backend):
-    """Relative cost of the registered fast backends on the same workload.
+    """Relative cost of the vectorised engine and the simulated GPU (one
+    chunk on a fresh device per call) on the same workload.
 
-    The ``cpusim`` direct loop is excluded: it is orders of magnitude slower
+    The direct loop is excluded: it is orders of magnitude slower
     by design (that gap is measured on a tiny case in
     ``test_bench_engines.py``).
     """
     inputs, filters = batch_workload
-    out = benchmark(
-        emulate_conv2d, inputs, filters, MULTIPLIER, backend=backend,
-    )
+    assert len(inputs) == CHUNK_SIZE
+
+    def gpusim():
+        prepared = shared_pipeline().prepare(inputs, filters, MULTIPLIER)
+        return run_gpusim_chunk(GPUDevice(), inputs, prepared)
+
+    run = {"numpy": lambda: emulate_conv2d(inputs, filters, MULTIPLIER),
+           "gpusim": gpusim}[backend]
+    out = benchmark(run)
     assert out.shape == (32, 12, 12, 16)

@@ -56,7 +56,7 @@ def main() -> int:
     # Algorithm 1: ComputeCoeffs and the filter side once, then a loop over
     # chunks of two images, every kernel launch recorded on one device.
     device = GPUDevice()
-    prepared = InferencePipeline("gpusim").prepare(inputs, filters, lut)
+    prepared = InferencePipeline().prepare(inputs, filters, lut)
     starts = range(0, len(inputs), 2)
     gpu_out = np.concatenate([
         run_gpusim_chunk(device, inputs[start:start + 2], prepared)

@@ -1,20 +1,19 @@
-"""Unified execution backends behind one batched inference API.
+"""The batched inference API over Algorithm 1's vectorised engine.
 
-This package dispatches between the functional emulation code and the
-engines that execute it.  :class:`InferencePipeline` drives Algorithm 1's
-chunk loop for all three engines (the vectorised NumPy engine, the direct
-CPU loop and the simulated CUDA device), and the ``AxConv2D`` graph op runs
-through it, so coefficients, lookup tables and accounting have one path.
+:class:`InferencePipeline` drives Algorithm 1's chunk loop over the
+vectorised NumPy engine, and the ``AxConv2D`` graph op runs through it, so
+coefficients, lookup tables and accounting have one path.  The ALWANN
+direct loop (:func:`repro.conv.approx_conv2d_direct`) and the simulated
+CUDA device (:func:`repro.gpusim.run_gpusim_chunk`) are reference
+functions that tests compare this engine with.
 
 Entry points:
 
-* :func:`emulate_conv2d` -- one-call approximate convolution on any backend;
+* :func:`emulate_conv2d` -- one-call approximate convolution;
 * :class:`InferencePipeline` -- reusable pipeline with LUT/filter-bank
   caching and the chunk loop;
 * :func:`collect_reports` -- a scope totalling the :class:`RunReport` of
-  every pipeline run on the calling thread (e.g. a whole model's forward);
-* :func:`get_backend` / :func:`available_backends` -- the fixed table of
-  the ``numpy``, ``cpusim`` and ``gpusim`` backends.
+  every pipeline run on the calling thread (e.g. a whole model's forward).
 """
 
 from .cache import (
@@ -30,12 +29,10 @@ from .cache import (
 from .pipeline import (
     InferencePipeline,
     RunReport,
-    RunResult,
     collect_reports,
     emulate_conv2d,
     shared_pipeline,
 )
-from .registry import available_backends, get_backend
 
 __all__ = [
     "CacheStats",
@@ -46,12 +43,9 @@ __all__ = [
     "LUTCache",
     "PreparedFilterBank",
     "RunReport",
-    "RunResult",
-    "available_backends",
     "cache_stats",
     "clear_caches",
     "collect_reports",
     "emulate_conv2d",
-    "get_backend",
     "shared_pipeline",
 ]

@@ -47,7 +47,6 @@ from ..lut.table import LookupTable
 from ..multipliers import library
 from ..multipliers.base import Multiplier
 from ..quantization.affine import IntegerRange, QuantParams
-from ..quantization.ranges import TensorRange
 
 
 @dataclass
@@ -243,11 +242,9 @@ class LUTCache(_BoundedCache):
         )
 
 
-def _range_key(value_range: TensorRange | tuple[float, float] | None):
+def _range_key(value_range: tuple[float, float] | None):
     if value_range is None:
         return None
-    if isinstance(value_range, TensorRange):
-        return value_range.as_tuple()
     return (float(value_range[0]), float(value_range[1]))
 
 
@@ -323,12 +320,11 @@ class FilterBankCache(_BoundedCache):
         The trainer records this before an optimiser step so it can
         :meth:`invalidate` every bank derived from the superseded weights.
         """
-        data = np.ascontiguousarray(filters)
-        return hashlib.sha1(data.tobytes()).hexdigest()
+        return hashlib.sha1(np.ascontiguousarray(filters)).hexdigest()
 
     def resolve(self, filters: np.ndarray, *,
                 qrange: IntegerRange,
-                filter_range: TensorRange | tuple[float, float] | None,
+                filter_range: tuple[float, float] | None,
                 build) -> PreparedFilterBank:
         """Return the prepared bank for ``filters``, building it on a miss."""
         data = np.ascontiguousarray(filters)

@@ -14,16 +14,19 @@ hot path:
   :data:`~repro.conv.approx_conv2d.CHUNK_SIZE` images (Algorithm 1's chunk
   loop; :meth:`InferencePipeline.run` is its one driver), run in order and
   concatenated;
-* every run returns a :class:`RunReport` merging the functional operation
-  counts (:class:`~repro.conv.approx_conv2d.ApproxConvStats`) with the
-  simulated device's counters
-  (:class:`~repro.gpusim.device.DeviceCounters`) when the ``gpusim``
-  backend ran.  :meth:`InferencePipeline.run_prepared`, the back half of
-  every :meth:`~InferencePipeline.run` and all a bound
+* each chunk runs through the vectorised engine,
+  :func:`~repro.conv.approx_conv2d.approx_conv2d_chunk` (Im2Cols +
+  LUT-GEMM + Eq. 4).  The ALWANN direct loop
+  (:func:`~repro.conv.reference.approx_conv2d_direct`) and the simulated
+  CUDA device (:func:`~repro.gpusim.engine.run_gpusim_chunk`) are plain
+  functions the tests check this engine against, not engines to pick;
+* :meth:`InferencePipeline.run_prepared`, the back half of every
+  :meth:`~InferencePipeline.run` and all a bound
   :class:`~repro.graph.ops.AxConv2D` runs, is the one place a
-  convolution's work is counted: once per run, from the geometry.  A caller
-  that wants the total over many runs -- a whole model's forward pass --
-  opens a :func:`collect_reports` scope around them.  Cache hits and misses
+  convolution's work is counted: once per run, from the geometry, into a
+  :class:`RunReport` that reaches callers only through a
+  :func:`collect_reports` scope (a whole model's forward pass, say), and is
+  built only while one is open.  Cache hits and misses
   are counted once, by the caches themselves
   (:class:`~repro.backends.cache.CacheStats`), and wall time by whichever
   caller owns the clock.
@@ -34,7 +37,6 @@ the recommended entry point for user code.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -46,16 +48,15 @@ from ..conv.approx_conv2d import (
     CHUNK_SIZE,
     ApproxConvStats,
     PreparedConv,
+    approx_conv2d_chunk,
     quantize_filter_bank,
     validate_conv_operands,
     resolve_quant_params,
 )
 from ..conv.padding import resolve_geometry
 from ..errors import ConfigurationError, ShapeError
-from ..gpusim.device import DeviceCounters
 from ..lut.table import LookupTable
 from ..multipliers.base import Multiplier
-from ..quantization.ranges import TensorRange
 from .cache import (
     DEFAULT_FILTER_CACHE,
     DEFAULT_LUT_CACHE,
@@ -63,64 +64,44 @@ from .cache import (
     LUTCache,
     PreparedFilterBank,
 )
-from .registry import get_backend
 
 
 @dataclass
 class RunReport:
-    """Unified accounting of one pipeline run (any backend).
+    """Accounting of the pipeline runs inside one :func:`collect_reports` scope.
 
-    Merges the two accounting structures the seed code kept separate: the
-    engine-agnostic operation counts every backend reports (``stats``) and
-    the simulated device's counters and launch records (``gpu``), populated
-    only when the ``gpusim`` backend executed the run.  It counts this
-    run's work only: whether the run's table and filter bank came from a
-    cache is the caches' own count, which a concurrent run on another
-    thread cannot mix into this report.
+    Totals the geometry-derived operation counts (``stats``) and the batch
+    sizes of the runs.  It counts the runs' work only: whether a run's table
+    and filter bank came from a cache is the caches' own count, which a
+    concurrent run on another thread cannot mix into this report.
     """
 
-    backend: str = ""
     lut_name: str = ""
     batch: int = 0
     stats: ApproxConvStats = field(default_factory=ApproxConvStats)
-    gpu: DeviceCounters | None = None
 
     def merge(self, other: "RunReport") -> None:
         """Accumulate another run's accounting (e.g. a multi-layer sweep).
 
-        Counters add up; the configuration fields (backend, LUT name)
-        describe the latest run merged in.
+        Counters add up; the LUT name describes the latest run merged in.
         """
         self.batch += other.batch
         for counter in fields(self.stats):
             setattr(self.stats, counter.name,
                     getattr(self.stats, counter.name)
                     + getattr(other.stats, counter.name))
-        if other.gpu is not None:
-            if self.gpu is None:
-                self.gpu = DeviceCounters()
-            self.gpu.merge(other.gpu)
         if other.lut_name:
             self.lut_name = other.lut_name
-        if other.backend:
-            self.backend = other.backend
 
     def summary(self) -> str:
         """Compact human-readable digest used by examples and benchmarks."""
-        lines = [
-            f"backend={self.backend} lut={self.lut_name} "
-            f"batch={self.batch} chunks={self.stats.chunks}",
+        return (
+            f"lut={self.lut_name} batch={self.batch} "
+            f"chunks={self.stats.chunks}\n"
             f"MACs: {self.stats.macs:,}  "
             f"quantised: {self.stats.quantized_values:,}  "
-            f"outputs: {self.stats.output_values:,}",
-        ]
-        if self.gpu is not None:
-            lines.append(
-                f"gpu: {self.gpu.kernel_launches} launches, "
-                f"{self.gpu.texture_fetches:,} texture fetches, "
-                f"{self.gpu.atomic_adds:,} atomicAdds"
-            )
-        return "\n".join(lines)
+            f"outputs: {self.stats.output_values:,}"
+        )
 
 
 #: Reports of the :func:`collect_reports` scopes open in the current context.
@@ -147,21 +128,11 @@ def collect_reports() -> Iterator[RunReport]:
         _SCOPES.reset(token)
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Output tensor plus the :class:`RunReport` of one pipeline run."""
-
-    output: np.ndarray
-    report: RunReport
-
-
 class InferencePipeline:
-    """High-throughput entry point over the convolution backends.
+    """Driver of Algorithm 1's vectorised engine, with LUT/filter-bank caching.
 
     Parameters
     ----------
-    backend:
-        Name of the execution engine: ``numpy``, ``cpusim`` or ``gpusim``.
     multiplier:
         Default multiplier for :meth:`run` calls that do not pass their own:
         a library name, a behavioural model or a pre-built lookup table.
@@ -175,13 +146,10 @@ class InferencePipeline:
     while calls are in flight is the one thing that is not synchronised.
     """
 
-    def __init__(self, backend: str = "numpy", *,
+    def __init__(self, *,
                  multiplier: str | Multiplier | LookupTable | None = None,
                  lut_cache: LUTCache | None = None,
                  filter_cache: FilterBankCache | None = None) -> None:
-        # Resolve eagerly so configuration errors surface at build time.
-        self._run_chunk = get_backend(backend)
-        self.backend = backend
         self.multiplier = multiplier
         self.lut_cache = lut_cache if lut_cache is not None else DEFAULT_LUT_CACHE
         self.filter_cache = (
@@ -191,14 +159,14 @@ class InferencePipeline:
     def prepare(self, inputs: np.ndarray, filters: np.ndarray,
                 multiplier: str | Multiplier | LookupTable | None = None, *,
                 strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-                input_range: TensorRange | tuple[float, float] | None = None,
-                filter_range: TensorRange | tuple[float, float] | None = None,
+                input_range: tuple[float, float] | None = None,
+                filter_range: tuple[float, float] | None = None,
                 ) -> PreparedConv:
         """Resolve LUT + coefficients + filter bank through the caches.
 
         This is the front half of Algorithm 1 (``ComputeCoeffs`` plus the
-        filter-side quantisation and ``Sf``); the backends only implement
-        the per-chunk back half.  The lookup table comes from the
+        filter-side quantisation and ``Sf``); :meth:`run_prepared` is the
+        per-chunk back half.  The lookup table comes from the
         :class:`~repro.backends.cache.LUTCache` and the filter-side work
         from the :class:`~repro.backends.cache.FilterBankCache`; only the
         (cheap, batch-dependent) input-side ``ComputeCoeffs`` runs
@@ -231,29 +199,28 @@ class InferencePipeline:
         bank = self.filter_cache.resolve(
             filters, qrange=qrange, filter_range=filter_range, build=build,
         )
-        prebuilt = None
-        if self.backend == "numpy":
-            geometry = resolve_geometry(
-                inputs.shape[1], inputs.shape[2], kh, kw,
-                strides=strides, dilations=dilations, padding=padding)
-            rows = (min(CHUNK_SIZE, inputs.shape[0])
-                    * geometry.output_height * geometry.output_width)
-            prebuilt = self.filter_cache.prebuilt(bank, lut, rows)
+        geometry = resolve_geometry(
+            inputs.shape[1], inputs.shape[2], kh, kw,
+            strides=strides, dilations=dilations, padding=padding)
+        rows = (min(CHUNK_SIZE, inputs.shape[0])
+                * geometry.output_height * geometry.output_width)
         return PreparedConv(
             lut=lut, input_q=input_q, filter_q=bank.filter_q,
             flat_filters=bank.flat_filters, filter_sums=bank.filter_sums,
             kernel_height=kh, kernel_width=kw, channels=channels,
-            filter_count=count, prebuilt=prebuilt, bank_key=bank.key,
+            filter_count=count,
+            prebuilt=self.filter_cache.prebuilt(bank, lut, rows),
+            bank_key=bank.key,
         )
 
     # ------------------------------------------------------------------
     def run(self, inputs: np.ndarray, filters: np.ndarray,
             multiplier: str | Multiplier | LookupTable | None = None, *,
             strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-            input_range: TensorRange | tuple[float, float] | None = None,
-            filter_range: TensorRange | tuple[float, float] | None = None,
-            ) -> RunResult:
-        """Run one batched approximate convolution; returns output + report.
+            input_range: tuple[float, float] | None = None,
+            filter_range: tuple[float, float] | None = None,
+            ) -> np.ndarray:
+        """Run one batched approximate convolution; returns the NHWC output.
 
         :meth:`prepare` followed by :meth:`run_prepared`.
         """
@@ -267,13 +234,14 @@ class InferencePipeline:
 
     def run_prepared(self, inputs: np.ndarray, prepared: PreparedConv, *,
                      strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-                     ) -> RunResult:
+                     ) -> np.ndarray:
         """Algorithm 1's chunk loop over an already prepared convolution.
 
         Runs :data:`~repro.conv.approx_conv2d.CHUNK_SIZE`-image chunks of
-        ``inputs`` through the backend's chunk function, concatenates them
-        and counts the run into a :class:`RunReport`, which it also merges
-        into every open :func:`collect_reports` scope.  ``prepared`` must
+        ``inputs`` through :func:`~repro.conv.approx_conv2d.approx_conv2d_chunk`
+        and concatenates them.  Inside a :func:`collect_reports` scope it
+        counts the run into a :class:`RunReport` merged into every open
+        scope.  ``prepared`` must
         come from :meth:`prepare` on inputs of the same spatial shape and
         with the same geometry arguments; a caller holding one for operands
         that cannot change (a bound :class:`~repro.graph.ops.AxConv2D`)
@@ -284,77 +252,64 @@ class InferencePipeline:
             raise ShapeError(
                 f"inputs of shape {inputs.shape} do not fit a prepared "
                 f"{prepared.channels}-channel convolution")
-        results = [
-            self._run_chunk(inputs[start:start + CHUNK_SIZE], prepared,
-                            strides, dilations, padding)
+        chunks = [
+            approx_conv2d_chunk(
+                inputs[start:start + CHUNK_SIZE], prepared, strides=strides,
+                dilations=dilations, padding=padding)
             for start in range(0, inputs.shape[0], CHUNK_SIZE)
         ]
-
-        output = (results[0][0] if len(results) == 1
-                  else np.concatenate([out for out, _ in results], axis=0))
-        report = RunReport(
-            backend=self.backend,
-            lut_name=prepared.lut.name,
-            batch=int(inputs.shape[0]),
-            stats=ApproxConvStats.of_run(
-                inputs, prepared, output, len(results)),
-        )
-        for _, gpu in results:
-            if gpu is not None:
-                if report.gpu is None:
-                    report.gpu = DeviceCounters()
-                report.gpu.merge(gpu)
-        for scope in _SCOPES.get():
-            scope.merge(report)
-        return RunResult(output=output, report=report)
+        output = (chunks[0] if len(chunks) == 1
+                  else np.concatenate(chunks, axis=0))
+        scopes = _SCOPES.get()
+        if scopes:
+            report = RunReport(
+                lut_name=prepared.lut.name,
+                batch=int(inputs.shape[0]),
+                stats=ApproxConvStats.of_run(
+                    inputs, prepared, output, len(chunks)),
+            )
+            for scope in scopes:
+                scope.merge(report)
+        return output
 
 
 def emulate_conv2d(inputs: np.ndarray, filters: np.ndarray,
                    multiplier: str | Multiplier | LookupTable, *,
-                   backend: str = "numpy",
                    strides=(1, 1), dilations=(1, 1), padding: str = "SAME",
-                   input_range: TensorRange | tuple[float, float] | None = None,
-                   filter_range: TensorRange | tuple[float, float] | None = None,
+                   input_range: tuple[float, float] | None = None,
+                   filter_range: tuple[float, float] | None = None,
                    ) -> np.ndarray:
-    """Emulate one approximate convolution on the named backend.
+    """Emulate one approximate convolution.
 
     The single-call public API of the library: pick a multiplier (by library
-    name, behavioural model or pre-built LUT) and a backend, get the NHWC
-    float output.  Lookup tables and filter banks are cached process-wide,
+    name, behavioural model or pre-built LUT), get the NHWC float output.
+    Lookup tables and filter banks are cached process-wide,
     so sweeping a batch stream through the same accelerator configuration
     only pays the setup cost once.  Open a :func:`collect_reports` scope
-    around the call to receive the unified accounting of the run.
+    around the call to receive the accounting of the run.
 
     >>> y = emulate_conv2d(x, w, "mul8s_mitchell")            # doctest: +SKIP
     >>> with collect_reports() as report:                     # doctest: +SKIP
-    ...     y = emulate_conv2d(x, w, "mul8u_drum4", backend="gpusim")
+    ...     y = emulate_conv2d(x, w, "mul8u_drum4")
     """
-    pipeline = shared_pipeline(backend)
-    return pipeline.run(
+    return shared_pipeline().run(
         inputs, filters, multiplier,
         strides=strides, dilations=dilations, padding=padding,
         input_range=input_range, filter_range=filter_range,
-    ).output
+    )
 
 
-_SHARED_PIPELINES: dict[str, InferencePipeline] = {}
-_SHARED_PIPELINES_LOCK = threading.Lock()
+_SHARED_PIPELINE = InferencePipeline()
 
 
-def shared_pipeline(backend: str = "numpy") -> InferencePipeline:
-    """Process-wide :class:`InferencePipeline` for one backend.
+def shared_pipeline() -> InferencePipeline:
+    """The process-wide :class:`InferencePipeline`.
 
-    Returns the same instance for the same backend, so independent
-    callers share one thread-safe handle instead of constructing throwaway
-    pipelines -- :func:`emulate_conv2d` routes every call through here, and
-    user threads can hold a handle directly.  Shared pipelines always use
-    the default process-wide caches -- that is the point of sharing them --
-    and never carry a default multiplier, so callers state theirs per call
-    and cannot observe each other's.
+    Independent callers share this one thread-safe handle instead of
+    constructing throwaway pipelines -- :func:`emulate_conv2d` routes every
+    call through it, and user threads can hold it directly.  It uses the
+    default process-wide caches -- that is the point of sharing it -- and
+    never carries a default multiplier, so callers state theirs per call and
+    cannot observe each other's.
     """
-    with _SHARED_PIPELINES_LOCK:
-        pipeline = _SHARED_PIPELINES.get(backend)
-        if pipeline is None:
-            pipeline = InferencePipeline(backend)
-            _SHARED_PIPELINES[backend] = pipeline
-        return pipeline
+    return _SHARED_PIPELINE

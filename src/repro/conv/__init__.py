@@ -14,7 +14,6 @@ from .im2col import col2im, filter_sums, flatten_filters, im2col, im2col_quantiz
 from .padding import ConvGeometry, resolve_geometry
 from .reference import (
     approx_conv2d_direct,
-    approx_conv2d_direct_quantized,
     conv2d_float,
     conv2d_float_backward,
 )
@@ -41,5 +40,4 @@ __all__ = [
     "conv2d_float",
     "conv2d_float_backward",
     "approx_conv2d_direct",
-    "approx_conv2d_direct_quantized",
 ]

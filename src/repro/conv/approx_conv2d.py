@@ -14,12 +14,13 @@ This module is the heart of the emulator.  Algorithm 1 in the paper:
 
 :class:`repro.backends.InferencePipeline` is the one driver of that loop:
 it resolves steps 1-2 through its caches into a :class:`PreparedConv` and
-hands each chunk to a backend.  The filter-bank cache may add a prebuilt
-LUT-GEMM filter operand (``PreparedConv.prebuilt``), which the NumPy
-engine uses in place of the flat filter matrix.  :func:`approx_conv2d_chunk` is the
-vectorised NumPy body of one chunk; the simulated CPU/GPU devices run the
-same steps but additionally account for the time and memory traffic each
-phase would cost on the modelled hardware.
+runs each chunk through :func:`approx_conv2d_chunk`, the vectorised NumPy
+body of one chunk.  The filter-bank cache may add a prebuilt LUT-GEMM
+filter operand (``PreparedConv.prebuilt``), which that body uses in place
+of the flat filter matrix.  The simulated GPU
+(:func:`repro.gpusim.run_gpusim_chunk`) runs the same steps over a
+:class:`PreparedConv` but also accounts for the memory traffic each phase
+would cost on the modelled hardware.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from ..quantization.affine import (
     QuantParams,
     compute_coeffs,
 )
-from ..quantization.ranges import TensorRange
 from .im2col import filter_sums, flatten_filters, im2col_quantized
 from .gemm import FactoredFilters, RowTable, approx_gemm
 
@@ -76,7 +76,7 @@ class ApproxConvStats:
 
 
 def resolve_quant_params(values: np.ndarray | None,
-                         value_range: TensorRange | tuple[float, float] | None,
+                         value_range: tuple[float, float] | None,
                          qrange: IntegerRange) -> QuantParams:
     """Derive quantisation parameters from an explicit range or from data.
 
@@ -86,10 +86,7 @@ def resolve_quant_params(values: np.ndarray | None,
     behaviour described in Section II.
     """
     if value_range is not None:
-        if isinstance(value_range, TensorRange):
-            lo, hi = value_range.as_tuple()
-        else:
-            lo, hi = float(value_range[0]), float(value_range[1])
+        lo, hi = float(value_range[0]), float(value_range[1])
     else:
         if values is None or values.size == 0:
             raise ConfigurationError(
@@ -106,16 +103,16 @@ class PreparedConv:
     Bundles everything Algorithm 1 computes *once per (filter bank, LUT,
     range) combination* rather than once per chunk: the resolved quantisation
     coefficients of both operands, the quantised flattened filter matrix and
-    the per-filter sums ``Sf``.  Every execution backend (vectorised NumPy,
-    direct CPU loop, simulated CUDA device) consumes this object, so the
+    the per-filter sums ``Sf``.  The vectorised chunk body and the
+    simulated CUDA device both consume this object, so the
     quantisation/LUT resolution logic lives in exactly one place and the
     :class:`repro.backends.InferencePipeline` can cache it across calls.
 
     ``prebuilt`` is the filter matrix's prebuilt LUT-GEMM operand (a
     ``rowgather`` :class:`~repro.conv.gemm.RowTable` or a ``factored``
     :class:`~repro.conv.gemm.FactoredFilters`) when the pipeline's
-    filter-bank cache holds one; the NumPy engine then passes it to the
-    LUT-GEMM instead of ``flat_filters``.  ``bank_key`` is the
+    filter-bank cache holds one; :func:`approx_conv2d_chunk` then passes it
+    to the LUT-GEMM instead of ``flat_filters``.  ``bank_key`` is the
     :class:`~repro.backends.cache.FilterBankCache` key the filter side came
     from (empty when it came from no cache).
     """
@@ -136,17 +133,6 @@ class PreparedConv:
     def depth(self) -> int:
         """Accumulation depth ``N = kh * kw * channels`` of Eq. 4."""
         return self.kernel_height * self.kernel_width * self.channels
-
-    def quantized_filters_hwck(self) -> np.ndarray:
-        """Reshape the flat filter matrix back to the HWCK layout.
-
-        ``flatten_filters`` is a pure reshape, so the round trip is exact;
-        the direct-loop backend uses this to index individual filters.
-        """
-        return self.flat_filters.reshape(
-            self.kernel_height, self.kernel_width, self.channels,
-            self.filter_count,
-        )
 
 
 def validate_conv_operands(inputs: np.ndarray, filters: np.ndarray) -> None:
@@ -184,8 +170,8 @@ def approx_conv2d_chunk(chunk: np.ndarray, prepared: PreparedConv, *,
     """Run Im2Cols + ApproxGEMM on one chunk of a prepared convolution.
 
     This is the body of Algorithm 1's chunk loop as executed by the
-    vectorised NumPy engine, the ``numpy`` backend of
-    :mod:`repro.backends`.
+    vectorised NumPy engine that
+    :meth:`repro.backends.InferencePipeline.run_prepared` drives.
     """
     patches, patch_sums, geometry = im2col_quantized(
         chunk, prepared.kernel_height, prepared.kernel_width, prepared.input_q,

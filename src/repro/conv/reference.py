@@ -14,7 +14,7 @@ Two engines live here, with the float backward pass:
   multiplication served by the multiplier LUT.  The paper's CPU baseline for
   the approximate columns of Table I is this algorithm; its poor GPU
   parallelisability is what motivates the GEMM-based design of Section III.
-  The ``cpusim`` backend runs it.
+  The tests check the vectorised engine against it.
 """
 
 from __future__ import annotations
@@ -127,32 +127,7 @@ def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
     property.
     """
     _check_conv_args(inputs, filters)
-    return approx_conv2d_direct_quantized(
-        inputs, filter_q.quantize(filters).astype(np.int64), lut,
-        input_q, filter_q,
-        strides=strides, dilations=dilations, padding=padding,
-    )
-
-
-def approx_conv2d_direct_quantized(inputs: np.ndarray, q_filters: np.ndarray,
-                                   lut: LookupTable, input_q: QuantParams,
-                                   filter_q: QuantParams, *, strides=(1, 1),
-                                   dilations=(1, 1),
-                                   padding: str = "SAME") -> np.ndarray:
-    """Direct-loop engine operating on an already-quantised HWCK filter bank.
-
-    This is the loop body of :func:`approx_conv2d_direct` with the filter
-    quantisation factored out, so the ``cpusim`` backend can reuse the filter
-    bank prepared (and cached) by
-    :meth:`repro.backends.InferencePipeline.prepare` instead of
-    re-quantising per call.
-    """
-    if inputs.ndim != 4:
-        raise ShapeError(f"inputs must be NHWC (4D), got shape {inputs.shape}")
-    if q_filters.ndim != 4:
-        raise ShapeError(
-            f"filters must be HWCK (4D), got shape {q_filters.shape}"
-        )
+    q_filters = filter_q.quantize(filters).astype(np.int64)
     batch, in_h, in_w, channels = inputs.shape
     kh, kw, _, count = q_filters.shape
     geometry = resolve_geometry(

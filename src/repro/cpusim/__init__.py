@@ -1,7 +1,7 @@
 """CPU emulation baseline: the timing model of the ALWANN-style direct loop.
 
-The loop itself is :func:`repro.conv.reference.approx_conv2d_direct`; the
-``cpusim`` backend of :mod:`repro.backends` runs it per chunk.
+The loop itself is :func:`repro.conv.reference.approx_conv2d_direct`, the
+reference the tests check the vectorised engine against.
 """
 
 from .direct import CPUTimingModel

@@ -5,8 +5,7 @@ The paper compares its GPU emulator against the CPU implementation of [12]
 loops and one LUT access per multiplication.  :class:`CPUTimingModel` is the
 analytical model producing the CPU columns of Table I and the CPU half of
 Fig. 2 (calibrated against a Xeon E5-2620-class machine).  The algorithm it
-describes is :func:`repro.conv.reference.approx_conv2d_direct`; the
-``cpusim`` backend of :mod:`repro.backends` runs it per chunk.
+describes is :func:`repro.conv.reference.approx_conv2d_direct`.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Simulated CUDA device, kernels and the analytical GPU timing model.
 
 :func:`run_gpusim_chunk` runs one chunk of Algorithm 1 on a
-:class:`GPUDevice`; the ``gpusim`` backend of :mod:`repro.backends` drives
-it over a whole batch.  :class:`DeviceCounters` is the one record of what
-the simulated device did: every kernel charges its launch, texture fetches,
-atomicAdds and memory traffic there, and ``RunReport.gpu`` is the merged
-counters of a run's chunks.
+:class:`GPUDevice`; its caller owns the device and loops over the chunks.
+:class:`DeviceCounters` is the one record of what the simulated device did:
+every kernel charges its launch, texture fetches, atomicAdds and memory
+traffic there.
 """
 
 from .device import DeviceCounters, GPUDevice, KernelLaunch

@@ -11,7 +11,7 @@ cost model that reproduces where the time goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..errors import DeviceError
 from ..hwspec import GPUSpec, GTX_1080
@@ -33,8 +33,7 @@ class DeviceCounters:
     """Aggregated work counters of every kernel executed on the device.
 
     The one record of what the simulated GPU did: the kernels charge it
-    directly, and a ``gpusim`` pipeline run merges its chunks' counters into
-    ``RunReport.gpu``.
+    directly, and whoever owns the :class:`GPUDevice` reads it.
     """
 
     kernel_launches: int = 0
@@ -49,14 +48,6 @@ class DeviceCounters:
         """Account for a kernel launch."""
         self.kernel_launches += 1
         self.launches.append(launch)
-
-    def merge(self, other: "DeviceCounters") -> None:
-        """Add another device's counters (e.g. one chunk's) to these."""
-        for counter in fields(self):
-            if counter.name != "launches":
-                setattr(self, counter.name, getattr(self, counter.name)
-                        + getattr(other, counter.name))
-        self.launches.extend(other.launches)
 
 
 class GPUDevice:

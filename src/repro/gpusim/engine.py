@@ -4,13 +4,11 @@
 implementation -- the Im2Cols kernel (patch matrix + ``Sp``), the tiled LUT
 GEMM kernel and the Eq. 4 dequantisation -- while recording every launch
 and all memory traffic in the :class:`~repro.gpusim.device.GPUDevice`'s
-counters.  The ``gpusim`` backend of :mod:`repro.backends` runs it per
-chunk (use ``InferencePipeline("gpusim")`` or
-``emulate_conv2d(..., backend="gpusim")`` and read ``RunReport.gpu``); code
-that wants the raw ``KernelLaunch`` records drives it over
-``InferencePipeline("gpusim").prepare(...)`` on its own device.  Its
-numerical output is identical to the ``numpy`` backend's, which the parity
-tests verify; its accounting feeds the micro-benchmarks and the
+counters.  Callers drive it chunk by chunk over an
+``InferencePipeline().prepare(...)`` result on a device of their own and
+read that device's counters.  Its numerical output is identical to the
+vectorised engine's (:func:`repro.backends.emulate_conv2d`), which the
+parity tests verify; its accounting feeds the micro-benchmarks and the
 texture-cache ablation study.
 """
 

@@ -6,7 +6,7 @@ swaps accurate convolutions for approximate ones.
 """
 
 from . import ops
-from .executor import BackwardResult, Executor, Tape, infer_shapes
+from .executor import Executor, Tape, infer_shapes
 from .graph import Graph
 from .layerwise import assignment_key
 from .node import Node, OpContext, unbroadcast
@@ -25,7 +25,6 @@ __all__ = [
     "unbroadcast",
     "Executor",
     "Tape",
-    "BackwardResult",
     "infer_shapes",
     "ops",
     "replace_consumers",

@@ -10,8 +10,7 @@ For training, :meth:`Executor.record` runs the same forward pass while
 keeping every intermediate value on a :class:`Tape`, and
 :meth:`Executor.backward` replays the tape in reverse, calling each node's
 :meth:`~repro.graph.node.Node.backward` and accumulating gradients at fan-out
-points.  :meth:`Executor.run_backward` combines the two for the common
-"gradient of one fetch w.r.t. some nodes" case.
+points.
 """
 
 from __future__ import annotations
@@ -41,15 +40,6 @@ class Tape:
             raise ExecutionError(
                 f"node {node.name!r} was not evaluated on this tape"
             ) from None
-
-
-@dataclass(frozen=True)
-class BackwardResult:
-    """Output of one :meth:`Executor.run_backward` call."""
-
-    output: np.ndarray
-    gradients: dict[Node, np.ndarray]
-    tape: Tape
 
 
 class Executor:
@@ -213,22 +203,6 @@ class Executor:
                 node, np.zeros_like(tape.value(node), dtype=np.float64))
             for node in wrt
         }
-
-    def run_backward(self, fetch: Node,
-                     feeds: dict[Node | str, np.ndarray] | None = None, *,
-                     grad_output: np.ndarray | None = None,
-                     wrt: list[Node] | None = None) -> BackwardResult:
-        """Forward-evaluate ``fetch`` and backpropagate through the graph.
-
-        Convenience wrapper combining :meth:`record` and :meth:`backward`
-        for callers that know the seed gradient up front (gradient checks,
-        simple scalar objectives).  A training loop that derives the seed
-        from the forward value (e.g. a softmax cross-entropy over fetched
-        logits) should call the two phases itself.
-        """
-        value, tape = self.record(fetch, feeds)
-        grads = self.backward(tape, fetch, grad_output, wrt=wrt)
-        return BackwardResult(output=value, gradients=grads, tape=tape)
 
 
 def infer_shapes(graph: Graph, feed_shapes: dict[str, tuple[int | None, ...]] | None = None

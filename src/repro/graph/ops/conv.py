@@ -30,6 +30,22 @@ from ...lut.table import LookupTable
 from ..node import Node, OpContext
 
 
+def _conv_output_shape(node, x_shape, f_shape):
+    """Static NHWC output shape of a convolution node, or ``None`` when the
+    input or filter shape is not fully known."""
+    if x_shape is None or f_shape is None:
+        return None
+    if len(x_shape) != 4 or len(f_shape) != 4:
+        return None
+    if any(s is None for s in x_shape[1:3]) or any(s is None for s in f_shape):
+        return None
+    geometry = resolve_geometry(
+        x_shape[1], x_shape[2], f_shape[0], f_shape[1],
+        strides=node.strides, dilations=node.dilations, padding=node.padding,
+    )
+    return (x_shape[0], geometry.output_height, geometry.output_width, f_shape[3])
+
+
 class Conv2D(Node):
     """Accurate float 2D convolution (NHWC input, HWCK filters)."""
 
@@ -60,18 +76,7 @@ class Conv2D(Node):
         return [grad_x, grad_w]
 
     def infer_shape(self, input_shapes):
-        x_shape, f_shape = input_shapes
-        if x_shape is None or f_shape is None:
-            return None
-        if len(x_shape) != 4 or len(f_shape) != 4:
-            return None
-        if any(s is None for s in x_shape[1:3]) or any(s is None for s in f_shape):
-            return None
-        geometry = resolve_geometry(
-            x_shape[1], x_shape[2], f_shape[0], f_shape[1],
-            strides=self.strides, dilations=self.dilations, padding=self.padding,
-        )
-        return (x_shape[0], geometry.output_height, geometry.output_width, f_shape[3])
+        return _conv_output_shape(self, input_shapes[0], input_shapes[1])
 
     def macs(self, input_shape, filter_shape) -> int:
         """Multiply-accumulate operations for one input of ``input_shape``."""
@@ -149,7 +154,7 @@ class AxConv2D(Node):
         #: The pipeline holds the table as its ``multiplier``; it
         #: caches this layer's quantised filter bank across runs, so
         #: repeated inference only pays the filter-side setup once.
-        self.pipeline = InferencePipeline("numpy", multiplier=lut)
+        self.pipeline = InferencePipeline(multiplier=lut)
         super().__init__(
             graph, name, [x, filters, input_min, input_max, filter_min, filter_max],
         )
@@ -166,11 +171,11 @@ class AxConv2D(Node):
                     dilations=self.dilations, padding=self.padding,
                     input_range=(float(in_min), float(in_max)),
                     filter_range=(float(f_min), float(f_max)),
-                ).output
+                )
             plan = self._bind(x, operands)
         return self.pipeline.run_prepared(
             x, plan.prepared, strides=self.strides,
-            dilations=self.dilations, padding=self.padding).output
+            dilations=self.dilations, padding=self.padding)
 
     def _bind(self, x: np.ndarray, operands) -> _Plan:
         """Prepare this node's convolution for ``x`` and keep the plan in
@@ -206,15 +211,4 @@ class AxConv2D(Node):
         return [grad_x, grad_w, None, None, None, None]
 
     def infer_shape(self, input_shapes):
-        x_shape, f_shape = input_shapes[0], input_shapes[1]
-        if x_shape is None or f_shape is None:
-            return None
-        if len(x_shape) != 4 or len(f_shape) != 4:
-            return None
-        if any(s is None for s in x_shape[1:3]) or any(s is None for s in f_shape):
-            return None
-        geometry = resolve_geometry(
-            x_shape[1], x_shape[2], f_shape[0], f_shape[1],
-            strides=self.strides, dilations=self.dilations, padding=self.padding,
-        )
-        return (x_shape[0], geometry.output_height, geometry.output_width, f_shape[3])
+        return _conv_output_shape(self, input_shapes[0], input_shapes[1])

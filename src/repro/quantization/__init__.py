@@ -1,4 +1,4 @@
-"""Affine quantisation (Eq. 1) and tensor ranges."""
+"""Affine quantisation (Eq. 1)."""
 
 from .affine import (
     IntegerRange,
@@ -8,7 +8,6 @@ from .affine import (
     compute_coeffs,
     compute_coeffs_from_tensor,
 )
-from .ranges import TensorRange
 
 __all__ = [
     "IntegerRange",
@@ -17,5 +16,4 @@ __all__ = [
     "UNSIGNED_8BIT",
     "compute_coeffs",
     "compute_coeffs_from_tensor",
-    "TensorRange",
 ]

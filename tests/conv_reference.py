@@ -17,15 +17,21 @@ than in :mod:`repro.conv.reference`, because no program path runs them:
   the tests check against :func:`repro.backends.emulate_conv2d`;
 * :func:`conv_workloads_from_graph` -- per-layer workloads derived from a
   graph by shape inference, checked against the workloads a model builder
-  records (``model.conv_workloads``).
+  records (``model.conv_workloads``);
+* :func:`reference_outputs` -- a prepared approximate convolution run
+  through the two reference engines, the ALWANN direct loop and the
+  simulated GPU, checked bit for bit against the vectorised engine of
+  :class:`repro.backends.InferencePipeline`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.conv import (col2im, dequantize_gemm, filter_sums, flatten_filters,
+from repro.conv import (CHUNK_SIZE, PreparedConv, approx_conv2d_direct,
+                        col2im, dequantize_gemm, filter_sums, flatten_filters,
                         im2col, resolve_geometry)
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.graph import Graph, infer_shapes
 from repro.graph.ops import AxConv2D, Conv2D
 from repro.quantization import QuantParams
@@ -169,3 +175,32 @@ def conv_workloads_from_graph(graph: Graph) -> list[ConvWorkload]:
             padding=node.padding,
         ))
     return workloads
+
+
+def reference_outputs(inputs: np.ndarray, filters: np.ndarray,
+                      prepared: PreparedConv, device: GPUDevice, *,
+                      strides=(1, 1), dilations=(1, 1),
+                      padding: str = "SAME") -> dict[str, np.ndarray]:
+    """Run ``prepared`` through both reference engines, chunk by chunk.
+
+    ``prepared`` comes from :meth:`repro.backends.InferencePipeline.prepare`
+    on ``inputs`` and ``filters``.  The batch is split into
+    :data:`~repro.conv.CHUNK_SIZE`-image chunks, as the pipeline splits it.
+    Returns the ``cpusim`` output (the direct loop, which quantises
+    ``filters`` with ``prepared.filter_q`` itself) and the ``gpusim`` output
+    (:func:`~repro.gpusim.run_gpusim_chunk`, whose launches, fetches and
+    traffic are charged to ``device.counters``).
+    """
+    geometry = dict(strides=strides, dilations=dilations, padding=padding)
+    chunks = [inputs[start:start + CHUNK_SIZE]
+              for start in range(0, inputs.shape[0], CHUNK_SIZE)]
+    return {
+        "cpusim": np.concatenate([
+            approx_conv2d_direct(chunk, filters, prepared.lut,
+                                 prepared.input_q, prepared.filter_q,
+                                 **geometry)
+            for chunk in chunks]),
+        "gpusim": np.concatenate([
+            run_gpusim_chunk(device, chunk, prepared, **geometry)
+            for chunk in chunks]),
+    }

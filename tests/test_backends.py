@@ -1,9 +1,11 @@
-"""Tests of the backend table, caches and the batched inference pipeline.
+"""Tests of the caches and the batched inference pipeline.
 
-The central property here is *cross-backend parity*: every backend must
-produce bit-identical outputs for the same prepared convolution, because
-they all claim to emulate the same accelerator.  The parity test runs every
-backend over a grid of shapes x multipliers x signedness.
+The central property here is *cross-engine parity*: the pipeline's
+vectorised engine (``numpy``) and the two reference engines, the ALWANN
+direct loop (``cpusim``) and the simulated GPU (``gpusim``), must produce
+bit-identical outputs for the same prepared convolution, because they all
+claim to emulate the same accelerator.  The parity test runs every engine
+over a grid of shapes x multipliers x signedness.
 """
 
 from __future__ import annotations
@@ -19,18 +21,18 @@ from repro.backends import (
     FilterBankCache,
     InferencePipeline,
     LUTCache,
-    available_backends,
     clear_caches,
     collect_reports,
     emulate_conv2d,
-    get_backend,
+    shared_pipeline,
 )
-from repro.conv import CHUNK_SIZE, ApproxConvStats, approx_conv2d_direct
+from repro.conv import (
+    CHUNK_SIZE, ApproxConvStats, approx_conv2d_chunk, approx_conv2d_direct)
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import lut_matmul
 from repro.errors import (
-    ConfigurationError, QuantizationError, RegistryError, ShapeError,
-    TruthTableError)
+    ConfigurationError, QuantizationError, ShapeError, TruthTableError)
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.graph import Graph
 from repro.graph.ops.basic import Constant
 from repro.graph.ops.conv import AxConv2D
@@ -39,10 +41,11 @@ from repro.multipliers import library
 from repro.quantization import (
     IntegerRange, compute_coeffs, compute_coeffs_from_tensor)
 
+from conv_reference import reference_outputs
 from lut_gemm_reference import kernels_for, lut_matmul_naive
 
 
-# Small cases: the cpusim backend is a per-pixel Python loop.
+# Small cases: the direct loop is a per-pixel Python loop.
 SHAPES = [
     # (input NHWC, filter HWCK, strides, padding)
     ((1, 5, 5, 2), (3, 3, 2, 3), (1, 1), "SAME"),
@@ -50,12 +53,30 @@ SHAPES = [
     ((3, 4, 4, 2), (1, 1, 2, 4), (1, 1), "SAME"),
 ]
 MULTIPLIERS = ["mul8s_mitchell", "mul8u_drum4", "mul8s_exact"]
+#: The pipeline's engine and the two references (see ``reference_outputs``).
+ENGINES = ["numpy", "cpusim", "gpusim"]
 
 
 def _cold_pipeline() -> InferencePipeline:
     """A pipeline on caches of its own: nothing is served from a cache."""
-    return InferencePipeline("numpy", lut_cache=LUTCache(),
+    return InferencePipeline(lut_cache=LUTCache(),
                              filter_cache=FilterBankCache())
+
+
+def _references(inputs, filters, multiplier, **kwargs):
+    """Both reference engines' outputs over a cold pipeline's preparation."""
+    geometry = {key: value for key, value in kwargs.items()
+                if not key.endswith("_range")}
+    prepared = _cold_pipeline().prepare(inputs, filters, multiplier, **kwargs)
+    return reference_outputs(inputs, filters, prepared, GPUDevice(),
+                             **geometry)
+
+
+def _run(engine, inputs, filters, multiplier, **kwargs):
+    """One engine's output: the pipeline's or a reference's."""
+    if engine == "numpy":
+        return emulate_conv2d(inputs, filters, multiplier, **kwargs)
+    return _references(inputs, filters, multiplier, **kwargs)[engine]
 
 
 def _case(shape_spec, seed=7):
@@ -70,18 +91,15 @@ class TestBackendParity:
     @pytest.mark.parametrize("multiplier", MULTIPLIERS)
     def test_all_backends_bit_identical(self, shape_spec, multiplier):
         inputs, filters, strides, padding = _case(shape_spec)
-        outputs = {
-            name: emulate_conv2d(
-                inputs, filters, multiplier, backend=name,
-                strides=strides, padding=padding,
-            )
-            for name in available_backends()
-        }
-        reference = outputs.pop("numpy")
+        reference = emulate_conv2d(inputs, filters, multiplier,
+                                   strides=strides, padding=padding)
+        outputs = _references(inputs, filters, multiplier,
+                              strides=strides, padding=padding)
         assert reference.shape[0] == inputs.shape[0]
+        assert sorted(outputs) == ["cpusim", "gpusim"]
         for name, out in outputs.items():
             assert np.array_equal(out, reference), (
-                f"backend {name!r} diverged from numpy for {multiplier}"
+                f"engine {name!r} diverged from numpy for {multiplier}"
             )
 
     @pytest.mark.parametrize("shape_spec", SHAPES, ids=["same", "strided", "1x1"])
@@ -114,13 +132,14 @@ class TestBackendParity:
 
         reference = direct(snapped)
         assert np.array_equal(direct(ties), reference)
-        for name in available_backends():
-            for data in (ties, snapped):
-                out = emulate_conv2d(
-                    data, filters, lut, backend=name, strides=strides,
-                    padding=padding, input_range=input_range,
-                )
-                assert np.array_equal(out, reference), (name, multiplier)
+        for data in (ties, snapped):
+            kwargs = dict(strides=strides, padding=padding,
+                          input_range=input_range)
+            outputs = {"numpy": emulate_conv2d(data, filters, lut, **kwargs),
+                       **_references(data, filters, lut, **kwargs)}
+            for name in ENGINES:
+                assert np.array_equal(outputs[name], reference), (
+                    name, multiplier)
 
 
 #: Grid for the LUT-GEMM kernel-variant parity test: [P, K] x [K, F] shapes
@@ -192,21 +211,6 @@ class TestKernelVariantParity:
         assert np.array_equal(out, reference)
 
 
-class TestRegistry:
-    def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(RegistryError, match="known backends"):
-            get_backend("tpu")
-        with pytest.raises(RegistryError, match="numpy"):
-            get_backend("definitely-not-a-backend")
-
-    def test_unknown_backend_via_pipeline(self):
-        with pytest.raises(RegistryError):
-            InferencePipeline("tpu")
-        with pytest.raises(RegistryError):
-            emulate_conv2d(np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 1, 1)),
-                           "mul8u_exact", backend="tpu")
-
-
 class TestCaches:
     def test_lut_cache_hits_on_repeat(self):
         cache = LUTCache()
@@ -230,7 +234,7 @@ class TestCaches:
     def test_pipeline_reports_cache_hits_per_run(self):
         lut_cache, filter_cache = LUTCache(), FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell",
+            multiplier="mul8s_mitchell",
             lut_cache=lut_cache, filter_cache=filter_cache)
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(2, 6, 6, 2))
@@ -261,7 +265,7 @@ class TestCaches:
         """Same bytes, different quantisation config => different entries."""
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", filter_cache=filter_cache)
+            multiplier="mul8s_mitchell", filter_cache=filter_cache)
         rng = np.random.default_rng(5)
         inputs = rng.normal(size=(1, 5, 5, 1))
         filters = rng.normal(size=(3, 3, 1, 2))
@@ -289,7 +293,7 @@ class TestCaches:
         """After a weight update, invalidated banks are rebuilt, not served."""
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", filter_cache=filter_cache)
+            multiplier="mul8s_mitchell", filter_cache=filter_cache)
         rng = np.random.default_rng(17)
         inputs = rng.normal(size=(1, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
@@ -314,7 +318,7 @@ class TestCaches:
         """Invalidation only removes banks of the superseded tensor."""
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", filter_cache=filter_cache)
+            multiplier="mul8s_mitchell", filter_cache=filter_cache)
         rng = np.random.default_rng(23)
         inputs = rng.normal(size=(1, 5, 5, 1))
         old_weights = rng.normal(size=(3, 3, 1, 2))
@@ -334,7 +338,7 @@ class TestCaches:
     def test_clear_resets_entries_and_stats(self):
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell", filter_cache=filter_cache)
+            multiplier="mul8s_mitchell", filter_cache=filter_cache)
         rng = np.random.default_rng(29)
         pipeline.run(rng.normal(size=(1, 4, 4, 1)),
                      rng.normal(size=(3, 3, 1, 1)))
@@ -362,14 +366,17 @@ class TestRunReport:
         inputs = rng.normal(size=(CHUNK_SIZE + 1, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
         with collect_reports() as report:
-            emulate_conv2d(inputs, filters, "mul8s_exact", backend="gpusim")
-        assert report.gpu is not None
+            expected = emulate_conv2d(inputs, filters, "mul8s_exact")
+        device = GPUDevice()
+        prepared = _cold_pipeline().prepare(inputs, filters, "mul8s_exact")
+        output = reference_outputs(inputs, filters, prepared, device)["gpusim"]
+        assert np.array_equal(output, expected)
         assert report.stats.chunks == 2
-        assert report.gpu.kernel_launches == 4      # im2cols + gemm per chunk
-        assert [launch.name for launch in report.gpu.launches] == [
+        assert device.counters.kernel_launches == 4   # im2cols + gemm per chunk
+        assert [launch.name for launch in device.counters.launches] == [
             "ax_im2cols", "ax_gemm"] * 2
         # One texture fetch per MAC, summed over both chunks.
-        assert report.gpu.texture_fetches == report.stats.macs
+        assert device.counters.texture_fetches == report.stats.macs
         assert report.lut_name == "mul8s_exact"
 
     def test_numpy_report_has_no_gpu_section_and_counts_work(self):
@@ -378,17 +385,18 @@ class TestRunReport:
         filters = rng.normal(size=(3, 3, 2, 3))
         with collect_reports() as report:
             emulate_conv2d(inputs, filters, "mul8s_exact")
-        assert report.gpu is None
         positions = (CHUNK_SIZE + 1) * 5 * 5
         assert report.stats.macs == positions * 3 * 3 * 2 * 3
         assert report.stats.chunks == 2
-        assert "backend=numpy" in report.summary()
+        assert "lut=mul8s_exact" in report.summary()
 
     def test_stats_identical_across_backends(self):
-        """Operation counts depend on geometry, not on the executing engine.
+        """Operation counts depend on geometry, not on the executing engine
+        or on the caches.
 
         A run counts the inputs it quantises, cold caches or warm; the
         filter bank quantised on the cold run is the filter cache's miss.
+        The simulated GPU fetches one product per counted MAC.
         """
         inputs, filters, strides, padding = _case(SHAPES[0])
         positions, depth, count = 5 * 5, 3 * 3 * 2, 3
@@ -398,29 +406,37 @@ class TestRunReport:
             chunks=1,
             macs=positions * depth * count,
         )
-        for name in ("numpy", "cpusim", "gpusim"):
-            clear_caches()
-            cold, warm = [
-                InferencePipeline(name).run(
-                    inputs, filters, "mul8s_exact",
-                    strides=strides, padding=padding).report
-                for _ in range(2)]
-            assert cold.stats == warm.stats == reference, name
-            filter_counts = DEFAULT_FILTER_CACHE.stats_snapshot()
-            assert (filter_counts.hits, filter_counts.misses) == (1, 1), name
+        clear_caches()
+        reports = []
+        for _ in range(2):
+            with collect_reports() as report:
+                InferencePipeline().run(inputs, filters, "mul8s_exact",
+                                        strides=strides, padding=padding)
+            reports.append(report)
+        cold, warm = reports
+        assert cold.stats == warm.stats == reference
+        filter_counts = DEFAULT_FILTER_CACHE.stats_snapshot()
+        assert (filter_counts.hits, filter_counts.misses) == (1, 1)
+        device = GPUDevice()
+        reference_outputs(
+            inputs, filters,
+            _cold_pipeline().prepare(inputs, filters, "mul8s_exact",
+                                     strides=strides, padding=padding),
+            device, strides=strides, padding=padding)
+        assert device.counters.texture_fetches == reference.macs
 
-    @pytest.mark.parametrize("backend", ["numpy", "cpusim", "gpusim"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("operand", ["inputs", "filters"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_operands_raise(self, backend, operand, bad):
+    def test_non_finite_operands_raise(self, engine, operand, bad):
         inputs, filters, strides, padding = _case(SHAPES[0])
         (inputs if operand == "inputs" else filters)[0, 0, 0, 0] = bad
         with pytest.raises(QuantizationError):
-            emulate_conv2d(inputs, filters, "mul8s_exact", backend=backend,
-                           strides=strides, padding=padding)
+            _run(engine, inputs, filters, "mul8s_exact",
+                 strides=strides, padding=padding)
 
-    @pytest.mark.parametrize("backend", ["numpy", "cpusim", "gpusim"])
-    def test_operands_outside_the_table_range_raise(self, backend):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_operands_outside_the_table_range_raise(self, engine):
         """Inputs quantised to a 12-bit range feed an 8-bit table operands
         it cannot address; no engine may wrap them into a wrong answer."""
         rng = np.random.default_rng(0)
@@ -431,8 +447,14 @@ class TestRunReport:
             _cold_pipeline().prepare(inputs, filters, lut),
             input_q=compute_coeffs_from_tensor(
                 inputs, qrange=IntegerRange.for_bits(12, signed=True)))
+        run = {
+            "numpy": lambda: approx_conv2d_chunk(inputs, prepared),
+            "cpusim": lambda: approx_conv2d_direct(
+                inputs, filters, lut, prepared.input_q, prepared.filter_q),
+            "gpusim": lambda: run_gpusim_chunk(GPUDevice(), inputs, prepared),
+        }[engine]
         with pytest.raises(TruthTableError, match="outside the table range"):
-            get_backend(backend)(inputs, prepared, (1, 1), (1, 1), "SAME")
+            run()
 
     def test_report_merge_accumulates(self):
         rng = np.random.default_rng(4)
@@ -451,9 +473,10 @@ class TestCollectReports:
     @staticmethod
     def _run():
         rng = np.random.default_rng(9)
-        return InferencePipeline("numpy", multiplier="mul8s_exact").run(
-            rng.normal(size=(2, 4, 4, 1)), rng.normal(size=(3, 3, 1, 2))
-        ).report
+        with collect_reports() as report:
+            InferencePipeline(multiplier="mul8s_exact").run(
+                rng.normal(size=(2, 4, 4, 1)), rng.normal(size=(3, 3, 1, 2)))
+        return report
 
     def test_nested_scopes_both_receive_a_run(self):
         with collect_reports() as outer:
@@ -464,7 +487,7 @@ class TestCollectReports:
         assert inner.batch == 2
         assert outer.stats.macs == first.stats.macs + second.stats.macs
         assert outer.batch == 4
-        assert outer.backend == "numpy" and outer.lut_name == "mul8s_exact"
+        assert outer.lut_name == "mul8s_exact"
 
     def test_run_outside_any_scope_merges_nowhere(self):
         with collect_reports() as closed:
@@ -487,10 +510,26 @@ class TestCollectReports:
         assert reports[0].stats.macs > 0
         assert scope.batch == 0 and scope.stats == ApproxConvStats()
 
+    def test_no_report_is_built_outside_a_scope(self, monkeypatch):
+        counted = []
+        of_run = ApproxConvStats.of_run
+
+        def spy(*args):
+            counted.append(True)
+            return of_run(*args)
+
+        monkeypatch.setattr(ApproxConvStats, "of_run", staticmethod(spy))
+        rng = np.random.default_rng(9)
+        emulate_conv2d(rng.normal(size=(2, 4, 4, 1)),
+                       rng.normal(size=(3, 3, 1, 2)), "mul8s_exact")
+        assert counted == []
+        self._run()
+        assert counted == [True]
+
 
 class TestPipelineConfiguration:
     def test_missing_multiplier(self):
-        pipeline = InferencePipeline("numpy")
+        pipeline = InferencePipeline()
         with pytest.raises(ConfigurationError, match="multiplier"):
             pipeline.run(np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 1, 1)))
 
@@ -523,7 +562,7 @@ class TestPipelineConfiguration:
                            input_range=(inputs.min(), inputs.max()),
                            filter_range=(filters.min(), filters.max())))
 
-    @pytest.mark.parametrize("engine", ["numpy", "cpusim", "gpusim"])
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("input_range", [None, (-1.0, 1.0)])
     def test_zero_image_batch_raises_shape_error(self, engine, input_range):
         """An empty batch or an empty filter bank (0-size kernel or F=0)
@@ -536,9 +575,8 @@ class TestPipelineConfiguration:
         for input_shape, filter_shape, filter_range in cases:
             inputs, filters = np.ones(input_shape), np.ones(filter_shape)
             with pytest.raises(ShapeError, match="empty"):
-                emulate_conv2d(inputs, filters, "mul8s_exact",
-                               backend=engine, input_range=input_range,
-                               filter_range=filter_range)
+                _run(engine, inputs, filters, "mul8s_exact",
+                     input_range=input_range, filter_range=filter_range)
 
 class TestAxConv2DIntegration:
     def test_graph_op_routes_through_pipeline_and_caches(self):
@@ -561,7 +599,7 @@ class TestAxConv2DIntegration:
             x_val, w_val, lut,
             input_range=(float(x_val.min()), float(x_val.max())),
             filter_range=(float(w_val.min()), float(w_val.max())),
-        ).output
+        )
         feeds = [x_val, w_val, x_val.min(), x_val.max(), w_val.min(), w_val.max()]
         filter_cache = node.pipeline.filter_cache
         with collect_reports() as cold:
@@ -593,7 +631,7 @@ class TestRowTables:
     @staticmethod
     def _setup(multiplier="mul8s_mitchell", seed=31, filter_shape=(3, 3, 2, 4)):
         cache = FilterBankCache()
-        pipeline = InferencePipeline("numpy", multiplier=multiplier,
+        pipeline = InferencePipeline(multiplier=multiplier,
                                      filter_cache=cache)
         rng = np.random.default_rng(seed)
         return (pipeline, cache, rng.normal(size=(1, 6, 6, 2)),
@@ -649,14 +687,6 @@ class TestRowTables:
             assert pipeline.prepare(inputs, filters).prebuilt is None
         assert cache.table_bytes == 0
 
-    def test_only_for_backends_that_use_them(self):
-        _, cache, inputs, filters = self._setup()
-        pipeline = InferencePipeline("gpusim", multiplier="mul8s_mitchell",
-                                     filter_cache=cache)
-        for _ in range(3):
-            pipeline.run(inputs, filters)
-        assert cache.table_bytes == 0
-
     def test_byte_budget_and_lru_eviction(self, monkeypatch):
         pipeline, cache, inputs, _ = self._setup()
         banks = [np.random.default_rng(seed).normal(size=(3, 3, 2, 4))
@@ -692,10 +722,10 @@ class TestRowTables:
 
         pipeline, cache, inputs, filters = self._setup()
         expected = _cold_pipeline().run(
-            inputs, filters, "mul8s_mitchell", strides=(2, 2)).output
+            inputs, filters, "mul8s_mitchell", strides=(2, 2))
         monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
         for _ in range(3):
-            out = pipeline.run(inputs, filters, strides=(2, 2)).output
+            out = pipeline.run(inputs, filters, strides=(2, 2))
             np.testing.assert_array_equal(out, expected)
         # The first run builds W per call; the second builds the table.
         assert calls == [False, True, True]
@@ -718,7 +748,7 @@ class TestRowTables:
 
     def test_evicted_bank_drops_its_tables(self):
         cache = FilterBankCache(max_entries=1)
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+        pipeline = InferencePipeline(multiplier="mul8s_mitchell",
                                      filter_cache=cache)
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=(1, 6, 6, 2))
@@ -739,7 +769,7 @@ def test_every_resolve_hashes_its_filters(monkeypatch):
         return digest(filters)
 
     monkeypatch.setattr(FilterBankCache, "content_digest", staticmethod(spy))
-    pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+    pipeline = InferencePipeline(multiplier="mul8s_mitchell",
                                  filter_cache=FilterBankCache())
     inputs = np.ones((1, 4, 4, 1))
     owner = np.random.default_rng(2).normal(size=(3, 3, 1, 2))
@@ -758,7 +788,7 @@ class TestDigestShortcut:
 
     def test_a_changed_owner_is_never_served_stale(self):
         cache = FilterBankCache()
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+        pipeline = InferencePipeline(multiplier="mul8s_mitchell",
                                      filter_cache=cache)
         inputs = np.random.default_rng(4).normal(size=(1, 5, 5, 1))
         owner = np.random.default_rng(5).normal(size=(3, 3, 1, 2))
@@ -767,15 +797,15 @@ class TestDigestShortcut:
         pipeline.run(inputs, view)
         owner *= 2.0
         np.testing.assert_array_equal(
-            pipeline.run(inputs, view).output,
-            _cold_pipeline().run(inputs, owner, "mul8s_mitchell").output)
+            pipeline.run(inputs, view),
+            _cold_pipeline().run(inputs, owner, "mul8s_mitchell"))
         assert cache.stats.misses == 2
 
     def test_an_unfrozen_owner_is_never_served_stale(self, monkeypatch):
         inputs = np.random.default_rng(6).normal(size=(1, 5, 5, 1))
         owner = np.random.default_rng(7).normal(size=(3, 3, 1, 2))
         expected = _cold_pipeline().run(
-            inputs, owner * 2.0, "mul8s_mitchell").output
+            inputs, owner * 2.0, "mul8s_mitchell")
         calls = []
         digest = FilterBankCache.content_digest
 
@@ -786,7 +816,7 @@ class TestDigestShortcut:
         monkeypatch.setattr(FilterBankCache, "content_digest",
                             staticmethod(spy))
         cache = FilterBankCache()
-        pipeline = InferencePipeline("numpy", multiplier="mul8s_mitchell",
+        pipeline = InferencePipeline(multiplier="mul8s_mitchell",
                                      filter_cache=cache)
         owner.flags.writeable = False
         pipeline.run(inputs, owner)
@@ -794,52 +824,46 @@ class TestDigestShortcut:
         owner.flags.writeable = True
         owner *= 2.0
         owner.flags.writeable = False
-        np.testing.assert_array_equal(pipeline.run(inputs, owner).output,
-                                      expected)
+        np.testing.assert_array_equal(pipeline.run(inputs, owner), expected)
         assert cache.stats.misses == 2 and len(calls) == 2
 
 
 class TestSharedPipeline:
-    """The process-wide memoised pipeline handle (serving-era API)."""
+    """The process-wide pipeline handle (serving-era API)."""
 
     def test_same_configuration_shares_one_instance(self):
-        from repro.backends import shared_pipeline
+        assert shared_pipeline() is shared_pipeline()
 
-        first = shared_pipeline("numpy")
-        second = shared_pipeline("numpy")
-        other = shared_pipeline("gpusim")
-        assert first is second
-        assert first is not other
-        assert first.backend == "numpy" and other.backend == "gpusim"
+    def test_emulate_conv2d_routes_through_the_shared_handle(self,
+                                                            monkeypatch):
+        handle = shared_pipeline()
+        assert handle.multiplier is None  # callers never see a default
+        calls = []
+        run = handle.run
 
-    def test_emulate_conv2d_routes_through_the_shared_handle(self):
-        from repro.backends import emulate_conv2d, shared_pipeline
-        from repro.backends.pipeline import _SHARED_PIPELINES
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return run(*args, **kwargs)
 
+        monkeypatch.setattr(handle, "run", spy)
         rng = np.random.default_rng(7)
         inputs = rng.normal(size=(2, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
         emulate_conv2d(inputs, filters, "mul8s_exact")
-        count = len(_SHARED_PIPELINES)
         emulate_conv2d(inputs, filters, "mul8s_exact")
-        assert len(_SHARED_PIPELINES) == count  # memoised, not re-created
-        handle = shared_pipeline("numpy")
-        assert handle.multiplier is None  # callers never see a default
+        assert calls == ["mul8s_exact"] * 2
 
     def test_concurrent_runs_on_one_handle_are_identical(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.backends import shared_pipeline
-
-        pipeline = shared_pipeline("numpy")
+        pipeline = shared_pipeline()
         rng = np.random.default_rng(11)
         inputs = rng.normal(size=(4, 8, 8, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
-        reference = pipeline.run(inputs, filters, "mul8s_mitchell").output
+        reference = pipeline.run(inputs, filters, "mul8s_mitchell")
         with ThreadPoolExecutor(max_workers=4) as pool:
             outputs = list(pool.map(
-                lambda _: pipeline.run(
-                    inputs, filters, "mul8s_mitchell").output,
+                lambda _: pipeline.run(inputs, filters, "mul8s_mitchell"),
                 range(8)))
         for output in outputs:
             assert np.array_equal(output, reference)

@@ -59,12 +59,12 @@ def cold_output(node, x):
     """The node's convolution of ``x`` on fresh, private caches."""
     filters, lo, hi, f_lo, f_hi = (inp.value for inp in node.inputs[1:])
     pipeline = InferencePipeline(
-        "numpy", lut_cache=LUTCache(), filter_cache=FilterBankCache())
+        lut_cache=LUTCache(), filter_cache=FilterBankCache())
     return pipeline.run(
         x, filters, node.pipeline.multiplier, strides=node.strides,
         dilations=node.dilations, padding=node.padding,
         input_range=(float(lo), float(hi)),
-        filter_range=(float(f_lo), float(f_hi))).output
+        filter_range=(float(f_lo), float(f_hi)))
 
 
 def check_against_cold(model, x):
@@ -173,7 +173,7 @@ class TestBinding:
         # One more bank through a one-entry cache evicts the model's three.
         monkeypatch.setattr(DEFAULT_FILTER_CACHE, "_max_entries", 1)
         rng = np.random.default_rng(5)
-        emulate = InferencePipeline("numpy")
+        emulate = InferencePipeline()
         emulate.run(rng.normal(size=(1, 4, 4, 3)),
                     rng.normal(size=(3, 3, 3, 2)), "mul8s_exact")
         assert DEFAULT_FILTER_CACHE.bound(node) is None
@@ -193,8 +193,7 @@ class TestBinding:
             monkeypatch.setattr(gemm_mod, "ROW_TABLE_CACHE_BYTES",
                                 DEFAULT_FILTER_CACHE.table_bytes)
             for _ in range(2):
-                InferencePipeline("numpy").run(inputs, filters,
-                                               "mul8s_mitchell")
+                InferencePipeline().run(inputs, filters, "mul8s_mitchell")
             assert any(DEFAULT_FILTER_CACHE.bound(node) is None
                        for node in ax_nodes(frozen))
             check_against_cold(frozen, x)

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.backends import InferencePipeline
+from repro.backends import InferencePipeline, collect_reports
 from repro.backends.cache import FilterBankCache, LUTCache, PreparedFilterBank
 from repro.quantization.affine import SIGNED_8BIT
 
@@ -188,14 +188,14 @@ class TestInvalidateStress:
         lut_cache = LUTCache()
         filter_cache = FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_exact",
+            multiplier="mul8s_exact",
             lut_cache=lut_cache, filter_cache=filter_cache,
         )
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=(4, 8, 8, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
         digest = FilterBankCache.content_digest(filters)
-        reference = pipeline.run(inputs, filters).output
+        reference = pipeline.run(inputs, filters)
 
         stop = threading.Event()
         errors: list[BaseException] = []
@@ -211,7 +211,7 @@ class TestInvalidateStress:
         def runner() -> None:
             try:
                 for _ in range(15):
-                    output = pipeline.run(inputs, filters).output
+                    output = pipeline.run(inputs, filters)
                     assert np.array_equal(output, reference)
             except BaseException as exc:  # pragma: no cover - fail path
                 errors.append(exc)
@@ -325,7 +325,7 @@ class TestConcurrentRunReports:
     def test_overlapping_runs_count_only_their_own_work(self):
         lut_cache, filter_cache = LUTCache(), FilterBankCache()
         pipeline = InferencePipeline(
-            "numpy", multiplier="mul8s_mitchell",
+            multiplier="mul8s_mitchell",
             lut_cache=lut_cache, filter_cache=filter_cache,
         )
         rng = np.random.default_rng(12)
@@ -347,7 +347,9 @@ class TestConcurrentRunReports:
                 for round_ in range(self.ROUNDS):
                     filters = cached if kind == "cached" else fresh[round_]
                     barrier.wait(timeout=30.0)
-                    reports[kind].append(pipeline.run(inputs, filters).report)
+                    with collect_reports() as report:
+                        pipeline.run(inputs, filters)
+                    reports[kind].append(report)
                     barrier.wait(timeout=30.0)
             except BaseException as exc:  # pragma: no cover - fail path
                 errors.append(exc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import InferencePipeline, emulate_conv2d
+from repro.backends import InferencePipeline, collect_reports, emulate_conv2d
 from repro.conv import (
     CHUNK_SIZE,
     approx_conv2d_direct,
@@ -17,11 +17,12 @@ from repro.conv import (
     lut_matmul,
 )
 from repro.errors import ShapeError
+from repro.gpusim import GPUDevice
 from repro.lut import LookupTable
 from repro.multipliers import library
 from repro.quantization import compute_coeffs, compute_coeffs_from_tensor
 
-from conv_reference import conv2d_direct, fake_quant_conv2d
+from conv_reference import conv2d_direct, fake_quant_conv2d, reference_outputs
 from lut_gemm_reference import lut_matmul_naive
 
 
@@ -64,7 +65,7 @@ class TestGemmPrimitives:
 class TestChunking:
     def test_chunk_size_does_not_change_result(self, rng, mitchell_lut_signed):
         """A batch one image over the chunk size runs as two chunks on
-        every backend and matches the direct loop over the whole batch."""
+        every engine and matches the direct loop over the whole batch."""
         inputs = rng.normal(size=(CHUNK_SIZE + 1, 4, 4, 2))
         filters = rng.normal(size=(3, 3, 2, 2))
         input_range, filter_range = (-3.0, 3.0), (-2.5, 2.5)
@@ -73,12 +74,21 @@ class TestChunking:
             inputs, filters, mitchell_lut_signed,
             compute_coeffs(*input_range, qrange=qrange),
             compute_coeffs(*filter_range, qrange=qrange))
-        for backend in ("numpy", "cpusim", "gpusim"):
-            result = InferencePipeline(backend).run(
+        pipeline = InferencePipeline()
+        with collect_reports() as report:
+            output = pipeline.run(
                 inputs, filters, mitchell_lut_signed,
                 input_range=input_range, filter_range=filter_range)
-            assert result.report.stats.chunks == 2, backend
-            np.testing.assert_array_equal(result.output, expected, backend)
+        assert report.stats.chunks == 2
+        np.testing.assert_array_equal(output, expected)
+        device = GPUDevice()
+        prepared = pipeline.prepare(
+            inputs, filters, mitchell_lut_signed,
+            input_range=input_range, filter_range=filter_range)
+        outputs = reference_outputs(inputs, filters, prepared, device)
+        assert len(device.counters.launches) == 2 * 2
+        for engine, output in outputs.items():
+            np.testing.assert_array_equal(output, expected, engine)
 
 
 class TestApproxConv2D:
@@ -155,8 +165,9 @@ class TestApproxConv2D:
     def test_stats_counters(self, rng, exact_lut_signed):
         inputs = rng.normal(size=(CHUNK_SIZE + 1, 9, 9, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
-        stats = InferencePipeline("numpy").run(
-            inputs, filters, exact_lut_signed).report.stats
+        with collect_reports() as report:
+            InferencePipeline().run(inputs, filters, exact_lut_signed)
+        stats = report.stats
         positions = (CHUNK_SIZE + 1) * 9 * 9
         expected_lookups = positions * 27 * 4
         assert stats.macs == expected_lookups

@@ -1,12 +1,14 @@
 """Differential fuzzing of the three engines against the direct loop.
 
-Every engine of :mod:`repro.backends` -- ``numpy``, ``cpusim`` and
-``gpusim`` -- runs through :class:`~repro.backends.InferencePipeline` on
-randomly drawn geometry and tables, and must equal
-:func:`repro.conv.reference.approx_conv2d_direct` bit for bit, given the
-same data-derived coefficients.  Some draws hold one image more than
-:data:`~repro.conv.approx_conv2d.CHUNK_SIZE`, so they run as two chunks.
-The ``numpy`` pipeline runs twice per draw:
+The vectorised engine of :class:`~repro.backends.InferencePipeline`
+(``numpy``) and the two reference engines, run chunk by chunk over its
+prepared convolution (``cpusim``, the direct loop, and ``gpusim``, the
+simulated GPU; see ``conv_reference.reference_outputs``), get randomly
+drawn geometry and tables, and each must equal
+:func:`repro.conv.reference.approx_conv2d_direct` over the whole batch bit
+for bit, given the same data-derived coefficients.  Some draws hold one
+image more than :data:`~repro.conv.approx_conv2d.CHUNK_SIZE`, so they run as
+two chunks.  The pipeline runs twice per draw:
 for a table without exact factors, the second call finds the filter bank
 cached and runs ``rowgather`` on its prebuilt row table.
 """
@@ -21,7 +23,10 @@ from repro.backends import FilterBankCache, InferencePipeline, LUTCache
 from repro.conv import CHUNK_SIZE, approx_conv2d_direct
 from repro.conv.padding import resolve_geometry
 from repro.errors import ShapeError
+from repro.gpusim import GPUDevice, run_gpusim_chunk
 from repro.quantization import IntegerRange, compute_coeffs_from_tensor
+
+from conv_reference import reference_outputs
 
 #: Signed and unsigned tables, with (exact, trunc2, drum4) and without
 #: (mitchell, loa4) the exact low-rank factors that select ``factored``.
@@ -53,11 +58,6 @@ def _draws(draw):
             draw(st.integers(0, 2**31 - 1)))
 
 
-def _pipeline(engine: str) -> InferencePipeline:
-    return InferencePipeline(engine, lut_cache=LUTS,
-                             filter_cache=FilterBankCache())
-
-
 def _fits(shape, filter_shape, geometry) -> bool:
     try:
         resolve_geometry(shape[1], shape[2], filter_shape[0], filter_shape[1],
@@ -75,22 +75,29 @@ def test_engines_match_direct_loop(case):
     inputs = rng.normal(size=shape)
     filters = rng.normal(size=filter_shape)
     lut = LUTS.resolve(table)
-    engines = ["numpy", "numpy", "cpusim", "gpusim"]
-    pipelines = {name: _pipeline(name) for name in set(engines)}
+    pipeline = InferencePipeline(lut_cache=LUTS, filter_cache=FilterBankCache())
+    qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
+    input_q = compute_coeffs_from_tensor(inputs, qrange=qrange)
+    filter_q = compute_coeffs_from_tensor(filters, qrange=qrange)
 
     if not _fits(shape, filter_shape, geometry):
-        for name in engines:
-            with pytest.raises(ShapeError):
-                pipelines[name].run(inputs, filters, lut, **geometry)
+        with pytest.raises(ShapeError):
+            pipeline.run(inputs, filters, lut, **geometry)
+        with pytest.raises(ShapeError):
+            approx_conv2d_direct(inputs, filters, lut, input_q, filter_q,
+                                 **geometry)
+        # SAME at stride 1 always fits, so only the chunk's geometry fails.
+        prepared = pipeline.prepare(inputs, filters, lut)
+        with pytest.raises(ShapeError):
+            run_gpusim_chunk(GPUDevice(), inputs, prepared, **geometry)
         return
 
-    qrange = IntegerRange.for_bits(lut.bit_width, signed=lut.signed)
-    expected = approx_conv2d_direct(
-        inputs, filters, lut,
-        compute_coeffs_from_tensor(inputs, qrange=qrange),
-        compute_coeffs_from_tensor(filters, qrange=qrange),
-        **geometry,
-    )
-    for name in engines:
-        output = pipelines[name].run(inputs, filters, lut, **geometry).output
+    expected = approx_conv2d_direct(inputs, filters, lut, input_q, filter_q,
+                                    **geometry)
+    outputs = [("numpy", pipeline.run(inputs, filters, lut, **geometry))
+               for _ in range(2)]
+    outputs += reference_outputs(
+        inputs, filters, pipeline.prepare(inputs, filters, lut, **geometry),
+        GPUDevice(), **geometry).items()
+    for name, output in outputs:
         assert np.array_equal(output, expected), (name, table)

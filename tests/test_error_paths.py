@@ -1,6 +1,6 @@
 """Error-path coverage: failures must raise specific `repro.errors` types.
 
-Misuse of the layer-wise transformation, the backend table and the
+Misuse of the layer-wise transformation and the
 multiplier library must surface as the documented :mod:`repro.errors`
 exception (with an actionable message), never as a bare ``KeyError`` /
 ``TypeError`` leaking from an internal dictionary.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends.registry import get_backend
 from repro.errors import ConfigurationError, GraphError, RegistryError
 from repro.graph import approximate_graph_layerwise
 from repro.models import build_simple_cnn
@@ -46,10 +45,6 @@ class TestLayerwiseErrorPaths:
 
 
 class TestRegistryErrorPaths:
-    def test_unknown_backend_raises_registry_error(self):
-        with pytest.raises(RegistryError, match="unknown backend"):
-            get_backend("tpu")
-
     def test_unknown_multiplier_library_name_raises_registry_error(self):
         with pytest.raises(RegistryError, match="unknown multiplier"):
             library.create("mul8s_unobtainium")

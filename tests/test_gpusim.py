@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import InferencePipeline, emulate_conv2d
+from repro.backends import InferencePipeline, collect_reports, emulate_conv2d
 from repro.conv import CHUNK_SIZE
 from repro.errors import DeviceError
 from repro.gpusim import (
@@ -23,6 +23,8 @@ from repro.models import conv_workloads_for_depth
 from repro.multipliers import library
 from repro.quantization import compute_coeffs_from_tensor
 from repro.workload import ConvWorkload
+
+from conv_reference import reference_outputs
 
 
 class TestGPUDevice:
@@ -142,24 +144,28 @@ class TestKernels:
 
 class TestGPUEngine:
     def test_engine_matches_numpy_reference(self, rng, mitchell_lut_signed):
-        pipeline = InferencePipeline("gpusim")
+        device = GPUDevice()
         inputs = rng.normal(size=(2 * CHUNK_SIZE + 1, 7, 7, 3))
         filters = rng.normal(size=(3, 3, 3, 4))
-        result = pipeline.run(inputs, filters, mitchell_lut_signed)
-        ref = emulate_conv2d(inputs, filters, mitchell_lut_signed)
-        np.testing.assert_allclose(result.output, ref, atol=1e-9)
-        assert result.report.stats.chunks == 3
-        assert result.report.gpu.kernel_launches == 6
-        assert [launch.name for launch in result.report.gpu.launches] == [
+        prepared = InferencePipeline().prepare(
+            inputs, filters, mitchell_lut_signed)
+        output = reference_outputs(inputs, filters, prepared,
+                                   device)["gpusim"]
+        with collect_reports() as report:
+            ref = emulate_conv2d(inputs, filters, mitchell_lut_signed)
+        np.testing.assert_allclose(output, ref, atol=1e-9)
+        assert report.stats.chunks == 3
+        assert device.counters.kernel_launches == 6
+        assert [launch.name for launch in device.counters.launches] == [
             "ax_im2cols", "ax_gemm"] * 3
-        assert result.report.lut_name == mitchell_lut_signed.name
+        assert report.lut_name == mitchell_lut_signed.name
 
     def test_chunk_on_own_device_records_launches(self, rng,
                                                   mitchell_lut_signed):
         device = GPUDevice()
         inputs = rng.normal(size=(2, 5, 5, 2))
         filters = rng.normal(size=(3, 3, 2, 3))
-        prepared = InferencePipeline("gpusim").prepare(
+        prepared = InferencePipeline().prepare(
             inputs, filters, mitchell_lut_signed)
         output = run_gpusim_chunk(device, inputs, prepared)
         np.testing.assert_array_equal(
@@ -171,10 +177,11 @@ class TestGPUEngine:
 
     def test_engine_validation(self, rng, exact_lut_unsigned):
         from repro.errors import ShapeError
-        pipeline = InferencePipeline("gpusim")
+        prepared = InferencePipeline().prepare(
+            np.zeros((1, 4, 4, 1)), np.zeros((3, 3, 1, 1)),
+            exact_lut_unsigned)
         with pytest.raises(ShapeError):
-            pipeline.run(np.zeros((1, 4, 4)), np.zeros((3, 3, 1, 1)),
-                         exact_lut_unsigned)
+            run_gpusim_chunk(GPUDevice(), np.zeros((1, 4, 4)), prepared)
 
 
 class TestGPUTimingModel:

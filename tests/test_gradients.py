@@ -3,7 +3,7 @@
 Each op is wrapped in a tiny graph whose output is contracted with a fixed
 random cotangent ``W`` (so the seed gradient exercises arbitrary directions,
 not just all-ones); the analytic gradient from
-:meth:`repro.graph.Executor.run_backward` must match the central
+:meth:`repro.graph.Executor.backward` over a recorded tape must match the central
 finite-difference derivative of the same scalar, element by element, over a
 grid of shapes, strides and paddings.
 
@@ -87,8 +87,8 @@ def check_op_gradients(make_node, input_arrays, *, seed=0):
     cotangent = np.random.default_rng(seed).normal(
         size=np.shape(executor.run(out, feeds)))
 
-    result = executor.run_backward(
-        out, feeds, grad_output=cotangent, wrt=placeholders)
+    _, tape = executor.record(out, feeds)
+    grads = executor.backward(tape, out, cotangent, wrt=placeholders)
 
     for i, ph in enumerate(placeholders):
         def scalar(x, i=i):
@@ -99,7 +99,7 @@ def check_op_gradients(make_node, input_arrays, *, seed=0):
         numeric = numeric_gradient(scalar, np.asarray(
             input_arrays[i], dtype=np.float64))
         np.testing.assert_allclose(
-            result.gradients[ph], numeric, rtol=RTOL, atol=ATOL,
+            grads[ph], numeric, rtol=RTOL, atol=ATOL,
             err_msg=f"gradient mismatch for input {i} of {out.op_type}")
 
 
@@ -269,8 +269,8 @@ class TestAxConv2DSTE:
         feeds = {xp: x, wp: w}
         cotangent = np.random.default_rng(5).normal(
             size=executor.run(ax, feeds).shape)
-        result = executor.run_backward(
-            ax, feeds, grad_output=cotangent, wrt=[xp, wp])
+        _, tape = executor.record(ax, feeds)
+        grads = executor.backward(tape, ax, cotangent, wrt=[xp, wp])
 
         # The reference derivative is of the *exact float* convolution, not
         # of the quantised forward (whose derivative is 0 a.e.).
@@ -285,10 +285,10 @@ class TestAxConv2DSTE:
                 dilations=dilations) * cotangent).sum())
 
         np.testing.assert_allclose(
-            result.gradients[xp], numeric_gradient(exact_scalar_x, x),
+            grads[xp], numeric_gradient(exact_scalar_x, x),
             rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
-            result.gradients[wp], numeric_gradient(exact_scalar_w, w),
+            grads[wp], numeric_gradient(exact_scalar_w, w),
             rtol=RTOL, atol=ATOL)
 
     def test_range_probes_receive_no_gradient(self, rng, exact_lut_signed):
@@ -305,8 +305,9 @@ class TestAxConv2DSTE:
         executor = Executor(graph)
         feeds = {xp: rng.normal(size=(1, 4, 4, 1)),
                  wp: rng.normal(size=(3, 3, 1, 2))}
-        result = executor.run_backward(ax, feeds, wrt=[in_min])
-        assert not result.gradients[in_min].any()
+        _, tape = executor.record(ax, feeds)
+        grads = executor.backward(tape, ax, wrt=[in_min])
+        assert not grads[in_min].any()
 
 
 class TestBackwardMachinery:
@@ -317,17 +318,19 @@ class TestBackwardMachinery:
         xp = Placeholder(graph, (3,), name="x")
         out = Add(graph, ReLU(graph, xp), xp)
         x = away_from_kinks(rng, (3,))
-        result = Executor(graph).run_backward(out, {xp: x}, wrt=[xp])
-        np.testing.assert_allclose(result.gradients[xp], (x > 0) + 1.0)
+        executor = Executor(graph)
+        _, tape = executor.record(out, {xp: x})
+        grads = executor.backward(tape, out, wrt=[xp])
+        np.testing.assert_allclose(grads[xp], (x > 0) + 1.0)
 
     def test_grad_output_shape_mismatch_raises(self, rng):
         graph = Graph("seed")
         xp = Placeholder(graph, (2, 2), name="x")
         out = Identity(graph, xp)
+        executor = Executor(graph)
+        _, tape = executor.record(out, {xp: rng.normal(size=(2, 2))})
         with pytest.raises(ExecutionError, match="grad_output shape"):
-            Executor(graph).run_backward(
-                out, {xp: rng.normal(size=(2, 2))},
-                grad_output=np.ones((3, 3)))
+            executor.backward(tape, out, np.ones((3, 3)))
 
     def test_unimplemented_backward_raises_graph_error(self, rng):
         class Opaque(Node):
@@ -344,8 +347,9 @@ class TestBackwardMachinery:
         out = Opaque(graph, xp)
         executor = Executor(graph)
         # The executor wraps the op-level GraphError with the node's name.
+        _, tape = executor.record(out, {xp: rng.normal(size=(2,))})
         with pytest.raises(ExecutionError, match="does not implement backward"):
-            executor.run_backward(out, {xp: rng.normal(size=(2,))})
+            executor.backward(tape, out)
 
     def test_unbroadcast_sums_broadcast_axes(self):
         grad = np.ones((2, 3, 4))

@@ -103,8 +103,8 @@ class TestGPUDeviceEndToEnd:
         inputs = rng.normal(size=(4, 8, 8, 3))
         filters = rng.normal(size=(3, 3, 3, 8))
 
-        gpu_out = InferencePipeline("gpusim").run(
-            inputs, filters, lut).output
+        gpu_out = run_gpusim_chunk(
+            GPUDevice(), inputs, InferencePipeline().prepare(inputs, filters, lut))
 
         from repro.graph import Graph
         from repro.graph.ops import AxConv2D, Constant, Placeholder, ReduceMax, ReduceMin
@@ -123,7 +123,7 @@ class TestGPUDeviceEndToEnd:
         small = rng.normal(size=(2, 6, 6, 2))
         large = rng.normal(size=(4, 6, 6, 2))
         filters = rng.normal(size=(3, 3, 2, 4))
-        pipeline = InferencePipeline("gpusim", multiplier=lut)
+        pipeline = InferencePipeline(multiplier=lut)
         run_gpusim_chunk(device, small, pipeline.prepare(small, filters))
         fetches_small = device.counters.texture_fetches
         device.reset()

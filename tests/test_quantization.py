@@ -15,7 +15,6 @@ from repro.quantization import (
     IntegerRange,
     QuantParams,
     SIGNED_8BIT,
-    TensorRange,
     UNSIGNED_8BIT,
     compute_coeffs,
     compute_coeffs_from_tensor,
@@ -249,18 +248,3 @@ class TestQuantParams:
         params = compute_coeffs_from_tensor(data, qrange=UNSIGNED_8BIT)
         q = params.quantize(data)
         assert q.min() >= 0 and q.max() <= 255
-
-
-class TestTensorRangeTracker:
-    def test_range_of_tensor(self):
-        r = TensorRange.of(np.array([-1.0, 2.0, 0.5]))
-        assert r.as_tuple() == (-1.0, 2.0)
-        assert r.span == 3.0
-
-    def test_invalid_ranges(self):
-        with pytest.raises(QuantizationError):
-            TensorRange(2.0, 1.0)
-        with pytest.raises(QuantizationError):
-            TensorRange.of(np.array([np.nan]))
-        with pytest.raises(QuantizationError):
-            TensorRange.of(np.array([]))
