@@ -21,7 +21,10 @@ MACs/s and fraction of its roofline, plus the rowgather-vs-naive speedup
 
 The naive kernel is the seed's one-gather-per-product reference, kept in
 ``tests/lut_gemm_reference.py``; it is timed here but is not one of the
-kernels ``lut_matmul`` dispatches to.
+kernels ``lut_matmul`` dispatches to.  The two kernels are timed by calling
+their functions directly (``rowgather`` with its per-call ``W`` build and
+depth split, and on a prebuilt row table as ``rowgather_cached``), without
+``lut_matmul``'s operand validation.
 
 It also archives ``rowgather``'s MACs/s on the ResNet-20 stage shapes of a
 batch-32 forward pass and on one single-sample serve shape.  Those calls
@@ -55,9 +58,10 @@ import pytest
 
 from repro.conv import im2col_quantized, lut_matmul
 from repro.conv.gemm import (
-    KERNELS,
     RowTable,
     choose_gemm_kernel,
+    lut_matmul_factored,
+    lut_matmul_rowgather,
 )
 from repro.lut import LookupTable
 from repro.multipliers import library
@@ -107,6 +111,10 @@ SERVE_MITCHELL_SHAPES = {
     "conv2": (64, 144, 32),
     "conv3": (16, 288, 64),
 }
+
+#: The LUT-GEMM kernels timed here, by the name their JSON keys carry.
+TIMED_KERNELS = {"factored": lut_matmul_factored,
+                 "rowgather": lut_matmul_rowgather}
 
 #: One library table per factor rank the factored kernel serves.
 FACTORED_TABLES = {1: "mul8s_trunc2", 2: "mul8s_udm", 3: "mul8u_bam_h2v4"}
@@ -166,20 +174,20 @@ def test_im2col_quantized(benchmark, activations):
 
 
 @pytest.mark.benchmark(group="micro")
-@pytest.mark.parametrize("kernel", ["naive", *sorted(KERNELS)])
+@pytest.mark.parametrize("kernel", ["naive", *sorted(TIMED_KERNELS)])
 def test_lut_gemm(benchmark, exact_lut, gemm_case, kernel):
     patches, weights = gemm_case
     if kernel == "naive":
         acc = benchmark(lut_matmul_naive, patches, weights, exact_lut)
     else:
-        acc = benchmark(lut_matmul, patches, weights, exact_lut, kernel=kernel)
+        acc = benchmark(TIMED_KERNELS[kernel], patches, weights, exact_lut)
     assert acc.shape == (BENCH_P, BENCH_F)
 
 
 def _paired_median_seconds(lut, shape, kernels, repeats=5):
     """Median wall time of each kernel on one (P, K, F) GEMM through ``lut``.
 
-    ``rowgather_cached`` names ``lut_matmul`` on a prebuilt
+    ``rowgather_cached`` names ``rowgather`` on a prebuilt
     :class:`~repro.conv.gemm.RowTable` of the same filters.  The kernels
     are timed in alternation so host drift over the run hits
     them alike and the speed-up between them stays meaningful.  Every
@@ -195,8 +203,8 @@ def _paired_median_seconds(lut, shape, kernels, repeats=5):
 
     def call(kernel):
         if kernel == "rowgather_cached":
-            return lut_matmul(patches, table, lut)
-        return lut_matmul(patches, weights, lut, kernel=kernel)
+            return lut_matmul_rowgather(patches, table, lut)
+        return TIMED_KERNELS[kernel](patches, weights, lut)
 
     timings = {kernel: [] for kernel in kernels}
     first = call(kernels[0])
@@ -284,10 +292,10 @@ def test_lut_gemm_roofline(exact_lut, mitchell_lut, gemm_case, bench_json):
     table = RowTable(weights, exact_lut)
     runs = {
         "naive": lambda: lut_matmul_naive(patches, weights, exact_lut),
-        **{kernel: (lambda kernel=kernel: lut_matmul(
-            patches, weights, exact_lut, kernel=kernel))
-           for kernel in sorted(KERNELS)},
-        "rowgather_cached": lambda: lut_matmul(patches, table, exact_lut),
+        **{kernel: (lambda run=run: run(patches, weights, exact_lut))
+           for kernel, run in sorted(TIMED_KERNELS.items())},
+        "rowgather_cached": lambda: lut_matmul_rowgather(patches, table,
+                                                         exact_lut),
     }
     achieved, fractions = {}, {}
     for kernel, run in runs.items():

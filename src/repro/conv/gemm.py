@@ -10,9 +10,9 @@ Two GEMM flavours are provided:
   integer accumulations are corrected with the pre-computed patch sums ``Sp``
   and filter sums ``Sf`` and the result is dequantised according to Eq. 4.
 
-The integer LUT product itself -- :func:`lut_matmul` -- dispatches to one of
-two kernels in the fixed :data:`KERNELS` table, both bit-identical to the
-seed's one-gather-per-product reference the test-suite keeps:
+The integer LUT product itself -- :func:`lut_matmul` -- runs one of two
+kernels, both bit-identical to the seed's one-gather-per-product reference
+the test-suite keeps:
 
 ``rowgather``
     Weight-stationary row gather: per K panel it slices the LUT into
@@ -35,9 +35,11 @@ seed's one-gather-per-product reference the test-suite keeps:
     (exact, truncated-operand, DRUM, UDM, ``bam_h2v4``) qualify; ``mitchell``
     (rank 64) does not.
 
-When no kernel is named, :func:`choose_gemm_kernel` picks one from the table
-and the call's depth: ``factored`` whenever the table has factors and the
-depth keeps the product exact, else ``rowgather``, at any row count.  With
+The caller names no kernel: the filter operand and the table pick it.  A
+prebuilt operand (below) runs the kernel it was built for; for a plain
+filter matrix :func:`choose_gemm_kernel` picks one from the table and the
+call's depth: ``factored`` whenever the table has factors and the depth
+keeps the product exact, else ``rowgather``, at any row count.  With
 one BLAS thread, ``factored`` ran 1.3-7.4x the gather kernel on ResNet-20's
 batch-32 stage shapes and 3.5-6.5x on serve's single-sample 16x288x64
 call, for rank 1-3 tables.
@@ -62,13 +64,13 @@ gathers at ResNet-20's smallest batch-32 call (P=2048), whereas caching
 its 19 tables would take ~137 MB (18.9 MB for each stage-3 table), over
 half the ~258 MB peak RSS of whole-model ResNet-20 inference.
 
-A large gather call runs on two cores.  :func:`lut_matmul` splits the
-depth ``K`` of a ``rowgather`` call with at least
+A large gather call runs on two cores.  :func:`lut_matmul_rowgather`
+splits the depth ``K`` of a call with at least
 :data:`SPLIT_MIN_MACS` (``2**22``) MACs, and at least
 :data:`SPLIT_MIN_ROW_MACS` per patch row in each half, when the process
-may use two CPUs: the calling thread runs the kernel on taps ``[0,
-mid)``, one worker thread on ``[mid, K)``, and the two int64 sums are
-added -- exact, so the result is bit-identical.  The split is on the
+may use two CPUs: the calling thread sums the K panels of taps ``[0,
+mid)``, one worker thread those of ``[mid, K)``, and the two int64 sums
+are added -- exact, so the result is bit-identical.  The split is on the
 depth, not the rows, so neither half repeats the other's ``W`` panels or
 index build and the threads meet once per call (two threads each on half
 the rows measured 0.80-0.83x).  NumPy releases the interpreter lock
@@ -103,11 +105,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..errors import ConfigurationError, RegistryError, ShapeError, TruthTableError
+from ..errors import ConfigurationError, ShapeError, TruthTableError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
 
-#: Default row-block height of the rowgather kernel.  A split call's two
+#: Row-block height of the rowgather kernel.  A split call's two
 #: threads pass the interpreter lock between every NumPy op, so fewer,
 #: larger gathers pay (stage 1 of batch-32 ResNet-20, 32768x144x16, split:
 #: 128 -> 256 rows took 63 -> 46 ms; whole calls 0.93-1.1x).
@@ -201,7 +203,8 @@ def _validate_lut_matmul_operands(patches, filters, lut: LookupTable):
     is returned as it is: its filters were checked when it was built and
     are read-only.
     """
-    table = filters if type(filters) in _PREBUILT else None
+    table = (filters if isinstance(filters, (RowTable, FactoredFilters))
+             else None)
     if table is not None and table.lut is not lut:
         raise ConfigurationError(
             f"{type(table).__name__} was built for {table.lut.name!r}, "
@@ -278,15 +281,17 @@ def _bit_patterns(patches: np.ndarray, lut: LookupTable):
 
 
 def _gather_rows(acc: np.ndarray, patches: np.ndarray, rows: np.ndarray,
-                 k0: int, k1: int, *, levels: int, block_rows: int,
-                 partial_dtype, masked: bool) -> None:
+                 k0: int, k1: int, *, levels: int, partial_dtype,
+                 masked: bool) -> None:
     """``acc += sum_k rows[bits(patches[:, k]) + (k - k0) * 2**n]`` over one
-    K panel ``[k0, k1)`` of the row table ``rows`` (``[(k1 - k0) * 2**n, F]``).
+    K panel ``[k0, k1)`` of the row table ``rows`` (``[(k1 - k0) * 2**n, F]``),
+    :data:`ROWGATHER_BLOCK_ROWS` patch rows at a time.
 
     The one gather loop of ``rowgather``, whether its table was built for
     this call or cached with the filter bank.  ``masked`` is
     :func:`_bit_patterns`' flag for ``patches``.
     """
+    block_rows = ROWGATHER_BLOCK_ROWS
     offsets = np.arange(0, (k1 - k0) * levels, levels)[:, None]
     for r0 in range(0, len(acc), block_rows):
         r1 = min(r0 + block_rows, len(acc))
@@ -342,9 +347,40 @@ class RowTable:
         return (depth << lut.bit_width) * num_filters * lut.flat.itemsize
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _split_depth(patches_shape: tuple[int, int], num_filters: int,
+                 lut: LookupTable) -> int:
+    """Where :func:`lut_matmul_rowgather` splits a call's depth; 0 runs it
+    whole.
+
+    A call splits when it has at least :data:`SPLIT_MIN_MACS` MACs, each
+    half at least :data:`SPLIT_MIN_ROW_MACS` MACs per patch row, and the
+    process may use two CPUs.  ``factored`` never splits: its GEMM already
+    runs on BLAS's threads, and a second Python thread calling BLAS at the
+    same time ran 0.25-0.9x with OpenBLAS's default two threads.  The split
+    point is ``K // 2`` rounded down to the ``W`` panel when a panel fits
+    in a half, so the halves walk no more panels than the whole call.
+    """
+    num_patches, depth = patches_shape
+    if (num_patches * depth * num_filters < SPLIT_MIN_MACS
+            or depth // 2 * num_filters < SPLIT_MIN_ROW_MACS
+            or depth < 2 or _usable_cpus() < 2):
+        return 0
+    panel = _panel_taps(1 << lut.bit_width, num_filters, lut.flat.itemsize)
+    mid = depth // 2
+    return mid - mid % panel if mid >= panel else mid
+
+
 def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
-                         lut: LookupTable, *,
-                         block_rows: int = ROWGATHER_BLOCK_ROWS) -> np.ndarray:
+                         lut: LookupTable) -> np.ndarray:
     """Weight-stationary row-gather GEMM: one F-wide table row per operand.
 
     ``patches`` is the ``[P, K]`` matrix of quantised patch rows and
@@ -370,6 +406,18 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
     into the int64 accumulator.  ``filters`` may be a :class:`RowTable`:
     its panels are then slices of the prebuilt table, and the call does no
     build at all.
+
+    A large call, in a process that may use two CPUs, sums its depth in two
+    halves at once (see :func:`_split_depth`): the calling thread walks the
+    K panels of taps ``[0, mid)``, one worker thread those of ``[mid, K)``,
+    and the two int64 sums are added -- exact integer addition, so the
+    result is the whole call's bit for bit.  Each half builds its own
+    panels of ``W`` from its slice of the filters, or slices
+    ``RowTable.rows``, as a whole call does.  Building the transposed
+    table and the filter bits once in the calling thread for both halves
+    instead raised the peak RSS of perfbench's ``serve_cnn16_open`` (whose
+    calibration makes split calls) from 99.9 to 101.5-105 MB on a 2-vCPU
+    host; the cause was not found.
     """
     table = filters if isinstance(filters, RowTable) else None
     num_patches, depth = patches.shape
@@ -378,24 +426,38 @@ def lut_matmul_rowgather(patches: np.ndarray, filters: np.ndarray | RowTable,
     storage = lut.flat.dtype
     panel_k = _panel_taps(levels, num_filters, storage.itemsize)
     partial_dtype = _panel_sum_dtype(storage, panel_k)
-    if table is None:
-        by_weight = _by_weight(lut)
-        filter_bits = filters.astype(np.intp) & (levels - 1)
-        buffer = np.empty((min(panel_k, depth) * levels, num_filters),
-                          dtype=storage)
-
     patches, masked = _bit_patterns(patches, lut)
-    acc = np.zeros((num_patches, num_filters), dtype=np.int64)
-    for k0 in range(0, depth, panel_k):
-        k1 = min(k0 + panel_k, depth)
+
+    def taps(k0: int, k1: int) -> np.ndarray:
+        """The int64 sums over taps ``[k0, k1)``, one K panel at a time."""
         if table is None:
-            rows = _fill_rows(buffer[:(k1 - k0) * levels],
-                              filter_bits[k0:k1], by_weight)
-        else:
-            rows = table.rows[k0 * levels:k1 * levels]
-        _gather_rows(acc, patches, rows, k0, k1, levels=levels,
-                     block_rows=block_rows, partial_dtype=partial_dtype,
-                     masked=masked)
+            by_weight = _by_weight(lut)
+            filter_bits = filters[k0:k1].astype(np.intp) & (levels - 1)
+            buffer = np.empty((min(panel_k, k1 - k0) * levels, num_filters),
+                              dtype=storage)
+        acc = np.zeros((num_patches, num_filters), dtype=np.int64)
+        for p0 in range(k0, k1, panel_k):
+            p1 = min(p0 + panel_k, k1)
+            if table is None:
+                rows = _fill_rows(buffer[:(p1 - p0) * levels],
+                                  filter_bits[p0 - k0:p1 - k0], by_weight)
+            else:
+                rows = table.rows[p0 * levels:p1 * levels]
+            _gather_rows(acc, patches, rows, p0, p1, levels=levels,
+                         partial_dtype=partial_dtype, masked=masked)
+        return acc
+
+    mid = _split_depth(patches.shape, num_filters, lut)
+    if not mid:
+        return taps(0, depth)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        upper = pool.submit(taps, mid, depth)
+        try:
+            acc = taps(0, mid)
+        except BaseException:
+            upper.exception()       # wait for the worker and read its outcome
+            raise
+        acc += upper.result()
     return acc
 
 
@@ -527,16 +589,6 @@ def lut_matmul_factored(patches: np.ndarray,
     return acc
 
 
-#: The LUT-GEMM kernels :func:`lut_matmul` dispatches to, by name.
-KERNELS = {
-    "rowgather": lut_matmul_rowgather,
-    "factored": lut_matmul_factored,
-}
-
-#: The prebuilt filter operands and the kernel each was built for.
-_PREBUILT = {RowTable: "rowgather", FactoredFilters: "factored"}
-
-
 def choose_gemm_kernel(lut: LookupTable, depth: int) -> str:
     """``factored`` when exact factors fit the call, else ``rowgather``.
 
@@ -552,59 +604,9 @@ def choose_gemm_kernel(lut: LookupTable, depth: int) -> str:
     return "rowgather"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _split_depth(kernel: str, patches_shape: tuple[int, int], num_filters: int,
-                lut: LookupTable) -> int:
-    """Where :func:`lut_matmul` splits a call's depth; 0 runs it whole.
-
-    A ``rowgather`` call splits when it has at least
-    :data:`SPLIT_MIN_MACS` MACs, each half at least
-    :data:`SPLIT_MIN_ROW_MACS` MACs per patch row, and the process may use
-    two CPUs.  ``factored`` always runs whole: its GEMM already runs on
-    BLAS's threads, and a second Python thread calling BLAS at the same
-    time ran 0.25-0.9x with OpenBLAS's default two threads.  The split
-    point is ``K // 2`` rounded down to the ``W`` panel when a panel fits
-    in a half, so the halves walk no more panels than the whole call.
-    """
-    num_patches, depth = patches_shape
-    if (kernel == "factored"
-            or num_patches * depth * num_filters < SPLIT_MIN_MACS
-            or depth // 2 * num_filters < SPLIT_MIN_ROW_MACS
-            or depth < 2 or _usable_cpus() < 2):
-        return 0
-    panel = _panel_taps(1 << lut.bit_width, num_filters, lut.flat.itemsize)
-    mid = depth // 2
-    return mid - mid % panel if mid >= panel else mid
-
-
-def _taps(filters: np.ndarray | RowTable, k0: int, k1: int):
-    """Rows ``[k0, k1)`` of a filter operand.
-
-    A :class:`RowTable`'s part is a table over read-only slices of its
-    arrays: nothing is copied or validated again.
-    """
-    if not isinstance(filters, RowTable):
-        return filters[k0:k1]
-    part = object.__new__(RowTable)
-    part.filters = filters.filters[k0:k1]
-    part.lut = filters.lut
-    part.rows = filters.rows[k0 << filters.lut.bit_width:
-                             k1 << filters.lut.bit_width]
-    return part
-
-
 def lut_matmul(patches: np.ndarray,
                filters: np.ndarray | RowTable | FactoredFilters,
-               lut: LookupTable, *,
-               kernel: str | None = None) -> np.ndarray:
+               lut: LookupTable) -> np.ndarray:
     """Integer matrix product where every multiplication is a LUT lookup.
 
     ``patches`` has shape ``[P, K]`` (quantised patch rows), ``filters`` has
@@ -612,62 +614,28 @@ def lut_matmul(patches: np.ndarray,
     width are used as they are.  The product is returned as an ``[P, F]``
     int64 matrix of *approximate* dot products.
 
-    ``filters`` may instead be a prebuilt operand through ``lut``: a
-    :class:`RowTable` (its ``rowgather`` table built) or a
-    :class:`FactoredFilters` (its ``factored`` right-hand sides gathered).
-    Such a call runs the kernel the operand was built for, with no
-    filter-side work, unless ``kernel`` names another kernel, which then
-    gets the operand's filter matrix.
-
-    ``kernel`` names one of :data:`KERNELS` (``rowgather``, ``factored``);
-    when omitted, :func:`choose_gemm_kernel` picks one from the table's
-    factors and the call's depth.  Both kernels are bit-identical; naming
-    ``factored`` for a table or depth it cannot compute exactly raises
-    :class:`~repro.errors.ConfigurationError`.
-
-    A large ``rowgather`` call, in a process that may use
-    two CPUs, runs its kernel on two depth halves at once (see
-    :func:`_split_depth`): the calling thread sums ``[0, mid)``, one worker
-    thread ``[mid, K)``, and the two int64 sums are added -- exact integer
-    addition, so the result is the whole call's bit for bit.
+    The filter operand and the table pick the kernel, never the caller.
+    ``filters`` may be a prebuilt operand through ``lut``: a
+    :class:`RowTable` runs ``rowgather`` on its built table, a
+    :class:`FactoredFilters` runs ``factored`` on its gathered right-hand
+    sides, with no filter-side work either way.  A plain filter matrix runs
+    the kernel :func:`choose_gemm_kernel` names for the table's factors and
+    the call's depth.  Both kernels are bit-identical.
 
     This is the one validation boundary of the LUT-GEMM path: bad shapes
     raise :class:`~repro.errors.ShapeError`, operands outside the table's
     range or float operands with non-integral values
-    :class:`~repro.errors.TruthTableError`, a prebuilt operand built
-    through another table :class:`~repro.errors.ConfigurationError` and an
-    unknown kernel name
-    :class:`~repro.errors.RegistryError`, all before any work is done.
+    :class:`~repro.errors.TruthTableError`, and a prebuilt operand built
+    through another table :class:`~repro.errors.ConfigurationError`, all
+    before any work is done.
     """
     patches, filters = _validate_lut_matmul_operands(patches, filters, lut)
-    built_for = _PREBUILT.get(type(filters))
-    if kernel is None:
-        kernel = built_for or choose_gemm_kernel(lut, patches.shape[1])
-    try:
-        run = KERNELS[kernel]
-    except KeyError:
-        known = ", ".join(sorted(KERNELS))
-        raise RegistryError(
-            f"unknown gemm kernel {kernel!r}; known kernels: {known}"
-        ) from None
-    if built_for is not None and kernel != built_for:
-        filters = filters.filters
-    depth = patches.shape[1]
-    mid = _split_depth(kernel, patches.shape, filters.shape[1], lut)
-    if not mid:
-        return run(patches, filters, lut)
-    # The kernels are called directly, never lut_matmul itself, so a split
-    # call is still one lut_matmul call to anything that wraps the name.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        upper = pool.submit(run, patches[:, mid:], _taps(filters, mid, depth),
-                            lut)
-        try:
-            acc = run(patches[:, :mid], _taps(filters, 0, mid), lut)
-        except BaseException:
-            upper.exception()       # wait for the worker and read its outcome
-            raise
-        acc += upper.result()
-    return acc
+    if isinstance(filters, RowTable):
+        return lut_matmul_rowgather(patches, filters, lut)
+    if (isinstance(filters, FactoredFilters)
+            or choose_gemm_kernel(lut, patches.shape[1]) == "factored"):
+        return lut_matmul_factored(patches, filters, lut)
+    return lut_matmul_rowgather(patches, filters, lut)
 
 
 def dequantize_gemm(acc: np.ndarray, patch_sums: np.ndarray,

@@ -24,6 +24,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..lut.table import LookupTable
 from ..quantization.affine import QuantParams
+from .approx_conv2d import validate_conv_operands
 from .im2col import _pad, _tap_windows, flatten_filters, im2col
 # Unused here; perfbench's tracer wraps ``repro.conv.reference.col2im``.
 from .im2col import col2im  # noqa: F401
@@ -124,9 +125,10 @@ def approx_conv2d_direct(inputs: np.ndarray, filters: np.ndarray,
     parallelize on GPUs" (Section III) and that the GEMM-based engine of this
     library replaces.  Functionally it must agree exactly with
     :func:`repro.backends.emulate_conv2d`; the integration tests rely on that
-    property.
+    property.  It validates its operands as the pipeline does: an empty
+    batch, image or filter bank raises :class:`~repro.errors.ShapeError`.
     """
-    _check_conv_args(inputs, filters)
+    validate_conv_operands(inputs, filters)
     q_filters = filter_q.quantize(filters).astype(np.int64)
     batch, in_h, in_w, channels = inputs.shape
     kh, kw, _, count = q_filters.shape

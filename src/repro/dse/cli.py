@@ -17,8 +17,7 @@ import argparse
 
 from ..datasets.cifar import generate_cifar_like
 from ..errors import TFApproxError
-from ..models.resnet import build_resnet
-from ..models.simple_cnn import build_simple_cnn
+from ..models import MODELS
 from .engine import format_front, search
 from .evaluator import make_calibrated_builder
 from .space import SearchSpace
@@ -33,15 +32,6 @@ DEFAULT_CATALOGUE = [
     "mul8s_mitchell",
 ]
 
-_MODELS = {
-    "simple_cnn": lambda size, seed: build_simple_cnn(
-        input_size=size, seed=seed),
-    "resnet8": lambda size, seed: build_resnet(
-        8, input_size=size, seed=seed),
-    "resnet14": lambda size, seed: build_resnet(
-        14, input_size=size, seed=seed),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``tfapprox-dse`` argument parser (exposed for doc generation)."""
@@ -50,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Layer-wise multiplier design-space exploration: search "
                     "per-Conv2D-layer multiplier assignments for the best "
                     "accuracy/relative-energy trade-off.")
-    parser.add_argument("--model", choices=sorted(_MODELS), default="simple_cnn",
+    parser.add_argument("--model", choices=sorted(MODELS), default="simple_cnn",
                         help="model whose conv layers are explored")
     parser.add_argument("--input-size", type=int, default=32,
                         help="spatial input size of the model")
@@ -85,7 +75,7 @@ def main_dse(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def base_builder():
-        return _MODELS[args.model](args.input_size, 0)
+        return MODELS[args.model](input_size=args.input_size)
 
     try:
         probe = base_builder()

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
-#: Seconds in one hour; used by sanity checks on absurd configurations.
+#: Highest CPU or GPU clock, in GHz, that the specs' ``__post_init__``
+#: accepts; a faster clock is taken for a configuration error.
 _MAX_REASONABLE_FREQ_GHZ = 10.0
 
 

@@ -1,5 +1,7 @@
 """Model zoo: CIFAR ResNets (Table I) and a small demo CNN."""
 
+from functools import partial
+
 from .calibration import calibrate_classifier, extract_features, temper_classifier
 from .resnet import (
     PAPER_DEPTHS,
@@ -10,7 +12,16 @@ from .resnet import (
 )
 from .simple_cnn import SimpleCNNModel, build_simple_cnn
 
+#: The models ``tfapprox-dse`` and ``tfapprox-serve`` build by name, each
+#: called as ``MODELS[name](input_size=size)`` (seed 0).
+MODELS = {
+    "simple_cnn": build_simple_cnn,
+    "resnet8": partial(build_resnet, 8),
+    "resnet14": partial(build_resnet, 14),
+}
+
 __all__ = [
+    "MODELS",
     "calibrate_classifier",
     "extract_features",
     "temper_classifier",

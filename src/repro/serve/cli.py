@@ -12,23 +12,13 @@ from __future__ import annotations
 import argparse
 
 from ..errors import TFApproxError
-from ..models.resnet import build_resnet
-from ..models.simple_cnn import build_simple_cnn
+from ..models import MODELS
 from .service import EmulationService, ServiceConfig
 from .trace import load_trace, synthetic_trace
 
 #: Default multiplier rotation of the synthetic trace: one exact and two
 #: approximate designs, so the replay exercises config-keyed admission.
 DEFAULT_MULTIPLIERS = ["mul8s_exact", "mul8s_mitchell", "mul8s_trunc2"]
-
-_MODELS = {
-    "simple_cnn": lambda size, seed: build_simple_cnn(
-        input_size=size, seed=seed),
-    "resnet8": lambda size, seed: build_resnet(
-        8, input_size=size, seed=seed),
-    "resnet14": lambda size, seed: build_resnet(
-        14, input_size=size, seed=seed),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Micro-batching emulation service, offline replay mode: "
                     "coalesce a request trace into batches of up to the "
                     "batch cap and report throughput/latency.")
-    parser.add_argument("--model", choices=sorted(_MODELS),
+    parser.add_argument("--model", choices=sorted(MODELS),
                         default="simple_cnn",
                         help="registered model the trace runs against")
     parser.add_argument("--input-size", type=int, default=16,
@@ -111,7 +101,7 @@ def main_serve(argv: list[str] | None = None) -> int:
     try:
         service.register_model(
             args.model,
-            lambda: _MODELS[args.model](args.input_size, 0))
+            lambda: MODELS[args.model](input_size=args.input_size))
         if not args.no_warmup:
             distinct = []
             for request in trace:

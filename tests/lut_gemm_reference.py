@@ -4,14 +4,14 @@
 product: one stitched index and one table fetch per scalar product, summed
 in int64.  It is deliberately simple and slow, and lives with the tests
 (and the microbenchmarks, which time the kernels against it) rather than in
-:data:`repro.conv.gemm.KERNELS`.
+:mod:`repro.conv.gemm`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.conv.gemm import KERNELS
+from repro.conv.gemm import lut_matmul_factored, lut_matmul_rowgather
 
 
 def lut_matmul_naive(patches, filters, lut, *,
@@ -39,10 +39,15 @@ def lut_matmul_naive(patches, filters, lut, *,
     return result
 
 
-def kernels_for(lut, depth: int) -> list[str]:
-    """Names of the kernels that can compute a depth-``depth`` product
-    through ``lut``: every kernel, less ``factored`` when the table has no
-    exact factors or the depth breaks their float64 bound."""
+def kernels_for(lut, depth: int) -> list:
+    """The kernel functions that can compute a depth-``depth`` product
+    through ``lut``: ``rowgather``, and ``factored`` too when the table has
+    exact factors and the depth keeps them inside their float64 bound.
+
+    A test pins a kernel by calling it directly, on the integer arrays
+    :func:`repro.conv.gemm.lut_matmul` would pass it after validation.
+    """
     factors = lut.factors
-    usable = factors is not None and factors.exact_for_depth(depth)
-    return [name for name in sorted(KERNELS) if usable or name != "factored"]
+    if factors is not None and factors.exact_for_depth(depth):
+        return [lut_matmul_factored, lut_matmul_rowgather]
+    return [lut_matmul_rowgather]

@@ -29,7 +29,6 @@ from repro.backends import (
 from repro.conv import (
     CHUNK_SIZE, ApproxConvStats, approx_conv2d_chunk, approx_conv2d_direct)
 from repro.conv import gemm as gemm_mod
-from repro.conv.gemm import lut_matmul
 from repro.errors import (
     ConfigurationError, QuantizationError, ShapeError, TruthTableError)
 from repro.gpusim import GPUDevice, run_gpusim_chunk
@@ -153,7 +152,7 @@ GEMM_MULTIPLIERS = ["mul8s_exact", "mul8s_mitchell", "mul8u_drum4"]
 
 
 class TestKernelVariantParity:
-    """Every LUT-GEMM kernel in ``KERNELS`` must agree bit for bit.
+    """Every LUT-GEMM kernel must agree bit for bit.
 
     The grid crosses shapes x multipliers (signed and unsigned); every
     kernel sums in one int64 accumulator and ``lut_matmul_naive`` is the
@@ -173,12 +172,12 @@ class TestKernelVariantParity:
         patches = rng.integers(lo, hi, size=(p, k))
         filters = rng.integers(lo, hi, size=(k, f))
         reference = lut_matmul_naive(patches, filters, lut)
-        for name in kernels_for(lut, k):
-            out = lut_matmul(patches, filters, lut, kernel=name)
+        for kernel in kernels_for(lut, k):
+            out = kernel(patches, filters, lut)
             assert out.dtype == acc_dtype
             assert np.array_equal(out, reference), (
-                f"kernel {name!r} diverged from naive for {multiplier} "
-                f"at shape {shape}"
+                f"kernel {kernel.__name__!r} diverged from naive for "
+                f"{multiplier} at shape {shape}"
             )
 
     @pytest.mark.parametrize("multiplier", ["mul8s_mitchell", "mul8u_drum4"])
@@ -194,18 +193,19 @@ class TestKernelVariantParity:
         inputs = rng.normal(size=(4, 12, 12, 3))     # P = 4*12*12 = 576
         filters = rng.normal(size=(3, 3, 3, 5))
         with monkeypatch.context() as pinned:
-            for name in list(gemm_mod.KERNELS):
-                pinned.setitem(gemm_mod.KERNELS, name, lut_matmul_naive)
+            for name in ("factored", "rowgather"):
+                pinned.setattr(gemm_mod, f"lut_matmul_{name}",
+                               lut_matmul_naive)
             reference = emulate_conv2d(inputs, filters, multiplier)
 
-        chosen = gemm_mod.KERNELS[expected]
+        chosen = getattr(gemm_mod, f"lut_matmul_{expected}")
         rows = []
 
-        def spy(patches, *args, **kwargs):
+        def spy(patches, *args):
             rows.append(len(patches))
-            return chosen(patches, *args, **kwargs)
+            return chosen(patches, *args)
 
-        monkeypatch.setitem(gemm_mod.KERNELS, expected, spy)
+        monkeypatch.setattr(gemm_mod, f"lut_matmul_{expected}", spy)
         out = emulate_conv2d(inputs, filters, multiplier)
         assert rows == [576]
         assert np.array_equal(out, reference)
@@ -714,16 +714,16 @@ class TestRowTables:
     def test_runs_match_approx_conv2d_bit_for_bit(self, monkeypatch):
         """Runs on a cached row table match a cold pipeline."""
         calls = []
-        rowgather = gemm_mod.KERNELS["rowgather"]
+        rowgather = gemm_mod.lut_matmul_rowgather
 
-        def spy(patches, filters, *args, **kwargs):
+        def spy(patches, filters, lut):
             calls.append(isinstance(filters, gemm_mod.RowTable))
-            return rowgather(patches, filters, *args, **kwargs)
+            return rowgather(patches, filters, lut)
 
         pipeline, cache, inputs, filters = self._setup()
         expected = _cold_pipeline().run(
             inputs, filters, "mul8s_mitchell", strides=(2, 2))
-        monkeypatch.setitem(gemm_mod.KERNELS, "rowgather", spy)
+        monkeypatch.setattr(gemm_mod, "lut_matmul_rowgather", spy)
         for _ in range(3):
             out = pipeline.run(inputs, filters, strides=(2, 2))
             np.testing.assert_array_equal(out, expected)

@@ -162,6 +162,18 @@ class TestApproxConv2D:
             emulate_conv2d(np.zeros((2, 4, 4, 2)), np.zeros((3, 3, 3, 1)),
                            exact_lut_signed)
 
+    def test_direct_loop_rejects_empty_operands(self, exact_lut_signed):
+        """An empty batch and an empty filter bank raise in the direct loop
+        as in the pipeline's ``prepare``, instead of an empty output."""
+        q = compute_coeffs(-1.0, 1.0, qrange=exact_lut_signed.qrange)
+        for inputs_shape, filters_shape in [((0, 4, 4, 1), (3, 3, 1, 1)),
+                                            ((1, 4, 4, 1), (3, 3, 1, 0))]:
+            inputs, filters = np.zeros(inputs_shape), np.zeros(filters_shape)
+            with pytest.raises(ShapeError, match="must not be empty"):
+                InferencePipeline().prepare(inputs, filters, exact_lut_signed)
+            with pytest.raises(ShapeError, match="must not be empty"):
+                approx_conv2d_direct(inputs, filters, exact_lut_signed, q, q)
+
     def test_stats_counters(self, rng, exact_lut_signed):
         inputs = rng.normal(size=(CHUNK_SIZE + 1, 9, 9, 3))
         filters = rng.normal(size=(3, 3, 3, 4))

@@ -3,8 +3,8 @@
 Three families of invariants, mostly driven by hypothesis:
 
 * *blocking is invisible*: integer addition is associative, so no choice of
-  ``block_rows``, ``W`` panel bytes or ``tile_rows`` may change a single
-  bit of the result, for any operands;
+  ``ROWGATHER_BLOCK_ROWS``, ``W`` panel bytes or ``tile_rows`` may change a
+  single bit of the result, for any operands;
 * *the exact LUT is a real GEMM*: with an exact-product table,
   ``approx_gemm`` must equal the float GEMM of the same quantised operands
   after dequantisation to within 1 ULP (both accumulate integers that are
@@ -14,7 +14,7 @@ Three families of invariants, mostly driven by hypothesis:
   of crashing;
 * *no silent wrong answers*: operands the table cannot address, and
   non-integral float operands, raise typed errors at the ``lut_matmul``
-  boundary, for every kernel;
+  boundary, whichever kernel the table would take;
 * *operand width is invisible*: int8 / uint8 / int16 operands (the narrow
   patch matrix ``im2col_quantized`` emits) give the int64-operand result on
   every kernel, and the int32 panel partials of ``rowgather`` (16-bit
@@ -29,15 +29,16 @@ Three families of invariants, mostly driven by hypothesis:
   on a :class:`~repro.conv.gemm.RowTable` matches the naive reference on
   random tables, widths and short-call geometry, and refuses a table built
   through another LUT;
-* *the kernel table is fixed*: ``KERNELS`` names the two kernels, an
-  unknown name raises ``RegistryError``, and a non-factored table takes
-  ``rowgather`` at any row count when none is named;
-* *a depth split is invisible*: a call split between the calling thread and
-  a worker matches the naive reference on every kernel, a ``RowTable``
-  operand and odd depths; the split rule takes the calls it names and no
-  others, an error in either half reaches the caller, and four threads
-  calling split products at once under a short switch interval all get
-  their own results.
+* *the operand and the table pick the kernel*: a ``RowTable`` runs
+  ``rowgather`` (through a factored table too), a ``FactoredFilters`` runs
+  ``factored``, and a plain matrix through a non-factored table takes
+  ``rowgather`` at any row count;
+* *a depth split is invisible*: a ``rowgather`` call split between the
+  calling thread and a worker matches the naive reference on plain filters,
+  a ``RowTable`` operand and odd depths, and ``factored`` never splits; the
+  split rule takes the calls it names and no others, an error in either
+  half reaches the caller, and four threads calling split products at once
+  under a short switch interval all get their own results.
 
 The reference, :func:`lut_gemm_reference.lut_matmul_naive`, is the seed's
 one-gather-per-product kernel, kept beside the tests.
@@ -57,7 +58,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conv import gemm as gemm_mod
 from repro.conv.gemm import (
-    KERNELS,
     FactoredFilters,
     RowTable,
     _panel_sum_dtype,
@@ -66,10 +66,10 @@ from repro.conv.gemm import (
     dequantize_gemm,
     gemm_float,
     lut_matmul,
+    lut_matmul_factored,
     lut_matmul_rowgather,
 )
-from repro.errors import (
-    ConfigurationError, RegistryError, ShapeError, TruthTableError)
+from repro.errors import ConfigurationError, ShapeError, TruthTableError
 from repro.lut import LookupTable
 from repro.lut import table as table_mod
 from repro.lut.table import FLOAT64_EXACT_LIMIT, factor_table
@@ -117,9 +117,9 @@ class TestBlockingInvariance:
         patches, filters = _int_case(seed, p, k, f)
         reference = lut_matmul_naive(patches, filters, mitchell_lut)
         # rowgather's K-panel depth follows its W panel byte budget.
-        with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes):
-            rowgather = lut_matmul_rowgather(patches, filters, mitchell_lut,
-                                             block_rows=block_rows)
+        with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES", panel_bytes), \
+                mock.patch.object(gemm_mod, "ROWGATHER_BLOCK_ROWS", block_rows):
+            rowgather = lut_matmul_rowgather(patches, filters, mitchell_lut)
         np.testing.assert_array_equal(rowgather, reference)
 
     @settings(max_examples=20, deadline=None)
@@ -169,8 +169,13 @@ class TestExactLutIsAGemm:
         np.testing.assert_array_max_ulp(approx, reference, maxulp=1)
 
 
+#: The prebuilt filter operand that sends a ``lut_matmul`` call to each
+#: kernel, whatever the table.
+PREBUILT = {"factored": FactoredFilters, "rowgather": RowTable}
+
+
 class TestDegenerateShapes:
-    @pytest.mark.parametrize("kernel", ["naive", *sorted(KERNELS)])
+    @pytest.mark.parametrize("kernel", ["naive", *sorted(PREBUILT)])
     @pytest.mark.parametrize("p,k,f", [
         (5, 0, 3),    # empty reduction: a well-defined all-zero product
         (0, 7, 3),    # no patches
@@ -186,7 +191,8 @@ class TestDegenerateShapes:
         if kernel == "naive":       # the reference itself
             out = lut_matmul_naive(patches, filters, exact_lut)
         else:
-            out = lut_matmul(patches, filters, exact_lut, kernel=kernel)
+            out = lut_matmul(patches, PREBUILT[kernel](filters, exact_lut),
+                             exact_lut)
         assert out.shape == (p, f)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, patches @ filters)
@@ -251,9 +257,9 @@ class TestFlatIndexDtype:
         naive = lut_matmul_naive(patches, filters, lut)
         for panel_bytes in (1, 3 * n * 4 * 4, 1 << 20):
             with mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
-                                   panel_bytes):
-                out = lut_matmul_rowgather(patches, filters, lut,
-                                           block_rows=4)
+                                   panel_bytes), \
+                    mock.patch.object(gemm_mod, "ROWGATHER_BLOCK_ROWS", 4):
+                out = lut_matmul_rowgather(patches, filters, lut)
             np.testing.assert_array_equal(out, naive)
         np.testing.assert_array_equal(naive, patches @ filters)
 
@@ -278,9 +284,8 @@ class TestOperandWidth:
         filters = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(k, f))
         reference = lut_matmul_naive(patches, filters, lut)
-        for kernel in kernels_for(lut, k):
-            out = lut_matmul(patches.astype(dtype), filters.astype(dtype),
-                             lut, kernel=kernel)
+        for kernel in (lut_matmul, *kernels_for(lut, k)):
+            out = kernel(patches.astype(dtype), filters.astype(dtype), lut)
             assert out.dtype == np.int64
             np.testing.assert_array_equal(out, reference)
 
@@ -338,7 +343,7 @@ class TestPanelSums:
         filters = rng.integers(-128, 128, size=(k, 1))
         reference = lut_matmul_naive(patches, filters, lut)
         np.testing.assert_array_equal(
-            lut_matmul(patches, filters, lut, kernel="rowgather"), reference)
+            lut_matmul_rowgather(patches, filters, lut), reference)
 
     def test_int32_panels_add_into_int64(self):
         """Each panel fits int32, their total does not."""
@@ -347,7 +352,7 @@ class TestPanelSums:
         k = (1 << 16) + 5
         patches = np.ones((2, k), dtype=np.int8)
         filters = np.ones((k, 1), dtype=np.int64)
-        out = lut_matmul(patches, filters, lut, kernel="rowgather")
+        out = lut_matmul_rowgather(patches, filters, lut)
         assert out.tolist() == [[-32768 * k]] * 2
 
     def test_12bit_table_takes_the_int64_path(self):
@@ -365,25 +370,14 @@ class TestPanelSums:
             panel_k = gemm_mod.ROWGATHER_PANEL_BYTES // (n * 2 * 4)
             assert panel_k >= k
             assert _panel_sum_dtype(lut.flat.dtype, panel_k) is np.int64
-            out = lut_matmul(patches, filters, lut, kernel="rowgather")
+            out = lut_matmul_rowgather(patches, filters, lut)
         assert out.tolist() == [[k * ((1 << 24) - 1)] * 2] * 3
         np.testing.assert_array_equal(
             out, lut_matmul_naive(patches, filters, lut))
 
 
-class TestGemmKernelRegistry:
-    """The fixed kernel table: its names and the unknown-name error."""
-
-    def test_default_variants_are_registered(self):
-        assert sorted(KERNELS) == ["factored", "rowgather"]
-
-    def test_unknown_kernel_raises_listing_known_names(self, exact_lut):
-        with pytest.raises(RegistryError, match="factored, rowgather"):
-            lut_matmul([[1, 2]], [[3], [4]], exact_lut, kernel="bogus")
-
-
 class TestDefaultDispatch:
-    """Without a named kernel, a table with no exact factors takes
+    """On a plain filter matrix, a table with no exact factors takes
     ``rowgather`` at any row count, on either side of the ``2 * 2**n`` rows
     where a filter bank starts to earn a cached row table."""
 
@@ -400,34 +394,48 @@ class TestDefaultDispatch:
         np.testing.assert_array_equal(out, reference)
 
 
+#: A signed and an unsigned table that ``lut_matmul`` sends to each kernel:
+#: exact rank-1 factors, or none.
+KERNEL_TABLES = {"factored": ("mul8s_exact", "mul8u_drum4"),
+                 "rowgather": ("mul8s_mitchell", "mul8u_mitchell")}
+
+
 class TestOperandValidation:
     """No kernel may mask an operand it cannot address."""
 
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_out_of_range_operands_raise(self, exact_lut, kernel):
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_TABLES))
+    def test_out_of_range_operands_raise(self, library_luts, monkeypatch,
+                                         kernel):
+        signed, unsigned = (library_luts[name]
+                            for name in KERNEL_TABLES[kernel])
         # Masked to 8 bits, 300 aliases 44: 44*2 + 1*3 = 91, not 603.
         with pytest.raises(TruthTableError, match="300"):
-            lut_matmul([[300, 1]], [[2], [3]], exact_lut, kernel=kernel)
+            lut_matmul([[300, 1]], [[2], [3]], signed)
         with pytest.raises(TruthTableError, match="-129"):
-            lut_matmul([[2, 1]], [[-129], [3]], exact_lut, kernel=kernel)
-        unsigned = LookupTable.from_multiplier(library.create("mul8u_drum4"))
+            lut_matmul([[2, 1]], [[-129], [3]], signed)
         with pytest.raises(TruthTableError):
-            lut_matmul([[-1, 1]], [[2], [3]], unsigned, kernel=kernel)
+            lut_matmul([[-1, 1]], [[2], [3]], unsigned)
+        # In range, both tables reach the kernel.
+        calls = _spy_kernels(monkeypatch)
+        lut_matmul([[1, 1]], [[2], [3]], signed)
+        lut_matmul([[1, 1]], [[2], [3]], unsigned)
+        assert calls == [kernel, kernel]
 
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_non_integral_operands_raise(self, exact_lut, kernel):
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_TABLES))
+    def test_non_integral_operands_raise(self, library_luts, monkeypatch,
+                                         kernel):
+        lut = library_luts[KERNEL_TABLES[kernel][0]]
         # Truncated to int64 these would silently give 1*2 + 2*3 = 8.
         with pytest.raises(TruthTableError, match="non-integral"):
-            lut_matmul([[1.7, 2.9]], [[2], [3]], exact_lut, kernel=kernel)
+            lut_matmul([[1.7, 2.9]], [[2], [3]], lut)
         with pytest.raises(TruthTableError, match="non-integral"):
-            lut_matmul([[1, 2]], np.array([[2.0], [np.nan]]), exact_lut,
-                       kernel=kernel)
+            lut_matmul([[1, 2]], np.array([[2.0], [np.nan]]), lut)
         with pytest.raises(TruthTableError, match="non-integral"):
-            lut_matmul([[1, 2]], np.array([[2.0], [np.inf]]), exact_lut,
-                       kernel=kernel)
+            lut_matmul([[1, 2]], np.array([[2.0], [np.inf]]), lut)
         # Integral floats are still valid operands.
-        out = lut_matmul(np.array([[1.0, -2.0]]), [[2], [3]], exact_lut,
-                         kernel=kernel)
+        calls = _spy_kernels(monkeypatch)
+        out = lut_matmul(np.array([[1.0, -2.0]]), [[2], [3]], lut)
+        assert calls == [kernel]
         assert out.tolist() == [[-4]]
 
 
@@ -445,13 +453,15 @@ def _rank_r_table(seed, rank, bit_width, signed):
 
 
 def _spy_kernels(monkeypatch):
-    """Record which kernels ``lut_matmul`` runs."""
+    """Record which kernels ``lut_matmul`` runs, by name."""
     calls = []
-    for name, kernel in list(gemm_mod.KERNELS.items()):
-        def spy(*args, _name=name, _kernel=kernel, **kwargs):
+    for name in ("factored", "rowgather"):
+        kernel = getattr(gemm_mod, f"lut_matmul_{name}")
+
+        def spy(*args, _name=name, _kernel=kernel):
             calls.append(_name)
-            return _kernel(*args, **kwargs)
-        monkeypatch.setitem(gemm_mod.KERNELS, name, spy)
+            return _kernel(*args)
+        monkeypatch.setattr(gemm_mod, f"lut_matmul_{name}", spy)
     return calls
 
 
@@ -533,7 +543,7 @@ class TestFactored:
 
     def test_depth_beyond_the_float64_bound_falls_back(self, monkeypatch):
         """A depth whose partial sums could reach 2**53 takes ``rowgather``,
-        and naming ``factored`` for it raises."""
+        and ``factored`` called on it raises."""
         table = _rank_r_table(0, 3, 8, False)
         lut = LookupTable(table, bit_width=8, signed=False)
         factors = lut.factors
@@ -553,7 +563,7 @@ class TestFactored:
         np.testing.assert_array_equal(
             out, lut_matmul_naive(patches, filters, lut))
         with pytest.raises(ConfigurationError, match="not exact"):
-            lut_matmul(patches, filters, lut, kernel="factored")
+            lut_matmul_factored(patches, filters, lut)
 
     def test_unverified_factors_are_never_used(self, monkeypatch):
         monkeypatch.setattr(table_mod, "verify_factors",
@@ -569,7 +579,7 @@ class TestFactored:
                                       patches @ filters)
         assert calls == ["rowgather"]
         with pytest.raises(ConfigurationError, match="no exact rank"):
-            lut_matmul(patches, filters, lut, kernel="factored")
+            lut_matmul_factored(patches, filters, lut)
 
     @pytest.mark.parametrize("case", ["mitchell", "rank4", "random"])
     def test_rank_above_three_has_no_factors(self, mitchell_lut, case):
@@ -669,15 +679,13 @@ class TestRowTable:
     def test_dispatch(self, mitchell_lut, exact_lut, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         patches, filters = _int_case(4, 3, 6, 2)
-        # Unnamed, a row table runs rowgather; another named kernel gets
-        # the table's filter matrix.
-        for lut, kernel in ((mitchell_lut, None), (mitchell_lut, "rowgather"),
-                            (exact_lut, "factored")):
-            out = lut_matmul(patches, RowTable(filters, lut), lut,
-                             kernel=kernel)
+        # A row table runs rowgather, through a factored table too.
+        assert choose_gemm_kernel(exact_lut, 6) == "factored"
+        for lut in (mitchell_lut, exact_lut):
+            out = lut_matmul(patches, RowTable(filters, lut), lut)
             np.testing.assert_array_equal(
                 out, lut_matmul_naive(patches, filters, lut))
-        assert calls == ["rowgather", "rowgather", "factored"]
+        assert calls == ["rowgather", "rowgather"]
 
     def test_validation(self, mitchell_lut, exact_lut):
         table = RowTable([[1, 2], [3, 4]], mitchell_lut)
@@ -750,14 +758,11 @@ class TestFactoredFilters:
     def test_dispatch(self, exact_lut, monkeypatch):
         calls = _spy_kernels(monkeypatch)
         patches, filters = _int_case(4, 3, 6, 2)
-        # Unnamed, factored filters run factored; another named kernel
-        # gets the operand's filter matrix.
-        for kernel in (None, "factored", "rowgather"):
-            out = lut_matmul(patches, FactoredFilters(filters, exact_lut),
-                             exact_lut, kernel=kernel)
-            np.testing.assert_array_equal(
-                out, lut_matmul_naive(patches, filters, exact_lut))
-        assert calls == ["factored", "factored", "rowgather"]
+        out = lut_matmul(patches, FactoredFilters(filters, exact_lut),
+                         exact_lut)
+        np.testing.assert_array_equal(
+            out, lut_matmul_naive(patches, filters, exact_lut))
+        assert calls == ["factored"]
 
     def test_validation(self, mitchell_lut, exact_lut, library_luts):
         operand = FactoredFilters([[1, 2], [3, 4]], exact_lut)
@@ -778,7 +783,7 @@ class TestFactoredFilters:
 
 @contextlib.contextmanager
 def _forced_split():
-    """Split every ``lut_matmul`` call of depth >= 2, whatever the host's
+    """Split every ``rowgather`` call of depth >= 2, whatever the host's
     CPU count."""
     with mock.patch.object(gemm_mod, "SPLIT_MIN_MACS", 0), \
             mock.patch.object(gemm_mod, "SPLIT_MIN_ROW_MACS", 0), \
@@ -786,12 +791,24 @@ def _forced_split():
         yield
 
 
-def _recording(kernel, calls):
-    """``kernel`` recording ``(thread id, depth, filter operand)`` per call."""
-    def run(patches, filters, lut):
-        calls.append((threading.get_ident(), patches.shape[1], filters))
-        return kernel(patches, filters, lut)
-    return run
+@contextlib.contextmanager
+def _recording_panels():
+    """Record ``rowgather``'s K panels: ``(thread id, k0, k1)`` per gathered
+    panel, and ``(thread id, k1 - k0)`` per panel of ``W`` it builds."""
+    gathered, built = [], []
+    gather_rows, fill_rows = gemm_mod._gather_rows, gemm_mod._fill_rows
+
+    def gather(acc, patches, rows, k0, k1, **kwargs):
+        gathered.append((threading.get_ident(), k0, k1))
+        return gather_rows(acc, patches, rows, k0, k1, **kwargs)
+
+    def fill(out, filter_bits, by_weight):
+        built.append((threading.get_ident(), len(filter_bits)))
+        return fill_rows(out, filter_bits, by_weight)
+
+    with mock.patch.object(gemm_mod, "_gather_rows", gather), \
+            mock.patch.object(gemm_mod, "_fill_rows", fill):
+        yield gathered, built
 
 
 class TestDepthSplit:
@@ -819,59 +836,65 @@ class TestDepthSplit:
                                                    else np.uint8)
         filters = rng.integers(lut.operand_min, lut.operand_max + 1,
                                size=(k, f))
-        calls = []
+        rowgather = kernel is lut_matmul_rowgather
         with _forced_split(), \
                 mock.patch.object(gemm_mod, "ROWGATHER_PANEL_BYTES",
-                                  panel_bytes), \
-                mock.patch.dict(gemm_mod.KERNELS, {kernel: _recording(
-                    gemm_mod.KERNELS[kernel], calls)}):
-            operand = RowTable(filters, lut) if as_table else filters
-            out = lut_matmul(patches, operand, lut, kernel=kernel)
+                                  panel_bytes):
+            # A prebuilt operand pins its kernel through lut_matmul.
+            operand = ((RowTable if rowgather else FactoredFilters)(
+                filters, lut) if as_table else filters)
+            with _recording_panels() as (gathered, built):
+                out = (lut_matmul(patches, operand, lut) if as_table
+                       else kernel(patches, operand, lut))
         np.testing.assert_array_equal(out, lut_matmul_naive(patches, filters,
                                                             lut))
-        if kernel == "factored":        # a BLAS kernel runs whole
-            assert [(ident, depth) for ident, depth, _ in calls] == [
-                (threading.get_ident(), k)]
+        if not rowgather:               # a BLAS kernel runs whole
+            assert gathered == built == []
             return
-        # Two halves covering the depth, one on a worker thread; a row
-        # table reaches rowgather sliced, as a table.
-        assert len(calls) == 2
-        assert calls[0][1] + calls[1][1] == k
-        assert len({ident for ident, _, _ in calls}) == 2
-        assert threading.get_ident() in {ident for ident, _, _ in calls}
-        for _, depth, half in calls:
-            assert isinstance(half, RowTable) == (
-                as_table and kernel == "rowgather")
-            assert half.shape[0] == depth
+        # Two halves, one on a worker thread, each walking its own panels
+        # of one contiguous range of taps; the two ranges cover the depth.
+        # A row table is sliced, never built again.
+        halves = {}
+        for ident, k0, k1 in gathered:
+            halves.setdefault(ident, []).append((k0, k1))
+        assert len(halves) == 2 and threading.get_ident() in halves
+        lower = halves.pop(threading.get_ident())
+        (upper,) = halves.values()
+        for panels in (lower, upper):
+            assert all(a[1] == b[0] for a, b in zip(panels, panels[1:]))
+        assert lower[0][0] == 0 and lower[-1][1] == upper[0][0]
+        assert upper[-1][1] == k
+        # The two threads append in either order.
+        assert sorted(built) == ([] if as_table else sorted(
+            (ident, k1 - k0) for ident, k0, k1 in gathered))
 
-    def test_split_rule(self, mitchell_lut, exact_lut, monkeypatch):
+    def test_split_rule(self, mitchell_lut, monkeypatch):
         split = gemm_mod._split_depth
         monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 2)
         # Batch-32 ResNet-20: every stage call splits at a W-panel boundary
         # (128 / 64 / 32 taps for F = 16 / 32 / 64); the stem's 27x16 rows
         # are too narrow.  Serve's largest single-sample call never splits.
-        assert split("rowgather", (32768, 144), 16, mitchell_lut) == 72
-        assert split("rowgather", (8192, 288), 32, mitchell_lut) == 128
-        assert split("rowgather", (2048, 576), 64, mitchell_lut) == 288
-        assert split("rowgather", (2048, 577), 64, mitchell_lut) == 288
-        assert split("rowgather", (8192, 289), 32, mitchell_lut) == 128
-        assert split("rowgather", (8192, 200), 64, mitchell_lut) == 96
-        assert split("factored", (8192, 288), 32, exact_lut) == 0
-        assert split("rowgather", (32768, 27), 16, mitchell_lut) == 0
-        assert split("rowgather", (16, 288), 64, mitchell_lut) == 0
+        assert split((32768, 144), 16, mitchell_lut) == 72
+        assert split((8192, 288), 32, mitchell_lut) == 128
+        assert split((2048, 576), 64, mitchell_lut) == 288
+        assert split((2048, 577), 64, mitchell_lut) == 288
+        assert split((8192, 289), 32, mitchell_lut) == 128
+        assert split((8192, 200), 64, mitchell_lut) == 96
+        assert split((32768, 27), 16, mitchell_lut) == 0
+        assert split((16, 288), 64, mitchell_lut) == 0
         # The MAC threshold is inclusive.
         depth, filters = 64, 32
         rows = gemm_mod.SPLIT_MIN_MACS // (depth * filters)
-        assert split("rowgather", (rows, depth), filters, mitchell_lut) == 32
-        assert split("rowgather", (rows - 1, depth), filters,
+        assert split((rows, depth), filters, mitchell_lut) == 32
+        assert split((rows - 1, depth), filters,
                      mitchell_lut) == 0
         # So is the per-row one: (K // 2) * F >= SPLIT_MIN_ROW_MACS.
         depth = 2 * gemm_mod.SPLIT_MIN_ROW_MACS // 16
-        assert split("rowgather", (32768, depth), 16, mitchell_lut) == \
+        assert split((32768, depth), 16, mitchell_lut) == \
             depth // 2
-        assert split("rowgather", (32768, depth - 1), 16, mitchell_lut) == 0
+        assert split((32768, depth - 1), 16, mitchell_lut) == 0
         monkeypatch.setattr(gemm_mod, "_usable_cpus", lambda: 1)
-        assert split("rowgather", (2048, 576), 64, mitchell_lut) == 0
+        assert split((2048, 576), 64, mitchell_lut) == 0
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(gemm_mod.os, "sched_getaffinity",
@@ -888,17 +911,19 @@ class TestDepthSplit:
         caller = threading.get_ident()
         finished = []
 
-        def kernel(p, f, lut):
+        gather_rows = gemm_mod._gather_rows
+
+        def gather(acc, patches, rows, k0, k1, **kwargs):
             on_caller = threading.get_ident() == caller
             if on_caller == (failing_half == "caller"):
                 raise RuntimeError(f"{failing_half} half failed")
-            finished.append(p.shape[1])
-            return lut_matmul_rowgather(p, f, lut)
+            gather_rows(acc, patches, rows, k0, k1, **kwargs)
+            finished.append(k1 - k0)
 
         with _forced_split(), \
-                mock.patch.dict(gemm_mod.KERNELS, {"rowgather": kernel}):
+                mock.patch.object(gemm_mod, "_gather_rows", gather):
             with pytest.raises(RuntimeError, match=failing_half):
-                lut_matmul(patches, filters, mitchell_lut, kernel="rowgather")
+                lut_matmul(patches, filters, mitchell_lut)
         # The other half ran to the end before the call returned.
         assert finished == ([9 - 4] if failing_half == "caller" else [4])
 
